@@ -758,8 +758,9 @@ pub struct Cache {
     /// Requesters owed a miss classification per line: populated when a
     /// read stalls, consumed when that requester's beat finally commits
     /// (so `read_misses` counts serviced missed beats, not stall
-    /// cycles).
-    owed: HashMap<u32, Vec<u32>>,
+    /// cycles). A flat `(line, requester)` list: it holds at most a few
+    /// stalled beats, and reusing its buffer keeps misses allocation-free.
+    owed: Vec<(u32, u32)>,
     /// Demand refill/write-back jobs not yet on a channel, FIFO. Idle
     /// channels always drain this queue before touching the prefetch
     /// queue.
@@ -798,7 +799,7 @@ impl Cache {
             resident: HashMap::new(),
             sets,
             pending_refills: HashMap::new(),
-            owed: HashMap::new(),
+            owed: Vec::new(),
             queue: VecDeque::new(),
             channels: vec![None; cfg.channels as usize],
             streams: VecDeque::new(),
@@ -1098,12 +1099,11 @@ impl Cache {
             self.stats.mshr_peak = self.stats.mshr_peak.max(self.pending_refills.len() as u64);
             Probe::MissPending
         };
-        let waiters = self.owed.entry(line).or_default();
-        if !waiters.contains(&requester) {
-            if !waiters.is_empty() {
+        if !self.owed.contains(&(line, requester)) {
+            if self.owed.iter().any(|&(l, _)| l == line) {
                 self.stats.mshr_merges += 1;
             }
-            waiters.push(requester);
+            self.owed.push((line, requester));
         }
         outcome
     }
@@ -1122,17 +1122,11 @@ impl Cache {
             self.is_line_present(line),
             "committed a read beat whose line is absent"
         );
-        let missed = match self.owed.get_mut(&line) {
-            Some(waiters) => match waiters.iter().position(|&r| r == requester) {
-                Some(pos) => {
-                    waiters.swap_remove(pos);
-                    if waiters.is_empty() {
-                        self.owed.remove(&line);
-                    }
-                    true
-                }
-                None => false,
-            },
+        let missed = match self.owed.iter().position(|&e| e == (line, requester)) {
+            Some(pos) => {
+                self.owed.swap_remove(pos);
+                true
+            }
             None => false,
         };
         if missed {

@@ -365,6 +365,7 @@ pub struct Cluster {
     prefetch_hints: Vec<PrefetchHint>,
     // Scratch reused across cycles to keep the hot loop allocation-free.
     requests: Vec<Request>,
+    grants: Vec<bool>,
     active: Vec<usize>,
     ranges: Vec<(usize, usize, usize)>,
     tracer: Tracer,
@@ -418,6 +419,7 @@ impl Cluster {
             dma: None,
             prefetch_hints: Vec::new(),
             requests: Vec::new(),
+            grants: Vec::new(),
             active: Vec::new(),
             ranges: Vec::new(),
             tracer: Tracer::off(),
@@ -886,7 +888,7 @@ impl Cluster {
         if let Some(dma) = &mut self.dma {
             for &h in &self.active {
                 if self.cores[h].has_dma_commands() {
-                    for cmd in self.cores[h].take_dma_commands() {
+                    for cmd in self.cores[h].drain_dma_commands() {
                         dma.engine.enqueue(command_to_transfer(&cmd)).map_err(|e| {
                             ClusterError::Dma {
                                 hart: Some(h as u32),
@@ -917,7 +919,7 @@ impl Cluster {
                 // lapse).
                 self.prefetch_hints.clear();
                 self.prefetch_hints
-                    .append(&mut dma.engine.take_prefetch_hints());
+                    .extend(dma.engine.drain_prefetch_hints());
             }
         }
         Ok(beat)
@@ -938,7 +940,13 @@ impl Cluster {
     /// owner forwards them to the shared L2's prefetcher, rewriting each
     /// hint's `requester` to this cluster's id.
     pub fn take_prefetch_hints(&mut self) -> Vec<PrefetchHint> {
-        std::mem::take(&mut self.prefetch_hints)
+        self.drain_prefetch_hints().collect()
+    }
+
+    /// [`Cluster::take_prefetch_hints`] without giving up the buffer: the
+    /// allocation-free form the system's per-cycle loop uses.
+    pub fn drain_prefetch_hints(&mut self) -> std::vec::Drain<'_, PrefetchHint> {
+        self.prefetch_hints.drain(..)
     }
 
     /// Second half of a cluster cycle: the TCDM crossbar pass (the DMA
@@ -1005,7 +1013,8 @@ impl Cluster {
                     .map_err(tag(h))?;
             }
         } else {
-            let grants = self.tcdm.arbitrate(&self.requests);
+            self.tcdm.arbitrate_into(&self.requests, &mut self.grants);
+            let grants = &self.grants;
             for &(h, start, end) in &self.ranges {
                 self.cores[h]
                     .apply_grants(&grants[start..end], &mut self.tcdm)

@@ -47,11 +47,10 @@ impl StallCause {
         StallCause::Sync,
     ];
 
+    /// Counter slot: the declaration order, which [`StallCause::ALL`]
+    /// lists verbatim (pinned by a unit test).
     fn index(self) -> usize {
-        Self::ALL
-            .iter()
-            .position(|c| *c == self)
-            .expect("cause listed in ALL")
+        self as usize
     }
 
     /// Metric-series name for sampled exports (`stall_` + snake label).
@@ -334,5 +333,12 @@ mod tests {
             assert!(seen.insert(c.index()));
         }
         assert_eq!(seen.len(), 10);
+    }
+
+    #[test]
+    fn index_is_position_in_all() {
+        for (i, c) in StallCause::ALL.into_iter().enumerate() {
+            assert_eq!(c.index(), i, "{c:?}");
+        }
     }
 }

@@ -248,10 +248,12 @@ impl FpSubsystem {
 
     /// Commits at most one completed op through the writeback port.
     ///
-    /// Returns integer-register writebacks for the integer core to apply.
-    pub fn writeback(&mut self, counters: &mut PerfCounters) -> Vec<IntWriteback> {
+    /// Returns the integer-register writeback for the integer core to
+    /// apply, if the committed op targets the integer register file (the
+    /// single port commits at most one).
+    pub fn writeback(&mut self, counters: &mut PerfCounters) -> Option<IntWriteback> {
         self.blocked_reason = None;
-        let mut int_wb = Vec::new();
+        let mut int_wb = None;
         // Fixed priority: LSU > divsqrt > conv > noncomp > addmul.
         // The first candidate that can commit uses the port; the others
         // hold (their pipelines backpressure).
@@ -352,10 +354,10 @@ impl FpSubsystem {
             OpClass::DivSqrt => self.divsqrt.take_ready(),
         }
         .expect("drain target verified by chained_drain_target");
-        let mut int_wb = Vec::new();
+        let mut int_wb = None;
         let committed = self.try_commit(op.dest, op.bits, counters, &mut int_wb);
         debug_assert!(
-            committed && int_wb.is_empty(),
+            committed && int_wb.is_none(),
             "a chained drain commits into the register popped this cycle"
         );
         self.wb_port_free = false;
@@ -367,7 +369,7 @@ impl FpSubsystem {
         dest: WbDest,
         bits: u64,
         counters: &mut PerfCounters,
-        int_wb: &mut Vec<IntWriteback>,
+        int_wb: &mut Option<IntWriteback>,
     ) -> bool {
         match dest {
             WbDest::Plain(reg) => {
@@ -405,7 +407,7 @@ impl FpSubsystem {
                 }
             }
             WbDest::Int(reg) => {
-                int_wb.push(IntWriteback {
+                *int_wb = Some(IntWriteback {
                     reg,
                     value: bits as u32,
                 });
@@ -432,16 +434,18 @@ impl FpSubsystem {
 
         // --- readiness checks -----------------------------------------
         // Distinct source registers (a register read twice is one port
-        // read / one pop, broadcast to both operand positions).
-        let mut sources = inst.fp_sources();
-        sources.dedup();
-        let mut distinct: Vec<FpReg> = Vec::with_capacity(3);
-        for s in sources {
-            if !distinct.contains(&s) {
-                distinct.push(s);
+        // read / one pop, broadcast to both operand positions), kept in
+        // first-use order on the stack.
+        let mut distinct_buf = [FpReg::new(0); 3];
+        let mut ndistinct = 0;
+        for s in inst.fp_sources() {
+            if !distinct_buf[..ndistinct].contains(&s) {
+                distinct_buf[ndistinct] = s;
+                ndistinct += 1;
             }
         }
-        for &src in &distinct {
+        let distinct = &distinct_buf[..ndistinct];
+        for &src in distinct {
             match self.classify(src) {
                 RegClass::Stream(dm) => {
                     let mover = self.ssr.mover(dm);
@@ -492,7 +496,7 @@ impl FpSubsystem {
         let drain = if unit_free {
             None
         } else {
-            self.chained_drain_target(&inst, &distinct)
+            self.chained_drain_target(&inst, distinct)
         };
         if !unit_free && drain.is_none() {
             let cause = match &inst {
@@ -506,7 +510,7 @@ impl FpSubsystem {
         // --- operand read / pop ----------------------------------------
         let mut values: [(FpReg, u64); 3] = [(FpReg::new(0), 0); 3];
         let mut nvals = 0;
-        for &src in &distinct {
+        for &src in distinct {
             let bits = match self.classify(src) {
                 RegClass::Stream(dm) => {
                     let v = self.ssr.mover_mut(dm).pop().map_err(SimError::from)?;

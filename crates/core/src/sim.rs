@@ -147,7 +147,7 @@ struct MemPlan {
 ///
 /// The core itself does not own a DMA engine: commands accumulate in a
 /// per-core outbox the cluster drains each cycle
-/// ([`Core::take_dma_commands`]) into the shared engine, and the engine's
+/// ([`Core::drain_dma_commands`]) into the shared engine, and the engine's
 /// status is mirrored back ([`Core::set_dma_status`]) for the status
 /// CSRs to read. On a lone [`Simulator`] the outbox is never drained and
 /// the doorbell is inert (status reads stay zero).
@@ -217,6 +217,10 @@ pub struct Core {
     system_barriers_completed: u32,
     plan: MemPlan,
     dm_plan: Vec<u8>,
+    // Scratch for the stand-alone memory phase of `Core::step`, reused
+    // across cycles so stepping never allocates.
+    step_requests: Vec<Request>,
+    step_grants: Vec<bool>,
     trace_int_slot: Option<Instruction>,
     trace_fp_slot: FpSlot,
     dma_outbox: Vec<DmaCommand>,
@@ -282,6 +286,8 @@ impl Core {
             system_barriers_completed: 0,
             plan: MemPlan::default(),
             dm_plan: Vec::new(),
+            step_requests: Vec::new(),
+            step_grants: Vec::new(),
             trace_int_slot: None,
             trace_fp_slot: FpSlot::Idle,
             dma_outbox: Vec::new(),
@@ -595,8 +601,9 @@ impl Core {
     }
 
     /// Drains the DMA commands rung since the last drain (cluster use).
-    pub fn take_dma_commands(&mut self) -> Vec<DmaCommand> {
-        std::mem::take(&mut self.dma_outbox)
+    /// The outbox keeps its capacity, so ringing never reallocates.
+    pub fn drain_dma_commands(&mut self) -> std::vec::Drain<'_, DmaCommand> {
+        self.dma_outbox.drain(..)
     }
 
     /// Whether any DMA doorbell rings are waiting to be drained.
@@ -665,14 +672,15 @@ impl Core {
     /// Any [`SimError`]: strict-mode misuse, memory faults, `ebreak`.
     pub fn step(&mut self, tcdm: &mut Tcdm) -> Result<(), SimError> {
         self.begin_cycle()?;
-        let mut requests = Vec::with_capacity(2 + self.fp.ssr().len());
+        let mut requests = std::mem::take(&mut self.step_requests);
+        let mut grants = std::mem::take(&mut self.step_grants);
+        requests.clear();
         self.mem_requests(&mut requests);
-        let grants = if requests.is_empty() {
-            Vec::new()
-        } else {
-            tcdm.arbitrate(&requests)
-        };
-        self.apply_grants(&grants, tcdm)?;
+        tcdm.arbitrate_into(&requests, &mut grants);
+        let applied = self.apply_grants(&grants, tcdm);
+        self.step_requests = requests;
+        self.step_grants = grants;
+        applied?;
         self.end_cycle();
         Ok(())
     }
@@ -684,8 +692,7 @@ impl Core {
     /// See [`Core::step`].
     pub fn begin_cycle(&mut self) -> Result<(), SimError> {
         // Phase 1: FP writeback (int-register results apply immediately).
-        let int_wbs = self.fp.writeback(&mut self.counters);
-        for wb in int_wbs {
+        if let Some(wb) = self.fp.writeback(&mut self.counters) {
             if !wb.reg.is_zero() {
                 self.regs[wb.reg.index() as usize] = wb.value;
             }

@@ -497,6 +497,63 @@ fn barrier_waits_for_streams_to_complete() {
 }
 
 #[test]
+fn adjacent_duplicate_stream_source_pops_once() {
+    // `fmul.d ft3, ft0, ft0` reads stream ft0 twice in one instruction:
+    // one pop, broadcast to both operands — so four squares consume
+    // exactly the four stream elements.
+    let n = 4;
+    let mut b = ProgramBuilder::new();
+    b.li(t(12), 0x3000);
+    enable_ssr(&mut b);
+    cfg_linear_stream(&mut b, 0, 0x1000, n, false);
+    for k in 0..n {
+        b.fmul_d(f(3), f(0), f(0));
+        b.fsd(f(3), t(12), 8 * k as i32);
+    }
+    disable_ssr(&mut b);
+    b.ecall();
+    let mut sim = Simulator::new(cfg().with_strict(true), b.build().unwrap());
+    for k in 0..n {
+        sim.tcdm_mut()
+            .write_f64(0x1000 + 8 * k, f64::from(k + 1))
+            .unwrap();
+    }
+    let summary = sim.run(10_000).unwrap();
+    for k in 0..n {
+        let x = f64::from(k + 1);
+        assert_eq!(sim.tcdm().read_f64(0x3000 + 8 * k).unwrap(), x * x);
+    }
+    assert_eq!(summary.counters.ssr_elements, u64::from(n), "one pop each");
+}
+
+#[test]
+fn non_adjacent_duplicate_chained_source_pops_once() {
+    // `fmadd.d fd, fc, fa, fc` names chained fc as operands 1 and 3:
+    // one pop per instruction. Two pushes feed exactly two consumers; a
+    // double pop would starve the second consumer forever.
+    let fc = f(3);
+    let mut b = ProgramBuilder::new();
+    b.li(T0, fc.chain_mask_bit() as i32);
+    b.csrrs(IntReg::ZERO, csr::CHAIN_MASK, T0);
+    b.fadd_d(fc, f(6), f(7)); // push 0.5 + 1.5 = 2
+    b.fmadd_d(f(8), fc, f(5), fc); // 2 * 10 + 2
+    b.fadd_d(fc, f(7), f(7)); // push 1.5 + 1.5 = 3
+    b.fmadd_d(f(9), fc, f(5), fc); // 3 * 10 + 3
+    b.csrrw(IntReg::ZERO, csr::CHAIN_MASK, IntReg::ZERO);
+    b.ecall();
+    let mut sim = Simulator::new(cfg().with_strict(true), b.build().unwrap());
+    sim.set_fp_reg(f(5), 10.0);
+    sim.set_fp_reg(f(6), 0.5);
+    sim.set_fp_reg(f(7), 1.5);
+    let summary = sim.run(10_000).expect("each consumer pops exactly once");
+    assert_eq!(sim.fp_reg(f(8)), 22.0);
+    assert_eq!(sim.fp_reg(f(9)), 33.0);
+    assert!(!sim.fp_subsystem().chain().is_valid(fc), "FIFO drained");
+    // One register-file read per *distinct* source: 2 + 2 + 1 + 2.
+    assert_eq!(summary.counters.fp_rf_reads, 7);
+}
+
+#[test]
 fn ebreak_reports_pc() {
     let mut b = ProgramBuilder::new();
     b.nop();

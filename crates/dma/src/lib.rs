@@ -211,7 +211,7 @@ pub struct DmaStats {
     /// `DMA_START` — the engine knows its whole future read footprint
     /// the moment the doorbell rings, and publishes it so a prefetching
     /// shared L2 can start pulling the lines before the first beat
-    /// arrives ([`DmaEngine::take_prefetch_hints`]).
+    /// arrives ([`DmaEngine::drain_prefetch_hints`]).
     pub prefetch_hints: u64,
 }
 
@@ -326,7 +326,7 @@ impl DmaEngine {
     /// Accepts a transfer descriptor into the FIFO.
     ///
     /// A Dram→TCDM descriptor also publishes its read footprint as a
-    /// stride hint ([`DmaEngine::take_prefetch_hints`]). The hint buffer
+    /// stride hint ([`DmaEngine::drain_prefetch_hints`]). The hint buffer
     /// is bounded ([`HINT_BUFFER`], oldest dropped): an owner that never
     /// drains it — a stand-alone engine with no prefetching memory level
     /// behind it — just loses stale hints, never memory.
@@ -363,12 +363,13 @@ impl DmaEngine {
         Ok(())
     }
 
-    /// Collects the stride hints published since the last call — the
+    /// Drains the stride hints published since the last call — the
     /// owner forwards them (requester rewritten to the cluster's id) to
     /// the shared L2's prefetcher, or simply drops them when no
-    /// prefetching memory level exists (the single-cluster path).
-    pub fn take_prefetch_hints(&mut self) -> Vec<PrefetchHint> {
-        std::mem::take(&mut self.hints)
+    /// prefetching memory level exists (the single-cluster path). The
+    /// buffer keeps its capacity, so publishing never reallocates.
+    pub fn drain_prefetch_hints(&mut self) -> std::vec::Drain<'_, PrefetchHint> {
+        self.hints.drain(..)
     }
 
     /// Transfers not yet completed (queued + in flight) — the value the
@@ -804,7 +805,7 @@ mod tests {
         // in the L2 without a fetch.
         dma.enqueue(Transfer::contiguous(0x0, 0x0, 32, false))
             .unwrap();
-        let hints = dma.take_prefetch_hints();
+        let hints = dma.drain_prefetch_hints().collect::<Vec<_>>();
         assert_eq!(hints.len(), 1, "one hint per read descriptor");
         assert_eq!(
             (
@@ -817,16 +818,16 @@ mod tests {
             "the hint mirrors the descriptor's Dram-side footprint"
         );
         assert_eq!(dma.stats().prefetch_hints, 1);
-        assert!(dma.take_prefetch_hints().is_empty(), "hints drain once");
+        assert_eq!(dma.drain_prefetch_hints().count(), 0, "hints drain once");
         // Rejected descriptors publish nothing.
         assert!(dma.enqueue(Transfer::contiguous(4, 0, 8, true)).is_err());
-        assert!(dma.take_prefetch_hints().is_empty());
+        assert_eq!(dma.drain_prefetch_hints().count(), 0);
         // An owner that never drains loses old hints, never memory.
         for i in 0..(HINT_BUFFER as u32 + 16) {
             dma.enqueue(Transfer::contiguous(i * 8, 0, 8, true))
                 .unwrap();
         }
-        let hints = dma.take_prefetch_hints();
+        let hints = dma.drain_prefetch_hints().collect::<Vec<_>>();
         assert_eq!(hints.len(), HINT_BUFFER, "hint buffer stays bounded");
         assert_eq!(hints[0].addr, 16 * 8, "oldest hints dropped first");
     }

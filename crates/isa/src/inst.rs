@@ -613,25 +613,26 @@ impl Instruction {
         )
     }
 
-    /// FP registers read by this instruction (excluding stream/chain
-    /// reinterpretation, which the core applies on top).
-    #[must_use]
-    pub fn fp_sources(&self) -> Vec<FpReg> {
-        match *self {
-            Instruction::FpStore { frs2, .. } => vec![frs2],
-            Instruction::FpBin { op, frs1, frs2, .. } => {
-                // Division reads both as well; sign-injection too.
-                let _ = op;
-                vec![frs1, frs2]
+    /// FP registers read by this instruction, in operand order (excluding
+    /// stream/chain reinterpretation, which the core applies on top). A
+    /// register named twice is yielded twice. The iterator is
+    /// fixed-capacity and never allocates: the core calls this on every
+    /// issue attempt.
+    pub fn fp_sources(&self) -> impl Iterator<Item = FpReg> + Clone {
+        let regs = match *self {
+            Instruction::FpStore { frs2, .. } => [Some(frs2), None, None],
+            // Division and sign-injection read both operands as well.
+            Instruction::FpBin { frs1, frs2, .. } | Instruction::FpCmp { frs1, frs2, .. } => {
+                [Some(frs1), Some(frs2), None]
             }
             Instruction::FpFma {
                 frs1, frs2, frs3, ..
-            } => vec![frs1, frs2, frs3],
-            Instruction::FpSqrt { frs1, .. } => vec![frs1],
-            Instruction::FpCmp { frs1, frs2, .. } => vec![frs1, frs2],
-            Instruction::FpCvt { op, frs1, .. } if !op.reads_int() => vec![frs1],
-            _ => Vec::new(),
-        }
+            } => [Some(frs1), Some(frs2), Some(frs3)],
+            Instruction::FpSqrt { frs1, .. } => [Some(frs1), None, None],
+            Instruction::FpCvt { op, frs1, .. } if !op.reads_int() => [Some(frs1), None, None],
+            _ => [None; 3],
+        };
+        regs.into_iter().flatten()
     }
 
     /// FP register written by this instruction, if any.
@@ -647,34 +648,30 @@ impl Instruction {
         }
     }
 
-    /// Integer registers read by this instruction.
-    #[must_use]
-    pub fn int_sources(&self) -> Vec<IntReg> {
-        let mut v = Vec::new();
-        match *self {
+    /// Integer registers read by this instruction (`x0` excluded), in
+    /// operand order. Fixed-capacity and allocation-free, like
+    /// [`Instruction::fp_sources`].
+    pub fn int_sources(&self) -> impl Iterator<Item = IntReg> + Clone {
+        let regs = match *self {
             Instruction::Jalr { rs1, .. }
             | Instruction::Load { rs1, .. }
             | Instruction::OpImm { rs1, .. }
             | Instruction::FpLoad { rs1, .. }
-            | Instruction::FpStore { rs1, .. } => v.push(rs1),
+            | Instruction::FpStore { rs1, .. }
+            | Instruction::Csr {
+                src: CsrSrc::Reg(rs1),
+                ..
+            }
+            | Instruction::Scfgwi { rs1, .. } => [Some(rs1), None],
             Instruction::Branch { rs1, rs2, .. }
             | Instruction::Store { rs2, rs1, .. }
             | Instruction::Op { rs1, rs2, .. }
-            | Instruction::MulDiv { rs1, rs2, .. } => {
-                v.push(rs1);
-                v.push(rs2);
-            }
-            Instruction::Csr {
-                src: CsrSrc::Reg(rs1),
-                ..
-            } => v.push(rs1),
-            Instruction::FpCvt { op, rs1, .. } if op.reads_int() => v.push(rs1),
-            Instruction::Frep { max_rpt, .. } => v.push(max_rpt),
-            Instruction::Scfgwi { rs1, .. } => v.push(rs1),
-            _ => {}
-        }
-        v.retain(|r| !r.is_zero());
-        v
+            | Instruction::MulDiv { rs1, rs2, .. } => [Some(rs1), Some(rs2)],
+            Instruction::FpCvt { op, rs1, .. } if op.reads_int() => [Some(rs1), None],
+            Instruction::Frep { max_rpt, .. } => [Some(max_rpt), None],
+            _ => [None; 2],
+        };
+        regs.into_iter().flatten().filter(|r| !r.is_zero())
     }
 
     /// Integer register written by this instruction, if any.
@@ -900,10 +897,33 @@ mod tests {
             frs2: FpReg::FT1,
             frs3: FpReg::FT3,
         };
-        assert_eq!(i.fp_sources(), vec![FpReg::FT0, FpReg::FT1, FpReg::FT3]);
+        assert!(i.fp_sources().eq([FpReg::FT0, FpReg::FT1, FpReg::FT3]));
         assert_eq!(i.fp_dest(), Some(FpReg::FT3));
         assert!(i.is_fp());
-        assert!(i.int_sources().is_empty());
+        assert_eq!(i.int_sources().count(), 0);
+    }
+
+    #[test]
+    fn repeated_sources_are_yielded_per_operand() {
+        // Deduplication is the core's job (one pop per distinct
+        // register); the operand list itself keeps every position.
+        let i = Instruction::FpFma {
+            op: FmaOp::Madd,
+            fmt: FpFormat::Double,
+            frd: FpReg::new(4),
+            frs1: FpReg::FT2,
+            frs2: FpReg::FT0,
+            frs3: FpReg::FT2,
+        };
+        assert!(i.fp_sources().eq([FpReg::FT2, FpReg::FT0, FpReg::FT2]));
+        assert_eq!(i.fp_sources().last(), Some(FpReg::FT2));
+        let s = Instruction::Store {
+            op: StoreOp::Sw,
+            rs2: IntReg::new(6),
+            rs1: IntReg::ZERO,
+            offset: 0,
+        };
+        assert!(s.int_sources().eq([IntReg::new(6)]), "x0 is never a source");
     }
 
     #[test]
@@ -915,7 +935,7 @@ mod tests {
             imm: 0,
         };
         assert_eq!(i.int_dest(), None);
-        assert!(i.int_sources().is_empty());
+        assert_eq!(i.int_sources().count(), 0);
     }
 
     #[test]
@@ -947,8 +967,8 @@ mod tests {
             rs1: IntReg::new(10),
             offset: 8,
         };
-        assert_eq!(i.int_sources(), vec![IntReg::new(10)]);
-        assert_eq!(i.fp_sources(), vec![FpReg::FT2]);
+        assert!(i.int_sources().eq([IntReg::new(10)]));
+        assert!(i.fp_sources().eq([FpReg::FT2]));
         assert_eq!(i.fp_dest(), None);
     }
 }

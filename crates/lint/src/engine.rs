@@ -482,7 +482,7 @@ impl Analyzer<'_> {
                             n
                         };
                         if net_nonzero != 0 {
-                            if let Some(r) = inst.fp_dest().or_else(|| inst.fp_sources().pop()) {
+                            if let Some(r) = inst.fp_dest().or_else(|| inst.fp_sources().last()) {
                                 self.frep_unknown_trip(r, net_nonzero, pc);
                             }
                         } else {

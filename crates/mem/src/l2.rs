@@ -745,10 +745,23 @@ impl L2 {
     /// missing lines stall behind the cache core's MSHRs/channels;
     /// writes allocate without a fetch and never stall. Returns per-beat
     /// outcomes index-aligned with `requests`.
+    ///
+    /// A convenience wrapper over [`L2::arbitrate_into`], which reuses a
+    /// caller-owned outcome buffer instead of allocating one per cycle.
     pub fn arbitrate(&mut self, requests: &[L2Request]) -> Vec<L2Outcome> {
-        let mut outcomes = vec![L2Outcome::BankConflict; requests.len()];
+        let mut outcomes = Vec::with_capacity(requests.len());
+        self.arbitrate_into(requests, &mut outcomes);
+        outcomes
+    }
+
+    /// Arbitrates one cycle of beats into `outcomes`, which is cleared
+    /// and refilled index-aligned with `requests` (see [`L2::arbitrate`]
+    /// for the policy).
+    pub fn arbitrate_into(&mut self, requests: &[L2Request], outcomes: &mut Vec<L2Outcome>) {
+        outcomes.clear();
+        outcomes.resize(requests.len(), L2Outcome::BankConflict);
         if requests.is_empty() {
-            return outcomes;
+            return;
         }
         self.bank_taken.fill(false);
         // True round-robin over the *configured* cluster ids: priority
@@ -812,7 +825,6 @@ impl L2 {
             Some(cluster) => (cluster + 1) % n,
             None => (self.rr_next + 1) % n,
         };
-        outcomes
     }
 
     /// Cycle end: the refill/write-back channels advance; a finished

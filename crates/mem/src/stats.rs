@@ -1,22 +1,31 @@
 //! Access statistics for the TCDM, consumed by the energy model.
 
-use std::collections::BTreeMap;
-
 use sc_trace::MetricSource;
 
 use crate::tcdm::{AccessKind, PortId};
 
+/// One counter per possible port id (ports are `u8`).
+const PORTS: usize = 1 << u8::BITS;
+
 /// Per-port and per-bank access counters.
 ///
 /// Every *granted* request is one SRAM access (read or write); conflicts
-/// count retries that cost a cycle but no SRAM energy.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+/// count retries that cost a cycle but no SRAM energy. Per-port counters
+/// are flat arrays indexed by port id, so recording is a plain increment
+/// on the arbitration hot path.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TcdmStats {
-    reads_by_port: BTreeMap<u8, u64>,
-    writes_by_port: BTreeMap<u8, u64>,
-    conflicts_by_port: BTreeMap<u8, u64>,
+    reads_by_port: [u64; PORTS],
+    writes_by_port: [u64; PORTS],
+    conflicts_by_port: [u64; PORTS],
     accesses_by_bank: Vec<u64>,
     conflicts_by_bank: Vec<u64>,
+}
+
+impl Default for TcdmStats {
+    fn default() -> Self {
+        Self::new(0)
+    }
 }
 
 impl TcdmStats {
@@ -24,16 +33,18 @@ impl TcdmStats {
     #[must_use]
     pub fn new(banks: u32) -> Self {
         TcdmStats {
+            reads_by_port: [0; PORTS],
+            writes_by_port: [0; PORTS],
+            conflicts_by_port: [0; PORTS],
             accesses_by_bank: vec![0; banks as usize],
             conflicts_by_bank: vec![0; banks as usize],
-            ..Default::default()
         }
     }
 
     pub(crate) fn record_grant(&mut self, port: PortId, bank: u32, kind: AccessKind) {
         match kind {
-            AccessKind::Read => *self.reads_by_port.entry(port.0).or_default() += 1,
-            AccessKind::Write => *self.writes_by_port.entry(port.0).or_default() += 1,
+            AccessKind::Read => self.reads_by_port[usize::from(port.0)] += 1,
+            AccessKind::Write => self.writes_by_port[usize::from(port.0)] += 1,
         }
         if let Some(b) = self.accesses_by_bank.get_mut(bank as usize) {
             *b += 1;
@@ -41,7 +52,7 @@ impl TcdmStats {
     }
 
     pub(crate) fn record_conflict(&mut self, port: PortId, bank: u32) {
-        *self.conflicts_by_port.entry(port.0).or_default() += 1;
+        self.conflicts_by_port[usize::from(port.0)] += 1;
         if let Some(b) = self.conflicts_by_bank.get_mut(bank as usize) {
             *b += 1;
         }
@@ -50,13 +61,13 @@ impl TcdmStats {
     /// Total granted reads across ports.
     #[must_use]
     pub fn reads(&self) -> u64 {
-        self.reads_by_port.values().sum()
+        self.reads_by_port.iter().sum()
     }
 
     /// Total granted writes across ports.
     #[must_use]
     pub fn writes(&self) -> u64 {
-        self.writes_by_port.values().sum()
+        self.writes_by_port.iter().sum()
     }
 
     /// Total granted accesses (reads + writes).
@@ -68,25 +79,25 @@ impl TcdmStats {
     /// Total lost arbitrations across ports.
     #[must_use]
     pub fn conflicts(&self) -> u64 {
-        self.conflicts_by_port.values().sum()
+        self.conflicts_by_port.iter().sum()
     }
 
     /// Granted reads for one port.
     #[must_use]
     pub fn reads_of(&self, port: PortId) -> u64 {
-        self.reads_by_port.get(&port.0).copied().unwrap_or(0)
+        self.reads_by_port[usize::from(port.0)]
     }
 
     /// Granted writes for one port.
     #[must_use]
     pub fn writes_of(&self, port: PortId) -> u64 {
-        self.writes_by_port.get(&port.0).copied().unwrap_or(0)
+        self.writes_by_port[usize::from(port.0)]
     }
 
     /// Lost arbitrations for one port.
     #[must_use]
     pub fn conflicts_of(&self, port: PortId) -> u64 {
-        self.conflicts_by_port.get(&port.0).copied().unwrap_or(0)
+        self.conflicts_by_port[usize::from(port.0)]
     }
 
     /// Granted accesses (reads + writes) for one port.

@@ -203,6 +203,11 @@ pub struct Tcdm {
     /// ports second, so one core's many streams cannot starve another
     /// core's single LSU.
     port_group_size: u8,
+    /// Scratch: banks taken this cycle (reused across cycles, like the
+    /// rest of the arbiter's scratch, so arbitration never allocates).
+    bank_taken: Vec<bool>,
+    /// Scratch: `(priority key, request index)` in arbitration order.
+    order: Vec<(u32, usize)>,
 }
 
 impl Tcdm {
@@ -215,6 +220,8 @@ impl Tcdm {
             cfg,
             rr_next: 0,
             port_group_size: 0,
+            bank_taken: vec![false; cfg.banks as usize],
+            order: Vec::new(),
         }
     }
 
@@ -263,14 +270,94 @@ impl Tcdm {
     /// every call so persistent conflicts share bandwidth fairly.
     /// Granted requests are counted in the statistics; data movement is
     /// performed separately by the caller through the functional API.
+    ///
+    /// A convenience wrapper over [`Tcdm::arbitrate_into`], which reuses
+    /// a caller-owned grant buffer instead of allocating one per cycle.
     pub fn arbitrate(&mut self, requests: &[Request]) -> Vec<bool> {
-        let mut grants = vec![false; requests.len()];
-        let mut bank_taken = vec![false; self.cfg.banks as usize];
+        let mut grants = Vec::with_capacity(requests.len());
+        self.arbitrate_into(requests, &mut grants);
+        grants
+    }
+
+    /// Arbitrates one cycle of requests into `grants`, which is cleared
+    /// and refilled index-aligned with `requests` (see
+    /// [`Tcdm::arbitrate`] for the policy). Allocation-free once the
+    /// buffers have grown to the largest request batch.
+    pub fn arbitrate_into(&mut self, requests: &[Request], grants: &mut Vec<bool>) {
+        grants.clear();
+        grants.resize(requests.len(), false);
+        if requests.is_empty() {
+            return;
+        }
         // Order candidate indexes by rotated priority. The rotation is
         // taken modulo the highest requesting port (or group) so two
         // contenders share bandwidth 50/50 rather than by the full 8-bit
         // wrap. With port grouping, the group (core) key rotates first:
         // inter-core fairness dominates intra-core port order.
+        let g = u32::from(self.port_group_size.max(1));
+        let grouped = self.port_group_size > 0;
+        let key_parts = |port: u8| -> (u32, u32) {
+            let p = u32::from(port);
+            if grouped {
+                (p / g, p % g)
+            } else {
+                (0, p)
+            }
+        };
+        let (mut ngroups, mut nports) = (1, 1);
+        for r in requests {
+            let (group, port) = key_parts(r.port.0);
+            ngroups = ngroups.max(group + 1);
+            nports = nports.max(port + 1);
+        }
+        // The two rotations must not stay phase-locked: with a shared
+        // counter and common factors between `ngroups` and `nports`
+        // (always, for power-of-two clusters) some (group, port)
+        // priority combinations would never occur and a port could
+        // starve. Dividing by `ngroups` gives the port rotation an
+        // independent phase; with a single group this reduces exactly
+        // to the ungrouped rotation.
+        let rr_group = u32::from(self.rr_next) % ngroups;
+        let rr_port = (u32::from(self.rr_next) / ngroups) % nports;
+        // Stable insertion by the flattened key `group' * nports + port'`
+        // (lexicographic on the rotated pair): equal keys keep input
+        // order, which is what the reference's stable sort guarantees.
+        self.order.clear();
+        for (i, r) in requests.iter().enumerate() {
+            let (group, port) = key_parts(r.port.0);
+            let key = (group + ngroups - rr_group) % ngroups * nports
+                + (port + nports - rr_port) % nports;
+            let at = self.order.partition_point(|&(k, _)| k <= key);
+            self.order.insert(at, (key, i));
+        }
+        self.bank_taken.fill(false);
+        for k in 0..self.order.len() {
+            let i = self.order[k].1;
+            let req = &requests[i];
+            let bank = self.bank_of(req.addr) as usize;
+            if self.bank_taken[bank] {
+                self.stats.record_conflict(req.port, bank as u32);
+            } else {
+                self.bank_taken[bank] = true;
+                grants[i] = true;
+                self.stats.record_grant(req.port, bank as u32, req.kind);
+            }
+        }
+        self.rr_next = self.rr_next.wrapping_add(1);
+    }
+
+    /// Places the round-robin pointer at an arbitrary phase (tests).
+    #[cfg(test)]
+    pub(crate) fn set_rr_next(&mut self, rr_next: u8) {
+        self.rr_next = rr_next;
+    }
+
+    /// The original sort-based arbiter, kept as the differential
+    /// reference [`Tcdm::arbitrate_into`] is pinned against.
+    #[cfg(test)]
+    pub(crate) fn arbitrate_reference(&mut self, requests: &[Request]) -> Vec<bool> {
+        let mut grants = vec![false; requests.len()];
+        let mut bank_taken = vec![false; self.cfg.banks as usize];
         let g = u16::from(self.port_group_size.max(1));
         let grouped = self.port_group_size > 0;
         let key_parts = |port: u8| -> (u16, u16) {
@@ -291,13 +378,6 @@ impl Tcdm {
             .map(|r| key_parts(r.port.0).1 + 1)
             .max()
             .unwrap_or(1);
-        // The two rotations must not stay phase-locked: with a shared
-        // counter and common factors between `ngroups` and `nports`
-        // (always, for power-of-two clusters) some (group, port)
-        // priority combinations would never occur and a port could
-        // starve. Dividing by `ngroups` gives the port rotation an
-        // independent phase; with a single group this reduces exactly
-        // to the ungrouped rotation.
         let rr_group = u16::from(self.rr_next) % ngroups;
         let rr_port = (u16::from(self.rr_next) / ngroups) % nports;
         let mut order: Vec<usize> = (0..requests.len()).collect();

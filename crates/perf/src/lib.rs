@@ -166,13 +166,11 @@ impl Leaf {
         Leaf::Park,
     ];
 
-    /// Storage index inside [`Attribution`].
+    /// Storage index inside [`Attribution`]: the declaration order, which
+    /// [`Leaf::ALL`] lists verbatim (pinned by a unit test).
     #[must_use]
     pub fn index(self) -> usize {
-        Self::ALL
-            .iter()
-            .position(|l| *l == self)
-            .expect("leaf listed in ALL")
+        self as usize
     }
 
     /// The group this leaf rolls up into.
@@ -635,6 +633,13 @@ mod tests {
             }
         );
         assert!(err.to_string().contains("exactly one leaf"));
+    }
+
+    #[test]
+    fn index_is_position_in_all() {
+        for (i, leaf) in Leaf::ALL.into_iter().enumerate() {
+            assert_eq!(leaf.index(), i, "{leaf:?}");
+        }
     }
 
     #[test]

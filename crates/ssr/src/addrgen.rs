@@ -120,6 +120,12 @@ impl AddrGen {
         self.exhausted
     }
 
+    /// The address the next call to `next` returns, without advancing.
+    #[must_use]
+    pub fn peek(&self) -> Option<u32> {
+        (!self.exhausted).then_some(self.current as u32)
+    }
+
     /// Elements remaining (including repetitions).
     #[must_use]
     pub fn remaining(&self) -> u64 {
@@ -250,5 +256,18 @@ mod tests {
             g.next().unwrap();
         }
         assert_eq!(g.remaining(), 0);
+    }
+
+    #[test]
+    fn peek_matches_next_through_repeats_and_carries() {
+        let pat = AffinePattern::from_loops(64, &[(2, 8), (3, -40)]).with_repeat(1);
+        let mut g = AddrGen::new(pat);
+        loop {
+            let peeked = g.peek();
+            assert_eq!(peeked, g.next());
+            if peeked.is_none() {
+                break;
+            }
+        }
     }
 }

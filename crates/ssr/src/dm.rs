@@ -288,29 +288,19 @@ impl DataMover {
                 if let Some(&idx) = st.pending_idx.front() {
                     return Some(Action::FetchData(st.cfg.address_of(idx)));
                 }
-                if !gen.is_exhausted()
-                    && st.pending_idx.len() < st.cfg.idx_width.per_word() as usize
-                {
-                    let mut peek = gen.clone();
-                    return peek.next().map(Action::FetchIndexWord);
+                if st.pending_idx.len() < st.cfg.idx_width.per_word() as usize {
+                    return gen.peek().map(Action::FetchIndexWord);
                 }
             }
             return None;
         }
         match self.dir {
-            StreamDir::Read => {
-                if gen.is_exhausted() || self.fifo.len() >= self.fifo_capacity {
-                    None
-                } else {
-                    let mut peek = gen.clone();
-                    peek.next().map(Action::FetchData)
-                }
+            StreamDir::Read if self.fifo.len() < self.fifo_capacity => {
+                gen.peek().map(Action::FetchData)
             }
+            StreamDir::Read => None,
             StreamDir::Write => match self.fifo.front() {
-                Some(&(_, true)) => {
-                    let mut peek = gen.clone();
-                    peek.next().map(Action::WriteData)
-                }
+                Some(&(_, true)) => gen.peek().map(Action::WriteData),
                 _ => None,
             },
         }

@@ -309,6 +309,7 @@ pub struct System {
     system_barriers: u64,
     // Scratch reused across cycles.
     l2_reqs: Vec<L2Request>,
+    l2_outcomes: Vec<L2Outcome>,
     l2_req_of: Vec<Option<usize>>,
     stepped: Vec<usize>,
     /// Per-cluster local-skip classification for the cycle being
@@ -376,6 +377,7 @@ impl System {
             cluster_done_at: vec![None; n],
             system_barriers: 0,
             l2_reqs: Vec::new(),
+            l2_outcomes: Vec::new(),
             l2_req_of: vec![None; n],
             stepped: Vec::new(),
             quiet: vec![false; n],
@@ -635,7 +637,7 @@ impl System {
                 });
             }
             if let Some((l2, _)) = self.shared.as_mut() {
-                for mut hint in self.clusters[c].take_prefetch_hints() {
+                for mut hint in self.clusters[c].drain_prefetch_hints() {
                     hint.requester = c as u32;
                     l2.prefetch_hint(hint);
                 }
@@ -646,15 +648,13 @@ impl System {
         // no shared memory attached, beats can only come from privately
         // attached engines (Cluster::attach_dma via cluster_mut): those
         // move against their own Dram with nothing shared to arbitrate,
-        // so every beat proceeds (the empty grant vector below reads as
+        // so every beat proceeds (the empty outcome vector below reads as
         // all-granted).
-        let outcomes = match self.shared.as_mut() {
-            Some((l2, _)) => {
-                l2.begin_cycle();
-                l2.arbitrate(&self.l2_reqs)
-            }
-            None => Vec::new(),
-        };
+        self.l2_outcomes.clear();
+        if let Some((l2, _)) = self.shared.as_mut() {
+            l2.begin_cycle();
+            l2.arbitrate_into(&self.l2_reqs, &mut self.l2_outcomes);
+        }
 
         // Half-cycle 2: each densely stepped cluster resumes with its
         // L2 outcome; a granted beat then contends on the cluster's own
@@ -680,7 +680,11 @@ impl System {
                 continue;
             }
             let outcome = match self.l2_req_of[c] {
-                Some(r) => outcomes.get(r).copied().unwrap_or(L2Outcome::Granted),
+                Some(r) => self
+                    .l2_outcomes
+                    .get(r)
+                    .copied()
+                    .unwrap_or(L2Outcome::Granted),
                 None => L2Outcome::Granted,
             };
             let dram = self.shared.as_mut().map(|(_, d)| d);
