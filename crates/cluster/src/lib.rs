@@ -48,7 +48,10 @@
 //! carry-forward sample rows at the same cadence points — so the event
 //! path is cycle-count-, stats- and trace-identical to dense stepping,
 //! pinned by the checked-in baseline sweeps and `sc-kernels`'
-//! differential proptest.
+//! differential proptest. In either mode, a hart parked inside a busy
+//! cluster takes its closed-form one-cycle advance
+//! ([`sc_core::Core::skip_cycles`]) instead of a dense cycle.
+//!
 //! Construction is most convenient through the fluent [`ClusterBuilder`],
 //! which applies tracer/DMA/embedding wiring in the right order at build
 //! time.
@@ -846,22 +849,22 @@ impl Cluster {
         self.tracer.set_cycle(self.cycles);
 
         // Cores already halted at cycle start sit the cycle out entirely
-        // (their counters freeze at their own completion). Under
-        // event-driven stepping, parked harts (barrier / system-barrier
-        // / blocking DMA waits) sit *this* cycle out too — the local
-        // skip for partially-idle windows: a parked hart is drained, so
-        // its dense cycle is exactly [`sc_core::Core::skip_cycles`] of
-        // one cycle, and release remains a collective event the
-        // end-of-cycle rendezvous applies to every core regardless of
-        // membership in `active`. In dense mode
-        // ([`Scheduler::local_quiet`] is constantly false) the
-        // reference behaviour is untouched.
+        // (their counters freeze at their own completion). Parked harts
+        // (barrier / system-barrier / blocking DMA waits) sit *this*
+        // cycle out too, in every scheduling mode: a parked hart is
+        // drained, so its dense cycle is exactly
+        // [`sc_core::Core::skip_cycles`] of one cycle, and release
+        // remains a collective event the end-of-cycle rendezvous applies
+        // to every core regardless of membership in `active`. A core
+        // with a per-core issue trace never reports idle
+        // ([`sc_core::Core::wake`]), so its trace keeps one entry per
+        // cycle.
         self.active.clear();
         for h in 0..self.cores.len() {
             if self.cores[h].is_halted() {
                 continue;
             }
-            if self.sched.local_quiet(self.cycles, self.cores[h].wake()) {
+            if self.cores[h].wake() == Wake::Idle {
                 self.cores[h].skip_cycles(1);
             } else {
                 self.active.push(h);

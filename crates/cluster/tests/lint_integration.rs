@@ -6,6 +6,7 @@
 
 use sc_cluster::{ClusterBuilder, ClusterConfig, ClusterError};
 use sc_core::CoreConfig;
+use sc_isa::{csr, FpReg, IntReg, ProgramBuilder};
 use sc_lint::{fixtures, Rule};
 use sc_mem::{Dram, DramConfig, TcdmConfig};
 use sc_trace::HangReport;
@@ -97,6 +98,33 @@ fn lint_strict_admits_warning_tier_programs() {
     .expect("warnings do not refuse the build");
     assert!(!cluster.lint_report().is_clean());
     assert!(!cluster.lint_report().has_errors());
+}
+
+#[test]
+fn lint_strict_admits_a_repeated_chained_source() {
+    // `fmul.d f6, f3, f3` pops chained f3 once, so the single push
+    // balances it: the strict builder must accept the program, and the
+    // run must square the chained value.
+    let mut b = ProgramBuilder::new();
+    b.li(IntReg::new(5), FpReg::new(3).chain_mask_bit() as i32);
+    b.csrrs(IntReg::ZERO, csr::CHAIN_MASK, IntReg::new(5));
+    b.fadd_d(FpReg::new(3), FpReg::new(1), FpReg::new(2));
+    b.fmul_d(FpReg::new(6), FpReg::new(3), FpReg::new(3));
+    b.csrrw(IntReg::ZERO, csr::CHAIN_MASK, IntReg::ZERO);
+    b.ecall();
+    let mut cluster = ClusterBuilder::new(
+        ClusterConfig::new(1).with_core(cfg()),
+        vec![b.build().unwrap()],
+    )
+    .lint_strict()
+    .try_build()
+    .expect("a repeated chained source is balanced");
+    let report = cluster.lint_report();
+    assert!(report.is_clean(), "{report}");
+    cluster.core_mut(0).set_fp_reg(FpReg::new(1), 1.0);
+    cluster.core_mut(0).set_fp_reg(FpReg::new(2), 2.0);
+    cluster.run(10_000).expect("the program halts");
+    assert_eq!(cluster.core(0).fp_reg(FpReg::new(6)), 9.0);
 }
 
 #[test]

@@ -153,8 +153,10 @@ impl Scheduler {
     /// `true` iff the mode is [`SchedMode::Event`] and `wake` lies
     /// strictly past `now`: the owner steps the non-idle subset densely
     /// and bulk-advances this component by one cycle instead of
-    /// stepping it. Always `false` in [`SchedMode::Dense`], which keeps
-    /// the reference regime untouched.
+    /// stepping it. Always `false` in [`SchedMode::Dense`]. A system
+    /// uses it to skip whole quiet clusters; parked harts need no
+    /// license, since a cluster advances them in closed form in every
+    /// mode.
     #[must_use]
     pub fn local_quiet(&self, now: u64, wake: Wake) -> bool {
         self.mode == SchedMode::Event
@@ -163,20 +165,6 @@ impl Scheduler {
                 Wake::At(cycle) => cycle > now,
                 Wake::Idle => true,
             }
-    }
-
-    /// The per-component wake-vector form of [`Scheduler::plan`]:
-    /// classifies each component of a partially-idle window. Element `i`
-    /// is `true` when component `i`'s wake licenses a one-cycle local
-    /// skip ([`Scheduler::local_quiet`]) — the caller steps the `false`
-    /// subset densely and bulk-advances the `true` subset alongside it.
-    /// In [`SchedMode::Dense`] every element is `false`.
-    #[must_use]
-    pub fn plan_each(&self, now: u64, wakes: impl IntoIterator<Item = Wake>) -> Vec<bool> {
-        wakes
-            .into_iter()
-            .map(|w| self.local_quiet(now, w))
-            .collect()
     }
 }
 
@@ -232,22 +220,5 @@ mod tests {
         let dense = Scheduler::new(SchedMode::Dense);
         assert!(!dense.local_quiet(10, Wake::Idle));
         assert!(!dense.local_quiet(10, Wake::At(500)));
-    }
-
-    #[test]
-    fn plan_each_classifies_a_partially_idle_wake_vector() {
-        let s = Scheduler::new(SchedMode::Event);
-        assert_eq!(
-            s.plan_each(
-                10,
-                [Wake::EveryCycle, Wake::Idle, Wake::At(42), Wake::At(10)]
-            ),
-            vec![false, true, true, false]
-        );
-        let d = Scheduler::new(SchedMode::Dense);
-        assert_eq!(
-            d.plan_each(10, [Wake::Idle, Wake::At(42)]),
-            vec![false, false]
-        );
     }
 }

@@ -67,7 +67,7 @@ use crate::sequencer::{OffloadedFp, SeqItem};
 use crate::trace::{FpSlot, IssueTrace, TraceCycle};
 
 /// Result of a completed simulation.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RunSummary {
     /// Total cycles simulated.
     pub cycles: u64,

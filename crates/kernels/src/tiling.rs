@@ -334,10 +334,10 @@ pub(crate) fn schedule(tiles: &[TileIo]) -> TileSchedule {
 /// (`completed - target >= 0` as a signed distance) and produce
 /// bit-identical kernel results; they differ in what the waiting hart
 /// *does*: a polling hart retires a three-instruction loop every few
-/// cycles, a parked hart retires nothing. Parked waits therefore leave
-/// idle windows an event-driven scheduler ([`sc_core::SchedMode::Event`])
-/// can fast-forward — both globally and per hart
-/// ([`sc_core::Scheduler::local_quiet`]) — so parking is the default
+/// cycles, a parked hart retires nothing. A parked hart's cycle is
+/// closed-form in every scheduling mode, and parked waits leave idle
+/// windows an event-driven scheduler ([`sc_core::SchedMode::Event`])
+/// can fast-forward globally — so parking is the default
 /// and the checked-in baselines exercise the widened skip surface;
 /// polling remains available for modelling the classic Snitch spin
 /// loop's retire traffic.

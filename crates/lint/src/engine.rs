@@ -315,21 +315,26 @@ impl Analyzer<'_> {
         self.chain_mask.is_some_and(|m| m & r.chain_mask_bit() != 0)
     }
 
+    /// The chained registers one execution of `inst` pops, each once:
+    /// the core pops a chained register once per instruction however
+    /// often it is named (`FpSubsystem::try_issue` dedups its sources
+    /// the same way), e.g. `fmul.d f6, f3, f3` pops `f3` once.
+    fn chained_pops(&self, inst: Instruction) -> impl Iterator<Item = FpReg> + '_ {
+        let srcs = inst.fp_sources();
+        srcs.clone()
+            .enumerate()
+            .filter(move |&(i, r)| self.is_chained(r) && !srcs.clone().take(i).any(|s| s == r))
+            .map(|(_, r)| r)
+    }
+
     /// Applies one instruction's pops/pushes `times` times (pops before
     /// pushes within one execution, per the FIFO read-then-write order).
     fn fifo_step(&mut self, pc: u32, inst: Instruction, times: i64) {
         if self.chain_mask == Some(0) || self.chain_mask.is_none() {
             return;
         }
-        let mut delta: Vec<(FpReg, i64, i64)> = Vec::new();
-        for src in inst.fp_sources() {
-            if self.is_chained(src) {
-                match delta.iter_mut().find(|(r, _, _)| *r == src) {
-                    Some((_, p, _)) => *p += 1,
-                    None => delta.push((src, 1, 0)),
-                }
-            }
-        }
+        let mut delta: Vec<(FpReg, i64, i64)> =
+            self.chained_pops(inst).map(|r| (r, 1, 0)).collect();
         if let Some(dst) = inst.fp_dest() {
             if self.is_chained(dst) {
                 match delta.iter_mut().find(|(r, _, _)| *r == dst) {
@@ -416,12 +421,10 @@ impl Analyzer<'_> {
                 if stagger {
                     continue;
                 }
-                for src in inst.fp_sources() {
-                    if self.is_chained(src) {
-                        let i = src.index() as usize;
-                        net[i] -= 1;
-                        lo[i] = lo[i].min(net[i]);
-                    }
+                for src in self.chained_pops(*inst) {
+                    let i = src.index() as usize;
+                    net[i] -= 1;
+                    lo[i] = lo[i].min(net[i]);
                 }
                 if let Some(dst) = inst.fp_dest() {
                     if self.is_chained(dst) {
@@ -470,12 +473,7 @@ impl Analyzer<'_> {
                         // Unknown trip: a net-zero instruction is safe at
                         // any count; a net-nonzero one is unbalanced.
                         let net_nonzero = {
-                            let mut n: i64 = 0;
-                            for s in inst.fp_sources() {
-                                if self.is_chained(s) {
-                                    n -= 1;
-                                }
-                            }
+                            let mut n = -(self.chained_pops(*inst).count() as i64);
                             if inst.fp_dest().is_some_and(|d| self.is_chained(d)) {
                                 n += 1;
                             }

@@ -102,6 +102,53 @@ fn balanced_chained_kernel_is_clean() {
 }
 
 #[test]
+fn repeated_chained_source_pops_once() {
+    // The core pops a chained register once per instruction however
+    // often it is named, so `fmul.d f6, f3, f3` consumes exactly the one
+    // element `fadd.d f3, …` pushed — straight-line, inside a known-trip
+    // `frep.o`, and as a net-zero `fmul.d f3, f3, f3` accumulation inside
+    // an unknown-trip `frep.i`.
+    let chain_f3 = |b: &mut ProgramBuilder| {
+        b.li(t(5), f(3).chain_mask_bit() as i32);
+        b.csrrs(IntReg::ZERO, csr::CHAIN_MASK, t(5));
+    };
+    let unchain = |b: &mut ProgramBuilder| {
+        b.csrrw(IntReg::ZERO, csr::CHAIN_MASK, IntReg::ZERO);
+        b.ecall();
+    };
+
+    let mut straight = ProgramBuilder::new();
+    chain_f3(&mut straight);
+    straight.fadd_d(f(3), f(1), f(2));
+    straight.fmul_d(f(6), f(3), f(3));
+    unchain(&mut straight);
+
+    let mut outer = ProgramBuilder::new();
+    chain_f3(&mut outer);
+    outer.li(t(11), 15);
+    outer.frep_outer(t(11), |b| {
+        b.fadd_d(f(3), f(1), f(2));
+        b.fmul_d(f(6), f(3), f(3));
+    });
+    unchain(&mut outer);
+
+    let mut inner = ProgramBuilder::new();
+    chain_f3(&mut inner);
+    inner.csrrs(t(11), csr::MCYCLE, IntReg::ZERO);
+    inner.fadd_d(f(3), f(1), f(2));
+    inner.frep_inner(t(11), |b| {
+        b.fmul_d(f(3), f(3), f(3));
+    });
+    inner.fmul_d(f(6), f(3), f(3));
+    unchain(&mut inner);
+
+    for (name, b) in [("straight", straight), ("outer", outer), ("inner", inner)] {
+        let report = lint_program(&b.build().unwrap(), &LintConfig::new());
+        assert!(report.is_clean(), "{name}: {report}");
+    }
+}
+
+#[test]
 fn frep_with_unknown_trip_and_net_drift_is_flagged() {
     // Trip count comes from a CSR read (statically unknown); a block
     // that nets +1 push per iteration cannot be balanced for any trip.

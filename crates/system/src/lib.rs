@@ -44,10 +44,13 @@
 //! cluster reports a future wake and the shared L2 is quiescent
 //! ([`sc_mem::L2::is_quiescent`]) — bit-identical to dense stepping,
 //! pinned by the checked-in baseline sweeps and `sc-kernels`'
-//! differential proptest. The fluent [`SystemBuilder`] assembles a
-//! system (shared memory, watchdog, tracer, scheduling mode) in one
-//! expression, replacing the `System::new` + `attach_dram` ordering
-//! dance.
+//! differential proptest. Inside a dense cycle, event mode also skips
+//! whole quiet clusters; a parked hart inside a stepped cluster takes
+//! its closed-form cycle in either mode, so the mode is the system's
+//! alone and never needs propagating to its clusters. The fluent
+//! [`SystemBuilder`] assembles a system (shared memory, watchdog,
+//! tracer, scheduling mode) in one expression, replacing the
+//! `System::new` + `attach_dram` ordering dance.
 //!
 //! ```
 //! use sc_isa::{csr, IntReg, ProgramBuilder};
