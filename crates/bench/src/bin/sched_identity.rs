@@ -12,8 +12,8 @@
 //! `prefetch_ablation` — so a scheduler bug cannot hide in a corner of
 //! the baselined configuration space.
 //!
-//! Every point runs twice (dense, then event) and the two summaries are
-//! compared field by field; any divergence panics with the offending
+//! Every point runs twice (dense, then event) and the two summaries must
+//! be equal as whole structs; any divergence panics with the offending
 //! point id. The comparison also re-verifies the top-down attribution's
 //! partition invariant (`sum(leaves) == cycles`, per hart and per
 //! padded roll-up) on every point — this sweep is CI's proof that the
@@ -69,66 +69,36 @@ fn gen(grid: Grid3, chaining: bool) -> StencilKernel {
     StencilKernel::new(Stencil::box3d1r(), grid, variant(chaining)).expect("valid combination")
 }
 
-/// Field-by-field comparison of two cluster summaries.
+/// Whole-summary equality of two cluster summaries, plus the attribution
+/// partition invariant on the dense one.
 fn assert_cluster_identical(id: &str, dense: &ClusterSummary, event: &ClusterSummary) {
-    assert_eq!(dense.cycles, event.cycles, "{id}: cluster cycles diverge");
-    assert_eq!(dense.per_core.len(), event.per_core.len(), "{id}");
-    for (i, (a, b)) in dense.per_core.iter().zip(&event.per_core).enumerate() {
-        assert_eq!(a.counters, b.counters, "{id}: hart{i} counters diverge");
-        assert_eq!(a.region, b.region, "{id}: hart{i} measured region diverges");
-    }
-    assert_eq!(dense.aggregate, event.aggregate, "{id}: aggregate diverges");
-    assert_eq!(
-        dense.core_done_at, event.core_done_at,
-        "{id}: done-at diverges"
-    );
-    assert_eq!(dense.core_conflicts, event.core_conflicts, "{id}");
-    assert_eq!(dense.core_accesses, event.core_accesses, "{id}");
-    assert_eq!(dense.conflicts_by_bank, event.conflicts_by_bank, "{id}");
-    assert_eq!(dense.accesses_by_bank, event.accesses_by_bank, "{id}");
-    assert_eq!(
-        dense.barriers, event.barriers,
-        "{id}: barrier count diverges"
-    );
-    assert_eq!(dense.system_barriers, event.system_barriers, "{id}");
-    assert_eq!(dense.dma, event.dma, "{id}: DMA stats/overlap diverge");
-    assert_eq!(
-        dense.attribution, event.attribution,
-        "{id}: top-down attribution diverges"
-    );
-    // Beyond dense ≡ event: the attribution must *partition* the run at
-    // every level — each hart's leaves sum to its own cycle count, and
-    // the padded cluster roll-up covers harts × wall-clock exactly.
-    for (i, c) in dense.per_core.iter().enumerate() {
+    assert_eq!(dense, event, "{id}: cluster summaries diverge");
+    verify_cluster_partition(id, dense);
+}
+
+/// Beyond dense ≡ event: the attribution must *partition* the run at
+/// every level — each hart's leaves sum to its own cycle count, and the
+/// padded cluster roll-up covers harts × wall-clock exactly.
+fn verify_cluster_partition(id: &str, summary: &ClusterSummary) {
+    for (i, c) in summary.per_core.iter().enumerate() {
         c.counters
             .attr
             .verify(c.counters.cycles)
             .unwrap_or_else(|e| panic!("{id}: hart{i}: {e}"));
     }
-    dense
+    summary
         .attribution
-        .verify(dense.cycles * dense.per_core.len() as u64)
+        .verify(summary.cycles * summary.per_core.len() as u64)
         .unwrap_or_else(|e| panic!("{id}: cluster roll-up: {e}"));
 }
 
-/// Field-by-field comparison of two system summaries.
+/// Whole-summary equality of two system summaries, plus the attribution
+/// partition invariant on every level of the dense one.
 fn assert_system_identical(id: &str, dense: &SystemSummary, event: &SystemSummary) {
-    assert_eq!(dense.cycles, event.cycles, "{id}: system cycles diverge");
-    assert_eq!(dense.per_cluster.len(), event.per_cluster.len(), "{id}");
-    for (m, (a, b)) in dense.per_cluster.iter().zip(&event.per_cluster).enumerate() {
-        assert_cluster_identical(&format!("{id} cluster{m}"), a, b);
+    assert_eq!(dense, event, "{id}: system summaries diverge");
+    for (m, c) in dense.per_cluster.iter().enumerate() {
+        verify_cluster_partition(&format!("{id} cluster{m}"), c);
     }
-    assert_eq!(dense.aggregate, event.aggregate, "{id}: aggregate diverges");
-    assert_eq!(dense.cluster_done_at, event.cluster_done_at, "{id}");
-    assert_eq!(dense.system_barriers, event.system_barriers, "{id}");
-    assert_eq!(dense.l2, event.l2, "{id}: shared-L2 stats diverge");
-    assert_eq!(dense.l2_refill_beats, event.l2_refill_beats, "{id}");
-    assert_eq!(dense.l2_writeback_beats, event.l2_writeback_beats, "{id}");
-    assert_eq!(dense.l2_prefetch_beats, event.l2_prefetch_beats, "{id}");
-    assert_eq!(
-        dense.attribution, event.attribution,
-        "{id}: top-down attribution diverges"
-    );
     let harts: u64 = dense
         .per_cluster
         .iter()

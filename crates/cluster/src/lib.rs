@@ -177,6 +177,10 @@ pub enum ClusterError {
     /// [`ClusterBuilder::lint_strict`] was requested and the `sc-lint`
     /// pass found error-severity protocol violations.
     Lint(LintReport),
+    /// A DMA engine built with [`ClusterBuilder::shared_dma`] moved a
+    /// beat in a [`Cluster::end_cycle`] call that passed no external
+    /// store (`ext_mem == None`).
+    MissingExternalStore,
 }
 
 impl fmt::Display for ClusterError {
@@ -198,6 +202,10 @@ impl fmt::Display for ClusterError {
             ClusterError::Lint(report) => {
                 write!(f, "static verification refused the programs:\n{report}")
             }
+            ClusterError::MissingExternalStore => write!(
+                f,
+                "shared-memory DMA engine moved a beat without the external store"
+            ),
         }
     }
 }
@@ -210,12 +218,13 @@ impl std::error::Error for ClusterError {
             ClusterError::Dma { source, .. } => Some(source),
             ClusterError::Hang(_) => None,
             ClusterError::Lint(_) => None,
+            ClusterError::MissingExternalStore => None,
         }
     }
 }
 
 /// Aggregated result of a completed cluster run.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ClusterSummary {
     /// Cluster cycles until the *last* core halted.
     pub cycles: u64,
@@ -626,51 +635,15 @@ impl Cluster {
         self.cores.iter().map(|c| c.counters().attr).collect()
     }
 
-    /// Attaches a DMA engine moving data between `dram` and the shared
-    /// TCDM. The engine arbitrates on the first crossbar port *after*
-    /// every core's namespace (`num_cores × ports_per_core`), forming its
-    /// own arbitration group — inter-group fairness treats the mover
-    /// like one more core, so DMA beats neither starve nor are starved
-    /// by compute traffic. An attached-but-idle engine leaves the
-    /// cluster's cycle-by-cycle behaviour bit-identical to a cluster
-    /// without one.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the engine's port would overflow the 8-bit port space.
-    #[deprecated(note = "construct the cluster with `ClusterBuilder::dma` instead")]
-    pub fn attach_dma(&mut self, dram: Dram) {
-        let timing = dram.config();
-        self.attach_dma_inner(Some(dram), timing);
-    }
-
-    /// Attaches a DMA engine whose background memory is owned
-    /// *externally* — the multi-cluster system's shared L2/Dram. The
-    /// engine pays `timing` per transfer/beat (the L2 hop,
-    /// [`sc_mem::L2Config::engine_timing`]); the owner passes the shared
-    /// functional store into every [`Cluster::end_cycle`] call.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the engine's port would overflow the 8-bit port space.
-    #[deprecated(note = "construct the cluster with `ClusterBuilder::shared_dma` instead")]
-    pub fn attach_dma_shared(&mut self, timing: DramConfig) {
-        self.attach_dma_inner(None, timing);
-    }
-
-    /// Post-construction shared-DMA attachment hook for the system
-    /// crate's own (deprecated) `attach_dram` shim. Not part of the
-    /// public API: construct clusters with [`ClusterBuilder::shared_dma`]
-    /// instead.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the engine's port would overflow the 8-bit port space.
-    #[doc(hidden)]
-    pub fn attach_shared_dma_engine(&mut self, timing: DramConfig) {
-        self.attach_dma_inner(None, timing);
-    }
-
+    /// Attaches the DMA engine: `dram` is its private store, or `None`
+    /// when the owner passes an external one into every
+    /// [`Cluster::end_cycle`]. The engine arbitrates on the first
+    /// crossbar port *after* every core's namespace (`num_cores ×
+    /// ports_per_core`), forming its own arbitration group — inter-group
+    /// fairness treats the mover like one more core, so DMA beats
+    /// neither starve nor are starved by compute traffic. An idle engine
+    /// leaves the cluster's cycle-by-cycle behaviour bit-identical to a
+    /// cluster without one.
     fn attach_dma_inner(&mut self, dram: Option<Dram>, timing: DramConfig) {
         let port = self.cfg.num_cores * u32::from(self.cfg.ports_per_core());
         assert!(port < 256, "DMA port overflows the 8-bit port namespace");
@@ -785,20 +758,6 @@ impl Cluster {
     #[must_use]
     pub fn is_done(&self) -> bool {
         self.cores.iter().all(Core::is_halted)
-    }
-
-    /// Marks this cluster as cluster `cluster_id` of a
-    /// `num_clusters`-cluster system: every core's cluster-id /
-    /// system-size CSRs read the position, and the inter-cluster barrier
-    /// is resolved by the *system* (which sees every cluster's harts)
-    /// instead of locally.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cluster_id >= num_clusters`.
-    #[deprecated(note = "construct the cluster with `ClusterBuilder::embedded` instead")]
-    pub fn embed_in_system(&mut self, cluster_id: u32, num_clusters: u32) {
-        self.embed_inner(cluster_id, num_clusters);
     }
 
     fn embed_inner(&mut self, cluster_id: u32, num_clusters: u32) {
@@ -928,16 +887,6 @@ impl Cluster {
         Ok(beat)
     }
 
-    /// Deprecated name of [`Cluster::begin_cycle`].
-    ///
-    /// # Errors
-    ///
-    /// The first core error, tagged with its hart ID.
-    #[deprecated(note = "renamed to `begin_cycle` (unified phase naming)")]
-    pub fn begin_step(&mut self) -> Result<Option<(u32, AccessKind)>, ClusterError> {
-        self.begin_cycle()
-    }
-
     /// The stride hints this cycle's doorbells published (valid between
     /// [`Cluster::begin_cycle`] and [`Cluster::end_cycle`]): a system
     /// owner forwards them to the shared L2's prefetcher, rewriting each
@@ -967,11 +916,9 @@ impl Cluster {
     ///
     /// # Errors
     ///
-    /// Core errors (hart-tagged) or DMA beat faults.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a shared-memory engine moves a beat without `ext_mem`.
+    /// Core errors (hart-tagged), DMA beat faults, or
+    /// [`ClusterError::MissingExternalStore`] if a shared-memory engine
+    /// moves a beat without `ext_mem`.
     pub fn end_cycle(
         &mut self,
         dma_mem: L2Outcome,
@@ -1028,9 +975,7 @@ impl Cluster {
                 let timing = dma.timing;
                 let mem = match dma.dram.as_mut() {
                     Some(own) => own,
-                    None => ext_mem
-                        .take()
-                        .expect("shared-memory DMA engine needs the external store"),
+                    None => ext_mem.take().ok_or(ClusterError::MissingExternalStore)?,
                 };
                 dma.engine
                     .apply_grant(grants[grants.len() - 1], &mut self.tcdm, mem, timing)
@@ -1116,20 +1061,6 @@ impl Cluster {
             return Err(ClusterError::Hang(report));
         }
         Ok(())
-    }
-
-    /// Deprecated name of [`Cluster::end_cycle`].
-    ///
-    /// # Errors
-    ///
-    /// Core errors (hart-tagged) or DMA beat faults.
-    #[deprecated(note = "renamed to `end_cycle` (unified phase naming)")]
-    pub fn finish_step(
-        &mut self,
-        dma_mem: L2Outcome,
-        ext_mem: Option<&mut Dram>,
-    ) -> Result<(), ClusterError> {
-        self.end_cycle(dma_mem, ext_mem)
     }
 
     /// How many of this cluster's harts are parked on the inter-cluster
@@ -1437,10 +1368,8 @@ enum DmaSource {
     Shared(DramConfig),
 }
 
-/// Fluent construction of a [`Cluster`], replacing the order-sensitive
-/// `attach_dma`/`attach_dma_shared`/`embed_in_system`/`set_tracer`
-/// call sequence: options accumulate in any order and
-/// [`ClusterBuilder::build`] applies them in the one order that wires
+/// Fluent construction of a [`Cluster`]: options accumulate in any
+/// order and [`ClusterBuilder::build`] applies them in the one order that wires
 /// everything correctly (embedding before tracer naming, tracer before
 /// engine attachment so the engine inherits the subscription).
 ///
@@ -1509,6 +1438,7 @@ impl ClusterBuilder {
 
     /// Attaches a DMA engine moving against an externally owned store
     /// (a system's shared L2/Dram), paying `timing` per transfer/beat.
+    /// The owner passes the store into every [`Cluster::end_cycle`].
     #[must_use]
     pub fn shared_dma(mut self, timing: DramConfig) -> Self {
         self.dma = Some(DmaSource::Shared(timing));

@@ -6,12 +6,14 @@
 //! * DMA beats contend for banks (visible on the engine's port in the
 //!   crossbar statistics),
 //! * an attached-but-idle engine leaves the cluster bit-identical to
-//!   one without an engine.
+//!   one without an engine,
+//! * a shared-memory engine stepped without its external store fails
+//!   with a typed error.
 
-use sc_cluster::{Cluster, ClusterBuilder, ClusterConfig};
+use sc_cluster::{Cluster, ClusterBuilder, ClusterConfig, ClusterError};
 use sc_core::CoreConfig;
 use sc_isa::{csr, IntReg, ProgramBuilder};
-use sc_mem::{Dram, DramConfig, TcdmConfig};
+use sc_mem::{Dram, DramConfig, L2Outcome, TcdmConfig};
 
 fn cfg() -> CoreConfig {
     CoreConfig::new().with_tcdm(TcdmConfig::new().with_size(64 << 10).with_banks(8))
@@ -146,6 +148,37 @@ fn idle_engine_is_cycle_invisible() {
     let dma = b.dma.expect("summary carries an (idle) dma section");
     assert_eq!(dma.busy_cycles, 0);
     assert_eq!(dma.stats.beats, 0);
+}
+
+#[test]
+fn shared_engine_without_external_store_is_an_error() {
+    let mut b = ProgramBuilder::new();
+    ring_doorbell(&mut b, 0x1000, 0x100, 32, true);
+    wait_completed(&mut b, 1, "done");
+    b.ecall();
+    let mut cluster = ClusterBuilder::new(
+        ClusterConfig::new(1).with_core(cfg()),
+        vec![b.build().unwrap()],
+    )
+    .shared_dma(DramConfig::new())
+    .build();
+    // Every cycle before the engine's first beat completes without the
+    // store; the beat's cycle reports the missing store instead of
+    // panicking.
+    for _ in 0..1_000 {
+        let beat = cluster.begin_cycle().unwrap();
+        let outcome = cluster.end_cycle(L2Outcome::Granted, None);
+        if beat.is_none() {
+            outcome.unwrap();
+            continue;
+        }
+        let err = outcome.unwrap_err();
+        assert_eq!(err, ClusterError::MissingExternalStore);
+        assert!(err.to_string().contains("external store"), "{err}");
+        assert!(std::error::Error::source(&err).is_none());
+        return;
+    }
+    panic!("the engine never moved a beat");
 }
 
 #[test]

@@ -408,6 +408,7 @@ impl Core {
     }
 
     /// Whether the core has executed `ecall` and fully quiesced.
+    #[inline]
     #[must_use]
     pub fn is_halted(&self) -> bool {
         self.state == IntState::Halted

@@ -173,6 +173,7 @@ impl FpuOutput {
 /// and conversions. Single-precision ops interpret and produce the value in
 /// the low 32 bits (NaN boxing is not modelled; the kernels in this
 /// repository are double-precision).
+#[inline]
 #[must_use]
 pub fn evaluate(op: FpuOp, fmt: FpFormat, srcs: [u64; 3], int_src: u32) -> FpuOutput {
     match fmt {

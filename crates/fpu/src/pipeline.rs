@@ -38,6 +38,9 @@ use std::collections::VecDeque;
 pub struct Pipeline<T> {
     /// `stages[0]` is the first execute stage; `stages[depth-1]` the last.
     stages: Vec<Option<T>>,
+    /// How many of `stages` hold an op (lets an idle pipeline's
+    /// `advance` return without walking its stages).
+    in_stages: u32,
     /// The writeback slot; ops wait here for retirement.
     writeback: Option<T>,
     /// Op accepted this cycle, inserted into stage 0 at `advance()`.
@@ -59,6 +62,7 @@ impl<T> Pipeline<T> {
         assert!(depth >= 1, "pipeline depth must be at least 1");
         Pipeline {
             stages: (0..depth).map(|_| None).collect(),
+            in_stages: 0,
             writeback: None,
             pending: None,
             blocked_cycles: 0,
@@ -97,7 +101,7 @@ impl<T> Pipeline<T> {
         if self.stages[0].is_none() {
             return true;
         }
-        self.writeback.is_none() || self.stages.iter().any(Option::is_none)
+        self.writeback.is_none() || (self.in_stages as usize) < self.stages.len()
     }
 
     /// Accepts an op; it occupies stage 0 from the next `advance()` on.
@@ -125,9 +129,16 @@ impl<T> Pipeline<T> {
     /// out by DMA-timing jitter in the tiled multi-cluster runs, pinned
     /// by `sc-kernels`' backpressure tests).
     pub fn advance(&mut self) {
+        if self.in_stages == 0 && self.pending.is_none() {
+            if self.writeback.is_some() {
+                self.blocked_cycles += 1;
+            }
+            return;
+        }
         let depth = self.stages.len();
         if self.writeback.is_none() {
             self.writeback = self.stages[depth - 1].take();
+            self.in_stages -= u32::from(self.writeback.is_some());
         } else {
             self.blocked_cycles += 1;
         }
@@ -142,13 +153,14 @@ impl<T> Pipeline<T> {
         if let Some(op) = self.pending.take() {
             debug_assert!(self.stages[0].is_none(), "stage 0 must be free after shift");
             self.stages[0] = Some(op);
+            self.in_stages += 1;
         }
     }
 
     /// Ops currently in flight (execute stages + writeback + pending).
     #[must_use]
     pub fn occupancy(&self) -> usize {
-        self.stages.iter().filter(|s| s.is_some()).count()
+        self.in_stages as usize
             + usize::from(self.writeback.is_some())
             + usize::from(self.pending.is_some())
     }
@@ -408,6 +420,28 @@ mod tests {
         assert!(p.can_issue(), "retiring unblocks the shift");
         p.advance();
         assert_eq!(p.ready(), Some(&1));
+    }
+
+    #[test]
+    fn drained_pipeline_behind_a_blocked_writeback_keeps_counting() {
+        // Only the writeback slot is occupied: `advance` takes its idle
+        // early exit but must still count the blocked cycle.
+        let mut p: Pipeline<u32> = Pipeline::new(3);
+        p.issue(9);
+        for _ in 0..4 {
+            p.advance();
+        }
+        assert_eq!(p.ready(), Some(&9));
+        assert_eq!(p.occupancy(), 1);
+        for _ in 0..5 {
+            p.advance();
+        }
+        assert_eq!(p.blocked_cycles(), 5);
+        assert!(p.can_issue());
+        assert_eq!(p.take_ready(), Some(9));
+        assert!(p.is_empty());
+        p.advance();
+        assert_eq!(p.blocked_cycles(), 5);
     }
 
     #[test]

@@ -1,10 +1,10 @@
 //! The event-driven scheduler's correctness pin: `SchedMode::Event` is
 //! an **observable no-op** relative to `SchedMode::Dense`. Over random
 //! kernels (shapes × hart counts × capacity pressure × DMA latency ×
-//! wait styles), every cycle-visible quantity — cluster cycles, every
-//! core's `PerfCounters` and measured region, `DmaStats`, overlap
-//! metrics, barrier counts, TCDM conflicts and shared-L2 statistics —
-//! must be bit-identical between the two modes. The event path may only
+//! wait styles), the whole `ClusterSummary` / `SystemSummary` — cluster
+//! cycles, every core's run summary, `DmaStats`, overlap metrics,
+//! barrier counts, TCDM conflicts, shared-L2 statistics and the top-down
+//! attribution — must be equal between the two modes. The event path may only
 //! skip clock ranges where stepping would provably change nothing; any
 //! divergence here means it skipped a cycle that mattered.
 
@@ -17,49 +17,6 @@ use sc_mem::{Dram, DramConfig, L2Config};
 use sc_trace::{TraceConfig, TraceSession};
 
 const MAX_CYCLES: u64 = 50_000_000;
-
-/// Compares every cycle-visible field of two cluster summaries.
-fn assert_cluster_identical(
-    dense: &sc_cluster::ClusterSummary,
-    event: &sc_cluster::ClusterSummary,
-) -> Result<(), TestCaseError> {
-    prop_assert_eq!(dense.cycles, event.cycles, "cluster cycles diverge");
-    prop_assert_eq!(dense.per_core.len(), event.per_core.len());
-    for (a, b) in dense.per_core.iter().zip(&event.per_core) {
-        prop_assert_eq!(&a.counters, &b.counters, "per-core counters diverge");
-        prop_assert_eq!(&a.region, &b.region, "measured regions diverge");
-    }
-    prop_assert_eq!(&dense.aggregate, &event.aggregate);
-    prop_assert_eq!(&dense.core_done_at, &event.core_done_at);
-    prop_assert_eq!(&dense.core_conflicts, &event.core_conflicts);
-    prop_assert_eq!(&dense.core_accesses, &event.core_accesses);
-    prop_assert_eq!(&dense.conflicts_by_bank, &event.conflicts_by_bank);
-    prop_assert_eq!(&dense.accesses_by_bank, &event.accesses_by_bank);
-    prop_assert_eq!(dense.barriers, event.barriers);
-    prop_assert_eq!(dense.system_barriers, event.system_barriers);
-    prop_assert_eq!(&dense.dma, &event.dma, "DMA stats/overlap diverge");
-    Ok(())
-}
-
-/// Compares every cycle-visible field of two system summaries.
-fn assert_system_identical(
-    dense: &sc_system::SystemSummary,
-    event: &sc_system::SystemSummary,
-) -> Result<(), TestCaseError> {
-    prop_assert_eq!(dense.cycles, event.cycles, "system cycles diverge");
-    prop_assert_eq!(dense.per_cluster.len(), event.per_cluster.len());
-    for (a, b) in dense.per_cluster.iter().zip(&event.per_cluster) {
-        assert_cluster_identical(a, b)?;
-    }
-    prop_assert_eq!(&dense.aggregate, &event.aggregate);
-    prop_assert_eq!(&dense.cluster_done_at, &event.cluster_done_at);
-    prop_assert_eq!(dense.system_barriers, event.system_barriers);
-    prop_assert_eq!(&dense.l2, &event.l2, "shared-L2 stats diverge");
-    prop_assert_eq!(dense.l2_refill_beats, event.l2_refill_beats);
-    prop_assert_eq!(dense.l2_writeback_beats, event.l2_writeback_beats);
-    prop_assert_eq!(dense.l2_prefetch_beats, event.l2_prefetch_beats);
-    Ok(())
-}
 
 fn wait_style(parked: bool) -> WaitStyle {
     if parked {
@@ -101,7 +58,7 @@ proptest! {
         let event = tiled
             .run_scheduled(cfg, dram_cfg, MAX_CYCLES, SchedMode::Event)
             .map_err(|e| TestCaseError::fail(format!("event: {e}")))?;
-        assert_cluster_identical(&dense.summary, &event.summary)?;
+        prop_assert_eq!(&dense.summary, &event.summary, "cluster summaries diverge");
     }
 
     /// Multi-cluster tiled runs through a refilling, capacity-pressured
@@ -148,7 +105,7 @@ proptest! {
         let event = tiled
             .run_scheduled(cfg, l2_cfg, DramConfig::new(), MAX_CYCLES, SchedMode::Event)
             .map_err(|e| TestCaseError::fail(format!("event: {e}")))?;
-        assert_system_identical(&dense.summary, &event.summary)?;
+        prop_assert_eq!(&dense.summary, &event.summary, "system summaries diverge");
     }
 
     /// Parked completion waits whose entry and release land on sampling
@@ -190,7 +147,7 @@ proptest! {
                 .map_err(|e| TestCaseError::fail(format!("{mode:?}: {e}")))?;
             exports.push((run.summary, session.samples_csv()));
         }
-        assert_system_identical(&exports[0].0, &exports[1].0)?;
+        prop_assert_eq!(&exports[0].0, &exports[1].0, "system summaries diverge");
         prop_assert_eq!(&exports[0].1, &exports[1].1, "sample rows diverge");
     }
 
@@ -269,7 +226,7 @@ proptest! {
                 )));
             }
         }
-        assert_cluster_identical(&dense_summary, &event_summary)?;
+        prop_assert_eq!(&dense_summary, &event_summary, "cluster summaries diverge");
     }
 
     /// Unbounded system kernels: uneven z-partitions leave harts parked
@@ -296,6 +253,6 @@ proptest! {
         let event = kernel
             .run_scheduled(cfg, MAX_CYCLES, SchedMode::Event)
             .map_err(|e| TestCaseError::fail(format!("event: {e}")))?;
-        assert_system_identical(&dense.summary, &event.summary)?;
+        prop_assert_eq!(&dense.summary, &event.summary, "system summaries diverge");
     }
 }

@@ -90,7 +90,7 @@ proptest! {
 
     #[test]
     fn arbitrate_into_matches_sort_reference(
-        group in prop_oneof![Just(0u8), Just(1), Just(2), Just(4)],
+        group in prop_oneof![Just(0u8), Just(1), Just(2), Just(3), Just(4)],
         phase in prop_oneof![any::<u8>(), 232u8..255],
         batches in proptest::collection::vec(
             proptest::collection::vec(contended_request(), 0..24), 1..24),

@@ -279,7 +279,10 @@ impl DataMover {
     }
 
     /// Decides this cycle's memory action. `request` and `apply_grant`
-    /// both call this, so the grant always matches the request.
+    /// both call this, so the grant always matches the request. Inlinable
+    /// like them, so their inlined copies in other crates do not call back
+    /// into this one.
+    #[inline]
     fn next_action(&self) -> Option<Action> {
         let gen = self.gen.as_ref()?;
         if let Some(st) = &self.indirect {
@@ -307,6 +310,7 @@ impl DataMover {
     }
 
     /// The memory request this mover wants to place this cycle, if any.
+    #[inline]
     #[must_use]
     pub fn request(&self) -> Option<Request> {
         self.next_action().map(|action| match action {
@@ -325,6 +329,11 @@ impl DataMover {
 
     /// Applies a granted request: moves one element between FIFO and TCDM.
     ///
+    /// Call it at most once per cycle, i.e. at most once between two
+    /// [`DataMover::advance`] calls: `advance` marks only the newest FIFO
+    /// entry as landed, so a second read landing in the same cycle would
+    /// never become poppable.
+    ///
     /// # Errors
     ///
     /// Propagates functional memory errors (misaligned/out-of-bounds
@@ -333,11 +342,16 @@ impl DataMover {
     /// # Panics
     ///
     /// Panics if called without a corresponding [`DataMover::request`].
+    #[inline]
     pub fn apply_grant(&mut self, tcdm: &mut Tcdm) -> Result<(), SsrError> {
         let action = self.next_action().expect("grant without a pending request");
         match action {
             Action::FetchData(addr) => {
                 let value = tcdm.read_u64(addr)?;
+                debug_assert!(
+                    self.fifo.back().is_none_or(|&(_, ready)| ready),
+                    "two read landings without an advance between them"
+                );
                 // Arrives at the end of this cycle; poppable next cycle.
                 self.fifo.push_back((value, false));
                 if let Some(st) = &mut self.indirect {
@@ -380,11 +394,15 @@ impl DataMover {
         self.stats.denied_requests += 1;
     }
 
-    /// Ends the cycle: landing-slot values become poppable.
+    /// Ends the cycle: landing-slot values become poppable. A read grant
+    /// lands at most one value per cycle, at the back, and every earlier
+    /// value became poppable at an earlier cycle end, so only the back
+    /// entry can still be landing.
     pub fn advance(&mut self) {
-        for entry in &mut self.fifo {
-            entry.1 = true;
+        if let Some(back) = self.fifo.back_mut() {
+            back.1 = true;
         }
+        debug_assert!(self.fifo.iter().all(|&(_, ready)| ready));
     }
 
     // ---- FP datapath interface ------------------------------------------
@@ -404,6 +422,7 @@ impl DataMover {
     /// # Panics
     ///
     /// Panics if no element is ready — gate with [`DataMover::can_pop`].
+    #[inline]
     pub fn pop(&mut self) -> Result<u64, SsrError> {
         if self.dir != StreamDir::Read {
             return Err(SsrError::WrongDirection {
@@ -437,6 +456,7 @@ impl DataMover {
     /// # Panics
     ///
     /// Panics if the FIFO is full — gate with [`DataMover::can_push`].
+    #[inline]
     pub fn push(&mut self, value: u64) -> Result<(), SsrError> {
         if self.dir != StreamDir::Write {
             return Err(SsrError::WrongDirection {
@@ -510,6 +530,18 @@ mod tests {
         }
         assert_eq!(got, vec![0.0, 1.0, 2.0, 3.0]);
         assert!(dm.is_done());
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "two read landings without an advance")]
+    fn second_read_landing_in_one_cycle_is_caught() {
+        let mut mem = tcdm();
+        let mut dm = DataMover::new(0, PortId(1), 4);
+        dm.arm(AffinePattern::linear_f64(0, 4), StreamDir::Read)
+            .unwrap();
+        dm.apply_grant(&mut mem).unwrap();
+        dm.apply_grant(&mut mem).unwrap();
     }
 
     #[test]

@@ -289,6 +289,7 @@ impl SsrUnit {
     }
 
     /// Ends the cycle for every mover (landing slots become poppable).
+    #[inline]
     pub fn advance(&mut self) {
         for m in &mut self.movers {
             m.advance();

@@ -49,8 +49,7 @@
 //! its closed-form cycle in either mode, so the mode is the system's
 //! alone and never needs propagating to its clusters. The fluent
 //! [`SystemBuilder`] assembles a system (shared memory, watchdog,
-//! tracer, scheduling mode) in one expression, replacing the
-//! `System::new` + `attach_dram` ordering dance.
+//! tracer, scheduling mode) in one expression.
 //!
 //! ```
 //! use sc_isa::{csr, IntReg, ProgramBuilder};
@@ -200,7 +199,7 @@ impl std::error::Error for SystemError {
 }
 
 /// Aggregated result of a completed system run.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SystemSummary {
     /// System cycles until the *last* cluster finished its last stage.
     pub cycles: u64,
@@ -487,21 +486,6 @@ impl System {
         Some(HangReport::new(cycle, stuck_for, resources))
     }
 
-    /// Attaches the shared memory: every cluster gets a DMA engine
-    /// moving against `dram` *through* the configured L2 — beats from
-    /// different clusters contend at the L2 banks, missing lines refill
-    /// over the L2↔Dram channels (where write-back traffic from a
-    /// finite L2's dirty evictions contends too). Engines pay the L2's
-    /// timing ([`sc_mem::L2Config::engine_timing`]) per transfer/beat.
-    #[deprecated(note = "construct the system with `SystemBuilder::dram` instead")]
-    pub fn attach_dram(&mut self, dram: Dram) {
-        let timing = self.cfg.l2.engine_timing();
-        for cluster in &mut self.clusters {
-            cluster.attach_shared_dma_engine(timing);
-        }
-        self.install_shared(dram);
-    }
-
     /// Installs the shared L2 + functional store pair (the clusters'
     /// engines must already be attached).
     fn install_shared(&mut self, dram: Dram) {
@@ -648,10 +632,8 @@ impl System {
         }
 
         // One shared-L2 arbitration pass over all clusters' beats. With
-        // no shared memory attached, beats can only come from privately
-        // attached engines (Cluster::attach_dma via cluster_mut): those
-        // move against their own Dram with nothing shared to arbitrate,
-        // so every beat proceeds (the empty outcome vector below reads as
+        // no shared memory attached no cluster has an engine, so there
+        // are no beats (the empty outcome vector below reads as
         // all-granted).
         self.l2_outcomes.clear();
         if let Some((l2, _)) = self.shared.as_mut() {
@@ -986,9 +968,8 @@ impl Component for System {
     }
 }
 
-/// Fluent construction of a [`System`], replacing the order-sensitive
-/// `System::new` + `attach_dram` + `set_tracer` call sequence: options
-/// accumulate in any order and [`SystemBuilder::build`] wires clusters,
+/// Fluent construction of a [`System`]: options accumulate in any order
+/// and [`SystemBuilder::build`] wires clusters,
 /// DMA engines, the shared L2 and the trace subscription in the one
 /// correct order.
 ///
