@@ -51,7 +51,7 @@ fn main() {
         "{:>6} {:>10} {:>10} {:>12} {:>16}",
         "banks", "Base", "Chaining+", "gap [pp]", "Base conflicts"
     );
-    let (rows, timing) = parallel_sweep(vec![4u32, 8, 16, 32], |banks| run_row(banks, grid));
+    let (rows, wall) = parallel_sweep(vec![4u32, 8, 16, 32], |banks| run_row(banks, grid));
     for row in &rows {
         println!(
             "{:>6} {:>9.1}% {:>9.1}% {:>12.1} {:>16}",
@@ -62,13 +62,12 @@ fn main() {
             row.base_conflicts
         );
     }
-    println!("\n{}", timing.report(rows.len()));
+    println!("\n{} config points in {wall:.2?} wall", rows.len());
 
     let report = Json::obj()
         .set("sweep", "ablation_banks")
         .set("stencil", "box3d1r")
-        .set("wall_seconds", timing.wall.as_secs_f64())
-        .set("host_thread_speedup", timing.speedup())
+        .set("wall_seconds", wall.as_secs_f64())
         .set(
             "points",
             Json::Arr(

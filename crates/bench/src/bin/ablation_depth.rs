@@ -56,7 +56,7 @@ fn main() {
     );
     // n divisible by every unroll in use (lcm of 1..=8 factors: 840).
     let n = 840;
-    let (rows, timing) = parallel_sweep(vec![1u32, 2, 3, 4, 5, 6, 7], |depth| run_row(depth, n));
+    let (rows, wall) = parallel_sweep(vec![1u32, 2, 3, 4, 5, 6, 7], |depth| run_row(depth, n));
     for row in &rows {
         println!(
             "{:>6} | {:>9.1}% {:>11.1}% {:>13.1}% {:>11.1}% | {:>14}",
@@ -68,14 +68,13 @@ fn main() {
             row.depth, // matched unroll needs d+1 regs, chaining needs 1
         );
     }
-    println!("\n{}", timing.report(rows.len()));
+    println!("\n{} config points in {wall:.2?} wall", rows.len());
 
     let report = Json::obj()
         .set("sweep", "ablation_depth")
         .set("kernel", "vecop")
         .set("n", u64::from(n))
-        .set("wall_seconds", timing.wall.as_secs_f64())
-        .set("host_thread_speedup", timing.speedup())
+        .set("wall_seconds", wall.as_secs_f64())
         .set(
             "points",
             Json::Arr(

@@ -28,7 +28,7 @@ fn main() {
         .map(|u| Some(*u))
         .chain([None])
         .collect();
-    let (rows, timing) = parallel_sweep(points, |point| match point {
+    let (rows, wall) = parallel_sweep(points, |point| match point {
         Some(unroll) => {
             let kernel = VecOpKernel::with_unroll(n, VecOpVariant::Unrolled, unroll).build();
             let run = kernel
@@ -60,14 +60,13 @@ fn main() {
             row.util * 100.0
         );
     }
-    println!("\n{}", timing.report(rows.len()));
+    println!("\n{} config points in {wall:.2?} wall", rows.len());
 
     let report = Json::obj()
         .set("sweep", "ablation_registers")
         .set("kernel", "vecop")
         .set("n", u64::from(n))
-        .set("wall_seconds", timing.wall.as_secs_f64())
-        .set("host_thread_speedup", timing.speedup())
+        .set("wall_seconds", wall.as_secs_f64())
         .set(
             "points",
             Json::Arr(

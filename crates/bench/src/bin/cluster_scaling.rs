@@ -19,26 +19,21 @@
 //! overlap fraction — how much of the engine's busy time was hidden
 //! behind compute.
 //!
-//! The config points are independent simulations, so they fan out over
-//! host threads. Machine-readable results (consumed by the CI perf
+//! The config points (`Sweep::ClusterScaling` in `sc_bench::registry`)
+//! are independent simulations, so they fan out over host threads. Machine-readable results (consumed by the CI perf
 //! gate, see `baselines/`) land in `target/reports/cluster_scaling.json`.
 //!
 //! Run with `cargo run --release -p sc-bench --bin cluster_scaling`.
 
+use sc_bench::registry::{PointSpec, Sweep};
 use sc_bench::{json, parallel_sweep, Json};
 use sc_cluster::{ClusterSummary, DmaSummary};
-use sc_core::CoreConfig;
+use sc_core::SchedMode;
 use sc_energy::{ClusterEnergyReport, EnergyModel};
-use sc_kernels::{Grid3, Stencil, StencilKernel, Variant, TCDM_CAP_BYTES};
-use sc_mem::DramConfig;
-
-const CORES: [u32; 4] = [1, 2, 4, 8];
-const MAX_CYCLES: u64 = 500_000_000;
+use sc_kernels::TCDM_CAP_BYTES;
 
 struct Point {
-    cores: u32,
-    chaining: bool,
-    tiled: bool,
+    spec: PointSpec,
     tiles: usize,
     name: String,
     summary: ClusterSummary,
@@ -46,50 +41,22 @@ struct Point {
 }
 
 impl Point {
-    fn id(&self) -> String {
-        format!(
-            "{}/c{}/{}",
-            if self.tiled { "tiled" } else { "unbounded" },
-            self.cores,
-            if self.chaining { "chaining" } else { "base" }
-        )
-    }
-}
-
-fn run_point(cores: u32, chaining: bool, tiled: bool, grid: Grid3) -> Point {
-    let variant = if chaining {
-        Variant::ChainingPlus
-    } else {
-        Variant::Base
-    };
-    let cfg = CoreConfig::new().with_chaining(chaining);
-    let gen = StencilKernel::new(Stencil::box3d1r(), grid, variant).expect("valid combination");
-    let (name, tiles, summary) = if tiled {
-        let tk = gen
-            .build_tiled(cores, TCDM_CAP_BYTES)
-            .expect("grid tiles within 128 KiB");
-        let run = tk
-            .run(cfg, DramConfig::new(), MAX_CYCLES)
-            .unwrap_or_else(|e| panic!("{} on {cores} cores: {e}", tk.name()));
-        (tk.name().to_owned(), run.num_tiles, run.summary)
-    } else {
-        let ck = gen.build_cluster(cores);
-        let run = ck
-            .run(cfg, MAX_CYCLES)
-            .unwrap_or_else(|e| panic!("{} on {cores} cores: {e}", ck.name()));
-        (ck.name().to_owned(), 1, run.summary)
-    };
-    let per_core: Vec<_> = summary.per_core.iter().map(|c| c.counters).collect();
-    let dma_beats = summary.dma.map_or(0, |d| d.stats.beats);
-    let energy = EnergyModel::new().cluster_report_with_dma(&per_core, summary.cycles, dma_beats);
-    Point {
-        cores,
-        chaining,
-        tiled,
-        tiles,
-        name,
-        summary,
-        energy,
+    /// Runs `spec` under dense stepping.
+    fn run(spec: PointSpec) -> Self {
+        let run = spec.run(SchedMode::Dense);
+        let summary = run.summary.into_cluster();
+        let per_core: Vec<_> = summary.per_core.iter().map(|c| c.counters).collect();
+        let dma_beats = summary.dma.map_or(0, |d| d.stats.beats);
+        let energy =
+            EnergyModel::new().cluster_report_with_dma(&per_core, summary.cycles, dma_beats);
+        Point {
+            spec,
+            // The whole grid is one tile on the unbounded points.
+            tiles: run.tiles.unwrap_or(1),
+            name: run.kernel,
+            summary,
+            energy,
+        }
     }
 }
 
@@ -133,11 +100,11 @@ fn dma_json(dma: &DmaSummary) -> Json {
 fn point_json(p: &Point) -> Json {
     let s = &p.summary;
     let mut j = Json::obj()
-        .set("id", p.id())
+        .set("id", p.spec.id.as_str())
         .set("kernel", p.name.as_str())
-        .set("cores", p.cores)
-        .set("chaining", p.chaining)
-        .set("tiled", p.tiled)
+        .set("cores", p.spec.cores)
+        .set("chaining", p.spec.chaining)
+        .set("tiled", p.spec.tiled)
         .set("tiles", p.tiles)
         .set("cycles_to_last_core_done", s.cycles)
         .set("barriers", s.barriers)
@@ -169,51 +136,40 @@ fn point_json(p: &Point) -> Json {
 }
 
 fn main() {
-    // nz = 24 gives every hart of the widest sweep point planes to own
-    // *and* forces several z-slab tiles under the 128 KiB cap; nx = 16
-    // satisfies both unroll factors (8 and 4).
-    let grid = Grid3::new(16, 16, 24);
+    let specs = Sweep::ClusterScaling.points();
+    let grid = specs[0].grid;
     println!(
         "=== Cluster scaling — box3d1r {}x{}x{}, shared 32-bank TCDM ===",
         grid.nx, grid.ny, grid.nz
     );
     println!("=== unbounded TCDM vs true 128 KiB + DMA double-buffering ===\n");
 
-    let points: Vec<(u32, bool, bool)> = CORES
-        .iter()
-        .flat_map(|&c| {
-            [
-                (c, true, false),
-                (c, false, false),
-                (c, true, true),
-                (c, false, true),
-            ]
-        })
-        .collect();
-    let (results, timing) = parallel_sweep(points, |(cores, chaining, tiled)| {
-        run_point(cores, chaining, tiled, grid)
-    });
+    let (results, wall) = parallel_sweep(specs, Point::run);
 
     println!(
         "{:>6} {:>10} {:>10} {:>10} {:>9} {:>8} {:>11} {:>9} {:>8}  hot banks",
         "cores", "variant", "memory", "cycles", "speedup", "util", "conflicts", "overlap", "power"
     );
-    let base_cycles = |chaining: bool, tiled: bool| {
+    let cycles = |cores: u32, chaining: bool, tiled: bool| {
         results
             .iter()
-            .find(|p| p.cores == 1 && p.chaining == chaining && p.tiled == tiled)
+            .find(|p| p.spec.cores == cores && p.spec.chaining == chaining && p.spec.tiled == tiled)
             .map_or(0, |p| p.summary.cycles)
     };
     for p in &results {
-        let speedup = base_cycles(p.chaining, p.tiled) as f64 / p.summary.cycles as f64;
+        let speedup = cycles(1, p.spec.chaining, p.spec.tiled) as f64 / p.summary.cycles as f64;
         let overlap = p.summary.dma.as_ref().map_or("-".to_owned(), |d| {
             format!("{:.0}%", d.overlap_fraction() * 100.0)
         });
         println!(
             "{:>6} {:>10} {:>10} {:>10} {:>8.2}x {:>7.1}% {:>11} {:>9} {:>6.1}mW  {}",
-            p.cores,
-            if p.chaining { "Chaining+" } else { "Base" },
-            if p.tiled { "128K+DMA" } else { "unbounded" },
+            p.spec.cores,
+            if p.spec.chaining { "Chaining+" } else { "Base" },
+            if p.spec.tiled {
+                "128K+DMA"
+            } else {
+                "unbounded"
+            },
             p.summary.cycles,
             speedup,
             p.summary.cluster_utilization() * 100.0,
@@ -236,7 +192,7 @@ fn main() {
         println!("  {:<32} {}", p.name, cores.join("  "));
     }
 
-    println!("\n{}", timing.report(results.len()));
+    println!("\n{} config points in {wall:.2?} wall", results.len());
 
     let mut report = Json::obj()
         .set("sweep", "cluster_scaling")
@@ -250,22 +206,13 @@ fn main() {
         // model inside their run() paths, so this flag records that the
         // 128 KiB runs are numerically identical to the unbounded ones.
         .set("tiled_matches_unbounded", true)
-        .set("wall_seconds", timing.wall.as_secs_f64())
-        .set(
-            "serial_estimate_seconds",
-            timing.serial_estimate.as_secs_f64(),
-        )
-        .set("host_thread_speedup", timing.speedup());
+        .set("wall_seconds", wall.as_secs_f64());
     // Chaining speedup per config (cores × memory regime) — gated in CI.
-    for &cores in &CORES {
+    let mut core_counts: Vec<u32> = results.iter().map(|p| p.spec.cores).collect();
+    core_counts.dedup();
+    for cores in core_counts {
         for tiled in [false, true] {
-            let cyc = |chaining: bool| {
-                results
-                    .iter()
-                    .find(|p| p.cores == cores && p.chaining == chaining && p.tiled == tiled)
-                    .map_or(0, |p| p.summary.cycles)
-            };
-            let (base, chain) = (cyc(false), cyc(true));
+            let (base, chain) = (cycles(cores, false, tiled), cycles(cores, true, tiled));
             if base > 0 && chain > 0 {
                 let key = format!(
                     "speedup_c{cores}_{}",

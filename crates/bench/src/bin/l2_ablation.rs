@@ -10,6 +10,7 @@
 //! shows how much of the capacity-miss penalty parallel refill can buy
 //! back, with chaining on and off on the compute side.
 //!
+//! The config points are `Sweep::L2Ablation` in `sc_bench::registry`.
 //! The validator asserts the cross-module accounting invariants (every
 //! granted beat classified by the cache core) and the capacity story
 //! (under-fit ⇒ non-zero evictions *and* write-back beats; over-fit at
@@ -23,88 +24,27 @@
 //! point — under-fit, single refill channel, chaining — with a trace
 //! subscription and write its Perfetto timeline JSON to `<path>`.
 
+use sc_bench::registry::{Fit, PointSpec, Sweep, MAX_CYCLES};
 use sc_bench::{json, parallel_sweep, Json};
-use sc_core::CoreConfig;
-use sc_kernels::{Grid3, Stencil, StencilKernel, Variant, WorkingSet, TCDM_CAP_BYTES};
-use sc_mem::{DramConfig, L2Config};
+use sc_core::SchedMode;
+use sc_mem::DramConfig;
 use sc_system::SystemSummary;
 use sc_trace::{TraceConfig, TraceSession};
 
-const CLUSTERS: u32 = 2;
-const CORES: u32 = 2;
-const WAYS: [u32; 2] = [2, 8];
-const CHANNELS: [u32; 2] = [1, 4];
-const MSHRS: u32 = 8;
-const MAX_CYCLES: u64 = 500_000_000;
-
-/// Capacities must divide into whole sets for every swept associativity.
-const CAP_GRANULE: u32 = 256 * 8;
-
 struct Point {
-    capacity: u32,
-    ways: u32,
-    channels: u32,
-    chaining: bool,
-    overfit: bool,
+    spec: PointSpec,
     summary: SystemSummary,
 }
 
 impl Point {
-    fn id(&self) -> String {
-        format!(
-            "cap{}K/w{}/ch{}/{}",
-            self.capacity >> 10,
-            self.ways,
-            self.channels,
-            if self.chaining { "chaining" } else { "base" }
-        )
+    /// Runs `spec` under dense stepping.
+    fn run(spec: PointSpec) -> Self {
+        let summary = spec.run(SchedMode::Dense).summary.into_system();
+        Point { spec, summary }
     }
-}
 
-fn l2_config(capacity: u32, ways: u32, channels: u32) -> L2Config {
-    L2Config::new()
-        .with_capacity_bytes(capacity)
-        .with_ways(ways)
-        .with_refill_channels(channels)
-        .with_mshrs(MSHRS)
-        .with_write_back(true)
-        .with_refill_latency(64)
-        .with_refill_cycles_per_beat(1)
-        .with_bank_width(8)
-}
-
-fn run_point(
-    grid: Grid3,
-    capacity: u32,
-    ways: u32,
-    channels: u32,
-    chaining: bool,
-    overfit: bool,
-) -> Point {
-    let variant = if chaining {
-        Variant::ChainingPlus
-    } else {
-        Variant::Base
-    };
-    let gen = StencilKernel::new(Stencil::box3d1r(), grid, variant).expect("valid combination");
-    let tk = gen
-        .build_system_tiled(CLUSTERS, CORES, TCDM_CAP_BYTES)
-        .expect("slabs tile within 128 KiB");
-    let run = tk
-        .run(
-            CoreConfig::new().with_chaining(chaining),
-            l2_config(capacity, ways, channels),
-            DramConfig::new(),
-            MAX_CYCLES,
-        )
-        .unwrap_or_else(|e| panic!("{}: {e}", tk.name()));
-    Point {
-        capacity,
-        ways,
-        channels,
-        chaining,
-        overfit,
-        summary: run.summary,
+    fn overfit(&self) -> bool {
+        self.spec.fit == Some(Fit::Over)
     }
 }
 
@@ -112,12 +52,12 @@ fn point_json(p: &Point) -> Json {
     let s = &p.summary;
     let l2 = s.l2.as_ref().expect("shared memory attached");
     Json::obj()
-        .set("id", p.id())
-        .set("capacity_bytes", p.capacity)
-        .set("ways", p.ways)
-        .set("channels", p.channels)
-        .set("chaining", p.chaining)
-        .set("overfit", p.overfit)
+        .set("id", p.spec.id.as_str())
+        .set("capacity_bytes", p.spec.l2.capacity_bytes)
+        .set("ways", p.spec.l2.ways)
+        .set("channels", p.spec.l2.refill_channels)
+        .set("chaining", p.spec.chaining)
+        .set("overfit", p.overfit())
         .set("cycles_to_last_core_done", s.cycles)
         .set("tcdm_conflicts", s.aggregate.tcdm_conflicts)
         // Flat traffic counts (pinned by the perf gate's point metrics).
@@ -136,53 +76,41 @@ fn point_json(p: &Point) -> Json {
             "l2_occupancy",
             json::refill_occupancy_json(&s.refill_occupancy()),
         )
-        .set(
-            "attribution",
-            json::attribution_json(&s.attribution, total_harts(s), s.cycles),
-        )
-}
-
-/// Harts the system-level attribution aggregates over.
-fn total_harts(s: &SystemSummary) -> u64 {
-    s.per_cluster.iter().map(|c| c.per_core.len() as u64).sum()
+        .set("attribution", json::system_attribution_json(s))
 }
 
 /// Accounting and capacity-story invariants — a violation is a model
 /// bug, not a perf regression.
 fn validate(points: &[Point]) {
+    let full_ways = points.iter().map(|p| p.spec.l2.ways).max();
     for p in points {
         let l2 = p.summary.l2.as_ref().expect("shared memory attached");
         let c = &l2.cache;
+        let id = &p.spec.id;
         assert_eq!(
             c.read_hits + c.read_misses + c.write_beats,
             l2.accesses,
-            "{}: every granted beat must be classified by the cache core",
-            p.id()
+            "{id}: every granted beat must be classified by the cache core"
         );
         assert!(
             c.refills <= c.mshr_allocations,
-            "{}: refills outnumber MSHR allocations",
-            p.id()
+            "{id}: refills outnumber MSHR allocations"
         );
         assert!(
-            c.mshr_peak <= u64::from(MSHRS),
-            "{}: MSHR file overflowed its configured size",
-            p.id()
+            c.mshr_peak <= u64::from(p.spec.l2.mshrs),
+            "{id}: MSHR file overflowed its configured size"
         );
-        if p.overfit && p.ways == WAYS[1] {
+        if p.overfit() && Some(p.spec.l2.ways) == full_ways {
             assert_eq!(
-                c.evictions,
-                0,
-                "{}: an over-fit associative L2 must hold the working set",
-                p.id()
+                c.evictions, 0,
+                "{id}: an over-fit associative L2 must hold the working set"
             );
         }
-        if !p.overfit {
+        if !p.overfit() {
             assert!(
                 c.evictions > 0 && p.summary.l2_writeback_beats > 0,
-                "{}: an under-fit write-back L2 must evict dirty lines \
+                "{id}: an under-fit write-back L2 must evict dirty lines \
                  (evictions {}, writeback beats {})",
-                p.id(),
                 c.evictions,
                 p.summary.l2_writeback_beats
             );
@@ -190,24 +118,36 @@ fn validate(points: &[Point]) {
     }
     // Capacity pressure costs cycles: under-fit never beats over-fit at
     // the same ways/channels/variant point.
-    for under in points.iter().filter(|p| !p.overfit) {
+    for under in points.iter().filter(|p| !p.overfit()) {
         let over = points
             .iter()
             .find(|p| {
-                p.overfit
-                    && p.ways == under.ways
-                    && p.channels == under.channels
-                    && p.chaining == under.chaining
+                p.overfit()
+                    && p.spec.l2.ways == under.spec.l2.ways
+                    && p.spec.l2.refill_channels == under.spec.l2.refill_channels
+                    && p.spec.chaining == under.spec.chaining
             })
             .expect("matched over-fit point");
         assert!(
             under.summary.cycles >= over.summary.cycles,
             "{}: capacity misses cannot make the run faster ({} vs {})",
-            under.id(),
+            under.spec.id,
             under.summary.cycles,
             over.summary.cycles
         );
     }
+}
+
+/// The under-fit point at full associativity with `channels` refill
+/// channels and the given variant.
+fn underfit_point(points: &[Point], channels: u32, chaining: bool) -> Option<&Point> {
+    let full_ways = points.iter().map(|p| p.spec.l2.ways).max()?;
+    points.iter().find(|p| {
+        !p.overfit()
+            && p.spec.l2.ways == full_ways
+            && p.spec.l2.refill_channels == channels
+            && p.spec.chaining == chaining
+    })
 }
 
 /// Parses `--trace <path>` from the command line, if present.
@@ -230,24 +170,21 @@ fn trace_path() -> Option<std::path::PathBuf> {
 /// Re-runs the most contended under-fit point with a trace subscription
 /// and writes the Perfetto timeline to `path`. The traced run must be
 /// results-identical to the sweep's own run of the same point.
-fn write_trace(grid: Grid3, capacity: u32, sweep_cycles: u64, path: &std::path::Path) {
-    let gen = StencilKernel::new(Stencil::box3d1r(), grid, Variant::ChainingPlus)
-        .expect("valid combination");
-    let tk = gen
-        .build_system_tiled(CLUSTERS, CORES, TCDM_CAP_BYTES)
-        .expect("slabs tile within 128 KiB");
+fn write_trace(point: &Point, path: &std::path::Path) {
+    let spec = &point.spec;
     let session = TraceSession::new(TraceConfig::new().with_sample_every(1024));
-    let run = tk
+    let run = spec
+        .tiled_system_kernel()
         .run_traced(
-            CoreConfig::new().with_chaining(true),
-            l2_config(capacity, WAYS[1], CHANNELS[0]),
+            spec.core,
+            spec.l2,
             DramConfig::new(),
             MAX_CYCLES,
             session.tracer(),
         )
         .unwrap_or_else(|e| panic!("traced point: {e}"));
     assert_eq!(
-        run.summary.cycles, sweep_cycles,
+        run.summary.cycles, point.summary.cycles,
         "the traced re-run must be cycle-identical to the sweep's run"
     );
     if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
@@ -263,19 +200,26 @@ fn write_trace(grid: Grid3, capacity: u32, sweep_cycles: u64, path: &std::path::
 
 fn main() {
     let trace = trace_path();
-    let grid = Grid3::new(16, 16, 16);
-    // Plan once to size the sweep off the working-set report.
-    let ws: WorkingSet = StencilKernel::new(Stencil::box3d1r(), grid, Variant::ChainingPlus)
-        .expect("valid combination")
-        .build_system_tiled(CLUSTERS, CORES, TCDM_CAP_BYTES)
-        .expect("slabs tile within 128 KiB")
-        .working_set()
-        .clone();
+    let specs = Sweep::L2Ablation.points();
+    let first = &specs[0];
+    let (grid, clusters, cores) = (first.grid, first.clusters, first.cores);
+    let ws = first.working_set();
     let footprint = ws.footprint_bytes();
-    let over = ws.overfit_capacity(CAP_GRANULE);
-    let under = ws.underfit_capacity(CAP_GRANULE);
+    let capacity = |fit: Fit| {
+        specs
+            .iter()
+            .find(|s| s.fit == Some(fit))
+            .map_or(0, |s| s.l2.capacity_bytes)
+    };
+    let (over, under) = (capacity(Fit::Over), capacity(Fit::Under));
+    let mut ways: Vec<u32> = specs.iter().map(|s| s.l2.ways).collect();
+    ways.sort_unstable();
+    ways.dedup();
+    let mut channels: Vec<u32> = specs.iter().map(|s| s.l2.refill_channels).collect();
+    channels.sort_unstable();
+    channels.dedup();
     println!(
-        "=== L2 ablation — box3d1r {}x{}x{}, m{CLUSTERS}x{CORES} tiled ===",
+        "=== L2 ablation — box3d1r {}x{}x{}, m{clusters}x{cores} tiled ===",
         grid.nx, grid.ny, grid.nz
     );
     println!(
@@ -285,22 +229,10 @@ fn main() {
         ws.traffic_bytes()
     );
     println!(
-        "=== capacities: over-fit {over} B, under-fit {under} B x ways {WAYS:?} x channels {CHANNELS:?} ===\n",
+        "=== capacities: over-fit {over} B, under-fit {under} B x ways {ways:?} x channels {channels:?} ===\n",
     );
 
-    let configs: Vec<(u32, u32, u32, bool, bool)> = [(over, true), (under, false)]
-        .iter()
-        .flat_map(|&(cap, overfit)| {
-            WAYS.iter().flat_map(move |&w| {
-                CHANNELS.iter().flat_map(move |&ch| {
-                    [true, false].map(|chaining| (cap, w, ch, chaining, overfit))
-                })
-            })
-        })
-        .collect();
-    let (results, timing) = parallel_sweep(configs, |(cap, w, ch, chaining, overfit)| {
-        run_point(grid, cap, w, ch, chaining, overfit)
-    });
+    let (results, wall) = parallel_sweep(specs, Point::run);
     validate(&results);
 
     println!(
@@ -322,12 +254,12 @@ fn main() {
             "{:>14} {:>5} {:>4} {:>10} {:>10} {:>8} {:>9} {:>10} {:>9} {:>9}",
             format!(
                 "{}K {}",
-                p.capacity >> 10,
-                if p.overfit { "(over)" } else { "(under)" }
+                p.spec.l2.capacity_bytes >> 10,
+                if p.overfit() { "(over)" } else { "(under)" }
             ),
-            p.ways,
-            p.channels,
-            if p.chaining { "Chaining+" } else { "Base" },
+            p.spec.l2.ways,
+            p.spec.l2.refill_channels,
+            if p.spec.chaining { "Chaining+" } else { "Base" },
             p.summary.cycles,
             l2.cache.read_hits,
             l2.cache.read_misses,
@@ -336,7 +268,7 @@ fn main() {
             l2.cache.mshr_merges,
         );
     }
-    println!("\n{}", timing.report(results.len()));
+    println!("\n{} config points in {wall:.2?} wall", results.len());
 
     let mut report = Json::obj()
         .set("sweep", "l2_ablation")
@@ -345,35 +277,26 @@ fn main() {
             "grid",
             vec![u64::from(grid.nx), u64::from(grid.ny), u64::from(grid.nz)],
         )
-        .set("clusters", CLUSTERS)
-        .set("cores", CORES)
+        .set("clusters", clusters)
+        .set("cores", cores)
         .set("working_set_footprint_bytes", footprint)
         .set("working_set_traffic_bytes", ws.traffic_bytes())
         .set("working_set_l2_lines", ws.l2_lines(256))
         .set("capacity_overfit_bytes", over)
         .set("capacity_underfit_bytes", under)
-        .set("wall_seconds", timing.wall.as_secs_f64());
+        .set("wall_seconds", wall.as_secs_f64());
     // How much of the capacity-miss penalty parallel refill buys back on
     // the under-fit points (gated as speedup_* ratios).
+    let (fewest, most) = (channels[0], channels[channels.len() - 1]);
     for chaining in [true, false] {
-        let cyc = |channels: u32| {
-            results
-                .iter()
-                .find(|p| {
-                    !p.overfit
-                        && p.ways == WAYS[1]
-                        && p.channels == channels
-                        && p.chaining == chaining
-                })
-                .map(|p| p.summary.cycles)
-        };
-        if let (Some(one), Some(four)) = (cyc(CHANNELS[0]), cyc(CHANNELS[1])) {
+        let cyc =
+            |channels: u32| underfit_point(&results, channels, chaining).map(|p| p.summary.cycles);
+        if let (Some(one), Some(many)) = (cyc(fewest), cyc(most)) {
             let key = format!(
-                "speedup_ch{}_underfit_{}",
-                CHANNELS[1],
+                "speedup_ch{most}_underfit_{}",
                 if chaining { "chaining" } else { "base" }
             );
-            report = report.set(&key, one as f64 / four as f64);
+            report = report.set(&key, one as f64 / many as f64);
         }
     }
     report = report.set(
@@ -385,14 +308,11 @@ fn main() {
         Err(e) => eprintln!("could not write json report: {e}"),
     }
 
+    // The most contended point: under-fit, fewest refill channels,
+    // chaining.
     if let Some(path) = trace {
-        let sweep_cycles = results
-            .iter()
-            .find(|p| !p.overfit && p.ways == WAYS[1] && p.channels == CHANNELS[0] && p.chaining)
-            .expect("swept point present")
-            .summary
-            .cycles;
-        write_trace(grid, under, sweep_cycles, &path);
+        let point = underfit_point(&results, fewest, true).expect("swept point present");
+        write_trace(point, &path);
     }
 
     println!();

@@ -4,198 +4,22 @@
 //! Two contracts, both hard CI gates:
 //!
 //! * **Zero false positives** — every config point of the five
-//!   baselined sweeps (`cluster_scaling`, `system_scaling`,
-//!   `l2_ablation`, `weak_scaling`, `prefetch_ablation`) is rebuilt
-//!   (codegen only, no simulation) and every generated program — tile
-//!   stages and epilogues included — must lint clean under the
-//!   default hardware model (capacity-4 chained FIFO, 128 KiB TCDM).
+//!   baselined sweeps (`sc_bench::registry`) is rebuilt (codegen only,
+//!   no simulation) and every generated program — tile stages and
+//!   epilogues included — must lint clean under the default hardware
+//!   model (capacity-4 chained FIFO, 128 KiB TCDM).
 //! * **Zero false negatives** — every seeded-bug fixture in
 //!   [`sc_lint::fixtures`] must trip its rule, and *only* its rule.
 //!
-//! Any violation panics with the offending point or fixture id.
+//! Any violation panics with the offending point's `<sweep>/<baseline
+//! id>` or the fixture id.
 //! Machine-readable results land in `target/reports/lint_sweep.json`.
 //!
 //! Run with `cargo run --release -p sc-bench --bin lint_sweep`.
 
+use sc_bench::registry;
 use sc_bench::{json, parallel_sweep, Json};
-use sc_isa::Program;
-use sc_kernels::{Grid3, Stencil, StencilKernel, Variant, TCDM_CAP_BYTES};
 use sc_lint::{lint_harts, LintConfig};
-
-fn variant(chaining: bool) -> Variant {
-    if chaining {
-        Variant::ChainingPlus
-    } else {
-        Variant::Base
-    }
-}
-
-fn gen(grid: Grid3, chaining: bool) -> StencilKernel {
-    StencilKernel::new(Stencil::box3d1r(), grid, variant(chaining)).expect("valid combination")
-}
-
-/// One sweep point: a display id plus the program sets its kernel
-/// build emits (one set per cluster stage; unbounded kernels have one
-/// stage per cluster).
-struct Case {
-    id: String,
-    build: Box<dyn Fn() -> Vec<Vec<Program>> + Send + Sync>,
-}
-
-impl Case {
-    fn new(id: String, build: impl Fn() -> Vec<Vec<Program>> + Send + Sync + 'static) -> Self {
-        Case {
-            id,
-            build: Box::new(build),
-        }
-    }
-}
-
-/// The four kernel shapes the sweeps build, reduced to lintable
-/// program sets.
-fn cluster_unbounded(grid: Grid3, chaining: bool, cores: u32) -> Vec<Vec<Program>> {
-    vec![gen(grid, chaining).build_cluster(cores).programs().to_vec()]
-}
-
-fn cluster_tiled(grid: Grid3, chaining: bool, cores: u32) -> Vec<Vec<Program>> {
-    gen(grid, chaining)
-        .build_tiled(cores, TCDM_CAP_BYTES)
-        .expect("grid tiles within the TCDM cap")
-        .stages()
-}
-
-fn system_unbounded(grid: Grid3, chaining: bool, clusters: u32, cores: u32) -> Vec<Vec<Program>> {
-    gen(grid, chaining)
-        .build_system(clusters, cores)
-        .programs()
-        .to_vec()
-}
-
-fn system_tiled(grid: Grid3, chaining: bool, clusters: u32, cores: u32) -> Vec<Vec<Program>> {
-    gen(grid, chaining)
-        .build_system_tiled(clusters, cores, TCDM_CAP_BYTES)
-        .expect("slabs tile within the TCDM cap")
-        .stages()
-        .iter()
-        .flat_map(|cluster| cluster.iter().cloned())
-        .collect()
-}
-
-/// `cluster_scaling`: box3d1r 16x16x24, 1/2/4/8 cores, chaining on/off,
-/// unbounded and tiled.
-fn cluster_scaling_cases(cases: &mut Vec<Case>) {
-    let grid = Grid3::new(16, 16, 24);
-    for cores in [1u32, 2, 4, 8] {
-        for chaining in [true, false] {
-            for tiled in [false, true] {
-                let id = format!(
-                    "cluster_scaling/{}/c{cores}/{}",
-                    if tiled { "tiled" } else { "unbounded" },
-                    if chaining { "chaining" } else { "base" }
-                );
-                cases.push(Case::new(id, move || {
-                    if tiled {
-                        cluster_tiled(grid, chaining, cores)
-                    } else {
-                        cluster_unbounded(grid, chaining, cores)
-                    }
-                }));
-            }
-        }
-    }
-}
-
-/// `system_scaling`: box3d1r 16x16x24, 1/2/4 clusters x 1/4/8 cores,
-/// chaining on/off, unbounded and tiled.
-fn system_scaling_cases(cases: &mut Vec<Case>) {
-    let grid = Grid3::new(16, 16, 24);
-    for clusters in [1u32, 2, 4] {
-        for cores in [1u32, 4, 8] {
-            for chaining in [true, false] {
-                for tiled in [false, true] {
-                    let id = format!(
-                        "system_scaling/{}/m{clusters}/c{cores}/{}",
-                        if tiled { "tiled" } else { "unbounded" },
-                        if chaining { "chaining" } else { "base" }
-                    );
-                    cases.push(Case::new(id, move || {
-                        if tiled {
-                            system_tiled(grid, chaining, clusters, cores)
-                        } else {
-                            system_unbounded(grid, chaining, clusters, cores)
-                        }
-                    }));
-                }
-            }
-        }
-    }
-}
-
-/// `l2_ablation`: the L2 knobs don't change codegen, but the sweep's
-/// 16 points are the baselined set — each is relinted as built.
-fn l2_ablation_cases(cases: &mut Vec<Case>) {
-    let grid = Grid3::new(16, 16, 16);
-    for fit in ["over", "under"] {
-        for ways in [2u32, 8] {
-            for channels in [1u32, 4] {
-                for chaining in [true, false] {
-                    let id = format!(
-                        "l2_ablation/{fit}/w{ways}/ch{channels}/{}",
-                        if chaining { "chaining" } else { "base" }
-                    );
-                    cases.push(Case::new(id, move || system_tiled(grid, chaining, 2, 2)));
-                }
-            }
-        }
-    }
-}
-
-/// `weak_scaling`: the grid grows with the cluster count (16x16x8m on
-/// 4 cores), chaining on/off, unbounded and tiled (1/4 refill channels).
-fn weak_scaling_cases(cases: &mut Vec<Case>) {
-    for clusters in [1u32, 2, 4] {
-        let grid = Grid3::new(16, 16, 8 * clusters);
-        for chaining in [true, false] {
-            for channels in [None, Some(1u32), Some(4u32)] {
-                let id = format!(
-                    "weak_scaling/{}/m{clusters}/{}",
-                    channels.map_or("unbounded".to_owned(), |ch| format!("tiled_ch{ch}")),
-                    if chaining { "chaining" } else { "base" }
-                );
-                cases.push(Case::new(id, move || match channels {
-                    None => system_unbounded(grid, chaining, clusters, 4),
-                    Some(_) => system_tiled(grid, chaining, clusters, 4),
-                }));
-            }
-        }
-    }
-}
-
-/// `prefetch_ablation`: box3d1r 24x24x24, 1/2 clusters x 4 cores —
-/// prefetch/L2 knobs don't change codegen, the 80 points do.
-fn prefetch_ablation_cases(cases: &mut Vec<Case>) {
-    let grid = Grid3::new(24, 24, 24);
-    for clusters in [1u32, 2] {
-        for fit in ["over", "under"] {
-            for channels in [1u32, 4] {
-                for chaining in [true, false] {
-                    for prefetch in std::iter::once(None)
-                        .chain([(2u32, 8u32), (2, 32), (4, 8), (4, 32)].map(Some))
-                    {
-                        let id = format!(
-                            "prefetch_ablation/m{clusters}/{fit}/ch{channels}/{}/{}",
-                            if chaining { "chaining" } else { "base" },
-                            prefetch.map_or("off".to_owned(), |(d, dist)| format!("d{d}D{dist}"))
-                        );
-                        cases.push(Case::new(id, move || {
-                            system_tiled(grid, chaining, clusters, 4)
-                        }));
-                    }
-                }
-            }
-        }
-    }
-}
 
 /// One point's verdict after linting every program set it builds.
 struct Verdict {
@@ -205,35 +29,30 @@ struct Verdict {
 }
 
 fn main() {
-    let mut cases: Vec<Case> = Vec::new();
-    cluster_scaling_cases(&mut cases);
-    system_scaling_cases(&mut cases);
-    l2_ablation_cases(&mut cases);
-    weak_scaling_cases(&mut cases);
-    prefetch_ablation_cases(&mut cases);
+    let points = registry::all_points();
 
     println!("=== static verification — sc-lint over every baseline sweep kernel ===");
     println!(
         "=== {} config points + seeded-bug fixtures ===\n",
-        cases.len()
+        points.len()
     );
 
-    let total = cases.len();
+    let total = points.len();
     let lint_cfg = LintConfig::new();
-    let (verdicts, timing) = parallel_sweep(cases, |case| {
-        let sets = (case.build)();
+    let (verdicts, wall) = parallel_sweep(points, |spec| {
+        let id = spec.full_id();
+        let sets = spec.programs();
         let mut diagnostics = 0;
         for (s, harts) in sets.iter().enumerate() {
             let report = lint_harts(harts, &lint_cfg);
             assert!(
                 report.is_clean(),
-                "{} stage {s}: shipped kernel is not lint-clean:\n{report}",
-                case.id
+                "{id} stage {s}: shipped kernel is not lint-clean:\n{report}"
             );
             diagnostics += report.len();
         }
         Verdict {
-            id: case.id,
+            id,
             program_sets: sets.len(),
             diagnostics,
         }
@@ -275,7 +94,7 @@ fn main() {
         println!("fixture {name:>24}: flagged as {rule_id}");
     }
     println!("\nall {n_fixtures} seeded-bug fixtures flagged with their rule");
-    println!("{}", timing.report(total));
+    println!("{total} config points in {wall:.2?} wall");
 
     let report = Json::obj()
         .set("sweep", "lint_sweep")
@@ -284,7 +103,7 @@ fn main() {
         .set("all_clean", true)
         .set("fixtures", n_fixtures as u64)
         .set("all_fixtures_flagged", true)
-        .set("wall_seconds", timing.wall.as_secs_f64())
+        .set("wall_seconds", wall.as_secs_f64())
         .set(
             "points_by_id",
             Json::Arr(

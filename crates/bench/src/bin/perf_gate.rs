@@ -2,15 +2,16 @@
 //!
 //! ```text
 //! perf_gate check <report.json>...              # exists + parses + wellformed
-//! perf_gate diff <baseline.json> <report.json>  # tolerance diff, exit 1 on drift
+//! perf_gate diff <baseline.json> <report.json>  # exact diff, exit 1 on drift
 //! perf_gate baseline <report.json>              # print a fresh baseline to stdout
 //! ```
 //!
 //! `check` fails (exit 1) if any listed report is missing, unparseable
 //! or structurally hollow — the bench-reports CI job runs it over every
 //! file the sweep binaries are expected to produce. `diff` compares a
-//! fresh report against the checked-in `baselines/` file; regenerate
-//! with `baseline` when a metric shift is intentional.
+//! fresh report against the checked-in `baselines/` file exactly; when
+//! a model shift is intentional, regenerate with `baseline` and attach
+//! the `perf_report diff` of the attribution trees.
 
 use std::path::Path;
 use std::process::ExitCode;
@@ -41,7 +42,7 @@ fn run() -> Result<(), String> {
             let outcome = gate::diff(&baseline, &report)?;
             if outcome.passed() {
                 println!(
-                    "perf gate passed: {} metrics within tolerance",
+                    "perf gate passed: {} metrics equal their pins",
                     outcome.checked
                 );
                 Ok(())
@@ -50,7 +51,7 @@ fn run() -> Result<(), String> {
                     eprintln!("perf gate: {f}");
                 }
                 Err(format!(
-                    "{} of {} metrics drifted out of tolerance; fix the regression \
+                    "{} of {} metrics drifted from their pins; fix the regression \
                      or regenerate {} with `perf_gate baseline {}`",
                     outcome.failures.len(),
                     outcome.checked,

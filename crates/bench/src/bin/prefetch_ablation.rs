@@ -20,122 +20,58 @@
 //! with a 1-cycle port the system is channel-bandwidth-bound everywhere
 //! and the sweep would only measure covered (late) prefetches.
 //!
-//! The validator asserts the cache-accounting invariants, that
-//! prefetch-off points carry zero prefetch activity, the accuracy bounds
-//! (`prefetch_hits ≤ prefetches_issued`), and the ≥ 20 % acceptance
-//! point. Machine-readable results land in
+//! The config points are `Sweep::PrefetchAblation` in
+//! `sc_bench::registry`. The validator asserts the cache-accounting
+//! invariants, that prefetch-off points carry zero prefetch activity,
+//! the accuracy bounds (`prefetch_hits ≤ prefetches_issued`), and the
+//! ≥ 20 % acceptance point. Machine-readable results land in
 //! `target/reports/prefetch_ablation.json`, gated in CI against
 //! `baselines/prefetch_ablation.json`.
 //!
 //! Run with `cargo run --release -p sc-bench --bin prefetch_ablation`.
 
+use sc_bench::registry::{Fit, PointSpec, Sweep};
 use sc_bench::{json, parallel_sweep, Json};
-use sc_core::CoreConfig;
-use sc_kernels::{Grid3, Stencil, StencilKernel, Variant, WorkingSet, TCDM_CAP_BYTES};
-use sc_mem::{DramConfig, L2Config};
+use sc_core::SchedMode;
+use sc_kernels::TCDM_CAP_BYTES;
 use sc_system::SystemSummary;
-
-const CLUSTERS: [u32; 2] = [1, 2];
-const CORES: u32 = 4;
-const TCDM_CAP: u32 = TCDM_CAP_BYTES;
-const CHANNELS: [u32; 2] = [1, 4];
-/// (degree, distance) grid; the request queue scales with the distance.
-const PREFETCH: [(u32, u32); 4] = [(2, 8), (2, 32), (4, 8), (4, 32)];
-const MSHRS: u32 = 8;
-const MAX_CYCLES: u64 = 500_000_000;
-
-/// Capacities must divide into whole sets at the swept associativity.
-const CAP_GRANULE: u32 = 256 * 8;
 
 /// The acceptance bar: prefetch-on vs prefetch-off at the
 /// 1-cluster/under-fit/1-channel/chaining point.
 const ACCEPT_SPEEDUP: f64 = 1.20;
 
-#[derive(Clone, Copy, PartialEq, Eq)]
-struct Knobs {
-    clusters: u32,
-    capacity: u32,
-    overfit: bool,
-    channels: u32,
-    chaining: bool,
-    /// `None` = prefetch off; `Some((degree, distance))` otherwise.
-    prefetch: Option<(u32, u32)>,
-}
-
 struct Point {
-    k: Knobs,
+    spec: PointSpec,
     summary: SystemSummary,
 }
 
 impl Point {
-    fn id(&self) -> String {
-        let k = &self.k;
-        format!(
-            "m{}/cap{}K/{}/ch{}/{}/{}",
-            k.clusters,
-            k.capacity >> 10,
-            if k.overfit { "over" } else { "under" },
-            k.channels,
-            if k.chaining { "chaining" } else { "base" },
-            match k.prefetch {
-                None => "off".to_owned(),
-                Some((d, dist)) => format!("d{d}D{dist}"),
-            }
-        )
+    /// Runs `spec` under dense stepping.
+    fn run(spec: PointSpec) -> Self {
+        let summary = spec.run(SchedMode::Dense).summary.into_system();
+        Point { spec, summary }
     }
-}
 
-fn l2_config(k: &Knobs) -> L2Config {
-    let base = L2Config::new()
-        .with_capacity_bytes(k.capacity)
-        .with_ways(8)
-        .with_refill_channels(k.channels)
-        .with_mshrs(MSHRS)
-        .with_write_back(true)
-        .with_refill_latency(64)
-        .with_refill_cycles_per_beat(1)
-        .with_bank_width(8)
-        .with_cycles_per_beat(3);
-    match k.prefetch {
-        None => base,
-        Some((degree, distance)) => base
-            .with_prefetch(true)
-            .with_prefetch_degree(degree)
-            .with_prefetch_distance(distance)
-            .with_prefetch_queue(2 * distance),
+    fn overfit(&self) -> bool {
+        self.spec.fit == Some(Fit::Over)
     }
-}
 
-fn plan_working_set(grid: Grid3, clusters: u32) -> WorkingSet {
-    StencilKernel::new(Stencil::box3d1r(), grid, Variant::ChainingPlus)
-        .expect("valid combination")
-        .build_system_tiled(clusters, CORES, TCDM_CAP)
-        .expect("slabs tile within the TCDM cap")
-        .working_set()
-        .clone()
-}
+    /// `(degree, distance)` of the prefetcher; `None` = prefetch off.
+    fn prefetch(&self) -> Option<(u32, u32)> {
+        let l2 = &self.spec.l2;
+        l2.prefetch
+            .then_some((l2.prefetch_degree, l2.prefetch_distance))
+    }
 
-fn run_point(grid: Grid3, k: Knobs) -> Point {
-    let variant = if k.chaining {
-        Variant::ChainingPlus
-    } else {
-        Variant::Base
-    };
-    let gen = StencilKernel::new(Stencil::box3d1r(), grid, variant).expect("valid combination");
-    let tk = gen
-        .build_system_tiled(k.clusters, CORES, TCDM_CAP)
-        .expect("slabs tile within the TCDM cap");
-    let run = tk
-        .run(
-            CoreConfig::new().with_chaining(k.chaining),
-            l2_config(&k),
-            DramConfig::new(),
-            MAX_CYCLES,
-        )
-        .unwrap_or_else(|e| panic!("{}: {e}", tk.name()));
-    Point {
-        k,
-        summary: run.summary,
+    /// Whether `other` is this point's configuration with the prefetcher
+    /// switched off.
+    fn is_prefetch_off_twin(&self, other: &Point) -> bool {
+        let (a, b) = (&self.spec, &other.spec);
+        other.prefetch().is_none()
+            && a.clusters == b.clusters
+            && a.fit == b.fit
+            && a.l2.refill_channels == b.l2.refill_channels
+            && a.chaining == b.chaining
     }
 }
 
@@ -143,20 +79,20 @@ fn point_json(p: &Point) -> Json {
     let s = &p.summary;
     let l2 = s.l2.as_ref().expect("shared memory attached");
     Json::obj()
-        .set("id", p.id())
-        .set("clusters", p.k.clusters)
-        .set("capacity_bytes", p.k.capacity)
-        .set("overfit", p.k.overfit)
-        .set("channels", p.k.channels)
-        .set("chaining", p.k.chaining)
-        .set("prefetch", p.k.prefetch.is_some())
+        .set("id", p.spec.id.as_str())
+        .set("clusters", p.spec.clusters)
+        .set("capacity_bytes", p.spec.l2.capacity_bytes)
+        .set("overfit", p.overfit())
+        .set("channels", p.spec.l2.refill_channels)
+        .set("chaining", p.spec.chaining)
+        .set("prefetch", p.prefetch().is_some())
         .set(
             "prefetch_degree",
-            p.k.prefetch.map_or(0, |(d, _)| u64::from(d)),
+            p.prefetch().map_or(0, |(d, _)| u64::from(d)),
         )
         .set(
             "prefetch_distance",
-            p.k.prefetch.map_or(0, |(_, d)| u64::from(d)),
+            p.prefetch().map_or(0, |(_, d)| u64::from(d)),
         )
         .set("cycles_to_last_core_done", s.cycles)
         .set("tcdm_conflicts", s.aggregate.tcdm_conflicts)
@@ -178,22 +114,14 @@ fn point_json(p: &Point) -> Json {
             "l2_occupancy",
             json::refill_occupancy_json(&s.refill_occupancy()),
         )
-        .set(
-            "attribution",
-            json::attribution_json(&s.attribution, total_harts(s), s.cycles),
-        )
+        .set("attribution", json::system_attribution_json(s))
 }
 
-/// Harts the system-level attribution aggregates over.
-fn total_harts(s: &SystemSummary) -> u64 {
-    s.per_cluster.iter().map(|c| c.per_core.len() as u64).sum()
-}
-
-/// Finds the point matching `k` exactly.
-fn find<'a>(points: &'a [Point], k: &Knobs) -> &'a Point {
+/// The prefetch-off twin of `on`.
+fn prefetch_off<'a>(points: &'a [Point], on: &Point) -> &'a Point {
     points
         .iter()
-        .find(|p| p.k == *k)
+        .find(|p| on.is_prefetch_off_twin(p))
         .expect("swept configuration present")
 }
 
@@ -207,69 +135,63 @@ fn validate(points: &[Point]) {
             c.read_hits + c.read_misses + c.write_beats,
             l2.accesses,
             "{}: every granted beat must be classified by the cache core",
-            p.id()
+            p.spec.id
         );
         assert!(
             c.refills <= c.mshr_allocations + c.prefetches_issued,
             "{}: refills outnumber demand + prefetch allocations",
-            p.id()
+            p.spec.id
         );
         assert!(
-            c.mshr_peak <= u64::from(MSHRS),
+            c.mshr_peak <= u64::from(p.spec.l2.mshrs),
             "{}: MSHR file overflowed its configured size",
-            p.id()
+            p.spec.id
         );
-        match p.k.prefetch {
+        match p.prefetch() {
             None => {
                 assert_eq!(
                     (c.prefetch_hints, c.prefetches_issued, c.prefetch_refills),
                     (0, 0, 0),
                     "{}: a disabled prefetcher must leave no trace",
-                    p.id()
+                    p.spec.id
                 );
             }
             Some(_) => {
                 assert!(
                     c.prefetch_hits + c.prefetch_evicted_unused <= c.prefetches_issued,
                     "{}: accuracy classes exceed issued prefetches",
-                    p.id()
+                    p.spec.id
                 );
                 assert!(
                     c.prefetch_refills <= c.refills,
                     "{}: prefetch refills exceed total refills",
-                    p.id()
+                    p.spec.id
                 );
                 assert_eq!(
                     p.summary.l2_prefetch_beats,
-                    c.prefetch_refills * u64::from(l2_config(&p.k).line_beats()),
+                    c.prefetch_refills * u64::from(p.spec.l2.line_beats()),
                     "{}: prefetch beats must be the prefetch refills' lines",
-                    p.id()
+                    p.spec.id
                 );
             }
         }
-        if !p.k.overfit {
+        if !p.overfit() {
             assert!(
                 c.evictions > 0 && p.summary.l2_writeback_beats > 0,
                 "{}: an under-fit write-back L2 must evict dirty lines",
-                p.id()
+                p.spec.id
             );
         }
     }
     // Prefetching may reshuffle timing but must never *cost* more than a
     // sliver (pollution is bounded by the distance knob), and at the
     // latency-serialised acceptance point it must pay for the PR.
-    for on in points.iter().filter(|p| p.k.prefetch.is_some()) {
-        let off = find(
-            points,
-            &Knobs {
-                prefetch: None,
-                ..on.k
-            },
-        );
+    for on in points.iter().filter(|p| p.prefetch().is_some()) {
+        let off = prefetch_off(points, on);
         assert!(
             on.summary.cycles as f64 <= off.summary.cycles as f64 * 1.10,
             "{}: prefetching degraded the run by more than 10% ({} vs {})",
-            on.id(),
+            on.spec.id,
             on.summary.cycles,
             off.summary.cycles
         );
@@ -281,14 +203,14 @@ fn validate(points: &[Point]) {
         assert!(
             l2.cache.prefetch_hits > 0,
             "{}: the acceptance speedup must come from accurate prefetches",
-            on.id()
+            on.spec.id
         );
         if chaining {
             assert!(
                 speedup >= ACCEPT_SPEEDUP,
                 "{}: prefetching must cut ≥ {:.0}% of cycles at the 1-channel \
                  under-fit point (got {:.1}%)",
-                on.id(),
+                on.spec.id,
                 (ACCEPT_SPEEDUP - 1.0) * 100.0,
                 (speedup - 1.0) * 100.0
             );
@@ -299,72 +221,53 @@ fn validate(points: &[Point]) {
 /// The acceptance coordinates: 1 cluster, under-fit, 1 channel, the
 /// deepest swept prefetcher vs off.
 fn acceptance_pair(points: &[Point], chaining: bool) -> (&Point, &Point) {
-    let under = points
+    let deepest = points.iter().filter_map(Point::prefetch).max();
+    let on = points
         .iter()
-        .find(|p| !p.k.overfit && p.k.clusters == 1)
-        .expect("under-fit points present")
-        .k
-        .capacity;
-    let k = Knobs {
-        clusters: 1,
-        capacity: under,
-        overfit: false,
-        channels: 1,
-        chaining,
-        prefetch: Some(*PREFETCH.last().expect("non-empty grid")),
-    };
-    (
-        find(points, &k),
-        find(
-            points,
-            &Knobs {
-                prefetch: None,
-                ..k
-            },
-        ),
-    )
+        .find(|p| {
+            p.spec.clusters == 1
+                && !p.overfit()
+                && p.spec.l2.refill_channels == 1
+                && p.spec.chaining == chaining
+                && p.prefetch() == deepest
+        })
+        .expect("swept configuration present");
+    (on, prefetch_off(points, on))
 }
 
 fn main() {
-    let grid = Grid3::new(24, 24, 24);
+    let specs = Sweep::PrefetchAblation.points();
+    let (grid, cores) = (specs[0].grid, specs[0].cores);
     println!(
-        "=== prefetch ablation — box3d1r {}x{}x{}, {CORES} cores/cluster, {} KiB TCDM tiles ===",
+        "=== prefetch ablation — box3d1r {}x{}x{}, {cores} cores/cluster, {} KiB TCDM tiles ===",
         grid.nx,
         grid.ny,
         grid.nz,
-        TCDM_CAP >> 10
+        TCDM_CAP_BYTES >> 10
     );
-
-    let mut configs: Vec<Knobs> = Vec::new();
-    for &m in &CLUSTERS {
-        let ws = plan_working_set(grid, m);
-        let over = ws.overfit_capacity(CAP_GRANULE);
-        let under = ws.underfit_capacity(CAP_GRANULE);
+    for (i, spec) in specs.iter().enumerate() {
+        if specs[..i].iter().any(|s| s.clusters == spec.clusters) {
+            continue;
+        }
+        let capacity = |fit: Fit| {
+            specs
+                .iter()
+                .find(|s| s.clusters == spec.clusters && s.fit == Some(fit))
+                .map_or(0, |s| s.l2.capacity_bytes)
+        };
+        let ws = spec.working_set();
         println!(
-            "=== m{m}: footprint {} B ({} tiles), over-fit {over} B, under-fit {under} B ===",
+            "=== m{}: footprint {} B ({} tiles), over-fit {} B, under-fit {} B ===",
+            spec.clusters,
             ws.footprint_bytes(),
             ws.tiles,
+            capacity(Fit::Over),
+            capacity(Fit::Under),
         );
-        for &(capacity, overfit) in &[(over, true), (under, false)] {
-            for &channels in &CHANNELS {
-                for chaining in [true, false] {
-                    for prefetch in std::iter::once(None).chain(PREFETCH.map(Some)) {
-                        configs.push(Knobs {
-                            clusters: m,
-                            capacity,
-                            overfit,
-                            channels,
-                            chaining,
-                            prefetch,
-                        });
-                    }
-                }
-            }
-        }
     }
-    println!("=== {} config points ===\n", configs.len());
+    println!("=== {} config points ===\n", specs.len());
 
-    let (results, timing) = parallel_sweep(configs, |k| run_point(grid, k));
+    let (results, wall) = parallel_sweep(specs, Point::run);
 
     println!(
         "{:>32} {:>10} {:>8} {:>8} {:>8} {:>8} {:>8}",
@@ -374,7 +277,7 @@ fn main() {
         let l2 = p.summary.l2.as_ref().unwrap();
         println!(
             "{:>32} {:>10} {:>8} {:>8} {:>8} {:>8} {:>8}",
-            p.id(),
+            p.spec.id,
             p.summary.cycles,
             l2.cache.prefetches_issued,
             l2.cache.prefetch_hits,
@@ -383,7 +286,7 @@ fn main() {
             p.summary.l2_writeback_beats,
         );
     }
-    println!("\n{}", timing.report(results.len()));
+    println!("\n{} config points in {wall:.2?} wall", results.len());
     validate(&results);
 
     let mut report = Json::obj()
@@ -393,9 +296,9 @@ fn main() {
             "grid",
             vec![u64::from(grid.nx), u64::from(grid.ny), u64::from(grid.nz)],
         )
-        .set("cores", CORES)
-        .set("tcdm_cap_bytes", TCDM_CAP)
-        .set("wall_seconds", timing.wall.as_secs_f64());
+        .set("cores", cores)
+        .set("tcdm_cap_bytes", TCDM_CAP_BYTES)
+        .set("wall_seconds", wall.as_secs_f64());
     for chaining in [true, false] {
         let (on, off) = acceptance_pair(&results, chaining);
         let key = format!(

@@ -6,15 +6,16 @@
 //! must be an observable no-op: identical cycle counts, per-core
 //! `PerfCounters`, DMA statistics and overlap accounting, barrier
 //! counts, TCDM conflict maps and shared-L2 statistics. The kernel
-//! proptests pin this over *random* kernels; this sweep pins it over the
-//! exact grids the CI perf gate baselines — `cluster_scaling`,
-//! `system_scaling`, `l2_ablation`, `weak_scaling` and
-//! `prefetch_ablation` — so a scheduler bug cannot hide in a corner of
-//! the baselined configuration space.
+//! proptests pin this over *random* kernels; this sweep pins it over
+//! every point of `sc_bench::registry` — the exact configs the CI perf
+//! gate baselines for `cluster_scaling`, `system_scaling`,
+//! `l2_ablation`, `weak_scaling` and `prefetch_ablation` — so a
+//! scheduler bug cannot hide in a corner of the baselined configuration
+//! space.
 //!
 //! Every point runs twice (dense, then event) and the two summaries must
 //! be equal as whole structs; any divergence panics with the offending
-//! point id. The comparison also re-verifies the top-down attribution's
+//! point's `<sweep>/<baseline id>`. The comparison also re-verifies the top-down attribution's
 //! partition invariant (`sum(leaves) == cycles`, per hart and per
 //! padded roll-up) on every point — this sweep is CI's proof that the
 //! invariant holds across the whole baselined configuration space.
@@ -22,52 +23,11 @@
 //!
 //! Run with `cargo run --release -p sc-bench --bin sched_identity`.
 
+use sc_bench::registry::{self, Summary};
 use sc_bench::{json, parallel_sweep, Json};
 use sc_cluster::ClusterSummary;
-use sc_core::{CoreConfig, SchedMode};
-use sc_kernels::{Grid3, Stencil, StencilKernel, Variant, TCDM_CAP_BYTES};
-use sc_mem::{DramConfig, L2Config};
+use sc_core::SchedMode;
 use sc_system::SystemSummary;
-
-const MAX_CYCLES: u64 = 500_000_000;
-
-/// Capacity granule shared by the capacity-swept ablations: capacities
-/// must divide into whole sets for every swept associativity.
-const CAP_GRANULE: u32 = 256 * 8;
-
-/// The summary a point produces — cluster-level or system-level.
-enum Summary {
-    Cluster(ClusterSummary),
-    System(SystemSummary),
-}
-
-/// One baseline config point: a display id plus how to run it under an
-/// explicit scheduling mode.
-struct Case {
-    id: String,
-    run: Box<dyn Fn(SchedMode) -> Summary + Send + Sync>,
-}
-
-impl Case {
-    fn new(id: String, run: impl Fn(SchedMode) -> Summary + Send + Sync + 'static) -> Self {
-        Case {
-            id,
-            run: Box::new(run),
-        }
-    }
-}
-
-fn variant(chaining: bool) -> Variant {
-    if chaining {
-        Variant::ChainingPlus
-    } else {
-        Variant::Base
-    }
-}
-
-fn gen(grid: Grid3, chaining: bool) -> StencilKernel {
-    StencilKernel::new(Stencil::box3d1r(), grid, variant(chaining)).expect("valid combination")
-}
 
 /// Whole-summary equality of two cluster summaries, plus the attribution
 /// partition invariant on the dense one.
@@ -110,242 +70,6 @@ fn assert_system_identical(id: &str, dense: &SystemSummary, event: &SystemSummar
         .unwrap_or_else(|e| panic!("{id}: system roll-up: {e}"));
 }
 
-/// `cluster_scaling`: box3d1r 16x16x24, 1/2/4/8 cores, chaining on/off,
-/// unbounded and 128 KiB tiled + DMA.
-fn cluster_scaling_cases(cases: &mut Vec<Case>) {
-    let grid = Grid3::new(16, 16, 24);
-    for cores in [1u32, 2, 4, 8] {
-        for chaining in [true, false] {
-            for tiled in [false, true] {
-                let id = format!(
-                    "cluster_scaling/{}/c{cores}/{}",
-                    if tiled { "tiled" } else { "unbounded" },
-                    if chaining { "chaining" } else { "base" }
-                );
-                cases.push(Case::new(id.clone(), move |mode| {
-                    let cfg = CoreConfig::new().with_chaining(chaining);
-                    if tiled {
-                        let tk = gen(grid, chaining)
-                            .build_tiled(cores, TCDM_CAP_BYTES)
-                            .expect("grid tiles within 128 KiB");
-                        let run = tk
-                            .run_scheduled(cfg, DramConfig::new(), MAX_CYCLES, mode)
-                            .unwrap_or_else(|e| panic!("{id}: {e}"));
-                        Summary::Cluster(run.summary)
-                    } else {
-                        let ck = gen(grid, chaining).build_cluster(cores);
-                        let run = ck
-                            .run_scheduled(cfg, MAX_CYCLES, mode)
-                            .unwrap_or_else(|e| panic!("{id}: {e}"));
-                        Summary::Cluster(run.summary)
-                    }
-                }));
-            }
-        }
-    }
-}
-
-/// `system_scaling`: box3d1r 16x16x24, 1/2/4 clusters x 1/4/8 cores,
-/// chaining on/off, unbounded and tiled through the shared L2.
-fn system_scaling_cases(cases: &mut Vec<Case>) {
-    let grid = Grid3::new(16, 16, 24);
-    for clusters in [1u32, 2, 4] {
-        for cores in [1u32, 4, 8] {
-            for chaining in [true, false] {
-                for tiled in [false, true] {
-                    let id = format!(
-                        "system_scaling/{}/m{clusters}/c{cores}/{}",
-                        if tiled { "tiled" } else { "unbounded" },
-                        if chaining { "chaining" } else { "base" }
-                    );
-                    cases.push(Case::new(id.clone(), move |mode| {
-                        let cfg = CoreConfig::new().with_chaining(chaining);
-                        if tiled {
-                            let tk = gen(grid, chaining)
-                                .build_system_tiled(clusters, cores, TCDM_CAP_BYTES)
-                                .expect("slabs tile within 128 KiB");
-                            let run = tk
-                                .run_scheduled(
-                                    cfg,
-                                    L2Config::new(),
-                                    DramConfig::new(),
-                                    MAX_CYCLES,
-                                    mode,
-                                )
-                                .unwrap_or_else(|e| panic!("{id}: {e}"));
-                            Summary::System(run.summary)
-                        } else {
-                            let sk = gen(grid, chaining).build_system(clusters, cores);
-                            let run = sk
-                                .run_scheduled(cfg, MAX_CYCLES, mode)
-                                .unwrap_or_else(|e| panic!("{id}: {e}"));
-                            Summary::System(run.summary)
-                        }
-                    }));
-                }
-            }
-        }
-    }
-}
-
-/// `l2_ablation`: box3d1r 16x16x16 on m2xc2 tiled, over/under-fit
-/// capacity x ways {2,8} x refill channels {1,4} x chaining.
-fn l2_ablation_cases(cases: &mut Vec<Case>) {
-    let grid = Grid3::new(16, 16, 16);
-    let ws = gen(grid, true)
-        .build_system_tiled(2, 2, TCDM_CAP_BYTES)
-        .expect("slabs tile within 128 KiB")
-        .working_set()
-        .clone();
-    for (capacity, fit) in [
-        (ws.overfit_capacity(CAP_GRANULE), "over"),
-        (ws.underfit_capacity(CAP_GRANULE), "under"),
-    ] {
-        for ways in [2u32, 8] {
-            for channels in [1u32, 4] {
-                for chaining in [true, false] {
-                    let id = format!(
-                        "l2_ablation/{fit}/w{ways}/ch{channels}/{}",
-                        if chaining { "chaining" } else { "base" }
-                    );
-                    let l2 = L2Config::new()
-                        .with_capacity_bytes(capacity)
-                        .with_ways(ways)
-                        .with_refill_channels(channels)
-                        .with_mshrs(8)
-                        .with_write_back(true)
-                        .with_refill_latency(64)
-                        .with_refill_cycles_per_beat(1)
-                        .with_bank_width(8);
-                    cases.push(Case::new(id.clone(), move |mode| {
-                        let tk = gen(grid, chaining)
-                            .build_system_tiled(2, 2, TCDM_CAP_BYTES)
-                            .expect("slabs tile within 128 KiB");
-                        let run = tk
-                            .run_scheduled(
-                                CoreConfig::new().with_chaining(chaining),
-                                l2,
-                                DramConfig::new(),
-                                MAX_CYCLES,
-                                mode,
-                            )
-                            .unwrap_or_else(|e| panic!("{id}: {e}"));
-                        Summary::System(run.summary)
-                    }));
-                }
-            }
-        }
-    }
-}
-
-/// `weak_scaling`: the grid grows with the cluster count (16x16x8m on
-/// 4 cores), chaining on/off, unbounded and tiled with 1 and 4 refill
-/// channels.
-fn weak_scaling_cases(cases: &mut Vec<Case>) {
-    for clusters in [1u32, 2, 4] {
-        let grid = Grid3::new(16, 16, 8 * clusters);
-        for chaining in [true, false] {
-            for channels in [None, Some(1u32), Some(4u32)] {
-                let id = format!(
-                    "weak_scaling/{}/m{clusters}/{}",
-                    channels.map_or("unbounded".to_owned(), |ch| format!("tiled_ch{ch}")),
-                    if chaining { "chaining" } else { "base" }
-                );
-                cases.push(Case::new(id.clone(), move |mode| {
-                    let cfg = CoreConfig::new().with_chaining(chaining);
-                    match channels {
-                        None => {
-                            let sk = gen(grid, chaining).build_system(clusters, 4);
-                            let run = sk
-                                .run_scheduled(cfg, MAX_CYCLES, mode)
-                                .unwrap_or_else(|e| panic!("{id}: {e}"));
-                            Summary::System(run.summary)
-                        }
-                        Some(ch) => {
-                            let tk = gen(grid, chaining)
-                                .build_system_tiled(clusters, 4, TCDM_CAP_BYTES)
-                                .expect("slabs tile within 128 KiB");
-                            let l2 = L2Config::new()
-                                .with_refill_channels(ch)
-                                .with_refill_latency(64)
-                                .with_refill_cycles_per_beat(1);
-                            let run = tk
-                                .run_scheduled(cfg, l2, DramConfig::new(), MAX_CYCLES, mode)
-                                .unwrap_or_else(|e| panic!("{id}: {e}"));
-                            Summary::System(run.summary)
-                        }
-                    }
-                }));
-            }
-        }
-    }
-}
-
-/// `prefetch_ablation`: box3d1r 24x24x24, 1/2 clusters x 4 cores,
-/// over/under-fit x channels {1,4} x chaining x prefetch
-/// {off, (2,8), (2,32), (4,8), (4,32)} through the narrow 3-cycle port.
-fn prefetch_ablation_cases(cases: &mut Vec<Case>) {
-    let grid = Grid3::new(24, 24, 24);
-    for clusters in [1u32, 2] {
-        let ws = gen(grid, true)
-            .build_system_tiled(clusters, 4, TCDM_CAP_BYTES)
-            .expect("slabs tile within the TCDM cap")
-            .working_set()
-            .clone();
-        for (capacity, fit) in [
-            (ws.overfit_capacity(CAP_GRANULE), "over"),
-            (ws.underfit_capacity(CAP_GRANULE), "under"),
-        ] {
-            for channels in [1u32, 4] {
-                for chaining in [true, false] {
-                    for prefetch in std::iter::once(None)
-                        .chain([(2u32, 8u32), (2, 32), (4, 8), (4, 32)].map(Some))
-                    {
-                        let id = format!(
-                            "prefetch_ablation/m{clusters}/{fit}/ch{channels}/{}/{}",
-                            if chaining { "chaining" } else { "base" },
-                            prefetch.map_or("off".to_owned(), |(d, dist)| format!("d{d}D{dist}"))
-                        );
-                        let base = L2Config::new()
-                            .with_capacity_bytes(capacity)
-                            .with_ways(8)
-                            .with_refill_channels(channels)
-                            .with_mshrs(8)
-                            .with_write_back(true)
-                            .with_refill_latency(64)
-                            .with_refill_cycles_per_beat(1)
-                            .with_bank_width(8)
-                            .with_cycles_per_beat(3);
-                        let l2 = match prefetch {
-                            None => base,
-                            Some((degree, distance)) => base
-                                .with_prefetch(true)
-                                .with_prefetch_degree(degree)
-                                .with_prefetch_distance(distance)
-                                .with_prefetch_queue(2 * distance),
-                        };
-                        cases.push(Case::new(id.clone(), move |mode| {
-                            let tk = gen(grid, chaining)
-                                .build_system_tiled(clusters, 4, TCDM_CAP_BYTES)
-                                .expect("slabs tile within the TCDM cap");
-                            let run = tk
-                                .run_scheduled(
-                                    CoreConfig::new().with_chaining(chaining),
-                                    l2,
-                                    DramConfig::new(),
-                                    MAX_CYCLES,
-                                    mode,
-                                )
-                                .unwrap_or_else(|e| panic!("{id}: {e}"));
-                            Summary::System(run.summary)
-                        }));
-                    }
-                }
-            }
-        }
-    }
-}
-
 /// The per-point verdict the sweep reports after the comparison passed.
 struct Verdict {
     id: String,
@@ -353,35 +77,28 @@ struct Verdict {
 }
 
 fn main() {
-    let mut cases: Vec<Case> = Vec::new();
-    cluster_scaling_cases(&mut cases);
-    system_scaling_cases(&mut cases);
-    l2_ablation_cases(&mut cases);
-    weak_scaling_cases(&mut cases);
-    prefetch_ablation_cases(&mut cases);
+    let points = registry::all_points();
 
     println!("=== scheduler identity — event vs dense on every baseline point ===");
-    println!("=== {} config points x 2 modes ===\n", cases.len());
+    println!("=== {} config points x 2 modes ===\n", points.len());
 
-    let total = cases.len();
-    let (verdicts, timing) = parallel_sweep(cases, |case| {
-        let dense = (case.run)(SchedMode::Dense);
-        let event = (case.run)(SchedMode::Event);
+    let total = points.len();
+    let (verdicts, wall) = parallel_sweep(points, |spec| {
+        let id = spec.full_id();
+        let dense = spec.run(SchedMode::Dense).summary;
+        let event = spec.run(SchedMode::Event).summary;
         let cycles = match (&dense, &event) {
             (Summary::Cluster(d), Summary::Cluster(e)) => {
-                assert_cluster_identical(&case.id, d, e);
+                assert_cluster_identical(&id, d, e);
                 d.cycles
             }
             (Summary::System(d), Summary::System(e)) => {
-                assert_system_identical(&case.id, d, e);
+                assert_system_identical(&id, d, e);
                 d.cycles
             }
             _ => unreachable!("a point always produces the same summary kind"),
         };
-        Verdict {
-            id: case.id,
-            cycles,
-        }
+        Verdict { id, cycles }
     });
     assert_eq!(verdicts.len(), total);
 
@@ -397,15 +114,14 @@ fn main() {
         println!("{sweep:>20}: {n} points identical");
     }
     println!("\nall {total} baseline points: event == dense");
-    println!("{}", timing.report(total));
+    println!("{total} config points in {wall:.2?} wall");
 
     let report = Json::obj()
         .set("sweep", "sched_identity")
         .set("points", total as u64)
         .set("all_identical", true)
         .set("attribution_verified", true)
-        .set("wall_seconds", timing.wall.as_secs_f64())
-        .set("host_thread_speedup", timing.speedup())
+        .set("wall_seconds", wall.as_secs_f64())
         .set(
             "cycles_by_point",
             Json::Arr(

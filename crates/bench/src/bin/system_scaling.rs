@@ -20,28 +20,22 @@
 //! that 4 clusters deliver >1.5× cycles over 1 cluster on at least one
 //! tiled configuration — the scale-out acceptance criterion.
 //!
+//! The config points are `Sweep::SystemScaling` in `sc_bench::registry`.
 //! Machine-readable results (consumed by the CI perf gate, see
 //! `baselines/system_scaling.json`) land in
 //! `target/reports/system_scaling.json`.
 //!
 //! Run with `cargo run --release -p sc-bench --bin system_scaling`.
 
+use sc_bench::registry::{PointSpec, Sweep};
 use sc_bench::{json, parallel_sweep, Json};
-use sc_core::CoreConfig;
+use sc_core::SchedMode;
 use sc_energy::{ClusterEnergyReport, EnergyModel};
-use sc_kernels::{Grid3, Stencil, StencilKernel, Variant, TCDM_CAP_BYTES};
-use sc_mem::{DramConfig, L2Config};
+use sc_kernels::TCDM_CAP_BYTES;
 use sc_system::SystemSummary;
 
-const CLUSTERS: [u32; 3] = [1, 2, 4];
-const CORES: [u32; 3] = [1, 4, 8];
-const MAX_CYCLES: u64 = 500_000_000;
-
 struct Point {
-    clusters: u32,
-    cores: u32,
-    chaining: bool,
-    tiled: bool,
+    spec: PointSpec,
     tiles: usize,
     name: String,
     summary: SystemSummary,
@@ -49,79 +43,43 @@ struct Point {
 }
 
 impl Point {
-    fn id(&self) -> String {
-        format!(
-            "{}/m{}/c{}/{}",
-            if self.tiled { "tiled" } else { "unbounded" },
-            self.clusters,
-            self.cores,
-            if self.chaining { "chaining" } else { "base" }
-        )
+    /// Runs `spec` under dense stepping.
+    fn run(spec: PointSpec) -> Self {
+        let run = spec.run(SchedMode::Dense);
+        let summary = run.summary.into_system();
+        let per_core: Vec<_> = summary
+            .per_cluster
+            .iter()
+            .flat_map(|c| c.per_core.iter().map(|r| r.counters))
+            .collect();
+        let energy = EnergyModel::new().system_report(
+            &per_core,
+            summary.cycles,
+            summary.total_dma_beats(),
+            summary.l2_refill_beats,
+            summary.l2_writeback_beats,
+        );
+        Point {
+            spec,
+            // Unbounded points report no tiles.
+            tiles: run.tiles.unwrap_or(0),
+            name: run.kernel,
+            summary,
+            energy,
+        }
     }
-}
-
-fn run_point(clusters: u32, cores: u32, chaining: bool, tiled: bool, grid: Grid3) -> Point {
-    let variant = if chaining {
-        Variant::ChainingPlus
-    } else {
-        Variant::Base
-    };
-    let cfg = CoreConfig::new().with_chaining(chaining);
-    let gen = StencilKernel::new(Stencil::box3d1r(), grid, variant).expect("valid combination");
-    let (name, tiles, summary) = if tiled {
-        let tk = gen
-            .build_system_tiled(clusters, cores, TCDM_CAP_BYTES)
-            .expect("slabs tile within 128 KiB");
-        let run = tk
-            .run(cfg, L2Config::new(), DramConfig::new(), MAX_CYCLES)
-            .unwrap_or_else(|e| panic!("{}: {e}", tk.name()));
-        (tk.name().to_owned(), run.num_tiles, run.summary)
-    } else {
-        let sk = gen.build_system(clusters, cores);
-        let run = sk
-            .run(cfg, MAX_CYCLES)
-            .unwrap_or_else(|e| panic!("{}: {e}", sk.name()));
-        (sk.name().to_owned(), 0, run.summary)
-    };
-    let per_core: Vec<_> = summary
-        .per_cluster
-        .iter()
-        .flat_map(|c| c.per_core.iter().map(|r| r.counters))
-        .collect();
-    let energy = EnergyModel::new().system_report(
-        &per_core,
-        summary.cycles,
-        summary.total_dma_beats(),
-        summary.l2_refill_beats,
-        summary.l2_writeback_beats,
-    );
-    Point {
-        clusters,
-        cores,
-        chaining,
-        tiled,
-        tiles,
-        name,
-        summary,
-        energy,
-    }
-}
-
-/// Harts the system-level attribution aggregates over.
-fn total_harts(s: &SystemSummary) -> u64 {
-    s.per_cluster.iter().map(|c| c.per_core.len() as u64).sum()
 }
 
 fn point_json(p: &Point) -> Json {
     let s = &p.summary;
     let tcdm_conflicts: u64 = s.aggregate.tcdm_conflicts;
     let mut j = Json::obj()
-        .set("id", p.id())
+        .set("id", p.spec.id.as_str())
         .set("kernel", p.name.as_str())
-        .set("clusters", p.clusters)
-        .set("cores", p.cores)
-        .set("chaining", p.chaining)
-        .set("tiled", p.tiled)
+        .set("clusters", p.spec.clusters)
+        .set("cores", p.spec.cores)
+        .set("chaining", p.spec.chaining)
+        .set("tiled", p.spec.tiled)
         .set("tiles", p.tiles)
         .set("cycles_to_last_core_done", s.cycles)
         .set("system_barriers", s.system_barriers)
@@ -138,10 +96,7 @@ fn point_json(p: &Point) -> Json {
         .set("gflops", p.energy.gflops)
         .set("gflops_per_w", p.energy.gflops_per_w)
         .set("dma_pj", p.energy.dma_pj)
-        .set(
-            "attribution",
-            json::attribution_json(&s.attribution, total_harts(s), s.cycles),
-        );
+        .set("attribution", json::system_attribution_json(s));
     if let Some(l2) = &s.l2 {
         j = j
             .set(
@@ -158,7 +113,7 @@ fn point_json(p: &Point) -> Json {
                 json::refill_occupancy_json(&s.refill_occupancy()),
             );
     }
-    if p.tiled {
+    if p.spec.tiled {
         let dma_beats = s.total_dma_beats();
         let overlaps: Vec<f64> = s
             .per_cluster
@@ -210,7 +165,7 @@ fn validate(points: &[Point]) {
                 (0.0..=1.0).contains(&frac),
                 "{} cluster {c}: overlap_fraction {frac} outside [0, 1] \
                  (busy {}, overlap {})",
-                p.id(),
+                p.spec.id,
                 dma.busy_cycles,
                 dma.overlap_cycles
             );
@@ -218,17 +173,17 @@ fn validate(points: &[Point]) {
     }
     // Scale-out acceptance: 4 clusters must beat 1 cluster by >1.5× on
     // at least one tiled configuration.
-    let best = CORES
+    let best = points
         .iter()
-        .flat_map(|&cores| [true, false].map(|ch| (cores, ch)))
-        .filter_map(|(cores, ch)| {
-            let cyc = |m: u32| {
-                points
-                    .iter()
-                    .find(|p| p.tiled && p.clusters == m && p.cores == cores && p.chaining == ch)
-                    .map(|p| p.summary.cycles)
-            };
-            Some(cyc(1)? as f64 / cyc(4)? as f64)
+        .filter(|p| p.spec.tiled && p.spec.clusters == 4)
+        .filter_map(|wide| {
+            let one = points.iter().find(|p| {
+                p.spec.tiled
+                    && p.spec.clusters == 1
+                    && p.spec.cores == wide.spec.cores
+                    && p.spec.chaining == wide.spec.chaining
+            })?;
+            Some(one.summary.cycles as f64 / wide.summary.cycles as f64)
         })
         .fold(0.0f64, f64::max);
     assert!(
@@ -238,31 +193,15 @@ fn validate(points: &[Point]) {
 }
 
 fn main() {
-    // Same grid family as cluster_scaling, deeper in z so every cluster
-    // of the widest point owns whole planes *and* several tiles.
-    let grid = Grid3::new(16, 16, 24);
+    let specs = Sweep::SystemScaling.points();
+    let grid = specs[0].grid;
     println!(
         "=== System scaling — box3d1r {}x{}x{}, shared banked L2 ===",
         grid.nx, grid.ny, grid.nz
     );
     println!("=== 1/2/4 clusters x 1/4/8 cores, unbounded vs 128K+DMA via L2 ===\n");
 
-    let points: Vec<(u32, u32, bool, bool)> = CLUSTERS
-        .iter()
-        .flat_map(|&m| {
-            CORES.iter().flat_map(move |&c| {
-                [
-                    (m, c, true, false),
-                    (m, c, false, false),
-                    (m, c, true, true),
-                    (m, c, false, true),
-                ]
-            })
-        })
-        .collect();
-    let (results, timing) = parallel_sweep(points, |(m, c, chaining, tiled)| {
-        run_point(m, c, chaining, tiled, grid)
-    });
+    let (results, wall) = parallel_sweep(specs, Point::run);
     validate(&results);
 
     println!(
@@ -278,17 +217,22 @@ fn main() {
         "refills",
         "overlap"
     );
-    let base_cycles = |cores: u32, chaining: bool, tiled: bool| {
+    let cycles = |clusters: u32, cores: u32, chaining: bool, tiled: bool| {
         results
             .iter()
             .find(|p| {
-                p.clusters == 1 && p.cores == cores && p.chaining == chaining && p.tiled == tiled
+                let s = &p.spec;
+                s.clusters == clusters
+                    && s.cores == cores
+                    && s.chaining == chaining
+                    && s.tiled == tiled
             })
             .map_or(0, |p| p.summary.cycles)
     };
     for p in &results {
-        let speedup = base_cycles(p.cores, p.chaining, p.tiled) as f64 / p.summary.cycles as f64;
-        let overlap = if p.tiled {
+        let s = &p.spec;
+        let speedup = cycles(1, s.cores, s.chaining, s.tiled) as f64 / p.summary.cycles as f64;
+        let overlap = if s.tiled {
             let max = p
                 .summary
                 .per_cluster
@@ -307,10 +251,10 @@ fn main() {
             .map_or((0, 0), |l2| (l2.conflicts, l2.refills()));
         println!(
             "{:>9} {:>6} {:>10} {:>10} {:>10} {:>8.2}x {:>7.1}% {:>9} {:>11} {:>8}",
-            p.clusters,
-            p.cores,
-            if p.chaining { "Chaining+" } else { "Base" },
-            if p.tiled { "128K+L2" } else { "unbounded" },
+            s.clusters,
+            s.cores,
+            if s.chaining { "Chaining+" } else { "Base" },
+            if s.tiled { "128K+L2" } else { "unbounded" },
             p.summary.cycles,
             speedup,
             p.summary.system_utilization() * 100.0,
@@ -320,7 +264,7 @@ fn main() {
         );
     }
 
-    println!("\n{}", timing.report(results.len()));
+    println!("\n{} config points in {wall:.2?} wall", results.len());
 
     let mut report = Json::obj()
         .set("sweep", "system_scaling")
@@ -333,20 +277,21 @@ fn main() {
         // Both regimes verified bit-exactly against the same golden
         // model inside their run() paths.
         .set("tiled_matches_unbounded", true)
-        .set("wall_seconds", timing.wall.as_secs_f64())
-        .set("host_thread_speedup", timing.speedup());
+        .set("wall_seconds", wall.as_secs_f64());
     // Multi-cluster scaling per (cores, regime), chaining on — gated in
     // CI against baselines/system_scaling.json.
-    for &cores in &CORES {
+    let distinct = |knob: fn(&PointSpec) -> u32| {
+        let mut values: Vec<u32> = results.iter().map(|p| knob(&p.spec)).collect();
+        values.sort_unstable();
+        values.dedup();
+        values
+    };
+    let cluster_counts = distinct(|s| s.clusters);
+    for cores in distinct(|s| s.cores) {
         for tiled in [false, true] {
-            let cyc = |m: u32| {
-                results
-                    .iter()
-                    .find(|p| p.clusters == m && p.cores == cores && p.chaining && p.tiled == tiled)
-                    .map_or(0, |p| p.summary.cycles)
-            };
-            for m in [2u32, 4] {
-                let (one, many) = (cyc(1), cyc(m));
+            let one = cycles(1, cores, true, tiled);
+            for &m in cluster_counts.iter().filter(|&&m| m > 1) {
+                let many = cycles(m, cores, true, tiled);
                 if one > 0 && many > 0 {
                     let key = format!(
                         "speedup_m{m}_c{cores}_{}",

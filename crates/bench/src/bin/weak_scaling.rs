@@ -15,6 +15,7 @@
 //!   refill: miss traffic parallelises across channels and the
 //!   efficiency the single channel lost comes back.
 //!
+//! The config points are `Sweep::WeakScaling` in `sc_bench::registry`.
 //! The validator asserts every efficiency lies in (0, 1.1] and the
 //! multi-channel tiled regime meets an efficiency **floor** at the
 //! widest point. `efficiency_*` ratios are pinned by the CI perf gate
@@ -22,89 +23,36 @@
 //!
 //! Run with `cargo run --release -p sc-bench --bin weak_scaling`.
 
+use sc_bench::registry::{PointSpec, Sweep};
 use sc_bench::{json, parallel_sweep, Json};
-use sc_core::CoreConfig;
+use sc_core::SchedMode;
 use sc_energy::EnergyModel;
-use sc_kernels::{Grid3, Stencil, StencilKernel, Variant, TCDM_CAP_BYTES};
-use sc_mem::{DramConfig, L2Config};
+use sc_kernels::TCDM_CAP_BYTES;
 use sc_system::SystemSummary;
-
-const CLUSTERS: [u32; 3] = [1, 2, 4];
-const CORES: u32 = 4;
-const PLANES_PER_CLUSTER: u32 = 8;
-const MAX_CYCLES: u64 = 500_000_000;
 
 /// The asserted weak-scaling efficiency floor for the tiled multi-channel
 /// regime at the widest cluster count.
 const EFFICIENCY_FLOOR: f64 = 0.5;
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Regime {
-    Unbounded,
-    Tiled { channels: u32 },
-}
-
-impl Regime {
-    fn label(self) -> String {
-        match self {
-            Regime::Unbounded => "unbounded".into(),
-            Regime::Tiled { channels } => format!("tiled_ch{channels}"),
-        }
-    }
-}
-
 struct Point {
-    clusters: u32,
-    chaining: bool,
-    regime: Regime,
+    spec: PointSpec,
     summary: SystemSummary,
 }
 
 impl Point {
-    fn id(&self) -> String {
-        format!(
-            "{}/m{}/{}",
-            self.regime.label(),
-            self.clusters,
-            if self.chaining { "chaining" } else { "base" }
-        )
+    /// Runs `spec` under dense stepping.
+    fn run(spec: PointSpec) -> Self {
+        let summary = spec.run(SchedMode::Dense).summary.into_system();
+        Point { spec, summary }
     }
-}
 
-fn run_point(clusters: u32, chaining: bool, regime: Regime) -> Point {
-    let grid = Grid3::new(16, 16, PLANES_PER_CLUSTER * clusters);
-    let variant = if chaining {
-        Variant::ChainingPlus
-    } else {
-        Variant::Base
-    };
-    let cfg = CoreConfig::new().with_chaining(chaining);
-    let gen = StencilKernel::new(Stencil::box3d1r(), grid, variant).expect("valid combination");
-    let summary = match regime {
-        Regime::Unbounded => {
-            let sk = gen.build_system(clusters, CORES);
-            sk.run(cfg, MAX_CYCLES)
-                .unwrap_or_else(|e| panic!("{}: {e}", sk.name()))
-                .summary
+    /// `unbounded`, or `tiled_ch<n>` for `n` refill channels.
+    fn regime(&self) -> String {
+        if self.spec.tiled {
+            format!("tiled_ch{}", self.spec.l2.refill_channels)
+        } else {
+            "unbounded".into()
         }
-        Regime::Tiled { channels } => {
-            let tk = gen
-                .build_system_tiled(clusters, CORES, TCDM_CAP_BYTES)
-                .expect("slabs tile within 128 KiB");
-            let l2 = L2Config::new()
-                .with_refill_channels(channels)
-                .with_refill_latency(64)
-                .with_refill_cycles_per_beat(1);
-            tk.run(cfg, l2, DramConfig::new(), MAX_CYCLES)
-                .unwrap_or_else(|e| panic!("{}: {e}", tk.name()))
-                .summary
-        }
-    };
-    Point {
-        clusters,
-        chaining,
-        regime,
-        summary,
     }
 }
 
@@ -113,7 +61,9 @@ fn run_point(clusters: u32, chaining: bool, regime: Regime) -> Point {
 fn efficiency(points: &[Point], p: &Point) -> f64 {
     let base = points
         .iter()
-        .find(|q| q.clusters == 1 && q.chaining == p.chaining && q.regime == p.regime)
+        .find(|q| {
+            q.spec.clusters == 1 && q.spec.chaining == p.spec.chaining && q.regime() == p.regime()
+        })
         .expect("1-cluster reference point");
     base.summary.cycles as f64 / p.summary.cycles as f64
 }
@@ -124,17 +74,17 @@ fn validate(points: &[Point]) {
         assert!(
             0.0 < eff && eff <= 1.1,
             "{}: weak-scaling efficiency {eff:.3} outside (0, 1.1]",
-            p.id()
+            p.spec.id
         );
     }
     // The acceptance floor: with parallel refill channels, the widest
     // tiled point keeps at least EFFICIENCY_FLOOR of the 1-cluster
     // throughput per cluster.
-    let widest = *CLUSTERS.last().expect("cluster list is non-empty");
+    let widest = points.iter().map(|p| p.spec.clusters).max();
     let best = points
         .iter()
         .filter(|p| {
-            p.clusters == widest && matches!(p.regime, Regime::Tiled { channels } if channels > 1)
+            Some(p.spec.clusters) == widest && p.spec.tiled && p.spec.l2.refill_channels > 1
         })
         .map(|p| efficiency(points, p))
         .fold(0.0f64, f64::max);
@@ -147,20 +97,17 @@ fn validate(points: &[Point]) {
 fn point_json(points: &[Point], p: &Point) -> Json {
     let s = &p.summary;
     let mut j = Json::obj()
-        .set("id", p.id())
-        .set("clusters", p.clusters)
-        .set("cores", CORES)
-        .set("chaining", p.chaining)
-        .set("regime", p.regime.label())
+        .set("id", p.spec.id.as_str())
+        .set("clusters", p.spec.clusters)
+        .set("cores", p.spec.cores)
+        .set("chaining", p.spec.chaining)
+        .set("regime", p.regime())
         .set("cycles_to_last_core_done", s.cycles)
         .set("efficiency", efficiency(points, p))
         .set("tcdm_conflicts", s.aggregate.tcdm_conflicts)
         .set("flops", s.aggregate.flops)
         .set("system_utilization", s.system_utilization())
-        .set(
-            "attribution",
-            json::attribution_json(&s.attribution, total_harts(s), s.cycles),
-        );
+        .set("attribution", json::system_attribution_json(s));
     if let Some(l2) = &s.l2 {
         j = j
             .set(
@@ -180,33 +127,16 @@ fn point_json(points: &[Point], p: &Point) -> Json {
     j
 }
 
-/// Harts the system-level attribution aggregates over.
-fn total_harts(s: &SystemSummary) -> u64 {
-    s.per_cluster.iter().map(|c| c.per_core.len() as u64).sum()
-}
-
 fn main() {
+    let specs = Sweep::WeakScaling.points();
+    let planes_per_cluster = specs[0].grid.nz / specs[0].clusters;
+    let cores = specs[0].cores;
     println!(
-        "=== Weak scaling — box3d1r 16x16x{PLANES_PER_CLUSTER}z per cluster, {CORES} cores each ===",
+        "=== Weak scaling — box3d1r 16x16x{planes_per_cluster}z per cluster, {cores} cores each ===",
     );
     println!("=== 1/2/4 clusters, unbounded vs 128K tiled with 1 or 4 refill channels ===\n");
 
-    let configs: Vec<(u32, bool, Regime)> = CLUSTERS
-        .iter()
-        .flat_map(|&m| {
-            [true, false].into_iter().flat_map(move |chaining| {
-                [
-                    Regime::Unbounded,
-                    Regime::Tiled { channels: 1 },
-                    Regime::Tiled { channels: 4 },
-                ]
-                .map(|regime| (m, chaining, regime))
-            })
-        })
-        .collect();
-    let (results, timing) = parallel_sweep(configs, |(m, chaining, regime)| {
-        run_point(m, chaining, regime)
-    });
+    let (results, wall) = parallel_sweep(specs, Point::run);
     validate(&results);
 
     println!(
@@ -233,33 +163,33 @@ fn main() {
         });
         println!(
             "{:>9} {:>10} {:>11} {:>11} {:>10.1}% {:>9} {:>9.1}",
-            p.clusters,
-            if p.chaining { "Chaining+" } else { "Base" },
-            p.regime.label(),
+            p.spec.clusters,
+            if p.spec.chaining { "Chaining+" } else { "Base" },
+            p.regime(),
             p.summary.cycles,
             efficiency(&results, p) * 100.0,
             refills,
             power,
         );
     }
-    println!("\n{}", timing.report(results.len()));
+    println!("\n{} config points in {wall:.2?} wall", results.len());
 
     let mut report = Json::obj()
         .set("sweep", "weak_scaling")
         .set("stencil", "box3d1r")
-        .set("planes_per_cluster", PLANES_PER_CLUSTER)
-        .set("cores_per_cluster", CORES)
+        .set("planes_per_cluster", planes_per_cluster)
+        .set("cores_per_cluster", cores)
         .set("tcdm_cap_bytes", u64::from(TCDM_CAP_BYTES))
-        .set("wall_seconds", timing.wall.as_secs_f64());
+        .set("wall_seconds", wall.as_secs_f64());
     // Per-config weak-scaling efficiencies at the multi-cluster points —
     // pinned by the perf gate (efficiency_* keys).
     for p in &results {
-        if p.clusters > 1 {
+        if p.spec.clusters > 1 {
             let key = format!(
                 "efficiency_m{}_{}_{}",
-                p.clusters,
-                p.regime.label(),
-                if p.chaining { "chaining" } else { "base" }
+                p.spec.clusters,
+                p.regime(),
+                if p.spec.chaining { "chaining" } else { "base" }
             );
             report = report.set(&key, efficiency(&results, p));
         }

@@ -1,16 +1,16 @@
 //! The CI performance-regression gate.
 //!
 //! A checked-in baseline file records key metrics of the bench reports
-//! (cycle counts, conflict counts, chaining speedups); the `perf_gate`
-//! binary diffs fresh reports against it with per-metric tolerances and
-//! fails CI on drift in *either* direction — regressions must be fixed,
-//! improvements must be banked by regenerating the baseline
-//! (`perf_gate baseline <report>`).
+//! (cycle counts, conflict and traffic counts, chaining speedups); the
+//! `perf_gate` binary diffs fresh reports against it and fails CI on
+//! any drift, in *either* direction.
 //!
-//! The simulator is fully deterministic, so baseline values are exact;
-//! tolerances exist to absorb intentional small remodelings without a
-//! baseline churn on every PR. The default cycle tolerance (5 %) is
-//! tight enough that a 10 % cycle regression always fails.
+//! The simulator is fully deterministic, so pins are exact: a report
+//! value must equal its baseline value, and no tolerance band can hide
+//! a model drift. An intended model shift goes through an explicit
+//! baseline re-roll (`perf_gate baseline <report>`), with the
+//! `perf_report diff` of the attribution trees attached to show which
+//! leaves moved.
 //!
 //! ## Baseline format
 //!
@@ -19,8 +19,8 @@
 //!   "report": "cluster_scaling.json",
 //!   "metrics": [
 //!     {"point": "tiled/c4/chaining", "metric": "cycles_to_last_core_done",
-//!      "value": 12345, "rel_tol": 0.05},
-//!     {"metric": "speedup_c4_tiled", "value": 1.08, "rel_tol": 0.05}
+//!      "value": 12345},
+//!     {"metric": "speedup_c4_tiled", "value": 1.08}
 //!   ]
 //! }
 //! ```
@@ -32,28 +32,18 @@ use sc_mem::L2MetricSet;
 
 use crate::json::Json;
 
-/// Default relative tolerance for cycle-count metrics.
-pub const CYCLES_REL_TOL: f64 = 0.05;
-/// Default relative tolerance for conflict-count metrics (noisier under
-/// arbitration changes), plus an absolute floor for near-zero counts.
-pub const CONFLICTS_REL_TOL: f64 = 0.10;
-/// Absolute tolerance floor for conflict counts.
-pub const CONFLICTS_ABS_TOL: f64 = 50.0;
-/// Default relative tolerance for speedup ratios.
-pub const SPEEDUP_REL_TOL: f64 = 0.05;
-
-/// The point-level metrics a generated baseline pins, with their
-/// (relative, absolute) tolerances. The flat `l2_*` keys are emitted by
-/// the L2 sweeps (`l2_ablation`, `prefetch_ablation`), so
-/// capacity-pressure traffic — evictions and write-back beats — and the
-/// prefetcher's issue/accuracy counts are pinned alongside cycles.
-const POINT_METRICS: [(&str, f64, f64); 6] = [
-    ("cycles_to_last_core_done", CYCLES_REL_TOL, 0.0),
-    ("tcdm_conflicts", CONFLICTS_REL_TOL, CONFLICTS_ABS_TOL),
-    ("l2_evictions", CONFLICTS_REL_TOL, CONFLICTS_ABS_TOL),
-    ("l2_writeback_beats", CONFLICTS_REL_TOL, CONFLICTS_ABS_TOL),
-    ("l2_prefetches_issued", CONFLICTS_REL_TOL, CONFLICTS_ABS_TOL),
-    ("l2_prefetch_hits", CONFLICTS_REL_TOL, CONFLICTS_ABS_TOL),
+/// The point-level metrics a generated baseline pins. The flat `l2_*`
+/// keys are emitted by the L2 sweeps (`l2_ablation`,
+/// `prefetch_ablation`), so capacity-pressure traffic — evictions and
+/// write-back beats — and the prefetcher's issue/accuracy counts are
+/// pinned alongside cycles.
+const POINT_METRICS: [&str; 6] = [
+    "cycles_to_last_core_done",
+    "tcdm_conflicts",
+    "l2_evictions",
+    "l2_writeback_beats",
+    "l2_prefetches_issued",
+    "l2_prefetch_hits",
 ];
 
 /// The metrics every `"l2"` stats object must carry, derived from
@@ -77,7 +67,7 @@ pub struct GateOutcome {
 }
 
 impl GateOutcome {
-    /// Whether every metric stayed within tolerance.
+    /// Whether every metric equals its baseline value.
     #[must_use]
     pub fn passed(&self) -> bool {
         self.failures.is_empty()
@@ -186,8 +176,8 @@ fn lookup<'a>(report: &'a Json, point: Option<&str>, metric: &str) -> Result<&'a
     })
 }
 
-/// Diffs `report` against `baseline`, returning every out-of-tolerance
-/// metric. Drift is flagged in both directions. A baseline entry the
+/// Diffs `report` against `baseline`, returning every metric whose value
+/// differs from its pin. Drift is flagged in both directions. A baseline entry the
 /// report cannot satisfy — its point or metric is missing (e.g. after a
 /// rename), or the value is not numeric — is recorded as a **failure**,
 /// never skipped: every pinned metric is either compared or flagged, so
@@ -214,8 +204,6 @@ pub fn diff(baseline: &Json, report: &Json) -> Result<GateOutcome, String> {
             .get("value")
             .and_then(Json::as_f64)
             .ok_or_else(|| format!("metrics[{i}] has no numeric `value`"))?;
-        let rel_tol = entry.get("rel_tol").and_then(Json::as_f64).unwrap_or(0.0);
-        let abs_tol = entry.get("abs_tol").and_then(Json::as_f64).unwrap_or(0.0);
         let point = entry.get("point").and_then(Json::as_str);
         outcome.checked += 1;
         let got = match lookup(report, point, metric) {
@@ -235,12 +223,11 @@ pub fn diff(baseline: &Json, report: &Json) -> Result<GateOutcome, String> {
                 continue;
             }
         };
-        let tol = abs_tol.max(rel_tol * want.abs());
-        if (got - want).abs() > tol {
+        if got != want {
             let place = point.map_or(String::new(), |p| format!("{p} "));
-            outcome.failures.push(format!(
-                "{place}{metric}: got {got}, baseline {want} (tolerance ±{tol:.3})"
-            ));
+            outcome
+                .failures
+                .push(format!("{place}{metric}: got {got}, baseline {want}"));
         }
     }
     Ok(outcome)
@@ -266,30 +253,23 @@ pub fn baseline_from_report(report_name: &str, report: &Json) -> Result<Json, St
             // a metric rename surfaces at regeneration time too.
             if !POINT_METRICS
                 .iter()
-                .any(|(metric, _, _)| p.get(metric).and_then(Json::as_f64).is_some())
+                .any(|metric| p.get(metric).and_then(Json::as_f64).is_some())
             {
                 return Err(format!(
                     "point `{id}` carries none of the gated metrics ({})",
-                    POINT_METRICS
-                        .iter()
-                        .map(|(m, _, _)| *m)
-                        .collect::<Vec<_>>()
-                        .join(", ")
+                    POINT_METRICS.join(", ")
                 ));
             }
-            for (metric, rel, abs) in POINT_METRICS {
+            for metric in POINT_METRICS {
                 let Some(value) = p.get(metric).and_then(Json::as_f64) else {
                     continue;
                 };
-                let mut m = Json::obj()
-                    .set("point", id)
-                    .set("metric", metric)
-                    .set("value", value)
-                    .set("rel_tol", rel);
-                if abs > 0.0 {
-                    m = m.set("abs_tol", abs);
-                }
-                metrics.push(m);
+                metrics.push(
+                    Json::obj()
+                        .set("point", id)
+                        .set("metric", metric)
+                        .set("value", value),
+                );
             }
         }
     }
@@ -297,12 +277,7 @@ pub fn baseline_from_report(report_name: &str, report: &Json) -> Result<Json, St
         for (key, value) in entries {
             if key.starts_with("speedup_") || key.starts_with("efficiency_") {
                 if let Some(v) = value.as_f64() {
-                    metrics.push(
-                        Json::obj()
-                            .set("metric", key.as_str())
-                            .set("value", v)
-                            .set("rel_tol", SPEEDUP_REL_TOL),
-                    );
+                    metrics.push(Json::obj().set("metric", key.as_str()).set("value", v));
                 }
             }
         }
@@ -383,10 +358,15 @@ mod tests {
     }
 
     #[test]
-    fn small_drift_within_tolerance_passes() {
+    fn one_unit_drift_fails_the_gate() {
+        // Pins are exact: the smallest possible cycle drift fails, in
+        // either direction.
         let baseline = baseline_from_report("r.json", &fake_report(100_000)).unwrap();
-        let outcome = diff(&baseline, &fake_report(104_000)).unwrap();
-        assert!(outcome.passed(), "4% is inside the 5% tolerance");
+        for cycles in [100_001, 99_999] {
+            let outcome = diff(&baseline, &fake_report(cycles)).unwrap();
+            assert!(!outcome.passed(), "{cycles} cycles passed an exact pin");
+            assert!(outcome.failures[0].contains("cycles_to_last_core_done"));
+        }
     }
 
     #[test]

@@ -11,6 +11,7 @@ use std::fmt::Write as _;
 
 use sc_mem::{L2MetricSet, L2Stats};
 use sc_perf::{Attribution, RefillOccupancy};
+use sc_system::SystemSummary;
 use sc_trace::MetricSource;
 
 /// Serializes shared-L2 statistics the way every system sweep reports
@@ -51,6 +52,14 @@ pub fn attribution_json(attr: &Attribution, harts: u64, machine_cycles: u64) -> 
         obj = std::mem::replace(&mut obj, Json::Null).set(name, value);
     });
     obj
+}
+
+/// [`attribution_json`] of a system run: the roll-up over every hart of
+/// every cluster.
+#[must_use]
+pub fn system_attribution_json(s: &SystemSummary) -> Json {
+    let harts = s.per_cluster.iter().map(|c| c.per_core.len() as u64).sum();
+    attribution_json(&s.attribution, harts, s.cycles)
 }
 
 /// Serializes the L2 refill-path occupancy split (demand vs prefetch vs

@@ -17,17 +17,21 @@
 //! | `ablation_depth` | §II claim: chaining benefit grows with pipeline depth |
 //! | `ablation_registers` | §I claim: unrolling trades registers for ILP |
 //! | `ablation_banks` | TCDM bank-count sensitivity of the Fig. 3 sweep |
-//! | `cluster_scaling` | multi-core scaling: 1/2/4/8 cores × chaining on/off |
-//! | `system_scaling` | multi-cluster scaling: 1/2/4 clusters × 1/4/8 cores over a shared L2 |
-//! | `l2_ablation` | finite-L2 sweep: capacity × ways × refill channels × chaining |
-//! | `weak_scaling` | weak scaling: the grid grows with the cluster count, 1/4 refill channels |
-//! | `prefetch_ablation` | descriptor-driven L2 prefetch: degree × distance × channels |
-//! | `sched_identity` | event scheduler ≡ dense stepping on every baseline sweep point |
+//! | `cluster_scaling` | multi-core scaling: 1/2/4/8 cores × chaining on/off ([`registry::Sweep::ClusterScaling`]) |
+//! | `system_scaling` | multi-cluster scaling: 1/2/4 clusters × 1/4/8 cores over a shared L2 ([`registry::Sweep::SystemScaling`]) |
+//! | `l2_ablation` | finite-L2 sweep: capacity × ways × refill channels × chaining ([`registry::Sweep::L2Ablation`]) |
+//! | `weak_scaling` | weak scaling: the grid grows with the cluster count, 1/4 refill channels ([`registry::Sweep::WeakScaling`]) |
+//! | `prefetch_ablation` | descriptor-driven L2 prefetch: degree × distance × channels ([`registry::Sweep::PrefetchAblation`]) |
+//! | `sched_identity` | event scheduler ≡ dense stepping on every registry point |
+//! | `lint_sweep` | every program the registry's points generate is lint-clean; seeded bugs are flagged |
 //! | `host_speed` | host wall-clock: dense vs event-driven clock advancement |
 //! | `perf_report` | top-down attribution trees / roofline / CSV over any sweep report, plus `diff` |
 //!
-//! Sweep binaries fan their config points out over host threads
-//! ([`parallel_sweep`]) and serialize machine-readable results to
+//! The five baselined sweeps (`cluster_scaling` through
+//! `prefetch_ablation`), `sched_identity` and `lint_sweep` all iterate
+//! [`registry`], the one definition of the 166 config points the CI perf
+//! gate pins. Sweep binaries fan their config points out over host
+//! threads ([`parallel_sweep`]) and serialize machine-readable results to
 //! `target/reports/*.json` ([`json::write_report`]) alongside their text
 //! tables, so the perf trajectory can be tracked across PRs.
 
@@ -40,9 +44,10 @@ pub mod gate;
 mod harness;
 pub mod json;
 mod parallel;
+pub mod registry;
 mod report;
 
 pub use harness::{geomean, headline, measure, Fig3Experiment, HeadlineNumbers, Measurement};
 pub use json::Json;
-pub use parallel::{parallel_sweep, SweepTiming};
+pub use parallel::parallel_sweep;
 pub use report::{fig3_csv, render_fig3, render_headline};

@@ -87,8 +87,7 @@
 use std::fmt;
 
 use sc_core::{
-    Component, Core, CoreConfig, DmaCommand, PerfCounters, RunSummary, SchedMode, Scheduler,
-    SimError, Wake,
+    Core, CoreConfig, DmaCommand, PerfCounters, RunSummary, SchedMode, Scheduler, SimError, Wake,
 };
 use sc_dma::{DmaEngine, DmaError, DmaStats, Transfer};
 use sc_isa::Program;
@@ -1341,20 +1340,6 @@ impl Cluster {
             attribution,
             per_core,
         }
-    }
-}
-
-impl Component for Cluster {
-    fn now(&self) -> u64 {
-        self.cycles
-    }
-
-    fn next_wake(&self) -> Wake {
-        Cluster::next_wake(self)
-    }
-
-    fn skip(&mut self, cycles: u64) {
-        self.skip_idle(cycles);
     }
 }
 

@@ -57,7 +57,7 @@ pub use counters::{PerfCounters, StallCause};
 pub use error::SimError;
 pub use fp_subsys::{FpSubsystem, IntWriteback, IssueOutcome};
 pub use sc_perf::{Attribution, AttributionError, PhaseMark};
-pub use sched::{Component, SchedMode, Scheduler, Wake};
+pub use sched::{SchedMode, Scheduler, Wake};
 pub use sequencer::{OffloadedFp, SeqError, SeqItem, Sequencer};
 pub use sim::{Core, DmaCommand, RunSummary, Simulator};
 pub use trace::{FpSlot, IssueTrace, TraceCycle};

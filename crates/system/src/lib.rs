@@ -92,7 +92,7 @@ use std::fmt;
 use sc_cluster::{
     lint_config, Cluster, ClusterBuilder, ClusterConfig, ClusterError, ClusterSummary,
 };
-use sc_core::{Component, PerfCounters, SchedMode, Scheduler, Wake};
+use sc_core::{PerfCounters, SchedMode, Scheduler, Wake};
 use sc_isa::Program;
 use sc_lint::lint_harts;
 use sc_mem::{CacheWake, Dram, L2Config, L2Outcome, L2Request, L2Stats, L2};
@@ -951,20 +951,6 @@ impl System {
             l2_prefetch_beats,
             attribution,
         }
-    }
-}
-
-impl Component for System {
-    fn now(&self) -> u64 {
-        self.cycles
-    }
-
-    fn next_wake(&self) -> Wake {
-        System::next_wake(self)
-    }
-
-    fn skip(&mut self, cycles: u64) {
-        self.skip_idle(cycles);
     }
 }
 
