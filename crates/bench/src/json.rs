@@ -593,6 +593,7 @@ pub fn write_report(name: &str, json: &Json) -> std::io::Result<std::path::PathB
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn renders_nested_structures() {
@@ -688,5 +689,38 @@ mod tests {
         assert_eq!(Json::parse("42").unwrap(), Json::UInt(42));
         assert_eq!(Json::parse("2.5e3").unwrap(), Json::Float(2500.0));
         assert_eq!(Json::parse(r#""A\n""#).unwrap(), Json::Str("A\n".into()));
+    }
+
+    /// JSON fragments: every structural character, literals and their
+    /// misspellings, numbers at and past the integer and float limits,
+    /// and escapes valid, truncated and unpaired.
+    #[rustfmt::skip]
+    const JSON_TOKENS: &[&str] = &[
+        "{", "}", "[", "]", ":", ",", "\"", "\"key\"", "\"\"", "\\", "\\u", "\\u00e9", "\\uD800",
+        "\\uDC00", "\\n", "\\x", "0", "-", "-0", "1", "1.", ".5", "1e", "1e999", "-1e-999", "2.5e3",
+        "18446744073709551615", "18446744073709551616", "-9223372036854775808",
+        "-9223372036854775809", "true", "false", "null", "tru", "nul", "NaN", "Infinity", " ", "\n",
+        "\t", "é", "\u{1F600}", "\u{0}",
+    ];
+
+    fn json_text() -> impl Strategy<Value = String> {
+        proptest::collection::vec(
+            prop_oneof![
+                (0..JSON_TOKENS.len()).prop_map(|i| JSON_TOKENS[i].to_string()),
+                any::<u32>().prop_map(|c| char::from_u32(c % 0x11_0000).unwrap_or('?').to_string()),
+            ],
+            0..48,
+        )
+        .prop_map(|parts| parts.concat())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(4096))]
+
+        #[test]
+        fn parse_never_panics(text in json_text()) {
+            // Either parses or errors; must not panic.
+            let _ = Json::parse(&text);
+        }
     }
 }

@@ -28,6 +28,7 @@ use crate::error::SimError;
 use crate::sequencer::Sequencer;
 #[cfg(test)]
 use crate::sequencer::{OffloadedFp, SeqItem};
+use crate::uop::{FpUop, FpUopKind};
 
 /// Where a completing op's result goes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -302,27 +303,21 @@ impl FpSubsystem {
     }
 
     /// Detects the chained-FIFO jam the issue stage can resolve itself:
-    /// `inst` (a compute op) targets a unit whose writeback slot holds a
-    /// completion into a chained register that `inst` is about to pop.
+    /// `uop` (a compute op) targets a unit whose writeback slot holds a
+    /// completion into a chained register that `uop` is about to pop.
     /// In hardware the pipeline registers *are* the tail of that
     /// register's logical FIFO, so the pop at the head and the held push
     /// advance together as one synchronous shift — the consumer must not
     /// stall on the unit being "full", or the rotation deadlocks the
     /// moment backpressure packs the pipeline. Returns the unit class to
     /// drain during issue.
-    fn chained_drain_target(&self, inst: &Instruction, popped: &[FpReg]) -> Option<OpClass> {
-        if !self.cfg.chained_fifo_shift {
+    fn chained_drain_target(&self, uop: &FpUop) -> Option<OpClass> {
+        if !self.cfg.chained_fifo_shift || !self.wb_port_free {
             return None;
         }
-        if !self.wb_port_free
-            || matches!(
-                inst,
-                Instruction::FpLoad { .. } | Instruction::FpStore { .. }
-            )
-        {
+        let FpUopKind::Compute { op, .. } = uop.kind() else {
             return None;
-        }
-        let (op, _) = FpuOp::from_instruction(inst).expect("compute op");
+        };
         let class = op.class();
         let held = match class {
             OpClass::AddMul => self.addmul.ready(),
@@ -332,7 +327,7 @@ impl FpSubsystem {
         }?;
         match held.dest {
             WbDest::Chained(reg)
-                if popped.contains(&reg)
+                if uop.sources().contains(&reg)
                     && matches!(self.classify(reg), RegClass::Chained)
                     && self.chain.can_pop(reg) =>
             {
@@ -430,23 +425,18 @@ impl FpSubsystem {
         let Some(fp) = self.seq.peek()? else {
             return Ok(IssueOutcome::Idle);
         };
-        let inst = fp.inst;
+        let (inst, uop) = (fp.inst, fp.uop);
 
         // --- readiness checks -----------------------------------------
         // Distinct source registers (a register read twice is one port
-        // read / one pop, broadcast to both operand positions), kept in
-        // first-use order on the stack.
-        let mut distinct_buf = [FpReg::new(0); 3];
-        let mut ndistinct = 0;
-        for s in inst.fp_sources() {
-            if !distinct_buf[..ndistinct].contains(&s) {
-                distinct_buf[ndistinct] = s;
-                ndistinct += 1;
-            }
-        }
-        let distinct = &distinct_buf[..ndistinct];
-        for &src in distinct {
-            match self.classify(src) {
+        // read / one pop, broadcast to both operand positions). Reading
+        // them below leaves every register's class unchanged, so the
+        // classes found here serve the reads too.
+        let sources = uop.sources();
+        let mut classes = [RegClass::Plain; 3];
+        for (class, &src) in classes.iter_mut().zip(sources) {
+            *class = self.classify(src);
+            match *class {
                 RegClass::Stream(dm) => {
                     let mover = self.ssr.mover(dm);
                     if !mover.can_pop() {
@@ -481,37 +471,35 @@ impl FpSubsystem {
             }
         }
         // Target unit.
-        let unit_free = match &inst {
-            Instruction::FpLoad { .. } | Instruction::FpStore { .. } => self.lsu == FpLsu::Idle,
-            _ => {
-                let (op, _) = FpuOp::from_instruction(&inst).expect("compute op");
-                match op.class() {
-                    OpClass::AddMul => self.addmul.can_issue(),
-                    OpClass::NonComp => self.noncomp.can_issue(),
-                    OpClass::Conv => self.conv.can_issue(),
-                    OpClass::DivSqrt => self.divsqrt.can_issue(),
-                }
-            }
+        let unit_free = match uop.kind() {
+            FpUopKind::Load { .. } | FpUopKind::Store { .. } => self.lsu == FpLsu::Idle,
+            FpUopKind::Compute { op, .. } => match op.class() {
+                OpClass::AddMul => self.addmul.can_issue(),
+                OpClass::NonComp => self.noncomp.can_issue(),
+                OpClass::Conv => self.conv.can_issue(),
+                OpClass::DivSqrt => self.divsqrt.can_issue(),
+            },
         };
         let drain = if unit_free {
             None
         } else {
-            self.chained_drain_target(&inst, distinct)
+            self.chained_drain_target(&uop)
         };
         if !unit_free && drain.is_none() {
-            let cause = match &inst {
-                Instruction::FpLoad { .. } | Instruction::FpStore { .. } => StallCause::LsuBusy,
-                _ => self.blocked_reason.unwrap_or(StallCause::UnitBusy),
+            let cause = match uop.kind() {
+                FpUopKind::Load { .. } | FpUopKind::Store { .. } => StallCause::LsuBusy,
+                FpUopKind::Compute { .. } => self.blocked_reason.unwrap_or(StallCause::UnitBusy),
             };
             counters.record_stall(cause);
             return Ok(IssueOutcome::Stalled(cause));
         }
 
         // --- operand read / pop ----------------------------------------
-        let mut values: [(FpReg, u64); 3] = [(FpReg::new(0), 0); 3];
-        let mut nvals = 0;
-        for &src in distinct {
-            let bits = match self.classify(src) {
+        // One value per distinct source; slot 3 stays zero for the
+        // operand positions the instruction does not read.
+        let mut values = [0u64; 4];
+        for ((value, &class), &src) in values.iter_mut().zip(&classes).zip(sources) {
+            *value = match class {
                 RegClass::Stream(dm) => {
                     let v = self.ssr.mover_mut(dm).pop().map_err(SimError::from)?;
                     counters.ssr_elements += 1;
@@ -527,16 +515,8 @@ impl FpSubsystem {
                     self.rf[src.index() as usize]
                 }
             };
-            values[nvals] = (src, bits);
-            nvals += 1;
         }
-        let lookup = |reg: FpReg| -> u64 {
-            values[..nvals]
-                .iter()
-                .find(|(r, _)| *r == reg)
-                .map(|(_, b)| *b)
-                .expect("operand read")
-        };
+        let operands = uop.operand_values(&values);
 
         // --- dispatch ----------------------------------------------------
         self.seq.consume();
@@ -549,17 +529,17 @@ impl FpSubsystem {
             self.apply_chained_drain(class, counters);
         }
 
-        match inst {
-            Instruction::FpStore { fmt, frs2, .. } => {
+        match uop.kind() {
+            FpUopKind::Store { fmt } => {
                 counters.fp_mem_ops += 1;
                 let addr = fp.addr.expect("store address resolved at offload");
                 self.lsu = FpLsu::StorePending {
                     addr,
-                    bits: lookup(frs2),
+                    bits: operands[0],
                     fmt,
                 };
             }
-            Instruction::FpLoad { fmt, frd, .. } => {
+            FpUopKind::Load { fmt, frd } => {
                 counters.fp_mem_ops += 1;
                 let addr = fp.addr.expect("load address resolved at offload");
                 let dest = match self.classify(frd) {
@@ -572,27 +552,9 @@ impl FpSubsystem {
                 self.pending[frd.index() as usize] += 1;
                 self.lsu = FpLsu::LoadPending { addr, dest, fmt };
             }
-            _ => {
-                let (op, fmt) = FpuOp::from_instruction(&inst).expect("compute op");
-                // Build positional operands.
-                let srcs: [u64; 3] = match inst {
-                    Instruction::FpBin { frs1, frs2, .. } => [lookup(frs1), lookup(frs2), 0],
-                    Instruction::FpFma {
-                        frs1, frs2, frs3, ..
-                    } => [lookup(frs1), lookup(frs2), lookup(frs3)],
-                    Instruction::FpSqrt { frs1, .. } => [lookup(frs1), 0, 0],
-                    Instruction::FpCmp { frs1, frs2, .. } => [lookup(frs1), lookup(frs2), 0],
-                    Instruction::FpCvt { op: c, frs1, .. } => {
-                        if c.reads_int() {
-                            [0, 0, 0]
-                        } else {
-                            [lookup(frs1), 0, 0]
-                        }
-                    }
-                    _ => unreachable!("memory ops handled above"),
-                };
+            FpUopKind::Compute { op, fmt } => {
                 let int_src = fp.int_operand.unwrap_or(0);
-                let out = evaluate(op, fmt, srcs, int_src);
+                let out = evaluate(op, fmt, operands, int_src);
                 let bits = match out {
                     FpuOutput::Fp(b) => b,
                     FpuOutput::Int(v) => u64::from(v),
@@ -803,6 +765,7 @@ pub(crate) fn offload_item(
 ) -> SeqItem {
     SeqItem::Fp(OffloadedFp {
         inst,
+        uop: FpUop::decode(&inst).expect("FP instruction"),
         addr,
         int_operand,
     })

@@ -50,6 +50,7 @@ mod sched;
 mod sequencer;
 mod sim;
 mod trace;
+mod uop;
 
 pub use chain::{ChainError, ChainUnit};
 pub use config::CoreConfig;
@@ -61,3 +62,4 @@ pub use sched::{SchedMode, Scheduler, Wake};
 pub use sequencer::{OffloadedFp, SeqError, SeqItem, Sequencer};
 pub use sim::{Core, DmaCommand, RunSummary, Simulator};
 pub use trace::{FpSlot, IssueTrace, TraceCycle};
+pub use uop::{FpUop, FpUopKind};

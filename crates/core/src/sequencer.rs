@@ -11,15 +11,20 @@
 use sc_fpu::BoundedFifo;
 use sc_isa::Instruction;
 
+use crate::uop::FpUop;
+
 /// An FP instruction offloaded from the integer core.
 ///
 /// The integer side resolves everything it owns at offload time: memory
 /// addresses for FP loads/stores and the integer source operand of
-/// int→float conversions/moves.
+/// int→float conversions/moves. It also decodes the instruction into the
+/// issue record the FP issue stage reads on every attempt.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OffloadedFp {
     /// The instruction.
     pub inst: Instruction,
+    /// `inst` decoded ([`FpUop::decode`]).
+    pub uop: FpUop,
     /// Resolved byte address (FP loads/stores).
     pub addr: Option<u32>,
     /// Resolved integer source operand (`fcvt.d.w`, `fmv.w.x`, ...).
@@ -382,7 +387,9 @@ fn stagger_offset(iter: u32, stagger_max: u8) -> u8 {
 }
 
 /// Applies Snitch register staggering: selected operand register indices
-/// are offset by `offset` (mod 32).
+/// are offset by `offset` (mod 32). A renamed instruction is decoded
+/// afresh: renaming can make two operands name the same register, or
+/// split a repeated one.
 fn apply_stagger(fp: OffloadedFp, offset: u8, mask: u8) -> OffloadedFp {
     use sc_isa::FpReg;
     if offset == 0 || mask == 0 {
@@ -418,9 +425,13 @@ fn apply_stagger(fp: OffloadedFp, offset: u8, mask: u8) -> OffloadedFp {
             frs2: if mask & 4 != 0 { bump(frs2) } else { frs2 },
             frs3: if mask & 8 != 0 { bump(frs3) } else { frs3 },
         },
-        other => other,
+        _ => return fp,
     };
-    OffloadedFp { inst, ..fp }
+    OffloadedFp {
+        inst,
+        uop: FpUop::decode(&inst).expect("a renamed FP instruction is an FP instruction"),
+        ..fp
+    }
 }
 
 #[cfg(test)]
@@ -428,18 +439,23 @@ mod tests {
     use super::*;
     use sc_isa::{FpBinOp, FpFormat, FpReg};
 
-    fn fp(i: u8) -> OffloadedFp {
+    fn offloaded(inst: Instruction) -> OffloadedFp {
         OffloadedFp {
-            inst: Instruction::FpBin {
-                op: FpBinOp::Add,
-                fmt: FpFormat::Double,
-                frd: FpReg::new(i),
-                frs1: FpReg::FT0,
-                frs2: FpReg::FT1,
-            },
+            inst,
+            uop: FpUop::decode(&inst).expect("FP instruction"),
             addr: None,
             int_operand: None,
         }
+    }
+
+    fn fp(i: u8) -> OffloadedFp {
+        offloaded(Instruction::FpBin {
+            op: FpBinOp::Add,
+            fmt: FpFormat::Double,
+            frd: FpReg::new(i),
+            frs1: FpReg::FT0,
+            frs2: FpReg::FT1,
+        })
     }
 
     fn drain(seq: &mut Sequencer) -> Vec<OffloadedFp> {
@@ -557,6 +573,53 @@ mod tests {
             .collect();
         // Iterations 0,1,2,3 → offsets 0,1,0,1.
         assert_eq!(dests, vec![8, 9, 8, 9]);
+    }
+
+    #[test]
+    fn staggered_replays_carry_the_record_of_the_renamed_instruction() {
+        // Staggering rs1 only merges `f3, f4` into `f4, f4` at offset 1
+        // and splits the repeated `f0` of the fmadd: the distinct sources
+        // change, so the record must be the renamed instruction's.
+        let f = FpReg::new;
+        let body = [
+            Instruction::FpBin {
+                op: FpBinOp::Add,
+                fmt: FpFormat::Double,
+                frd: f(8),
+                frs1: f(3),
+                frs2: f(4),
+            },
+            Instruction::FpFma {
+                op: sc_isa::FmaOp::Madd,
+                fmt: FpFormat::Double,
+                frd: f(9),
+                frs1: f(0),
+                frs2: f(0),
+                frs3: f(0),
+            },
+        ];
+        for is_outer in [true, false] {
+            let mut s = Sequencer::new(8, 16);
+            s.offload(SeqItem::Frep {
+                is_outer,
+                n_instr: 2,
+                n_rep: 5,
+                stagger_max: 2,
+                stagger_mask: 0b0010,
+            });
+            for inst in body {
+                s.offload(SeqItem::Fp(offloaded(inst)));
+            }
+            let got = drain(&mut s);
+            assert_eq!(got.len(), 10);
+            let mut renamed = 0;
+            for item in &got {
+                assert_eq!(Some(item.uop), FpUop::decode(&item.inst), "{}", item.inst);
+                renamed += usize::from(!body.contains(&item.inst));
+            }
+            assert!(renamed > 0, "the replay staggers some instructions");
+            assert!(got.iter().any(|item| item.uop.sources() == [f(4)]));
+        }
     }
 
     #[test]

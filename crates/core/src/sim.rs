@@ -65,6 +65,7 @@ use crate::fp_subsys::{FpSubsystem, IssueOutcome};
 use crate::sched::Wake;
 use crate::sequencer::{OffloadedFp, SeqItem};
 use crate::trace::{FpSlot, IssueTrace, TraceCycle};
+use crate::uop::FpUop;
 
 /// Result of a completed simulation.
 #[derive(Debug, Clone, PartialEq)]
@@ -1346,8 +1347,10 @@ impl Core {
         if let Some(rd) = inst.int_dest() {
             self.int_pending[rd.index() as usize] = true;
         }
+        let uop = FpUop::decode(&inst).expect("only FP instructions are offloaded");
         self.fp.sequencer_mut().offload(SeqItem::Fp(OffloadedFp {
             inst,
+            uop,
             addr,
             int_operand,
         }));

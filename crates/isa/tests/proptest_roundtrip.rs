@@ -1,11 +1,12 @@
 //! Property tests: binary encode/decode is a lossless roundtrip for every
-//! instruction the model can represent, and the decoder never panics on
-//! arbitrary 32-bit words.
+//! instruction the model can represent, and neither the decoder (on
+//! arbitrary 32-bit words) nor the assembler (on arbitrary token strings)
+//! ever panics.
 
 use proptest::prelude::*;
 use sc_isa::{
-    decode, encode, AluOp, BranchOp, CsrOp, CsrSrc, FmaOp, FpBinOp, FpCmpOp, FpCvtOp, FpFormat,
-    FpReg, Instruction, IntReg, LoadOp, MulDivOp, StoreOp,
+    decode, encode, parse_asm, AluOp, BranchOp, CsrOp, CsrSrc, FmaOp, FpBinOp, FpCmpOp, FpCvtOp,
+    FpFormat, FpReg, Instruction, IntReg, LoadOp, MulDivOp, StoreOp,
 };
 
 fn int_reg() -> impl Strategy<Value = IntReg> {
@@ -322,5 +323,42 @@ proptest! {
             let word2 = encode(&inst);
             prop_assert_eq!(decode(word2).expect("canonical word decodes"), inst);
         }
+    }
+}
+
+/// Assembler tokens: mnemonics (real, misspelled and pseudo), register
+/// names (ABI, numeric and out of range), immediates at and past every
+/// field's limits, labels, memory operands and separators.
+#[rustfmt::skip]
+const ASM_TOKENS: &[&str] = &[
+    "addi", "add", "sub", "slli", "mul", "divu", "lui", "auipc", "lw", "lbu", "sw", "sb", "fld",
+    "flw", "fsd", "fsw", "beq", "bne", "bltu", "bneq", "jal", "jalr", "j", "fadd.d", "fmul.s",
+    "fsgnjx.d", "fmin.d", "fmadd.d", "fnmadd.s", "fsqrt.d", "feq.d", "fle.s", "fcvt.d.w",
+    "fcvt.w.d", "fmv.d", "fmv.x.w", "csrrw", "csrrsi", "csrw", "csrs", "csrr", "frep.o", "frep.i",
+    "scfgwi", "scfgri", "li", "mv", "nop", "ecall", "ebreak", "fence", "fadd", "frep", "x0", "x31",
+    "x32", "zero", "ra", "sp", "t0", "a0", "s11", "ft0", "ft11", "fa0", "fs11", "f31", "f32", "0",
+    "1", "-1", "7", "2047", "2048", "-2049", "4095", "0x7C3", "0x7d9", "0xFFFFFFFF", "0x100000000",
+    "-2147483648", "99999999999999999999", "0x", "-", "8(a0)", "-8(sp)", "(t0)", "4096(x1)", "8(",
+    ")", "loop", "loop:", "end", "end:", ":", "::", "1:", ",", ",", ",", " ", " ", "\n", "\n", "#",
+    "//", ".", "\t", "é",
+];
+
+fn asm_text() -> impl Strategy<Value = String> {
+    proptest::collection::vec(0..ASM_TOKENS.len(), 0..48).prop_map(|picks| {
+        picks
+            .into_iter()
+            .map(|i| ASM_TOKENS[i])
+            .collect::<Vec<_>>()
+            .join(" ")
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4096))]
+
+    #[test]
+    fn parse_asm_never_panics(src in asm_text()) {
+        // Either assembles or errors; must not panic.
+        let _ = parse_asm(&src);
     }
 }

@@ -41,6 +41,62 @@ fn contended_request() -> impl Strategy<Value = Request> {
         })
 }
 
+/// Raw material for one batch of `arbitrate_into_matches_sort_reference_any_banks`:
+/// whether the batch is conflict-free, a priority key per bank (up to
+/// 128) that shuffles the banks, and `(port, word, write)` per request.
+type BatchSeed = (bool, Vec<u32>, Vec<(u8, u32, bool)>);
+
+fn batch_seed() -> impl Strategy<Value = BatchSeed> {
+    (
+        any::<bool>(),
+        proptest::collection::vec(any::<u32>(), 128..129),
+        proptest::collection::vec(
+            (
+                prop_oneof![0u8..6, 0u8..40, any::<u8>()],
+                any::<u32>(),
+                any::<bool>(),
+            ),
+            0..129,
+        ),
+    )
+}
+
+/// Builds the batch `seed` describes on a TCDM with `banks` 8-byte banks.
+/// A conflict-free batch puts up to `banks` requests on distinct banks in
+/// a shuffled order; a contended one draws words from `2 × banks`, so
+/// every bank, the last included, is hit and most batches collide.
+fn batch(seed: &BatchSeed, banks: u32) -> Vec<Request> {
+    let (conflict_free, keys, reqs) = seed;
+    let mut shuffled: Vec<u32> = (0..banks).collect();
+    shuffled.sort_by_key(|&b| keys[b as usize]);
+    let kind = |w: bool| {
+        if w {
+            AccessKind::Write
+        } else {
+            AccessKind::Read
+        }
+    };
+    if *conflict_free {
+        reqs.iter()
+            .zip(shuffled)
+            .map(|(&(p, word, w), bank)| Request {
+                port: PortId(p),
+                addr: ((word % 64) * banks + bank) * 8,
+                kind: kind(w),
+            })
+            .collect()
+    } else {
+        reqs.iter()
+            .take(2 * banks as usize)
+            .map(|&(p, word, w)| Request {
+                port: PortId(p),
+                addr: (word % (2 * banks)) * 8,
+                kind: kind(w),
+            })
+            .collect()
+    }
+}
+
 proptest! {
     #[test]
     fn at_most_one_grant_per_bank(reqs in proptest::collection::vec(request(), 0..12)) {
@@ -111,6 +167,35 @@ proptest! {
             fast.arbitrate_into(batch, &mut grants);
             prop_assert_eq!(&grants, &reference.arbitrate_reference(batch));
             prop_assert_eq!(fast.stats(), reference.stats());
+        }
+    }
+
+    #[test]
+    fn arbitrate_into_matches_sort_reference_any_banks(
+        group in prop_oneof![Just(0u8), Just(1), Just(2), Just(3), Just(4)],
+        phase in prop_oneof![any::<u8>(), 232u8..255],
+        seeds in proptest::collection::vec(batch_seed(), 1..16),
+    ) {
+        // Conflict-free batches of every size up to one request per bank
+        // take the bank-mask fast path; 64 banks put bank 63 on the
+        // mask's top bit; 128 banks always take the general path. Each
+        // must equal the sort reference in grants, stats and phase.
+        for banks in [8u32, 64, 128] {
+            let cfg = TcdmConfig::new().with_size(1 << 20).with_banks(banks);
+            let mut fast = Tcdm::new(cfg);
+            let mut reference = Tcdm::new(cfg);
+            for tcdm in [&mut fast, &mut reference] {
+                tcdm.set_port_group_size(group);
+                tcdm.set_rr_next(phase);
+            }
+            let mut grants = vec![true; 3];
+            for seed in &seeds {
+                let requests = batch(seed, banks);
+                fast.arbitrate_into(&requests, &mut grants);
+                prop_assert_eq!(&grants, &reference.arbitrate_reference(&requests));
+                prop_assert_eq!(fast.stats(), reference.stats());
+                prop_assert_eq!(fast.rr_next(), reference.rr_next());
+            }
         }
     }
 

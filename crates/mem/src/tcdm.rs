@@ -302,10 +302,32 @@ impl Tcdm {
     /// buffers have grown to the largest request batch.
     pub fn arbitrate_into(&mut self, requests: &[Request], grants: &mut Vec<bool>) {
         grants.clear();
-        grants.resize(requests.len(), false);
         if requests.is_empty() {
             return;
         }
+        // Conflict-free fast path: when no two requests share a bank,
+        // every priority order grants all of them, and the statistics
+        // are per-port and per-bank sums, so granting in input order is
+        // exact. One `u64` holds the occupancy of up to 64 banks.
+        if self.cfg.banks <= 64 {
+            let mut occupied = 0u64;
+            let conflict_free = requests.iter().all(|r| {
+                let bit = 1u64 << self.bank_of(r.addr);
+                let free = occupied & bit == 0;
+                occupied |= bit;
+                free
+            });
+            if conflict_free {
+                grants.resize(requests.len(), true);
+                for r in requests {
+                    self.stats
+                        .record_grant(r.port, self.bank_of(r.addr), r.kind);
+                }
+                self.rr_next = self.rr_next.wrapping_add(1);
+                return;
+            }
+        }
+        grants.resize(requests.len(), false);
         // Order candidate indexes by rotated priority. The rotation is
         // taken modulo the highest requesting port (or group) so two
         // contenders share bandwidth 50/50 rather than by the full 8-bit
@@ -369,6 +391,12 @@ impl Tcdm {
     #[cfg(test)]
     pub(crate) fn set_rr_next(&mut self, rr_next: u8) {
         self.rr_next = rr_next;
+    }
+
+    /// The round-robin pointer's phase (tests).
+    #[cfg(test)]
+    pub(crate) fn rr_next(&self) -> u8 {
+        self.rr_next
     }
 
     /// The original sort-based arbiter, kept as the differential

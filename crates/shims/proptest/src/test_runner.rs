@@ -19,9 +19,15 @@ impl ProptestConfig {
 }
 
 impl Default for ProptestConfig {
+    /// 256 cases, or the `PROPTEST_CASES` environment variable when it is
+    /// set to a number — like the real crate. Tests that pick their own
+    /// count with [`ProptestConfig::with_cases`] ignore the variable.
     fn default() -> Self {
-        // Matches the real crate's default.
-        ProptestConfig { cases: 256 }
+        let cases = std::env::var("PROPTEST_CASES")
+            .ok()
+            .and_then(|v| v.parse().ok())
+            .unwrap_or(256);
+        ProptestConfig { cases }
     }
 }
 
