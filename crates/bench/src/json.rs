@@ -109,12 +109,17 @@ impl Json {
     ///
     /// # Errors
     ///
-    /// A [`JsonParseError`] with byte offset and message.
+    /// A [`JsonParseError`] with byte offset and message: malformed text
+    /// ([`JsonErrorKind::Syntax`]), or arrays and objects nested deeper
+    /// than [`MAX_DEPTH`] ([`JsonErrorKind::TooDeep`]) — the parser
+    /// recurses once per level, so the limit keeps hostile input from
+    /// overflowing the stack.
     pub fn parse(text: &str) -> Result<Json, JsonParseError> {
         let mut p = Parser {
             text,
             bytes: text.as_bytes(),
             at: 0,
+            depth: 0,
         };
         p.skip_ws();
         let value = p.value()?;
@@ -263,13 +268,28 @@ impl Json {
     }
 }
 
+/// The deepest nesting of arrays and objects [`Json::parse`] accepts.
+/// Reports nest a handful of levels.
+pub const MAX_DEPTH: usize = 128;
+
 /// A JSON parse failure: what went wrong, and where.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct JsonParseError {
     /// Byte offset of the failure.
     pub at: usize,
+    /// The class of failure.
+    pub kind: JsonErrorKind,
     /// What was expected or found.
     pub message: String,
+}
+
+/// The class of a [`JsonParseError`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum JsonErrorKind {
+    /// The text is not well-formed JSON.
+    Syntax,
+    /// Arrays and objects nest deeper than [`MAX_DEPTH`].
+    TooDeep,
 }
 
 impl std::fmt::Display for JsonParseError {
@@ -284,12 +304,15 @@ struct Parser<'a> {
     text: &'a str,
     bytes: &'a [u8],
     at: usize,
+    /// Arrays and objects open around the cursor.
+    depth: usize,
 }
 
 impl Parser<'_> {
     fn err(&self, message: impl Into<String>) -> JsonParseError {
         JsonParseError {
             at: self.at,
+            kind: JsonErrorKind::Syntax,
             message: message.into(),
         }
     }
@@ -324,8 +347,8 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<Json, JsonParseError> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
@@ -333,6 +356,23 @@ impl Parser<'_> {
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             _ => Err(self.err("expected a JSON value")),
         }
+    }
+
+    /// Parses one array or object with `parse`, one level deeper.
+    fn nested(
+        &mut self,
+        parse: fn(&mut Self) -> Result<Json, JsonParseError>,
+    ) -> Result<Json, JsonParseError> {
+        if self.depth == MAX_DEPTH {
+            return Err(JsonParseError {
+                kind: JsonErrorKind::TooDeep,
+                ..self.err(format!("nesting deeper than {MAX_DEPTH} levels"))
+            });
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn object(&mut self) -> Result<Json, JsonParseError> {
@@ -681,6 +721,18 @@ mod tests {
         ] {
             assert!(Json::parse(bad).is_err(), "accepted malformed: {bad:?}");
         }
+    }
+
+    #[test]
+    fn parse_rejects_deep_nesting_without_overflowing_the_stack() {
+        let deep = "[".repeat(100_000);
+        let err = Json::parse(&deep).unwrap_err();
+        assert_eq!(err.kind, JsonErrorKind::TooDeep);
+        assert_eq!(err.at, MAX_DEPTH);
+        let closed = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(Json::parse(&closed).is_ok(), "the limit itself parses");
+        let over = format!("{{\"a\":{closed}}}");
+        assert_eq!(Json::parse(&over).unwrap_err().kind, JsonErrorKind::TooDeep);
     }
 
     #[test]

@@ -81,8 +81,40 @@
 #![warn(missing_debug_implementations)]
 
 use std::collections::{HashMap, HashSet, VecDeque};
+use std::hash::{BuildHasherDefault, Hasher};
 
 use sc_trace::{MetricSource, Tracer, Track};
+
+/// Hashes the `u32` line numbers the residency, MSHR and prefetch-dedup
+/// tables key on with one multiply by an odd constant (Fibonacci
+/// hashing): distinct low bits stay distinct, and the product's high
+/// bits mix every input bit. The tables are only ever probed, never
+/// iterated, so the hasher changes lookup cost and nothing else. Keys
+/// are simulated line addresses: colliding ones cost host time only.
+#[derive(Debug, Default, Clone, Copy)]
+struct LineHasher(u64);
+
+impl Hasher for LineHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = (self.0.rotate_left(8) ^ u64::from(b)).wrapping_mul(GOLDEN);
+        }
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        self.0 = u64::from(n).wrapping_mul(GOLDEN);
+    }
+}
+
+/// 2^64 divided by the golden ratio, rounded to odd.
+const GOLDEN: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// A table keyed by line number.
+type LineMap<V> = HashMap<u32, V, BuildHasherDefault<LineHasher>>;
 
 /// How the prefetcher turns a hint into a line sequence.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -749,12 +781,12 @@ pub struct Cache {
     stats: CacheStats,
     /// Infinite mode: every line ever fetched or written, with its
     /// prefetched-and-untouched flag.
-    resident: HashMap<u32, bool>,
+    resident: LineMap<bool>,
     /// Finite mode: per-set LRU-ordered ways.
     sets: Vec<Vec<Way>>,
     /// Lines with an allocated MSHR (refill queued or in flight), with
     /// the origin that decides the accuracy accounting.
-    pending_refills: HashMap<u32, Origin>,
+    pending_refills: LineMap<Origin>,
     /// Requesters owed a miss classification per line: populated when a
     /// read stalls, consumed when that requester's beat finally commits
     /// (so `read_misses` counts serviced missed beats, not stall
@@ -772,7 +804,7 @@ pub struct Cache {
     /// The bounded prefetch-request queue (lines awaiting an MSHR and a
     /// channel), plus its membership set for cheap dedup.
     prefetch_queue: VecDeque<u32>,
-    prefetch_queued: HashSet<u32>,
+    prefetch_queued: HashSet<u32, BuildHasherDefault<LineHasher>>,
     /// Observability bus handle (off by default — a `None` check per
     /// emit site) and the base timeline track: counters and prefetch
     /// instants on the track itself, channel `i` on `tid + 1 + i`.
@@ -796,15 +828,15 @@ impl Cache {
         };
         Cache {
             stats: CacheStats::default(),
-            resident: HashMap::new(),
+            resident: LineMap::default(),
             sets,
-            pending_refills: HashMap::new(),
+            pending_refills: LineMap::default(),
             owed: Vec::new(),
             queue: VecDeque::new(),
             channels: vec![None; cfg.channels as usize],
             streams: VecDeque::new(),
             prefetch_queue: VecDeque::new(),
-            prefetch_queued: HashSet::new(),
+            prefetch_queued: HashSet::default(),
             tracer: Tracer::off(),
             track: Track::new(0, 0),
             cfg,

@@ -48,9 +48,26 @@
 //! carry-forward sample rows at the same cadence points — so the event
 //! path is cycle-count-, stats- and trace-identical to dense stepping,
 //! pinned by the checked-in baseline sweeps and `sc-kernels`'
-//! differential proptest. In either mode, a hart parked inside a busy
-//! cluster takes its closed-form one-cycle advance
-//! ([`sc_core::Core::skip_cycles`]) instead of a dense cycle.
+//! differential proptest.
+//!
+//! ## Hart census and lazy settlement
+//!
+//! In either mode a cycle costs O(runnable harts), not O(harts). The
+//! cluster keeps a census entry per hart — runnable, halted, or parked
+//! (on which barrier, or on a DMA wait with its target) since cycle `c`
+//! — updated only at transitions: the end-of-cycle pass over the harts
+//! it stepped, the barrier and DMA-wait releases, and program loads.
+//! A cycle steps the runnable list only; completion, the rendezvous
+//! counts and the core half of [`Cluster::next_wake`] read O(1) counts
+//! ([`HartCensus`]). A parked hart is drained, so each of its dense
+//! cycles is exactly one cycle of the closed form
+//! [`sc_core::Core::skip_cycles`]: it is not touched at all while
+//! parked, and owes `now - c` cycles, paid once through that closed
+//! form when it is released, on every [`Cluster::run`] exit, and by
+//! [`Cluster::core_mut`] / [`Cluster::settle`]. Every `&self` reader of
+//! hart counters (summaries, samples, attribution snapshots, hang
+//! diagnoses) adds the owed cycles with the same closed form
+//! ([`Cluster::hart_counters`]).
 //!
 //! Construction is most convenient through the fluent [`ClusterBuilder`],
 //! which applies tracer/DMA/embedding wiring in the right order at build
@@ -325,6 +342,104 @@ impl ClusterSummary {
     }
 }
 
+/// How a cluster's harts stand at a cycle boundary: how many the next
+/// cycle steps, and how many wait on each thing the cluster releases.
+/// [`Cluster::hart_census`] reports the census the cluster maintains at
+/// state transitions; [`HartCensus::count`] recounts it from the cores'
+/// states, and the two are always equal.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct HartCensus {
+    /// Harts the next cycle steps: not halted, and [`Core::wake`] is
+    /// [`Wake::EveryCycle`] (a tracing hart steps even while parked).
+    pub runnable: usize,
+    /// Halted harts.
+    pub halted: usize,
+    /// Harts parked on the cluster barrier.
+    pub barrier: usize,
+    /// Harts parked on the inter-cluster (system) barrier.
+    pub system_barrier: usize,
+    /// Harts parked on the blocking DMA-wait CSR.
+    pub dma_wait: usize,
+}
+
+impl HartCensus {
+    /// The census of `cores`, recounted from each core's state.
+    pub fn count<'a>(cores: impl IntoIterator<Item = &'a Core>) -> Self {
+        let mut census = HartCensus::default();
+        for core in cores {
+            census.enter(Standing::of(core));
+            if !core.is_halted() && core.wake() == Wake::EveryCycle {
+                census.runnable += 1;
+            }
+        }
+        census
+    }
+
+    /// The count a hart in `standing` contributes to, if any.
+    fn count_of(&mut self, standing: Standing) -> Option<&mut usize> {
+        match standing {
+            Standing::Running => None,
+            Standing::Barrier => Some(&mut self.barrier),
+            Standing::SystemBarrier => Some(&mut self.system_barrier),
+            Standing::DmaWait(_) => Some(&mut self.dma_wait),
+            Standing::Halted => Some(&mut self.halted),
+        }
+    }
+
+    fn enter(&mut self, standing: Standing) {
+        if let Some(n) = self.count_of(standing) {
+            *n += 1;
+        }
+    }
+
+    fn leave(&mut self, standing: Standing) {
+        if let Some(n) = self.count_of(standing) {
+            *n -= 1;
+        }
+    }
+}
+
+/// What a hart waits on, as the cluster's census counts it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Standing {
+    /// Waiting on nothing the cluster releases (executing, stalled on
+    /// memory or the FPU, or draining towards a halt).
+    Running,
+    Barrier,
+    SystemBarrier,
+    /// Parked on `DMA_WAIT` until the engine's completion counter
+    /// reaches the target.
+    DmaWait(u32),
+    Halted,
+}
+
+impl Standing {
+    fn of(core: &Core) -> Self {
+        if core.is_halted() {
+            Standing::Halted
+        } else if core.in_barrier() {
+            Standing::Barrier
+        } else if core.in_system_barrier() {
+            Standing::SystemBarrier
+        } else if let Some(target) = core.dma_wait_target() {
+            Standing::DmaWait(target)
+        } else {
+            Standing::Running
+        }
+    }
+}
+
+/// One hart's entry in the cluster's census.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct HartStatus {
+    standing: Standing,
+    /// `Some(c)`: the hart is parked and has not been stepped since
+    /// cycle `c`. Its `Core` still owes the `now - c` parked cycles,
+    /// paid in closed form ([`Core::skip_cycles`]) when it is released
+    /// or settled.
+    parked_since: Option<u64>,
+}
+
 /// The attached DMA subsystem: the engine, the background memory it
 /// moves against (owned here on the single-cluster path, supplied
 /// externally when the cluster is embedded in a multi-cluster system),
@@ -341,9 +456,11 @@ struct DmaAttachment {
     timing: DramConfig,
     busy_cycles: u64,
     overlap_cycles: u64,
-    /// Aggregate `fpu_issue_cycles` after the previous cycle, to detect
-    /// whether any core issued compute this cycle.
-    prev_fpu_issue: u64,
+    /// `fpu_issue_cycles` summed over this cycle's runnable harts at
+    /// its start (set by [`Cluster::begin_cycle`]), to detect whether
+    /// any core issued compute this cycle. Parked and halted harts
+    /// cannot issue, so they are left out.
+    fpu_issue_before: u64,
     /// Whether the engine had a transfer in flight at this cycle's start
     /// (set by [`Cluster::begin_cycle`], consumed by
     /// [`Cluster::end_cycle`]).
@@ -374,10 +491,22 @@ pub struct Cluster {
     /// the two half-cycles and feeds the shared L2's prefetcher. On the
     /// single-cluster path they are simply dropped each cycle.
     prefetch_hints: Vec<PrefetchHint>,
+    /// Per-hart census entries, updated only at state transitions.
+    status: Vec<HartStatus>,
+    /// The counts over `status`, plus the length of `runnable`.
+    census: HartCensus,
+    /// The harts the next cycle steps, in hart order.
+    runnable: Vec<usize>,
+    /// Set by [`Cluster::core_mut`]: the caller may have changed a
+    /// hart's state, so the census is recounted before its next use.
+    census_stale: bool,
+    /// The engine completion count the last DMA-wait release scan saw;
+    /// `None` when a hart has parked on `DMA_WAIT` since. Until one of
+    /// the two changes, a rescan cannot release anyone.
+    dma_wait_scanned: Option<u32>,
     // Scratch reused across cycles to keep the hot loop allocation-free.
     requests: Vec<Request>,
     grants: Vec<bool>,
-    active: Vec<usize>,
     ranges: Vec<(usize, usize, usize)>,
     tracer: Tracer,
     /// Perfetto process id this cluster's tracks live under.
@@ -418,7 +547,7 @@ impl Cluster {
             .map(|(hart, program)| Core::with_hart(cfg.core, program, hart as u32, cfg.num_cores))
             .collect();
         let n = cores.len();
-        Cluster {
+        let mut cluster = Cluster {
             cfg,
             cores,
             tcdm,
@@ -429,9 +558,19 @@ impl Cluster {
             system_managed: false,
             dma: None,
             prefetch_hints: Vec::new(),
+            status: vec![
+                HartStatus {
+                    standing: Standing::Running,
+                    parked_since: None,
+                };
+                n
+            ],
+            census: HartCensus::default(),
+            runnable: Vec::with_capacity(n),
+            census_stale: true,
+            dma_wait_scanned: None,
             requests: Vec::new(),
             grants: Vec::new(),
-            active: Vec::new(),
             ranges: Vec::new(),
             tracer: Tracer::off(),
             pid: 0,
@@ -441,7 +580,9 @@ impl Cluster {
             hang_attr_primed: false,
             sched: Scheduler::default(),
             lint,
-        }
+        };
+        cluster.refresh_census();
+        cluster
     }
 
     /// Static-verification findings (`sc-lint`) for the currently loaded
@@ -584,15 +725,15 @@ impl Cluster {
     /// Watchdog check, run once per completed cycle. Returns the hang
     /// report if the cluster froze.
     fn check_watchdog(&mut self) -> Option<HangReport> {
-        if self.watchdog.is_none() || self.cores.iter().all(Core::is_halted) {
+        if self.watchdog.is_none() || self.is_done() {
             return None;
         }
         let sig = self.progress_signature();
         if !self.hang_attr_primed || sig != self.hang_attr_sig {
             self.hang_attr_primed = true;
             self.hang_attr_sig = sig;
-            for (h, core) in self.cores.iter().enumerate() {
-                self.hang_attr_base[h] = core.counters().attr;
+            for h in 0..self.cores.len() {
+                self.hang_attr_base[h] = self.hart_counters(h).attr;
             }
         }
         let cycle = self.cycles;
@@ -618,7 +759,7 @@ impl Cluster {
                 continue;
             }
             let start = base.get(h).copied().unwrap_or_default();
-            let window = core.counters().attr.delta_since(&start);
+            let window = self.hart_counters(h).attr.delta_since(&start);
             out.push(ResourceState::info(
                 format!("{path}.hart{h}.attr"),
                 format!("stalled-window attribution: {}", window.render_compact(3)),
@@ -631,7 +772,9 @@ impl Cluster {
     /// so its hang reports can show stalled-window deltas.
     #[must_use]
     pub fn attr_snapshot(&self) -> Vec<Attribution> {
-        self.cores.iter().map(|c| c.counters().attr).collect()
+        (0..self.cores.len())
+            .map(|h| self.hart_counters(h).attr)
+            .collect()
     }
 
     /// Attaches the DMA engine: `dram` is its private store, or `None`
@@ -656,7 +799,7 @@ impl Cluster {
             timing,
             busy_cycles: 0,
             overlap_cycles: 0,
-            prev_fpu_issue: 0,
+            fpu_issue_before: 0,
             busy_this_cycle: false,
             beat_ready: false,
         });
@@ -703,6 +846,8 @@ impl Cluster {
             core.load_program(program);
         }
         self.core_done_at.fill(None);
+        self.census_stale = true;
+        self.refresh_census();
     }
 
     /// The cluster configuration.
@@ -730,6 +875,11 @@ impl Cluster {
 
     /// One core, by hart ID.
     ///
+    /// The counters of a hart parked mid-run lag the cluster clock by the
+    /// cycles it has not been stepped (see [`Cluster::hart_counters`]);
+    /// they are current once [`Cluster::run`] returns or after
+    /// [`Cluster::settle`].
+    ///
     /// # Panics
     ///
     /// Panics if `hart` is out of range.
@@ -739,12 +889,158 @@ impl Cluster {
     }
 
     /// Mutable core access (test setup: seed registers before running).
+    /// The hart's owed parked cycles are paid first, and the census is
+    /// recounted before its next use, since the caller may change the
+    /// hart's state.
     ///
     /// # Panics
     ///
     /// Panics if `hart` is out of range.
     pub fn core_mut(&mut self, hart: usize) -> &mut Core {
+        self.settle_hart(hart);
+        self.census_stale = true;
         &mut self.cores[hart]
+    }
+
+    /// A hart's counters as of the cluster clock. A parked hart is not
+    /// stepped: its `Core` owes every cycle since it parked, paid once
+    /// when it is released. This view adds the owed cycles with the
+    /// same closed form ([`Core::counters_after_skip`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `hart` is out of range.
+    #[must_use]
+    pub fn hart_counters(&self, hart: usize) -> PerfCounters {
+        self.cores[hart].counters_after_skip(self.owed(hart))
+    }
+
+    /// The census of the cluster's harts: how many the next cycle steps,
+    /// and how many wait on each barrier, on DMA, or have halted.
+    #[must_use]
+    pub fn hart_census(&self) -> HartCensus {
+        if self.census_stale {
+            HartCensus::count(&self.cores)
+        } else {
+            self.census
+        }
+    }
+
+    /// Pays every parked hart's owed cycles, so each [`Cluster::core`]
+    /// reads counters as of the cluster clock. [`Cluster::run`] does
+    /// this on every exit; an owner stepping the cluster itself calls it
+    /// before reading cores directly.
+    pub fn settle(&mut self) {
+        for h in 0..self.cores.len() {
+            self.settle_hart(h);
+        }
+    }
+
+    /// Cycles hart `hart` owes: the cycles since it parked, or 0.
+    fn owed(&self, hart: usize) -> u64 {
+        self.status[hart]
+            .parked_since
+            .map_or(0, |since| self.cycles - since)
+    }
+
+    /// Pays hart `hart`'s owed cycles in closed form; it keeps parking
+    /// from now on.
+    fn settle_hart(&mut self, hart: usize) {
+        let owed = self.owed(hart);
+        if owed > 0 {
+            self.cores[hart].skip_cycles(owed);
+            self.status[hart].parked_since = Some(self.cycles);
+        }
+    }
+
+    /// Recounts the census from the cores' states after
+    /// [`Cluster::core_mut`] or a program load. A hart still parked
+    /// keeps its `parked_since`: the only hart a caller could have
+    /// changed was settled when it was handed out.
+    fn refresh_census(&mut self) {
+        if !self.census_stale {
+            return;
+        }
+        self.census = HartCensus::count(&self.cores);
+        for (core, status) in self.cores.iter().zip(&mut self.status) {
+            let standing = Standing::of(core);
+            let parked = standing != Standing::Halted && core.wake() == Wake::Idle;
+            status.parked_since = if parked {
+                status.parked_since.or(Some(self.cycles))
+            } else {
+                None
+            };
+            status.standing = standing;
+        }
+        self.rebuild_runnable();
+        self.dma_wait_scanned = None;
+        self.census_stale = false;
+    }
+
+    /// Rebuilds the runnable list from the census entries, in hart
+    /// order.
+    fn rebuild_runnable(&mut self) {
+        self.runnable.clear();
+        self.runnable.extend(
+            self.status
+                .iter()
+                .enumerate()
+                .filter(|(_, s)| s.standing != Standing::Halted && s.parked_since.is_none())
+                .map(|(h, _)| h),
+        );
+        self.census.runnable = self.runnable.len();
+    }
+
+    /// Releases every hart whose standing `waits` accepts with
+    /// `release`, paying its owed cycles first (the closed form charges
+    /// them to the wait being left), and rebuilds the runnable list.
+    fn release_harts(&mut self, waits: impl Fn(Standing) -> bool, release: impl Fn(&mut Core)) {
+        for h in 0..self.cores.len() {
+            if waits(self.status[h].standing) {
+                self.settle_hart(h);
+                release(&mut self.cores[h]);
+                self.census.leave(self.status[h].standing);
+                self.status[h] = HartStatus {
+                    standing: Standing::Running,
+                    parked_since: None,
+                };
+            }
+        }
+        self.rebuild_runnable();
+    }
+
+    /// The end-of-cycle pass over the harts this cycle stepped: each is
+    /// classified anew, and one that halted or parked leaves the
+    /// runnable list. A parked hart starts owing cycles from `now`.
+    fn classify_stepped(&mut self) {
+        let now = self.cycles;
+        let mut kept = 0;
+        for i in 0..self.runnable.len() {
+            let h = self.runnable[i];
+            let core = &self.cores[h];
+            let standing = Standing::of(core);
+            let status = &mut self.status[h];
+            if standing != status.standing {
+                self.census.leave(status.standing);
+                self.census.enter(standing);
+                status.standing = standing;
+                if let Standing::DmaWait(_) = standing {
+                    self.dma_wait_scanned = None;
+                }
+            }
+            if standing == Standing::Halted {
+                if self.core_done_at[h].is_none() {
+                    self.core_done_at[h] = Some(now);
+                }
+            } else if standing != Standing::Running && core.wake() == Wake::Idle {
+                status.parked_since = Some(now);
+            } else {
+                self.runnable[kept] = h;
+                kept += 1;
+            }
+        }
+        self.runnable.truncate(kept);
+        self.census.runnable = kept;
     }
 
     /// Cluster cycles simulated so far.
@@ -756,7 +1052,7 @@ impl Cluster {
     /// Whether every core has halted.
     #[must_use]
     pub fn is_done(&self) -> bool {
-        self.cores.iter().all(Core::is_halted)
+        self.hart_census().halted == self.cores.len()
     }
 
     fn embed_inner(&mut self, cluster_id: u32, num_clusters: u32) {
@@ -806,40 +1102,33 @@ impl Cluster {
         // clock — the clusters advance in lock-step with it).
         self.tracer.set_cycle(self.cycles);
 
-        // Cores already halted at cycle start sit the cycle out entirely
-        // (their counters freeze at their own completion). Parked harts
-        // (barrier / system-barrier / blocking DMA waits) sit *this*
-        // cycle out too, in every scheduling mode: a parked hart is
-        // drained, so its dense cycle is exactly
-        // [`sc_core::Core::skip_cycles`] of one cycle, and release
-        // remains a collective event the end-of-cycle rendezvous applies
-        // to every core regardless of membership in `active`. A core
-        // with a per-core issue trace never reports idle
-        // ([`sc_core::Core::wake`]), so its trace keeps one entry per
-        // cycle.
-        self.active.clear();
-        for h in 0..self.cores.len() {
-            if self.cores[h].is_halted() {
-                continue;
-            }
-            if self.cores[h].wake() == Wake::Idle {
-                self.cores[h].skip_cycles(1);
-            } else {
-                self.active.push(h);
-            }
-        }
+        // Only runnable harts step. Halted cores sit the cycle out
+        // entirely (their counters freeze at their own completion).
+        // Parked harts (barrier / system-barrier / blocking DMA waits)
+        // sit it out too, in every scheduling mode, and are not touched
+        // at all: a parked hart is drained, so each of its dense cycles
+        // is exactly [`sc_core::Core::skip_cycles`] of one cycle, and
+        // the cluster pays them all at once when the hart is released or
+        // its counters are read. A core with a per-core issue trace
+        // never reports idle ([`sc_core::Core::wake`]), so it stays
+        // runnable and its trace keeps one entry per cycle.
+        self.refresh_census();
 
         // Mirror the DMA engine's state into the cores so this cycle's
-        // status-CSR reads see the queue as of cycle start.
-        if let Some(dma) = &self.dma {
+        // status-CSR reads see the queue as of cycle start, and note
+        // their compute-issue count for the overlap detector.
+        if let Some(dma) = &mut self.dma {
             let (outstanding, completed) = (dma.engine.outstanding(), dma.engine.completed());
-            for &h in &self.active {
+            let mut issued = 0;
+            for &h in &self.runnable {
                 self.cores[h].set_dma_status(outstanding, completed);
+                issued += self.cores[h].counters().fpu_issue_cycles;
             }
+            dma.fpu_issue_before = issued;
         }
 
-        // Phases 1–2 on every active core.
-        for &h in &self.active {
+        // Phases 1–2 on every runnable core.
+        for &h in &self.runnable {
             self.cores[h].begin_cycle().map_err(tag(h))?;
         }
 
@@ -847,7 +1136,7 @@ impl Cluster {
         // picks up new work at its own cycle start below.
         let mut beat = None;
         if let Some(dma) = &mut self.dma {
-            for &h in &self.active {
+            for &h in &self.runnable {
                 if self.cores[h].has_dma_commands() {
                     for cmd in self.cores[h].drain_dma_commands() {
                         dma.engine.enqueue(command_to_transfer(&cmd)).map_err(|e| {
@@ -937,7 +1226,7 @@ impl Cluster {
         // engine retries the whole beat next cycle.
         self.requests.clear();
         self.ranges.clear();
-        for &h in &self.active {
+        for &h in &self.runnable {
             let start = self.requests.len();
             self.cores[h].mem_requests(&mut self.requests);
             self.ranges.push((h, start, self.requests.len()));
@@ -956,7 +1245,7 @@ impl Cluster {
             }
         }
         if self.requests.is_empty() {
-            for &h in &self.active {
+            for &h in &self.runnable {
                 self.cores[h]
                     .apply_grants(&[], &mut self.tcdm)
                     .map_err(tag(h))?;
@@ -986,7 +1275,7 @@ impl Cluster {
         }
 
         // Phase 4.
-        for &h in &self.active {
+        for &h in &self.runnable {
             self.cores[h].end_cycle();
         }
         if let Some(dma) = &mut self.dma {
@@ -995,67 +1284,72 @@ impl Cluster {
             // were queued or completed within it — `overlap_cycles` can
             // therefore never exceed `busy_cycles` and the overlap
             // fraction stays in [0, 1] (asserted by the sweep
-            // validators).
+            // validators). Compute–transfer overlap: did any core issue
+            // an FPU compute op while the engine was busy?
             if dma.busy_this_cycle {
                 dma.busy_cycles += 1;
+                let issued: u64 = self
+                    .runnable
+                    .iter()
+                    .map(|&h| self.cores[h].counters().fpu_issue_cycles)
+                    .sum();
+                if issued > dma.fpu_issue_before {
+                    dma.overlap_cycles += 1;
+                }
             }
-            // Compute–transfer overlap: did any core issue an FPU compute
-            // op while the engine was busy?
-            let fpu_issue: u64 = self
-                .cores
-                .iter()
-                .map(|c| c.counters().fpu_issue_cycles)
-                .sum();
-            if dma.busy_this_cycle && fpu_issue > dma.prev_fpu_issue {
-                dma.overlap_cycles += 1;
-            }
-            dma.prev_fpu_issue = fpu_issue;
             dma.busy_this_cycle = false;
             dma.beat_ready = false;
         }
-        if self.tracer.wants_sample(self.cycles) {
-            self.sample_now();
-        }
+        let sample = self.tracer.wants_sample(self.cycles);
         self.cycles += 1;
 
+        // The census learns where this cycle's stepped harts now stand —
+        // before the sample (a parked hart's view is settled against the
+        // advanced clock) and before the rendezvous (a hart arriving this
+        // cycle counts).
+        if self.census_stale {
+            self.refresh_census();
+        } else {
+            self.classify_stepped();
+        }
+        if sample {
+            self.sample_now();
+        }
+
         // Barrier rendezvous: release once every active hart has arrived.
-        let waiting = self.cores.iter().filter(|c| c.in_barrier()).count();
-        let still_active = self.cores.iter().filter(|c| !c.is_halted()).count();
-        if waiting > 0 && waiting == still_active {
-            for core in &mut self.cores {
-                core.release_barrier();
-            }
+        let still_active = self.cores.len() - self.census.halted;
+        if self.census.barrier > 0 && self.census.barrier == still_active {
+            self.release_harts(|s| s == Standing::Barrier, Core::release_barrier);
             self.barriers += 1;
         }
         // A stand-alone cluster is the whole system: resolve the
         // inter-cluster barrier among its own harts. Embedded clusters
         // leave this to the system, which sees every cluster.
-        if !self.system_managed {
-            let waiting = self.cores.iter().filter(|c| c.in_system_barrier()).count();
-            if waiting > 0 && waiting == still_active {
-                self.release_system_barrier();
-            }
+        if !self.system_managed
+            && self.census.system_barrier > 0
+            && self.census.system_barrier == still_active
+        {
+            self.release_system_barrier();
         }
         // Blocking DMA waits: release every hart whose target the
         // engine's wrapping completion counter has reached (transfers
         // complete in the crossbar phase above, so a hart resumes the
         // cycle after its transfer lands).
-        if let Some(dma) = &self.dma {
-            let completed = dma.engine.completed();
-            for core in &mut self.cores {
-                if let Some(target) = core.dma_wait_target() {
-                    if (completed.wrapping_sub(target) as i32) >= 0 {
-                        core.release_dma_wait(completed);
-                    }
-                }
+        if let Some(completed) = self.dma.as_ref().map(|d| d.engine.completed()) {
+            if self.census.dma_wait > 0 && self.dma_wait_scanned != Some(completed) {
+                let reached = |s| match s {
+                    Standing::DmaWait(target) => (completed.wrapping_sub(target) as i32) >= 0,
+                    _ => false,
+                };
+                self.release_harts(reached, |core| core.release_dma_wait(completed));
+                self.dma_wait_scanned = Some(completed);
             }
         }
-
-        for &h in &self.active {
-            if self.cores[h].is_halted() && self.core_done_at[h].is_none() {
-                self.core_done_at[h] = Some(self.cycles);
-            }
-        }
+        debug_assert_eq!(
+            self.census,
+            HartCensus::count(&self.cores),
+            "maintained hart census drifted from the cores' states"
+        );
         if let Some(report) = self.check_watchdog() {
             return Err(ClusterError::Hang(report));
         }
@@ -1067,9 +1361,8 @@ impl Cluster {
     /// system's rendezvous census.
     #[must_use]
     pub fn system_barrier_census(&self) -> (usize, usize) {
-        let waiting = self.cores.iter().filter(|c| c.in_system_barrier()).count();
-        let active = self.cores.iter().filter(|c| !c.is_halted()).count();
-        (waiting, active)
+        let census = self.hart_census();
+        (census.system_barrier, self.cores.len() - census.halted)
     }
 
     /// Releases every hart parked on the inter-cluster barrier and
@@ -1079,19 +1372,22 @@ impl Cluster {
     /// system-wide episode it never participated in — is left untouched
     /// and does not count the episode.
     pub fn release_system_barrier(&mut self) {
-        if !self.cores.iter().any(Core::in_system_barrier) {
+        self.refresh_census();
+        if self.census.system_barrier == 0 {
             return;
         }
-        for core in &mut self.cores {
-            core.release_system_barrier();
-        }
+        self.release_harts(
+            |s| s == Standing::SystemBarrier,
+            Core::release_system_barrier,
+        );
         self.system_barriers += 1;
     }
 
     /// The earliest future cycle at which stepping this cluster could do
-    /// anything a skip cannot reproduce in closed form. Merges every
-    /// core's wake ([`sc_core::Core::wake`]) with the DMA engine's: an
-    /// idle engine sleeps, an engine mid-countdown wakes when its wait
+    /// anything a skip cannot reproduce in closed form. Merges the
+    /// cores' wake — dense while the census has a runnable hart
+    /// ([`sc_core::Core::wake`]), idle otherwise — with the DMA
+    /// engine's: an idle engine sleeps, an engine mid-countdown wakes when its wait
     /// elapses, anything else (a queued transfer waiting to start, a
     /// beat ready to arbitrate) needs dense stepping. A subscribed
     /// tracer does *not* pin the cluster to dense stepping: a skippable
@@ -1100,7 +1396,11 @@ impl Cluster {
     /// sampled counter rows dense stepping would have produced.
     #[must_use]
     pub fn next_wake(&self) -> Wake {
-        let cores = Wake::earliest(self.cores.iter().map(Core::wake));
+        // Every core's wake is `EveryCycle` or `Idle`: the runnable
+        // count decides.
+        if self.hart_census().runnable > 0 {
+            return Wake::EveryCycle;
+        }
         let dma = self.dma.as_ref().map_or(Wake::Idle, |d| {
             match d.engine.stalled_for() {
                 // No transfer in flight: an empty queue means the
@@ -1111,14 +1411,14 @@ impl Cluster {
                 Some(wait) => Wake::At(self.cycles + u64::from(wait)),
             }
         });
-        cores.merge(dma)
+        dma
     }
 
     /// Bulk-applies `cycles` idle cycles: exactly the bookkeeping that
     /// many dense steps would have performed while every component was
-    /// in a skippable state — cycle counters advance (non-halted cores
-    /// and the cluster clock), the DMA engine's countdown and busy time
-    /// progress — and, when a tracer with a sampling cadence is
+    /// in a skippable state — the cluster clock advances (parked harts
+    /// owe the window with the rest of their parked cycles), the DMA
+    /// engine's countdown and busy time progress — and, when a tracer with a sampling cadence is
     /// subscribed, the carry-forward counter rows the dense loop would
     /// have emitted at each cadence point inside the window. Callers
     /// must only skip up to the window [`Cluster::next_wake`] allows.
@@ -1160,34 +1460,19 @@ impl Cluster {
         if cycles == 0 {
             return;
         }
-        for core in &mut self.cores {
-            if !core.is_halted() {
-                core.skip_cycles(cycles);
-            }
-        }
+        self.refresh_census();
+        // A skippable window means every hart is parked or halted: no
+        // hart steps, and the parked ones' debt grows with the clock.
+        debug_assert!(
+            self.runnable.is_empty(),
+            "skipping a window in which a hart can still step"
+        );
         if let Some(dma) = &mut self.dma {
             if dma.engine.is_busy() {
-                // A skippable window means every hart is parked or
-                // halted, so no FPU op can issue inside it: the dense
-                // loop would book each of these cycles as busy and
-                // *never* as overlap — the bulk charge must stay
-                // exposed-only ([`TransferAttribution::exposed_cycles`])
-                // and the overlap detector's FPU-issue watermark is
-                // frozen across the window by construction.
-                debug_assert!(
-                    self.cores
-                        .iter()
-                        .all(|c| c.is_halted() || matches!(c.wake(), Wake::Idle)),
-                    "bulk DMA busy charge while a hart can still compute"
-                );
-                debug_assert_eq!(
-                    dma.prev_fpu_issue,
-                    self.cores
-                        .iter()
-                        .map(|c| c.counters().fpu_issue_cycles)
-                        .sum::<u64>(),
-                    "stale FPU-issue watermark entering a skipped window"
-                );
+                // No hart can issue an FPU op inside the window, so the
+                // dense loop would book each of these cycles as busy and
+                // *never* as overlap — the bulk charge stays exposed-only
+                // ([`TransferAttribution::exposed_cycles`]).
                 dma.busy_cycles += cycles;
                 dma.engine.skip(cycles);
             }
@@ -1200,9 +1485,9 @@ impl Cluster {
     /// stats, then the DMA engine's. The caller owns the sink clock
     /// ([`sc_trace::Tracer::set_cycle`]).
     pub fn sample_now(&self) {
-        for (h, core) in self.cores.iter().enumerate() {
+        for h in 0..self.cores.len() {
             self.tracer
-                .sample(Track::new(self.pid, h as u32), core.counters());
+                .sample(Track::new(self.pid, h as u32), &self.hart_counters(h));
         }
         self.tracer
             .sample(Track::new(self.pid, TCDM_TRACK_TID), self.tcdm.stats());
@@ -1243,6 +1528,15 @@ impl Cluster {
     /// latter also covers barrier deadlocks (a hart waiting on a
     /// rendezvous the others never reach).
     pub fn run(&mut self, max_cycles: u64) -> Result<ClusterSummary, ClusterError> {
+        let ran = self.run_to_halt(max_cycles);
+        self.settle();
+        ran?;
+        self.sample_final();
+        Ok(self.summary())
+    }
+
+    /// The loop of [`Cluster::run`], up to the first error or the halt.
+    fn run_to_halt(&mut self, max_cycles: u64) -> Result<(), ClusterError> {
         while !self.is_done() {
             if self.sched.mode() == SchedMode::Event {
                 let caps = self
@@ -1265,8 +1559,7 @@ impl Cluster {
             }
             self.step()?;
         }
-        self.sample_final();
-        Ok(self.summary())
+        Ok(())
     }
 
     /// The cluster summary as of now (meaningful once [`Self::is_done`]).
@@ -1279,7 +1572,14 @@ impl Cluster {
     /// simulator bug, never a property of the program under test.
     #[must_use]
     pub fn summary(&self) -> ClusterSummary {
-        let per_core: Vec<RunSummary> = self.cores.iter().map(Core::summary).collect();
+        let per_core: Vec<RunSummary> = (0..self.cores.len())
+            .map(|h| {
+                let mut summary = self.cores[h].summary();
+                summary.counters = self.hart_counters(h);
+                summary.cycles = summary.counters.cycles;
+                summary
+            })
+            .collect();
         let mut aggregate = PerfCounters::new();
         let mut attribution = Attribution::new();
         for s in &per_core {

@@ -53,10 +53,18 @@ impl Wake {
     }
 
     /// Folds an iterator of wake reports with [`Wake::merge`], starting
-    /// from [`Wake::Idle`] (the identity).
+    /// from [`Wake::Idle`] (the identity). Stops at the first
+    /// [`Wake::EveryCycle`], which absorbs every further merge.
     #[must_use]
     pub fn earliest(wakes: impl IntoIterator<Item = Wake>) -> Wake {
-        wakes.into_iter().fold(Wake::Idle, Wake::merge)
+        let mut wake = Wake::Idle;
+        for w in wakes {
+            wake = wake.merge(w);
+            if wake == Wake::EveryCycle {
+                break;
+            }
+        }
+        wake
     }
 }
 
@@ -78,9 +86,11 @@ pub enum SchedMode {
 /// The scheduler itself is deliberately stateless apart from the mode:
 /// each iteration re-derives the next event time from the component's
 /// live [`Wake`] report (a one-pass min-merge — the component tree *is*
-/// the event queue, re-keyed every window, which is cheap because wake
-/// reports are O(components) and windows amortise the cost over their
-/// whole span).
+/// the event queue, re-keyed every window). The merge is cheap: a
+/// cluster answers from its hart census in O(1), and the fold stops at
+/// the first [`Wake::EveryCycle`]. The scheduler only plans *global*
+/// windows; inside a dense cycle a cluster already steps only its
+/// runnable harts, so there is no per-component skip to license.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Scheduler {
     mode: SchedMode,
@@ -121,28 +131,6 @@ impl Scheduler {
         let horizon = caps.into_iter().fold(horizon, u64::min);
         horizon.saturating_sub(now)
     }
-
-    /// Whether a single component may sit out the coming dense cycle —
-    /// the *local skip* counterpart of [`Scheduler::plan`] for
-    /// partially-idle windows, where the global merge says "dense" but
-    /// a subset of components is provably inert.
-    ///
-    /// `true` iff the mode is [`SchedMode::Event`] and `wake` lies
-    /// strictly past `now`: the owner steps the non-idle subset densely
-    /// and bulk-advances this component by one cycle instead of
-    /// stepping it. Always `false` in [`SchedMode::Dense`]. A system
-    /// uses it to skip whole quiet clusters; parked harts need no
-    /// license, since a cluster advances them in closed form in every
-    /// mode.
-    #[must_use]
-    pub fn local_quiet(&self, now: u64, wake: Wake) -> bool {
-        self.mode == SchedMode::Event
-            && match wake {
-                Wake::EveryCycle => false,
-                Wake::At(cycle) => cycle > now,
-                Wake::Idle => true,
-            }
-    }
 }
 
 #[cfg(test)]
@@ -161,6 +149,10 @@ mod tests {
             Wake::At(4)
         );
         assert_eq!(Wake::earliest([]), Wake::Idle);
+        assert_eq!(
+            Wake::earliest([Wake::At(3), Wake::EveryCycle, Wake::At(1)]),
+            Wake::EveryCycle
+        );
     }
 
     #[test]
@@ -183,19 +175,5 @@ mod tests {
         // A cap at or before `now` forces a dense step too (the run
         // loop's own budget check then decides what happens).
         assert_eq!(s.plan(10, Wake::Idle, [10]), 0);
-    }
-
-    #[test]
-    fn local_quiet_licenses_only_strictly_future_wakes_in_event_mode() {
-        let event = Scheduler::new(SchedMode::Event);
-        assert!(event.local_quiet(10, Wake::Idle));
-        assert!(event.local_quiet(10, Wake::At(11)));
-        assert!(!event.local_quiet(10, Wake::At(10)), "due now: dense");
-        assert!(!event.local_quiet(10, Wake::At(5)), "overdue: dense");
-        assert!(!event.local_quiet(10, Wake::EveryCycle));
-
-        let dense = Scheduler::new(SchedMode::Dense);
-        assert!(!dense.local_quiet(10, Wake::Idle));
-        assert!(!dense.local_quiet(10, Wake::At(500)));
     }
 }

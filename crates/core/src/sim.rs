@@ -488,6 +488,15 @@ impl Core {
             matches!(self.wake(), Wake::Idle) && !self.is_halted(),
             "skip_cycles on a core that needs dense stepping"
         );
+        self.counters = self.counters_after_skip(cycles);
+    }
+
+    /// The counters [`Core::skip_cycles`] would leave after `cycles`
+    /// parked cycles, without applying them — the read-only view an
+    /// owner that defers a parked hart's cycles reports. `cycles == 0`
+    /// returns the counters unchanged, whatever the core's state.
+    #[must_use]
+    pub fn counters_after_skip(&self, cycles: u64) -> PerfCounters {
         // The attribution a dense loop would have recorded: a parked
         // hart is drained, so every skipped cycle classifies by its wait
         // state (`begin_cycle` would land in the same leaf each time).
@@ -497,8 +506,10 @@ impl Core {
             IntState::DmaWait { .. } => Leaf::DmaWait,
             _ => Leaf::Park,
         };
-        self.counters.attr.record_n(leaf, cycles);
-        self.counters.cycles += cycles;
+        let mut counters = self.counters;
+        counters.attr.record_n(leaf, cycles);
+        counters.cycles += cycles;
+        counters
     }
 
     /// A monotone progress signature: grows whenever architectural state

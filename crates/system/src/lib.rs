@@ -44,9 +44,10 @@
 //! cluster reports a future wake and the shared L2 is quiescent
 //! ([`sc_mem::L2::is_quiescent`]) — bit-identical to dense stepping,
 //! pinned by the checked-in baseline sweeps and `sc-kernels`'
-//! differential proptest. Inside a dense cycle, event mode also skips
-//! whole quiet clusters; a parked hart inside a stepped cluster takes
-//! its closed-form cycle in either mode, so the mode is the system's
+//! differential proptest. Inside a dense cycle every unfinished cluster
+//! steps, and each steps only its runnable harts: a parked hart is not
+//! touched until it is released, when it pays its parked cycles in
+//! closed form. That holds in either mode, so the mode is the system's
 //! alone and never needs propagating to its clusters. The fluent
 //! [`SystemBuilder`] assembles a system (shared memory, watchdog,
 //! tracer, scheduling mode) in one expression.
@@ -314,11 +315,6 @@ pub struct System {
     l2_outcomes: Vec<L2Outcome>,
     l2_req_of: Vec<Option<usize>>,
     stepped: Vec<usize>,
-    /// Per-cluster local-skip classification for the cycle being
-    /// stepped: `quiet[c]` marks an unfinished cluster whose wake lies
-    /// strictly in the future — it is bulk-advanced one cycle
-    /// ([`Cluster::skip_quiet`]) while the dense subset steps.
-    quiet: Vec<bool>,
     tracer: Tracer,
     watchdog: Option<Watchdog>,
     /// Per-cluster, per-hart attribution snapshots at the system
@@ -382,7 +378,6 @@ impl System {
             l2_outcomes: Vec::new(),
             l2_req_of: vec![None; n],
             stepped: Vec::new(),
-            quiet: vec![false; n],
             tracer: Tracer::off(),
             watchdog: None,
             hang_attr_base: vec![Vec::new(); n],
@@ -581,29 +576,15 @@ impl System {
 
         // Clusters that finished their last stage sit the cycle out
         // entirely (their cycle counters freeze, like halted cores in a
-        // cluster). Of the rest, clusters whose wake lies strictly in
-        // the future — every hart parked, the engine at most counting
-        // down — are *locally* skipped this cycle: bulk-advanced by one
-        // cycle while the dense subset steps. A quiet cluster cannot
-        // emit an L2 beat or a prefetch hint (its engine owes a
-        // countdown, its doorbells are silent), so the dense subset's
-        // arbitration is unchanged; its watchdog, samples and barrier
-        // census are handled below exactly where dense stepping would.
+        // cluster). Every other cluster steps; one whose harts are all
+        // parked costs little, since a cluster steps only its runnable
+        // harts.
         let mut stepped = std::mem::take(&mut self.stepped);
         stepped.clear();
         stepped.extend((0..self.clusters.len()).filter(|&c| !self.cluster_finished(c)));
         self.stepped = stepped;
-        for c in 0..self.clusters.len() {
-            self.quiet[c] = false;
-        }
-        for i in 0..self.stepped.len() {
-            let c = self.stepped[i];
-            self.quiet[c] = self
-                .sched
-                .local_quiet(self.cycles, self.clusters[c].next_wake());
-        }
 
-        // Half-cycle 1 on every densely stepped cluster, collecting the
+        // Half-cycle 1 on every stepped cluster, collecting the
         // L2-side beats — and the stride hints rung doorbells published
         // (DMA_START), which reach the shared L2's prefetcher *before*
         // this cycle's arbitration so prefetching can start while the
@@ -612,9 +593,6 @@ impl System {
         self.l2_req_of.fill(None);
         for i in 0..self.stepped.len() {
             let c = self.stepped[i];
-            if self.quiet[c] {
-                continue;
-            }
             if let Some((addr, kind)) = self.clusters[c].begin_cycle().map_err(tag(c))? {
                 self.l2_req_of[c] = Some(self.l2_reqs.len());
                 self.l2_reqs.push(L2Request {
@@ -641,29 +619,11 @@ impl System {
             l2.arbitrate_into(&self.l2_reqs, &mut self.l2_outcomes);
         }
 
-        // Half-cycle 2: each densely stepped cluster resumes with its
-        // L2 outcome; a granted beat then contends on the cluster's own
-        // TCDM crossbar and moves data against the shared store. A
-        // quiet cluster bulk-advances one cycle instead, emitting the
-        // sample rows its dense end-of-cycle would have (the loop runs
-        // in cluster index order, so rows interleave exactly as dense)
-        // and polling its watchdog at the same post-advance cycle a
-        // dense step observes.
+        // Half-cycle 2: each stepped cluster resumes with its L2
+        // outcome; a granted beat then contends on the cluster's own
+        // TCDM crossbar and moves data against the shared store.
         for i in 0..self.stepped.len() {
             let c = self.stepped[i];
-            if self.quiet[c] {
-                self.clusters[c].skip_quiet(1);
-                if self.tracer.wants_sample(self.cycles) {
-                    self.clusters[c].sample_now();
-                }
-                if let Some(report) = self.clusters[c].poll_watchdog() {
-                    return Err(SystemError::Cluster {
-                        cluster: c as u32,
-                        source: ClusterError::Hang(report),
-                    });
-                }
-                continue;
-            }
             let outcome = match self.l2_req_of[c] {
                 Some(r) => self
                     .l2_outcomes
@@ -736,10 +696,15 @@ impl System {
             if self.cluster_finished(c) {
                 continue;
             }
+            // `EveryCycle` absorbs every further merge.
+            let cluster = self.clusters[c].next_wake();
+            if cluster == Wake::EveryCycle {
+                return Wake::EveryCycle;
+            }
+            wake = wake.merge(cluster);
             if let Some(cap) = self.clusters[c].watchdog_skip_cap() {
                 wake = wake.merge(Wake::At(cap));
             }
-            wake = wake.merge(self.clusters[c].next_wake());
         }
         if let Some((l2, _)) = self.shared.as_ref() {
             wake = wake.merge(match l2.next_wake() {
@@ -850,6 +815,19 @@ impl System {
     /// Cluster errors (tagged) or budget exhaustion — the latter also
     /// covers inter-cluster barrier deadlocks.
     pub fn run(&mut self, max_cycles: u64) -> Result<SystemSummary, SystemError> {
+        let ran = self.run_to_done(max_cycles);
+        // Every exit leaves each hart's counters current: parked harts
+        // pay their owed cycles ([`Cluster::settle`]).
+        for cluster in &mut self.clusters {
+            cluster.settle();
+        }
+        ran?;
+        self.sample_final();
+        Ok(self.summary())
+    }
+
+    /// The loop of [`System::run`], up to the first error or the finish.
+    fn run_to_done(&mut self, max_cycles: u64) -> Result<(), SystemError> {
         while !self.is_done() {
             if self.sched.mode() == SchedMode::Event {
                 let caps = self
@@ -887,8 +865,7 @@ impl System {
             }
             self.step()?;
         }
-        self.sample_final();
-        Ok(self.summary())
+        Ok(())
     }
 
     /// The system summary as of now (meaningful once [`System::is_done`]).
