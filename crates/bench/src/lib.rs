@@ -30,8 +30,8 @@
 //! The five baselined sweeps (`cluster_scaling` through
 //! `prefetch_ablation`), `sched_identity` and `lint_sweep` all iterate
 //! [`registry`], the one definition of the 166 config points the CI perf
-//! gate pins. Sweep binaries fan their config points out over host
-//! threads ([`parallel_sweep`]) and serialize machine-readable results to
+//! gate pins. Sweep binaries fan their config points out over a
+//! bounded pool of host threads ([`parallel_sweep`]) and serialize machine-readable results to
 //! `target/reports/*.json` ([`json::write_report`]) alongside their text
 //! tables, so the perf trajectory can be tracked across PRs.
 

@@ -25,20 +25,14 @@ use sc_cluster::ClusterSummary;
 use sc_core::{CoreConfig, SchedMode};
 use sc_isa::Program;
 use sc_kernels::{
-    Grid3, Stencil, StencilKernel, TiledSystemKernel, Variant, WorkingSet, TCDM_CAP_BYTES,
+    Grid3, Stencil, StencilKernel, TiledSystemKernel, Variant, WorkingSet, L2_CAP_GRANULE_BYTES,
+    L2_SWEEP_MSHRS, TCDM_CAP_BYTES,
 };
 use sc_mem::{DramConfig, L2Config};
 use sc_system::SystemSummary;
 
 /// Cycle budget of every registry run.
 pub const MAX_CYCLES: u64 = 500_000_000;
-
-/// Capacities must divide into whole sets for every swept associativity
-/// (256 B lines × up to 8 ways).
-const CAP_GRANULE: u32 = 256 * 8;
-
-/// MSHR file size of the finite L2s the capacity sweeps configure.
-const MSHRS: u32 = 8;
 
 /// One of the five baselined sweeps.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -361,8 +355,8 @@ const MEMORY_THEN_VARIANT: [(bool, bool); 4] =
 /// The over- and under-fit capacities of a working set.
 fn capacities(ws: &WorkingSet) -> [(Fit, u32); 2] {
     [
-        (Fit::Over, ws.overfit_capacity(CAP_GRANULE)),
-        (Fit::Under, ws.underfit_capacity(CAP_GRANULE)),
+        (Fit::Over, ws.overfit_capacity(L2_CAP_GRANULE_BYTES)),
+        (Fit::Under, ws.underfit_capacity(L2_CAP_GRANULE_BYTES)),
     ]
 }
 
@@ -372,7 +366,7 @@ fn finite_l2(capacity: u32, ways: u32, channels: u32) -> L2Config {
         .with_capacity_bytes(capacity)
         .with_ways(ways)
         .with_refill_channels(channels)
-        .with_mshrs(MSHRS)
+        .with_mshrs(L2_SWEEP_MSHRS)
         .with_write_back(true)
         .with_refill_latency(64)
         .with_refill_cycles_per_beat(1)

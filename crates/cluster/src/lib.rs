@@ -1184,7 +1184,10 @@ impl Cluster {
     }
 
     /// [`Cluster::take_prefetch_hints`] without giving up the buffer: the
-    /// allocation-free form the system's per-cycle loop uses.
+    /// allocation-free form the system's per-cycle loop uses. Inlined,
+    /// so the per-cycle caller builds the (almost always empty) `Drain`
+    /// in place instead of copying it back from a call.
+    #[inline]
     pub fn drain_prefetch_hints(&mut self) -> std::vec::Drain<'_, PrefetchHint> {
         self.prefetch_hints.drain(..)
     }

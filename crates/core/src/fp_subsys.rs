@@ -71,10 +71,11 @@ enum FpLsu {
 }
 
 /// Outcome of the issue phase.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum IssueOutcome {
-    /// The instruction entered its unit this cycle.
-    Issued(Instruction),
+    /// The instruction entered its unit this cycle
+    /// ([`FpSubsystem::last_issued`] names it).
+    Issued,
     /// An instruction was available but stalled.
     Stalled(StallCause),
     /// Nothing to issue.
@@ -122,6 +123,8 @@ pub struct FpSubsystem {
     /// the chained-drain path in issue may use it for the same-cycle
     /// FIFO shift (pop at the head + held push) if phase 1 left it free.
     wb_port_free: bool,
+    /// The instruction the most recent issue dispatched.
+    last_issued: Option<Instruction>,
 }
 
 impl FpSubsystem {
@@ -150,6 +153,7 @@ impl FpSubsystem {
             port_base,
             blocked_reason: None,
             wb_port_free: true,
+            last_issued: None,
         }
     }
 
@@ -196,6 +200,13 @@ impl FpSubsystem {
     /// Mutable sequencer access (offload path).
     pub fn sequencer_mut(&mut self) -> &mut Sequencer {
         &mut self.seq
+    }
+
+    /// The instruction the most recent [`IssueOutcome::Issued`] dispatched
+    /// (as issued: a staggered replay reads its renamed registers).
+    #[must_use]
+    pub fn last_issued(&self) -> Option<Instruction> {
+        self.last_issued
     }
 
     /// Whether every queue, pipeline and the LSU is empty. Write streams
@@ -254,31 +265,30 @@ impl FpSubsystem {
     /// single port commits at most one).
     pub fn writeback(&mut self, counters: &mut PerfCounters) -> Option<IntWriteback> {
         self.blocked_reason = None;
-        let mut int_wb = None;
         // Fixed priority: LSU > divsqrt > conv > noncomp > addmul.
         // The first candidate that can commit uses the port; the others
         // hold (their pipelines backpressure).
-        let mut port_used = false;
+        let mut committed = None;
 
         // LSU landed load.
         if let FpLsu::LoadLanded { dest, bits } = self.lsu {
-            if self.try_commit(dest, bits, counters, &mut int_wb) {
+            if self.try_commit(dest, bits, counters) {
                 self.lsu = FpLsu::Idle;
-                port_used = true;
+                committed = Some(WbOp { dest, bits });
             }
         }
         // Iterative unit.
-        if !port_used {
+        if committed.is_none() {
             if let Some(&op) = self.divsqrt.ready() {
-                if self.try_commit(op.dest, op.bits, counters, &mut int_wb) {
+                if self.try_commit(op.dest, op.bits, counters) {
                     self.divsqrt.take_ready();
-                    port_used = true;
+                    committed = Some(op);
                 }
             }
         }
         // Pipelines.
         for which in 0..3 {
-            if port_used {
+            if committed.is_some() {
                 break;
             }
             let pipe = match which {
@@ -287,19 +297,30 @@ impl FpSubsystem {
                 _ => &mut self.addmul,
             };
             if let Some(&op) = pipe.ready() {
-                let (dest, bits) = (op.dest, op.bits);
-                if self.try_commit(dest, bits, counters, &mut int_wb) {
+                if self.try_commit(op.dest, op.bits, counters) {
                     match which {
                         0 => self.conv.take_ready(),
                         1 => self.noncomp.take_ready(),
                         _ => self.addmul.take_ready(),
                     };
-                    port_used = true;
+                    committed = Some(op);
                 }
             }
         }
-        self.wb_port_free = !port_used;
-        int_wb
+        self.wb_port_free = committed.is_none();
+        // Built from the committed op here: an out-parameter filled by
+        // `try_commit` and read back at another width would stall
+        // store-to-load forwarding on every cycle.
+        match committed {
+            Some(WbOp {
+                dest: WbDest::Int(reg),
+                bits,
+            }) => Some(IntWriteback {
+                reg,
+                value: bits as u32,
+            }),
+            _ => None,
+        }
     }
 
     /// Detects the chained-FIFO jam the issue stage can resolve itself:
@@ -349,23 +370,18 @@ impl FpSubsystem {
             OpClass::DivSqrt => self.divsqrt.take_ready(),
         }
         .expect("drain target verified by chained_drain_target");
-        let mut int_wb = None;
-        let committed = self.try_commit(op.dest, op.bits, counters, &mut int_wb);
+        let committed = self.try_commit(op.dest, op.bits, counters);
         debug_assert!(
-            committed && int_wb.is_none(),
+            committed && !matches!(op.dest, WbDest::Int(_)),
             "a chained drain commits into the register popped this cycle"
         );
         self.wb_port_free = false;
     }
 
-    /// Attempts one commit; records the block reason on failure.
-    fn try_commit(
-        &mut self,
-        dest: WbDest,
-        bits: u64,
-        counters: &mut PerfCounters,
-        int_wb: &mut Option<IntWriteback>,
-    ) -> bool {
+    /// Attempts one commit; records the block reason on failure. An
+    /// integer-register destination always commits; the caller hands the
+    /// write to the integer core.
+    fn try_commit(&mut self, dest: WbDest, bits: u64, counters: &mut PerfCounters) -> bool {
         match dest {
             WbDest::Plain(reg) => {
                 self.rf[reg.index() as usize] = bits;
@@ -401,13 +417,7 @@ impl FpSubsystem {
                     false
                 }
             }
-            WbDest::Int(reg) => {
-                *int_wb = Some(IntWriteback {
-                    reg,
-                    value: bits as u32,
-                });
-                true
-            }
+            WbDest::Int(_) => true,
         }
     }
 
@@ -422,10 +432,12 @@ impl FpSubsystem {
     /// Strict-mode misuse (exhausted streams, loads into stream registers,
     /// oversized FREP bodies) is reported as [`SimError`].
     pub fn try_issue(&mut self, counters: &mut PerfCounters) -> Result<IssueOutcome, SimError> {
+        // The record stays in the sequencer until `consume` below; copy
+        // out the fields issue reads.
         let Some(fp) = self.seq.peek()? else {
             return Ok(IssueOutcome::Idle);
         };
-        let (inst, uop) = (fp.inst, fp.uop);
+        let (inst, uop, addr, int_operand) = (fp.inst, fp.uop, fp.addr, fp.int_operand);
 
         // --- readiness checks -----------------------------------------
         // Distinct source registers (a register read twice is one port
@@ -520,6 +532,7 @@ impl FpSubsystem {
 
         // --- dispatch ----------------------------------------------------
         self.seq.consume();
+        self.last_issued = Some(inst);
         counters.fp_issued += 1;
 
         // The operand pop above freed the chained register the blocked
@@ -532,7 +545,7 @@ impl FpSubsystem {
         match uop.kind() {
             FpUopKind::Store { fmt } => {
                 counters.fp_mem_ops += 1;
-                let addr = fp.addr.expect("store address resolved at offload");
+                let addr = addr.expect("store address resolved at offload");
                 self.lsu = FpLsu::StorePending {
                     addr,
                     bits: operands[0],
@@ -541,7 +554,7 @@ impl FpSubsystem {
             }
             FpUopKind::Load { fmt, frd } => {
                 counters.fp_mem_ops += 1;
-                let addr = fp.addr.expect("load address resolved at offload");
+                let addr = addr.expect("load address resolved at offload");
                 let dest = match self.classify(frd) {
                     RegClass::Stream(_) => {
                         return Err(SimError::LoadIntoStreamRegister { reg: frd })
@@ -553,7 +566,7 @@ impl FpSubsystem {
                 self.lsu = FpLsu::LoadPending { addr, dest, fmt };
             }
             FpUopKind::Compute { op, fmt } => {
-                let int_src = fp.int_operand.unwrap_or(0);
+                let int_src = int_operand.unwrap_or(0);
                 let out = evaluate(op, fmt, operands, int_src);
                 let bits = match out {
                     FpuOutput::Fp(b) => b,
@@ -576,18 +589,23 @@ impl FpSubsystem {
                 if let WbDest::Plain(r) | WbDest::Chained(r) = dest {
                     self.pending[r.index() as usize] += 1;
                 }
-                let wb = WbOp { dest, bits };
+                // Each arm builds its op in place: one op shared by the
+                // arms lives in a stack slot that the inlined issue
+                // reloads as a single 16-byte load, which store-to-load
+                // forwarding cannot serve.
                 match op.class() {
-                    OpClass::AddMul => self.addmul.issue(wb),
-                    OpClass::NonComp => self.noncomp.issue(wb),
-                    OpClass::Conv => self.conv.issue(wb),
-                    OpClass::DivSqrt => self.divsqrt.issue(wb, op.latency(&self.cfg.fpu)),
+                    OpClass::AddMul => self.addmul.issue(WbOp { dest, bits }),
+                    OpClass::NonComp => self.noncomp.issue(WbOp { dest, bits }),
+                    OpClass::Conv => self.conv.issue(WbOp { dest, bits }),
+                    OpClass::DivSqrt => self
+                        .divsqrt
+                        .issue(WbOp { dest, bits }, op.latency(&self.cfg.fpu)),
                 }
                 counters.fpu_issue_cycles += 1;
                 counters.flops += flop_count(op);
             }
         }
-        Ok(IssueOutcome::Issued(inst))
+        Ok(IssueOutcome::Issued)
     }
 
     fn fp_dest_kind(&self, frd: FpReg) -> WbDest {
@@ -844,7 +862,8 @@ mod tests {
         let mut issues = Vec::new();
         for n in 0..12 {
             let out = cycle(&mut fs, &mut tcdm, &mut c);
-            if let IssueOutcome::Issued(i) = out {
+            if out == IssueOutcome::Issued {
+                let i = fs.last_issued().expect("an issue records its instruction");
                 issues.push((n, i.to_string()));
             }
         }
@@ -871,7 +890,7 @@ mod tests {
             .offload(offload_item(fadd(4, 5, 6), None, None));
         let mut issue_cycles = Vec::new();
         for n in 0..12 {
-            if let IssueOutcome::Issued(_) = cycle(&mut fs, &mut tcdm, &mut c) {
+            if cycle(&mut fs, &mut tcdm, &mut c) == IssueOutcome::Issued {
                 issue_cycles.push(n);
             }
         }
@@ -887,7 +906,7 @@ mod tests {
             .offload(offload_item(fadd(4, 5, 6), None, None));
         let mut issue_cycles = Vec::new();
         for n in 0..12 {
-            if let IssueOutcome::Issued(_) = cycle(&mut fs, &mut tcdm, &mut c) {
+            if cycle(&mut fs, &mut tcdm, &mut c) == IssueOutcome::Issued {
                 issue_cycles.push(n);
             }
         }

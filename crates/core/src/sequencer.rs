@@ -116,6 +116,8 @@ pub struct Sequencer {
     buffer_capacity: usize,
     state: SeqState,
     replayed: u64,
+    /// The renamed record of a staggered issue ([`Sequencer::peek`]).
+    staged: Option<OffloadedFp>,
 }
 
 impl Sequencer {
@@ -128,6 +130,7 @@ impl Sequencer {
             buffer_capacity,
             state: SeqState::Passthrough,
             replayed: 0,
+            staged: None,
         }
     }
 
@@ -172,96 +175,80 @@ impl Sequencer {
     /// issue. Returns `None` when no instruction is available (the marker
     /// handling inside never yields an issuable instruction by itself).
     ///
+    /// The record is returned by reference, never copied: the inbox head,
+    /// the sequence-buffer entry being replayed, or — only when staggering
+    /// renames the instruction — the one staged slot holding the renamed
+    /// record. The issue stage attempts the head every cycle until it
+    /// issues, so this keeps the record off the per-cycle return path.
+    ///
     /// # Errors
     ///
     /// Returns [`SeqError::BodyTooLarge`] when a FREP marker requests more
     /// body instructions than the buffer holds.
-    pub fn peek(&mut self) -> Result<Option<OffloadedFp>, SeqError> {
-        // Resolve any marker at the queue head first (zero-cycle in Snitch:
-        // the marker is consumed by the sequencer, not issued).
-        loop {
-            match self.state {
-                SeqState::Passthrough => match self.inbox.front() {
-                    Some(&SeqItem::Frep {
-                        is_outer,
-                        n_instr,
-                        n_rep,
-                        stagger_max,
-                        stagger_mask,
-                    }) => {
-                        if n_instr as usize > self.buffer_capacity {
-                            return Err(SeqError::BodyTooLarge {
-                                n_instr,
-                                capacity: self.buffer_capacity,
-                            });
-                        }
-                        self.inbox.pop();
-                        self.buffer.clear();
-                        self.state = if is_outer {
-                            SeqState::Capture {
-                                remaining: n_instr,
-                                n_rep,
-                                stagger_max,
-                                stagger_mask,
-                            }
-                        } else {
-                            SeqState::Inner {
-                                remaining: n_instr,
-                                rep_done: 0,
-                                n_rep,
-                                stagger_max,
-                                stagger_mask,
-                            }
-                        };
-                    }
-                    Some(&SeqItem::Fp(fp)) => return Ok(Some(fp)),
-                    None => return Ok(None),
-                },
-                SeqState::Capture {
-                    stagger_max: _,
-                    stagger_mask: _,
-                    ..
-                } => {
-                    match self.inbox.front() {
-                        // First iteration: issue as-is (stagger offset 0).
-                        Some(&SeqItem::Fp(fp)) => return Ok(Some(fp)),
-                        Some(&SeqItem::Frep { .. }) => {
-                            unreachable!("nested frep rejected by the assembler")
-                        }
-                        None => return Ok(None),
-                    }
-                }
-                SeqState::Replay {
-                    pos,
-                    iter,
-                    stagger_max,
-                    stagger_mask,
-                    ..
-                } => {
-                    let fp = self.buffer[pos];
-                    let offset = stagger_offset(iter, stagger_max);
-                    return Ok(Some(apply_stagger(fp, offset, stagger_mask)));
-                }
-                SeqState::Inner {
-                    rep_done: _,
-                    stagger_max,
-                    stagger_mask,
-                    ..
-                } => match self.inbox.front() {
-                    Some(&SeqItem::Fp(fp)) => {
-                        let iter = match self.state {
-                            SeqState::Inner { rep_done, .. } => rep_done,
-                            _ => unreachable!(),
-                        };
-                        let offset = stagger_offset(iter, stagger_max);
-                        return Ok(Some(apply_stagger(fp, offset, stagger_mask)));
-                    }
-                    Some(&SeqItem::Frep { .. }) => {
-                        unreachable!("nested frep rejected by the assembler")
-                    }
-                    None => return Ok(None),
-                },
+    pub fn peek(&mut self) -> Result<Option<&OffloadedFp>, SeqError> {
+        // Resolve a marker at the queue head first (zero-cycle in Snitch:
+        // the marker is consumed by the sequencer, not issued). Markers
+        // only arrive between loops, so one check suffices.
+        if let (
+            SeqState::Passthrough,
+            Some(&SeqItem::Frep {
+                is_outer,
+                n_instr,
+                n_rep,
+                stagger_max,
+                stagger_mask,
+            }),
+        ) = (&self.state, self.inbox.front())
+        {
+            if n_instr as usize > self.buffer_capacity {
+                return Err(SeqError::BodyTooLarge {
+                    n_instr,
+                    capacity: self.buffer_capacity,
+                });
             }
+            self.inbox.pop();
+            self.buffer.clear();
+            self.state = if is_outer {
+                SeqState::Capture {
+                    remaining: n_instr,
+                    n_rep,
+                    stagger_max,
+                    stagger_mask,
+                }
+            } else {
+                SeqState::Inner {
+                    remaining: n_instr,
+                    rep_done: 0,
+                    n_rep,
+                    stagger_max,
+                    stagger_mask,
+                }
+            };
+        }
+        let (fp, iter, stagger_max, stagger_mask) = match self.state {
+            // The first iteration of an outer loop issues as captured
+            // (stagger offset 0).
+            SeqState::Passthrough | SeqState::Capture { .. } => return Ok(fp_head(&self.inbox)),
+            SeqState::Replay {
+                pos,
+                iter,
+                stagger_max,
+                stagger_mask,
+                ..
+            } => (&self.buffer[pos], iter, stagger_max, stagger_mask),
+            SeqState::Inner {
+                rep_done,
+                stagger_max,
+                stagger_mask,
+                ..
+            } => match fp_head(&self.inbox) {
+                Some(fp) => (fp, rep_done, stagger_max, stagger_mask),
+                None => return Ok(None),
+            },
+        };
+        match renamed(fp, stagger_offset(iter, stagger_max), stagger_mask) {
+            Some(renamed) => Ok(Some(self.staged.insert(renamed))),
+            None => Ok(Some(fp)),
         }
     }
 
@@ -386,14 +373,26 @@ fn stagger_offset(iter: u32, stagger_max: u8) -> u8 {
     }
 }
 
+/// The FP instruction at the head of the inbox. A marker there is
+/// resolved by [`Sequencer::peek`] before any loop state reads the head,
+/// and loops do not nest.
+fn fp_head(inbox: &BoundedFifo<SeqItem>) -> Option<&OffloadedFp> {
+    match inbox.front() {
+        Some(SeqItem::Fp(fp)) => Some(fp),
+        Some(SeqItem::Frep { .. }) => unreachable!("nested frep rejected by the assembler"),
+        None => None,
+    }
+}
+
 /// Applies Snitch register staggering: selected operand register indices
-/// are offset by `offset` (mod 32). A renamed instruction is decoded
-/// afresh: renaming can make two operands name the same register, or
-/// split a repeated one.
-fn apply_stagger(fp: OffloadedFp, offset: u8, mask: u8) -> OffloadedFp {
+/// are offset by `offset` (mod 32). Returns `None` when nothing is
+/// renamed (offset or mask zero, or an instruction without staggerable
+/// operands). A renamed instruction is decoded afresh: renaming can make
+/// two operands name the same register, or split a repeated one.
+fn renamed(fp: &OffloadedFp, offset: u8, mask: u8) -> Option<OffloadedFp> {
     use sc_isa::FpReg;
     if offset == 0 || mask == 0 {
-        return fp;
+        return None;
     }
     let bump = |r: FpReg| FpReg::new((r.index() + offset) % 32);
     let inst = match fp.inst {
@@ -425,18 +424,19 @@ fn apply_stagger(fp: OffloadedFp, offset: u8, mask: u8) -> OffloadedFp {
             frs2: if mask & 4 != 0 { bump(frs2) } else { frs2 },
             frs3: if mask & 8 != 0 { bump(frs3) } else { frs3 },
         },
-        _ => return fp,
+        _ => return None,
     };
-    OffloadedFp {
+    Some(OffloadedFp {
         inst,
         uop: FpUop::decode(&inst).expect("a renamed FP instruction is an FP instruction"),
-        ..fp
-    }
+        ..*fp
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use sc_isa::{FpBinOp, FpFormat, FpReg};
 
     fn offloaded(inst: Instruction) -> OffloadedFp {
@@ -460,7 +460,7 @@ mod tests {
 
     fn drain(seq: &mut Sequencer) -> Vec<OffloadedFp> {
         let mut out = Vec::new();
-        while let Some(i) = seq.peek().unwrap() {
+        while let Some(&i) = seq.peek().unwrap() {
             out.push(i);
             seq.consume();
         }
@@ -637,10 +637,339 @@ mod tests {
         assert_eq!(s.peek().unwrap(), None);
         assert!(!s.is_drained());
         s.offload(SeqItem::Fp(fp(5)));
-        assert_eq!(s.peek().unwrap(), Some(fp(5)));
+        assert_eq!(s.peek().unwrap(), Some(&fp(5)));
         s.consume();
-        assert_eq!(s.peek().unwrap(), Some(fp(5)));
+        assert_eq!(s.peek().unwrap(), Some(&fp(5)));
         s.consume();
         assert!(s.is_drained());
+    }
+
+    // ------------------------------------------------------------------
+    // Differential reference: the by-value `peek`
+    // ------------------------------------------------------------------
+
+    impl Sequencer {
+        /// `peek` as it was when it returned the record by value and
+        /// staggered it with [`apply_stagger`] on every call. Kept as the
+        /// reference the by-reference `peek` is pinned against.
+        fn peek_reference(&mut self) -> Result<Option<OffloadedFp>, SeqError> {
+            loop {
+                match self.state {
+                    SeqState::Passthrough => match self.inbox.front() {
+                        Some(&SeqItem::Frep {
+                            is_outer,
+                            n_instr,
+                            n_rep,
+                            stagger_max,
+                            stagger_mask,
+                        }) => {
+                            if n_instr as usize > self.buffer_capacity {
+                                return Err(SeqError::BodyTooLarge {
+                                    n_instr,
+                                    capacity: self.buffer_capacity,
+                                });
+                            }
+                            self.inbox.pop();
+                            self.buffer.clear();
+                            self.state = if is_outer {
+                                SeqState::Capture {
+                                    remaining: n_instr,
+                                    n_rep,
+                                    stagger_max,
+                                    stagger_mask,
+                                }
+                            } else {
+                                SeqState::Inner {
+                                    remaining: n_instr,
+                                    rep_done: 0,
+                                    n_rep,
+                                    stagger_max,
+                                    stagger_mask,
+                                }
+                            };
+                        }
+                        Some(&SeqItem::Fp(fp)) => return Ok(Some(fp)),
+                        None => return Ok(None),
+                    },
+                    SeqState::Capture { .. } => match self.inbox.front() {
+                        Some(&SeqItem::Fp(fp)) => return Ok(Some(fp)),
+                        Some(&SeqItem::Frep { .. }) => unreachable!("nested frep"),
+                        None => return Ok(None),
+                    },
+                    SeqState::Replay {
+                        pos,
+                        iter,
+                        stagger_max,
+                        stagger_mask,
+                        ..
+                    } => {
+                        let fp = self.buffer[pos];
+                        let offset = stagger_offset(iter, stagger_max);
+                        return Ok(Some(apply_stagger(fp, offset, stagger_mask)));
+                    }
+                    SeqState::Inner {
+                        rep_done,
+                        stagger_max,
+                        stagger_mask,
+                        ..
+                    } => match self.inbox.front() {
+                        Some(&SeqItem::Fp(fp)) => {
+                            let offset = stagger_offset(rep_done, stagger_max);
+                            return Ok(Some(apply_stagger(fp, offset, stagger_mask)));
+                        }
+                        Some(&SeqItem::Frep { .. }) => unreachable!("nested frep"),
+                        None => return Ok(None),
+                    },
+                }
+            }
+        }
+    }
+
+    /// Register staggering by value, as the reference applies it.
+    fn apply_stagger(fp: OffloadedFp, offset: u8, mask: u8) -> OffloadedFp {
+        if offset == 0 || mask == 0 {
+            return fp;
+        }
+        let bump = |r: FpReg| FpReg::new((r.index() + offset) % 32);
+        let inst = match fp.inst {
+            Instruction::FpBin {
+                op,
+                fmt,
+                frd,
+                frs1,
+                frs2,
+            } => Instruction::FpBin {
+                op,
+                fmt,
+                frd: if mask & 1 != 0 { bump(frd) } else { frd },
+                frs1: if mask & 2 != 0 { bump(frs1) } else { frs1 },
+                frs2: if mask & 4 != 0 { bump(frs2) } else { frs2 },
+            },
+            Instruction::FpFma {
+                op,
+                fmt,
+                frd,
+                frs1,
+                frs2,
+                frs3,
+            } => Instruction::FpFma {
+                op,
+                fmt,
+                frd: if mask & 1 != 0 { bump(frd) } else { frd },
+                frs1: if mask & 2 != 0 { bump(frs1) } else { frs1 },
+                frs2: if mask & 4 != 0 { bump(frs2) } else { frs2 },
+                frs3: if mask & 8 != 0 { bump(frs3) } else { frs3 },
+            },
+            _ => return fp,
+        };
+        OffloadedFp {
+            inst,
+            uop: FpUop::decode(&inst).expect("FP instruction"),
+            ..fp
+        }
+    }
+
+    /// Sequence-buffer capacity of the differential test.
+    const BUFFER: usize = 8;
+
+    /// One unit of an offload stream: a lone FP instruction or a FREP
+    /// loop (marker plus body).
+    #[derive(Debug, Clone)]
+    enum Block {
+        Single(Instruction),
+        Loop {
+            is_outer: bool,
+            n_rep: u32,
+            stagger_max: u8,
+            stagger_mask: u8,
+            body: Vec<Instruction>,
+        },
+    }
+
+    /// Registers drawn mostly from a small pool, so staggering often
+    /// merges or splits repeated operands.
+    fn fp_reg() -> impl Strategy<Value = FpReg> {
+        prop_oneof![
+            (0u8..4).prop_map(FpReg::new),
+            (0u8..32).prop_map(FpReg::new)
+        ]
+    }
+
+    fn body_inst() -> impl Strategy<Value = Instruction> {
+        let base = sc_isa::IntReg::new(10);
+        prop_oneof![
+            (fp_reg(), fp_reg(), fp_reg()).prop_map(|(frd, frs1, frs2)| Instruction::FpBin {
+                op: FpBinOp::Mul,
+                fmt: FpFormat::Double,
+                frd,
+                frs1,
+                frs2,
+            }),
+            (fp_reg(), fp_reg(), fp_reg(), fp_reg()).prop_map(|(frd, frs1, frs2, frs3)| {
+                Instruction::FpFma {
+                    op: sc_isa::FmaOp::Madd,
+                    fmt: FpFormat::Double,
+                    frd,
+                    frs1,
+                    frs2,
+                    frs3,
+                }
+            }),
+            (fp_reg(), 0i32..64).prop_map(move |(frd, offset)| Instruction::FpLoad {
+                fmt: FpFormat::Double,
+                frd,
+                rs1: base,
+                offset: offset * 8,
+            }),
+            (fp_reg(), 0i32..64).prop_map(move |(frs2, offset)| Instruction::FpStore {
+                fmt: FpFormat::Double,
+                frs2,
+                rs1: base,
+                offset: offset * 8,
+            }),
+        ]
+    }
+
+    fn block() -> impl Strategy<Value = Block> {
+        prop_oneof![
+            body_inst().prop_map(Block::Single),
+            (
+                any::<bool>(),
+                1u32..6,
+                0u8..4,
+                0u8..16,
+                proptest::collection::vec(body_inst(), 1..9),
+            )
+                .prop_map(|(is_outer, n_rep, stagger_max, stagger_mask, body)| {
+                    Block::Loop {
+                        is_outer,
+                        n_rep,
+                        stagger_max,
+                        stagger_mask,
+                        body,
+                    }
+                }),
+        ]
+    }
+
+    fn item(inst: Instruction) -> SeqItem {
+        let addr = matches!(
+            inst,
+            Instruction::FpLoad { .. } | Instruction::FpStore { .. }
+        )
+        .then_some(0x100);
+        SeqItem::Fp(OffloadedFp {
+            addr,
+            ..offloaded(inst)
+        })
+    }
+
+    /// The offload stream of `blocks`, ending in a loop whose body does
+    /// not fit the buffer when `oversized` is set.
+    fn offload_stream(blocks: &[Block], oversized: Option<(bool, u16)>) -> Vec<SeqItem> {
+        let mut items = Vec::new();
+        for block in blocks {
+            match block {
+                Block::Single(inst) => items.push(item(*inst)),
+                Block::Loop {
+                    is_outer,
+                    n_rep,
+                    stagger_max,
+                    stagger_mask,
+                    body,
+                } => {
+                    items.push(SeqItem::Frep {
+                        is_outer: *is_outer,
+                        n_instr: body.len() as u16,
+                        n_rep: *n_rep,
+                        stagger_max: *stagger_max,
+                        stagger_mask: *stagger_mask,
+                    });
+                    items.extend(body.iter().map(|&inst| item(inst)));
+                }
+            }
+        }
+        if let Some((is_outer, n_instr)) = oversized {
+            items.push(SeqItem::Frep {
+                is_outer,
+                n_instr,
+                n_rep: 2,
+                stagger_max: 1,
+                stagger_mask: 1,
+            });
+        }
+        items
+    }
+
+    proptest! {
+        #[test]
+        fn peek_matches_the_by_value_reference(
+            blocks in proptest::collection::vec(block(), 1..12),
+            oversized in prop_oneof![
+                Just(None),
+                (any::<bool>(), 9u16..13).prop_map(Some),
+            ],
+            depth in 1usize..9,
+            schedule in proptest::collection::vec(0u8..3, 0..200),
+        ) {
+            // Both sequencers see the same offloads and the same
+            // peek/consume calls: `schedule` interleaves them at random
+            // (0 offloads the next item, 1 peeks, 2 peeks and issues),
+            // then offloads and issues alternate until the stream drains
+            // or the oversized marker reaches the head.
+            let items = offload_stream(&blocks, oversized);
+            let mut fast = Sequencer::new(depth, BUFFER);
+            let mut reference = Sequencer::new(depth, BUFFER);
+            let (mut next, mut issued, mut error) = (0, 0, None);
+            for step in 0..10_000 {
+                let action = schedule.get(step).copied().unwrap_or(2 * (step % 2) as u8);
+                if action == 0 {
+                    prop_assert_eq!(fast.can_accept(), reference.can_accept());
+                    if next < items.len() && fast.can_accept() {
+                        fast.offload(items[next]);
+                        reference.offload(items[next]);
+                        next += 1;
+                    }
+                } else {
+                    let got = fast.peek().map(Option::<&OffloadedFp>::copied);
+                    prop_assert_eq!(&got, &reference.peek_reference());
+                    match got {
+                        Err(e) => {
+                            error = Some(e);
+                            break;
+                        }
+                        Ok(Some(_)) if action == 2 => {
+                            fast.consume();
+                            reference.consume();
+                            issued += 1;
+                        }
+                        Ok(_) => {}
+                    }
+                }
+                prop_assert_eq!(fast.replayed(), reference.replayed());
+                prop_assert_eq!(fast.is_drained(), reference.is_drained());
+                if next == items.len() && fast.is_drained() {
+                    break;
+                }
+            }
+            match oversized {
+                Some((_, n_instr)) => prop_assert_eq!(
+                    error,
+                    Some(SeqError::BodyTooLarge { n_instr, capacity: BUFFER })
+                ),
+                None => {
+                    prop_assert_eq!(error, None);
+                    prop_assert!(next == items.len() && fast.is_drained());
+                    let want: usize = blocks
+                        .iter()
+                        .map(|b| match b {
+                            Block::Single(_) => 1,
+                            Block::Loop { n_rep, body, .. } => body.len() * *n_rep as usize,
+                        })
+                        .sum();
+                    prop_assert_eq!(issued, want);
+                }
+            }
+        }
     }
 }

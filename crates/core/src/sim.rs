@@ -717,7 +717,7 @@ impl Core {
 
         // Phase 2b: integer execute.
         let sync_before = self.counters.stalls_of(StallCause::Sync);
-        let int_slot = self.int_step()?;
+        let int_retired = self.int_step()?;
         let sync_retry = self.counters.stalls_of(StallCause::Sync) > sync_before;
 
         // Top-down attribution: exactly one leaf per cycle, chosen here
@@ -726,7 +726,7 @@ impl Core {
         // takes precedence — it carries the paper's headline effects —
         // and an idle slot is explained by the integer pipeline's state.
         let leaf = match fp_outcome {
-            IssueOutcome::Issued(_) => Leaf::Retired,
+            IssueOutcome::Issued => Leaf::Retired,
             IssueOutcome::Stalled(cause) => match cause {
                 StallCause::NoInstruction => Leaf::NoInst,
                 StallCause::RawHazard => Leaf::RawHazard,
@@ -746,7 +746,7 @@ impl Core {
                 IntState::LoadWait { .. } | IntState::StoreWait { .. } => Leaf::LoadStore,
                 IntState::Halting | IntState::Halted => Leaf::Park,
                 IntState::Running | IntState::Bubble(_) => {
-                    if int_slot.is_some() {
+                    if int_retired {
                         Leaf::Retired
                     } else if sync_retry {
                         // A synchronising CSR retrying against an
@@ -762,7 +762,7 @@ impl Core {
 
         if self.tracer.is_on() {
             let label = match fp_outcome {
-                IssueOutcome::Issued(_) => "fp-issue",
+                IssueOutcome::Issued => "fp-issue",
                 IssueOutcome::Stalled(c) => c.label(),
                 IssueOutcome::Idle => match self.state {
                     IntState::BarrierWait { .. } => "barrier",
@@ -771,7 +771,7 @@ impl Core {
                     IntState::LoadWait { .. } | IntState::StoreWait { .. } => "mem-wait",
                     IntState::Halting | IntState::Halted => "idle",
                     IntState::Running | IntState::Bubble(_) => {
-                        if int_slot.is_some() {
+                        if int_retired {
                             "int"
                         } else {
                             "idle"
@@ -788,9 +788,13 @@ impl Core {
         }
 
         if self.cfg.trace {
-            self.trace_int_slot = int_slot;
+            // `int_step` already filled `trace_int_slot`.
             self.trace_fp_slot = match fp_outcome {
-                IssueOutcome::Issued(i) => FpSlot::Issued(i),
+                IssueOutcome::Issued => FpSlot::Issued(
+                    self.fp
+                        .last_issued()
+                        .expect("an issue records its instruction"),
+                ),
                 IssueOutcome::Stalled(c) => FpSlot::Stalled(c),
                 IssueOutcome::Idle => FpSlot::Idle,
             };
@@ -925,18 +929,18 @@ impl Core {
         }
     }
 
-    /// One integer-pipeline step. Returns the retired instruction, if any
-    /// (for tracing).
-    fn int_step(&mut self) -> Result<Option<Instruction>, SimError> {
+    /// One integer-pipeline step. Returns whether an instruction retired;
+    /// a tracing core also records it in `trace_int_slot`.
+    fn int_step(&mut self) -> Result<bool, SimError> {
         match self.state {
-            IntState::Halted => return Ok(None),
+            IntState::Halted => return Ok(false),
             IntState::Bubble(n) => {
                 self.state = if n <= 1 {
                     IntState::Running
                 } else {
                     IntState::Bubble(n - 1)
                 };
-                return Ok(None);
+                return Ok(false);
             }
             IntState::LoadWait { .. }
             | IntState::StoreWait { .. }
@@ -946,13 +950,13 @@ impl Core {
                 // Loads/stores resolve in the memory phase; barrier and
                 // DMA waits resolve externally via `release_barrier` /
                 // `release_system_barrier` / `release_dma_wait`.
-                return Ok(None);
+                return Ok(false);
             }
             IntState::Halting => {
                 if self.quiescent()? {
                     self.state = IntState::Halted;
                 }
-                return Ok(None);
+                return Ok(false);
             }
             IntState::Running => {}
         }
@@ -966,12 +970,12 @@ impl Core {
         // (comparisons/moves) must be waited for.
         for src in inst.int_sources() {
             if self.int_pending[src.index() as usize] {
-                return Ok(None);
+                return Ok(false);
             }
         }
         if let Some(rd) = inst.int_dest() {
             if self.int_pending[rd.index() as usize] {
-                return Ok(None);
+                return Ok(false);
             }
         }
 
@@ -988,7 +992,7 @@ impl Core {
                 stagger_mask,
             } => {
                 if !self.fp.sequencer().can_accept() {
-                    return Ok(None);
+                    return Ok(false);
                 }
                 let n_rep = self.reg(max_rpt).wrapping_add(1);
                 self.fp.sequencer_mut().offload(SeqItem::Frep {
@@ -1009,7 +1013,7 @@ impl Core {
                     && (addr.dm as usize) < self.fp.ssr().len()
                     && !self.fp.ssr().mover(addr.dm).is_done()
                 {
-                    return Ok(None);
+                    return Ok(false);
                 }
                 let value = self.reg(rs1);
                 self.fp.ssr_mut().write_cfg(addr, value)?;
@@ -1069,7 +1073,7 @@ impl Core {
                 self.counters.int_retired += 1;
                 self.counters.fetches += 1;
                 self.pc = self.pc.wrapping_add(4);
-                Ok(Some(inst))
+                self.retired(inst)
             }
             Instruction::Store {
                 op,
@@ -1084,7 +1088,7 @@ impl Core {
                 self.counters.int_retired += 1;
                 self.counters.fetches += 1;
                 self.pc = self.pc.wrapping_add(4);
-                Ok(Some(inst))
+                self.retired(inst)
             }
             Instruction::OpImm { op, rd, rs1, imm } => {
                 self.write_reg(rd, op.evaluate(self.reg(rs1), imm as u32));
@@ -1103,7 +1107,7 @@ impl Core {
                 self.state = IntState::Halting;
                 self.counters.fetches += 1;
                 self.counters.int_retired += 1;
-                Ok(Some(inst))
+                self.retired(inst)
             }
             Instruction::Ebreak => Err(SimError::Ebreak { pc: self.pc }),
             _ => unreachable!("fp instructions handled above"),
@@ -1117,7 +1121,7 @@ impl Core {
         rd: IntReg,
         addr: u16,
         src: CsrSrc,
-    ) -> Result<Option<Instruction>, SimError> {
+    ) -> Result<bool, SimError> {
         let operand = match src {
             CsrSrc::Reg(r) => self.reg(r),
             CsrSrc::Imm(i) => u32::from(i),
@@ -1127,7 +1131,7 @@ impl Core {
                 if !self.fp.is_drained() {
                     self.counters
                         .record_stall(crate::counters::StallCause::Sync);
-                    return Ok(None);
+                    return Ok(false);
                 }
                 let old = self.fp.chain_mask();
                 self.fp.set_chain_mask(op.apply(old, operand))?;
@@ -1137,7 +1141,7 @@ impl Core {
                 if !self.fp.is_drained() || !self.fp.ssr().all_done() {
                     self.counters
                         .record_stall(crate::counters::StallCause::Sync);
-                    return Ok(None);
+                    return Ok(false);
                 }
                 let old = u32::from(self.fp.ssr().is_enabled());
                 let new = op.apply(old, operand);
@@ -1153,7 +1157,7 @@ impl Core {
                 if !self.fp.is_drained() || !streams_ok {
                     self.counters
                         .record_stall(crate::counters::StallCause::Sync);
-                    return Ok(None);
+                    return Ok(false);
                 }
                 let old = self.csrs.apply(addr, op, operand);
                 self.write_reg(rd, old);
@@ -1188,11 +1192,11 @@ impl Core {
                     if !self.fp.is_drained() || !self.fp.ssr().all_done() {
                         self.counters
                             .record_stall(crate::counters::StallCause::Sync);
-                        return Ok(None);
+                        return Ok(false);
                     }
                     // Park without retiring; `release_barrier` retires.
                     self.state = IntState::BarrierWait { rd };
-                    return Ok(None);
+                    return Ok(false);
                 }
             }
             csr::SYSTEM_BARRIER => {
@@ -1211,12 +1215,12 @@ impl Core {
                     if !self.fp.is_drained() || !self.fp.ssr().all_done() {
                         self.counters
                             .record_stall(crate::counters::StallCause::Sync);
-                        return Ok(None);
+                        return Ok(false);
                     }
                     // Park without retiring; `release_system_barrier`
                     // retires.
                     self.state = IntState::SystemBarrierWait { rd };
-                    return Ok(None);
+                    return Ok(false);
                 }
             }
             csr::PHASE_MARK => {
@@ -1303,12 +1307,12 @@ impl Core {
                         if !self.fp.is_drained() || !self.fp.ssr().all_done() {
                             self.counters
                                 .record_stall(crate::counters::StallCause::Sync);
-                            return Ok(None);
+                            return Ok(false);
                         }
                         // Park without retiring; `release_dma_wait`
                         // retires.
                         self.state = IntState::DmaWait { rd, target };
-                        return Ok(None);
+                        return Ok(false);
                     }
                 }
             }
@@ -1338,9 +1342,9 @@ impl Core {
         self.retire(inst, 4)
     }
 
-    fn offload_fp(&mut self, inst: Instruction) -> Result<Option<Instruction>, SimError> {
+    fn offload_fp(&mut self, inst: Instruction) -> Result<bool, SimError> {
         if !self.fp.sequencer().can_accept() {
-            return Ok(None);
+            return Ok(false);
         }
         // Resolve integer-side operands now.
         let addr = match inst {
@@ -1367,7 +1371,7 @@ impl Core {
         }));
         self.counters.fetches += 1;
         self.pc += 4;
-        Ok(Some(inst))
+        self.retired(inst)
     }
 
     fn int_load(&mut self, op: LoadOp, addr: u32, tcdm: &Tcdm) -> Result<u32, SimError> {
@@ -1423,21 +1427,30 @@ impl Core {
         }
     }
 
-    fn retire(&mut self, inst: Instruction, pc_inc: u32) -> Result<Option<Instruction>, SimError> {
+    fn retire(&mut self, inst: Instruction, pc_inc: u32) -> Result<bool, SimError> {
         self.pc = self.pc.wrapping_add(pc_inc);
         self.counters.int_retired += 1;
         self.counters.fetches += 1;
-        Ok(Some(inst))
+        self.retired(inst)
     }
 
-    fn jump(&mut self, inst: Instruction, target: u32) -> Result<Option<Instruction>, SimError> {
+    fn jump(&mut self, inst: Instruction, target: u32) -> Result<bool, SimError> {
         self.pc = target;
         self.counters.int_retired += 1;
         self.counters.fetches += 1;
         if self.cfg.branch_taken_penalty > 0 {
             self.state = IntState::Bubble(self.cfg.branch_taken_penalty);
         }
-        Ok(Some(inst))
+        self.retired(inst)
+    }
+
+    /// Reports `inst` retired this cycle, recording it for the issue
+    /// trace when tracing.
+    fn retired(&mut self, inst: Instruction) -> Result<bool, SimError> {
+        if self.cfg.trace {
+            self.trace_int_slot = Some(inst);
+        }
+        Ok(true)
     }
 }
 

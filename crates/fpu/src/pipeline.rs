@@ -109,6 +109,11 @@ impl<T> Pipeline<T> {
     /// # Panics
     ///
     /// Panics if [`Pipeline::can_issue`] is false.
+    // `always`: at the FP issue stage's call site, behind its stall
+    // checks, LLVM keeps a plain `#[inline]` call out of line and passes
+    // the op through a stack slot read back as one wide load, which
+    // stalls store-to-load forwarding on nearly every simulated cycle.
+    #[inline(always)]
     pub fn issue(&mut self, op: T) {
         assert!(self.can_issue(), "issue into a full pipeline");
         self.pending = Some(op);

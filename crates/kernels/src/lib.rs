@@ -52,7 +52,7 @@ pub use system_kernel::{
 };
 pub use tiling::{
     DramCheckFn, DramSetupFn, TileError, TiledClusterKernel, TiledRun, WaitStyle, WorkingSet,
-    TCDM_CAP_BYTES,
+    L2_CAP_GRANULE_BYTES, L2_SWEEP_MSHRS, TCDM_CAP_BYTES,
 };
 pub use variant::Variant;
 pub use vecop::{VecOpKernel, VecOpVariant};

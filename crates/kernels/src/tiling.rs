@@ -42,6 +42,14 @@ use crate::kernel::{KernelError, VerifyError};
 /// The real cluster's L1 capacity — the default cap for tiled kernels.
 pub const TCDM_CAP_BYTES: u32 = 128 << 10;
 
+/// Granule of the finite L2 capacities the sweeps and tests size with
+/// [`WorkingSet::overfit_capacity`] / [`WorkingSet::underfit_capacity`]:
+/// whole sets for every swept associativity (256 B lines × up to 8 ways).
+pub const L2_CAP_GRANULE_BYTES: u32 = 256 * 8;
+
+/// MSHR file size of the finite L2s the capacity sweeps configure.
+pub const L2_SWEEP_MSHRS: u32 = 8;
+
 /// One TCDM interleave line (32 banks × 8 B) — the granule capacity caps
 /// are rounded *down* to, so an instantiated scratchpad never exceeds
 /// the cap.

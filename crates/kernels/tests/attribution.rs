@@ -16,15 +16,15 @@
 use proptest::prelude::*;
 use sc_cluster::ClusterSummary;
 use sc_core::{CoreConfig, SchedMode};
-use sc_kernels::{Grid3, Stencil, StencilKernel, Variant, WaitStyle, TCDM_CAP_BYTES};
+use sc_kernels::{
+    Grid3, Stencil, StencilKernel, Variant, WaitStyle, L2_CAP_GRANULE_BYTES, L2_SWEEP_MSHRS,
+    TCDM_CAP_BYTES,
+};
 use sc_mem::{DramConfig, L2Config};
 use sc_perf::{segment_phases, Attribution, Leaf};
 use sc_system::SystemSummary;
 
 const MAX_CYCLES: u64 = 50_000_000;
-
-/// Whole-set capacity granule (matches the `l2_ablation` sweep).
-const CAP_GRANULE: u32 = 256 * 8;
 
 /// Per-hart and padded-roll-up partition checks for a cluster.
 fn check_cluster(id: &str, s: &ClusterSummary) -> Result<(), TestCaseError> {
@@ -81,10 +81,10 @@ proptest! {
         // write-backs) and long exposed refills stress the park/dma-wait
         // and memory-bound leaves.
         let l2 = L2Config::new()
-            .with_capacity_bytes(cap_sets * CAP_GRANULE)
+            .with_capacity_bytes(cap_sets * L2_CAP_GRANULE_BYTES)
             .with_ways(8)
             .with_refill_channels(channels)
-            .with_mshrs(8)
+            .with_mshrs(L2_SWEEP_MSHRS)
             .with_write_back(true)
             .with_refill_latency(refill_latency)
             .with_refill_cycles_per_beat(1)
@@ -150,10 +150,10 @@ fn golden_attribution_of_pinned_l2_ablation_point() {
         .build_system_tiled(2, 2, TCDM_CAP_BYTES)
         .expect("slabs tile within 128 KiB");
     let l2 = L2Config::new()
-        .with_capacity_bytes(tk.working_set().underfit_capacity(CAP_GRANULE))
+        .with_capacity_bytes(tk.working_set().underfit_capacity(L2_CAP_GRANULE_BYTES))
         .with_ways(8)
         .with_refill_channels(1)
-        .with_mshrs(8)
+        .with_mshrs(L2_SWEEP_MSHRS)
         .with_write_back(true)
         .with_refill_latency(64)
         .with_refill_cycles_per_beat(1)

@@ -10,20 +10,21 @@
 //! regression this pin exists to catch.
 
 use sc_core::CoreConfig;
-use sc_kernels::{Grid3, Stencil, StencilKernel, Variant, WaitStyle, TCDM_CAP_BYTES};
+use sc_kernels::{
+    Grid3, Stencil, StencilKernel, Variant, WaitStyle, L2_CAP_GRANULE_BYTES, L2_SWEEP_MSHRS,
+    TCDM_CAP_BYTES,
+};
 use sc_mem::{DramConfig, L2Config};
 
 const CLUSTERS: u32 = 2;
 const CORES: u32 = 2;
-const MSHRS: u32 = 8;
-const CAP_GRANULE: u32 = 256 * 8;
 
 fn l2_config(capacity: u32, ways: u32, channels: u32) -> L2Config {
     L2Config::new()
         .with_capacity_bytes(capacity)
         .with_ways(ways)
         .with_refill_channels(channels)
-        .with_mshrs(MSHRS)
+        .with_mshrs(L2_SWEEP_MSHRS)
         .with_write_back(true)
         .with_refill_latency(64)
         .with_refill_cycles_per_beat(1)
@@ -104,8 +105,8 @@ fn prefetch_disabled_default_is_cycle_identical_to_pr4_l2() {
         .expect("slabs tile within 128 KiB")
         .working_set()
         .clone();
-    let over = ws.overfit_capacity(CAP_GRANULE);
-    let under = ws.underfit_capacity(CAP_GRANULE);
+    let over = ws.overfit_capacity(L2_CAP_GRANULE_BYTES);
+    let under = ws.underfit_capacity(L2_CAP_GRANULE_BYTES);
     let mut mismatches = Vec::new();
     for &(ways, channels, chaining, overfit, want) in &GOLDEN {
         let capacity = if overfit { over } else { under };
@@ -147,7 +148,7 @@ fn prefetch_on_stays_bit_exact_and_hides_the_memory_wall() {
         .expect("slabs tile within 32 KiB")
         .working_set()
         .clone();
-    let under = ws.underfit_capacity(CAP_GRANULE);
+    let under = ws.underfit_capacity(L2_CAP_GRANULE_BYTES);
     let base = l2_config(under, 8, 1)
         .with_refill_latency(48)
         .with_cycles_per_beat(3);

@@ -108,9 +108,12 @@ pub struct DataMover {
     index: u8,
     port: PortId,
     fifo_capacity: usize,
-    /// (value, ready) pairs: `ready=false` entries model the 1-cycle SRAM
-    /// latency — granted this cycle, poppable next cycle.
-    fifo: VecDeque<(u64, bool)>,
+    fifo: VecDeque<u64>,
+    /// Whether the back FIFO entry is still in the SRAM landing slot: a
+    /// read granted this cycle, poppable from the next. A read grant
+    /// lands at most one value per cycle, at the back, and
+    /// [`DataMover::advance`] lands it, so no other entry can be landing.
+    landing: bool,
     gen: Option<AddrGen>,
     dir: StreamDir,
     /// Indirect-gather state (SARIS extension); `None` = affine mode.
@@ -152,6 +155,7 @@ impl DataMover {
             port,
             fifo_capacity,
             fifo: VecDeque::new(),
+            landing: false,
             gen: None,
             dir: StreamDir::Read,
             indirect: None,
@@ -234,7 +238,7 @@ impl DataMover {
         self.gen = Some(AddrGen::new(pattern));
         self.dir = dir;
         self.indirect = None;
-        self.fifo.clear();
+        self.clear_fifo();
         Ok(())
     }
 
@@ -261,7 +265,7 @@ impl DataMover {
             pending_idx: VecDeque::new(),
             unpacked: 0,
         });
-        self.fifo.clear();
+        self.clear_fifo();
         Ok(())
     }
 
@@ -275,7 +279,12 @@ impl DataMover {
     pub fn disarm(&mut self) {
         self.gen = None;
         self.indirect = None;
+        self.clear_fifo();
+    }
+
+    fn clear_fifo(&mut self) {
         self.fifo.clear();
+        self.landing = false;
     }
 
     /// Decides this cycle's memory action. `request` and `apply_grant`
@@ -302,10 +311,9 @@ impl DataMover {
                 gen.peek().map(Action::FetchData)
             }
             StreamDir::Read => None,
-            StreamDir::Write => match self.fifo.front() {
-                Some(&(_, true)) => gen.peek().map(Action::WriteData),
-                _ => None,
-            },
+            // Write-stream values are pushed ready; only reads land.
+            StreamDir::Write if !self.fifo.is_empty() => gen.peek().map(Action::WriteData),
+            StreamDir::Write => None,
         }
     }
 
@@ -349,11 +357,12 @@ impl DataMover {
             Action::FetchData(addr) => {
                 let value = tcdm.read_u64(addr)?;
                 debug_assert!(
-                    self.fifo.back().is_none_or(|&(_, ready)| ready),
+                    !self.landing,
                     "two read landings without an advance between them"
                 );
                 // Arrives at the end of this cycle; poppable next cycle.
-                self.fifo.push_back((value, false));
+                self.fifo.push_back(value);
+                self.landing = true;
                 if let Some(st) = &mut self.indirect {
                     st.pending_idx
                         .pop_front()
@@ -381,8 +390,7 @@ impl DataMover {
             Action::WriteData(addr) => {
                 let gen = self.gen.as_mut().expect("armed");
                 gen.next().expect("pending address");
-                let (value, ready) = self.fifo.pop_front().expect("write grant with empty FIFO");
-                debug_assert!(ready, "write grant for a not-yet-ready value");
+                let value = self.fifo.pop_front().expect("write grant with empty FIFO");
                 tcdm.write_u64(addr, value)?;
             }
         }
@@ -394,15 +402,9 @@ impl DataMover {
         self.stats.denied_requests += 1;
     }
 
-    /// Ends the cycle: landing-slot values become poppable. A read grant
-    /// lands at most one value per cycle, at the back, and every earlier
-    /// value became poppable at an earlier cycle end, so only the back
-    /// entry can still be landing.
+    /// Ends the cycle: the landing-slot value, if any, becomes poppable.
     pub fn advance(&mut self) {
-        if let Some(back) = self.fifo.back_mut() {
-            back.1 = true;
-        }
-        debug_assert!(self.fifo.iter().all(|&(_, ready)| ready));
+        self.landing = false;
     }
 
     // ---- FP datapath interface ------------------------------------------
@@ -410,7 +412,7 @@ impl DataMover {
     /// Whether a read-stream pop can proceed this cycle.
     #[must_use]
     pub fn can_pop(&self) -> bool {
-        self.dir == StreamDir::Read && matches!(self.fifo.front(), Some(&(_, true)))
+        self.dir == StreamDir::Read && self.fifo.len() > usize::from(self.landing)
     }
 
     /// Pops the next stream element (read mode).
@@ -430,8 +432,11 @@ impl DataMover {
                 armed: self.dir,
             });
         }
-        let (value, ready) = self.fifo.pop_front().expect("pop from empty stream FIFO");
-        assert!(ready, "pop of a value still in the SRAM landing slot");
+        let value = self.fifo.pop_front().expect("pop from empty stream FIFO");
+        assert!(
+            !(self.landing && self.fifo.is_empty()),
+            "pop of a value still in the SRAM landing slot"
+        );
         self.stats.elements += 1;
         Ok(value)
     }
@@ -468,7 +473,7 @@ impl DataMover {
             self.fifo.len() < self.fifo_capacity,
             "push into full stream FIFO"
         );
-        self.fifo.push_back((value, true));
+        self.fifo.push_back(value);
         self.stats.elements += 1;
         Ok(())
     }
