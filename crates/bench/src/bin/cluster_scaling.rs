@@ -28,7 +28,6 @@
 use sc_bench::registry::{PointSpec, Sweep};
 use sc_bench::{json, parallel_sweep, Json};
 use sc_cluster::{ClusterSummary, DmaSummary};
-use sc_core::SchedMode;
 use sc_energy::{ClusterEnergyReport, EnergyModel};
 use sc_kernels::TCDM_CAP_BYTES;
 
@@ -43,7 +42,7 @@ struct Point {
 impl Point {
     /// Runs `spec` under dense stepping.
     fn run(spec: PointSpec) -> Self {
-        let run = spec.run(SchedMode::Dense);
+        let run = spec.run();
         let summary = run.summary.into_cluster();
         let per_core: Vec<_> = summary.per_core.iter().map(|c| c.counters).collect();
         let dma_beats = summary.dma.map_or(0, |d| d.stats.beats);

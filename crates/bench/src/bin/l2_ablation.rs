@@ -26,7 +26,6 @@
 
 use sc_bench::registry::{Fit, PointSpec, Sweep, MAX_CYCLES};
 use sc_bench::{json, parallel_sweep, Json};
-use sc_core::SchedMode;
 use sc_mem::DramConfig;
 use sc_system::SystemSummary;
 use sc_trace::{TraceConfig, TraceSession};
@@ -39,7 +38,7 @@ struct Point {
 impl Point {
     /// Runs `spec` under dense stepping.
     fn run(spec: PointSpec) -> Self {
-        let summary = spec.run(SchedMode::Dense).summary.into_system();
+        let summary = spec.run().summary.into_system();
         Point { spec, summary }
     }
 

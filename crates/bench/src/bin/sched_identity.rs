@@ -1,5 +1,8 @@
 //! Scheduler identity sweep: `SchedMode::Event` replayed against
-//! `SchedMode::Dense` on **every config point of every baseline sweep**.
+//! `SchedMode::Dense` on **every system-level config point of every
+//! baseline sweep** (150 of the registry's 166; the 16 cluster-level
+//! `cluster_scaling` points always step densely, since only
+//! `sc_system::System` fast-forwards).
 //!
 //! The event-driven scheduler is allowed to fast-forward the clock only
 //! across windows where stepping would provably change nothing, so it
@@ -7,34 +10,24 @@
 //! `PerfCounters`, DMA statistics and overlap accounting, barrier
 //! counts, TCDM conflict maps and shared-L2 statistics. The kernel
 //! proptests pin this over *random* kernels; this sweep pins it over
-//! every point of `sc_bench::registry` — the exact configs the CI perf
-//! gate baselines for `cluster_scaling`, `system_scaling`,
-//! `l2_ablation`, `weak_scaling` and `prefetch_ablation` — so a
-//! scheduler bug cannot hide in a corner of the baselined configuration
-//! space.
+//! every system-level point of `sc_bench::registry` — the exact configs
+//! the CI perf gate baselines for `system_scaling`, `l2_ablation`,
+//! `weak_scaling` and `prefetch_ablation` — so a scheduler bug cannot
+//! hide in a corner of the baselined configuration space.
 //!
 //! Every point runs twice (dense, then event) and the two summaries must
 //! be equal as whole structs; any divergence panics with the offending
-//! point's `<sweep>/<baseline id>`. The comparison also re-verifies the top-down attribution's
-//! partition invariant (`sum(leaves) == cycles`, per hart and per
-//! padded roll-up) on every point — this sweep is CI's proof that the
-//! invariant holds across the whole baselined configuration space.
-//! Machine-readable results land in `target/reports/sched_identity.json`.
+//! point's `<sweep>/<baseline id>`. The comparison also re-verifies the
+//! top-down attribution's partition invariant (`sum(leaves) == cycles`,
+//! per hart and per padded roll-up) on every point. Machine-readable
+//! results land in `target/reports/sched_identity.json`.
 //!
 //! Run with `cargo run --release -p sc-bench --bin sched_identity`.
 
-use sc_bench::registry::{self, Summary};
+use sc_bench::registry::{self, Level};
 use sc_bench::{json, parallel_sweep, Json};
 use sc_cluster::ClusterSummary;
-use sc_core::SchedMode;
 use sc_system::SystemSummary;
-
-/// Whole-summary equality of two cluster summaries, plus the attribution
-/// partition invariant on the dense one.
-fn assert_cluster_identical(id: &str, dense: &ClusterSummary, event: &ClusterSummary) {
-    assert_eq!(dense, event, "{id}: cluster summaries diverge");
-    verify_cluster_partition(id, dense);
-}
 
 /// Beyond dense ≡ event: the attribution must *partition* the run at
 /// every level — each hart's leaves sum to its own cycle count, and the
@@ -77,28 +70,28 @@ struct Verdict {
 }
 
 fn main() {
-    let points = registry::all_points();
+    let points: Vec<_> = registry::all_points()
+        .into_iter()
+        .filter(|spec| spec.level == Level::System)
+        .collect();
 
-    println!("=== scheduler identity — event vs dense on every baseline point ===");
+    println!("=== scheduler identity — event vs dense on every system-level baseline point ===");
     println!("=== {} config points x 2 modes ===\n", points.len());
 
     let total = points.len();
     let (verdicts, wall) = parallel_sweep(points, |spec| {
         let id = spec.full_id();
-        let dense = spec.run(SchedMode::Dense).summary;
-        let event = spec.run(SchedMode::Event).summary;
-        let cycles = match (&dense, &event) {
-            (Summary::Cluster(d), Summary::Cluster(e)) => {
-                assert_cluster_identical(&id, d, e);
-                d.cycles
-            }
-            (Summary::System(d), Summary::System(e)) => {
-                assert_system_identical(&id, d, e);
-                d.cycles
-            }
-            _ => unreachable!("a point always produces the same summary kind"),
-        };
-        Verdict { id, cycles }
+        let dense = spec.run().summary.into_system();
+        let event = spec
+            .run_event()
+            .expect("system-level points have an event run")
+            .summary
+            .into_system();
+        assert_system_identical(&id, &dense, &event);
+        Verdict {
+            id,
+            cycles: dense.cycles,
+        }
     });
     assert_eq!(verdicts.len(), total);
 
@@ -113,7 +106,7 @@ fn main() {
     for (sweep, n) in &by_sweep {
         println!("{sweep:>20}: {n} points identical");
     }
-    println!("\nall {total} baseline points: event == dense");
+    println!("\nall {total} system-level baseline points: event == dense");
     println!("{total} config points in {wall:.2?} wall");
 
     let report = Json::obj()

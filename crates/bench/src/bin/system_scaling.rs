@@ -29,7 +29,6 @@
 
 use sc_bench::registry::{PointSpec, Sweep};
 use sc_bench::{json, parallel_sweep, Json};
-use sc_core::SchedMode;
 use sc_energy::{ClusterEnergyReport, EnergyModel};
 use sc_kernels::TCDM_CAP_BYTES;
 use sc_system::SystemSummary;
@@ -45,7 +44,7 @@ struct Point {
 impl Point {
     /// Runs `spec` under dense stepping.
     fn run(spec: PointSpec) -> Self {
-        let run = spec.run(SchedMode::Dense);
+        let run = spec.run();
         let summary = run.summary.into_system();
         let per_core: Vec<_> = summary
             .per_cluster

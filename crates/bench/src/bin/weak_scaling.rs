@@ -25,7 +25,6 @@
 
 use sc_bench::registry::{PointSpec, Sweep};
 use sc_bench::{json, parallel_sweep, Json};
-use sc_core::SchedMode;
 use sc_energy::EnergyModel;
 use sc_kernels::TCDM_CAP_BYTES;
 use sc_system::SystemSummary;
@@ -42,7 +41,7 @@ struct Point {
 impl Point {
     /// Runs `spec` under dense stepping.
     fn run(spec: PointSpec) -> Self {
-        let summary = spec.run(SchedMode::Dense).summary.into_system();
+        let summary = spec.run().summary.into_system();
         Point { spec, summary }
     }
 

@@ -22,7 +22,7 @@
 //! | `l2_ablation` | finite-L2 sweep: capacity × ways × refill channels × chaining ([`registry::Sweep::L2Ablation`]) |
 //! | `weak_scaling` | weak scaling: the grid grows with the cluster count, 1/4 refill channels ([`registry::Sweep::WeakScaling`]) |
 //! | `prefetch_ablation` | descriptor-driven L2 prefetch: degree × distance × channels ([`registry::Sweep::PrefetchAblation`]) |
-//! | `sched_identity` | event scheduler ≡ dense stepping on every registry point |
+//! | `sched_identity` | event scheduler ≡ dense stepping on every system-level registry point (150 of 166) |
 //! | `lint_sweep` | every program the registry's points generate is lint-clean; seeded bugs are flagged |
 //! | `host_speed` | host wall-clock: dense vs event-driven clock advancement |
 //! | `perf_report` | top-down attribution trees / roofline / CSV over any sweep report, plus `diff` |

@@ -15,11 +15,12 @@
 //! Every consumer iterates this registry instead of rebuilding the grid:
 //! the five sweep binaries (which add only report formatting, validators
 //! and acceptance checks), `sched_identity` (event ≡ dense on every
-//! point) and `lint_sweep` (every generated program lint-clean). Each
-//! [`PointSpec`] carries the id its sweep's `baselines/<sweep>.json`
-//! pins, and [`Sweep::points`] lists a sweep's points in the order its
-//! report uses; this module's tests check both against the checked-in
-//! baselines, so renaming or dropping a point fails `cargo test`.
+//! system-level point) and `lint_sweep` (every generated program
+//! lint-clean). Each [`PointSpec`] carries the id its sweep's
+//! `baselines/<sweep>.json` pins, and [`Sweep::points`] lists a sweep's
+//! points in the order its report uses; this module's tests check both
+//! against the checked-in baselines, so renaming or dropping a point
+//! fails `cargo test`.
 
 use sc_cluster::ClusterSummary;
 use sc_core::{CoreConfig, SchedMode};
@@ -261,18 +262,37 @@ impl PointSpec {
         }
     }
 
-    /// Runs the point to verified completion under `mode`.
+    /// Runs the point to verified completion, one dense step per cycle.
     ///
     /// # Panics
     ///
     /// On any simulation, setup or verification error, naming the point.
     #[must_use]
-    pub fn run(&self, mode: SchedMode) -> PointRun {
+    pub fn run(&self) -> PointRun {
+        self.run_in(SchedMode::Dense)
+    }
+
+    /// Runs a system-level point to verified completion under the
+    /// event-driven scheduler, which fast-forwards provably idle
+    /// windows. `None` on cluster-level points: only a `System`
+    /// fast-forwards, so a cluster point has no event run.
+    ///
+    /// # Panics
+    ///
+    /// On any simulation, setup or verification error, naming the point.
+    #[must_use]
+    pub fn run_event(&self) -> Option<PointRun> {
+        (self.level == Level::System).then(|| self.run_in(SchedMode::Event))
+    }
+
+    /// The run behind [`PointSpec::run`] and [`PointSpec::run_event`];
+    /// `mode` is the system's (a cluster point steps densely).
+    fn run_in(&self, mode: SchedMode) -> PointRun {
         let gen = generator(self.grid, self.chaining);
         let (kernel, outcome) = match (self.level, self.tiled) {
             (Level::Cluster, false) => {
                 let k = gen.build_cluster(self.cores);
-                let run = k.run_scheduled(self.core, MAX_CYCLES, mode);
+                let run = k.run(self.core, MAX_CYCLES);
                 let outcome = run.map(|r| (None, Summary::Cluster(r.summary)));
                 (k.name().to_owned(), outcome)
             }
@@ -280,7 +300,7 @@ impl PointSpec {
                 let k = gen
                     .build_tiled(self.cores, TCDM_CAP_BYTES)
                     .expect("grid tiles within 128 KiB");
-                let run = k.run_scheduled(self.core, DramConfig::new(), MAX_CYCLES, mode);
+                let run = k.run(self.core, DramConfig::new(), MAX_CYCLES);
                 let outcome = run.map(|r| (Some(r.num_tiles), Summary::Cluster(r.summary)));
                 (k.name().to_owned(), outcome)
             }

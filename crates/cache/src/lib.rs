@@ -116,21 +116,6 @@ const GOLDEN: u64 = 0x9E37_79B9_7F4A_7C15;
 /// A table keyed by line number.
 type LineMap<V> = HashMap<u32, V, BuildHasherDefault<LineHasher>>;
 
-/// How the prefetcher turns a hint into a line sequence.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum PrefetchMode {
-    /// Follow the hint's 2D stride exactly: prefetch the lines the
-    /// strided transfer will actually touch, in traversal order.
-    #[default]
-    Strided,
-    /// Ignore the stride and fetch sequential lines from the hint's
-    /// start address (a classic next-line prefetcher). Identical to
-    /// [`PrefetchMode::Strided`] for contiguous transfers; on genuinely
-    /// strided ones it fetches the skipped-over gap lines too, which
-    /// shows up as `prefetch_evicted_unused` pollution.
-    NextLine,
-}
-
 /// An upcoming strided read footprint, handed to the cache by whoever
 /// knows the future access pattern (the DMA engine's descriptor, at
 /// `DMA_START` time): `reps` rows of `row_bytes` bytes each, consecutive
@@ -201,8 +186,6 @@ pub struct CacheConfig {
     /// streams and the channels (≥ 1 when prefetching); a full queue
     /// back-pressures the streams, it never stalls demand.
     pub prefetch_queue: u32,
-    /// How hints expand into line sequences.
-    pub prefetch_mode: PrefetchMode,
 }
 
 impl CacheConfig {
@@ -224,7 +207,6 @@ impl CacheConfig {
             prefetch_degree: 2,
             prefetch_distance: 16,
             prefetch_queue: 32,
-            prefetch_mode: PrefetchMode::Strided,
         }
     }
 
@@ -358,13 +340,6 @@ impl CacheConfig {
             "the prefetch-request queue holds at least one entry"
         );
         self.prefetch_queue = prefetch_queue;
-        self
-    }
-
-    /// Sets the hint-expansion mode.
-    #[must_use]
-    pub fn with_prefetch_mode(mut self, prefetch_mode: PrefetchMode) -> Self {
-        self.prefetch_mode = prefetch_mode;
         self
     }
 
@@ -662,23 +637,13 @@ struct Stream {
 }
 
 impl Stream {
-    fn new(hint: PrefetchHint, mode: PrefetchMode, line_bytes: u32, window: u32) -> Self {
-        // Next-line mode flattens the footprint to a contiguous run of
-        // the same total size starting at the hint address.
-        let (row_bytes, stride, reps) = match mode {
-            PrefetchMode::Strided => (hint.row_bytes, hint.stride, hint.reps),
-            PrefetchMode::NextLine => (
-                hint.row_bytes.saturating_mul(hint.reps),
-                hint.row_bytes.saturating_mul(hint.reps),
-                1,
-            ),
-        };
+    fn new(hint: PrefetchHint, line_bytes: u32, window: u32) -> Self {
         let mut s = Stream {
             requester: hint.requester,
             addr: hint.addr,
-            row_bytes,
-            stride,
-            reps,
+            row_bytes: hint.row_bytes,
+            stride: hint.stride,
+            reps: hint.reps,
             line_bytes,
             issue: None,
             demand: None,
@@ -994,7 +959,6 @@ impl Cache {
         }
         self.streams.push_back(Stream::new(
             hint,
-            self.cfg.prefetch_mode,
             self.cfg.line_bytes,
             self.cfg.prefetch_distance + self.cfg.prefetch_degree,
         ));
@@ -1654,8 +1618,9 @@ mod tests {
     }
 
     #[test]
-    fn strided_mode_follows_the_descriptor_next_line_does_not() {
-        // 2 rows of one line, 4 lines apart.
+    fn prefetch_follows_the_strided_descriptor() {
+        // 2 rows of one line, 4 lines apart: both rows are fetched, the
+        // gap lines between them are not.
         let hint = PrefetchHint {
             addr: 0x0,
             row_bytes: 64,
@@ -1663,18 +1628,12 @@ mod tests {
             reps: 2,
             requester: 0,
         };
-        let run = |mode: PrefetchMode| {
-            let mut cache = Cache::new(
-                prefetching(CacheConfig::new().with_line_bytes(64)).with_prefetch_mode(mode),
-            );
-            cache.prefetch_hint(hint);
-            drain_prefetches(&mut cache);
-            (cache.is_present(0x0), cache.is_present(4 * 64))
-        };
-        assert_eq!(run(PrefetchMode::Strided), (true, true));
-        let (first, strided_target) = run(PrefetchMode::NextLine);
-        assert!(first, "next-line still fetches the start of the footprint");
-        assert!(!strided_target, "next-line mispredicts a strided footprint");
+        let mut cache = Cache::new(prefetching(CacheConfig::new().with_line_bytes(64)));
+        cache.prefetch_hint(hint);
+        drain_prefetches(&mut cache);
+        assert!(cache.is_present(0x0) && cache.is_present(4 * 64));
+        assert!((1..4).all(|line| !cache.is_present(line * 64)));
+        assert_eq!(cache.stats().prefetches_issued, 2);
     }
 
     #[test]

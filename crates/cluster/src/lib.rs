@@ -36,26 +36,15 @@
 //! which some hart never reaches a barrier the others wait on is a
 //! software bug and surfaces as [`ClusterError::MaxCyclesExceeded`].
 //!
-//! ## Event-driven scheduling
-//!
-//! [`Cluster::run`] under [`sc_core::SchedMode::Event`] (selected with
-//! [`ClusterBuilder::sched_mode`]) fast-forwards windows in which every
-//! component reports a future wake ([`Cluster::next_wake`]): cores
-//! parked on barrier/DMA-wait CSRs or halted, the DMA engine idle or
-//! mid-countdown with a known deadline. Skipped windows perform exactly
-//! the bookkeeping the dense cycles would have (cycle counters, engine
-//! countdown, DMA busy time) — and, with a tracer subscribed, the same
-//! carry-forward sample rows at the same cadence points — so the event
-//! path is cycle-count-, stats- and trace-identical to dense stepping,
-//! pinned by the checked-in baseline sweeps and `sc-kernels`'
-//! differential proptest.
-//!
 //! ## Hart census and lazy settlement
 //!
-//! In either mode a cycle costs O(runnable harts), not O(harts). The
-//! cluster keeps a census entry per hart — runnable, halted, or parked
-//! (on which barrier, or on a DMA wait with its target) since cycle `c`
-//! — updated only at transitions: the end-of-cycle pass over the harts
+//! [`Cluster::run`] steps every cycle; fast-forwarding idle windows is
+//! the decision of an owning multi-cluster system, which drives
+//! [`Cluster::next_wake`], [`Cluster::skip_quiet`] and
+//! [`Cluster::sample_now`]. A cycle costs O(runnable harts), not
+//! O(harts). The cluster keeps a census entry per hart — runnable,
+//! halted, or parked (on which barrier, or on a DMA wait with its
+//! target) since cycle `c` — updated only at transitions: the end-of-cycle pass over the harts
 //! it stepped, the barrier and DMA-wait releases, and program loads.
 //! A cycle steps the runnable list only; completion, the rendezvous
 //! counts and the core half of [`Cluster::next_wake`] read O(1) counts
@@ -103,9 +92,7 @@
 
 use std::fmt;
 
-use sc_core::{
-    Core, CoreConfig, DmaCommand, PerfCounters, RunSummary, SchedMode, Scheduler, SimError, Wake,
-};
+use sc_core::{Core, CoreConfig, DmaCommand, PerfCounters, RunSummary, SimError, Wake};
 use sc_dma::{DmaEngine, DmaError, DmaStats, Transfer};
 use sc_isa::Program;
 use sc_lint::{lint_harts, LintConfig, LintReport};
@@ -518,7 +505,6 @@ pub struct Cluster {
     hang_attr_base: Vec<Attribution>,
     hang_attr_sig: u64,
     hang_attr_primed: bool,
-    sched: Scheduler,
     /// Static-verification findings for the currently loaded programs
     /// (computed at construction and on every [`Cluster::load_programs`];
     /// cross-referenced into hang diagnoses).
@@ -578,7 +564,6 @@ impl Cluster {
             hang_attr_base: vec![Attribution::new(); n],
             hang_attr_sig: 0,
             hang_attr_primed: false,
-            sched: Scheduler::default(),
             lint,
         };
         cluster.refresh_census();
@@ -593,20 +578,6 @@ impl Cluster {
     #[must_use]
     pub fn lint_report(&self) -> &LintReport {
         &self.lint
-    }
-
-    /// Selects how [`Cluster::run`] advances the clock: dense lock-step
-    /// (the default) or event-driven fast-forwarding of provably idle
-    /// windows. The two modes are cycle-count- and stats-identical;
-    /// event mode is purely a host-speed optimisation.
-    pub fn set_sched_mode(&mut self, mode: SchedMode) {
-        self.sched = Scheduler::new(mode);
-    }
-
-    /// The scheduling mode [`Cluster::run`] uses.
-    #[must_use]
-    pub fn sched_mode(&self) -> SchedMode {
-        self.sched.mode()
     }
 
     /// Subscribes the cluster to a trace sink: every core becomes one
@@ -646,17 +617,6 @@ impl Cluster {
         self.watchdog = Some(Watchdog::new(limit));
     }
 
-    /// Whether a hang watchdog is armed. A system owner embedding this
-    /// cluster caps every fast-forward at
-    /// [`Cluster::watchdog_skip_cap`] and owes a
-    /// [`Cluster::poll_watchdog`] after each window it advances without
-    /// dense cycles, so the watchdog fires at the identical cycle the
-    /// dense loop reports.
-    #[must_use]
-    pub fn watchdog_armed(&self) -> bool {
-        self.watchdog.is_some()
-    }
-
     /// The farthest absolute cycle an owner may fast-forward this
     /// cluster to without overshooting its local watchdog's firing
     /// point ([`sc_trace::Watchdog::skip_cap`]); `None` when no
@@ -669,12 +629,18 @@ impl Cluster {
         self.watchdog.as_ref().map(|w| w.skip_cap(self.cycles))
     }
 
-    /// The watchdog observation an owner owes after advancing this
-    /// cluster across a window with no dense cycles
-    /// ([`Cluster::skip_quiet`] / [`Cluster::skip_idle`]). Returns the
-    /// hang report if the cluster froze — at the same cycle, with the
-    /// same stuck-for span, as dense stepping would have reported.
+    /// The watchdog observation a system owes its embedded cluster once
+    /// per completed system cycle, and once after each window it
+    /// advances the cluster across without dense cycles
+    /// ([`Cluster::skip_quiet`]). Returns the hang report if the cluster
+    /// froze — at the same cycle, with the same stuck-for span, in
+    /// either case. (A stand-alone cluster observes its own watchdog at
+    /// the end of every [`Cluster::end_cycle`].)
+    #[inline]
     pub fn poll_watchdog(&mut self) -> Option<HangReport> {
+        // The unarmed case is the per-cycle one: keep it a load and a
+        // branch in the system's loop.
+        self.watchdog.as_ref()?;
         self.check_watchdog()
     }
 
@@ -1105,11 +1071,11 @@ impl Cluster {
         // Only runnable harts step. Halted cores sit the cycle out
         // entirely (their counters freeze at their own completion).
         // Parked harts (barrier / system-barrier / blocking DMA waits)
-        // sit it out too, in every scheduling mode, and are not touched
-        // at all: a parked hart is drained, so each of its dense cycles
-        // is exactly [`sc_core::Core::skip_cycles`] of one cycle, and
-        // the cluster pays them all at once when the hart is released or
-        // its counters are read. A core with a per-core issue trace
+        // sit it out too and are not touched at all: a parked hart is
+        // drained, so each of its dense cycles is exactly
+        // [`sc_core::Core::skip_cycles`] of one cycle, and the cluster
+        // pays them all at once when the hart is released or its
+        // counters are read. A core with a per-core issue trace
         // never reports idle ([`sc_core::Core::wake`]), so it stays
         // runnable and its trace keeps one entry per cycle.
         self.refresh_census();
@@ -1151,10 +1117,9 @@ impl Cluster {
             // A fully idle engine (nothing queued, nothing in flight —
             // no doorbell rang above) sits the cycle out: every one of
             // the calls below is a no-op on it, so the local skip is
-            // exact in both scheduling modes. Enqueued hints cannot go
-            // stale here — an enqueue leaves the engine non-idle until
-            // its transfer completes, and its hints were drained the
-            // same cycle.
+            // exact. Enqueued hints cannot go stale here — an enqueue
+            // leaves the engine non-idle until its transfer completes,
+            // and its hints were drained the same cycle.
             if dma.engine.is_idle() {
                 dma.busy_this_cycle = false;
                 dma.beat_ready = false;
@@ -1207,9 +1172,12 @@ impl Cluster {
     ///
     /// # Errors
     ///
-    /// Core errors (hart-tagged), DMA beat faults, or
+    /// Core errors (hart-tagged), DMA beat faults,
     /// [`ClusterError::MissingExternalStore`] if a shared-memory engine
-    /// moves a beat without `ext_mem`.
+    /// moves a beat without `ext_mem`, or — on a stand-alone cluster —
+    /// [`ClusterError::Hang`] from the armed watchdog. An embedded
+    /// cluster's watchdog is observed by its system once the whole
+    /// system cycle is complete ([`Cluster::poll_watchdog`]).
     pub fn end_cycle(
         &mut self,
         dma_mem: L2Outcome,
@@ -1353,8 +1321,10 @@ impl Cluster {
             HartCensus::count(&self.cores),
             "maintained hart census drifted from the cores' states"
         );
-        if let Some(report) = self.check_watchdog() {
-            return Err(ClusterError::Hang(report));
+        if !self.system_managed {
+            if let Some(report) = self.check_watchdog() {
+                return Err(ClusterError::Hang(report));
+            }
         }
         Ok(())
     }
@@ -1395,8 +1365,9 @@ impl Cluster {
     /// beat ready to arbitrate) needs dense stepping. A subscribed
     /// tracer does *not* pin the cluster to dense stepping: a skippable
     /// window emits no timeline transitions by construction (state
-    /// labels coalesce), and [`Cluster::skip_idle`] synthesizes the
-    /// sampled counter rows dense stepping would have produced.
+    /// labels coalesce), and the owning system's `skip_idle` synthesizes
+    /// the sampled counter rows dense stepping would have produced
+    /// ([`Cluster::sample_now`]).
     #[must_use]
     pub fn next_wake(&self) -> Wake {
         // Every core's wake is `EveryCycle` or `Idle`: the runnable
@@ -1421,44 +1392,12 @@ impl Cluster {
     /// many dense steps would have performed while every component was
     /// in a skippable state — the cluster clock advances (parked harts
     /// owe the window with the rest of their parked cycles), the DMA
-    /// engine's countdown and busy time progress — and, when a tracer with a sampling cadence is
-    /// subscribed, the carry-forward counter rows the dense loop would
-    /// have emitted at each cadence point inside the window. Callers
-    /// must only skip up to the window [`Cluster::next_wake`] allows.
-    pub fn skip_idle(&mut self, cycles: u64) {
-        let cadence = self.tracer.sample_cadence();
-        if !self.tracer.is_on() || cadence == 0 {
-            self.skip_quiet(cycles);
-            return;
-        }
-        // A row belongs to the window iff its cycle lies in
-        // [start, end) — dense stepping samples *during* a cadence
-        // cycle, so a window beginning exactly on a cadence multiple
-        // owns that cycle's row (the cycle has not been stepped yet),
-        // while the row for `end` itself belongs to whoever simulates
-        // cycle `end`. Tracking the next owed point explicitly keeps a
-        // window re-entered at a cadence point — a watchdog-capped
-        // partial skip, a stage boundary — from ever re-emitting a row
-        // a dense cycle or an earlier window already produced.
-        let end = self.cycles + cycles;
-        let mut point = self.cycles.next_multiple_of(cadence);
-        while point < end {
-            // Advance through cycle `point` (its end-of-cycle
-            // bookkeeping included), then snapshot with the sink's
-            // clock rewound to it.
-            self.skip_quiet(point - self.cycles + 1);
-            self.tracer.set_cycle(point);
-            self.sample_now();
-            point += cadence;
-        }
-        self.skip_quiet(end - self.cycles);
-    }
-
-    /// The pure bookkeeping of a skipped window, without sample
-    /// synthesis. A system owner interleaves these with its own
-    /// sampling so the synthesized rows keep dense emission order
-    /// (clusters in index order, then the shared L2, per cadence
-    /// point); everyone else goes through [`Cluster::skip_idle`].
+    /// engine's countdown and busy time progress. Only a system owner
+    /// fast-forwards a cluster, and only up to the window
+    /// [`Cluster::next_wake`] allows; it interleaves these with
+    /// [`Cluster::sample_now`] so the synthesized rows keep dense
+    /// emission order (clusters in index order, then the shared L2, per
+    /// cadence point).
     pub fn skip_quiet(&mut self, cycles: u64) {
         if cycles == 0 {
             return;
@@ -1517,13 +1456,8 @@ impl Cluster {
         self.sample_now();
     }
 
-    /// Runs until every core halts or the cycle budget is exhausted.
-    ///
-    /// Under [`SchedMode::Event`] the loop fast-forwards windows where
-    /// [`Cluster::next_wake`] is in the future, capping each skip at the
-    /// cycle budget and (when armed) the watchdog's next deadline so
-    /// [`ClusterError::MaxCyclesExceeded`] and [`ClusterError::Hang`]
-    /// fire at the identical cycle the dense loop reports.
+    /// Runs until every core halts or the cycle budget is exhausted,
+    /// one dense [`Cluster::step`] per cycle.
     ///
     /// # Errors
     ///
@@ -1541,22 +1475,6 @@ impl Cluster {
     /// The loop of [`Cluster::run`], up to the first error or the halt.
     fn run_to_halt(&mut self, max_cycles: u64) -> Result<(), ClusterError> {
         while !self.is_done() {
-            if self.sched.mode() == SchedMode::Event {
-                let caps = self
-                    .watchdog
-                    .as_ref()
-                    .map(|w| w.skip_cap(self.cycles))
-                    .into_iter()
-                    .chain(std::iter::once(max_cycles));
-                let skip = self.sched.plan(self.cycles, self.next_wake(), caps);
-                if skip > 0 {
-                    self.skip_idle(skip);
-                    if let Some(report) = self.check_watchdog() {
-                        return Err(ClusterError::Hang(report));
-                    }
-                    continue;
-                }
-            }
             if self.cycles >= max_cycles {
                 return Err(ClusterError::MaxCyclesExceeded { max_cycles });
             }
@@ -1683,7 +1601,6 @@ pub struct ClusterBuilder {
     dma: Option<DmaSource>,
     embedded: Option<(u32, u32)>,
     watchdog: Option<u64>,
-    sched: SchedMode,
     tracer: Option<(Tracer, u32)>,
     lint_strict: bool,
 }
@@ -1698,7 +1615,6 @@ impl ClusterBuilder {
             dma: None,
             embedded: None,
             watchdog: None,
-            sched: SchedMode::Dense,
             tracer: None,
             lint_strict: false,
         }
@@ -1746,14 +1662,6 @@ impl ClusterBuilder {
     #[must_use]
     pub fn watchdog(mut self, limit: u64) -> Self {
         self.watchdog = Some(limit);
-        self
-    }
-
-    /// Selects dense or event-driven clock advancement for
-    /// [`Cluster::run`].
-    #[must_use]
-    pub fn sched_mode(mut self, mode: SchedMode) -> Self {
-        self.sched = mode;
         self
     }
 
@@ -1824,7 +1732,6 @@ impl ClusterBuilder {
         if let Some(limit) = self.watchdog {
             cluster.set_watchdog(limit);
         }
-        cluster.set_sched_mode(self.sched);
         Ok(cluster)
     }
 }

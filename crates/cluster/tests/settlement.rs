@@ -13,6 +13,11 @@
 //!   agree);
 //! * the sampled per-core trace rows equal those settled counters;
 //! * the census the cluster maintains equals a recount over the cores.
+//!
+//! A cluster always steps densely; only a system fast-forwards. The
+//! event-mode halves therefore run the same programs as the one cluster
+//! of a `System` (`one_cluster_system`) and require the stand-alone
+//! cluster's summary and trace rows from it.
 
 use std::collections::HashMap;
 
@@ -20,7 +25,7 @@ use proptest::prelude::*;
 use sc_cluster::{Cluster, ClusterBuilder, ClusterConfig, ClusterError, HartCensus};
 use sc_core::{CoreConfig, SchedMode};
 use sc_isa::{csr, IntReg, Program, ProgramBuilder};
-use sc_mem::{Dram, DramConfig, TcdmConfig};
+use sc_mem::{Dram, DramConfig, L2Config, TcdmConfig};
 use sc_system::{System, SystemBuilder, SystemConfig, SystemError};
 use sc_trace::{TraceConfig, TraceSession};
 
@@ -118,6 +123,50 @@ fn core_rows(session: &TraceSession) -> HashMap<(u64, u32, u32, String), u64> {
         }
     }
     rows
+}
+
+/// Every sample row of process `pid`, in emission order, with the pid
+/// column dropped: a stand-alone cluster samples under pid 0, the
+/// first cluster of a system under pid 1.
+fn process_rows(session: &TraceSession, pid: u32) -> Vec<String> {
+    let pid = pid.to_string();
+    session
+        .samples_csv()
+        .lines()
+        .skip(1)
+        .filter_map(|line| {
+            let mut f: Vec<&str> = line.split(',').collect();
+            (f[1] == pid).then(|| {
+                f.remove(1);
+                f.join(",")
+            })
+        })
+        .collect()
+}
+
+/// `programs` as the only cluster of an event-scheduled system under
+/// `session`. With `dma_latency`, the cluster gets a DMA engine behind
+/// a pass-through L2 of that latency — cycle-identical to a
+/// stand-alone cluster moving against a private Dram of that latency.
+fn one_cluster_system(
+    programs: Vec<Program>,
+    dma_latency: Option<u32>,
+    session: &TraceSession,
+) -> System {
+    let harts = programs.len() as u32;
+    let timing = dma_latency.map(|latency| DramConfig::new().with_latency(latency));
+    let mut scfg =
+        SystemConfig::new(1, harts).with_cluster(ClusterConfig::new(harts).with_core(cfg()));
+    if let Some(timing) = timing {
+        scfg = scfg.with_l2(L2Config::passthrough(timing));
+    }
+    let mut builder = SystemBuilder::new(scfg, vec![vec![programs]])
+        .sched_mode(SchedMode::Event)
+        .tracer(session.tracer());
+    if let Some(timing) = timing {
+        builder = builder.dram(Dram::new(timing));
+    }
+    builder.build()
 }
 
 /// Checks every per-core `cycles` row of pid `pid` against the clock: a
@@ -242,16 +291,11 @@ fn dma_wait_parked_harts_read_settled_in_both_modes() {
             })
             .collect()
     };
-    let build = |mode: SchedMode, session: &TraceSession| {
-        ClusterBuilder::new(ClusterConfig::new(2).with_core(cfg()), programs())
-            .dma(Dram::new(DramConfig::new().with_latency(200)))
-            .sched_mode(mode)
-            .tracer(session.tracer(), 0)
-            .build()
-    };
-
     let dense = session();
-    let mut cluster = build(SchedMode::Dense, &dense);
+    let mut cluster = ClusterBuilder::new(ClusterConfig::new(2).with_core(cfg()), programs())
+        .dma(Dram::new(DramConfig::new().with_latency(200)))
+        .tracer(dense.tracer(), 0)
+        .build();
     while cluster.cycles() < 100 {
         cluster.step().unwrap();
     }
@@ -262,15 +306,15 @@ fn dma_wait_parked_harts_read_settled_in_both_modes() {
     assert!(summary.cycles > 200, "the wait spans the Dram latency");
     assert_rows_follow_clock(&dense, 0, &summary.core_done_at);
 
-    // Event mode skips the window; the rows it synthesizes must read the
-    // same settled counters.
+    // A system's event loop skips the window; the rows it synthesizes
+    // must read the same settled counters.
     let event = session();
-    let mut cluster = build(SchedMode::Event, &event);
-    let run = cluster.run(10_000).unwrap();
-    assert_settled(&cluster);
-    assert_eq!(run, summary);
-    assert_rows_follow_clock(&event, 0, &run.core_done_at);
-    assert_eq!(event.samples_csv(), dense.samples_csv());
+    let mut system = one_cluster_system(programs(), Some(200), &event);
+    let run = system.run(10_000).unwrap();
+    assert_settled(system.cluster(0));
+    assert_eq!(run.per_cluster[0], summary);
+    assert_rows_follow_clock(&event, 1, &summary.core_done_at);
+    assert_eq!(process_rows(&event, 1), process_rows(&dense, 0));
 }
 
 #[test]
@@ -333,22 +377,30 @@ fn deadlocked_programs() -> Vec<Program> {
 
 #[test]
 fn max_cycles_exit_leaves_every_hart_settled() {
-    for mode in [SchedMode::Dense, SchedMode::Event] {
-        let session = session();
-        let mut cluster = ClusterBuilder::new(
-            ClusterConfig::new(3).with_core(cfg()),
-            deadlocked_programs(),
-        )
-        .sched_mode(mode)
-        .tracer(session.tracer(), 0)
-        .build();
-        let err = cluster.run(555).unwrap_err();
-        assert_eq!(err, ClusterError::MaxCyclesExceeded { max_cycles: 555 });
-        assert_eq!(cluster.cycles(), 555);
-        assert_settled(&cluster);
-        check(&cluster);
-        assert_rows_follow_clock(&session, 0, &[555; 3]);
-    }
+    let stepped = session();
+    let mut cluster = ClusterBuilder::new(
+        ClusterConfig::new(3).with_core(cfg()),
+        deadlocked_programs(),
+    )
+    .tracer(stepped.tracer(), 0)
+    .build();
+    let err = cluster.run(555).unwrap_err();
+    assert_eq!(err, ClusterError::MaxCyclesExceeded { max_cycles: 555 });
+    assert_eq!(cluster.cycles(), 555);
+    assert_settled(&cluster);
+    check(&cluster);
+    assert_rows_follow_clock(&stepped, 0, &[555; 3]);
+
+    // The same deadlock fast-forwarded to the budget by a system.
+    let skipped = session();
+    let mut system = one_cluster_system(deadlocked_programs(), None, &skipped);
+    let err = system.run(555).unwrap_err();
+    assert_eq!(err, SystemError::MaxCyclesExceeded { max_cycles: 555 });
+    assert_eq!(system.cluster(0).cycles(), 555);
+    assert_settled(system.cluster(0));
+    check(system.cluster(0));
+    assert_rows_follow_clock(&skipped, 1, &[555; 3]);
+    assert_eq!(process_rows(&skipped, 1), process_rows(&stepped, 0));
 
     // The same through a system whose cluster 1 spins forever while
     // cluster 0 waits on the system barrier.
@@ -459,8 +511,9 @@ fn park() -> impl Strategy<Value = Park> {
 proptest! {
     /// Random park/release schedules: stepping cycle by cycle, every
     /// reader is settled against the clock and the census matches a
-    /// recount; an event-mode `run` of the same programs reaches the
-    /// identical summary and trace rows, or the identical budget exit.
+    /// recount; an event-scheduled 1-cluster system running the same
+    /// programs reaches the identical cluster summary and trace rows,
+    /// or the identical budget exit.
     #[test]
     fn random_park_schedules_read_settled(
         harts in 1usize..5,
@@ -475,19 +528,16 @@ proptest! {
         // Half the cases deadlock on a deviant hart (needs two harts).
         let deviant = (deviant < harts && harts > 1).then_some(deviant);
         let budget = 3_000;
-        let build = |mode: SchedMode, session: &TraceSession| {
-            ClusterBuilder::new(
-                ClusterConfig::new(harts as u32).with_core(cfg()),
-                schedule_programs(harts, &rounds, deviant),
-            )
-            .dma(Dram::new(DramConfig::new().with_latency(latency)))
-            .sched_mode(mode)
-            .tracer(session.tracer(), 0)
-            .build()
-        };
+        let programs = || schedule_programs(harts, &rounds, deviant);
 
         let stepped = session();
-        let mut cluster = build(SchedMode::Dense, &stepped);
+        let mut cluster = ClusterBuilder::new(
+            ClusterConfig::new(harts as u32).with_core(cfg()),
+            programs(),
+        )
+        .dma(Dram::new(DramConfig::new().with_latency(latency)))
+        .tracer(stepped.tracer(), 0)
+        .build();
         let mut rows = Rows::default();
         check(&cluster);
         while !cluster.is_done() && cluster.cycles() < budget {
@@ -502,21 +552,19 @@ proptest! {
         rows.assert_in(&stepped);
 
         let event = session();
-        let mut run = build(SchedMode::Event, &event);
-        match run.run(budget) {
-            Ok(summary) => {
-                prop_assert!(halted, "event run halted, stepped run did not");
-                prop_assert_eq!(summary, cluster.summary());
-            }
+        let mut system = one_cluster_system(programs(), Some(latency), &event);
+        match system.run(budget) {
+            Ok(_) => prop_assert!(halted, "event run halted, stepped run did not"),
             Err(err) => {
                 prop_assert!(!halted, "stepped run halted, event run: {}", err);
-                prop_assert_eq!(err, ClusterError::MaxCyclesExceeded { max_cycles: budget });
-                prop_assert_eq!(run.summary(), cluster.summary());
+                prop_assert_eq!(err, SystemError::MaxCyclesExceeded { max_cycles: budget });
             }
         }
-        assert_settled(&run);
-        check(&run);
-        prop_assert_eq!(event.samples_csv(), stepped.samples_csv());
-        assert_rows_follow_clock(&event, 0, &run.summary().core_done_at);
+        let run = system.cluster(0);
+        prop_assert_eq!(run.summary(), cluster.summary());
+        assert_settled(run);
+        check(run);
+        prop_assert_eq!(process_rows(&event, 1), process_rows(&stepped, 0));
+        assert_rows_follow_clock(&event, 1, &run.summary().core_done_at);
     }
 }

@@ -9,11 +9,18 @@
 //! silently; the watchdog must convert that into a [`ClusterError::Hang`]
 //! whose report names the held chained-FIFO writeback as the blocked
 //! resource, instead of a bare max-cycles timeout.
+//!
+//! A cluster always steps densely; only a system fast-forwards idle
+//! windows. The event-mode pins therefore run the fixtures as the one
+//! cluster of a `System`, with the watchdog armed once system-wide and
+//! once on the embedded cluster, and require dense and event runs to
+//! report the same firing cycle and stuck-for span.
 
-use sc_cluster::{Cluster, ClusterBuilder, ClusterConfig, ClusterError};
+use sc_cluster::{Cluster, ClusterConfig, ClusterError};
 use sc_core::{CoreConfig, SchedMode};
 use sc_isa::{csr, FpReg, IntReg, Program, ProgramBuilder};
-use sc_mem::{Dram, DramConfig, TcdmConfig};
+use sc_mem::{Dram, DramConfig, L2Config, Tcdm, TcdmConfig};
+use sc_system::{SystemBuilder, SystemConfig, SystemError};
 use sc_trace::HangReport;
 
 fn t(i: u8) -> IntReg {
@@ -61,6 +68,13 @@ fn chained_burst_program(reps: u32) -> Program {
     b.build().unwrap()
 }
 
+/// The burst's operands: `f1 = 2`, `f2 = 3`, `f4 = 10`.
+fn seed_burst(tcdm: &mut Tcdm) {
+    tcdm.write_f64(0x400, 2.0).unwrap();
+    tcdm.write_f64(0x408, 3.0).unwrap();
+    tcdm.write_f64(0x410, 10.0).unwrap();
+}
+
 fn run_burst(core_cfg: CoreConfig, watchdog: Option<u64>) -> (Cluster, Result<(), ClusterError>) {
     let mut cluster = Cluster::new(
         ClusterConfig::new(1).with_core(core_cfg),
@@ -69,9 +83,7 @@ fn run_burst(core_cfg: CoreConfig, watchdog: Option<u64>) -> (Cluster, Result<()
     if let Some(limit) = watchdog {
         cluster.set_watchdog(limit);
     }
-    cluster.tcdm_mut().write_f64(0x400, 2.0).unwrap();
-    cluster.tcdm_mut().write_f64(0x408, 3.0).unwrap();
-    cluster.tcdm_mut().write_f64(0x410, 10.0).unwrap();
+    seed_burst(cluster.tcdm_mut());
     let outcome = cluster.run(200_000).map(|_| ());
     (cluster, outcome)
 }
@@ -111,29 +123,52 @@ fn watchdog_names_the_wedged_chained_fifo() {
     assert!(rendered.contains("BLOCKED"), "{rendered}");
 }
 
-/// The wedge fixture under an explicit scheduling mode, via the builder.
-fn run_burst_scheduled(
-    core_cfg: CoreConfig,
-    watchdog: u64,
-    mode: SchedMode,
-) -> Result<(), ClusterError> {
-    let mut cluster = ClusterBuilder::new(
-        ClusterConfig::new(1).with_core(core_cfg),
-        vec![chained_burst_program(16)],
-    )
-    .watchdog(watchdog)
-    .sched_mode(mode)
-    .build();
-    cluster.tcdm_mut().write_f64(0x400, 2.0).unwrap();
-    cluster.tcdm_mut().write_f64(0x408, 3.0).unwrap();
-    cluster.tcdm_mut().write_f64(0x410, 10.0).unwrap();
-    cluster.run(200_000).map(|_| ())
+/// Which watchdog a 1-cluster system arms: its own system-wide one
+/// ([`SystemBuilder::watchdog`]) or its cluster's
+/// ([`Cluster::set_watchdog`] through `cluster_mut(0)`).
+#[derive(Debug, Clone, Copy)]
+enum Arm {
+    System,
+    Cluster,
 }
 
-fn expect_hang(outcome: Result<(), ClusterError>) -> HangReport {
-    match outcome.expect_err("the writeback jam must wedge without the drain") {
-        ClusterError::Hang(report) => report,
-        err => panic!("expected the watchdog to fire, got: {err}"),
+/// Runs `programs` as the only cluster of a system under `mode`, with
+/// a DMA engine over a pass-through L2 and the watchdog armed at
+/// `limit` through `arm`, and the burst's operands seeded (programs
+/// that do not read them ignore them). Fast-forward is the system's
+/// alone, so this is where a watchdog meets skipped windows. Returns
+/// the hang report, checking that the armed watchdog is the one that
+/// fired.
+fn system_hang(
+    core_cfg: CoreConfig,
+    programs: Vec<Program>,
+    (arm, limit): (Arm, u64),
+    mode: SchedMode,
+) -> HangReport {
+    let cfg = SystemConfig::new(1, programs.len() as u32)
+        .with_cluster(ClusterConfig::new(programs.len() as u32).with_core(core_cfg))
+        .with_l2(L2Config::passthrough(DramConfig::new()));
+    let mut builder = SystemBuilder::new(cfg, vec![vec![programs]])
+        .dram(Dram::new(DramConfig::new()))
+        .sched_mode(mode);
+    if let Arm::System = arm {
+        builder = builder.watchdog(limit);
+    }
+    let mut system = builder.build();
+    if let Arm::Cluster = arm {
+        system.cluster_mut(0).set_watchdog(limit);
+    }
+    seed_burst(system.cluster_mut(0).tcdm_mut());
+    match (arm, system.run(200_000)) {
+        (Arm::System, Err(SystemError::Hang(report)))
+        | (
+            Arm::Cluster,
+            Err(SystemError::Cluster {
+                cluster: 0,
+                source: ClusterError::Hang(report),
+            }),
+        ) => report,
+        (arm, outcome) => panic!("expected the {arm:?} watchdog to fire, got: {outcome:?}"),
     }
 }
 
@@ -144,21 +179,28 @@ fn event_mode_fires_the_watchdog_at_the_dense_cycle() {
     // *not* parked — the jam is an FPU-structural stall, so every core
     // still reports an every-cycle wake) the report must be
     // bit-identical to the dense one.
-    let dense = expect_hang(run_burst_scheduled(
-        cfg().with_chained_fifo_shift(false),
-        5_000,
-        SchedMode::Dense,
-    ));
-    let event = expect_hang(run_burst_scheduled(
-        cfg().with_chained_fifo_shift(false),
-        5_000,
-        SchedMode::Event,
-    ));
-    assert_eq!(
-        dense.cycle, event.cycle,
-        "watchdog must fire at the same cycle"
-    );
-    assert_eq!(dense.stuck_for, event.stuck_for);
+    let (_, standalone) = run_burst(cfg().with_chained_fifo_shift(false), Some(5_000));
+    let Err(ClusterError::Hang(standalone)) = standalone else {
+        panic!("the stand-alone wedge must hang, got: {standalone:?}");
+    };
+    for arm in [Arm::System, Arm::Cluster] {
+        let run = |mode| {
+            let programs = vec![chained_burst_program(16)];
+            system_hang(
+                cfg().with_chained_fifo_shift(false),
+                programs,
+                (arm, 5_000),
+                mode,
+            )
+        };
+        let dense = run(SchedMode::Dense);
+        let event = run(SchedMode::Event);
+        assert_eq!(dense.cycle, event.cycle, "{arm:?}: same firing cycle");
+        assert_eq!(dense.stuck_for, event.stuck_for, "{arm:?}");
+        // A 1-cluster system is the stand-alone cluster, cycle for cycle.
+        assert_eq!(dense.cycle, standalone.cycle, "{arm:?}");
+        assert_eq!(dense.stuck_for, standalone.stuck_for, "{arm:?}");
+    }
 }
 
 #[test]
@@ -176,20 +218,14 @@ fn skipped_idle_windows_count_toward_the_watchdog_span() {
         b.ecall();
         vec![b.build().unwrap()]
     };
-    let run = |mode: SchedMode| {
-        let mut cluster =
-            ClusterBuilder::new(ClusterConfig::new(1).with_core(cfg()), parked_forever())
-                .dma(Dram::new(DramConfig::new()))
-                .watchdog(1_000)
-                .sched_mode(mode)
-                .build();
-        expect_hang(cluster.run(200_000).map(|_| ()))
-    };
-    let dense = run(SchedMode::Dense);
-    let event = run(SchedMode::Event);
-    assert_eq!(dense.cycle, event.cycle, "same firing cycle across modes");
-    assert_eq!(dense.stuck_for, event.stuck_for);
-    assert!(dense.stuck_for >= 1_000);
+    for arm in [Arm::System, Arm::Cluster] {
+        let run = |mode| system_hang(cfg(), parked_forever(), (arm, 1_000), mode);
+        let dense = run(SchedMode::Dense);
+        let event = run(SchedMode::Event);
+        assert_eq!(dense.cycle, event.cycle, "{arm:?}: same firing cycle");
+        assert_eq!(dense.stuck_for, event.stuck_for, "{arm:?}");
+        assert!(dense.stuck_for >= 1_000, "{arm:?}");
+    }
 }
 
 #[test]

@@ -1,5 +1,7 @@
-//! The next-event-time scheduling contract shared by every steppable
-//! simulation owner (cluster, system).
+//! The next-event-time scheduling contract of the one simulation owner
+//! that fast-forwards: the multi-cluster system (`sc-system`). A
+//! cluster reports its [`Wake`] to the system that embeds it; on its own
+//! it always steps densely.
 //!
 //! Dense lock-step simulation pays host time for every simulated cycle,
 //! including the long windows where nothing architectural can happen:
@@ -81,7 +83,7 @@ pub enum SchedMode {
     Event,
 }
 
-/// Plans fast-forward windows for a cluster or system run loop.
+/// Plans fast-forward windows for the system run loop.
 ///
 /// The scheduler itself is deliberately stateless apart from the mode:
 /// each iteration re-derives the next event time from the component's

@@ -9,7 +9,7 @@
 //! writeback traffic.
 
 use sc_cluster::{ClusterBuilder, ClusterConfig, ClusterSummary};
-use sc_core::{CoreConfig, PerfCounters, SchedMode};
+use sc_core::{CoreConfig, PerfCounters};
 use sc_isa::Program;
 
 use crate::kernel::{CheckFn, KernelError, SetupFn};
@@ -85,27 +85,8 @@ impl ClusterKernel {
     /// Cluster simulation errors (hart-tagged), setup errors and
     /// verification mismatches are all reported as [`KernelError`].
     pub fn run(&self, cfg: CoreConfig, max_cycles: u64) -> Result<ClusterKernelRun, KernelError> {
-        self.run_scheduled(cfg, max_cycles, SchedMode::Dense)
-    }
-
-    /// [`ClusterKernel::run`] under an explicit clock-advancement mode.
-    /// `SchedMode::Dense` is exactly `run`; `SchedMode::Event` must be
-    /// cycle- and stats-identical (pinned by the scheduler differential
-    /// tests).
-    ///
-    /// # Errors
-    ///
-    /// See [`ClusterKernel::run`].
-    pub fn run_scheduled(
-        &self,
-        cfg: CoreConfig,
-        max_cycles: u64,
-        mode: SchedMode,
-    ) -> Result<ClusterKernelRun, KernelError> {
         let ccfg = ClusterConfig::new(self.programs.len() as u32).with_core(cfg);
-        let mut cluster = ClusterBuilder::new(ccfg, self.programs.clone())
-            .sched_mode(mode)
-            .build();
+        let mut cluster = ClusterBuilder::new(ccfg, self.programs.clone()).build();
         (self.setup)(cluster.tcdm_mut())?;
         let summary = cluster.run(max_cycles)?;
         (self.check)(cluster.tcdm())?;

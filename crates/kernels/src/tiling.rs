@@ -33,7 +33,7 @@
 //! charges no re-dispatch cycles.
 
 use sc_cluster::{ClusterBuilder, ClusterConfig, ClusterSummary};
-use sc_core::{CoreConfig, SchedMode};
+use sc_core::CoreConfig;
 use sc_isa::{csr, IntReg, Program, ProgramBuilder};
 use sc_mem::{Dram, DramConfig, MemError, TcdmConfig};
 
@@ -343,12 +343,11 @@ pub(crate) fn schedule(tiles: &[TileIo]) -> TileSchedule {
 /// bit-identical kernel results; they differ in what the waiting hart
 /// *does*: a polling hart retires a three-instruction loop every few
 /// cycles, a parked hart retires nothing. A parked hart's cycle is
-/// closed-form in every scheduling mode, and parked waits leave idle
-/// windows an event-driven scheduler ([`sc_core::SchedMode::Event`])
-/// can fast-forward globally — so parking is the default
-/// and the checked-in baselines exercise the widened skip surface;
-/// polling remains available for modelling the classic Snitch spin
-/// loop's retire traffic.
+/// closed-form, and parked waits leave idle windows a system's
+/// event-driven loop can fast-forward globally — so parking is the
+/// default and the checked-in baselines exercise the widened skip
+/// surface; polling remains available for modelling the classic Snitch
+/// spin loop's retire traffic.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum WaitStyle {
     /// Spin on [`csr::DMA_COMPLETED`] in a branch loop (the Snitch
@@ -613,24 +612,6 @@ impl TiledClusterKernel {
         dram_cfg: DramConfig,
         max_cycles: u64,
     ) -> Result<TiledRun, KernelError> {
-        self.run_scheduled(cfg, dram_cfg, max_cycles, SchedMode::Dense)
-    }
-
-    /// [`TiledClusterKernel::run`] with an explicit scheduling mode —
-    /// [`SchedMode::Event`] fast-forwards idle windows (DMA countdowns,
-    /// parked waits) at bit-identical cycle counts and stats.
-    ///
-    /// # Errors
-    ///
-    /// Cluster/DMA simulation errors, setup errors and verification
-    /// mismatches are all reported as [`KernelError`].
-    pub fn run_scheduled(
-        &self,
-        cfg: CoreConfig,
-        dram_cfg: DramConfig,
-        max_cycles: u64,
-        mode: SchedMode,
-    ) -> Result<TiledRun, KernelError> {
         let core_cfg = CoreConfig {
             tcdm: self.tcdm,
             ..cfg
@@ -640,7 +621,6 @@ impl TiledClusterKernel {
         (self.setup)(&mut dram)?;
         let mut cluster = ClusterBuilder::new(ccfg, self.tile_programs[0].clone())
             .dma(dram)
-            .sched_mode(mode)
             .build();
         cluster.run(max_cycles)?;
         for programs in &self.tile_programs[1..] {

@@ -122,13 +122,11 @@ proptest! {
         let gen = StencilKernel::new(Stencil::box3d1r(), Grid3::new(8, ny, nz), variant)
             .expect("valid combination");
         let cfg = CoreConfig::new().with_chaining(variant.uses_chaining());
-        for mode in [SchedMode::Dense, SchedMode::Event] {
-            let run = gen
-                .build_cluster(harts)
-                .run_scheduled(cfg, MAX_CYCLES, mode)
-                .map_err(|e| TestCaseError::fail(format!("{mode:?}: {e}")))?;
-            check_cluster("cluster", &run.summary)?;
-        }
+        let run = gen
+            .build_cluster(harts)
+            .run(cfg, MAX_CYCLES)
+            .map_err(|e| TestCaseError::fail(format!("{e}")))?;
+        check_cluster("cluster", &run.summary)?;
     }
 }
 

@@ -1,19 +1,22 @@
-//! The event-driven scheduler's correctness pin: `SchedMode::Event` is
-//! an **observable no-op** relative to `SchedMode::Dense`. Over random
-//! kernels (shapes × hart counts × capacity pressure × DMA latency ×
-//! wait styles), the whole `ClusterSummary` / `SystemSummary` — cluster
-//! cycles, every core's run summary, `DmaStats`, overlap metrics,
-//! barrier counts, TCDM conflicts, shared-L2 statistics and the top-down
-//! attribution — must be equal between the two modes. The event path may only
-//! skip clock ranges where stepping would provably change nothing; any
-//! divergence here means it skipped a cycle that mattered.
+//! The event-driven scheduler's correctness pin: a `System` run under
+//! `SchedMode::Event` is an **observable no-op** relative to
+//! `SchedMode::Dense`. Over random kernels (shapes × cluster and hart
+//! counts × capacity pressure × DMA latency × wait styles), the whole
+//! `SystemSummary` — system cycles, every cluster's summary, every
+//! core's run summary, `DmaStats`, overlap metrics, barrier counts, TCDM
+//! conflicts, shared-L2 statistics and the top-down attribution — must
+//! be equal between the two modes. The event path may only skip clock
+//! ranges where stepping would provably change nothing; any divergence
+//! here means it skipped a cycle that mattered. (Only a system
+//! fast-forwards: a stand-alone cluster always steps densely.)
 
 use proptest::prelude::*;
-use sc_cluster::{ClusterBuilder, ClusterConfig, ClusterError};
+use sc_cluster::ClusterError;
 use sc_core::{CoreConfig, SchedMode};
 use sc_isa::{csr, IntReg, ProgramBuilder};
 use sc_kernels::{Grid3, Stencil, StencilKernel, Variant, WaitStyle};
 use sc_mem::{Dram, DramConfig, L2Config};
+use sc_system::{SystemBuilder, SystemConfig, SystemError};
 use sc_trace::{TraceConfig, TraceSession};
 
 const MAX_CYCLES: u64 = 50_000_000;
@@ -28,38 +31,6 @@ fn wait_style(parked: bool) -> WaitStyle {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
-
-    /// Tiled cluster pipelines — DMA countdown bubbles, completion
-    /// waits (both styles) and cluster barriers — run cycle- and
-    /// stats-identically under the event scheduler.
-    #[test]
-    fn tiled_cluster_event_equals_dense(
-        ny in 2u32..5,
-        nz in 2u32..6,
-        harts in 1u32..4,
-        cap_kib in 6u32..10,
-        latency_idx in 0usize..4,
-        parked in any::<bool>(),
-    ) {
-        let gen = StencilKernel::new(
-            Stencil::box3d1r(),
-            Grid3::new(8, ny, nz),
-            Variant::ChainingPlus,
-        )
-        .expect("valid combination");
-        let Ok(tiled) = gen.build_tiled_with(harts, cap_kib << 10, wait_style(parked)) else {
-            return Ok(()); // cap too small — nothing to compare
-        };
-        let cfg = CoreConfig::new();
-        let dram_cfg = DramConfig::new().with_latency([0u32, 16, 64, 256][latency_idx]);
-        let dense = tiled
-            .run_scheduled(cfg, dram_cfg, MAX_CYCLES, SchedMode::Dense)
-            .map_err(|e| TestCaseError::fail(format!("dense: {e}")))?;
-        let event = tiled
-            .run_scheduled(cfg, dram_cfg, MAX_CYCLES, SchedMode::Event)
-            .map_err(|e| TestCaseError::fail(format!("event: {e}")))?;
-        prop_assert_eq!(&dense.summary, &event.summary, "cluster summaries diverge");
-    }
 
     /// Multi-cluster tiled runs through a refilling, capacity-pressured
     /// shared L2 — engine stalls on cold misses, inter-cluster bank
@@ -151,14 +122,49 @@ proptest! {
         prop_assert_eq!(&exports[0].1, &exports[1].1, "sample rows diverge");
     }
 
+    /// Unbounded system kernels: uneven z-partitions leave harts parked
+    /// on cluster and system barriers for long stretches (the idle
+    /// bubbles the event path fast-forwards) — counts and cycles must
+    /// still match exactly.
+    #[test]
+    fn unbounded_system_event_equals_dense(
+        xblk in 1u32..3,
+        ny in 1u32..4,
+        nz in 1u32..5,
+        variant_idx in 0usize..Variant::ALL.len(),
+        clusters in 1u32..4,
+        harts in 1u32..5,
+    ) {
+        let variant = Variant::ALL[variant_idx];
+        let gen = StencilKernel::new(Stencil::box3d1r(), Grid3::new(xblk * 8, ny, nz), variant)
+            .expect("valid combination");
+        let cfg = CoreConfig::new().with_chaining(variant.uses_chaining());
+        let kernel = gen.build_system(clusters, harts);
+        let dense = kernel
+            .run_scheduled(cfg, MAX_CYCLES, SchedMode::Dense)
+            .map_err(|e| TestCaseError::fail(format!("dense: {e}")))?;
+        let event = kernel
+            .run_scheduled(cfg, MAX_CYCLES, SchedMode::Event)
+            .map_err(|e| TestCaseError::fail(format!("event: {e}")))?;
+        prop_assert_eq!(&dense.summary, &event.summary, "system summaries diverge");
+    }
+}
+
+proptest! {
+    // No explicit case count: each case is a tiny program, so CI reruns
+    // this at `PROPTEST_CASES=4096` in release.
+
     /// Watchdog-armed parked waits whose skip windows end within a
     /// couple of cycles of the firing point — including exactly one
-    /// cycle before it. A hart enqueues one store-out transfer and
-    /// parks; the watchdog limit is the transfer's engine latency plus
-    /// a small signed offset, so depending on the draw the run either
-    /// completes just under the limit or hangs just past it. Both modes
-    /// must agree on the outcome — and, on a hang, on the firing cycle
-    /// and the stuck-for span.
+    /// cycle before it. On a 1-cluster system behind a pass-through L2,
+    /// a hart enqueues one store-out transfer and parks; the watchdog
+    /// limit is the transfer's engine latency plus a small signed
+    /// offset, so depending on the draw the run either completes just
+    /// under the limit or hangs just past it. The watchdog is armed
+    /// once system-wide and once on the cluster (whose firing point
+    /// caps the system's skips through `Cluster::watchdog_skip_cap`).
+    /// For each, both modes must agree on the outcome — and, on a hang,
+    /// on the firing cycle and the stuck-for span.
     #[test]
     fn watchdog_brink_parked_windows_event_equals_dense(
         latency in 16u32..300,
@@ -193,66 +199,54 @@ proptest! {
             b.build().expect("DMA park program assembles")
         };
         let limit = u64::try_from(i64::from(latency) + delta).expect("positive limit");
-        let run = |mode: SchedMode| {
-            let programs = (0..harts).map(|h| program(h == 0)).collect();
-            let mut cluster = ClusterBuilder::new(
-                ClusterConfig::new(harts),
-                programs,
-            )
-            .dma(Dram::new(DramConfig::new().with_latency(latency)))
-            .watchdog(limit)
-            .sched_mode(mode)
-            .build();
-            for i in 0..8 {
-                cluster
-                    .tcdm_mut()
-                    .write_f64(0x400 + i * 8, f64::from(i))
-                    .expect("seed the staged tile");
+        let timing = DramConfig::new().with_latency(latency);
+        for cluster_watchdog in [false, true] {
+            let run = |mode: SchedMode| {
+                let programs = (0..harts).map(|h| program(h == 0)).collect();
+                let cfg = SystemConfig::new(1, harts).with_l2(L2Config::passthrough(timing));
+                let mut builder = SystemBuilder::new(cfg, vec![vec![programs]])
+                    .dram(Dram::new(timing))
+                    .sched_mode(mode);
+                if !cluster_watchdog {
+                    builder = builder.watchdog(limit);
+                }
+                let mut system = builder.build();
+                if cluster_watchdog {
+                    system.cluster_mut(0).set_watchdog(limit);
+                }
+                for i in 0..8 {
+                    system
+                        .cluster_mut(0)
+                        .tcdm_mut()
+                        .write_f64(0x400 + i * 8, f64::from(i))
+                        .expect("seed the staged tile");
+                }
+                let outcome = system.run(1_000_000).map(|_| ());
+                (system.summary(), outcome)
+            };
+            let (dense_summary, dense_outcome) = run(SchedMode::Dense);
+            let (event_summary, event_outcome) = run(SchedMode::Event);
+            match (dense_outcome, event_outcome) {
+                (Ok(()), Ok(())) => {}
+                (Err(SystemError::Hang(d)), Err(SystemError::Hang(e))) if !cluster_watchdog => {
+                    prop_assert_eq!(d.cycle, e.cycle, "watchdog firing cycle diverges");
+                    prop_assert_eq!(d.stuck_for, e.stuck_for, "stuck-for span diverges");
+                }
+                (
+                    Err(SystemError::Cluster { source: ClusterError::Hang(d), .. }),
+                    Err(SystemError::Cluster { source: ClusterError::Hang(e), .. }),
+                ) if cluster_watchdog => {
+                    prop_assert_eq!(d.cycle, e.cycle, "watchdog firing cycle diverges");
+                    prop_assert_eq!(d.stuck_for, e.stuck_for, "stuck-for span diverges");
+                }
+                (d, e) => {
+                    return Err(TestCaseError::fail(format!(
+                        "outcomes diverge (cluster watchdog: {cluster_watchdog}): \
+                         dense {d:?}, event {e:?}"
+                    )));
+                }
             }
-            let outcome = cluster.run(1_000_000).map(|_| ());
-            (cluster.summary(), outcome)
-        };
-        let (dense_summary, dense_outcome) = run(SchedMode::Dense);
-        let (event_summary, event_outcome) = run(SchedMode::Event);
-        match (dense_outcome, event_outcome) {
-            (Ok(()), Ok(())) => {}
-            (Err(ClusterError::Hang(d)), Err(ClusterError::Hang(e))) => {
-                prop_assert_eq!(d.cycle, e.cycle, "watchdog firing cycle diverges");
-                prop_assert_eq!(d.stuck_for, e.stuck_for, "stuck-for span diverges");
-            }
-            (d, e) => {
-                return Err(TestCaseError::fail(format!(
-                    "outcomes diverge: dense {d:?}, event {e:?}"
-                )));
-            }
+            prop_assert_eq!(&dense_summary, &event_summary, "system summaries diverge");
         }
-        prop_assert_eq!(&dense_summary, &event_summary, "cluster summaries diverge");
-    }
-
-    /// Unbounded system kernels: uneven z-partitions leave harts parked
-    /// on cluster and system barriers for long stretches (the idle
-    /// bubbles the event path fast-forwards) — counts and cycles must
-    /// still match exactly.
-    #[test]
-    fn unbounded_system_event_equals_dense(
-        xblk in 1u32..3,
-        ny in 1u32..4,
-        nz in 1u32..5,
-        variant_idx in 0usize..Variant::ALL.len(),
-        clusters in 1u32..4,
-        harts in 1u32..5,
-    ) {
-        let variant = Variant::ALL[variant_idx];
-        let gen = StencilKernel::new(Stencil::box3d1r(), Grid3::new(xblk * 8, ny, nz), variant)
-            .expect("valid combination");
-        let cfg = CoreConfig::new().with_chaining(variant.uses_chaining());
-        let kernel = gen.build_system(clusters, harts);
-        let dense = kernel
-            .run_scheduled(cfg, MAX_CYCLES, SchedMode::Dense)
-            .map_err(|e| TestCaseError::fail(format!("dense: {e}")))?;
-        let event = kernel
-            .run_scheduled(cfg, MAX_CYCLES, SchedMode::Event)
-            .map_err(|e| TestCaseError::fail(format!("event: {e}")))?;
-        prop_assert_eq!(&dense.summary, &event.summary, "system summaries diverge");
     }
 }

@@ -54,7 +54,7 @@
 //! cycle-identical to the same cluster moving directly against that
 //! `Dram` (pinned by `sc-system`'s equivalence tests).
 
-use sc_cache::{Cache, CacheConfig, CacheStats, CacheWake, PrefetchHint, PrefetchMode, Probe};
+use sc_cache::{Cache, CacheConfig, CacheStats, CacheWake, PrefetchHint, Probe};
 use sc_trace::{MetricSource, Tracer, Track};
 
 use crate::dram::DramConfig;
@@ -110,9 +110,6 @@ pub struct L2Config {
     /// Capacity of the bounded prefetch-request queue (≥ 1 when
     /// prefetching).
     pub prefetch_queue: u32,
-    /// How hints expand into line sequences (strided follows the DMA
-    /// descriptor; next-line ignores the stride).
-    pub prefetch_mode: PrefetchMode,
 }
 
 impl L2Config {
@@ -141,7 +138,6 @@ impl L2Config {
             prefetch_degree: 2,
             prefetch_distance: 16,
             prefetch_queue: 32,
-            prefetch_mode: PrefetchMode::Strided,
         }
     }
 
@@ -345,13 +341,6 @@ impl L2Config {
         self
     }
 
-    /// Sets the hint-expansion mode.
-    #[must_use]
-    pub fn with_prefetch_mode(mut self, prefetch_mode: PrefetchMode) -> Self {
-        self.prefetch_mode = prefetch_mode;
-        self
-    }
-
     /// The timing the DMA engines pay per transfer/beat at this L2 —
     /// the drop-in replacement for a private Dram's `DramConfig`.
     #[must_use]
@@ -377,7 +366,6 @@ impl L2Config {
             .with_prefetch_degree(self.prefetch_degree)
             .with_prefetch_distance(self.prefetch_distance)
             .with_prefetch_queue(self.prefetch_queue)
-            .with_prefetch_mode(self.prefetch_mode)
     }
 
     /// 64-bit beats per refill line.

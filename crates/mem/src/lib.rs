@@ -38,6 +38,6 @@ pub use dram::{Dram, DramConfig};
 pub use l2::{L2Config, L2MetricSet, L2Outcome, L2Request, L2Stats, L2};
 // The cache core the L2 is built on, re-exported so consumers can read
 // its configuration and statistics types without a direct dependency.
-pub use sc_cache::{Cache, CacheConfig, CacheStats, CacheWake, PrefetchHint, PrefetchMode, Probe};
+pub use sc_cache::{Cache, CacheConfig, CacheStats, CacheWake, PrefetchHint, Probe};
 pub use stats::TcdmStats;
 pub use tcdm::{AccessKind, MemError, PortId, Request, Tcdm, TcdmConfig};

@@ -5,8 +5,7 @@
 use proptest::prelude::*;
 
 use crate::{
-    AccessKind, L2Config, L2Outcome, L2Request, PortId, PrefetchHint, PrefetchMode, Request, Tcdm,
-    TcdmConfig, L2,
+    AccessKind, L2Config, L2Outcome, L2Request, PortId, PrefetchHint, Request, Tcdm, TcdmConfig, L2,
 };
 
 fn request() -> impl Strategy<Value = Request> {
@@ -397,18 +396,12 @@ fn prefetch_l2_config() -> impl Strategy<Value = L2Config> {
         1u32..5,
         prop_oneof![Just(1u32), Just(4), Just(16), Just(64)],
         1u32..33,
-        any::<bool>(),
     )
-        .prop_map(|(cfg, degree, distance, queue, next_line)| {
+        .prop_map(|(cfg, degree, distance, queue)| {
             cfg.with_prefetch(true)
                 .with_prefetch_degree(degree)
                 .with_prefetch_distance(distance)
                 .with_prefetch_queue(queue)
-                .with_prefetch_mode(if next_line {
-                    PrefetchMode::NextLine
-                } else {
-                    PrefetchMode::Strided
-                })
         })
 }
 

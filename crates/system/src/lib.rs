@@ -47,8 +47,10 @@
 //! differential proptest. Inside a dense cycle every unfinished cluster
 //! steps, and each steps only its runnable harts: a parked hart is not
 //! touched until it is released, when it pays its parked cycles in
-//! closed form. That holds in either mode, so the mode is the system's
-//! alone and never needs propagating to its clusters. The fluent
+//! closed form. That holds in either mode. Fast-forward is the system's
+//! decision alone: a stand-alone [`sc_cluster::Cluster`] always steps
+//! densely, and inside a system the loop here skips every unfinished
+//! cluster together ([`Cluster::skip_quiet`]). The fluent
 //! [`SystemBuilder`] assembles a system (shared memory, watchdog,
 //! tracer, scheduling mode) in one expression.
 //!
@@ -395,12 +397,6 @@ impl System {
         self.sched = Scheduler::new(mode);
     }
 
-    /// The scheduling mode [`System::run`] uses.
-    #[must_use]
-    pub fn sched_mode(&self) -> SchedMode {
-        self.sched.mode()
-    }
-
     /// Subscribes the whole system to a trace sink: cluster `c`'s harts,
     /// DMA engine and TCDM become tracks under process `c + 1`, while
     /// the shared L2's refill/write-back channels and sampled metrics
@@ -672,8 +668,25 @@ impl System {
             }
             self.system_barriers += 1;
         }
+        self.observe_watchdogs()
+    }
+
+    /// The watchdog observations owed once per completed cycle, dense
+    /// or skipped: the system's own, then every embedded cluster's
+    /// ([`Cluster::poll_watchdog`]; a finished cluster never fires).
+    /// Observing only whole system cycles keeps the system clock level
+    /// with its clusters' on a hang, in both scheduling modes.
+    fn observe_watchdogs(&mut self) -> Result<(), SystemError> {
         if let Some(report) = self.check_watchdog() {
             return Err(SystemError::Hang(report));
+        }
+        for (c, cluster) in self.clusters.iter_mut().enumerate() {
+            if let Some(report) = cluster.poll_watchdog() {
+                return Err(SystemError::Cluster {
+                    cluster: c as u32,
+                    source: ClusterError::Hang(report),
+                });
+            }
         }
         Ok(())
     }
@@ -839,24 +852,11 @@ impl System {
                 let skip = self.sched.plan(self.cycles, self.next_wake(), caps);
                 if skip > 0 {
                     self.skip_idle(skip);
-                    if let Some(report) = self.check_watchdog() {
-                        return Err(SystemError::Hang(report));
-                    }
-                    // Cluster-local watchdogs owe one observation per
-                    // window ([`Cluster::poll_watchdog`]); the window
-                    // was capped at the earliest firing point
-                    // ([`System::next_wake`]), so this reproduces the
-                    // dense loop's per-cycle cadence exactly.
-                    for c in 0..self.clusters.len() {
-                        if !self.cluster_finished(c) {
-                            if let Some(report) = self.clusters[c].poll_watchdog() {
-                                return Err(SystemError::Cluster {
-                                    cluster: c as u32,
-                                    source: ClusterError::Hang(report),
-                                });
-                            }
-                        }
-                    }
+                    // One observation per window: the window was capped
+                    // at the earliest firing point ([`System::next_wake`]),
+                    // so this reproduces the dense loop's per-cycle
+                    // cadence exactly.
+                    self.observe_watchdogs()?;
                     continue;
                 }
             }
