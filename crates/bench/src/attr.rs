@@ -231,9 +231,21 @@ pub struct AttrDiff {
     pub aggregate: Vec<(Leaf, f64)>,
     /// Per-point shifts, sorted by their dominant mover's magnitude.
     pub per_point: Vec<PointShift>,
+    /// Shared point ids whose `harts`, `machine_cycles` or any leaf
+    /// count differs, in `before` order.
+    pub changed: Vec<String>,
+    /// `before` point ids the `after` report lacks.
+    pub missing: Vec<String>,
 }
 
 impl AttrDiff {
+    /// Whether `after` reproduces every point of `before` exactly —
+    /// the attribution gate's pass condition.
+    #[must_use]
+    pub fn is_exact(&self) -> bool {
+        self.changed.is_empty() && self.missing.is_empty()
+    }
+
     /// The leaf whose aggregate share moved most.
     #[must_use]
     pub fn dominant(&self) -> Option<(Leaf, f64)> {
@@ -244,7 +256,8 @@ impl AttrDiff {
     }
 }
 
-/// Diffs the attribution sections of two reports, matching points by id.
+/// Diffs the attribution sections of two reports, matching points by
+/// id, and records which of `before`'s points `after` changes or lacks.
 ///
 /// # Errors
 ///
@@ -256,10 +269,15 @@ pub fn diff(before: &Json, after: &Json) -> Result<AttrDiff, String> {
     let mut agg_a = Attribution::new();
     let mut agg_b = Attribution::new();
     let mut per_point = Vec::new();
+    let (mut changed, mut missing) = (Vec::new(), Vec::new());
     for pa in &a {
         let Some(pb) = b.iter().find(|p| p.id == pa.id) else {
+            missing.push(pa.id.clone());
             continue;
         };
+        if pb != pa {
+            changed.push(pa.id.clone());
+        }
         agg_a.accumulate(&pa.attr);
         agg_b.accumulate(&pb.attr);
         per_point.push(PointShift {
@@ -279,11 +297,14 @@ pub fn diff(before: &Json, after: &Json) -> Result<AttrDiff, String> {
     Ok(AttrDiff {
         aggregate: share_shifts(&agg_a, &agg_b),
         per_point,
+        changed,
+        missing,
     })
 }
 
 /// Renders a diff: the aggregate movers first (the answer to "where did
-/// the cycles go"), then the individually largest-moved points.
+/// the cycles go"), then the individually largest-moved points, then
+/// every changed or missing point.
 #[must_use]
 pub fn render_diff(d: &AttrDiff, top: usize) -> String {
     let pp = |v: f64| format!("{:+.2}pp", v * 100.0);
@@ -307,6 +328,14 @@ pub fn render_diff(d: &AttrDiff, top: usize) -> String {
             None => {
                 let _ = writeln!(out, "  {:<44} unchanged", p.id);
             }
+        }
+    }
+    if d.is_exact() {
+        let _ = writeln!(out, "every pinned point matches exactly");
+    }
+    for (what, ids) in [("changed", &d.changed), ("missing", &d.missing)] {
+        for id in ids {
+            let _ = writeln!(out, "{what}: {id}");
         }
     }
     out
@@ -450,6 +479,38 @@ mod tests {
         assert!(text.contains("dma-wait"), "{text}");
         assert!(text.contains("p1"), "{text}");
         assert!(text.contains("unchanged"), "{text}");
+        // Equal shares are not equal pins: p1's leaves moved.
+        assert_eq!(d.changed, vec!["p1".to_owned()]);
+        assert!(d.missing.is_empty() && !d.is_exact());
+        assert!(text.contains("changed: p1"), "{text}");
+    }
+
+    #[test]
+    fn diff_is_exact_only_on_equal_leaves_cycles_and_harts() {
+        let a = attr(&[(Leaf::Retired, 80), (Leaf::Barrier, 20)]);
+        let before = report(vec![("p0", a, 1, 100), ("p1", a, 1, 100)]);
+        let d = diff(&before, &before).unwrap();
+        assert!(d.is_exact());
+        assert!(render_diff(&d, 5).contains("matches exactly"));
+        // A cycle moved between leaves, the sum kept: not exact.
+        let moved = attr(&[(Leaf::Retired, 79), (Leaf::Barrier, 21)]);
+        let after = report(vec![("p0", moved, 1, 100), ("p1", a, 1, 100)]);
+        assert_eq!(
+            diff(&before, &after).unwrap().changed,
+            vec!["p0".to_owned()]
+        );
+        // Same leaves over more harts and a shorter wall clock.
+        let after = report(vec![("p0", a, 2, 50), ("p1", a, 1, 100)]);
+        assert_eq!(
+            diff(&before, &after).unwrap().changed,
+            vec!["p0".to_owned()]
+        );
+        // A pinned point the report lacks; extra report points are fine.
+        let after = report(vec![("p0", a, 1, 100), ("p2", a, 1, 100)]);
+        let d = diff(&before, &after).unwrap();
+        assert_eq!(d.missing, vec!["p1".to_owned()]);
+        assert!(d.changed.is_empty() && !d.is_exact());
+        assert!(render_diff(&d, 5).contains("missing: p1"));
     }
 
     #[test]

@@ -10,7 +10,11 @@
 //!
 //! `--json` output is itself valid `diff` input: CI snapshots it under
 //! `baselines/attr/` so a perf-gate failure can be answered with *which
-//! leaf the cycles moved to*, not just which metric drifted. `--top N`
+//! leaf the cycles moved to*, not just which metric drifted. `diff` is
+//! also the attribution gate: it exits non-zero unless every point of
+//! `<before>` appears in `<after>` with the same `harts`,
+//! `machine_cycles` and leaf counts, so a stall that moves to another
+//! leaf fails even when the cycle count holds. `--top N`
 //! bounds the movers a `diff` prints (default 5). Reports without
 //! attribution sections (pre-sc-perf, or the non-sweep reports) are
 //! refused rather than rendered empty.
@@ -51,7 +55,15 @@ fn run() -> Result<(), String> {
             let after = load(&args[2])?;
             let d = attr::diff(&before, &after).map_err(|e| format!("diff: {e}"))?;
             print!("{}", attr::render_diff(&d, top));
-            Ok(())
+            if d.is_exact() {
+                Ok(())
+            } else {
+                Err(format!(
+                    "{} pinned point(s) changed, {} missing",
+                    d.changed.len(),
+                    d.missing.len()
+                ))
+            }
         }
         Some(path) if !path.starts_with('-') && args.len() <= 2 => {
             let report = load(path)?;

@@ -134,8 +134,10 @@ pub struct PointSpec {
     pub cores: u32,
     /// The core configuration every hart runs with.
     pub core: CoreConfig,
-    /// The shared L2 of a tiled system point (the unused default
-    /// elsewhere).
+    /// The shared L2 of a tiled point: on a tiled cluster point a
+    /// pass-through to the default Dram, so the one cluster's engine
+    /// pays the Dram's timing directly; the unused default on unbounded
+    /// points.
     pub l2: L2Config,
     /// The capacity sweeps' over/under-fit label; `None` for the
     /// infinite default L2 and points without one.
@@ -245,15 +247,11 @@ impl PointSpec {
         let gen = generator(self.grid, self.chaining);
         match (self.level, self.tiled) {
             (Level::Cluster, false) => vec![gen.build_cluster(self.cores).programs().to_vec()],
-            (Level::Cluster, true) => gen
-                .build_tiled(self.cores, TCDM_CAP_BYTES)
-                .expect("grid tiles within 128 KiB")
-                .stages(),
             (Level::System, false) => gen
                 .build_system(self.clusters, self.cores)
                 .programs()
                 .to_vec(),
-            (Level::System, true) => self
+            (_, true) => self
                 .tiled_system_kernel()
                 .stages()
                 .iter()
@@ -296,24 +294,31 @@ impl PointSpec {
                 let outcome = run.map(|r| (None, Summary::Cluster(r.summary)));
                 (k.name().to_owned(), outcome)
             }
-            (Level::Cluster, true) => {
-                let k = gen
-                    .build_tiled(self.cores, TCDM_CAP_BYTES)
-                    .expect("grid tiles within 128 KiB");
-                let run = k.run(self.core, DramConfig::new(), MAX_CYCLES);
-                let outcome = run.map(|r| (Some(r.num_tiles), Summary::Cluster(r.summary)));
-                (k.name().to_owned(), outcome)
-            }
             (Level::System, false) => {
                 let k = gen.build_system(self.clusters, self.cores);
                 let run = k.run_scheduled(self.core, MAX_CYCLES, mode);
                 let outcome = run.map(|r| (None, Summary::System(r.summary)));
                 (k.name().to_owned(), outcome)
             }
-            (Level::System, true) => {
+            (level, true) => {
+                // A tiled cluster point is the one cluster of a system
+                // behind a pass-through L2; its sweep reads that
+                // cluster's summary.
                 let k = self.tiled_system_kernel();
                 let run = k.run_scheduled(self.core, self.l2, DramConfig::new(), MAX_CYCLES, mode);
-                let outcome = run.map(|r| (Some(r.num_tiles), Summary::System(r.summary)));
+                let outcome = run.map(|r| {
+                    let summary = match level {
+                        Level::Cluster => Summary::Cluster(
+                            r.summary
+                                .per_cluster
+                                .into_iter()
+                                .next()
+                                .expect("one cluster"),
+                        ),
+                        Level::System => Summary::System(r.summary),
+                    };
+                    (Some(r.num_tiles), summary)
+                });
                 (k.name().to_owned(), outcome)
             }
         };
@@ -407,10 +412,16 @@ fn cluster_scaling() -> Vec<PointSpec> {
                 memory_label(tiled),
                 variant_label(chaining)
             );
+            let l2 = if tiled {
+                L2Config::passthrough(DramConfig::new())
+            } else {
+                L2Config::new()
+            };
             points.push(PointSpec {
                 level: Level::Cluster,
                 tiled,
                 cores,
+                l2,
                 ..PointSpec::base(Sweep::ClusterScaling, id, grid, chaining)
             });
         }
@@ -568,25 +579,42 @@ mod tests {
     use super::*;
     use crate::json::Json;
 
-    /// The point ids `baselines/<sweep>.json` pins, in the order the
-    /// baseline lists them (each point's metrics are contiguous).
-    fn baseline_ids(sweep: Sweep) -> Vec<String> {
-        let path = format!(
-            "{}/../../baselines/{}.json",
-            env!("CARGO_MANIFEST_DIR"),
-            sweep.name()
-        );
+    /// The checked-in `baselines/<name>`.
+    fn baseline(name: &str) -> Json {
+        let path = format!("{}/../../baselines/{name}", env!("CARGO_MANIFEST_DIR"));
         let text = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"));
-        let baseline = Json::parse(&text).unwrap_or_else(|e| panic!("{path}: {e}"));
-        let mut ids: Vec<String> = Vec::new();
-        for entry in baseline
+        Json::parse(&text).unwrap_or_else(|e| panic!("{path}: {e}"))
+    }
+
+    /// The `(point, metric, value)` pins of `baselines/<sweep>.json`, in
+    /// the order the baseline lists them (each point's metrics are
+    /// contiguous); sweep-level metrics carry no point.
+    fn baseline_pins(sweep: Sweep) -> Vec<(Option<String>, String, f64)> {
+        baseline(&format!("{}.json", sweep.name()))
             .get("metrics")
             .and_then(Json::items)
             .expect("baseline has a metrics array")
-        {
-            if let Some(id) = entry.get("point").and_then(Json::as_str) {
-                if ids.last().map(String::as_str) != Some(id) {
-                    ids.push(id.to_owned());
+            .iter()
+            .map(|entry| {
+                let point = entry.get("point").and_then(Json::as_str).map(str::to_owned);
+                let metric = entry.get("metric").and_then(Json::as_str);
+                let value = entry.get("value").and_then(Json::as_f64);
+                (
+                    point,
+                    metric.expect("pin names its metric").to_owned(),
+                    value.expect("pin has a value"),
+                )
+            })
+            .collect()
+    }
+
+    /// The point ids `baselines/<sweep>.json` pins, in baseline order.
+    fn baseline_ids(sweep: Sweep) -> Vec<String> {
+        let mut ids: Vec<String> = Vec::new();
+        for (point, _, _) in baseline_pins(sweep) {
+            if let Some(id) = point {
+                if ids.last() != Some(&id) {
+                    ids.push(id);
                 }
             }
         }
@@ -607,5 +635,49 @@ mod tests {
         let ids: BTreeSet<String> = points.iter().map(PointSpec::full_id).collect();
         assert_eq!(points.len(), 166);
         assert_eq!(ids.len(), 166, "duplicate point ids");
+    }
+
+    #[test]
+    fn tiled_cluster_points_reproduce_their_pins() {
+        // The tiled `cluster_scaling` points run as the one cluster of
+        // a system behind a pass-through L2: their cycle counts, TCDM
+        // conflicts and attribution leaves must equal the pins.
+        let pins = baseline_pins(Sweep::ClusterScaling);
+        let pin = |id: &str, metric: &str| {
+            pins.iter()
+                .find(|(p, m, _)| p.as_deref() == Some(id) && m == metric)
+                .map(|&(_, _, v)| v)
+                .unwrap_or_else(|| panic!("{id}: no `{metric}` pin"))
+        };
+        let attrs = crate::attr::collect_points(&baseline("attr/cluster_scaling.json"))
+            .expect("attribution baseline parses");
+        let points: Vec<PointSpec> = Sweep::ClusterScaling
+            .points()
+            .into_iter()
+            .filter(|p| p.tiled)
+            .collect();
+        assert_eq!(points.len(), 8);
+        for p in points {
+            let s = p.run().summary.into_cluster();
+            assert_eq!(
+                s.cycles as f64,
+                pin(&p.id, "cycles_to_last_core_done"),
+                "{}",
+                p.id
+            );
+            assert_eq!(
+                s.aggregate.tcdm_conflicts as f64,
+                pin(&p.id, "tcdm_conflicts"),
+                "{}",
+                p.id
+            );
+            let want = attrs
+                .iter()
+                .find(|a| a.id == p.id)
+                .unwrap_or_else(|| panic!("{}: no attribution pin", p.id));
+            assert_eq!(want.harts, s.per_core.len() as u64, "{}", p.id);
+            assert_eq!(want.machine_cycles, s.cycles, "{}", p.id);
+            assert_eq!(want.attr, s.attribution, "{}", p.id);
+        }
     }
 }

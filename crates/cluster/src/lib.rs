@@ -58,6 +58,14 @@
 //! diagnoses) adds the owed cycles with the same closed form
 //! ([`Cluster::hart_counters`]).
 //!
+//! ## Background memory
+//!
+//! A cluster owns no background memory. Its optional DMA engine
+//! ([`ClusterBuilder::shared_dma`]) moves against the store its owner
+//! hands to every [`Cluster::end_cycle`]: an `sc_system::System`'s
+//! shared L2/Dram. A single cluster fed straight from Dram is a
+//! one-cluster system behind `L2Config::passthrough`.
+//!
 //! Construction is most convenient through the fluent [`ClusterBuilder`],
 //! which applies tracer/DMA/embedding wiring in the right order at build
 //! time.
@@ -254,7 +262,7 @@ pub struct ClusterSummary {
     /// system when embedded.
     pub system_barriers: u64,
     /// DMA activity and compute–transfer overlap, when an engine is
-    /// attached ([`ClusterBuilder::dma`]).
+    /// attached ([`ClusterBuilder::shared_dma`]).
     pub dma: Option<DmaSummary>,
     /// Top-down cycle attribution aggregated over every hart: each
     /// core's own partition plus [`sc_perf::Leaf::Park`] padding for the
@@ -427,19 +435,15 @@ struct HartStatus {
     parked_since: Option<u64>,
 }
 
-/// The attached DMA subsystem: the engine, the background memory it
-/// moves against (owned here on the single-cluster path, supplied
-/// externally when the cluster is embedded in a multi-cluster system),
-/// and the overlap bookkeeping.
+/// The attached DMA subsystem: the engine, the timing it pays, and the
+/// overlap bookkeeping. The background memory it moves against is owned
+/// outside the cluster (a system's shared L2/Dram) and handed to every
+/// [`Cluster::end_cycle`].
 #[derive(Debug)]
 struct DmaAttachment {
     engine: DmaEngine,
-    /// The private background memory — `None` when the cluster moves
-    /// against an externally owned store (shared L2/Dram in a system);
-    /// [`Cluster::end_cycle`] then receives the store per cycle.
-    dram: Option<Dram>,
-    /// The per-transfer/per-beat timing the engine pays (the private
-    /// Dram's config, or the system L2's engine-side timing).
+    /// The per-transfer/per-beat timing the engine pays (the system
+    /// L2's engine-side timing).
     timing: DramConfig,
     busy_cycles: u64,
     overlap_cycles: u64,
@@ -458,7 +462,8 @@ struct DmaAttachment {
 }
 
 /// The cluster: N lock-stepped cores over one shared banked TCDM,
-/// optionally fed by a DMA engine from an unbounded background memory.
+/// optionally fed by a DMA engine from a background memory its owner
+/// supplies each cycle.
 #[derive(Debug)]
 pub struct Cluster {
     cfg: ClusterConfig,
@@ -500,11 +505,9 @@ pub struct Cluster {
     pid: u32,
     watchdog: Option<Watchdog>,
     /// Per-hart attribution snapshots at the watchdog's last observed
-    /// progress change — the baseline against which a hang report takes
-    /// its stalled-window attribution deltas.
+    /// progress change ([`Watchdog::progressed`]) — the baseline against
+    /// which a hang report takes its stalled-window attribution deltas.
     hang_attr_base: Vec<Attribution>,
-    hang_attr_sig: u64,
-    hang_attr_primed: bool,
     /// Static-verification findings for the currently loaded programs
     /// (computed at construction and on every [`Cluster::load_programs`];
     /// cross-referenced into hang diagnoses).
@@ -562,8 +565,6 @@ impl Cluster {
             pid: 0,
             watchdog: None,
             hang_attr_base: vec![Attribution::new(); n],
-            hang_attr_sig: 0,
-            hang_attr_primed: false,
             lint,
         };
         cluster.refresh_census();
@@ -695,9 +696,7 @@ impl Cluster {
             return None;
         }
         let sig = self.progress_signature();
-        if !self.hang_attr_primed || sig != self.hang_attr_sig {
-            self.hang_attr_primed = true;
-            self.hang_attr_sig = sig;
+        if self.watchdog.as_ref()?.progressed(sig) {
             for h in 0..self.cores.len() {
                 self.hang_attr_base[h] = self.hart_counters(h).attr;
             }
@@ -743,16 +742,15 @@ impl Cluster {
             .collect()
     }
 
-    /// Attaches the DMA engine: `dram` is its private store, or `None`
-    /// when the owner passes an external one into every
-    /// [`Cluster::end_cycle`]. The engine arbitrates on the first
+    /// Attaches the DMA engine; the owner passes the store it moves
+    /// against into every [`Cluster::end_cycle`]. The engine arbitrates on the first
     /// crossbar port *after* every core's namespace (`num_cores ×
     /// ports_per_core`), forming its own arbitration group — inter-group
     /// fairness treats the mover like one more core, so DMA beats
     /// neither starve nor are starved by compute traffic. An idle engine
     /// leaves the cluster's cycle-by-cycle behaviour bit-identical to a
     /// cluster without one.
-    fn attach_dma_inner(&mut self, dram: Option<Dram>, timing: DramConfig) {
+    fn attach_dma(&mut self, timing: DramConfig) {
         let port = self.cfg.num_cores * u32::from(self.cfg.ports_per_core());
         assert!(port < 256, "DMA port overflows the 8-bit port namespace");
         let mut engine = DmaEngine::new(PortId(port as u8));
@@ -761,7 +759,6 @@ impl Cluster {
         }
         self.dma = Some(DmaAttachment {
             engine,
-            dram,
             timing,
             busy_cycles: 0,
             overlap_cycles: 0,
@@ -769,19 +766,6 @@ impl Cluster {
             busy_this_cycle: false,
             beat_ready: false,
         });
-    }
-
-    /// The background memory, when a DMA engine is attached *with* a
-    /// private store (stage inputs / read back results). `None` for
-    /// engines moving against an external (system-owned) memory.
-    #[must_use]
-    pub fn dram(&self) -> Option<&Dram> {
-        self.dma.as_ref().and_then(|d| d.dram.as_ref())
-    }
-
-    /// Mutable background-memory access (private store only).
-    pub fn dram_mut(&mut self) -> Option<&mut Dram> {
-        self.dma.as_mut().and_then(|d| d.dram.as_mut())
     }
 
     /// The DMA engine, when attached (queue inspection in tests).
@@ -1032,12 +1016,16 @@ impl Cluster {
     ///
     /// Exactly [`Cluster::begin_cycle`] followed by
     /// [`Cluster::end_cycle`] with the DMA beat unconditionally
-    /// granted on the memory side — the single-cluster path has no
-    /// shared L2 to lose arbitration at.
+    /// granted on the memory side and no external store — the
+    /// stand-alone path has no background memory. A cluster whose DMA
+    /// engine moves beats runs as a system's cluster, or is driven
+    /// through the two half-cycles with its store.
     ///
     /// # Errors
     ///
-    /// The first core error, tagged with its hart ID.
+    /// The first core error, tagged with its hart ID, or
+    /// [`ClusterError::MissingExternalStore`] when the engine moves a
+    /// beat.
     pub fn step(&mut self) -> Result<(), ClusterError> {
         self.begin_cycle()?;
         self.end_cycle(L2Outcome::Granted, None)
@@ -1163,12 +1151,12 @@ impl Cluster {
     ///
     /// `dma_mem` is the shared-memory-side arbitration outcome for the
     /// beat [`Cluster::begin_cycle`] returned
-    /// ([`sc_mem::L2Outcome::Granted`] when there was none, or on the
-    /// single-cluster path); a denial's kind decides whether the engine
-    /// books a bank-conflict or a miss/refill wait. `ext_mem` supplies
-    /// the externally owned functional store for engines built with
-    /// [`ClusterBuilder::shared_dma`]; pass `None` when the engine owns
-    /// its Dram.
+    /// ([`sc_mem::L2Outcome::Granted`] when there was none, or when no
+    /// shared L2 sits in front of the store); a denial's kind decides
+    /// whether the engine books a bank-conflict or a miss/refill wait.
+    /// `ext_mem` is the functional store the engine built with
+    /// [`ClusterBuilder::shared_dma`] moves against; `None` serves only
+    /// a cycle in which the engine moves no beat.
     ///
     /// # Errors
     ///
@@ -1181,7 +1169,7 @@ impl Cluster {
     pub fn end_cycle(
         &mut self,
         dma_mem: L2Outcome,
-        mut ext_mem: Option<&mut Dram>,
+        ext_mem: Option<&mut Dram>,
     ) -> Result<(), ClusterError> {
         let tag = |hart: usize| {
             move |source| ClusterError::Core {
@@ -1231,13 +1219,9 @@ impl Cluster {
             }
             if dma_req {
                 let dma = self.dma.as_mut().expect("dma_req implies attachment");
-                let timing = dma.timing;
-                let mem = match dma.dram.as_mut() {
-                    Some(own) => own,
-                    None => ext_mem.take().ok_or(ClusterError::MissingExternalStore)?,
-                };
+                let mem = ext_mem.ok_or(ClusterError::MissingExternalStore)?;
                 dma.engine
-                    .apply_grant(grants[grants.len() - 1], &mut self.tcdm, mem, timing)
+                    .apply_grant(grants[grants.len() - 1], &mut self.tcdm, mem, dma.timing)
                     .map_err(|e| ClusterError::Dma {
                         hart: None,
                         source: e,
@@ -1445,15 +1429,10 @@ impl Cluster {
     /// simulated cycle was itself a sampling point (the final state is
     /// already captured) or when sampling is off.
     pub fn sample_final(&self) {
-        let cadence = self.tracer.sample_cadence();
-        if !self.tracer.is_on() || cadence == 0 {
-            return;
+        if self.tracer.final_sample_owed(self.cycles) {
+            self.tracer.set_cycle(self.cycles);
+            self.sample_now();
         }
-        if self.cycles > 0 && (self.cycles - 1).is_multiple_of(cadence) {
-            return;
-        }
-        self.tracer.set_cycle(self.cycles);
-        self.sample_now();
     }
 
     /// Runs until every core halts or the cycle budget is exhausted,
@@ -1463,7 +1442,9 @@ impl Cluster {
     ///
     /// Core errors (tagged with the hart) or budget exhaustion — the
     /// latter also covers barrier deadlocks (a hart waiting on a
-    /// rendezvous the others never reach).
+    /// rendezvous the others never reach) — or
+    /// [`ClusterError::MissingExternalStore`] when an attached DMA
+    /// engine moves a beat (see [`Cluster::step`]).
     pub fn run(&mut self, max_cycles: u64) -> Result<ClusterSummary, ClusterError> {
         let ran = self.run_to_halt(max_cycles);
         self.settle();
@@ -1564,16 +1545,6 @@ impl Cluster {
     }
 }
 
-/// How a [`ClusterBuilder`] sources the DMA engine's background memory.
-#[derive(Debug)]
-enum DmaSource {
-    /// The cluster owns its Dram (stand-alone path).
-    Private(Dram),
-    /// The store is owned externally (a system's shared L2/Dram); the
-    /// engine pays this timing per transfer/beat.
-    Shared(DramConfig),
-}
-
 /// Fluent construction of a [`Cluster`]: options accumulate in any
 /// order and [`ClusterBuilder::build`] applies them in the one order that wires
 /// everything correctly (embedding before tracer naming, tracer before
@@ -1583,12 +1554,12 @@ enum DmaSource {
 /// use sc_cluster::ClusterBuilder;
 /// use sc_cluster::ClusterConfig;
 /// use sc_isa::ProgramBuilder;
-/// use sc_mem::{Dram, DramConfig};
+/// use sc_mem::DramConfig;
 ///
 /// let mut b = ProgramBuilder::new();
 /// b.ecall();
 /// let cluster = ClusterBuilder::new(ClusterConfig::new(1), vec![b.build()?])
-///     .dma(Dram::new(DramConfig::new()))
+///     .shared_dma(DramConfig::new())
 ///     .watchdog(10_000)
 ///     .build();
 /// assert!(cluster.dma_engine().is_some());
@@ -1598,7 +1569,8 @@ enum DmaSource {
 pub struct ClusterBuilder {
     cfg: ClusterConfig,
     programs: Vec<Program>,
-    dma: Option<DmaSource>,
+    /// The engine-side timing of the DMA engine, when one is attached.
+    dma: Option<DramConfig>,
     embedded: Option<(u32, u32)>,
     watchdog: Option<u64>,
     tracer: Option<(Tracer, u32)>,
@@ -1632,20 +1604,12 @@ impl ClusterBuilder {
         self
     }
 
-    /// Attaches a DMA engine with its own private background memory
-    /// (the stand-alone cluster path).
-    #[must_use]
-    pub fn dma(mut self, dram: Dram) -> Self {
-        self.dma = Some(DmaSource::Private(dram));
-        self
-    }
-
     /// Attaches a DMA engine moving against an externally owned store
     /// (a system's shared L2/Dram), paying `timing` per transfer/beat.
     /// The owner passes the store into every [`Cluster::end_cycle`].
     #[must_use]
     pub fn shared_dma(mut self, timing: DramConfig) -> Self {
-        self.dma = Some(DmaSource::Shared(timing));
+        self.dma = Some(timing);
         self
     }
 
@@ -1721,13 +1685,8 @@ impl ClusterBuilder {
         if let Some((tracer, pid)) = self.tracer {
             cluster.set_tracer(tracer, pid);
         }
-        match self.dma {
-            Some(DmaSource::Private(dram)) => {
-                let timing = dram.config();
-                cluster.attach_dma_inner(Some(dram), timing);
-            }
-            Some(DmaSource::Shared(timing)) => cluster.attach_dma_inner(None, timing),
-            None => {}
+        if let Some(timing) = self.dma {
+            cluster.attach_dma(timing);
         }
         if let Some(limit) = self.watchdog {
             cluster.set_watchdog(limit);

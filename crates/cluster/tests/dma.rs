@@ -7,13 +7,18 @@
 //!   crossbar statistics),
 //! * an attached-but-idle engine leaves the cluster bit-identical to
 //!   one without an engine,
-//! * a shared-memory engine stepped without its external store fails
-//!   with a typed error.
+//! * an engine stepped without its external store fails with a typed
+//!   error.
+//!
+//! A cluster owns no background memory: the tests that move data run
+//! the cluster as the one cluster of a `System` behind a pass-through
+//! L2, whose engine then reads and writes the system's Dram directly.
 
 use sc_cluster::{Cluster, ClusterBuilder, ClusterConfig, ClusterError};
 use sc_core::CoreConfig;
-use sc_isa::{csr, IntReg, ProgramBuilder};
-use sc_mem::{Dram, DramConfig, L2Outcome, TcdmConfig};
+use sc_isa::{csr, IntReg, Program, ProgramBuilder};
+use sc_mem::{Dram, DramConfig, L2Config, L2Outcome, TcdmConfig};
+use sc_system::{System, SystemBuilder, SystemConfig, SystemError};
 
 fn cfg() -> CoreConfig {
     CoreConfig::new().with_tcdm(TcdmConfig::new().with_size(64 << 10).with_banks(8))
@@ -35,6 +40,17 @@ fn ring_doorbell(b: &mut ProgramBuilder, dram: u32, tcdm: u32, bytes: u32, to_tc
         b.csrrw(IntReg::ZERO, addr, T0);
     }
     b.csrrwi(IntReg::ZERO, csr::DMA_START, u8::from(to_tcdm));
+}
+
+/// `program` as the one hart of a system's only cluster, its engine
+/// moving against `dram` through a pass-through L2 of `dram`'s timing.
+fn one_cluster_system(program: Program, dram: Dram) -> System {
+    let scfg = SystemConfig::new(1, 1)
+        .with_cluster(ClusterConfig::new(1).with_core(cfg()))
+        .with_l2(L2Config::passthrough(dram.config()));
+    SystemBuilder::new(scfg, vec![vec![vec![program]]])
+        .dram(dram)
+        .build()
 }
 
 /// Emits a poll loop waiting until `DMA_COMPLETED >= count`.
@@ -64,11 +80,10 @@ fn doorbell_transfer_poll_read() {
         dram.write_u64(0x10_0000 + 8 * i, u64::from(0xC0DE + i))
             .unwrap();
     }
-    let mut cluster = ClusterBuilder::new(ClusterConfig::new(1).with_core(cfg()), vec![program])
-        .dma(dram)
-        .build();
+    let mut system = one_cluster_system(program, dram);
 
-    let summary = cluster.run(100_000).unwrap();
+    let summary = system.run(100_000).unwrap().per_cluster.remove(0);
+    let cluster = system.cluster(0);
     assert_eq!(cluster.core(0).int_reg(IntReg::new(10)), 0xC0DE);
     for i in 0..4u32 {
         assert_eq!(
@@ -77,7 +92,7 @@ fn doorbell_transfer_poll_read() {
             "inbound transfer word {i}"
         );
         assert_eq!(
-            cluster.dram().unwrap().read_u64(0x20_0000 + 8 * i).unwrap(),
+            system.dram().unwrap().read_u64(0x20_0000 + 8 * i).unwrap(),
             u64::from(0xC0DE + i),
             "outbound transfer word {i}"
         );
@@ -100,14 +115,16 @@ fn invalid_descriptor_is_a_hart_tagged_error() {
     // Misaligned length: 12 bytes.
     ring_doorbell(&mut b, 0x1000, 0x100, 12, true);
     b.ecall();
-    let mut cluster = ClusterBuilder::new(
-        ClusterConfig::new(1).with_core(cfg()),
-        vec![b.build().unwrap()],
-    )
-    .dma(Dram::new(DramConfig::new()))
-    .build();
-    let err = cluster.run(10_000).unwrap_err();
-    let msg = err.to_string();
+    let mut system = one_cluster_system(b.build().unwrap(), Dram::new(DramConfig::new()));
+    let err = system.run(10_000).unwrap_err();
+    let SystemError::Cluster {
+        cluster: 0,
+        source: source @ ClusterError::Dma { hart: Some(0), .. },
+    } = &err
+    else {
+        panic!("expected cluster 0's hart-tagged DMA error, got: {err}");
+    };
+    let msg = source.to_string();
     assert!(
         msg.contains("hart 0") && msg.contains("row_bytes"),
         "unexpected error: {msg}"
@@ -117,7 +134,9 @@ fn invalid_descriptor_is_a_hart_tagged_error() {
 #[test]
 fn idle_engine_is_cycle_invisible() {
     // Same 2-hart program with and without an attached (idle) engine:
-    // every cycle-visible quantity must match bit-for-bit.
+    // every cycle-visible quantity must match bit-for-bit. An idle
+    // engine never touches memory, so the stand-alone run needs no
+    // store.
     let programs = || {
         (0..2)
             .map(|_| {
@@ -136,7 +155,7 @@ fn idle_engine_is_cycle_invisible() {
     let ccfg = ClusterConfig::new(2).with_core(cfg());
     let mut plain = Cluster::new(ccfg, programs());
     let mut with_dma = ClusterBuilder::new(ccfg, programs())
-        .dma(Dram::new(DramConfig::new()))
+        .shared_dma(DramConfig::new())
         .build();
 
     let a = plain.run(10_000).unwrap();

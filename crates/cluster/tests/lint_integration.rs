@@ -8,7 +8,7 @@ use sc_cluster::{ClusterBuilder, ClusterConfig, ClusterError};
 use sc_core::CoreConfig;
 use sc_isa::{csr, FpReg, IntReg, ProgramBuilder};
 use sc_lint::{fixtures, Rule};
-use sc_mem::{Dram, DramConfig, TcdmConfig};
+use sc_mem::{DramConfig, TcdmConfig};
 use sc_trace::HangReport;
 
 fn cfg() -> CoreConfig {
@@ -52,12 +52,13 @@ fn hang_report_cross_references_the_fifo_balance_finding() {
 fn hang_report_cross_references_the_dma_protocol_finding() {
     // A hart parked on DMA_WAIT for a completion that never comes (no
     // doorbell was ever rung): the linter flags the orphan wait, and
-    // the hang diagnosis names the rule.
+    // the hang diagnosis names the rule. The engine stays idle, so the
+    // stand-alone run needs no background store.
     let mut cluster = ClusterBuilder::new(
         ClusterConfig::new(1).with_core(cfg()),
         vec![fixtures::parked_forever()],
     )
-    .dma(Dram::new(DramConfig::new()))
+    .shared_dma(DramConfig::new())
     .watchdog(1_000)
     .build();
     let report = expect_hang(cluster.run(200_000).map(|_| ()));

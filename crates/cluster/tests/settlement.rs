@@ -17,7 +17,9 @@
 //! A cluster always steps densely; only a system fast-forwards. The
 //! event-mode halves therefore run the same programs as the one cluster
 //! of a `System` (`one_cluster_system`) and require the stand-alone
-//! cluster's summary and trace rows from it.
+//! cluster's summary and trace rows from it. A cluster owns no
+//! background memory: the dense halves with a DMA engine step it
+//! against a Dram the test holds (`step_with`).
 
 use std::collections::HashMap;
 
@@ -25,7 +27,7 @@ use proptest::prelude::*;
 use sc_cluster::{Cluster, ClusterBuilder, ClusterConfig, ClusterError, HartCensus};
 use sc_core::{CoreConfig, SchedMode};
 use sc_isa::{csr, IntReg, Program, ProgramBuilder};
-use sc_mem::{Dram, DramConfig, L2Config, TcdmConfig};
+use sc_mem::{Dram, DramConfig, L2Config, L2Outcome, TcdmConfig};
 use sc_system::{System, SystemBuilder, SystemConfig, SystemError};
 use sc_trace::{TraceConfig, TraceSession};
 
@@ -144,10 +146,18 @@ fn process_rows(session: &TraceSession, pid: u32) -> Vec<String> {
         .collect()
 }
 
+/// One dense cycle of a stand-alone cluster whose DMA engine (if any)
+/// moves against `dram`, granted unconditionally on the memory side.
+fn step_with(cluster: &mut Cluster, dram: Option<&mut Dram>) {
+    cluster.begin_cycle().unwrap();
+    cluster.end_cycle(L2Outcome::Granted, dram).unwrap();
+}
+
 /// `programs` as the only cluster of an event-scheduled system under
 /// `session`. With `dma_latency`, the cluster gets a DMA engine behind
 /// a pass-through L2 of that latency — cycle-identical to a
-/// stand-alone cluster moving against a private Dram of that latency.
+/// stand-alone cluster stepped against a Dram (`step_with`) by an
+/// engine paying that latency.
 fn one_cluster_system(
     programs: Vec<Program>,
     dma_latency: Option<u32>,
@@ -219,14 +229,14 @@ fn assert_settled(cluster: &Cluster) {
     }
 }
 
-/// Steps `cluster` to its halt, checking every cycle; returns the
-/// sampling points' rows.
-fn step_checked(cluster: &mut Cluster, budget: u64) -> Rows {
+/// Steps `cluster` to its halt against `dram`, checking every cycle;
+/// returns the sampling points' rows.
+fn step_checked(cluster: &mut Cluster, mut dram: Option<&mut Dram>, budget: u64) -> Rows {
     let mut rows = Rows::default();
     check(cluster);
     while !cluster.is_done() {
         assert!(cluster.cycles() < budget, "the program did not halt");
-        cluster.step().unwrap();
+        step_with(cluster, dram.as_deref_mut());
         check(cluster);
         rows.record(cluster, 0);
     }
@@ -269,7 +279,7 @@ fn cluster_barrier_parked_harts_read_settled() {
         cluster.step().unwrap();
     }
     assert_eq!(cluster.hart_census().barrier, 3, "harts 1-3 park early");
-    let rows = step_checked(&mut cluster, 10_000);
+    let rows = step_checked(&mut cluster, None, 10_000);
     rows.assert_in(&session);
     let summary = cluster.summary();
     assert_eq!(summary.barriers, 2);
@@ -292,15 +302,17 @@ fn dma_wait_parked_harts_read_settled_in_both_modes() {
             .collect()
     };
     let dense = session();
+    let timing = DramConfig::new().with_latency(200);
+    let mut dram = Dram::new(timing);
     let mut cluster = ClusterBuilder::new(ClusterConfig::new(2).with_core(cfg()), programs())
-        .dma(Dram::new(DramConfig::new().with_latency(200)))
+        .shared_dma(timing)
         .tracer(dense.tracer(), 0)
         .build();
     while cluster.cycles() < 100 {
-        cluster.step().unwrap();
+        step_with(&mut cluster, Some(&mut dram));
     }
     assert_eq!(cluster.hart_census().dma_wait, 2, "both harts wait");
-    let rows = step_checked(&mut cluster, 10_000);
+    let rows = step_checked(&mut cluster, Some(&mut dram), 10_000);
     rows.assert_in(&dense);
     let summary = cluster.summary();
     assert!(summary.cycles > 200, "the wait spans the Dram latency");
@@ -531,17 +543,19 @@ proptest! {
         let programs = || schedule_programs(harts, &rounds, deviant);
 
         let stepped = session();
+        let timing = DramConfig::new().with_latency(latency);
+        let mut dram = Dram::new(timing);
         let mut cluster = ClusterBuilder::new(
             ClusterConfig::new(harts as u32).with_core(cfg()),
             programs(),
         )
-        .dma(Dram::new(DramConfig::new().with_latency(latency)))
+        .shared_dma(timing)
         .tracer(stepped.tracer(), 0)
         .build();
         let mut rows = Rows::default();
         check(&cluster);
         while !cluster.is_done() && cluster.cycles() < budget {
-            cluster.step().unwrap();
+            step_with(&mut cluster, Some(&mut dram));
             check(&cluster);
             rows.record(&cluster, 0);
         }

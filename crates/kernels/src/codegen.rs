@@ -24,7 +24,7 @@ use crate::kernel::{verify_f64_exact, CheckFn, Kernel, SetupFn};
 use crate::partition::split_ranges;
 use crate::stencil::Stencil;
 use crate::system_kernel::{SystemCheckFn, SystemKernel, SystemSetupFn, TiledSystemKernel};
-use crate::tiling::{self, TileError, TiledClusterKernel, WaitStyle};
+use crate::tiling::{self, TileError, WaitStyle};
 use crate::variant::Variant;
 
 /// Memory placement of the kernel's arrays.
@@ -267,96 +267,19 @@ impl StencilKernel {
         )
     }
 
-    /// Plans a double-buffered DMA tiling of this kernel for a TCDM of
-    /// at most `capacity` bytes (typically [`crate::TCDM_CAP_BYTES`], the
-    /// real cluster's 128 KiB) and `num_harts` harts.
-    ///
-    /// The whole padded input/output grids live in the background memory
-    /// at the same addresses the unbounded-TCDM layout uses; the TCDM
-    /// holds ping-pong tile buffers (input tiles carry their halo
-    /// planes/rows). The planner prefers whole-plane z-slabs — the tile
-    /// size is the largest plane count whose double-buffered footprint
-    /// fits the cap — and when even a **single plane** exceeds the cap it
-    /// falls back to 2-D x/y sub-tiling: one-plane tiles of the widest
-    /// y-strip that fits, moved with the engine's 2-D strided
-    /// descriptors (a y-strip is gathered plane by plane on fetch and
-    /// its interior rows scattered back on write-out). Results are
-    /// bit-identical to the unbounded run either way: every variant
-    /// executes the same FMA sequence per output point regardless of
-    /// tiling.
-    ///
-    /// # Errors
-    ///
-    /// [`TileError`] when even a one-plane, one-row tile cannot be
-    /// double-buffered within `capacity`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `num_harts` is zero.
-    pub fn build_tiled(
-        &self,
-        num_harts: u32,
-        capacity: u32,
-    ) -> Result<TiledClusterKernel, TileError> {
-        self.build_tiled_with(num_harts, capacity, WaitStyle::Park)
-    }
-
-    /// [`StencilKernel::build_tiled`] with an explicit DMA completion
-    /// [`WaitStyle`]. [`WaitStyle::Park`] is exactly `build_tiled`:
-    /// the waiting hart retires nothing, which exposes idle windows to
-    /// the event-driven scheduler; [`WaitStyle::Poll`] models the
-    /// classic spin loop instead. Results are bit-identical either
-    /// way.
-    ///
-    /// # Errors
-    ///
-    /// See [`StencilKernel::build_tiled`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `num_harts` is zero.
-    pub fn build_tiled_with(
-        &self,
-        num_harts: u32,
-        capacity: u32,
-        wait: WaitStyle,
-    ) -> Result<TiledClusterKernel, TileError> {
-        self.build_tiled_impl(num_harts, capacity, wait, false)
-    }
-
-    /// [`StencilKernel::build_tiled_with`] plus **kernel phase markers**:
-    /// every hart opens each tile-loop iteration with a `PHASE_MARK` CSR
-    /// write carrying the tile index, so the per-hart attribution can be
-    /// segmented into prologue / per-tile steady state / drain with
-    /// [`sc_perf::segment_phases`] (and a subscribed tracer shows a
-    /// `phase-mark` instant per boundary). The marks cost a couple of
-    /// retired integer instructions per tile per hart — profiled builds
-    /// are therefore **not** cycle-identical to the default builders and
-    /// are opt-in; results remain bit-identical.
-    ///
-    /// # Errors
-    ///
-    /// See [`StencilKernel::build_tiled`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `num_harts` is zero.
-    pub fn build_tiled_profiled(
-        &self,
-        num_harts: u32,
-        capacity: u32,
-        wait: WaitStyle,
-    ) -> Result<TiledClusterKernel, TileError> {
-        self.build_tiled_impl(num_harts, capacity, wait, true)
-    }
-
-    fn build_tiled_impl(
+    /// The per-slab planner behind
+    /// [`StencilKernel::build_system_tiled`]: one cluster of `num_harts`
+    /// harts tiling this kernel's whole grid through a TCDM of at most
+    /// `capacity` bytes (rounded down to a whole interleave line). The
+    /// padded grids stay at the unbounded layout's addresses in the
+    /// background memory; the TCDM holds the ping-pong tile buffers.
+    fn plan_tiles(
         &self,
         num_harts: u32,
         capacity: u32,
         wait: WaitStyle,
         phase_marks: bool,
-    ) -> Result<TiledClusterKernel, TileError> {
+    ) -> Result<tiling::TilePlan, TileError> {
         assert!(num_harts >= 1, "a cluster has at least one hart");
         let grid = self.grid;
         let pp = grid.plane_pitch();
@@ -492,7 +415,7 @@ impl StencilKernel {
 
         let working_set = tiling::WorkingSet::from_tiles(&tiles);
         let sched = tiling::schedule(&tiles);
-        let tile_programs = tile_kernels
+        let mut stages: Vec<Vec<Program>> = tile_kernels
             .iter()
             .zip(&sched.per_tile)
             .enumerate()
@@ -522,24 +445,17 @@ impl StencilKernel {
                     .collect::<Vec<_>>()
             })
             .collect();
-        let epilogue =
-            tiling::epilogue_programs(num_harts, &sched.epilogue.0, sched.epilogue.1, wait);
-
-        let (setup, check) = self.dram_data_fns();
-        Ok(TiledClusterKernel::new(
-            format!(
-                "{}/{} x{num_harts} tiled",
-                self.stencil.name(),
-                self.variant
-            ),
-            TcdmConfig::new().with_size(cap),
-            tile_programs,
-            epilogue,
-            self.flops(),
+        stages.push(tiling::epilogue_programs(
+            num_harts,
+            &sched.epilogue.0,
+            sched.epilogue.1,
+            wait,
+        ));
+        Ok(tiling::TilePlan {
+            tcdm: TcdmConfig::new().with_size(cap),
+            stages,
             working_set,
-            setup,
-            check,
-        ))
+        })
     }
 
     /// Generates a [`SystemKernel`] with the grid's z-planes first
@@ -590,16 +506,29 @@ impl StencilKernel {
     }
 
     /// Plans per-cluster double-buffered DMA tilings of this kernel for
-    /// a multi-cluster system: the grid's z-planes are partitioned into
-    /// contiguous slabs across `num_clusters` clusters, and each cluster
-    /// runs [`StencilKernel::build_tiled`]'s pipeline over its own slab
-    /// — all engines streaming from ONE shared background image through
-    /// the shared L2. Surplus clusters (more clusters than planes) idle.
+    /// a system of `num_clusters` clusters, each TCDM capped at
+    /// `capacity` bytes (typically [`crate::TCDM_CAP_BYTES`], the real
+    /// cluster's 128 KiB). The grid's z-planes are partitioned into
+    /// contiguous slabs across the clusters; every cluster runs its own
+    /// tile pipeline over its slab, and all engines stream from ONE
+    /// shared background image through the shared L2. Surplus clusters
+    /// (more clusters than planes) idle. One cluster behind
+    /// `L2Config::passthrough` is a single cluster fed straight from
+    /// Dram.
+    ///
+    /// Each slab's planner prefers whole-plane z-slab tiles, the
+    /// largest plane count whose double-buffered footprint fits the cap
+    /// first; when even a **single plane** exceeds the cap it falls back
+    /// to 2-D x/y sub-tiling: one-plane tiles of the widest y-strip that
+    /// fits, moved with the engine's 2-D strided descriptors. Results
+    /// are bit-identical to the unbounded runs either way: every variant
+    /// executes the same FMA sequence per output point regardless of
+    /// tiling.
     ///
     /// # Errors
     ///
     /// [`TileError`] when any cluster's slab cannot be double-buffered
-    /// within `capacity`.
+    /// within `capacity`, even as one-plane, one-row tiles.
     ///
     /// # Panics
     ///
@@ -614,8 +543,10 @@ impl StencilKernel {
     }
 
     /// [`StencilKernel::build_system_tiled`] with an explicit DMA
-    /// completion [`WaitStyle`] for every cluster's tile pipeline (see
-    /// [`StencilKernel::build_tiled_with`]).
+    /// completion [`WaitStyle`] for every cluster's tile pipeline.
+    /// [`WaitStyle::Park`] is exactly `build_system_tiled`: the waiting
+    /// hart retires nothing. [`WaitStyle::Poll`] models the classic
+    /// spin loop instead. Results are bit-identical either way.
     ///
     /// # Errors
     ///
@@ -634,10 +565,16 @@ impl StencilKernel {
         self.build_system_tiled_impl(num_clusters, harts_per_cluster, capacity, wait, false)
     }
 
-    /// [`StencilKernel::build_system_tiled_with`] with **kernel phase
-    /// markers** in every cluster's tile pipeline (see
-    /// [`StencilKernel::build_tiled_profiled`] for what the marks buy
-    /// and cost).
+    /// [`StencilKernel::build_system_tiled_with`] plus **kernel phase
+    /// markers**: every hart of every cluster opens each tile-loop
+    /// iteration with a `PHASE_MARK` CSR write carrying the tile index,
+    /// so the per-hart attribution can be segmented into prologue /
+    /// per-tile steady state / drain with [`sc_perf::segment_phases`]
+    /// (and a subscribed tracer shows a `phase-mark` instant per
+    /// boundary). The marks cost a couple of retired integer
+    /// instructions per tile per hart — profiled builds are therefore
+    /// **not** cycle-identical to the default builders and are opt-in;
+    /// results remain bit-identical.
     ///
     /// # Errors
     ///
@@ -697,14 +634,14 @@ impl StencilKernel {
                     coeff_base: self.layout.coeff_base,
                 },
             };
-            let tiled = sub.build_tiled_impl(harts_per_cluster, capacity, wait, phase_marks)?;
+            let plan = sub.plan_tiles(harts_per_cluster, capacity, wait, phase_marks)?;
             debug_assert!(
-                tcdm_cfg.is_none_or(|c| c == tiled.tcdm_config()),
+                tcdm_cfg.is_none_or(|c| c == plan.tcdm),
                 "every cluster plans the same capacity-capped TCDM"
             );
-            tcdm_cfg.get_or_insert(tiled.tcdm_config());
-            working_set.merge(tiled.working_set());
-            stages.push(tiled.stages());
+            tcdm_cfg.get_or_insert(plan.tcdm);
+            working_set.merge(&plan.working_set);
+            stages.push(plan.stages);
         }
         let (setup, check) = self.dram_data_fns();
         Ok(TiledSystemKernel::new(

@@ -28,16 +28,16 @@
 //! has completed.
 //!
 //! The tile loop itself (switching each hart to its next tile program)
-//! is modelled by [`sc_cluster::Cluster::load_programs`], which restarts
-//! halted cores with all architectural state and counters intact and
-//! charges no re-dispatch cycles.
+//! is a cluster's stage list in an `sc_system::System`: when a
+//! cluster's cores all halt, the system loads its next stage
+//! ([`sc_cluster::Cluster::load_programs`]), which restarts the cores
+//! with all architectural state and counters intact and charges no
+//! re-dispatch cycles.
 
-use sc_cluster::{ClusterBuilder, ClusterConfig, ClusterSummary};
-use sc_core::CoreConfig;
 use sc_isa::{csr, IntReg, Program, ProgramBuilder};
-use sc_mem::{Dram, DramConfig, MemError, TcdmConfig};
+use sc_mem::{Dram, MemError, TcdmConfig};
 
-use crate::kernel::{KernelError, VerifyError};
+use crate::kernel::VerifyError;
 
 /// The real cluster's L1 capacity — the default cap for tiled kernels.
 pub const TCDM_CAP_BYTES: u32 = 128 << 10;
@@ -495,171 +495,16 @@ pub(crate) fn align_up(v: u32, a: u32) -> u32 {
     v.div_ceil(a) * a
 }
 
-/// A kernel tiled through a capacity-bounded TCDM: per-tile per-hart
-/// programs, the background-memory data closures, and the TCDM geometry
-/// the tiles were sized for.
-pub struct TiledClusterKernel {
-    name: String,
-    tcdm: TcdmConfig,
-    tile_programs: Vec<Vec<Program>>,
-    epilogue: Vec<Program>,
-    flops: u64,
-    working_set: WorkingSet,
-    setup: DramSetupFn,
-    check: DramCheckFn,
-}
-
-impl TiledClusterKernel {
-    /// Assembles a tiled kernel from its parts (used by the generators'
-    /// `build_tiled`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if no tiles were produced or hart counts are inconsistent.
-    #[must_use]
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn new(
-        name: String,
-        tcdm: TcdmConfig,
-        tile_programs: Vec<Vec<Program>>,
-        epilogue: Vec<Program>,
-        flops: u64,
-        working_set: WorkingSet,
-        setup: DramSetupFn,
-        check: DramCheckFn,
-    ) -> Self {
-        assert!(!tile_programs.is_empty(), "a tiled kernel has tiles");
-        let harts = epilogue.len();
-        assert!(
-            tile_programs.iter().all(|t| t.len() == harts),
-            "every tile partitions over the same harts"
-        );
-        for tile in &tile_programs {
-            crate::debug_lint_harts(&name, tile);
-        }
-        crate::debug_lint_harts(&name, &epilogue);
-        TiledClusterKernel {
-            name,
-            tcdm,
-            tile_programs,
-            epilogue,
-            flops,
-            working_set,
-            setup,
-            check,
-        }
-    }
-
-    /// The kernel's display name (e.g. `"box3d1r/Chaining+ x4 tiled"`).
-    #[must_use]
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
-    /// Number of compute tiles in the pipeline.
-    #[must_use]
-    pub fn num_tiles(&self) -> usize {
-        self.tile_programs.len()
-    }
-
-    /// Harts the kernel is partitioned over.
-    #[must_use]
-    pub fn num_harts(&self) -> usize {
-        self.epilogue.len()
-    }
-
-    /// The capacity-capped TCDM geometry the tiles were planned for.
-    #[must_use]
-    pub fn tcdm_config(&self) -> TcdmConfig {
-        self.tcdm
-    }
-
-    /// The plan's background-memory working set (footprint vs traffic) —
-    /// size an L2 against it to deliberately over- or under-fit.
-    #[must_use]
-    pub fn working_set(&self) -> &WorkingSet {
-        &self.working_set
-    }
-
-    /// The full stage sequence — every tile's program set followed by
-    /// the epilogue — in the form `sc_system::System` consumes as one
-    /// cluster's software tile loop. Also the surface external
-    /// verifiers (the `lint_sweep` CI bin) lint.
-    #[must_use]
-    pub fn stages(&self) -> Vec<Vec<Program>> {
-        let mut stages = self.tile_programs.clone();
-        stages.push(self.epilogue.clone());
-        stages
-    }
-
-    /// Double-precision flops the whole problem performs.
-    #[must_use]
-    pub fn flops(&self) -> u64 {
-        self.flops
-    }
-
-    /// Runs the full tile pipeline on a DMA-equipped cluster, verifying
-    /// the background-memory image afterwards. The `cfg.tcdm` geometry
-    /// is overridden by the planner's capacity-capped one.
-    ///
-    /// # Errors
-    ///
-    /// Cluster/DMA simulation errors, setup errors and verification
-    /// mismatches are all reported as [`KernelError`].
-    pub fn run(
-        &self,
-        cfg: CoreConfig,
-        dram_cfg: DramConfig,
-        max_cycles: u64,
-    ) -> Result<TiledRun, KernelError> {
-        let core_cfg = CoreConfig {
-            tcdm: self.tcdm,
-            ..cfg
-        };
-        let ccfg = ClusterConfig::new(self.num_harts() as u32).with_core(core_cfg);
-        let mut dram = Dram::new(dram_cfg);
-        (self.setup)(&mut dram)?;
-        let mut cluster = ClusterBuilder::new(ccfg, self.tile_programs[0].clone())
-            .dma(dram)
-            .build();
-        cluster.run(max_cycles)?;
-        for programs in &self.tile_programs[1..] {
-            cluster.load_programs(programs.clone());
-            cluster.run(max_cycles)?;
-        }
-        cluster.load_programs(self.epilogue.clone());
-        let summary = cluster.run(max_cycles)?;
-        debug_assert!(
-            cluster.dma_engine().is_some_and(|e| e.is_idle()),
-            "epilogue must drain the DMA queue"
-        );
-        (self.check)(cluster.dram().expect("dma attached"))?;
-        Ok(TiledRun {
-            summary,
-            num_tiles: self.num_tiles(),
-        })
-    }
-}
-
-impl std::fmt::Debug for TiledClusterKernel {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("TiledClusterKernel")
-            .field("name", &self.name)
-            .field("tiles", &self.num_tiles())
-            .field("harts", &self.num_harts())
-            .field("tcdm_bytes", &self.tcdm.size)
-            .finish_non_exhaustive()
-    }
-}
-
-/// The outcome of a verified tiled run.
-#[derive(Debug, Clone)]
-pub struct TiledRun {
-    /// The cluster's aggregated summary (cycles span the whole pipeline;
-    /// `summary.dma` carries traffic and overlap metrics).
-    pub summary: ClusterSummary,
-    /// Tiles the pipeline executed.
-    pub num_tiles: usize,
+/// One cluster's tile pipeline as a planner lays it out: the
+/// capacity-capped TCDM the tiles were sized for, the stage sequence
+/// (every tile's per-hart programs, then the epilogue) and the
+/// background-memory working set. The system-tiled builders turn plans
+/// into a [`crate::TiledSystemKernel`].
+#[derive(Debug)]
+pub(crate) struct TilePlan {
+    pub tcdm: TcdmConfig,
+    pub stages: Vec<Vec<Program>>,
+    pub working_set: WorkingSet,
 }
 
 #[cfg(test)]
@@ -744,7 +589,9 @@ mod tests {
             Variant::ChainingPlus,
         )
         .expect("valid combination");
-        let tk = gen.build_tiled(2, 8 << 10).expect("tiles fit 8 KiB");
+        let tk = gen
+            .build_system_tiled(1, 2, 8 << 10)
+            .expect("tiles fit 8 KiB");
         let ws = tk.working_set();
         assert_eq!(ws.tiles, tk.num_tiles());
         assert!(tk.num_tiles() > 1, "the plan must actually tile");

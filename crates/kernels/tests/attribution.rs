@@ -218,19 +218,29 @@ fn profiled_builds_mark_phases_and_segments_resum() {
     let harts = 2;
     let cfg = CoreConfig::new().with_chaining(true);
     let dram = DramConfig::new().with_latency(32);
+    // One cluster whose engine reads the Dram through a pass-through L2.
+    let direct = L2Config::passthrough(dram);
 
     let plain = gen
-        .build_tiled_with(harts, cap, WaitStyle::Poll)
+        .build_system_tiled_with(1, harts, cap, WaitStyle::Poll)
         .expect("grid tiles");
     let profiled = gen
-        .build_tiled_profiled(harts, cap, WaitStyle::Poll)
+        .build_system_tiled_profiled(1, harts, cap, WaitStyle::Poll)
         .expect("grid tiles");
-    let plain_run = plain.run(cfg, dram, MAX_CYCLES).expect("plain runs");
-    let run = profiled.run(cfg, dram, MAX_CYCLES).expect("profiled runs");
+    let plain_run = plain
+        .run(cfg, direct, dram, MAX_CYCLES)
+        .expect("plain runs");
+    let run = profiled
+        .run(cfg, direct, dram, MAX_CYCLES)
+        .expect("profiled runs");
+    let (plain_summary, summary) = (
+        &plain_run.summary.per_cluster[0],
+        &run.summary.per_cluster[0],
+    );
 
     let num_tiles = run.num_tiles;
     assert!(num_tiles >= 2, "the point must actually tile");
-    for (h, core) in run.summary.per_core.iter().enumerate() {
+    for (h, core) in summary.per_core.iter().enumerate() {
         let marks = core.phase_marks.clone();
         assert_eq!(
             marks.len(),
@@ -263,19 +273,18 @@ fn profiled_builds_mark_phases_and_segments_resum() {
     // Default builders emit no marks, and the profiled overhead stays a
     // perturbation, not a different pipeline (same tile count, same
     // DMA traffic).
-    assert!(plain_run
-        .summary
+    assert!(plain_summary
         .per_core
         .iter()
         .all(|c| c.phase_marks.is_empty()));
     assert_eq!(plain_run.num_tiles, num_tiles);
     assert_eq!(
-        plain_run.summary.dma.as_ref().map(|d| d.stats.beats),
-        run.summary.dma.as_ref().map(|d| d.stats.beats),
+        plain_summary.dma.as_ref().map(|d| d.stats.beats),
+        summary.dma.as_ref().map(|d| d.stats.beats),
     );
 
-    // The system-level profiled builder threads marks into every
-    // cluster the same way.
+    // A two-cluster profiled build threads marks into every cluster
+    // the same way.
     let sys = gen
         .build_system_tiled_profiled(2, harts, cap, WaitStyle::Poll)
         .expect("slabs tile");

@@ -86,7 +86,8 @@ fn one_core_cluster_matches_simulator_without_chaining_hardware() {
 fn one_core_cluster_with_idle_dma_matches_simulator() {
     // Attaching the DMA subsystem must be cycle-invisible while its
     // doorbell never rings: same paper kernels, same cycle counts and
-    // counters as the legacy simulator.
+    // counters as the legacy simulator. An idle engine never touches
+    // memory, so the stand-alone run needs no store.
     let cfg = CoreConfig::new();
     let max_cycles = 50_000_000;
     let kernels = [
@@ -106,7 +107,7 @@ fn one_core_cluster_with_idle_dma_matches_simulator() {
 
         let ccfg = sc_cluster::ClusterConfig::new(1).with_core(cfg);
         let mut cluster = sc_cluster::ClusterBuilder::new(ccfg, vec![kernel.program().clone()])
-            .dma(sc_mem::Dram::new(sc_mem::DramConfig::new()))
+            .shared_dma(sc_mem::DramConfig::new())
             .build();
         kernel.apply_setup(cluster.tcdm_mut()).expect("setup fits");
         let with_dma = cluster.run(max_cycles).expect("dma-idle run");

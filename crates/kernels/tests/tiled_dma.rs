@@ -7,17 +7,36 @@
 //!   cluster's 128 KiB,
 //! * compute–transfer overlap actually happens on multi-tile runs,
 //! * capacity caps too small for even one tile are rejected cleanly.
+//!
+//! Every pipeline runs as the one cluster of a system behind a
+//! pass-through L2, so its engine pays the Dram's timing directly.
 
 use sc_core::CoreConfig;
 use sc_kernels::{
-    Grid3, Stencil, StencilKernel, Variant, VecOpKernel, VecOpVariant, TCDM_CAP_BYTES,
+    Grid3, KernelError, Stencil, StencilKernel, TiledSystemKernel, TiledSystemRun, Variant,
+    VecOpKernel, VecOpVariant, TCDM_CAP_BYTES,
 };
-use sc_mem::DramConfig;
+use sc_mem::{DramConfig, L2Config};
 
 const MAX_CYCLES: u64 = 50_000_000;
 
 fn dram_cfg() -> DramConfig {
     DramConfig::new().with_latency(32)
+}
+
+/// Runs a one-cluster tiled kernel with its engine reading the Dram
+/// through a pass-through L2.
+fn run_direct(
+    tiled: &TiledSystemKernel,
+    cfg: CoreConfig,
+    max_cycles: u64,
+) -> Result<TiledSystemRun, KernelError> {
+    tiled.run(
+        cfg,
+        L2Config::passthrough(dram_cfg()),
+        dram_cfg(),
+        max_cycles,
+    )
 }
 
 #[test]
@@ -31,17 +50,18 @@ fn tiled_stencil_multi_tile_verifies_and_overlaps() {
         (Variant::BaseMinus, 4),
     ] {
         let gen = StencilKernel::new(Stencil::box3d1r(), grid, variant).unwrap();
-        let tiled = gen.build_tiled(harts, 8 << 10).unwrap();
+        let tiled = gen.build_system_tiled(1, harts, 8 << 10).unwrap();
         assert!(
             tiled.num_tiles() > 1,
             "{}: expected multiple tiles under an 8 KiB cap",
             tiled.name()
         );
         let cfg = CoreConfig::new().with_chaining(variant.uses_chaining());
-        let run = tiled
-            .run(cfg, dram_cfg(), MAX_CYCLES)
+        let run = run_direct(&tiled, cfg, MAX_CYCLES)
             .unwrap_or_else(|e| panic!("{} x{harts}: {e}", variant));
-        let dma = run.summary.dma.expect("tiled runs carry DMA metrics");
+        let dma = run.summary.per_cluster[0]
+            .dma
+            .expect("tiled runs carry DMA metrics");
         assert!(dma.stats.beats > 0);
         assert_eq!(
             dma.stats.transfers_completed, dma.stats.transfers_enqueued,
@@ -61,8 +81,7 @@ fn tiled_vecop_multi_tile_verifies() {
         let gen = VecOpKernel::new(64, variant);
         let tiled = gen.build_tiled(2, 2048).unwrap();
         assert!(tiled.num_tiles() > 1, "{}: expected 2 tiles", tiled.name());
-        tiled
-            .run(CoreConfig::new(), dram_cfg(), MAX_CYCLES)
+        run_direct(&tiled, CoreConfig::new(), MAX_CYCLES)
             .unwrap_or_else(|e| panic!("{variant}: {e}"));
     }
 }
@@ -77,18 +96,17 @@ fn all_stock_kernels_complete_at_true_128k() {
     for stencil in [Stencil::box3d1r(), Stencil::j3d27pt()] {
         for variant in Variant::ALL {
             let gen = StencilKernel::new(stencil.clone(), grid, variant).unwrap();
-            let tiled = gen.build_tiled(2, TCDM_CAP_BYTES).unwrap();
+            let tiled = gen.build_system_tiled(1, 2, TCDM_CAP_BYTES).unwrap();
             let cfg = CoreConfig::new().with_chaining(variant.uses_chaining());
-            tiled
-                .run(cfg, dram_cfg(), MAX_CYCLES)
+            run_direct(&tiled, cfg, MAX_CYCLES)
                 .unwrap_or_else(|e| panic!("{}/{variant}: {e}", stencil.name()));
         }
     }
     for variant in VecOpVariant::ALL {
-        VecOpKernel::new(128, variant)
+        let tiled = VecOpKernel::new(128, variant)
             .build_tiled(2, TCDM_CAP_BYTES)
-            .unwrap()
-            .run(CoreConfig::new(), dram_cfg(), MAX_CYCLES)
+            .unwrap();
+        run_direct(&tiled, CoreConfig::new(), MAX_CYCLES)
             .unwrap_or_else(|e| panic!("vecop/{variant}: {e}"));
     }
 }
@@ -115,10 +133,8 @@ fn tiled_output_matches_untiled_bit_for_bit() {
     // The tiled run's internal check verifies the Dram interior against
     // the golden model bit-exactly; assert the untiled image equals the
     // same golden values, making tiled ≡ untiled explicit and bit-exact.
-    let tiled = gen.build_tiled(2, 8 << 10).unwrap();
-    let run = tiled
-        .run(CoreConfig::new(), dram_cfg(), MAX_CYCLES)
-        .unwrap();
+    let tiled = gen.build_system_tiled(1, 2, 8 << 10).unwrap();
+    let run = run_direct(&tiled, CoreConfig::new(), MAX_CYCLES).unwrap();
     assert!(run.num_tiles > 1);
     let input = grid.random_field(0x5EED ^ u64::from(grid.nx));
     let golden = Stencil::box3d1r().golden(&grid, &input);
@@ -148,10 +164,8 @@ fn chained_pipeline_does_not_wedge_under_backpressure() {
         Variant::ChainingPlus,
     )
     .unwrap();
-    let tiled = gen.build_tiled(8, TCDM_CAP_BYTES).unwrap();
-    let run = tiled
-        .run(CoreConfig::new(), dram_cfg(), 5_000_000)
-        .expect("must not deadlock");
+    let tiled = gen.build_system_tiled(1, 8, TCDM_CAP_BYTES).unwrap();
+    let run = run_direct(&tiled, CoreConfig::new(), 5_000_000).expect("must not deadlock");
     assert!(run.summary.cycles < 1_000_000);
 }
 
@@ -169,18 +183,17 @@ fn near_minimum_capacities_never_fault_and_respect_the_cap() {
         Variant::ChainingPlus,
     )
     .unwrap();
-    let min = gen.build_tiled(1, 1024).unwrap_err().needed;
+    let min = gen.build_system_tiled(1, 1, 1024).unwrap_err().needed;
     let mut accepted = 0;
     for cap in [min, min + 64, min + 255, min + 256, min + 1024] {
-        match gen.build_tiled(1, cap) {
+        match gen.build_system_tiled(1, 1, cap) {
             Ok(tiled) => {
                 assert!(
                     tiled.tcdm_config().size <= cap,
                     "cap {cap}: TCDM sized {} exceeds the hard cap",
                     tiled.tcdm_config().size
                 );
-                tiled
-                    .run(CoreConfig::new(), dram_cfg(), MAX_CYCLES)
+                run_direct(&tiled, CoreConfig::new(), MAX_CYCLES)
                     .unwrap_or_else(|e| panic!("cap {cap}: accepted plan faulted: {e}"));
                 accepted += 1;
             }
@@ -205,7 +218,7 @@ fn oversized_planes_sub_tile_along_y() {
     for (variant, harts) in [(Variant::ChainingPlus, 1), (Variant::Base, 2)] {
         let gen = StencilKernel::new(Stencil::box3d1r(), grid, variant).unwrap();
         let tiled = gen
-            .build_tiled(harts, 16 << 10)
+            .build_system_tiled(1, harts, 16 << 10)
             .expect("y-splitting makes the plan feasible");
         assert!(
             tiled.num_tiles() > grid.nz as usize,
@@ -215,9 +228,7 @@ fn oversized_planes_sub_tile_along_y() {
         );
         assert!(tiled.tcdm_config().size <= 16 << 10);
         let cfg = CoreConfig::new().with_chaining(variant.uses_chaining());
-        tiled
-            .run(cfg, dram_cfg(), MAX_CYCLES)
-            .unwrap_or_else(|e| panic!("{} x{harts}: {e}", variant));
+        run_direct(&tiled, cfg, MAX_CYCLES).unwrap_or_else(|e| panic!("{} x{harts}: {e}", variant));
     }
 }
 
@@ -229,7 +240,7 @@ fn impossible_capacity_is_rejected() {
         Variant::ChainingPlus,
     )
     .unwrap();
-    let err = gen.build_tiled(2, 1024).unwrap_err();
+    let err = gen.build_system_tiled(1, 2, 1024).unwrap_err();
     assert!(err.needed > err.capacity);
     assert!(err.to_string().contains("double-buffered"));
 

@@ -341,8 +341,8 @@ impl L2Config {
         self
     }
 
-    /// The timing the DMA engines pay per transfer/beat at this L2 —
-    /// the drop-in replacement for a private Dram's `DramConfig`.
+    /// The timing the DMA engines pay per transfer/beat at this L2 (a
+    /// [`L2Config::passthrough`] hands back the Dram timing it wraps).
     #[must_use]
     pub fn engine_timing(&self) -> DramConfig {
         DramConfig::new()

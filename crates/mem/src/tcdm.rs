@@ -111,7 +111,7 @@ impl TcdmConfig {
 
     /// The real Snitch cluster L1: a hard 128 KiB over 32 × 64-bit banks.
     /// Whole-problem footprints generally do **not** fit; kernels must be
-    /// tiled through the DMA engine (`sc-kernels`' `build_tiled`).
+    /// tiled through the DMA engine (`sc-kernels`' `build_system_tiled`).
     #[must_use]
     pub fn snitch_128k() -> Self {
         Self::new().with_size(128 << 10)

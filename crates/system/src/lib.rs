@@ -34,8 +34,10 @@
 //!
 //! A 1-cluster system behind a pass-through L2
 //! ([`sc_mem::L2Config::passthrough`]) performs exactly the same
-//! sequence as a stand-alone [`sc_cluster::Cluster`], cycle for cycle —
-//! pinned by this crate's tests and `sc-kernels`' system proptests.
+//! sequence as a stand-alone [`sc_cluster::Cluster`] stepped straight
+//! against the Dram, cycle for cycle — pinned by this crate's tests and
+//! `sc-kernels`' system proptests. It is how a single cluster runs with
+//! background memory: the system is the only owner of the Dram.
 //!
 //! ## Event-driven scheduling
 //!
@@ -320,11 +322,10 @@ pub struct System {
     tracer: Tracer,
     watchdog: Option<Watchdog>,
     /// Per-cluster, per-hart attribution snapshots at the system
-    /// watchdog's last observed progress change — the baselines a hang
-    /// report takes its stalled-window attribution deltas against.
+    /// watchdog's last observed progress change
+    /// ([`Watchdog::progressed`]) — the baselines a hang report takes
+    /// its stalled-window attribution deltas against.
     hang_attr_base: Vec<Vec<Attribution>>,
-    hang_attr_sig: u64,
-    hang_attr_primed: bool,
     sched: Scheduler,
 }
 
@@ -383,8 +384,6 @@ impl System {
             tracer: Tracer::off(),
             watchdog: None,
             hang_attr_base: vec![Vec::new(); n],
-            hang_attr_sig: 0,
-            hang_attr_primed: false,
             sched: Scheduler::default(),
         }
     }
@@ -456,9 +455,7 @@ impl System {
             return None;
         }
         let sig: u64 = self.clusters.iter().map(Cluster::progress_signature).sum();
-        if !self.hang_attr_primed || sig != self.hang_attr_sig {
-            self.hang_attr_primed = true;
-            self.hang_attr_sig = sig;
+        if self.watchdog.as_ref()?.progressed(sig) {
             self.hang_attr_base = self.clusters.iter().map(Cluster::attr_snapshot).collect();
         }
         let cycle = self.cycles;
@@ -800,18 +797,13 @@ impl System {
     /// multiple of the sampling cadence (see
     /// [`Cluster::sample_final`]).
     fn sample_final(&self) {
-        let cadence = self.tracer.sample_cadence();
-        if !self.tracer.is_on() || cadence == 0 {
-            return;
+        if self.tracer.final_sample_owed(self.cycles) {
+            self.tracer.set_cycle(self.cycles);
+            for cluster in &self.clusters {
+                cluster.sample_now();
+            }
+            self.sample_l2_now();
         }
-        if self.cycles > 0 && (self.cycles - 1).is_multiple_of(cadence) {
-            return;
-        }
-        self.tracer.set_cycle(self.cycles);
-        for cluster in &self.clusters {
-            cluster.sample_now();
-        }
-        self.sample_l2_now();
     }
 
     /// Runs until every cluster finishes its last stage, or the cycle

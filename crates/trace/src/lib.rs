@@ -300,6 +300,17 @@ impl Tracer {
         self.sink.is_some() && self.sample_every > 0 && cycle.is_multiple_of(self.sample_every)
     }
 
+    /// Whether a run that ended after `cycles` simulated cycles owes
+    /// its run-end partial-interval sample: sampling is on and the last
+    /// simulated cycle was not itself a sampling point (whose rows
+    /// already hold the final state). A run of no cycles owes one.
+    #[must_use]
+    pub fn final_sample_owed(&self, cycles: u64) -> bool {
+        self.sink.is_some()
+            && self.sample_every > 0
+            && (cycles == 0 || !self.wants_sample(cycles - 1))
+    }
+
     /// Snapshots every metric of `source` into the time-series, under
     /// `track`.
     pub fn sample(&self, track: Track, source: &dyn MetricSource) {
@@ -355,5 +366,19 @@ mod tests {
         assert!(t.wants_sample(200));
         let none = TraceSession::new(TraceConfig::new().with_sample_every(0));
         assert!(!none.tracer().wants_sample(0));
+    }
+
+    #[test]
+    fn final_sample_is_owed_unless_the_last_cycle_sampled() {
+        let session = TraceSession::new(TraceConfig::new().with_sample_every(100));
+        let t = session.tracer();
+        assert!(t.final_sample_owed(0), "a run of no cycles sampled nothing");
+        assert!(!t.final_sample_owed(1), "cycle 0 was a sampling point");
+        assert!(t.final_sample_owed(2));
+        assert!(t.final_sample_owed(100));
+        assert!(!t.final_sample_owed(201), "cycle 200 was a sampling point");
+        let none = TraceSession::new(TraceConfig::new().with_sample_every(0));
+        assert!(!none.tracer().final_sample_owed(2));
+        assert!(!Tracer::off().final_sample_owed(2));
     }
 }

@@ -39,10 +39,19 @@ impl Watchdog {
         self.limit
     }
 
+    /// Whether observing `signature` restarts the progress-free count:
+    /// the first observation, or a signature that moved since the last
+    /// one. An owner re-takes the baseline its hang reports measure
+    /// stalled-window deltas against exactly then.
+    #[must_use]
+    pub fn progressed(&self, signature: u64) -> bool {
+        !self.primed || signature != self.last_sig
+    }
+
     /// Feeds one cycle's signature; returns `Some(stuck_for)` when the
     /// signature has been frozen for at least the limit.
     pub fn observe(&mut self, cycle: u64, signature: u64) -> Option<u64> {
-        if !self.primed || signature != self.last_sig {
+        if self.progressed(signature) {
             self.primed = true;
             self.last_sig = signature;
             self.last_change = cycle;
