@@ -598,9 +598,9 @@ pub struct L2 {
     rr_next: u32,
     /// Scratch: banks taken this cycle.
     bank_taken: Vec<bool>,
-    /// Scratch: request indexes in priority order (reused across cycles
-    /// to keep the lock-step hot loop allocation-light).
-    order: Vec<usize>,
+    /// Scratch: each cluster's request index this cycle, `None` when it
+    /// sent none (one slot per cluster; emptied again by every pass).
+    request_of: Vec<Option<u32>>,
 }
 
 impl L2 {
@@ -621,7 +621,7 @@ impl L2 {
             conflicts_by_cluster: vec![0; num_clusters as usize],
             rr_next: 0,
             bank_taken: vec![false; cfg.banks as usize],
-            order: Vec::new(),
+            request_of: vec![None; num_clusters.max(1) as usize],
             cfg,
         }
     }
@@ -764,51 +764,103 @@ impl L2 {
             "request from cluster outside the configured id range"
         );
         let rr = self.rr_next % n;
-        let mut order = std::mem::take(&mut self.order);
-        order.clear();
-        order.extend(0..requests.len());
-        order.sort_by_key(|&i| (requests[i].cluster + n - rr) % n);
+        // Priority order is cluster order rotated to start at `rr`:
+        // index the requests by cluster, then visit the clusters
+        // `rr, rr + 1, …` (mod n), O(n) with no sort.
+        for (i, req) in requests.iter().enumerate() {
+            let slot = &mut self.request_of[req.cluster as usize];
+            debug_assert!(
+                slot.is_none(),
+                "two requests from cluster {} in one cycle",
+                req.cluster
+            );
+            *slot = Some(i as u32);
+        }
         let mut first_winner = None;
-        for &i in &order {
-            let req = &requests[i];
-            let c = req.cluster as usize;
-            if self.cfg.refill && req.kind == AccessKind::Read {
-                match self.cache.probe_read(req.addr, req.cluster) {
-                    Probe::Ready => {}
-                    Probe::MissPending => {
-                        outcomes[i] = L2Outcome::MissWait;
-                        continue;
-                    }
-                    Probe::MshrFull => {
-                        outcomes[i] = L2Outcome::MshrFull;
-                        continue;
-                    }
-                }
+        let mut left = requests.len();
+        for c in (rr..n).chain(0..rr) {
+            if left == 0 {
+                break;
             }
-            let bank = self.bank_of(req.addr) as usize;
-            if self.bank_taken[bank] {
-                self.conflicts += 1;
-                self.conflicts_by_cluster[c] += 1;
-            } else {
-                self.bank_taken[bank] = true;
-                outcomes[i] = L2Outcome::Granted;
-                self.accesses += 1;
-                self.accesses_by_cluster[c] += 1;
-                first_winner.get_or_insert(req.cluster);
-                if self.cfg.refill {
-                    match req.kind {
-                        AccessKind::Read => {
-                            let _ = self.cache.commit_read(req.addr, req.cluster);
-                        }
-                        // Allocate-without-fetch in the timing sense,
-                        // and the written data is now the L2's to
-                        // serve: later reads hit.
-                        AccessKind::Write => self.cache.commit_write(req.addr),
-                    }
+            if let Some(i) = self.request_of[c as usize].take() {
+                left -= 1;
+                let i = i as usize;
+                if self.serve(&requests[i], &mut outcomes[i]) {
+                    first_winner.get_or_insert(c);
                 }
             }
         }
-        self.order = order;
+        self.advance_rotation(first_winner, n);
+    }
+
+    /// The sort-based priority order [`L2::arbitrate_into`] replaced,
+    /// kept as the reference its rotation is pinned against.
+    #[cfg(test)]
+    pub(crate) fn arbitrate_sort_reference(&mut self, requests: &[L2Request]) -> Vec<L2Outcome> {
+        let mut outcomes = vec![L2Outcome::BankConflict; requests.len()];
+        if requests.is_empty() {
+            return outcomes;
+        }
+        self.bank_taken.fill(false);
+        let n = self.accesses_by_cluster.len().max(1) as u32;
+        let rr = self.rr_next % n;
+        let mut order: Vec<usize> = (0..requests.len()).collect();
+        order.sort_by_key(|&i| (requests[i].cluster + n - rr) % n);
+        let mut first_winner = None;
+        for i in order {
+            if self.serve(&requests[i], &mut outcomes[i]) {
+                first_winner.get_or_insert(requests[i].cluster);
+            }
+        }
+        self.advance_rotation(first_winner, n);
+        outcomes
+    }
+
+    /// Arbitrates one request in priority order: a read of a missing
+    /// line stalls behind the cache core, otherwise the beat takes its
+    /// bank unless an earlier one did. Returns whether it was granted.
+    fn serve(&mut self, req: &L2Request, outcome: &mut L2Outcome) -> bool {
+        let c = req.cluster as usize;
+        if self.cfg.refill && req.kind == AccessKind::Read {
+            match self.cache.probe_read(req.addr, req.cluster) {
+                Probe::Ready => {}
+                Probe::MissPending => {
+                    *outcome = L2Outcome::MissWait;
+                    return false;
+                }
+                Probe::MshrFull => {
+                    *outcome = L2Outcome::MshrFull;
+                    return false;
+                }
+            }
+        }
+        let bank = self.bank_of(req.addr) as usize;
+        if self.bank_taken[bank] {
+            self.conflicts += 1;
+            self.conflicts_by_cluster[c] += 1;
+            return false;
+        }
+        self.bank_taken[bank] = true;
+        *outcome = L2Outcome::Granted;
+        self.accesses += 1;
+        self.accesses_by_cluster[c] += 1;
+        if self.cfg.refill {
+            match req.kind {
+                AccessKind::Read => {
+                    let _ = self.cache.commit_read(req.addr, req.cluster);
+                }
+                // Allocate-without-fetch in the timing sense, and the
+                // written data is now the L2's to serve: later reads
+                // hit.
+                AccessKind::Write => self.cache.commit_write(req.addr),
+            }
+        }
+        true
+    }
+
+    /// Moves the round-robin pointer past this cycle's highest-priority
+    /// winner, or one step when nothing was granted.
+    fn advance_rotation(&mut self, first_winner: Option<u32>, n: u32) {
         self.rr_next = match first_winner {
             Some(cluster) => (cluster + 1) % n,
             None => (self.rr_next + 1) % n,

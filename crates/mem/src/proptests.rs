@@ -5,7 +5,8 @@
 use proptest::prelude::*;
 
 use crate::{
-    AccessKind, L2Config, L2Outcome, L2Request, PortId, PrefetchHint, Request, Tcdm, TcdmConfig, L2,
+    AccessKind, DramConfig, L2Config, L2Outcome, L2Request, PortId, PrefetchHint, Request, Tcdm,
+    TcdmConfig, L2,
 };
 
 fn request() -> impl Strategy<Value = Request> {
@@ -235,6 +236,33 @@ fn l2_batch(clusters: u32) -> impl Strategy<Value = Vec<L2Request>> {
     })
 }
 
+/// One cycle of beats from up to 8 clusters, at most one each, in a
+/// shuffled cluster order: per cluster a sort key, whether it requests,
+/// a word and a direction.
+fn shuffled_l2_batch() -> impl Strategy<Value = Vec<L2Request>> {
+    proptest::collection::vec((any::<u32>(), any::<bool>(), 0u32..64, any::<bool>()), 8..9)
+        .prop_map(|slots| {
+            let mut order: Vec<u32> = (0..8).collect();
+            order.sort_by_key(|&c| slots[c as usize].0);
+            order
+                .into_iter()
+                .filter(|&c| slots[c as usize].1)
+                .map(|c| {
+                    let (_, _, word, write) = slots[c as usize];
+                    L2Request {
+                        cluster: c,
+                        addr: word * 8,
+                        kind: if write {
+                            AccessKind::Write
+                        } else {
+                            AccessKind::Read
+                        },
+                    }
+                })
+                .collect()
+        })
+}
+
 fn finite_l2_config() -> impl Strategy<Value = L2Config> {
     (
         prop_oneof![Just(0u32), Just(4), Just(8), Just(16)],
@@ -356,6 +384,39 @@ proptest! {
         let mut l2 = L2::new(cfg, 1);
         drive(&mut l2, &batches);
         prop_assert_eq!(l2.stats().cache.mshr_merges, 0);
+    }
+
+    /// The cluster-indexed rotation of `L2::arbitrate_into` reproduces
+    /// the sort-based priority order it replaced: the same outcome for
+    /// every beat of every cycle, hence the same rotation pointer, cache
+    /// state and stats, with the requests of each cycle in a shuffled
+    /// cluster order and any subset of the clusters requesting.
+    #[test]
+    fn l2_arbitrate_into_matches_sort_reference(
+        cfg in prop_oneof![
+            finite_l2_config(),
+            Just(L2Config::new().with_banks(2)),
+            Just(L2Config::passthrough(DramConfig::new())),
+        ],
+        clusters in 1u32..9,
+        batches in proptest::collection::vec(shuffled_l2_batch(), 1..120),
+    ) {
+        let mut fast = L2::new(cfg, clusters);
+        let mut reference = L2::new(cfg, clusters);
+        // Stale contents the into-buffer form must overwrite.
+        let mut outcomes = vec![L2Outcome::Granted; 3];
+        for (cycle, batch) in batches.iter().enumerate() {
+            let batch: Vec<L2Request> =
+                batch.iter().copied().filter(|r| r.cluster < clusters).collect();
+            fast.begin_cycle();
+            reference.begin_cycle();
+            fast.arbitrate_into(&batch, &mut outcomes);
+            let want = reference.arbitrate_sort_reference(&batch);
+            prop_assert_eq!(&outcomes, &want, "outcome divergence at cycle {}", cycle);
+            fast.end_cycle();
+            reference.end_cycle();
+        }
+        prop_assert_eq!(fast.stats(), reference.stats());
     }
 
     /// The tentpole equivalence pin: an infinite-capacity, 1-channel,

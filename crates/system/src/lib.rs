@@ -318,7 +318,11 @@ pub struct System {
     l2_reqs: Vec<L2Request>,
     l2_outcomes: Vec<L2Outcome>,
     l2_req_of: Vec<Option<usize>>,
-    stepped: Vec<usize>,
+    /// The clusters still running, in index order: built at assembly,
+    /// shrunk when a cluster finishes its last stage (a finished
+    /// cluster never runs again). Every per-cycle loop reads it instead
+    /// of re-testing each cluster.
+    unfinished: Vec<usize>,
     tracer: Tracer,
     watchdog: Option<Watchdog>,
     /// Per-cluster, per-hart attribution snapshots at the system
@@ -369,6 +373,9 @@ impl System {
             queues.push(q);
         }
         let n = clusters.len();
+        let unfinished = (0..n)
+            .filter(|&c| !(clusters[c].is_done() && queues[c].is_empty()))
+            .collect();
         System {
             cfg,
             clusters,
@@ -380,7 +387,7 @@ impl System {
             l2_reqs: Vec::new(),
             l2_outcomes: Vec::new(),
             l2_req_of: vec![None; n],
-            stepped: Vec::new(),
+            unfinished,
             tracer: Tracer::off(),
             watchdog: None,
             hang_attr_base: vec![Vec::new(); n],
@@ -430,10 +437,8 @@ impl System {
     /// `out`: each unfinished cluster's harts and engine, then the
     /// shared L2's miss-handling state.
     pub fn diagnose(&self, out: &mut Vec<ResourceState>) {
-        for (c, cluster) in self.clusters.iter().enumerate() {
-            if !self.cluster_finished(c) {
-                cluster.diagnose(&format!("cluster{c}"), out);
-            }
+        for &c in &self.unfinished {
+            self.clusters[c].diagnose(&format!("cluster{c}"), out);
         }
         if let Some((l2, _)) = self.shared.as_ref() {
             let cache = l2.cache();
@@ -462,14 +467,12 @@ impl System {
         let stuck_for = self.watchdog.as_mut()?.observe(cycle, sig)?;
         let mut resources = Vec::new();
         self.diagnose(&mut resources);
-        for (c, cluster) in self.clusters.iter().enumerate() {
-            if !self.cluster_finished(c) {
-                cluster.diagnose_attr_since(
-                    &format!("cluster{c}"),
-                    &self.hang_attr_base[c],
-                    &mut resources,
-                );
-            }
+        for &c in &self.unfinished {
+            self.clusters[c].diagnose_attr_since(
+                &format!("cluster{c}"),
+                &self.hang_attr_base[c],
+                &mut resources,
+            );
         }
         Some(HangReport::new(cycle, stuck_for, resources))
     }
@@ -539,15 +542,10 @@ impl System {
         self.cycles
     }
 
-    /// Whether a cluster has halted with no stages left.
-    fn cluster_finished(&self, c: usize) -> bool {
-        self.clusters[c].is_done() && self.stages[c].is_empty()
-    }
-
     /// Whether every cluster has finished its last stage.
     #[must_use]
     pub fn is_done(&self) -> bool {
-        (0..self.clusters.len()).all(|c| self.cluster_finished(c))
+        self.unfinished.is_empty()
     }
 
     /// Executes one lock-step system cycle.
@@ -569,23 +567,19 @@ impl System {
 
         // Clusters that finished their last stage sit the cycle out
         // entirely (their cycle counters freeze, like halted cores in a
-        // cluster). Every other cluster steps; one whose harts are all
-        // parked costs little, since a cluster steps only its runnable
-        // harts.
-        let mut stepped = std::mem::take(&mut self.stepped);
-        stepped.clear();
-        stepped.extend((0..self.clusters.len()).filter(|&c| !self.cluster_finished(c)));
-        self.stepped = stepped;
-
-        // Half-cycle 1 on every stepped cluster, collecting the
+        // cluster). Every unfinished cluster steps; one whose harts are
+        // all parked costs little, since a cluster steps only its
+        // runnable harts.
+        //
+        // Half-cycle 1 on every unfinished cluster, collecting the
         // L2-side beats — and the stride hints rung doorbells published
         // (DMA_START), which reach the shared L2's prefetcher *before*
         // this cycle's arbitration so prefetching can start while the
         // engine still pays its startup latency.
         self.l2_reqs.clear();
         self.l2_req_of.fill(None);
-        for i in 0..self.stepped.len() {
-            let c = self.stepped[i];
+        for i in 0..self.unfinished.len() {
+            let c = self.unfinished[i];
             if let Some((addr, kind)) = self.clusters[c].begin_cycle().map_err(tag(c))? {
                 self.l2_req_of[c] = Some(self.l2_reqs.len());
                 self.l2_reqs.push(L2Request {
@@ -612,11 +606,11 @@ impl System {
             l2.arbitrate_into(&self.l2_reqs, &mut self.l2_outcomes);
         }
 
-        // Half-cycle 2: each stepped cluster resumes with its L2
+        // Half-cycle 2: each unfinished cluster resumes with its L2
         // outcome; a granted beat then contends on the cluster's own
         // TCDM crossbar and moves data against the shared store.
-        for i in 0..self.stepped.len() {
-            let c = self.stepped[i];
+        for i in 0..self.unfinished.len() {
+            let c = self.unfinished[i];
             let outcome = match self.l2_req_of[c] {
                 Some(r) => self
                     .l2_outcomes
@@ -640,17 +634,24 @@ impl System {
         // census: a cluster whose cores just halted with another stage
         // queued still has work, so reloading it first makes its harts
         // count as active in the rendezvous below. (Counting them as
-        // halted would release a sibling's barrier without them.)
-        for i in 0..self.stepped.len() {
-            let c = self.stepped[i];
-            if self.clusters[c].is_done() {
-                if let Some(next) = self.stages[c].pop_front() {
+        // halted would release a sibling's barrier without them.) A
+        // cluster with no stage left finishes: it records its finishing
+        // cycle and leaves the unfinished list for good.
+        self.unfinished.retain(|&c| {
+            if !self.clusters[c].is_done() {
+                return true;
+            }
+            match self.stages[c].pop_front() {
+                Some(next) => {
                     self.clusters[c].load_programs(next);
-                } else if self.cluster_done_at[c].is_none() {
+                    true
+                }
+                None => {
                     self.cluster_done_at[c] = Some(self.cycles);
+                    false
                 }
             }
-        }
+        });
 
         // Inter-cluster barrier rendezvous: release once every active
         // hart of every cluster has arrived.
@@ -702,10 +703,7 @@ impl System {
     #[must_use]
     pub fn next_wake(&self) -> Wake {
         let mut wake = Wake::Idle;
-        for c in 0..self.clusters.len() {
-            if self.cluster_finished(c) {
-                continue;
-            }
+        for &c in &self.unfinished {
             // `EveryCycle` absorbs every further merge.
             let cluster = self.clusters[c].next_wake();
             if cluster == Wake::EveryCycle {
@@ -756,10 +754,8 @@ impl System {
             // cycle, then snapshot with the sink's clock rewound to it.
             self.skip_quiet(point - self.cycles + 1);
             self.tracer.set_cycle(point);
-            for c in 0..self.clusters.len() {
-                if !self.cluster_finished(c) {
-                    self.clusters[c].sample_now();
-                }
+            for &c in &self.unfinished {
+                self.clusters[c].sample_now();
             }
             self.sample_l2_now();
             point += cadence;
@@ -772,10 +768,8 @@ impl System {
     /// across the window ([`L2::next_wake`] reported how far they
     /// reach); they advance here in closed form.
     fn skip_quiet(&mut self, cycles: u64) {
-        for c in 0..self.clusters.len() {
-            if !self.cluster_finished(c) {
-                self.clusters[c].skip_quiet(cycles);
-            }
+        for &c in &self.unfinished {
+            self.clusters[c].skip_quiet(cycles);
         }
         if let Some((l2, _)) = self.shared.as_mut() {
             l2.skip(cycles);
