@@ -638,9 +638,10 @@ mod tests {
     }
 
     #[test]
-    fn tiled_cluster_points_reproduce_their_pins() {
-        // The tiled `cluster_scaling` points run as the one cluster of
-        // a system behind a pass-through L2: their cycle counts, TCDM
+    fn cluster_points_reproduce_their_pins() {
+        // Every `cluster_scaling` point runs as the one cluster of a
+        // system — the unbounded ones without shared memory, the tiled
+        // ones behind a pass-through L2: their cycle counts, TCDM
         // conflicts and attribution leaves must equal the pins.
         let pins = baseline_pins(Sweep::ClusterScaling);
         let pin = |id: &str, metric: &str| {
@@ -651,12 +652,9 @@ mod tests {
         };
         let attrs = crate::attr::collect_points(&baseline("attr/cluster_scaling.json"))
             .expect("attribution baseline parses");
-        let points: Vec<PointSpec> = Sweep::ClusterScaling
-            .points()
-            .into_iter()
-            .filter(|p| p.tiled)
-            .collect();
-        assert_eq!(points.len(), 8);
+        let points = Sweep::ClusterScaling.points();
+        assert_eq!(points.len(), 16);
+        assert_eq!(points.iter().filter(|p| p.tiled).count(), 8);
         for p in points {
             let s = p.run().summary.into_cluster();
             assert_eq!(

@@ -34,29 +34,38 @@
 //! Harts that have already halted (`ecall`) no longer participate: a
 //! barrier among the remaining active harts still releases. A program in
 //! which some hart never reaches a barrier the others wait on is a
-//! software bug and surfaces as [`ClusterError::MaxCyclesExceeded`].
+//! software bug: the owning system's run ends at its cycle budget, or
+//! its watchdog names the parked harts. The inter-cluster barrier (CSR
+//! 0x7C6) is the owner's to resolve ([`Cluster::system_barrier_census`],
+//! [`Cluster::release_system_barrier`]).
+//!
+//! ## A component with one driver
+//!
+//! A cluster has no run loop of its own. Its owner, an `sc_system`
+//! `System` (one cluster or many), steps it with
+//! [`Cluster::begin_cycle`] / [`Cluster::end_cycle`], owns the clock
+//! budget, the hang watchdog and the run-end trace sample, and decides
+//! when to fast-forward idle windows through [`Cluster::next_wake`],
+//! [`Cluster::skip_quiet`] and [`Cluster::sample_now`].
 //!
 //! ## Hart census and lazy settlement
 //!
-//! [`Cluster::run`] steps every cycle; fast-forwarding idle windows is
-//! the decision of an owning multi-cluster system, which drives
-//! [`Cluster::next_wake`], [`Cluster::skip_quiet`] and
-//! [`Cluster::sample_now`]. A cycle costs O(runnable harts), not
-//! O(harts). The cluster keeps a census entry per hart — runnable,
-//! halted, or parked (on which barrier, or on a DMA wait with its
-//! target) since cycle `c` — updated only at transitions: the end-of-cycle pass over the harts
-//! it stepped, the barrier and DMA-wait releases, and program loads.
-//! A cycle steps the runnable list only; completion, the rendezvous
-//! counts and the core half of [`Cluster::next_wake`] read O(1) counts
+//! A cycle costs O(runnable harts), not O(harts). The cluster keeps a
+//! census entry per hart — runnable, halted, or parked (on which
+//! barrier, or on a DMA wait with its target) since cycle `c` — updated
+//! only at transitions: the end-of-cycle pass over the harts it stepped,
+//! the barrier and DMA-wait releases, and program loads. A cycle steps
+//! the runnable list only; completion, the rendezvous counts and the
+//! core half of [`Cluster::next_wake`] read O(1) counts
 //! ([`HartCensus`]). A parked hart is drained, so each of its dense
 //! cycles is exactly one cycle of the closed form
 //! [`sc_core::Core::skip_cycles`]: it is not touched at all while
 //! parked, and owes `now - c` cycles, paid once through that closed
-//! form when it is released, on every [`Cluster::run`] exit, and by
-//! [`Cluster::core_mut`] / [`Cluster::settle`]. Every `&self` reader of
-//! hart counters (summaries, samples, attribution snapshots, hang
-//! diagnoses) adds the owed cycles with the same closed form
-//! ([`Cluster::hart_counters`]).
+//! form when it is released, by [`Cluster::settle`] (which the owning
+//! system calls on every run exit) and by [`Cluster::core_mut`]. Every
+//! `&self` reader of hart counters (summaries, samples, attribution
+//! snapshots, hang diagnoses) adds the owed cycles with the same closed
+//! form ([`Cluster::hart_counters`]).
 //!
 //! ## Background memory
 //!
@@ -67,12 +76,12 @@
 //! one-cluster system behind `L2Config::passthrough`.
 //!
 //! Construction is most convenient through the fluent [`ClusterBuilder`],
-//! which applies tracer/DMA/embedding wiring in the right order at build
-//! time.
+//! which applies DMA/embedding wiring in the right order at build time.
 //!
 //! ```
-//! use sc_cluster::{Cluster, ClusterConfig};
+//! use sc_cluster::ClusterConfig;
 //! use sc_isa::{csr, IntReg, ProgramBuilder};
+//! use sc_system::{System, SystemConfig};
 //!
 //! // Every hart stores its ID to TCDM word 0x100 + hart*4, rendezvous,
 //! // halts.
@@ -85,10 +94,12 @@
 //!     b.ecall();
 //!     b.build().unwrap()
 //! };
-//! let mut cluster = Cluster::new(ClusterConfig::new(4), (0..4).map(program).collect());
-//! let summary = cluster.run(10_000)?;
+//! // One cluster of four cores, driven by a one-cluster system.
+//! let cfg = SystemConfig::new(1, 4).with_cluster(ClusterConfig::new(4));
+//! let mut system = System::new(cfg, vec![vec![(0..4).map(program).collect()]]);
+//! let summary = system.run(10_000)?.per_cluster.remove(0);
 //! for hart in 0..4u32 {
-//!     assert_eq!(cluster.tcdm().read_u32(0x100 + hart * 4)?, hart);
+//!     assert_eq!(system.cluster(0).tcdm().read_u32(0x100 + hart * 4)?, hart);
 //! }
 //! assert_eq!(summary.barriers, 1);
 //! # Ok::<(), Box<dyn std::error::Error>>(())
@@ -106,7 +117,7 @@ use sc_isa::Program;
 use sc_lint::{lint_harts, LintConfig, LintReport};
 use sc_mem::{AccessKind, Dram, DramConfig, L2Outcome, PortId, PrefetchHint, Request, Tcdm};
 use sc_perf::{Attribution, Leaf};
-use sc_trace::{HangReport, ResourceState, Tracer, Track, Watchdog};
+use sc_trace::{ResourceState, Tracer, Track};
 
 /// Thread id the DMA engine's trace track uses within a cluster's
 /// process (hart tracks occupy the low ids).
@@ -164,12 +175,6 @@ pub enum ClusterError {
         /// The underlying error.
         source: SimError,
     },
-    /// The cycle budget ran out before every core halted — including the
-    /// case of a barrier some hart never reaches.
-    MaxCyclesExceeded {
-        /// The budget that was exceeded.
-        max_cycles: u64,
-    },
     /// The DMA engine rejected a descriptor or faulted on a beat.
     Dma {
         /// The hart whose doorbell ring enqueued the transfer, if the
@@ -179,14 +184,10 @@ pub enum ClusterError {
         /// The underlying error.
         source: DmaError,
     },
-    /// The watchdog ([`Cluster::set_watchdog`]) saw no architectural
-    /// progress for its limit while harts were unfinished: a hang,
-    /// converted into a diagnostic naming each blocked resource instead
-    /// of spinning until the cycle budget runs out.
-    Hang(HangReport),
     /// Static verification refused the programs before simulation:
-    /// [`ClusterBuilder::lint_strict`] was requested and the `sc-lint`
-    /// pass found error-severity protocol violations.
+    /// the owning system's builder was asked for strict verification
+    /// (`SystemBuilder::lint_strict`) and the `sc-lint` pass found
+    /// error-severity protocol violations.
     Lint(LintReport),
     /// A DMA engine built with [`ClusterBuilder::shared_dma`] moved a
     /// beat in a [`Cluster::end_cycle`] call that passed no external
@@ -198,18 +199,11 @@ impl fmt::Display for ClusterError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             ClusterError::Core { hart, source } => write!(f, "hart {hart}: {source}"),
-            ClusterError::MaxCyclesExceeded { max_cycles } => {
-                write!(
-                    f,
-                    "cluster exceeded {max_cycles} cycles before all harts halted"
-                )
-            }
             ClusterError::Dma {
                 hart: Some(hart),
                 source,
             } => write!(f, "hart {hart}: {source}"),
             ClusterError::Dma { hart: None, source } => write!(f, "dma engine: {source}"),
-            ClusterError::Hang(report) => write!(f, "{report}"),
             ClusterError::Lint(report) => {
                 write!(f, "static verification refused the programs:\n{report}")
             }
@@ -225,9 +219,7 @@ impl std::error::Error for ClusterError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             ClusterError::Core { source, .. } => Some(source),
-            ClusterError::MaxCyclesExceeded { .. } => None,
             ClusterError::Dma { source, .. } => Some(source),
-            ClusterError::Hang(_) => None,
             ClusterError::Lint(_) => None,
             ClusterError::MissingExternalStore => None,
         }
@@ -258,8 +250,7 @@ pub struct ClusterSummary {
     /// Barrier episodes completed by the whole cluster.
     pub barriers: u64,
     /// Inter-cluster (system) barrier episodes this cluster's harts
-    /// completed. Resolved locally on a stand-alone cluster, by the
-    /// system when embedded.
+    /// completed (the owning system resolves them).
     pub system_barriers: u64,
     /// DMA activity and compute–transfer overlap, when an engine is
     /// attached ([`ClusterBuilder::shared_dma`]).
@@ -473,15 +464,11 @@ pub struct Cluster {
     core_done_at: Vec<Option<u64>>,
     barriers: u64,
     system_barriers: u64,
-    /// When embedded in a multi-cluster system, the system owns the
-    /// inter-cluster barrier rendezvous; a stand-alone cluster is the
-    /// whole system and resolves it locally.
-    system_managed: bool,
     dma: Option<DmaAttachment>,
     /// Stride hints the engine published this cycle (doorbells rung at
     /// this [`Cluster::begin_cycle`]); the system collects them between
-    /// the two half-cycles and feeds the shared L2's prefetcher. On the
-    /// single-cluster path they are simply dropped each cycle.
+    /// the two half-cycles and feeds the shared L2's prefetcher; without
+    /// a shared L2 they are simply dropped each cycle.
     prefetch_hints: Vec<PrefetchHint>,
     /// Per-hart census entries, updated only at state transitions.
     status: Vec<HartStatus>,
@@ -503,11 +490,6 @@ pub struct Cluster {
     tracer: Tracer,
     /// Perfetto process id this cluster's tracks live under.
     pid: u32,
-    watchdog: Option<Watchdog>,
-    /// Per-hart attribution snapshots at the watchdog's last observed
-    /// progress change ([`Watchdog::progressed`]) — the baseline against
-    /// which a hang report takes its stalled-window attribution deltas.
-    hang_attr_base: Vec<Attribution>,
     /// Static-verification findings for the currently loaded programs
     /// (computed at construction and on every [`Cluster::load_programs`];
     /// cross-referenced into hang diagnoses).
@@ -544,7 +526,6 @@ impl Cluster {
             core_done_at: vec![None; n],
             barriers: 0,
             system_barriers: 0,
-            system_managed: false,
             dma: None,
             prefetch_hints: Vec::new(),
             status: vec![
@@ -563,8 +544,6 @@ impl Cluster {
             ranges: Vec::new(),
             tracer: Tracer::off(),
             pid: 0,
-            watchdog: None,
-            hang_attr_base: vec![Attribution::new(); n],
             lint,
         };
         cluster.refresh_census();
@@ -573,9 +552,9 @@ impl Cluster {
 
     /// Static-verification findings (`sc-lint`) for the currently loaded
     /// programs. Computed once per program load — simulation never
-    /// consults it, but hang diagnoses cross-reference it and
-    /// [`ClusterBuilder::lint_strict`] refuses clusters whose report has
-    /// errors.
+    /// consults it, but hang diagnoses cross-reference it and a
+    /// strictly verified system (`SystemBuilder::lint_strict`) refuses
+    /// programs whose report has errors.
     #[must_use]
     pub fn lint_report(&self) -> &LintReport {
         &self.lint
@@ -603,52 +582,10 @@ impl Cluster {
         self.pid = pid;
     }
 
-    /// Arms the hang watchdog: if no architectural state retires
-    /// anywhere in the cluster for `limit` consecutive cycles while
-    /// harts are unfinished, the run aborts with
-    /// [`ClusterError::Hang`] naming each blocked resource. Disarmed by
-    /// default. Long legitimate waits (a DMA burst no core polls, an
-    /// uneven barrier) retire *something* every few cycles, so limits in
-    /// the thousands are safe for real programs.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `limit` is zero.
-    pub fn set_watchdog(&mut self, limit: u64) {
-        self.watchdog = Some(Watchdog::new(limit));
-    }
-
-    /// The farthest absolute cycle an owner may fast-forward this
-    /// cluster to without overshooting its local watchdog's firing
-    /// point ([`sc_trace::Watchdog::skip_cap`]); `None` when no
-    /// watchdog is armed. The cluster's progress signature is frozen
-    /// across any legitimately skipped window, so one
-    /// [`Cluster::poll_watchdog`] at the window's end reproduces the
-    /// dense loop's per-cycle observation exactly.
-    #[must_use]
-    pub fn watchdog_skip_cap(&self) -> Option<u64> {
-        self.watchdog.as_ref().map(|w| w.skip_cap(self.cycles))
-    }
-
-    /// The watchdog observation a system owes its embedded cluster once
-    /// per completed system cycle, and once after each window it
-    /// advances the cluster across without dense cycles
-    /// ([`Cluster::skip_quiet`]). Returns the hang report if the cluster
-    /// froze — at the same cycle, with the same stuck-for span, in
-    /// either case. (A stand-alone cluster observes its own watchdog at
-    /// the end of every [`Cluster::end_cycle`].)
-    #[inline]
-    pub fn poll_watchdog(&mut self) -> Option<HangReport> {
-        // The unarmed case is the per-cycle one: keep it a load and a
-        // branch in the system's loop.
-        self.watchdog.as_ref()?;
-        self.check_watchdog()
-    }
-
     /// The sum the watchdog samples: strictly grows whenever any hart
     /// retires an instruction, a stream moves an element, a barrier
-    /// completes, or the DMA engine moves a beat. A system owner sums
-    /// these across clusters for its own global watchdog.
+    /// completes, or the DMA engine moves a beat. The owning system sums
+    /// these across clusters for its watchdog.
     #[must_use]
     pub fn progress_signature(&self) -> u64 {
         let cores: u64 = self.cores.iter().map(Core::progress_signature).sum();
@@ -689,30 +626,10 @@ impl Cluster {
         }
     }
 
-    /// Watchdog check, run once per completed cycle. Returns the hang
-    /// report if the cluster froze.
-    fn check_watchdog(&mut self) -> Option<HangReport> {
-        if self.watchdog.is_none() || self.is_done() {
-            return None;
-        }
-        let sig = self.progress_signature();
-        if self.watchdog.as_ref()?.progressed(sig) {
-            for h in 0..self.cores.len() {
-                self.hang_attr_base[h] = self.hart_counters(h).attr;
-            }
-        }
-        let cycle = self.cycles;
-        let stuck_for = self.watchdog.as_mut()?.observe(cycle, sig)?;
-        let mut resources = Vec::new();
-        self.diagnose("cluster", &mut resources);
-        self.diagnose_attr_since("cluster", &self.hang_attr_base, &mut resources);
-        Some(HangReport::new(cycle, stuck_for, resources))
-    }
-
     /// Appends each wedged hart's stalled-window attribution — where its
     /// cycles went since the snapshot in `base` — next to the structural
-    /// diagnoses of a hang report. A system owner embedding this cluster
-    /// passes its own per-cluster baselines.
+    /// diagnoses of a hang report, against the owning system's baselines
+    /// ([`Cluster::attr_snapshot`]).
     pub fn diagnose_attr_since(
         &self,
         path: &str,
@@ -827,7 +744,7 @@ impl Cluster {
     ///
     /// The counters of a hart parked mid-run lag the cluster clock by the
     /// cycles it has not been stepped (see [`Cluster::hart_counters`]);
-    /// they are current once [`Cluster::run`] returns or after
+    /// they are current once the owning system's run returns or after
     /// [`Cluster::settle`].
     ///
     /// # Panics
@@ -877,9 +794,9 @@ impl Cluster {
     }
 
     /// Pays every parked hart's owed cycles, so each [`Cluster::core`]
-    /// reads counters as of the cluster clock. [`Cluster::run`] does
-    /// this on every exit; an owner stepping the cluster itself calls it
-    /// before reading cores directly.
+    /// reads counters as of the cluster clock. The owning system does
+    /// this on every run exit; an owner stepping the cluster itself calls
+    /// it before reading cores directly.
     pub fn settle(&mut self) {
         for h in 0..self.cores.len() {
             self.settle_hart(h);
@@ -1005,32 +922,6 @@ impl Cluster {
         self.hart_census().halted == self.cores.len()
     }
 
-    fn embed_inner(&mut self, cluster_id: u32, num_clusters: u32) {
-        for core in &mut self.cores {
-            core.set_cluster_pos(cluster_id, num_clusters);
-        }
-        self.system_managed = true;
-    }
-
-    /// Executes one lock-step cluster cycle.
-    ///
-    /// Exactly [`Cluster::begin_cycle`] followed by
-    /// [`Cluster::end_cycle`] with the DMA beat unconditionally
-    /// granted on the memory side and no external store — the
-    /// stand-alone path has no background memory. A cluster whose DMA
-    /// engine moves beats runs as a system's cluster, or is driven
-    /// through the two half-cycles with its store.
-    ///
-    /// # Errors
-    ///
-    /// The first core error, tagged with its hart ID, or
-    /// [`ClusterError::MissingExternalStore`] when the engine moves a
-    /// beat.
-    pub fn step(&mut self) -> Result<(), ClusterError> {
-        self.begin_cycle()?;
-        self.end_cycle(L2Outcome::Granted, None)
-    }
-
     /// First half of a cluster cycle: core phases 1–2 (writeback, issue,
     /// integer execute), doorbell draining into the DMA engine, and the
     /// engine's own cycle start. Returns the background-memory side of
@@ -1038,7 +929,9 @@ impl Cluster {
     /// system arbitrates these across clusters at the shared L2, then
     /// resumes each cluster with [`Cluster::end_cycle`]. The name
     /// matches the `begin_cycle`/`arbitrate`/`end_cycle` convention the
-    /// memory-side components (`sc-mem`, `sc-cache`) already use.
+    /// memory-side components (`sc-mem`, `sc-cache`) already use. The
+    /// owner sets the trace sink's clock for the cycle
+    /// ([`sc_trace::Tracer::set_cycle`]) before stepping its clusters.
     ///
     /// # Errors
     ///
@@ -1050,11 +943,6 @@ impl Cluster {
                 source,
             }
         };
-
-        // All of this cycle's events carry the cycle number as their
-        // timestamp (the system sets the same value when it owns the
-        // clock — the clusters advance in lock-step with it).
-        self.tracer.set_cycle(self.cycles);
 
         // Only runnable harts step. Halted cores sit the cycle out
         // entirely (their counters freeze at their own completion).
@@ -1160,12 +1048,9 @@ impl Cluster {
     ///
     /// # Errors
     ///
-    /// Core errors (hart-tagged), DMA beat faults,
+    /// Core errors (hart-tagged), DMA beat faults, or
     /// [`ClusterError::MissingExternalStore`] if a shared-memory engine
-    /// moves a beat without `ext_mem`, or — on a stand-alone cluster —
-    /// [`ClusterError::Hang`] from the armed watchdog. An embedded
-    /// cluster's watchdog is observed by its system once the whole
-    /// system cycle is complete ([`Cluster::poll_watchdog`]).
+    /// moves a beat without `ext_mem`.
     pub fn end_cycle(
         &mut self,
         dma_mem: L2Outcome,
@@ -1272,19 +1157,9 @@ impl Cluster {
         }
 
         // Barrier rendezvous: release once every active hart has arrived.
-        let still_active = self.cores.len() - self.census.halted;
-        if self.census.barrier > 0 && self.census.barrier == still_active {
+        if self.census.barrier > 0 && self.census.barrier == self.cores.len() - self.census.halted {
             self.release_harts(|s| s == Standing::Barrier, Core::release_barrier);
             self.barriers += 1;
-        }
-        // A stand-alone cluster is the whole system: resolve the
-        // inter-cluster barrier among its own harts. Embedded clusters
-        // leave this to the system, which sees every cluster.
-        if !self.system_managed
-            && self.census.system_barrier > 0
-            && self.census.system_barrier == still_active
-        {
-            self.release_system_barrier();
         }
         // Blocking DMA waits: release every hart whose target the
         // engine's wrapping completion counter has reached (transfers
@@ -1305,11 +1180,6 @@ impl Cluster {
             HartCensus::count(&self.cores),
             "maintained hart census drifted from the cores' states"
         );
-        if !self.system_managed {
-            if let Some(report) = self.check_watchdog() {
-                return Err(ClusterError::Hang(report));
-            }
-        }
         Ok(())
     }
 
@@ -1423,47 +1293,6 @@ impl Cluster {
         }
     }
 
-    /// Emits the run-end partial-interval sample: a run whose length is
-    /// not a multiple of the sampling cadence would otherwise leave the
-    /// tail of every counter time-series invisible. No-op when the last
-    /// simulated cycle was itself a sampling point (the final state is
-    /// already captured) or when sampling is off.
-    pub fn sample_final(&self) {
-        if self.tracer.final_sample_owed(self.cycles) {
-            self.tracer.set_cycle(self.cycles);
-            self.sample_now();
-        }
-    }
-
-    /// Runs until every core halts or the cycle budget is exhausted,
-    /// one dense [`Cluster::step`] per cycle.
-    ///
-    /// # Errors
-    ///
-    /// Core errors (tagged with the hart) or budget exhaustion — the
-    /// latter also covers barrier deadlocks (a hart waiting on a
-    /// rendezvous the others never reach) — or
-    /// [`ClusterError::MissingExternalStore`] when an attached DMA
-    /// engine moves a beat (see [`Cluster::step`]).
-    pub fn run(&mut self, max_cycles: u64) -> Result<ClusterSummary, ClusterError> {
-        let ran = self.run_to_halt(max_cycles);
-        self.settle();
-        ran?;
-        self.sample_final();
-        Ok(self.summary())
-    }
-
-    /// The loop of [`Cluster::run`], up to the first error or the halt.
-    fn run_to_halt(&mut self, max_cycles: u64) -> Result<(), ClusterError> {
-        while !self.is_done() {
-            if self.cycles >= max_cycles {
-                return Err(ClusterError::MaxCyclesExceeded { max_cycles });
-            }
-            self.step()?;
-        }
-        Ok(())
-    }
-
     /// The cluster summary as of now (meaningful once [`Self::is_done`]).
     ///
     /// # Panics
@@ -1546,9 +1375,8 @@ impl Cluster {
 }
 
 /// Fluent construction of a [`Cluster`]: options accumulate in any
-/// order and [`ClusterBuilder::build`] applies them in the one order that wires
-/// everything correctly (embedding before tracer naming, tracer before
-/// engine attachment so the engine inherits the subscription).
+/// order and [`ClusterBuilder::build`] applies them in the one order that
+/// wires everything correctly (embedding before engine attachment).
 ///
 /// ```
 /// use sc_cluster::ClusterBuilder;
@@ -1560,9 +1388,10 @@ impl Cluster {
 /// b.ecall();
 /// let cluster = ClusterBuilder::new(ClusterConfig::new(1), vec![b.build()?])
 ///     .shared_dma(DramConfig::new())
-///     .watchdog(10_000)
+///     .embedded(1, 2)
 ///     .build();
 /// assert!(cluster.dma_engine().is_some());
+/// assert_eq!(cluster.core(0).cluster_id(), 1);
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 #[derive(Debug)]
@@ -1572,9 +1401,6 @@ pub struct ClusterBuilder {
     /// The engine-side timing of the DMA engine, when one is attached.
     dma: Option<DramConfig>,
     embedded: Option<(u32, u32)>,
-    watchdog: Option<u64>,
-    tracer: Option<(Tracer, u32)>,
-    lint_strict: bool,
 }
 
 impl ClusterBuilder {
@@ -1586,22 +1412,7 @@ impl ClusterBuilder {
             programs,
             dma: None,
             embedded: None,
-            watchdog: None,
-            tracer: None,
-            lint_strict: false,
         }
-    }
-
-    /// Refuses to build a cluster whose programs the static verifier
-    /// (`sc-lint`) diagnoses with error-severity findings — FIFO
-    /// wedges, divergent barrier sequences, DMA races, over-cap
-    /// footprints. Warning-tier findings (e.g. bursts that rely on the
-    /// issue-stage drain) still build; they remain visible through
-    /// [`Cluster::lint_report`] and in hang diagnoses.
-    #[must_use]
-    pub fn lint_strict(mut self) -> Self {
-        self.lint_strict = true;
-        self
     }
 
     /// Attaches a DMA engine moving against an externally owned store
@@ -1613,27 +1424,11 @@ impl ClusterBuilder {
         self
     }
 
-    /// Marks the cluster as cluster `cluster_id` of a
-    /// `num_clusters`-cluster system (cluster-position CSRs; the system
-    /// owns the inter-cluster barrier rendezvous).
+    /// Places the cluster as cluster `cluster_id` of a
+    /// `num_clusters`-cluster system (the cluster-position CSRs).
     #[must_use]
     pub fn embedded(mut self, cluster_id: u32, num_clusters: u32) -> Self {
         self.embedded = Some((cluster_id, num_clusters));
-        self
-    }
-
-    /// Arms the hang watchdog with `limit` progress-free cycles.
-    #[must_use]
-    pub fn watchdog(mut self, limit: u64) -> Self {
-        self.watchdog = Some(limit);
-        self
-    }
-
-    /// Subscribes the cluster (cores, TCDM, DMA engine) to a trace
-    /// sink under Perfetto process `pid`.
-    #[must_use]
-    pub fn tracer(mut self, tracer: Tracer, pid: u32) -> Self {
-        self.tracer = Some((tracer, pid));
         self
     }
 
@@ -1644,54 +1439,23 @@ impl ClusterBuilder {
     ///
     /// Panics on invalid configuration: a program count that does not
     /// match the core count, a DMA port overflowing the 8-bit port
-    /// space, a zero watchdog limit, `cluster_id >= num_clusters`, or —
-    /// with [`ClusterBuilder::lint_strict`] — programs the static
-    /// verifier diagnoses with errors.
+    /// space, or `cluster_id >= num_clusters`.
     #[must_use]
     pub fn build(self) -> Cluster {
-        match self.try_build() {
-            Ok(cluster) => cluster,
-            Err(err) => panic!("{err}"),
-        }
-    }
-
-    /// Builds the cluster like [`ClusterBuilder::build`], but returns
-    /// [`ClusterError::Lint`] instead of panicking when
-    /// [`ClusterBuilder::lint_strict`] was requested and the verifier
-    /// found errors.
-    ///
-    /// # Errors
-    ///
-    /// [`ClusterError::Lint`] carrying the full report when strict
-    /// verification refuses the programs.
-    ///
-    /// # Panics
-    ///
-    /// Same structural panics as [`ClusterBuilder::build`] (program
-    /// count mismatch, port overflow, zero watchdog limit, bad
-    /// cluster id).
-    pub fn try_build(self) -> Result<Cluster, ClusterError> {
         let mut cluster = Cluster::new(self.cfg, self.programs);
-        if self.lint_strict && cluster.lint_report().has_errors() {
-            return Err(ClusterError::Lint(cluster.lint_report().clone()));
-        }
         if let Some((cluster_id, num_clusters)) = self.embedded {
             assert!(
                 cluster_id < num_clusters,
                 "cluster id {cluster_id} outside the {num_clusters}-cluster system"
             );
-            cluster.embed_inner(cluster_id, num_clusters);
-        }
-        if let Some((tracer, pid)) = self.tracer {
-            cluster.set_tracer(tracer, pid);
+            for core in &mut cluster.cores {
+                core.set_cluster_pos(cluster_id, num_clusters);
+            }
         }
         if let Some(timing) = self.dma {
             cluster.attach_dma(timing);
         }
-        if let Some(limit) = self.watchdog {
-            cluster.set_watchdog(limit);
-        }
-        Ok(cluster)
+        cluster
     }
 }
 

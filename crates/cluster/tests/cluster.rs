@@ -1,11 +1,16 @@
 //! Cluster-level integration tests with hand-built per-hart programs:
 //! hart identity, barrier rendezvous timing, inter-core bank contention
-//! and shared-memory dataflow.
+//! and shared-memory dataflow. Each runs its cluster as the one cluster
+//! of a `System`, the only driver of a cluster.
 
-use sc_cluster::{Cluster, ClusterConfig, ClusterError};
+mod common;
+
+use common::one_cluster;
+use sc_cluster::{ClusterError, ClusterSummary};
 use sc_core::{CoreConfig, SimError};
 use sc_isa::{csr, FpReg, IntReg, Program, ProgramBuilder};
 use sc_mem::TcdmConfig;
+use sc_system::{System, SystemError};
 
 fn t(i: u8) -> IntReg {
     IntReg::new(i)
@@ -17,6 +22,16 @@ fn f(i: u8) -> FpReg {
 
 fn small_cfg() -> CoreConfig {
     CoreConfig::new().with_tcdm(TcdmConfig::new().with_size(64 << 10).with_banks(8))
+}
+
+/// `programs` on one cluster of `small_cfg` cores.
+fn system(programs: Vec<Program>) -> System {
+    one_cluster(small_cfg(), programs, None).build()
+}
+
+/// Runs `system` to completion; its cluster's summary.
+fn run(system: &mut System, max_cycles: u64) -> Result<ClusterSummary, SystemError> {
+    Ok(system.run(max_cycles)?.per_cluster.remove(0))
 }
 
 /// A program that spins for roughly `iters` loop iterations, then writes
@@ -47,8 +62,9 @@ fn barrier_releases_all_harts_in_the_same_cycle() {
     let programs = (0..4)
         .map(|h| spin_then_barrier(if h == 0 { 200 } else { 20 }, 0x200 + h * 4))
         .collect();
-    let mut cluster = Cluster::new(ClusterConfig::new(4).with_core(small_cfg()), programs);
-    let summary = cluster.run(100_000).unwrap();
+    let mut system = system(programs);
+    let summary = run(&mut system, 100_000).unwrap();
+    let cluster = system.cluster(0);
     assert_eq!(summary.barriers, 1);
     let released: Vec<u32> = (0..4)
         .map(|h| cluster.tcdm().read_u32(0x200 + h * 4).unwrap())
@@ -80,8 +96,9 @@ fn halted_harts_leave_the_rendezvous() {
         spin_then_barrier(50, 0x300),
         spin_then_barrier(5, 0x304),
     ];
-    let mut cluster = Cluster::new(ClusterConfig::new(3).with_core(small_cfg()), programs);
-    let summary = cluster.run(100_000).unwrap();
+    let mut system = system(programs);
+    let summary = run(&mut system, 100_000).unwrap();
+    let cluster = system.cluster(0);
     assert_eq!(summary.barriers, 1);
     assert_eq!(
         cluster.tcdm().read_u32(0x300).unwrap(),
@@ -97,10 +114,9 @@ fn missing_rendezvous_is_a_deadlock_not_a_hang() {
     spin.label("forever");
     spin.j("forever");
     let programs = vec![spin.build().unwrap(), spin_then_barrier(1, 0x300)];
-    let mut cluster = Cluster::new(ClusterConfig::new(2).with_core(small_cfg()), programs);
     assert_eq!(
-        cluster.run(2_000).unwrap_err(),
-        ClusterError::MaxCyclesExceeded { max_cycles: 2_000 }
+        run(&mut system(programs), 2_000).unwrap_err(),
+        SystemError::MaxCyclesExceeded { max_cycles: 2_000 }
     );
 }
 
@@ -111,11 +127,14 @@ fn core_errors_carry_the_hart_id() {
     let mut bad = ProgramBuilder::new();
     bad.push(sc_isa::Instruction::Ebreak);
     let programs = vec![ok.build().unwrap(), bad.build().unwrap()];
-    let mut cluster = Cluster::new(ClusterConfig::new(2).with_core(small_cfg()), programs);
-    match cluster.run(1_000) {
-        Err(ClusterError::Core {
-            hart: 1,
-            source: SimError::Ebreak { .. },
+    match run(&mut system(programs), 1_000) {
+        Err(SystemError::Cluster {
+            cluster: 0,
+            source:
+                ClusterError::Core {
+                    hart: 1,
+                    source: SimError::Ebreak { .. },
+                },
         }) => {}
         other => panic!("expected hart-1 ebreak, got {other:?}"),
     }
@@ -153,14 +172,16 @@ fn cores_contend_on_shared_banks_and_all_results_land() {
         vector_add_one(0x1000, 0x3000, n),
         vector_add_one(0x1000, 0x4000, n), // same input region: same banks
     ];
-    let mut cluster = Cluster::new(ClusterConfig::new(2).with_core(cfg), programs);
+    let mut system = one_cluster(cfg, programs, None).build();
     for k in 0..n {
-        cluster
+        system
+            .cluster_mut(0)
             .tcdm_mut()
             .write_f64(0x1000 + 8 * k, f64::from(k) * 0.5)
             .unwrap();
     }
-    let summary = cluster.run(100_000).unwrap();
+    let summary = run(&mut system, 100_000).unwrap();
+    let cluster = system.cluster(0);
     for k in 0..n {
         let want = f64::from(k);
         assert_eq!(cluster.tcdm().read_f64(0x3000 + 8 * k).unwrap(), want);
@@ -218,10 +239,10 @@ fn producer_consumer_through_shared_memory_and_barrier() {
     consumer.ecall();
 
     let programs = vec![producer.build().unwrap(), consumer.build().unwrap()];
-    let mut cluster = Cluster::new(ClusterConfig::new(2).with_core(small_cfg()), programs);
-    cluster.run(100_000).unwrap();
+    let mut system = system(programs);
+    run(&mut system, 100_000).unwrap();
     let want: f64 = (0..n).map(f64::from).sum();
-    assert_eq!(cluster.tcdm().read_f64(0x2000).unwrap(), want);
+    assert_eq!(system.cluster(0).tcdm().read_f64(0x2000).unwrap(), want);
 }
 
 #[test]
@@ -230,17 +251,18 @@ fn repeated_runs_are_deterministic() {
         let programs = (0..4)
             .map(|h| vector_add_one(0x1000 + h * 64, 0x5000 + h * 512, 16))
             .collect();
-        let mut cluster = Cluster::new(ClusterConfig::new(4).with_core(small_cfg()), programs);
+        let mut system = system(programs);
         for k in 0..64u32 {
-            cluster
+            system
+                .cluster_mut(0)
                 .tcdm_mut()
                 .write_f64(0x1000 + 8 * k, f64::from(k))
                 .unwrap();
         }
-        cluster
+        system
     };
-    let a = build().run(1_000_000).unwrap();
-    let b = build().run(1_000_000).unwrap();
+    let a = run(&mut build(), 1_000_000).unwrap();
+    let b = run(&mut build(), 1_000_000).unwrap();
     assert_eq!(a.cycles, b.cycles);
     assert_eq!(a.core_done_at, b.core_done_at);
     assert_eq!(a.core_conflicts, b.core_conflicts);
@@ -255,14 +277,15 @@ fn summary_aggregates_match_per_core_sums() {
     let programs = (0..3)
         .map(|h| vector_add_one(0x1000, 0x3000 + h * 512, 8))
         .collect();
-    let mut cluster = Cluster::new(ClusterConfig::new(3).with_core(small_cfg()), programs);
+    let mut system = system(programs);
     for k in 0..8u32 {
-        cluster
+        system
+            .cluster_mut(0)
             .tcdm_mut()
             .write_f64(0x1000 + 8 * k, 1.0 + f64::from(k))
             .unwrap();
     }
-    let s = cluster.run(100_000).unwrap();
+    let s = run(&mut system, 100_000).unwrap();
     assert_eq!(s.per_core.len(), 3);
     let flops: u64 = s.per_core.iter().map(|c| c.counters.flops).sum();
     assert_eq!(s.aggregate.flops, flops);

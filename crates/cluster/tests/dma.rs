@@ -8,17 +8,22 @@
 //! * an attached-but-idle engine leaves the cluster bit-identical to
 //!   one without an engine,
 //! * an engine stepped without its external store fails with a typed
-//!   error.
+//!   error,
+//! * a program load restarts halted cores with their state kept.
 //!
-//! A cluster owns no background memory: the tests that move data run
-//! the cluster as the one cluster of a `System` behind a pass-through
-//! L2, whose engine then reads and writes the system's Dram directly.
+//! A cluster owns no background memory and has no run loop: the tests
+//! run the cluster as the one cluster of a `System`, behind a
+//! pass-through L2 when its engine moves data, so the engine reads and
+//! writes the system's Dram directly.
 
-use sc_cluster::{Cluster, ClusterBuilder, ClusterConfig, ClusterError};
+mod common;
+
+use common::one_cluster;
+use sc_cluster::{ClusterBuilder, ClusterConfig, ClusterError};
 use sc_core::CoreConfig;
-use sc_isa::{csr, IntReg, Program, ProgramBuilder};
-use sc_mem::{Dram, DramConfig, L2Config, L2Outcome, TcdmConfig};
-use sc_system::{System, SystemBuilder, SystemConfig, SystemError};
+use sc_isa::{csr, IntReg, ProgramBuilder};
+use sc_mem::{DramConfig, L2Outcome, TcdmConfig};
+use sc_system::SystemError;
 
 fn cfg() -> CoreConfig {
     CoreConfig::new().with_tcdm(TcdmConfig::new().with_size(64 << 10).with_banks(8))
@@ -40,17 +45,6 @@ fn ring_doorbell(b: &mut ProgramBuilder, dram: u32, tcdm: u32, bytes: u32, to_tc
         b.csrrw(IntReg::ZERO, addr, T0);
     }
     b.csrrwi(IntReg::ZERO, csr::DMA_START, u8::from(to_tcdm));
-}
-
-/// `program` as the one hart of a system's only cluster, its engine
-/// moving against `dram` through a pass-through L2 of `dram`'s timing.
-fn one_cluster_system(program: Program, dram: Dram) -> System {
-    let scfg = SystemConfig::new(1, 1)
-        .with_cluster(ClusterConfig::new(1).with_core(cfg()))
-        .with_l2(L2Config::passthrough(dram.config()));
-    SystemBuilder::new(scfg, vec![vec![vec![program]]])
-        .dram(dram)
-        .build()
 }
 
 /// Emits a poll loop waiting until `DMA_COMPLETED >= count`.
@@ -75,12 +69,17 @@ fn doorbell_transfer_poll_read() {
     b.ecall();
     let program = b.build().unwrap();
 
-    let mut dram = Dram::new(DramConfig::new().with_latency(16));
+    let mut system = one_cluster(
+        cfg(),
+        vec![program],
+        Some(DramConfig::new().with_latency(16)),
+    )
+    .build();
+    let dram = system.dram_mut().unwrap();
     for i in 0..4u32 {
         dram.write_u64(0x10_0000 + 8 * i, u64::from(0xC0DE + i))
             .unwrap();
     }
-    let mut system = one_cluster_system(program, dram);
 
     let summary = system.run(100_000).unwrap().per_cluster.remove(0);
     let cluster = system.cluster(0);
@@ -115,7 +114,7 @@ fn invalid_descriptor_is_a_hart_tagged_error() {
     // Misaligned length: 12 bytes.
     ring_doorbell(&mut b, 0x1000, 0x100, 12, true);
     b.ecall();
-    let mut system = one_cluster_system(b.build().unwrap(), Dram::new(DramConfig::new()));
+    let mut system = one_cluster(cfg(), vec![b.build().unwrap()], Some(DramConfig::new())).build();
     let err = system.run(10_000).unwrap_err();
     let SystemError::Cluster {
         cluster: 0,
@@ -134,9 +133,7 @@ fn invalid_descriptor_is_a_hart_tagged_error() {
 #[test]
 fn idle_engine_is_cycle_invisible() {
     // Same 2-hart program with and without an attached (idle) engine:
-    // every cycle-visible quantity must match bit-for-bit. An idle
-    // engine never touches memory, so the stand-alone run needs no
-    // store.
+    // every cycle-visible quantity must match bit-for-bit.
     let programs = || {
         (0..2)
             .map(|_| {
@@ -152,14 +149,12 @@ fn idle_engine_is_cycle_invisible() {
             })
             .collect::<Vec<_>>()
     };
-    let ccfg = ClusterConfig::new(2).with_core(cfg());
-    let mut plain = Cluster::new(ccfg, programs());
-    let mut with_dma = ClusterBuilder::new(ccfg, programs())
-        .shared_dma(DramConfig::new())
-        .build();
-
-    let a = plain.run(10_000).unwrap();
-    let b = with_dma.run(10_000).unwrap();
+    let run = |dma| {
+        let mut system = one_cluster(cfg(), programs(), dma).build();
+        system.run(10_000).unwrap().per_cluster.remove(0)
+    };
+    let a = run(None);
+    let b = run(Some(DramConfig::new()));
     assert_eq!(a.cycles, b.cycles);
     assert_eq!(a.aggregate, b.aggregate);
     assert_eq!(a.core_conflicts, b.core_conflicts);
@@ -205,20 +200,30 @@ fn load_programs_restarts_halted_cores_with_state_kept() {
     let mut first = ProgramBuilder::new();
     first.li(IntReg::new(10), 41);
     first.ecall();
-    let mut cluster = Cluster::new(
-        ClusterConfig::new(1).with_core(cfg()),
-        vec![first.build().unwrap()],
-    );
-    cluster.run(1_000).unwrap();
-    let cycles_after_first = cluster.cycles();
+    let mut system = one_cluster(cfg(), vec![first.build().unwrap()], None).build();
+    system.run(1_000).unwrap();
+    let cycles_after_first = system.cluster(0).cycles();
 
     // The second program sees the register the first one wrote.
     let mut second = ProgramBuilder::new();
     second.addi(IntReg::new(10), IntReg::new(10), 1);
     second.ecall();
+    let cluster = system.cluster_mut(0);
     cluster.load_programs(vec![second.build().unwrap()]);
     assert!(!cluster.is_done());
-    let summary = cluster.run(2_000).unwrap();
+    // Cycles and counters accumulate across the load: the cluster steps
+    // on from where the first program halted.
+    let mut cycles = 0;
+    while !cluster.is_done() {
+        cluster.begin_cycle().unwrap();
+        cluster.end_cycle(L2Outcome::Granted, None).unwrap();
+        cycles += 1;
+        assert!(cycles < 2_000, "the second program did not halt");
+    }
     assert_eq!(cluster.core(0).int_reg(IntReg::new(10)), 42);
-    assert!(summary.cycles > cycles_after_first, "cycles accumulate");
+    assert_eq!(cluster.cycles(), cycles_after_first + cycles);
+    assert!(
+        cluster.summary().cycles > cycles_after_first,
+        "cycles accumulate"
+    );
 }

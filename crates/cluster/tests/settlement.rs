@@ -3,10 +3,11 @@
 //! A cluster steps only its runnable harts: a hart parked on the cluster
 //! barrier, the system barrier or a blocking DMA wait is not touched, and
 //! its `Core` owes every cycle since it parked until the cluster pays
-//! them in closed form (on release, on every `run` exit, in `core_mut`).
-//! Every reader must see the settled values anyway. These tests hold
-//! harts parked for long windows and check the readers against the
-//! cluster *clock* — not against another lazily settled run:
+//! them in closed form (on release, in `settle`, which the owning
+//! system calls on every run exit, and in `core_mut`). Every reader
+//! must see the settled values anyway. These tests hold harts parked
+//! for long windows and check the readers against the cluster *clock* —
+//! not against another lazily settled run:
 //!
 //! * every non-halted hart's `summary()` cycles equal the clock, and its
 //!   attribution leaves sum to them (`hart_counters`, `attr_snapshot`
@@ -14,20 +15,24 @@
 //! * the sampled per-core trace rows equal those settled counters;
 //! * the census the cluster maintains equals a recount over the cores.
 //!
-//! A cluster always steps densely; only a system fast-forwards. The
-//! event-mode halves therefore run the same programs as the one cluster
-//! of a `System` (`one_cluster_system`) and require the stand-alone
-//! cluster's summary and trace rows from it. A cluster owns no
-//! background memory: the dense halves with a DMA engine step it
-//! against a Dram the test holds (`step_with`).
+//! A cluster's one driver is a `System`, and only a system
+//! fast-forwards. Every program here runs as the one cluster of a
+//! system (`one_cluster_system`): the dense halves step it one
+//! `System::step` at a time, checking the readers after every cycle
+//! (`step_checked`), and the event halves run it under
+//! `SchedMode::Event` and require the dense run's cluster summary and
+//! trace rows from it.
+
+mod common;
 
 use std::collections::HashMap;
 
+use common::one_cluster;
 use proptest::prelude::*;
-use sc_cluster::{Cluster, ClusterBuilder, ClusterConfig, ClusterError, HartCensus};
+use sc_cluster::{Cluster, ClusterSummary, HartCensus};
 use sc_core::{CoreConfig, SchedMode};
 use sc_isa::{csr, IntReg, Program, ProgramBuilder};
-use sc_mem::{Dram, DramConfig, L2Config, L2Outcome, TcdmConfig};
+use sc_mem::{DramConfig, TcdmConfig};
 use sc_system::{System, SystemBuilder, SystemConfig, SystemError};
 use sc_trace::{TraceConfig, TraceSession};
 
@@ -127,56 +132,32 @@ fn core_rows(session: &TraceSession) -> HashMap<(u64, u32, u32, String), u64> {
     rows
 }
 
-/// Every sample row of process `pid`, in emission order, with the pid
-/// column dropped: a stand-alone cluster samples under pid 0, the
-/// first cluster of a system under pid 1.
-fn process_rows(session: &TraceSession, pid: u32) -> Vec<String> {
-    let pid = pid.to_string();
+/// Every sample row of the system's first cluster (process 1), in
+/// emission order.
+fn cluster_rows(session: &TraceSession) -> Vec<String> {
     session
         .samples_csv()
         .lines()
         .skip(1)
-        .filter_map(|line| {
-            let mut f: Vec<&str> = line.split(',').collect();
-            (f[1] == pid).then(|| {
-                f.remove(1);
-                f.join(",")
-            })
-        })
+        .filter(|line| line.split(',').nth(1) == Some("1"))
+        .map(str::to_owned)
         .collect()
 }
 
-/// One dense cycle of a stand-alone cluster whose DMA engine (if any)
-/// moves against `dram`, granted unconditionally on the memory side.
-fn step_with(cluster: &mut Cluster, dram: Option<&mut Dram>) {
-    cluster.begin_cycle().unwrap();
-    cluster.end_cycle(L2Outcome::Granted, dram).unwrap();
-}
-
-/// `programs` as the only cluster of an event-scheduled system under
-/// `session`. With `dma_latency`, the cluster gets a DMA engine behind
-/// a pass-through L2 of that latency — cycle-identical to a
-/// stand-alone cluster stepped against a Dram (`step_with`) by an
-/// engine paying that latency.
+/// `programs` as the only cluster of a system under `mode`, traced
+/// into `session`. With `dma_latency`, the cluster gets a DMA engine
+/// behind a pass-through L2 of that latency.
 fn one_cluster_system(
     programs: Vec<Program>,
     dma_latency: Option<u32>,
+    mode: SchedMode,
     session: &TraceSession,
 ) -> System {
-    let harts = programs.len() as u32;
     let timing = dma_latency.map(|latency| DramConfig::new().with_latency(latency));
-    let mut scfg =
-        SystemConfig::new(1, harts).with_cluster(ClusterConfig::new(harts).with_core(cfg()));
-    if let Some(timing) = timing {
-        scfg = scfg.with_l2(L2Config::passthrough(timing));
-    }
-    let mut builder = SystemBuilder::new(scfg, vec![vec![programs]])
-        .sched_mode(SchedMode::Event)
-        .tracer(session.tracer());
-    if let Some(timing) = timing {
-        builder = builder.dram(Dram::new(timing));
-    }
-    builder.build()
+    one_cluster(cfg(), programs, timing)
+        .sched_mode(mode)
+        .tracer(session.tracer())
+        .build()
 }
 
 /// Checks every per-core `cycles` row of pid `pid` against the clock: a
@@ -229,19 +210,21 @@ fn assert_settled(cluster: &Cluster) {
     }
 }
 
-/// Steps `cluster` to its halt against `dram`, checking every cycle;
-/// returns the sampling points' rows.
-fn step_checked(cluster: &mut Cluster, mut dram: Option<&mut Dram>, budget: u64) -> Rows {
+/// Steps a one-cluster `system` densely until it finishes or reaches
+/// `budget`, checking its cluster after every cycle; then completes the
+/// run, which settles every hart and emits the run-end sample. Returns
+/// the sampling points' rows and the run's cluster summary, or its
+/// budget exit.
+fn step_checked(system: &mut System, budget: u64) -> (Rows, Result<ClusterSummary, SystemError>) {
     let mut rows = Rows::default();
-    check(cluster);
-    while !cluster.is_done() {
-        assert!(cluster.cycles() < budget, "the program did not halt");
-        step_with(cluster, dram.as_deref_mut());
-        check(cluster);
-        rows.record(cluster, 0);
+    check(system.cluster(0));
+    while !system.is_done() && system.cycles() < budget {
+        system.step().unwrap();
+        check(system.cluster(0));
+        rows.record(system.cluster(0), 1);
     }
-    cluster.sample_final();
-    rows
+    let run = system.run(budget);
+    (rows, run.map(|mut s| s.per_cluster.remove(0)))
 }
 
 /// Four harts, two barriers: hart 0 arrives ~300 cycles late at the
@@ -267,23 +250,20 @@ fn cluster_barrier_programs() -> Vec<Program> {
 #[test]
 fn cluster_barrier_parked_harts_read_settled() {
     let session = session();
-    let mut cluster = ClusterBuilder::new(
-        ClusterConfig::new(4).with_core(cfg()),
-        cluster_barrier_programs(),
-    )
-    .tracer(session.tracer(), 0)
-    .build();
+    let mut system =
+        one_cluster_system(cluster_barrier_programs(), None, SchedMode::Dense, &session);
     // Step to the middle of the first window and confirm three harts
     // are parked there.
-    while cluster.cycles() < 150 {
-        cluster.step().unwrap();
+    while system.cycles() < 150 {
+        system.step().unwrap();
     }
-    assert_eq!(cluster.hart_census().barrier, 3, "harts 1-3 park early");
-    let rows = step_checked(&mut cluster, None, 10_000);
+    let census = system.cluster(0).hart_census();
+    assert_eq!(census.barrier, 3, "harts 1-3 park early");
+    let (rows, run) = step_checked(&mut system, 10_000);
     rows.assert_in(&session);
-    let summary = cluster.summary();
+    let summary = run.unwrap();
     assert_eq!(summary.barriers, 2);
-    assert_rows_follow_clock(&session, 0, &summary.core_done_at);
+    assert_rows_follow_clock(&session, 1, &summary.core_done_at);
 }
 
 #[test]
@@ -302,31 +282,27 @@ fn dma_wait_parked_harts_read_settled_in_both_modes() {
             .collect()
     };
     let dense = session();
-    let timing = DramConfig::new().with_latency(200);
-    let mut dram = Dram::new(timing);
-    let mut cluster = ClusterBuilder::new(ClusterConfig::new(2).with_core(cfg()), programs())
-        .shared_dma(timing)
-        .tracer(dense.tracer(), 0)
-        .build();
-    while cluster.cycles() < 100 {
-        step_with(&mut cluster, Some(&mut dram));
+    let mut system = one_cluster_system(programs(), Some(200), SchedMode::Dense, &dense);
+    while system.cycles() < 100 {
+        system.step().unwrap();
     }
-    assert_eq!(cluster.hart_census().dma_wait, 2, "both harts wait");
-    let rows = step_checked(&mut cluster, Some(&mut dram), 10_000);
+    let census = system.cluster(0).hart_census();
+    assert_eq!(census.dma_wait, 2, "both harts wait");
+    let (rows, run) = step_checked(&mut system, 10_000);
     rows.assert_in(&dense);
-    let summary = cluster.summary();
+    let summary = run.unwrap();
     assert!(summary.cycles > 200, "the wait spans the Dram latency");
-    assert_rows_follow_clock(&dense, 0, &summary.core_done_at);
+    assert_rows_follow_clock(&dense, 1, &summary.core_done_at);
 
-    // A system's event loop skips the window; the rows it synthesizes
-    // must read the same settled counters.
+    // The event loop skips the window; the rows it synthesizes must
+    // read the same settled counters.
     let event = session();
-    let mut system = one_cluster_system(programs(), Some(200), &event);
+    let mut system = one_cluster_system(programs(), Some(200), SchedMode::Event, &event);
     let run = system.run(10_000).unwrap();
     assert_settled(system.cluster(0));
     assert_eq!(run.per_cluster[0], summary);
     assert_rows_follow_clock(&event, 1, &summary.core_done_at);
-    assert_eq!(process_rows(&event, 1), process_rows(&dense, 0));
+    assert_eq!(cluster_rows(&event), cluster_rows(&dense));
 }
 
 #[test]
@@ -389,30 +365,19 @@ fn deadlocked_programs() -> Vec<Program> {
 
 #[test]
 fn max_cycles_exit_leaves_every_hart_settled() {
+    // The deadlock stepped to the budget, then fast-forwarded there.
     let stepped = session();
-    let mut cluster = ClusterBuilder::new(
-        ClusterConfig::new(3).with_core(cfg()),
-        deadlocked_programs(),
-    )
-    .tracer(stepped.tracer(), 0)
-    .build();
-    let err = cluster.run(555).unwrap_err();
-    assert_eq!(err, ClusterError::MaxCyclesExceeded { max_cycles: 555 });
-    assert_eq!(cluster.cycles(), 555);
-    assert_settled(&cluster);
-    check(&cluster);
-    assert_rows_follow_clock(&stepped, 0, &[555; 3]);
-
-    // The same deadlock fast-forwarded to the budget by a system.
     let skipped = session();
-    let mut system = one_cluster_system(deadlocked_programs(), None, &skipped);
-    let err = system.run(555).unwrap_err();
-    assert_eq!(err, SystemError::MaxCyclesExceeded { max_cycles: 555 });
-    assert_eq!(system.cluster(0).cycles(), 555);
-    assert_settled(system.cluster(0));
-    check(system.cluster(0));
-    assert_rows_follow_clock(&skipped, 1, &[555; 3]);
-    assert_eq!(process_rows(&skipped, 1), process_rows(&stepped, 0));
+    for (mode, session) in [(SchedMode::Dense, &stepped), (SchedMode::Event, &skipped)] {
+        let mut system = one_cluster_system(deadlocked_programs(), None, mode, session);
+        let err = system.run(555).unwrap_err();
+        assert_eq!(err, SystemError::MaxCyclesExceeded { max_cycles: 555 });
+        assert_eq!(system.cluster(0).cycles(), 555);
+        assert_settled(system.cluster(0));
+        check(system.cluster(0));
+        assert_rows_follow_clock(session, 1, &[555; 3]);
+    }
+    assert_eq!(cluster_rows(&skipped), cluster_rows(&stepped));
 
     // The same through a system whose cluster 1 spins forever while
     // cluster 0 waits on the system barrier.
@@ -442,14 +407,11 @@ fn max_cycles_exit_leaves_every_hart_settled() {
 
 #[test]
 fn core_mut_settles_and_recounts() {
-    let mut cluster = ClusterBuilder::new(
-        ClusterConfig::new(4).with_core(cfg()),
-        cluster_barrier_programs(),
-    )
-    .build();
-    while cluster.cycles() < 200 {
-        cluster.step().unwrap();
+    let mut system = one_cluster(cfg(), cluster_barrier_programs(), None).build();
+    while system.cycles() < 200 {
+        system.step().unwrap();
     }
+    let cluster = system.cluster_mut(0);
     // Hart 1 has been parked for ~200 cycles: handing it out pays them.
     assert!(
         cluster.core(1).counters().cycles < 200,
@@ -459,11 +421,12 @@ fn core_mut_settles_and_recounts() {
     // Releasing it by hand changes the census; the cluster recounts.
     cluster.core_mut(1).release_barrier();
     assert_eq!(cluster.hart_census().barrier, 2);
-    cluster.step().unwrap();
-    check(&cluster);
-    assert_eq!(cluster.hart_census().barrier, 3, "hart 1 re-arrives");
-    cluster.run(10_000).unwrap();
-    assert_settled(&cluster);
+    system.step().unwrap();
+    check(system.cluster(0));
+    let census = system.cluster(0).hart_census();
+    assert_eq!(census.barrier, 3, "hart 1 re-arrives");
+    system.run(10_000).unwrap();
+    assert_settled(system.cluster(0));
 }
 
 /// One round of a random park/release schedule: every hart delays, then
@@ -521,11 +484,11 @@ fn park() -> impl Strategy<Value = Park> {
 }
 
 proptest! {
-    /// Random park/release schedules: stepping cycle by cycle, every
-    /// reader is settled against the clock and the census matches a
-    /// recount; an event-scheduled 1-cluster system running the same
-    /// programs reaches the identical cluster summary and trace rows,
-    /// or the identical budget exit.
+    /// Random park/release schedules on a 1-cluster system: stepping
+    /// cycle by cycle, every reader is settled against the clock and
+    /// the census matches a recount; the same system event-scheduled
+    /// reaches the identical cluster summary and trace rows, or the
+    /// identical budget exit.
     #[test]
     fn random_park_schedules_read_settled(
         harts in 1usize..5,
@@ -543,42 +506,30 @@ proptest! {
         let programs = || schedule_programs(harts, &rounds, deviant);
 
         let stepped = session();
-        let timing = DramConfig::new().with_latency(latency);
-        let mut dram = Dram::new(timing);
-        let mut cluster = ClusterBuilder::new(
-            ClusterConfig::new(harts as u32).with_core(cfg()),
-            programs(),
-        )
-        .shared_dma(timing)
-        .tracer(stepped.tracer(), 0)
-        .build();
-        let mut rows = Rows::default();
-        check(&cluster);
-        while !cluster.is_done() && cluster.cycles() < budget {
-            step_with(&mut cluster, Some(&mut dram));
-            check(&cluster);
-            rows.record(&cluster, 0);
-        }
-        let halted = cluster.is_done();
-        if halted {
-            cluster.sample_final();
-        }
+        let mut dense = one_cluster_system(programs(), Some(latency), SchedMode::Dense, &stepped);
+        let (rows, dense_run) = step_checked(&mut dense, budget);
         rows.assert_in(&stepped);
 
         let event = session();
-        let mut system = one_cluster_system(programs(), Some(latency), &event);
-        match system.run(budget) {
-            Ok(_) => prop_assert!(halted, "event run halted, stepped run did not"),
-            Err(err) => {
-                prop_assert!(!halted, "stepped run halted, event run: {}", err);
-                prop_assert_eq!(err, SystemError::MaxCyclesExceeded { max_cycles: budget });
+        let mut system = one_cluster_system(programs(), Some(latency), SchedMode::Event, &event);
+        let event_run = system.run(budget).map(|mut s| s.per_cluster.remove(0));
+        match (&dense_run, &event_run) {
+            (Ok(_), Ok(_)) => {}
+            (Err(d), Err(e)) => {
+                prop_assert_eq!(d, &SystemError::MaxCyclesExceeded { max_cycles: budget });
+                prop_assert_eq!(e, d);
+            }
+            (d, e) => {
+                return Err(TestCaseError::fail(format!(
+                    "outcomes diverge: dense {d:?}, event {e:?}"
+                )));
             }
         }
         let run = system.cluster(0);
-        prop_assert_eq!(run.summary(), cluster.summary());
+        prop_assert_eq!(run.summary(), dense.cluster(0).summary());
         assert_settled(run);
         check(run);
-        prop_assert_eq!(process_rows(&event, 1), process_rows(&stepped, 0));
+        prop_assert_eq!(cluster_rows(&event), cluster_rows(&stepped));
         assert_rows_follow_clock(&event, 1, &run.summary().core_done_at);
     }
 }

@@ -6,21 +6,23 @@
 //! that register stalls on the packed unit — a circular wait the
 //! issue-stage drain (`CoreConfig::chained_fifo_shift`, the synchronous
 //! FIFO shift) resolves. With the drain disabled the same program wedges
-//! silently; the watchdog must convert that into a [`ClusterError::Hang`]
+//! silently; the watchdog must convert that into a `SystemError::Hang`
 //! whose report names the held chained-FIFO writeback as the blocked
 //! resource, instead of a bare max-cycles timeout.
 //!
-//! A cluster always steps densely; only a system fast-forwards idle
-//! windows. The event-mode pins therefore run the fixtures as the one
-//! cluster of a `System`, with the watchdog armed once system-wide and
-//! once on the embedded cluster, and require dense and event runs to
+//! The watchdog belongs to the cluster's one driver, a `System`: each
+//! fixture runs as the one cluster of a system armed with
+//! `SystemBuilder::watchdog`. Only a system fast-forwards idle
+//! windows, so the event-mode pins require dense and event runs to
 //! report the same firing cycle and stuck-for span.
 
-use sc_cluster::{Cluster, ClusterConfig, ClusterError};
+mod common;
+
+use common::one_cluster;
 use sc_core::{CoreConfig, SchedMode};
 use sc_isa::{csr, FpReg, IntReg, Program, ProgramBuilder};
-use sc_mem::{Dram, DramConfig, L2Config, Tcdm, TcdmConfig};
-use sc_system::{SystemBuilder, SystemConfig, SystemError};
+use sc_mem::{DramConfig, Tcdm, TcdmConfig};
+use sc_system::{System, SystemError};
 use sc_trace::HangReport;
 
 fn t(i: u8) -> IntReg {
@@ -75,25 +77,25 @@ fn seed_burst(tcdm: &mut Tcdm) {
     tcdm.write_f64(0x410, 10.0).unwrap();
 }
 
-fn run_burst(core_cfg: CoreConfig, watchdog: Option<u64>) -> (Cluster, Result<(), ClusterError>) {
-    let mut cluster = Cluster::new(
-        ClusterConfig::new(1).with_core(core_cfg),
-        vec![chained_burst_program(16)],
-    );
+/// Runs the 16-rep burst as the one hart of a system's only cluster,
+/// with the watchdog armed at `watchdog` when given.
+fn run_burst(core_cfg: CoreConfig, watchdog: Option<u64>) -> (System, Result<(), SystemError>) {
+    let mut builder = one_cluster(core_cfg, vec![chained_burst_program(16)], None);
     if let Some(limit) = watchdog {
-        cluster.set_watchdog(limit);
+        builder = builder.watchdog(limit);
     }
-    seed_burst(cluster.tcdm_mut());
-    let outcome = cluster.run(200_000).map(|_| ());
-    (cluster, outcome)
+    let mut system = builder.build();
+    seed_burst(system.cluster_mut(0).tcdm_mut());
+    let outcome = system.run(200_000).map(|_| ());
+    (system, outcome)
 }
 
 #[test]
 fn burst_program_completes_with_the_fifo_shift() {
-    let (cluster, outcome) = run_burst(cfg(), Some(5_000));
+    let (system, outcome) = run_burst(cfg(), Some(5_000));
     outcome.expect("the drain resolves the jam; the watchdog stays quiet");
     // (2 + 3) * 10, from the last iteration's final multiply.
-    assert_eq!(cluster.tcdm().read_f64(0x420).unwrap(), 50.0);
+    assert_eq!(system.cluster(0).tcdm().read_f64(0x420).unwrap(), 50.0);
 }
 
 #[test]
@@ -101,7 +103,7 @@ fn watchdog_names_the_wedged_chained_fifo() {
     // Same program, drain disabled: silent wedge -> named diagnosis.
     let (_, outcome) = run_burst(cfg().with_chained_fifo_shift(false), Some(5_000));
     let err = outcome.expect_err("the writeback jam must wedge without the drain");
-    let ClusterError::Hang(report) = err else {
+    let SystemError::Hang(report) = err else {
         panic!("expected the watchdog to fire, got: {err}");
     };
     assert!(
@@ -109,7 +111,7 @@ fn watchdog_names_the_wedged_chained_fifo() {
         "report must name the held chained-FIFO writeback:\n{report}"
     );
     assert!(
-        report.mentions("hart0"),
+        report.mentions("cluster0.hart0"),
         "report must locate the wedged hart:\n{report}"
     );
     assert!(
@@ -123,52 +125,26 @@ fn watchdog_names_the_wedged_chained_fifo() {
     assert!(rendered.contains("BLOCKED"), "{rendered}");
 }
 
-/// Which watchdog a 1-cluster system arms: its own system-wide one
-/// ([`SystemBuilder::watchdog`]) or its cluster's
-/// ([`Cluster::set_watchdog`] through `cluster_mut(0)`).
-#[derive(Debug, Clone, Copy)]
-enum Arm {
-    System,
-    Cluster,
-}
-
 /// Runs `programs` as the only cluster of a system under `mode`, with
-/// a DMA engine over a pass-through L2 and the watchdog armed at
-/// `limit` through `arm`, and the burst's operands seeded (programs
-/// that do not read them ignore them). Fast-forward is the system's
-/// alone, so this is where a watchdog meets skipped windows. Returns
-/// the hang report, checking that the armed watchdog is the one that
-/// fired.
+/// the watchdog armed at `limit` and the burst's operands seeded
+/// (programs that do not read them ignore them). With `dma`, the
+/// cluster has a DMA engine over a pass-through L2. Returns the hang
+/// report, checking that the watchdog is what ended the run.
 fn system_hang(
     core_cfg: CoreConfig,
     programs: Vec<Program>,
-    (arm, limit): (Arm, u64),
+    dma: Option<DramConfig>,
+    limit: u64,
     mode: SchedMode,
 ) -> HangReport {
-    let cfg = SystemConfig::new(1, programs.len() as u32)
-        .with_cluster(ClusterConfig::new(programs.len() as u32).with_core(core_cfg))
-        .with_l2(L2Config::passthrough(DramConfig::new()));
-    let mut builder = SystemBuilder::new(cfg, vec![vec![programs]])
-        .dram(Dram::new(DramConfig::new()))
-        .sched_mode(mode);
-    if let Arm::System = arm {
-        builder = builder.watchdog(limit);
-    }
-    let mut system = builder.build();
-    if let Arm::Cluster = arm {
-        system.cluster_mut(0).set_watchdog(limit);
-    }
+    let mut system = one_cluster(core_cfg, programs, dma)
+        .watchdog(limit)
+        .sched_mode(mode)
+        .build();
     seed_burst(system.cluster_mut(0).tcdm_mut());
-    match (arm, system.run(200_000)) {
-        (Arm::System, Err(SystemError::Hang(report)))
-        | (
-            Arm::Cluster,
-            Err(SystemError::Cluster {
-                cluster: 0,
-                source: ClusterError::Hang(report),
-            }),
-        ) => report,
-        (arm, outcome) => panic!("expected the {arm:?} watchdog to fire, got: {outcome:?}"),
+    match system.run(200_000) {
+        Err(SystemError::Hang(report)) => report,
+        outcome => panic!("expected the watchdog to fire, got: {outcome:?}"),
     }
 }
 
@@ -178,28 +154,20 @@ fn event_mode_fires_the_watchdog_at_the_dense_cycle() {
     // slept through: on the fifo-wedge fixture (all harts stalled but
     // *not* parked — the jam is an FPU-structural stall, so every core
     // still reports an every-cycle wake) the report must be
-    // bit-identical to the dense one.
-    let (_, standalone) = run_burst(cfg().with_chained_fifo_shift(false), Some(5_000));
-    let Err(ClusterError::Hang(standalone)) = standalone else {
-        panic!("the stand-alone wedge must hang, got: {standalone:?}");
-    };
-    for arm in [Arm::System, Arm::Cluster] {
-        let run = |mode| {
-            let programs = vec![chained_burst_program(16)];
-            system_hang(
-                cfg().with_chained_fifo_shift(false),
-                programs,
-                (arm, 5_000),
-                mode,
-            )
-        };
-        let dense = run(SchedMode::Dense);
-        let event = run(SchedMode::Event);
-        assert_eq!(dense.cycle, event.cycle, "{arm:?}: same firing cycle");
-        assert_eq!(dense.stuck_for, event.stuck_for, "{arm:?}");
-        // A 1-cluster system is the stand-alone cluster, cycle for cycle.
-        assert_eq!(dense.cycle, standalone.cycle, "{arm:?}");
-        assert_eq!(dense.stuck_for, standalone.stuck_for, "{arm:?}");
+    // bit-identical to the dense one, with or without an (idle) DMA
+    // engine behind a pass-through L2.
+    let wedged = cfg().with_chained_fifo_shift(false);
+    let run = |dma, mode| system_hang(wedged, vec![chained_burst_program(16)], dma, 5_000, mode);
+    let reference = run(None, SchedMode::Dense);
+    for dma in [None, Some(DramConfig::new())] {
+        for mode in [SchedMode::Dense, SchedMode::Event] {
+            let report = run(dma, mode);
+            assert_eq!(
+                report.cycle, reference.cycle,
+                "{dma:?} {mode:?}: firing cycle"
+            );
+            assert_eq!(report.stuck_for, reference.stuck_for, "{dma:?} {mode:?}");
+        }
     }
 }
 
@@ -218,14 +186,13 @@ fn skipped_idle_windows_count_toward_the_watchdog_span() {
         b.ecall();
         vec![b.build().unwrap()]
     };
-    for arm in [Arm::System, Arm::Cluster] {
-        let run = |mode| system_hang(cfg(), parked_forever(), (arm, 1_000), mode);
-        let dense = run(SchedMode::Dense);
-        let event = run(SchedMode::Event);
-        assert_eq!(dense.cycle, event.cycle, "{arm:?}: same firing cycle");
-        assert_eq!(dense.stuck_for, event.stuck_for, "{arm:?}");
-        assert!(dense.stuck_for >= 1_000, "{arm:?}");
-    }
+    let dma = Some(DramConfig::new());
+    let run = |mode| system_hang(cfg(), parked_forever(), dma, 1_000, mode);
+    let dense = run(SchedMode::Dense);
+    let event = run(SchedMode::Event);
+    assert_eq!(dense.cycle, event.cycle, "same firing cycle");
+    assert_eq!(dense.stuck_for, event.stuck_for);
+    assert!(dense.stuck_for >= 1_000);
 }
 
 #[test]
@@ -233,9 +200,11 @@ fn without_a_watchdog_the_wedge_only_times_out() {
     // The pre-watchdog behaviour the fixture documents: the same hang
     // burns the whole cycle budget and reports nothing useful.
     let (_, outcome) = run_burst(cfg().with_chained_fifo_shift(false), None);
-    let err = outcome.expect_err("still wedged");
-    assert!(
-        !matches!(err, ClusterError::Hang(_)),
-        "no watchdog was armed, got: {err}"
+    assert_eq!(
+        outcome.expect_err("still wedged"),
+        SystemError::MaxCyclesExceeded {
+            max_cycles: 200_000
+        },
+        "no watchdog was armed"
     );
 }

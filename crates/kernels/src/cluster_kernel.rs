@@ -1,6 +1,6 @@
 //! The cluster kernel harness: one program per hart plus shared data
 //! setup and whole-result verification, runnable on an `sc-cluster`
-//! cluster.
+//! cluster (as the one cluster of an `sc-system` system).
 //!
 //! Partitioned kernels are built by [`crate::StencilKernel::build_cluster`]
 //! (z-plane slabs) and [`crate::VecOpKernel::build_cluster`] (contiguous
@@ -8,9 +8,10 @@
 //! hart halts, so "cycles to last core done" always covers every hart's
 //! writeback traffic.
 
-use sc_cluster::{ClusterBuilder, ClusterConfig, ClusterSummary};
+use sc_cluster::{ClusterConfig, ClusterSummary};
 use sc_core::{CoreConfig, PerfCounters};
 use sc_isa::Program;
+use sc_system::{System, SystemConfig};
 
 use crate::kernel::{CheckFn, KernelError, SetupFn};
 
@@ -78,19 +79,25 @@ impl ClusterKernel {
     }
 
     /// Runs the kernel on a cluster of `num_harts()` cores configured
-    /// with `cfg`, verifying the shared memory image afterwards.
+    /// with `cfg` — the one cluster of a system without shared memory,
+    /// stepped densely — verifying the shared memory image afterwards.
     ///
     /// # Errors
     ///
-    /// Cluster simulation errors (hart-tagged), setup errors and
-    /// verification mismatches are all reported as [`KernelError`].
+    /// System simulation errors (cluster- and hart-tagged, including the
+    /// budget exit), setup errors and verification mismatches are all
+    /// reported as [`KernelError`].
     pub fn run(&self, cfg: CoreConfig, max_cycles: u64) -> Result<ClusterKernelRun, KernelError> {
-        let ccfg = ClusterConfig::new(self.programs.len() as u32).with_core(cfg);
-        let mut cluster = ClusterBuilder::new(ccfg, self.programs.clone()).build();
-        (self.setup)(cluster.tcdm_mut())?;
-        let summary = cluster.run(max_cycles)?;
-        (self.check)(cluster.tcdm())?;
-        Ok(ClusterKernelRun { summary })
+        let harts = self.programs.len() as u32;
+        let scfg =
+            SystemConfig::new(1, harts).with_cluster(ClusterConfig::new(harts).with_core(cfg));
+        let mut system = System::new(scfg, vec![vec![self.programs.clone()]]);
+        (self.setup)(system.cluster_mut(0).tcdm_mut())?;
+        let mut summary = system.run(max_cycles)?;
+        (self.check)(system.cluster(0).tcdm())?;
+        Ok(ClusterKernelRun {
+            summary: summary.per_cluster.swap_remove(0),
+        })
     }
 }
 

@@ -35,8 +35,6 @@ impl std::error::Error for VerifyError {}
 pub enum KernelError {
     /// The simulation itself failed.
     Sim(SimError),
-    /// A cluster simulation failed (hart-tagged).
-    Cluster(sc_cluster::ClusterError),
     /// A multi-cluster system simulation failed (cluster-tagged).
     System(sc_system::SystemError),
     /// Data setup failed (layout outside the TCDM).
@@ -49,7 +47,6 @@ impl fmt::Display for KernelError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             KernelError::Sim(e) => write!(f, "simulation error: {e}"),
-            KernelError::Cluster(e) => write!(f, "cluster simulation error: {e}"),
             KernelError::System(e) => write!(f, "system simulation error: {e}"),
             KernelError::Mem(e) => write!(f, "data setup error: {e}"),
             KernelError::Verify(e) => write!(f, "verification error: {e}"),
@@ -62,12 +59,6 @@ impl std::error::Error for KernelError {}
 impl From<SimError> for KernelError {
     fn from(e: SimError) -> Self {
         KernelError::Sim(e)
-    }
-}
-
-impl From<sc_cluster::ClusterError> for KernelError {
-    fn from(e: sc_cluster::ClusterError) -> Self {
-        KernelError::Cluster(e)
     }
 }
 

@@ -5,10 +5,33 @@
 //! * partitioned N-core kernels must verify bit-exactly against the
 //!   golden model and account for every flop,
 //! * N-core runs must be deterministic across repeated runs.
+//!
+//! A cluster runs as the one cluster of a `System`, its only driver.
 
-use sc_cluster::{Cluster, ClusterConfig};
+use sc_cluster::ClusterConfig;
 use sc_core::{CoreConfig, Simulator};
 use sc_kernels::{Grid3, Kernel, Stencil, StencilKernel, Variant, VecOpKernel, VecOpVariant};
+use sc_mem::{Dram, DramConfig, L2Config};
+use sc_system::{System, SystemBuilder, SystemConfig};
+
+/// `kernel`'s program as the one hart of a system's only cluster, with
+/// its data set up; with `dma`, behind a pass-through L2 whose Dram the
+/// cluster's (idle) engine could move against.
+fn one_core_system(kernel: &Kernel, cfg: CoreConfig, dma: bool) -> System {
+    let scfg = SystemConfig::new(1, 1)
+        .with_cluster(ClusterConfig::new(1).with_core(cfg))
+        .with_l2(L2Config::passthrough(DramConfig::new()));
+    let builder = SystemBuilder::new(scfg, vec![vec![vec![kernel.program().clone()]]]);
+    let mut system = if dma {
+        builder.dram(Dram::new(DramConfig::new())).build()
+    } else {
+        builder.build()
+    };
+    kernel
+        .apply_setup(system.cluster_mut(0).tcdm_mut())
+        .expect("setup fits");
+    system
+}
 
 /// Runs `kernel`'s single program on the legacy simulator and on a
 /// 1-core cluster, asserting identical cycle counts, counters and
@@ -23,14 +46,14 @@ fn assert_single_core_equivalence(kernel: &Kernel, cfg: CoreConfig) {
         .unwrap_or_else(|e| panic!("{}: {e}", kernel.name()));
     kernel.verify(sim.tcdm()).expect("legacy result verifies");
 
-    let ccfg = ClusterConfig::new(1).with_core(cfg);
-    let mut cluster = Cluster::new(ccfg, vec![kernel.program().clone()]);
-    kernel.apply_setup(cluster.tcdm_mut()).expect("setup fits");
-    let clustered = cluster
+    let mut system = one_core_system(kernel, cfg, false);
+    let clustered = system
         .run(max_cycles)
-        .unwrap_or_else(|e| panic!("{} (cluster): {e}", kernel.name()));
+        .unwrap_or_else(|e| panic!("{} (cluster): {e}", kernel.name()))
+        .per_cluster
+        .remove(0);
     kernel
-        .verify(cluster.tcdm())
+        .verify(system.cluster(0).tcdm())
         .expect("cluster result verifies");
 
     assert_eq!(
@@ -86,8 +109,7 @@ fn one_core_cluster_matches_simulator_without_chaining_hardware() {
 fn one_core_cluster_with_idle_dma_matches_simulator() {
     // Attaching the DMA subsystem must be cycle-invisible while its
     // doorbell never rings: same paper kernels, same cycle counts and
-    // counters as the legacy simulator. An idle engine never touches
-    // memory, so the stand-alone run needs no store.
+    // counters as the legacy simulator.
     let cfg = CoreConfig::new();
     let max_cycles = 50_000_000;
     let kernels = [
@@ -105,13 +127,15 @@ fn one_core_cluster_with_idle_dma_matches_simulator() {
         kernel.apply_setup(sim.tcdm_mut()).expect("setup fits");
         let legacy = sim.run(max_cycles).expect("legacy run");
 
-        let ccfg = sc_cluster::ClusterConfig::new(1).with_core(cfg);
-        let mut cluster = sc_cluster::ClusterBuilder::new(ccfg, vec![kernel.program().clone()])
-            .shared_dma(sc_mem::DramConfig::new())
-            .build();
-        kernel.apply_setup(cluster.tcdm_mut()).expect("setup fits");
-        let with_dma = cluster.run(max_cycles).expect("dma-idle run");
-        kernel.verify(cluster.tcdm()).expect("result verifies");
+        let mut system = one_core_system(kernel, cfg, true);
+        let with_dma = system
+            .run(max_cycles)
+            .expect("dma-idle run")
+            .per_cluster
+            .remove(0);
+        kernel
+            .verify(system.cluster(0).tcdm())
+            .expect("result verifies");
 
         assert_eq!(
             legacy.cycles,

@@ -1,9 +1,12 @@
 //! Property tests over the multi-cluster system layer:
 //!
-//! * a 1-cluster unbounded `System` is **cycle- and result-identical**
-//!   to the equivalent stand-alone `Cluster` (the tiled, DMA-fed
-//!   counterpart is pinned by `sc-system`'s pass-through test and by
-//!   the registry's `cluster_scaling` tiled pins in `sc-bench`),
+//! * a 1-cluster unbounded `SystemKernel` (z-slabs partitioned over
+//!   clusters, then harts) is **cycle- and result-identical** to the
+//!   equivalent `ClusterKernel` (partitioned over harts only). Both run
+//!   on a one-cluster `System`, the only driver of a cluster, so this
+//!   pins the two partitioners against each other; the driver itself is
+//!   pinned by `sc-system`'s pass-through test and by the registry's 16
+//!   `cluster_scaling` pins in `sc-bench`,
 //! * multi-cluster runs are **bit-identical** in results to
 //!   single-cluster runs of the same problem (determinism under L2
 //!   arbitration), and deterministic across repeated runs.

@@ -8,10 +8,9 @@
 //! be equal between the two modes. The event path may only skip clock
 //! ranges where stepping would provably change nothing; any divergence
 //! here means it skipped a cycle that mattered. (Only a system
-//! fast-forwards: a stand-alone cluster always steps densely.)
+//! fast-forwards; a system is the only driver of a cluster.)
 
 use proptest::prelude::*;
-use sc_cluster::ClusterError;
 use sc_core::{CoreConfig, SchedMode};
 use sc_isa::{csr, IntReg, ProgramBuilder};
 use sc_kernels::{Grid3, Stencil, StencilKernel, Variant, WaitStyle};
@@ -160,11 +159,9 @@ proptest! {
     /// a hart enqueues one store-out transfer and parks; the watchdog
     /// limit is the transfer's engine latency plus a small signed
     /// offset, so depending on the draw the run either completes just
-    /// under the limit or hangs just past it. The watchdog is armed
-    /// once system-wide and once on the cluster (whose firing point
-    /// caps the system's skips through `Cluster::watchdog_skip_cap`).
-    /// For each, both modes must agree on the outcome — and, on a hang,
-    /// on the firing cycle and the stuck-for span.
+    /// under the limit or hangs just past it. Both modes must agree on
+    /// the outcome — and, on a hang, on the firing cycle and the
+    /// stuck-for span.
     #[test]
     fn watchdog_brink_parked_windows_event_equals_dense(
         latency in 16u32..300,
@@ -200,53 +197,38 @@ proptest! {
         };
         let limit = u64::try_from(i64::from(latency) + delta).expect("positive limit");
         let timing = DramConfig::new().with_latency(latency);
-        for cluster_watchdog in [false, true] {
-            let run = |mode: SchedMode| {
-                let programs = (0..harts).map(|h| program(h == 0)).collect();
-                let cfg = SystemConfig::new(1, harts).with_l2(L2Config::passthrough(timing));
-                let mut builder = SystemBuilder::new(cfg, vec![vec![programs]])
-                    .dram(Dram::new(timing))
-                    .sched_mode(mode);
-                if !cluster_watchdog {
-                    builder = builder.watchdog(limit);
-                }
-                let mut system = builder.build();
-                if cluster_watchdog {
-                    system.cluster_mut(0).set_watchdog(limit);
-                }
-                for i in 0..8 {
-                    system
-                        .cluster_mut(0)
-                        .tcdm_mut()
-                        .write_f64(0x400 + i * 8, f64::from(i))
-                        .expect("seed the staged tile");
-                }
-                let outcome = system.run(1_000_000).map(|_| ());
-                (system.summary(), outcome)
-            };
-            let (dense_summary, dense_outcome) = run(SchedMode::Dense);
-            let (event_summary, event_outcome) = run(SchedMode::Event);
-            match (dense_outcome, event_outcome) {
-                (Ok(()), Ok(())) => {}
-                (Err(SystemError::Hang(d)), Err(SystemError::Hang(e))) if !cluster_watchdog => {
-                    prop_assert_eq!(d.cycle, e.cycle, "watchdog firing cycle diverges");
-                    prop_assert_eq!(d.stuck_for, e.stuck_for, "stuck-for span diverges");
-                }
-                (
-                    Err(SystemError::Cluster { source: ClusterError::Hang(d), .. }),
-                    Err(SystemError::Cluster { source: ClusterError::Hang(e), .. }),
-                ) if cluster_watchdog => {
-                    prop_assert_eq!(d.cycle, e.cycle, "watchdog firing cycle diverges");
-                    prop_assert_eq!(d.stuck_for, e.stuck_for, "stuck-for span diverges");
-                }
-                (d, e) => {
-                    return Err(TestCaseError::fail(format!(
-                        "outcomes diverge (cluster watchdog: {cluster_watchdog}): \
-                         dense {d:?}, event {e:?}"
-                    )));
-                }
+        let run = |mode: SchedMode| {
+            let programs = (0..harts).map(|h| program(h == 0)).collect();
+            let cfg = SystemConfig::new(1, harts).with_l2(L2Config::passthrough(timing));
+            let mut system = SystemBuilder::new(cfg, vec![vec![programs]])
+                .dram(Dram::new(timing))
+                .watchdog(limit)
+                .sched_mode(mode)
+                .build();
+            for i in 0..8 {
+                system
+                    .cluster_mut(0)
+                    .tcdm_mut()
+                    .write_f64(0x400 + i * 8, f64::from(i))
+                    .expect("seed the staged tile");
             }
-            prop_assert_eq!(&dense_summary, &event_summary, "system summaries diverge");
+            let outcome = system.run(1_000_000).map(|_| ());
+            (system.summary(), outcome)
+        };
+        let (dense_summary, dense_outcome) = run(SchedMode::Dense);
+        let (event_summary, event_outcome) = run(SchedMode::Event);
+        match (dense_outcome, event_outcome) {
+            (Ok(()), Ok(())) => {}
+            (Err(SystemError::Hang(d)), Err(SystemError::Hang(e))) => {
+                prop_assert_eq!(d.cycle, e.cycle, "watchdog firing cycle diverges");
+                prop_assert_eq!(d.stuck_for, e.stuck_for, "stuck-for span diverges");
+            }
+            (d, e) => {
+                return Err(TestCaseError::fail(format!(
+                    "outcomes diverge: dense {d:?}, event {e:?}"
+                )));
+            }
         }
+        prop_assert_eq!(&dense_summary, &event_summary, "system summaries diverge");
     }
 }

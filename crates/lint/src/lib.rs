@@ -118,10 +118,10 @@ pub enum Severity {
     /// that may be satisfied by an earlier program of the same run).
     Warning,
     /// A protocol violation that wedges or corrupts on conforming
-    /// hardware. [`ClusterBuilder::lint_strict`]-style gates refuse
+    /// hardware. [`SystemBuilder::lint_strict`]-style gates refuse
     /// programs with errors.
     ///
-    /// [`ClusterBuilder::lint_strict`]: https://docs.rs/sc-cluster
+    /// [`SystemBuilder::lint_strict`]: https://docs.rs/sc-system
     Error,
 }
 

@@ -32,12 +32,15 @@
 //!    (the software tile loop), so per-cluster tile pipelines run
 //!    independently without global synchronisation.
 //!
-//! A 1-cluster system behind a pass-through L2
-//! ([`sc_mem::L2Config::passthrough`]) performs exactly the same
-//! sequence as a stand-alone [`sc_cluster::Cluster`] stepped straight
-//! against the Dram, cycle for cycle — pinned by this crate's tests and
-//! `sc-kernels`' system proptests. It is how a single cluster runs with
-//! background memory: the system is the only owner of the Dram.
+//! The system is the only driver of a cluster: a cluster has no run
+//! loop, budget or watchdog of its own. A single cluster runs as a
+//! 1-cluster system — without shared memory when it moves no DMA beat
+//! (`sc-kernels`' `ClusterKernel`), behind a pass-through L2
+//! ([`sc_mem::L2Config::passthrough`]) when it does. The latter performs
+//! exactly the same sequence as a cluster stepped straight against the
+//! Dram with [`Cluster::begin_cycle`] / [`Cluster::end_cycle`], cycle
+//! for cycle — pinned by this crate's tests. The system is the only
+//! owner of the Dram.
 //!
 //! ## Event-driven scheduling
 //!
@@ -50,9 +53,8 @@
 //! steps, and each steps only its runnable harts: a parked hart is not
 //! touched until it is released, when it pays its parked cycles in
 //! closed form. That holds in either mode. Fast-forward is the system's
-//! decision alone: a stand-alone [`sc_cluster::Cluster`] always steps
-//! densely, and inside a system the loop here skips every unfinished
-//! cluster together ([`Cluster::skip_quiet`]). The fluent
+//! decision alone: the loop here skips every unfinished cluster
+//! together ([`Cluster::skip_quiet`]). The fluent
 //! [`SystemBuilder`] assembles a system (shared memory, watchdog,
 //! tracer, scheduling mode) in one expression.
 //!
@@ -317,7 +319,6 @@ pub struct System {
     // Scratch reused across cycles.
     l2_reqs: Vec<L2Request>,
     l2_outcomes: Vec<L2Outcome>,
-    l2_req_of: Vec<Option<usize>>,
     /// The clusters still running, in index order: built at assembly,
     /// shrunk when a cluster finishes its last stage (a finished
     /// cluster never runs again). Every per-cycle loop reads it instead
@@ -386,7 +387,6 @@ impl System {
             system_barriers: 0,
             l2_reqs: Vec::new(),
             l2_outcomes: Vec::new(),
-            l2_req_of: vec![None; n],
             unfinished,
             tracer: Tracer::off(),
             watchdog: None,
@@ -455,8 +455,25 @@ impl System {
         }
     }
 
+    /// The watchdog observation owed once per completed cycle, dense or
+    /// skipped. Observing only whole system cycles keeps the system
+    /// clock level with its clusters' on a hang, in both scheduling
+    /// modes.
+    #[inline]
+    fn observe_watchdog(&mut self) -> Result<(), SystemError> {
+        // The unarmed case is the per-cycle one: keep it a load and a
+        // branch in the run loop.
+        if self.watchdog.is_none() {
+            return Ok(());
+        }
+        match self.check_watchdog() {
+            Some(report) => Err(SystemError::Hang(report)),
+            None => Ok(()),
+        }
+    }
+
     fn check_watchdog(&mut self) -> Option<HangReport> {
-        if self.watchdog.is_none() || self.is_done() {
+        if self.is_done() {
             return None;
         }
         let sig: u64 = self.clusters.iter().map(Cluster::progress_signature).sum();
@@ -561,8 +578,9 @@ impl System {
             }
         };
 
-        // All of this cycle's events carry the cycle number (the
-        // clusters re-set the same value in their begin_cycle).
+        // All of this cycle's events carry the cycle number: the system
+        // owns the sink clock, and its clusters advance in lock-step
+        // with it.
         self.tracer.set_cycle(self.cycles);
 
         // Clusters that finished their last stage sit the cycle out
@@ -577,11 +595,9 @@ impl System {
         // this cycle's arbitration so prefetching can start while the
         // engine still pays its startup latency.
         self.l2_reqs.clear();
-        self.l2_req_of.fill(None);
         for i in 0..self.unfinished.len() {
             let c = self.unfinished[i];
             if let Some((addr, kind)) = self.clusters[c].begin_cycle().map_err(tag(c))? {
-                self.l2_req_of[c] = Some(self.l2_reqs.len());
                 self.l2_reqs.push(L2Request {
                     cluster: c as u32,
                     addr,
@@ -608,16 +624,21 @@ impl System {
 
         // Half-cycle 2: each unfinished cluster resumes with its L2
         // outcome; a granted beat then contends on the cluster's own
-        // TCDM crossbar and moves data against the shared store.
+        // TCDM crossbar and moves data against the shared store. The
+        // beats were collected in this same cluster order, so one
+        // cursor pairs each with its cluster.
+        let mut beat = 0;
         for i in 0..self.unfinished.len() {
             let c = self.unfinished[i];
-            let outcome = match self.l2_req_of[c] {
-                Some(r) => self
-                    .l2_outcomes
-                    .get(r)
-                    .copied()
-                    .unwrap_or(L2Outcome::Granted),
-                None => L2Outcome::Granted,
+            let outcome = match self.l2_reqs.get(beat) {
+                Some(req) if req.cluster == c as u32 => {
+                    beat += 1;
+                    self.l2_outcomes
+                        .get(beat - 1)
+                        .copied()
+                        .unwrap_or(L2Outcome::Granted)
+                }
+                _ => L2Outcome::Granted,
             };
             let dram = self.shared.as_mut().map(|(_, d)| d);
             self.clusters[c].end_cycle(outcome, dram).map_err(tag(c))?;
@@ -654,11 +675,12 @@ impl System {
         });
 
         // Inter-cluster barrier rendezvous: release once every active
-        // hart of every cluster has arrived.
+        // hart of every cluster has arrived (a finished cluster has
+        // none).
         let (waiting, active) = self
-            .clusters
+            .unfinished
             .iter()
-            .map(Cluster::system_barrier_census)
+            .map(|&c| self.clusters[c].system_barrier_census())
             .fold((0, 0), |(w, a), (cw, ca)| (w + cw, a + ca));
         if waiting > 0 && waiting == active {
             for cluster in &mut self.clusters {
@@ -666,40 +688,19 @@ impl System {
             }
             self.system_barriers += 1;
         }
-        self.observe_watchdogs()
-    }
-
-    /// The watchdog observations owed once per completed cycle, dense
-    /// or skipped: the system's own, then every embedded cluster's
-    /// ([`Cluster::poll_watchdog`]; a finished cluster never fires).
-    /// Observing only whole system cycles keeps the system clock level
-    /// with its clusters' on a hang, in both scheduling modes.
-    fn observe_watchdogs(&mut self) -> Result<(), SystemError> {
-        if let Some(report) = self.check_watchdog() {
-            return Err(SystemError::Hang(report));
-        }
-        for (c, cluster) in self.clusters.iter_mut().enumerate() {
-            if let Some(report) = cluster.poll_watchdog() {
-                return Err(SystemError::Cluster {
-                    cluster: c as u32,
-                    source: ClusterError::Hang(report),
-                });
-            }
-        }
-        Ok(())
+        self.observe_watchdog()
     }
 
     /// The earliest future cycle at which stepping the system could do
     /// anything a skip cannot reproduce in closed form: the merge of
     /// every unfinished cluster's wake (finished clusters freeze, as in
-    /// dense stepping), the earliest armed cluster watchdog's firing
-    /// point ([`Cluster::watchdog_skip_cap`] — the run loop re-observes
-    /// there, reproducing the dense firing cycle), and the shared L2's
-    /// own wake — dense while it has runnable refill/write-back/
-    /// prefetch work, a future cycle while its only work is in-flight
-    /// channel countdowns ([`L2::next_wake`]). A subscribed tracer does
-    /// not pin dense stepping — [`System::skip_idle`] synthesizes the
-    /// sampled counter rows dense stepping would have emitted.
+    /// dense stepping) and the shared L2's own wake — dense while it has
+    /// runnable refill/write-back/prefetch work, a future cycle while
+    /// its only work is in-flight channel countdowns ([`L2::next_wake`]).
+    /// The run loop caps each skip at the watchdog's firing point
+    /// itself. A subscribed tracer does not pin dense stepping —
+    /// [`System::skip_idle`] synthesizes the sampled counter rows dense
+    /// stepping would have emitted.
     #[must_use]
     pub fn next_wake(&self) -> Wake {
         let mut wake = Wake::Idle;
@@ -710,9 +711,6 @@ impl System {
                 return Wake::EveryCycle;
             }
             wake = wake.merge(cluster);
-            if let Some(cap) = self.clusters[c].watchdog_skip_cap() {
-                wake = wake.merge(Wake::At(cap));
-            }
         }
         if let Some((l2, _)) = self.shared.as_ref() {
             wake = wake.merge(match l2.next_wake() {
@@ -787,9 +785,10 @@ impl System {
     }
 
     /// Emits the run-end partial-interval samples — every cluster's
-    /// rows, then the shared L2's — when the run's length is not a
-    /// multiple of the sampling cadence (see
-    /// [`Cluster::sample_final`]).
+    /// rows, then the shared L2's. A run whose length is not a multiple
+    /// of the sampling cadence would otherwise leave the tail of every
+    /// counter time-series invisible; no-op when the last simulated
+    /// cycle was itself a sampling point or when sampling is off.
     fn sample_final(&self) {
         if self.tracer.final_sample_owed(self.cycles) {
             self.tracer.set_cycle(self.cycles);
@@ -839,10 +838,9 @@ impl System {
                 if skip > 0 {
                     self.skip_idle(skip);
                     // One observation per window: the window was capped
-                    // at the earliest firing point ([`System::next_wake`]),
-                    // so this reproduces the dense loop's per-cycle
-                    // cadence exactly.
-                    self.observe_watchdogs()?;
+                    // at the watchdog's firing point, so this reproduces
+                    // the dense loop's per-cycle cadence exactly.
+                    self.observe_watchdog()?;
                     continue;
                 }
             }
