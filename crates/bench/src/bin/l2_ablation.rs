@@ -26,6 +26,7 @@
 
 use sc_bench::registry::{Fit, PointSpec, Sweep, MAX_CYCLES};
 use sc_bench::{json, parallel_sweep, Json};
+use sc_core::SchedMode;
 use sc_mem::DramConfig;
 use sc_system::SystemSummary;
 use sc_trace::{TraceConfig, TraceSession};
@@ -52,9 +53,9 @@ fn point_json(p: &Point) -> Json {
     let l2 = s.l2.as_ref().expect("shared memory attached");
     Json::obj()
         .set("id", p.spec.id.as_str())
-        .set("capacity_bytes", p.spec.l2.capacity_bytes)
-        .set("ways", p.spec.l2.ways)
-        .set("channels", p.spec.l2.refill_channels)
+        .set("capacity_bytes", p.spec.l2.cache.capacity_bytes)
+        .set("ways", p.spec.l2.cache.ways)
+        .set("channels", p.spec.l2.cache.channels)
         .set("chaining", p.spec.chaining)
         .set("overfit", p.overfit())
         .set("cycles_to_last_core_done", s.cycles)
@@ -81,7 +82,7 @@ fn point_json(p: &Point) -> Json {
 /// Accounting and capacity-story invariants — a violation is a model
 /// bug, not a perf regression.
 fn validate(points: &[Point]) {
-    let full_ways = points.iter().map(|p| p.spec.l2.ways).max();
+    let full_ways = points.iter().map(|p| p.spec.l2.cache.ways).max();
     for p in points {
         let l2 = p.summary.l2.as_ref().expect("shared memory attached");
         let c = &l2.cache;
@@ -96,10 +97,10 @@ fn validate(points: &[Point]) {
             "{id}: refills outnumber MSHR allocations"
         );
         assert!(
-            c.mshr_peak <= u64::from(p.spec.l2.mshrs),
+            c.mshr_peak <= u64::from(p.spec.l2.cache.mshrs),
             "{id}: MSHR file overflowed its configured size"
         );
-        if p.overfit() && Some(p.spec.l2.ways) == full_ways {
+        if p.overfit() && Some(p.spec.l2.cache.ways) == full_ways {
             assert_eq!(
                 c.evictions, 0,
                 "{id}: an over-fit associative L2 must hold the working set"
@@ -122,8 +123,8 @@ fn validate(points: &[Point]) {
             .iter()
             .find(|p| {
                 p.overfit()
-                    && p.spec.l2.ways == under.spec.l2.ways
-                    && p.spec.l2.refill_channels == under.spec.l2.refill_channels
+                    && p.spec.l2.cache.ways == under.spec.l2.cache.ways
+                    && p.spec.l2.cache.channels == under.spec.l2.cache.channels
                     && p.spec.chaining == under.spec.chaining
             })
             .expect("matched over-fit point");
@@ -140,11 +141,11 @@ fn validate(points: &[Point]) {
 /// The under-fit point at full associativity with `channels` refill
 /// channels and the given variant.
 fn underfit_point(points: &[Point], channels: u32, chaining: bool) -> Option<&Point> {
-    let full_ways = points.iter().map(|p| p.spec.l2.ways).max()?;
+    let full_ways = points.iter().map(|p| p.spec.l2.cache.ways).max()?;
     points.iter().find(|p| {
         !p.overfit()
-            && p.spec.l2.ways == full_ways
-            && p.spec.l2.refill_channels == channels
+            && p.spec.l2.cache.ways == full_ways
+            && p.spec.l2.cache.channels == channels
             && p.spec.chaining == chaining
     })
 }
@@ -180,6 +181,7 @@ fn write_trace(point: &Point, path: &std::path::Path) {
             DramConfig::new(),
             MAX_CYCLES,
             session.tracer(),
+            SchedMode::Dense,
         )
         .unwrap_or_else(|e| panic!("traced point: {e}"));
     assert_eq!(
@@ -208,13 +210,13 @@ fn main() {
         specs
             .iter()
             .find(|s| s.fit == Some(fit))
-            .map_or(0, |s| s.l2.capacity_bytes)
+            .map_or(0, |s| s.l2.cache.capacity_bytes)
     };
     let (over, under) = (capacity(Fit::Over), capacity(Fit::Under));
-    let mut ways: Vec<u32> = specs.iter().map(|s| s.l2.ways).collect();
+    let mut ways: Vec<u32> = specs.iter().map(|s| s.l2.cache.ways).collect();
     ways.sort_unstable();
     ways.dedup();
-    let mut channels: Vec<u32> = specs.iter().map(|s| s.l2.refill_channels).collect();
+    let mut channels: Vec<u32> = specs.iter().map(|s| s.l2.cache.channels).collect();
     channels.sort_unstable();
     channels.dedup();
     println!(
@@ -253,11 +255,11 @@ fn main() {
             "{:>14} {:>5} {:>4} {:>10} {:>10} {:>8} {:>9} {:>10} {:>9} {:>9}",
             format!(
                 "{}K {}",
-                p.spec.l2.capacity_bytes >> 10,
+                p.spec.l2.cache.capacity_bytes >> 10,
                 if p.overfit() { "(over)" } else { "(under)" }
             ),
-            p.spec.l2.ways,
-            p.spec.l2.refill_channels,
+            p.spec.l2.cache.ways,
+            p.spec.l2.cache.channels,
             if p.spec.chaining { "Chaining+" } else { "Base" },
             p.summary.cycles,
             l2.cache.read_hits,

@@ -58,8 +58,9 @@ impl Point {
     /// `(degree, distance)` of the prefetcher; `None` = prefetch off.
     fn prefetch(&self) -> Option<(u32, u32)> {
         let l2 = &self.spec.l2;
-        l2.prefetch
-            .then_some((l2.prefetch_degree, l2.prefetch_distance))
+        l2.cache
+            .prefetch
+            .then_some((l2.cache.prefetch_degree, l2.cache.prefetch_distance))
     }
 
     /// Whether `other` is this point's configuration with the prefetcher
@@ -69,7 +70,7 @@ impl Point {
         other.prefetch().is_none()
             && a.clusters == b.clusters
             && a.fit == b.fit
-            && a.l2.refill_channels == b.l2.refill_channels
+            && a.l2.cache.channels == b.l2.cache.channels
             && a.chaining == b.chaining
     }
 }
@@ -80,9 +81,9 @@ fn point_json(p: &Point) -> Json {
     Json::obj()
         .set("id", p.spec.id.as_str())
         .set("clusters", p.spec.clusters)
-        .set("capacity_bytes", p.spec.l2.capacity_bytes)
+        .set("capacity_bytes", p.spec.l2.cache.capacity_bytes)
         .set("overfit", p.overfit())
-        .set("channels", p.spec.l2.refill_channels)
+        .set("channels", p.spec.l2.cache.channels)
         .set("chaining", p.spec.chaining)
         .set("prefetch", p.prefetch().is_some())
         .set(
@@ -142,7 +143,7 @@ fn validate(points: &[Point]) {
             p.spec.id
         );
         assert!(
-            c.mshr_peak <= u64::from(p.spec.l2.mshrs),
+            c.mshr_peak <= u64::from(p.spec.l2.cache.mshrs),
             "{}: MSHR file overflowed its configured size",
             p.spec.id
         );
@@ -168,7 +169,7 @@ fn validate(points: &[Point]) {
                 );
                 assert_eq!(
                     p.summary.l2_prefetch_beats,
-                    c.prefetch_refills * u64::from(p.spec.l2.line_beats()),
+                    c.prefetch_refills * u64::from(p.spec.l2.cache.line_beats()),
                     "{}: prefetch beats must be the prefetch refills' lines",
                     p.spec.id
                 );
@@ -226,7 +227,7 @@ fn acceptance_pair(points: &[Point], chaining: bool) -> (&Point, &Point) {
         .find(|p| {
             p.spec.clusters == 1
                 && !p.overfit()
-                && p.spec.l2.refill_channels == 1
+                && p.spec.l2.cache.channels == 1
                 && p.spec.chaining == chaining
                 && p.prefetch() == deepest
         })
@@ -252,7 +253,7 @@ fn main() {
             specs
                 .iter()
                 .find(|s| s.clusters == spec.clusters && s.fit == Some(fit))
-                .map_or(0, |s| s.l2.capacity_bytes)
+                .map_or(0, |s| s.l2.cache.capacity_bytes)
         };
         let ws = spec.working_set();
         println!(

@@ -13,7 +13,7 @@
 //! Run with `cargo run --release -p sc-bench --bin trace_smoke`.
 
 use sc_bench::Json;
-use sc_core::CoreConfig;
+use sc_core::{CoreConfig, SchedMode};
 use sc_kernels::{Grid3, Stencil, StencilKernel, Variant, TCDM_CAP_BYTES};
 use sc_mem::{DramConfig, L2Config};
 use sc_trace::{TraceConfig, TraceSession, Tracer};
@@ -45,7 +45,14 @@ fn main() {
 
     let session = TraceSession::new(TraceConfig::new().with_sample_every(256));
     let traced = tk
-        .run_traced(cfg, l2, DramConfig::new(), MAX_CYCLES, session.tracer())
+        .run_traced(
+            cfg,
+            l2,
+            DramConfig::new(),
+            MAX_CYCLES,
+            session.tracer(),
+            SchedMode::Dense,
+        )
         .expect("traced run completes and verifies the same store image");
 
     // Tracing must be an observer: cycle-for-cycle identical results.

@@ -48,7 +48,7 @@ impl Point {
     /// `unbounded`, or `tiled_ch<n>` for `n` refill channels.
     fn regime(&self) -> String {
         if self.spec.tiled {
-            format!("tiled_ch{}", self.spec.l2.refill_channels)
+            format!("tiled_ch{}", self.spec.l2.cache.channels)
         } else {
             "unbounded".into()
         }
@@ -82,9 +82,7 @@ fn validate(points: &[Point]) {
     let widest = points.iter().map(|p| p.spec.clusters).max();
     let best = points
         .iter()
-        .filter(|p| {
-            Some(p.spec.clusters) == widest && p.spec.tiled && p.spec.l2.refill_channels > 1
-        })
+        .filter(|p| Some(p.spec.clusters) == widest && p.spec.tiled && p.spec.l2.cache.channels > 1)
         .map(|p| efficiency(points, p))
         .fold(0.0f64, f64::max);
     assert!(

@@ -81,7 +81,7 @@
 //! ```
 //! use sc_cluster::ClusterConfig;
 //! use sc_isa::{csr, IntReg, ProgramBuilder};
-//! use sc_system::{System, SystemConfig};
+//! use sc_system::{SystemBuilder, SystemConfig};
 //!
 //! // Every hart stores its ID to TCDM word 0x100 + hart*4, rendezvous,
 //! // halts.
@@ -96,7 +96,7 @@
 //! };
 //! // One cluster of four cores, driven by a one-cluster system.
 //! let cfg = SystemConfig::new(1, 4).with_cluster(ClusterConfig::new(4));
-//! let mut system = System::new(cfg, vec![vec![(0..4).map(program).collect()]]);
+//! let mut system = SystemBuilder::new(cfg, vec![vec![(0..4).map(program).collect()]]).build();
 //! let summary = system.run(10_000)?.per_cluster.remove(0);
 //! for hart in 0..4u32 {
 //!     assert_eq!(system.cluster(0).tcdm().read_u32(0x100 + hart * 4)?, hart);

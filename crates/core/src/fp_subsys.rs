@@ -163,12 +163,6 @@ impl FpSubsystem {
         f64::from_bits(self.rf[reg.index() as usize])
     }
 
-    /// Raw bits of an FP register.
-    #[must_use]
-    pub fn reg_bits(&self, reg: FpReg) -> u64 {
-        self.rf[reg.index() as usize]
-    }
-
     /// Writes an FP register directly (test setup / program loading).
     pub fn set_reg(&mut self, reg: FpReg, value: f64) {
         self.rf[reg.index() as usize] = value.to_bits();

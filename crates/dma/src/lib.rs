@@ -97,12 +97,6 @@ impl Transfer {
         }
     }
 
-    /// Total bytes the transfer moves.
-    #[must_use]
-    pub fn total_bytes(&self) -> u64 {
-        u64::from(self.row_bytes) * u64::from(self.reps)
-    }
-
     fn validate(&self) -> Result<(), DmaError> {
         if self.row_bytes == 0 || self.reps == 0 {
             return Err(DmaError::EmptyTransfer);
@@ -213,14 +207,6 @@ pub struct DmaStats {
     /// shared L2 can start pulling the lines before the first beat
     /// arrives ([`DmaEngine::drain_prefetch_hints`]).
     pub prefetch_hints: u64,
-}
-
-impl DmaStats {
-    /// Total bytes moved in either direction.
-    #[must_use]
-    pub fn total_bytes(&self) -> u64 {
-        self.bytes_to_tcdm + self.bytes_from_tcdm
-    }
 }
 
 impl MetricSource for DmaStats {

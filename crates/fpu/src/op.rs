@@ -151,21 +151,6 @@ pub enum FpuOutput {
     Int(u32),
 }
 
-impl FpuOutput {
-    /// The FP bit pattern, panicking on integer results.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the output is an integer.
-    #[must_use]
-    pub fn unwrap_fp(self) -> u64 {
-        match self {
-            FpuOutput::Fp(v) => v,
-            FpuOutput::Int(v) => panic!("expected FP output, got integer {v}"),
-        }
-    }
-}
-
 /// Evaluates `op` on raw 64-bit register values.
 ///
 /// `srcs` are the up-to-three FP source values (`[rs1, rs2, rs3]`); unused

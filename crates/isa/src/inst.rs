@@ -604,15 +604,6 @@ impl Instruction {
         )
     }
 
-    /// Whether this is a control-flow instruction (branch or jump).
-    #[must_use]
-    pub fn is_control_flow(&self) -> bool {
-        matches!(
-            self,
-            Instruction::Jal { .. } | Instruction::Jalr { .. } | Instruction::Branch { .. }
-        )
-    }
-
     /// FP registers read by this instruction, in operand order (excluding
     /// stream/chain reinterpretation, which the core applies on top). A
     /// register named twice is yielded twice. The iterator is

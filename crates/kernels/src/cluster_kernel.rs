@@ -11,7 +11,7 @@
 use sc_cluster::{ClusterConfig, ClusterSummary};
 use sc_core::{CoreConfig, PerfCounters};
 use sc_isa::Program;
-use sc_system::{System, SystemConfig};
+use sc_system::{SystemBuilder, SystemConfig};
 
 use crate::kernel::{CheckFn, KernelError, SetupFn};
 
@@ -91,7 +91,7 @@ impl ClusterKernel {
         let harts = self.programs.len() as u32;
         let scfg =
             SystemConfig::new(1, harts).with_cluster(ClusterConfig::new(harts).with_core(cfg));
-        let mut system = System::new(scfg, vec![vec![self.programs.clone()]]);
+        let mut system = SystemBuilder::new(scfg, vec![vec![self.programs.clone()]]).build();
         (self.setup)(system.cluster_mut(0).tcdm_mut())?;
         let mut summary = system.run(max_cycles)?;
         (self.check)(system.cluster(0).tcdm())?;

@@ -52,12 +52,6 @@ impl Layout {
             coeff_base,
         }
     }
-
-    /// Bytes of TCDM the layout needs.
-    #[must_use]
-    pub fn required_bytes(&self, grid: &Grid3) -> u32 {
-        self.out_base + grid.byte_len()
-    }
 }
 
 fn align_up(v: u32, a: u32) -> u32 {

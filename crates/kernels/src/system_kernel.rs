@@ -319,32 +319,7 @@ impl TiledSystemKernel {
         dram_cfg: DramConfig,
         max_cycles: u64,
     ) -> Result<TiledSystemRun, KernelError> {
-        self.run_inner(
-            cfg,
-            l2_cfg,
-            dram_cfg,
-            max_cycles,
-            Tracer::off(),
-            SchedMode::Dense,
-        )
-    }
-
-    /// [`TiledSystemKernel::run`] with a trace subscription: every hart,
-    /// DMA engine, TCDM and the shared L2 emit onto `tracer` for the
-    /// whole run. Passing [`Tracer::off`] is exactly `run`.
-    ///
-    /// # Errors
-    ///
-    /// See [`TiledSystemKernel::run`].
-    pub fn run_traced(
-        &self,
-        cfg: CoreConfig,
-        l2_cfg: L2Config,
-        dram_cfg: DramConfig,
-        max_cycles: u64,
-        tracer: Tracer,
-    ) -> Result<TiledSystemRun, KernelError> {
-        self.run_inner(cfg, l2_cfg, dram_cfg, max_cycles, tracer, SchedMode::Dense)
+        self.run_scheduled(cfg, l2_cfg, dram_cfg, max_cycles, SchedMode::Dense)
     }
 
     /// [`TiledSystemKernel::run`] under an explicit clock-advancement
@@ -363,30 +338,20 @@ impl TiledSystemKernel {
         max_cycles: u64,
         mode: SchedMode,
     ) -> Result<TiledSystemRun, KernelError> {
-        self.run_inner(cfg, l2_cfg, dram_cfg, max_cycles, Tracer::off(), mode)
+        self.run_traced(cfg, l2_cfg, dram_cfg, max_cycles, Tracer::off(), mode)
     }
 
-    /// [`TiledSystemKernel::run_traced`] under an explicit
-    /// clock-advancement mode: the combination the trace-identity tests
-    /// pin — an event-driven run with a subscriber attached must export
-    /// the same timeline and sampled counters as a dense one.
+    /// [`TiledSystemKernel::run_scheduled`] with a trace subscription:
+    /// every hart, DMA engine, TCDM and the shared L2 emit onto `tracer`
+    /// for the whole run. Passing [`Tracer::off`] is exactly
+    /// `run_scheduled`; an event-driven run with a subscriber attached
+    /// must export the same timeline and sampled counters as a dense one
+    /// (pinned by the trace-identity tests).
     ///
     /// # Errors
     ///
     /// See [`TiledSystemKernel::run`].
-    pub fn run_traced_scheduled(
-        &self,
-        cfg: CoreConfig,
-        l2_cfg: L2Config,
-        dram_cfg: DramConfig,
-        max_cycles: u64,
-        tracer: Tracer,
-        mode: SchedMode,
-    ) -> Result<TiledSystemRun, KernelError> {
-        self.run_inner(cfg, l2_cfg, dram_cfg, max_cycles, tracer, mode)
-    }
-
-    fn run_inner(
+    pub fn run_traced(
         &self,
         cfg: CoreConfig,
         l2_cfg: L2Config,

@@ -182,7 +182,7 @@ fn prefetch_on_stays_bit_exact_and_hides_the_memory_wall() {
     assert!(l2.cache.prefetch_hits <= l2.cache.prefetches_issued);
     assert_eq!(
         on.l2_prefetch_beats,
-        l2.cache.prefetch_refills * u64::from(base.line_beats()),
+        l2.cache.prefetch_refills * u64::from(base.cache.line_beats()),
         "prefetch beats are attributed refill traffic"
     );
     assert!(on.l2_prefetch_beats <= on.l2_refill_beats);

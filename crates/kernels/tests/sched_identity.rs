@@ -113,7 +113,7 @@ proptest! {
         for mode in [SchedMode::Dense, SchedMode::Event] {
             let session = TraceSession::new(TraceConfig::new().with_sample_every(cadence));
             let run = tiled
-                .run_traced_scheduled(cfg, l2_cfg, dram_cfg, MAX_CYCLES, session.tracer(), mode)
+                .run_traced(cfg, l2_cfg, dram_cfg, MAX_CYCLES, session.tracer(), mode)
                 .map_err(|e| TestCaseError::fail(format!("{mode:?}: {e}")))?;
             exports.push((run.summary, session.samples_csv()));
         }

@@ -67,7 +67,7 @@ proptest! {
             TraceConfig::new().with_sample_every([64u64, 256, 1024][sample_idx]),
         );
         let on = tk
-            .run_traced(cfg, l2, dram, MAX_CYCLES, session.tracer())
+            .run_traced(cfg, l2, dram, MAX_CYCLES, session.tracer(), SchedMode::Dense)
             .map_err(|e| TestCaseError::fail(format!("traced: {e}")))?;
 
         prop_assert_eq!(on.summary.cycles, off.summary.cycles);
@@ -131,7 +131,7 @@ proptest! {
         for mode in [SchedMode::Dense, SchedMode::Event] {
             let session = TraceSession::new(TraceConfig::new().with_sample_every(sample_every));
             let run = tk
-                .run_traced_scheduled(cfg, l2, dram, MAX_CYCLES, session.tracer(), mode)
+                .run_traced(cfg, l2, dram, MAX_CYCLES, session.tracer(), mode)
                 .map_err(|e| TestCaseError::fail(format!("{mode:?}: {e}")))?;
             exports.push((run.summary.cycles, session.perfetto_json(), session.samples_csv()));
         }
@@ -183,7 +183,7 @@ fn cadence_aligned_skip_windows_never_duplicate_sample_rows() {
                 for mode in [SchedMode::Dense, SchedMode::Event] {
                     let session = TraceSession::new(TraceConfig::new().with_sample_every(cadence));
                     let run = tk
-                        .run_traced_scheduled(cfg, l2, dram, MAX_CYCLES, session.tracer(), mode)
+                        .run_traced(cfg, l2, dram, MAX_CYCLES, session.tracer(), mode)
                         .unwrap_or_else(|e| {
                             panic!("h={harts} c={clusters} cad={cadence} {mode:?}: {e}")
                         });

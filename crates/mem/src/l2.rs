@@ -22,14 +22,14 @@
 //!   [`L2Config::refill`] is on): a *read* beat to a line not present
 //!   stalls — allocating an MSHR and queueing a refill for a new line,
 //!   merging into the pending refill for an already-missing one, or
-//!   bouncing off a full MSHR file — while `refill_channels` parallel
-//!   channels fetch lines from the Dram. Writes allocate without a fetch
+//!   bouncing off a full MSHR file — while the cache core's `channels`
+//!   fetch lines from the Dram in parallel. Writes allocate without a fetch
 //!   (DMA write-back streams write whole lines) and, with
-//!   [`L2Config::write_back`] on, mark their line dirty; a dirty line
+//!   [`CacheConfig::write_back`] on, mark their line dirty; a dirty line
 //!   evicted by LRU replacement enqueues a **write-back job** that
 //!   contends for the same channels the refills use.
 //!
-//! With [`L2Config::prefetch`] on, the L2 additionally runs the cache
+//! With [`CacheConfig::prefetch`] on, the L2 additionally runs the cache
 //! core's **descriptor-driven prefetch engine**: the system hands it
 //! every DMA descriptor's Dram-side read footprint at `DMA_START`
 //! ([`L2::prefetch_hint`]), and the engine pulls the footprint's lines
@@ -39,7 +39,7 @@
 //! never which beats move: results are bit-identical with it on or off
 //! (pinned by this crate's differential proptests).
 //!
-//! [`L2Config::capacity_bytes`]` == 0` keeps the capacity infinite: no
+//! [`CacheConfig::capacity_bytes`]` == 0` keeps the capacity infinite: no
 //! line is ever evicted, exactly the cold-miss-only residency model of
 //! earlier revisions (an infinite-capacity / 1-channel / no-write-back
 //! L2 is cycle-identical to it, pinned by tests and proptests). The
@@ -60,7 +60,8 @@ use sc_trace::{MetricSource, Tracer, Track};
 use crate::dram::DramConfig;
 use crate::tcdm::AccessKind;
 
-/// Geometry and timing of the shared L2.
+/// Geometry and timing of the shared L2: the bank arbiter's own knobs
+/// plus the configuration of the cache core behind it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct L2Config {
     /// Number of L2 banks (power of two). Beats from different clusters
@@ -77,47 +78,18 @@ pub struct L2Config {
     /// Whether the cache core is active (capacity, misses, refills from
     /// the background memory). Off = pass-through: every line is warm.
     pub refill: bool,
-    /// Cache line size in bytes (power of two, multiple of 8).
-    pub line_bytes: u32,
-    /// Data capacity in bytes; **0 = infinite** (residency-only, no
-    /// eviction — the historical behaviour). When finite, must be a
-    /// multiple of `line_bytes × ways`.
-    pub capacity_bytes: u32,
-    /// Associativity of a finite L2 (lines per set, ≥ 1).
-    pub ways: u32,
-    /// MSHR file size: line refills that may be outstanding at once;
-    /// **0 = unbounded**.
-    pub mshrs: u32,
-    /// Parallel refill/write-back channels to the Dram (≥ 1).
-    pub refill_channels: u32,
-    /// Whether evicted dirty lines generate write-back traffic on the
-    /// channels (finite capacities only — an infinite L2 never evicts).
-    pub write_back: bool,
-    /// Cycles before the first beat of a line refill arrives from Dram.
-    pub refill_latency: u32,
-    /// Cycles per 64-bit beat on a refill/write-back channel (≥ 1).
-    pub refill_cycles_per_beat: u32,
-    /// Whether the descriptor-driven prefetch engine is active. **Off by
-    /// default**: a prefetch-disabled L2 is cycle-for-cycle identical to
-    /// the pre-prefetch L2 (pinned by `sc-kernels`' identity test).
-    pub prefetch: bool,
-    /// Lines a prefetch stream may walk per cycle (≥ 1 when
-    /// prefetching).
-    pub prefetch_degree: u32,
-    /// Max lines a prefetch stream may run ahead of the demand beats
-    /// consuming it (≥ 1 when prefetching).
-    pub prefetch_distance: u32,
-    /// Capacity of the bounded prefetch-request queue (≥ 1 when
-    /// prefetching).
-    pub prefetch_queue: u32,
+    /// The cache core's geometry, policies and refill/write-back channel
+    /// timing (its `channels` are the L2's refill channels to the Dram).
+    /// The default is infinite capacity, one channel, no write-back and
+    /// no prefetching.
+    pub cache: CacheConfig,
 }
 
 impl L2Config {
     /// Defaults sized like a multi-cluster interconnect hop: closer and
-    /// wider than the Dram (8 cycles startup, 8 banks), refilling 256 B
-    /// lines from a Dram-like channel — with **infinite** capacity, one
-    /// channel and no write-back, i.e. the residency-only L2 earlier
-    /// revisions modelled.
+    /// wider than the Dram (8 cycles startup, 8 banks), over the default
+    /// cache core ([`CacheConfig::new`]) — i.e. the residency-only L2
+    /// earlier revisions modelled.
     #[must_use]
     pub fn new() -> Self {
         L2Config {
@@ -126,18 +98,7 @@ impl L2Config {
             latency: 8,
             cycles_per_beat: 1,
             refill: true,
-            line_bytes: 256,
-            capacity_bytes: 0,
-            ways: 8,
-            mshrs: 0,
-            refill_channels: 1,
-            write_back: false,
-            refill_latency: 64,
-            refill_cycles_per_beat: 1,
-            prefetch: false,
-            prefetch_degree: 2,
-            prefetch_distance: 16,
-            prefetch_queue: 32,
+            cache: CacheConfig::new(),
         }
     }
 
@@ -208,136 +169,101 @@ impl L2Config {
         self
     }
 
-    /// Sets the cache line size.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `line_bytes` is a power of two ≥ 8.
+    // The cache-core knobs: each forwards to `CacheConfig`'s builder,
+    // which owns the check and its panic.
+
+    /// Sets the cache line size ([`CacheConfig::with_line_bytes`]).
     #[must_use]
     pub fn with_line_bytes(mut self, line_bytes: u32) -> Self {
-        assert!(
-            line_bytes.is_power_of_two() && line_bytes >= 8,
-            "line size must be a power of two of at least 8 bytes"
-        );
-        self.line_bytes = line_bytes;
+        self.cache = self.cache.with_line_bytes(line_bytes);
         self
     }
 
-    /// Sets the capacity (0 = infinite). A finite capacity must be a
-    /// multiple of `line_bytes × ways`, checked when the L2 is
-    /// instantiated (once the whole geometry is known).
+    /// Sets the capacity, 0 = infinite
+    /// ([`CacheConfig::with_capacity_bytes`]).
     #[must_use]
     pub fn with_capacity_bytes(mut self, capacity_bytes: u32) -> Self {
-        self.capacity_bytes = capacity_bytes;
+        self.cache = self.cache.with_capacity_bytes(capacity_bytes);
         self
     }
 
-    /// Sets the associativity of a finite L2.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `ways` is zero.
+    /// Sets the associativity of a finite L2 ([`CacheConfig::with_ways`]).
     #[must_use]
     pub fn with_ways(mut self, ways: u32) -> Self {
-        assert!(ways >= 1, "a set holds at least one line");
-        self.ways = ways;
+        self.cache = self.cache.with_ways(ways);
         self
     }
 
-    /// Sets the MSHR file size (0 = unbounded).
+    /// Sets the MSHR file size, 0 = unbounded ([`CacheConfig::with_mshrs`]).
     #[must_use]
     pub fn with_mshrs(mut self, mshrs: u32) -> Self {
-        self.mshrs = mshrs;
+        self.cache = self.cache.with_mshrs(mshrs);
         self
     }
 
-    /// Sets the number of parallel refill/write-back channels.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `refill_channels` is zero.
+    /// Sets the number of parallel refill/write-back channels
+    /// ([`CacheConfig::with_channels`]).
     #[must_use]
     pub fn with_refill_channels(mut self, refill_channels: u32) -> Self {
-        assert!(refill_channels >= 1, "the L2 has at least one channel");
-        self.refill_channels = refill_channels;
+        self.cache = self.cache.with_channels(refill_channels);
         self
     }
 
-    /// Enables/disables write-back traffic for evicted dirty lines.
+    /// Enables/disables write-back traffic for evicted dirty lines
+    /// ([`CacheConfig::with_write_back`]).
     #[must_use]
     pub fn with_write_back(mut self, write_back: bool) -> Self {
-        self.write_back = write_back;
+        self.cache = self.cache.with_write_back(write_back);
         self
     }
 
-    /// Sets the refill-channel startup latency.
+    /// Sets the refill-channel startup latency
+    /// ([`CacheConfig::with_refill_latency`]).
     #[must_use]
     pub fn with_refill_latency(mut self, refill_latency: u32) -> Self {
-        self.refill_latency = refill_latency;
+        self.cache = self.cache.with_refill_latency(refill_latency);
         self
     }
 
-    /// Sets the per-beat refill-channel occupancy (≥ 1).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `refill_cycles_per_beat` is zero.
+    /// Sets the per-beat refill-channel occupancy
+    /// ([`CacheConfig::with_refill_cycles_per_beat`]).
     #[must_use]
     pub fn with_refill_cycles_per_beat(mut self, refill_cycles_per_beat: u32) -> Self {
-        assert!(
-            refill_cycles_per_beat >= 1,
-            "refill bandwidth is at most one beat/cycle"
-        );
-        self.refill_cycles_per_beat = refill_cycles_per_beat;
+        self.cache = self
+            .cache
+            .with_refill_cycles_per_beat(refill_cycles_per_beat);
         self
     }
 
-    /// Enables/disables the descriptor-driven prefetch engine.
+    /// Enables/disables the descriptor-driven prefetch engine
+    /// ([`CacheConfig::with_prefetch`]).
     #[must_use]
     pub fn with_prefetch(mut self, prefetch: bool) -> Self {
-        self.prefetch = prefetch;
+        self.cache = self.cache.with_prefetch(prefetch);
         self
     }
 
-    /// Sets the per-stream prefetch issue rate in lines per cycle (≥ 1).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `prefetch_degree` is zero.
+    /// Sets the per-stream prefetch issue rate in lines per cycle
+    /// ([`CacheConfig::with_prefetch_degree`]).
     #[must_use]
     pub fn with_prefetch_degree(mut self, prefetch_degree: u32) -> Self {
-        assert!(prefetch_degree >= 1, "a stream walks at least one line");
-        self.prefetch_degree = prefetch_degree;
+        self.cache = self.cache.with_prefetch_degree(prefetch_degree);
         self
     }
 
-    /// Sets how far ahead of demand a prefetch stream may run (≥ 1).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `prefetch_distance` is zero.
+    /// Sets how far ahead of demand a prefetch stream may run
+    /// ([`CacheConfig::with_prefetch_distance`]).
     #[must_use]
     pub fn with_prefetch_distance(mut self, prefetch_distance: u32) -> Self {
-        assert!(
-            prefetch_distance >= 1,
-            "a stream runs at least one line ahead"
-        );
-        self.prefetch_distance = prefetch_distance;
+        self.cache = self.cache.with_prefetch_distance(prefetch_distance);
         self
     }
 
-    /// Sets the bounded prefetch-request queue capacity (≥ 1).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `prefetch_queue` is zero.
+    /// Sets the bounded prefetch-request queue capacity
+    /// ([`CacheConfig::with_prefetch_queue`]).
     #[must_use]
     pub fn with_prefetch_queue(mut self, prefetch_queue: u32) -> Self {
-        assert!(
-            prefetch_queue >= 1,
-            "the prefetch-request queue holds at least one entry"
-        );
-        self.prefetch_queue = prefetch_queue;
+        self.cache = self.cache.with_prefetch_queue(prefetch_queue);
         self
     }
 
@@ -348,36 +274,6 @@ impl L2Config {
         DramConfig::new()
             .with_latency(self.latency)
             .with_cycles_per_beat(self.cycles_per_beat)
-    }
-
-    /// The cache-core configuration this L2 instantiates.
-    #[must_use]
-    pub fn cache_config(&self) -> CacheConfig {
-        CacheConfig::new()
-            .with_line_bytes(self.line_bytes)
-            .with_capacity_bytes(self.capacity_bytes)
-            .with_ways(self.ways)
-            .with_mshrs(self.mshrs)
-            .with_channels(self.refill_channels)
-            .with_refill_latency(self.refill_latency)
-            .with_refill_cycles_per_beat(self.refill_cycles_per_beat)
-            .with_write_back(self.write_back)
-            .with_prefetch(self.prefetch)
-            .with_prefetch_degree(self.prefetch_degree)
-            .with_prefetch_distance(self.prefetch_distance)
-            .with_prefetch_queue(self.prefetch_queue)
-    }
-
-    /// 64-bit beats per refill line.
-    #[must_use]
-    pub fn line_beats(&self) -> u32 {
-        self.line_bytes / 8
-    }
-
-    /// Cycles one line refill (or write-back) occupies its channel.
-    #[must_use]
-    pub fn refill_cycles(&self) -> u32 {
-        self.refill_latency + self.line_beats() * self.refill_cycles_per_beat
     }
 }
 
@@ -464,14 +360,14 @@ impl L2Stats {
     /// — the unit `sc-energy` charges).
     #[must_use]
     pub fn refill_beats(&self, cfg: &L2Config) -> u64 {
-        self.cache.refills * u64::from(cfg.line_beats())
+        self.cache.refill_beats(&cfg.cache)
     }
 
     /// 64-bit beats of write-back traffic dirty evictions generated (one
     /// Dram access each).
     #[must_use]
     pub fn writeback_beats(&self, cfg: &L2Config) -> u64 {
-        self.cache.dirty_evictions * u64::from(cfg.line_beats())
+        self.cache.writeback_beats(&cfg.cache)
     }
 
     /// 64-bit beats the refill channels moved for *prefetch-issued* line
@@ -480,7 +376,7 @@ impl L2Stats {
     /// per beat).
     #[must_use]
     pub fn prefetch_beats(&self, cfg: &L2Config) -> u64 {
-        self.cache.prefetch_refills * u64::from(cfg.line_beats())
+        self.cache.prefetch_beats(&cfg.cache)
     }
 
     /// Bundles these stats with their derived beat counts into the
@@ -614,7 +510,7 @@ impl L2 {
     #[must_use]
     pub fn new(cfg: L2Config, num_clusters: u32) -> Self {
         L2 {
-            cache: Cache::new(cfg.cache_config()),
+            cache: Cache::new(cfg.cache),
             accesses: 0,
             conflicts: 0,
             accesses_by_cluster: vec![0; num_clusters as usize],
@@ -710,7 +606,7 @@ impl L2 {
 
     /// Hands the cache core an upcoming strided read footprint (a DMA
     /// descriptor's Dram-side access pattern, delivered at `DMA_START`).
-    /// A no-op unless the cache core and [`L2Config::prefetch`] are both
+    /// A no-op unless the cache core and [`CacheConfig::prefetch`] are both
     /// on — feeding hints to a prefetch-disabled L2 changes nothing,
     /// which is what keeps the disabled path cycle-identical.
     pub fn prefetch_hint(&mut self, hint: PrefetchHint) {
@@ -925,12 +821,46 @@ mod tests {
     }
 
     #[test]
+    fn cache_builders_reject_what_the_cache_core_rejects() {
+        // The L2's cache knobs forward to `CacheConfig`'s builders: each
+        // of these must still panic when set through `L2Config`.
+        type Set = fn(L2Config) -> L2Config;
+        let cases: [(&str, Set); 9] = [
+            ("zero ways", |c| c.with_ways(0)),
+            ("zero refill channels", |c| c.with_refill_channels(0)),
+            ("zero refill cycles per beat", |c| {
+                c.with_refill_cycles_per_beat(0)
+            }),
+            ("zero prefetch degree", |c| c.with_prefetch_degree(0)),
+            ("zero prefetch distance", |c| c.with_prefetch_distance(0)),
+            ("zero prefetch queue", |c| c.with_prefetch_queue(0)),
+            ("zero-byte line", |c| c.with_line_bytes(0)),
+            ("4-byte line", |c| c.with_line_bytes(4)),
+            ("96-byte line", |c| c.with_line_bytes(96)),
+        ];
+        for (case, set) in cases {
+            let built = std::panic::catch_unwind(|| set(L2Config::new()));
+            assert!(built.is_err(), "{case} must panic");
+        }
+        // The smallest legal values build.
+        let min = L2Config::new()
+            .with_ways(1)
+            .with_refill_channels(1)
+            .with_refill_cycles_per_beat(1)
+            .with_prefetch_degree(1)
+            .with_prefetch_distance(1)
+            .with_prefetch_queue(1)
+            .with_line_bytes(8);
+        assert_eq!(min.cache.line_beats(), 1);
+    }
+
+    #[test]
     fn cold_lines_stall_until_refilled() {
         let cfg = L2Config::new()
             .with_line_bytes(64)
             .with_cycles_per_beat(1)
             .with_latency(0);
-        let refill_cycles = cfg.refill_cycles();
+        let refill_cycles = cfg.cache.channel_cycles();
         let mut l2 = L2::new(cfg, 1);
         let mut stalled = 0;
         loop {
@@ -1033,7 +963,7 @@ mod tests {
     #[test]
     fn single_refill_channel_serialises_lines() {
         let cfg = L2Config::new().with_line_bytes(64);
-        let per_line = cfg.refill_cycles();
+        let per_line = cfg.cache.channel_cycles();
         let mut l2 = L2::new(cfg, 2);
         // Two clusters miss two different lines in the same cycle: the
         // single channel fetches them one after the other.
@@ -1052,7 +982,7 @@ mod tests {
         assert_eq!(l2.stats().refills(), 2);
         assert_eq!(
             l2.stats().refill_beats(l2.config()),
-            2 * u64::from(l2.config().line_beats())
+            2 * u64::from(l2.config().cache.line_beats())
         );
     }
 
@@ -1104,7 +1034,7 @@ mod tests {
         assert_eq!(stats.cache.dirty_evictions, 32, "every victim was dirty");
         assert_eq!(
             stats.writeback_beats(l2.config()),
-            32 * u64::from(l2.config().line_beats())
+            32 * u64::from(l2.config().cache.line_beats())
         );
         assert!(
             !l2.is_resident(0),
@@ -1184,7 +1114,7 @@ mod tests {
         assert_eq!(s.refills(), 3);
         assert_eq!(
             s.prefetch_beats(l2.config()),
-            2 * u64::from(l2.config().line_beats()),
+            2 * u64::from(l2.config().cache.line_beats()),
             "prefetch beats are the prefetched lines' refill traffic"
         );
     }

@@ -328,22 +328,22 @@ proptest! {
             "every granted read beat is a hit or a serviced miss");
         prop_assert_eq!(c.write_beats, writes);
         prop_assert_eq!(s.accesses, reads + writes);
-        if !cfg.write_back || c.evictions == 0 {
+        if !cfg.cache.write_back || c.evictions == 0 {
             prop_assert_eq!(c.dirty_evictions, 0);
             prop_assert_eq!(s.writeback_beats(&cfg), 0);
         }
         prop_assert_eq!(s.writeback_beats(&cfg),
-            c.dirty_evictions * u64::from(cfg.line_beats()));
+            c.dirty_evictions * u64::from(cfg.cache.line_beats()));
         prop_assert!(c.mshr_merges <= c.stall_cycles,
             "a merge only happens on a stalled beat");
         prop_assert!(c.refills <= c.mshr_allocations,
             "every refilled line was allocated an MSHR");
-        if cfg.mshrs > 0 {
-            prop_assert!(c.mshr_peak <= u64::from(cfg.mshrs));
+        if cfg.cache.mshrs > 0 {
+            prop_assert!(c.mshr_peak <= u64::from(cfg.cache.mshrs));
         } else {
             prop_assert_eq!(c.mshr_full_stalls, 0);
         }
-        if cfg.capacity_bytes == 0 {
+        if cfg.cache.capacity_bytes == 0 {
             prop_assert_eq!(c.evictions, 0, "an infinite L2 never evicts");
         }
     }
@@ -429,9 +429,9 @@ proptest! {
         batches in proptest::collection::vec(l2_batch(3), 1..150),
     ) {
         let cfg = L2Config::new().with_line_bytes(64).with_banks(4).with_refill_latency(3);
-        prop_assert_eq!(cfg.capacity_bytes, 0, "default stays the PR 3 point");
-        prop_assert_eq!(cfg.refill_channels, 1);
-        prop_assert!(!cfg.write_back);
+        prop_assert_eq!(cfg.cache.capacity_bytes, 0, "default stays the PR 3 point");
+        prop_assert_eq!(cfg.cache.channels, 1);
+        prop_assert!(!cfg.cache.write_back);
         let mut l2 = L2::new(cfg, 3);
         let mut reference = ResidencyL2::new(cfg, 3);
         for (cycle, batch) in batches.iter().enumerate() {
@@ -671,13 +671,13 @@ impl ResidencyL2 {
     }
 
     fn line_of(&self, addr: u32) -> u32 {
-        addr / self.cfg.line_bytes
+        addr / self.cfg.cache.line_bytes
     }
 
     fn begin_cycle(&mut self) {
         if self.refilling.is_none() {
             if let Some(line) = self.refill_queue.pop_front() {
-                self.refilling = Some((line, self.cfg.refill_cycles()));
+                self.refilling = Some((line, self.cfg.cache.channel_cycles()));
             }
         }
     }

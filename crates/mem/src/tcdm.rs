@@ -268,11 +268,6 @@ impl Tcdm {
         &self.stats
     }
 
-    /// Resets statistics (e.g. after a warm-up phase).
-    pub fn reset_stats(&mut self) {
-        self.stats = TcdmStats::new(self.cfg.banks);
-    }
-
     /// The bank serving a byte address.
     #[must_use]
     pub fn bank_of(&self, addr: u32) -> u32 {

@@ -275,13 +275,6 @@ impl DataMover {
         self.indirect.is_some()
     }
 
-    /// Disarms the mover (used when streaming is disabled via CSR).
-    pub fn disarm(&mut self) {
-        self.gen = None;
-        self.indirect = None;
-        self.clear_fifo();
-    }
-
     fn clear_fifo(&mut self) {
         self.fifo.clear();
         self.landing = false;

@@ -169,11 +169,6 @@ impl SsrUnit {
         self.movers.iter()
     }
 
-    /// Mutable iteration over all movers.
-    pub fn movers_mut(&mut self) -> impl Iterator<Item = &mut DataMover> {
-        self.movers.iter_mut()
-    }
-
     /// Whether every armed stream has fully completed (write streams
     /// drained). Programs should check this before `ecall`.
     #[must_use]

@@ -55,12 +55,12 @@
 //! closed form. That holds in either mode. Fast-forward is the system's
 //! decision alone: the loop here skips every unfinished cluster
 //! together ([`Cluster::skip_quiet`]). The fluent
-//! [`SystemBuilder`] assembles a system (shared memory, watchdog,
-//! tracer, scheduling mode) in one expression.
+//! [`SystemBuilder`] is the one way to assemble and configure a system
+//! (shared memory, watchdog, tracer, scheduling mode).
 //!
 //! ```
 //! use sc_isa::{csr, IntReg, ProgramBuilder};
-//! use sc_system::{System, SystemConfig};
+//! use sc_system::{SystemBuilder, SystemConfig};
 //!
 //! // Every hart stores cluster*16 + hart to its own cluster's TCDM,
 //! // rendezvouses on the inter-cluster barrier, halts.
@@ -77,7 +77,7 @@
 //! let stages = (0..2)
 //!     .map(|c| vec![(0..2).map(|h| program(c, h)).collect()])
 //!     .collect();
-//! let mut system = System::new(cfg, stages);
+//! let mut system = SystemBuilder::new(cfg, stages).build();
 //! let summary = system.run(10_000)?;
 //! assert_eq!(summary.system_barriers, 1);
 //! for c in 0..2u32 {
@@ -140,9 +140,19 @@ impl SystemConfig {
         }
     }
 
-    /// Replaces the per-cluster configuration.
+    /// Replaces the per-cluster configuration. The hart count stays the
+    /// one given to [`SystemConfig::new`]: `cluster` must repeat it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cluster.num_cores` differs from the cores per cluster
+    /// given to [`SystemConfig::new`].
     #[must_use]
     pub fn with_cluster(mut self, cluster: ClusterConfig) -> Self {
+        assert_eq!(
+            cluster.num_cores, self.cluster.num_cores,
+            "the cluster's core count must match the system's cores per cluster"
+        );
         self.cluster = cluster;
         self
     }
@@ -171,7 +181,7 @@ pub enum SystemError {
         /// The budget that was exceeded.
         max_cycles: u64,
     },
-    /// The watchdog ([`System::set_watchdog`]) saw no architectural
+    /// The watchdog ([`SystemBuilder::watchdog`]) saw no architectural
     /// progress anywhere in the system for its limit while clusters
     /// were unfinished: a hang, converted into a diagnostic naming each
     /// blocked resource instead of spinning until the budget runs out.
@@ -233,7 +243,7 @@ pub struct SystemSummary {
     pub l2_writeback_beats: u64,
     /// The subset of [`SystemSummary::l2_refill_beats`] moved by
     /// *prefetch-issued* refills (descriptor-driven L2 prefetching; 0
-    /// with [`sc_mem::L2Config::prefetch`] off). Already included in the
+    /// with [`sc_mem::CacheConfig::prefetch`] off). Already included in the
     /// refill total — `sc-energy` charges a prefetch beat exactly like a
     /// demand refill beat, so this field is the attribution split, not
     /// an extra charge.
@@ -335,104 +345,6 @@ pub struct System {
 }
 
 impl System {
-    /// Creates a system running `stages[c]` on cluster `c`: a non-empty
-    /// sequence of program sets (one program per core each), executed
-    /// back to back — the model of each cluster's software tile loop.
-    /// Single-stage clusters just run their one program set.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `stages.len() == cfg.num_clusters` and every
-    /// cluster has at least one stage of `cfg.cluster.num_cores`
-    /// programs.
-    #[must_use]
-    pub fn new(cfg: SystemConfig, stages: Vec<Vec<Vec<Program>>>) -> Self {
-        Self::assemble(cfg, stages, false)
-    }
-
-    /// Shared constructor: `with_engines` attaches every cluster's DMA
-    /// engine at build time (the [`SystemBuilder`] path, which also
-    /// installs the shared L2/Dram pair afterwards).
-    fn assemble(cfg: SystemConfig, stages: Vec<Vec<Vec<Program>>>, with_engines: bool) -> Self {
-        assert_eq!(
-            stages.len(),
-            cfg.num_clusters as usize,
-            "one stage list per cluster"
-        );
-        let timing = cfg.l2.engine_timing();
-        let mut clusters = Vec::with_capacity(stages.len());
-        let mut queues = Vec::with_capacity(stages.len());
-        for (c, cluster_stages) in stages.into_iter().enumerate() {
-            let mut q: VecDeque<Vec<Program>> = cluster_stages.into();
-            let first = q.pop_front().expect("every cluster has at least one stage");
-            let mut builder =
-                ClusterBuilder::new(cfg.cluster, first).embedded(c as u32, cfg.num_clusters);
-            if with_engines {
-                builder = builder.shared_dma(timing);
-            }
-            clusters.push(builder.build());
-            queues.push(q);
-        }
-        let n = clusters.len();
-        let unfinished = (0..n)
-            .filter(|&c| !(clusters[c].is_done() && queues[c].is_empty()))
-            .collect();
-        System {
-            cfg,
-            clusters,
-            stages: queues,
-            shared: None,
-            cycles: 0,
-            cluster_done_at: vec![None; n],
-            system_barriers: 0,
-            l2_reqs: Vec::new(),
-            l2_outcomes: Vec::new(),
-            unfinished,
-            tracer: Tracer::off(),
-            watchdog: None,
-            hang_attr_base: vec![Vec::new(); n],
-            sched: Scheduler::default(),
-        }
-    }
-
-    /// Selects how [`System::run`] advances the clock: dense lock-step
-    /// (the default) or event-driven fast-forwarding of provably idle
-    /// windows. The two modes are cycle-count- and stats-identical;
-    /// event mode is purely a host-speed optimisation.
-    pub fn set_sched_mode(&mut self, mode: SchedMode) {
-        self.sched = Scheduler::new(mode);
-    }
-
-    /// Subscribes the whole system to a trace sink: cluster `c`'s harts,
-    /// DMA engine and TCDM become tracks under process `c + 1`, while
-    /// the shared L2's refill/write-back channels and sampled metrics
-    /// live under process 0 ([`L2_TRACK`]). Attaching the shared memory
-    /// later inherits the subscription.
-    pub fn set_tracer(&mut self, tracer: Tracer) {
-        for (c, cluster) in self.clusters.iter_mut().enumerate() {
-            cluster.set_tracer(tracer.clone(), c as u32 + 1);
-        }
-        if let Some((l2, _)) = self.shared.as_mut() {
-            l2.set_tracer(tracer.clone(), L2_TRACK);
-        }
-        self.tracer = tracer;
-    }
-
-    /// Arms the hang watchdog: if no architectural state retires
-    /// anywhere in the system for `limit` consecutive cycles while
-    /// clusters are unfinished, the run aborts with
-    /// [`SystemError::Hang`] naming each blocked resource. The watchdog
-    /// watches *global* progress — a single cluster legitimately parked
-    /// on an uneven inter-cluster barrier never fires it as long as some
-    /// other cluster keeps retiring. Disarmed by default.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `limit` is zero.
-    pub fn set_watchdog(&mut self, limit: u64) {
-        self.watchdog = Some(Watchdog::new(limit));
-    }
-
     /// Appends the hang-diagnosis view of every system resource to
     /// `out`: each unfinished cluster's harts and engine, then the
     /// shared L2's miss-handling state.
@@ -492,16 +404,6 @@ impl System {
             );
         }
         Some(HangReport::new(cycle, stuck_for, resources))
-    }
-
-    /// Installs the shared L2 + functional store pair (the clusters'
-    /// engines must already be attached).
-    fn install_shared(&mut self, dram: Dram) {
-        let mut l2 = L2::new(self.cfg.l2, self.cfg.num_clusters);
-        if self.tracer.is_on() {
-            l2.set_tracer(self.tracer.clone(), L2_TRACK);
-        }
-        self.shared = Some((l2, dram));
     }
 
     /// The system configuration.
@@ -651,37 +553,36 @@ impl System {
         }
         self.cycles += 1;
 
-        // Stage advance + completion bookkeeping — BEFORE the barrier
-        // census: a cluster whose cores just halted with another stage
-        // queued still has work, so reloading it first makes its harts
-        // count as active in the rendezvous below. (Counting them as
-        // halted would release a sibling's barrier without them.) A
-        // cluster with no stage left finishes: it records its finishing
-        // cycle and leaves the unfinished list for good.
+        // Stage advance + completion bookkeeping, then each cluster's
+        // barrier census, in one walk. A cluster whose cores just halted
+        // with another stage queued still has work, so reloading it
+        // before its census makes its harts count as active in the
+        // rendezvous below. (Counting them as halted would release a
+        // sibling's barrier without them.) A cluster's census reads only
+        // its own state, so taking it right after its own stage advance
+        // is exact. A cluster with no stage left finishes: it records
+        // its finishing cycle and leaves the unfinished list for good.
+        let (mut waiting, mut active) = (0, 0);
         self.unfinished.retain(|&c| {
-            if !self.clusters[c].is_done() {
-                return true;
-            }
-            match self.stages[c].pop_front() {
-                Some(next) => {
-                    self.clusters[c].load_programs(next);
-                    true
-                }
-                None => {
-                    self.cluster_done_at[c] = Some(self.cycles);
-                    false
+            let cluster = &mut self.clusters[c];
+            if cluster.is_done() {
+                match self.stages[c].pop_front() {
+                    Some(next) => cluster.load_programs(next),
+                    None => {
+                        self.cluster_done_at[c] = Some(self.cycles);
+                        return false;
+                    }
                 }
             }
+            let (w, a) = cluster.system_barrier_census();
+            waiting += w;
+            active += a;
+            true
         });
 
         // Inter-cluster barrier rendezvous: release once every active
         // hart of every cluster has arrived (a finished cluster has
         // none).
-        let (waiting, active) = self
-            .unfinished
-            .iter()
-            .map(|&c| self.clusters[c].system_barrier_census())
-            .fold((0, 0), |(w, a), (cw, ca)| (w + cw, a + ca));
         if waiting > 0 && waiting == active {
             for cluster in &mut self.clusters {
                 cluster.release_system_barrier();
@@ -949,9 +850,10 @@ pub struct SystemBuilder {
 }
 
 impl SystemBuilder {
-    /// Starts a builder for a system running `stages[c]` on cluster `c`
-    /// (a non-empty sequence of program sets, one program per core
-    /// each).
+    /// Starts a builder for a system running `stages[c]` on cluster `c`:
+    /// a non-empty sequence of program sets (one program per core each),
+    /// executed back to back — the model of each cluster's software tile
+    /// loop.
     #[must_use]
     pub fn new(cfg: SystemConfig, stages: Vec<Vec<Vec<Program>>>) -> Self {
         SystemBuilder {
@@ -985,24 +887,33 @@ impl SystemBuilder {
         self
     }
 
-    /// Arms the system-wide hang watchdog with `limit` progress-free
-    /// cycles.
+    /// Arms the hang watchdog: if no architectural state retires
+    /// anywhere in the system for `limit` consecutive cycles while
+    /// clusters are unfinished, the run aborts with
+    /// [`SystemError::Hang`] naming each blocked resource. The watchdog
+    /// watches *global* progress — a single cluster legitimately parked
+    /// on an uneven inter-cluster barrier never fires it as long as some
+    /// other cluster keeps retiring. Disarmed by default.
     #[must_use]
     pub fn watchdog(mut self, limit: u64) -> Self {
         self.watchdog = Some(limit);
         self
     }
 
-    /// Selects dense or event-driven clock advancement for
-    /// [`System::run`].
+    /// Selects how [`System::run`] advances the clock: dense lock-step
+    /// (the default) or event-driven fast-forwarding of provably idle
+    /// windows. The two modes are cycle-count- and stats-identical;
+    /// event mode is purely a host-speed optimisation.
     #[must_use]
     pub fn sched_mode(mut self, mode: SchedMode) -> Self {
         self.sched = mode;
         self
     }
 
-    /// Subscribes the whole system to a trace sink (clusters under
-    /// processes `c + 1`, the shared L2 under [`L2_TRACK`]).
+    /// Subscribes the whole system to a trace sink: cluster `c`'s harts,
+    /// DMA engine and TCDM become tracks under process `c + 1`, while
+    /// the shared L2's refill/write-back channels and sampled metrics
+    /// live under process 0 ([`L2_TRACK`]).
     #[must_use]
     pub fn tracer(mut self, tracer: Tracer) -> Self {
         self.tracer = Some(tracer);
@@ -1041,16 +952,42 @@ impl SystemBuilder {
     /// Same structural panics as [`SystemBuilder::build`] (stage/core
     /// count mismatches, zero watchdog limit).
     pub fn try_build(self) -> Result<System, SystemError> {
-        let lint_strict = self.lint_strict;
-        let mut system = System::assemble(self.cfg, self.stages, self.dram.is_some());
+        let SystemBuilder {
+            cfg,
+            stages,
+            dram,
+            watchdog,
+            sched,
+            tracer,
+            lint_strict,
+        } = self;
+        assert_eq!(
+            stages.len(),
+            cfg.num_clusters as usize,
+            "one stage list per cluster"
+        );
+        let timing = cfg.l2.engine_timing();
+        let mut clusters = Vec::with_capacity(stages.len());
+        let mut queues = Vec::with_capacity(stages.len());
+        for (c, cluster_stages) in stages.into_iter().enumerate() {
+            let mut q: VecDeque<Vec<Program>> = cluster_stages.into();
+            let first = q.pop_front().expect("every cluster has at least one stage");
+            let mut builder =
+                ClusterBuilder::new(cfg.cluster, first).embedded(c as u32, cfg.num_clusters);
+            if dram.is_some() {
+                builder = builder.shared_dma(timing);
+            }
+            clusters.push(builder.build());
+            queues.push(q);
+        }
         if lint_strict {
-            let lint_cfg = lint_config(&system.cfg.cluster);
-            for (c, cluster) in system.clusters.iter().enumerate() {
+            let lint_cfg = lint_config(&cfg.cluster);
+            for (c, (cluster, queued)) in clusters.iter().zip(&queues).enumerate() {
                 // The loaded stage was linted by the cluster itself;
                 // queued tile stages are linted with the same
                 // hardware-derived model before they ever load.
                 let mut report = cluster.lint_report().clone();
-                for programs in &system.stages[c] {
+                for programs in queued {
                     report.merge(lint_harts(programs, &lint_cfg));
                 }
                 if report.has_errors() {
@@ -1061,16 +998,39 @@ impl SystemBuilder {
                 }
             }
         }
-        if let Some(dram) = self.dram {
-            system.install_shared(dram);
+        // Subscription order is the order of the trace's process-name
+        // records: the clusters by index, then the shared L2.
+        if let Some(tracer) = &tracer {
+            for (c, cluster) in clusters.iter_mut().enumerate() {
+                cluster.set_tracer(tracer.clone(), c as u32 + 1);
+            }
         }
-        if let Some(tracer) = self.tracer {
-            system.set_tracer(tracer);
-        }
-        if let Some(limit) = self.watchdog {
-            system.set_watchdog(limit);
-        }
-        system.set_sched_mode(self.sched);
-        Ok(system)
+        let shared = dram.map(|dram| {
+            let mut l2 = L2::new(cfg.l2, cfg.num_clusters);
+            if let Some(tracer) = &tracer {
+                l2.set_tracer(tracer.clone(), L2_TRACK);
+            }
+            (l2, dram)
+        });
+        let n = clusters.len();
+        let unfinished = (0..n)
+            .filter(|&c| !(clusters[c].is_done() && queues[c].is_empty()))
+            .collect();
+        Ok(System {
+            cfg,
+            clusters,
+            stages: queues,
+            shared,
+            cycles: 0,
+            cluster_done_at: vec![None; n],
+            system_barriers: 0,
+            l2_reqs: Vec::new(),
+            l2_outcomes: Vec::new(),
+            unfinished,
+            tracer: tracer.unwrap_or_else(Tracer::off),
+            watchdog: watchdog.map(Watchdog::new),
+            hang_attr_base: vec![Vec::new(); n],
+            sched: Scheduler::new(sched),
+        })
     }
 }

@@ -13,7 +13,7 @@ use sc_cluster::{ClusterBuilder, ClusterConfig};
 use sc_core::CoreConfig;
 use sc_isa::{csr, IntReg, Program, ProgramBuilder};
 use sc_mem::{Dram, DramConfig, L2Config, L2Outcome};
-use sc_system::{System, SystemBuilder, SystemConfig, SystemError};
+use sc_system::{SystemBuilder, SystemConfig, SystemError};
 
 /// A program that rings the DMA doorbell for a `bytes`-byte fetch from
 /// `dram_addr` to `tcdm_addr`, polls the completion counter, then halts.
@@ -283,10 +283,11 @@ fn system_barrier_rendezvous_and_deadlock() {
     // A hart that halts without arriving leaves the rendezvous (same
     // convention as the cluster barrier): the remaining harts release.
     let scfg = SystemConfig::new(2, 1);
-    let mut system = System::new(
+    let mut system = SystemBuilder::new(
         scfg,
         vec![vec![vec![waiter.clone()]], vec![vec![idle_program()]]],
-    );
+    )
+    .build();
     let summary = system.run(1_000).unwrap();
     assert_eq!(summary.system_barriers, 1);
 
@@ -298,10 +299,11 @@ fn system_barrier_rendezvous_and_deadlock() {
         b.j("spin");
         b.build().unwrap()
     };
-    let mut system = System::new(
+    let mut system = SystemBuilder::new(
         SystemConfig::new(2, 1),
         vec![vec![vec![waiter]], vec![vec![spinner]]],
-    );
+    )
+    .build();
     let err = system.run(1_000).unwrap_err();
     assert!(matches!(err, SystemError::MaxCyclesExceeded { .. }));
 }
@@ -335,7 +337,7 @@ fn barrier_waits_for_a_cluster_between_stages() {
         vec![vec![barrier_then_halt.clone()]],
         vec![vec![busy_work], vec![barrier_then_halt]],
     ];
-    let mut system = System::new(SystemConfig::new(2, 1), stages);
+    let mut system = SystemBuilder::new(SystemConfig::new(2, 1), stages).build();
     let summary = system.run(10_000).unwrap();
     assert_eq!(
         summary.system_barriers, 1,
@@ -368,7 +370,7 @@ fn stages_advance_independently_per_cluster() {
         ],
         vec![vec![idle_program()]],
     ];
-    let mut system = System::new(scfg, stages);
+    let mut system = SystemBuilder::new(scfg, stages).build();
     let summary = system.run(1_000).unwrap();
     assert!(summary.cluster_done_at[0] >= summary.cluster_done_at[1]);
     assert_eq!(summary.system_barriers, 0);
@@ -414,4 +416,12 @@ fn lint_strict_refuses_a_bad_queued_stage() {
         assert_eq!(report.is_clean(), clean, "{report}");
         assert!(!report.has_errors(), "{report}");
     }
+}
+
+#[test]
+#[should_panic(expected = "core count must match")]
+fn with_cluster_refuses_a_second_hart_count() {
+    // The hart count is stated once, in `SystemConfig::new`: a cluster
+    // config of another size must not silently replace it.
+    let _ = SystemConfig::new(1, 4).with_cluster(ClusterConfig::new(2));
 }

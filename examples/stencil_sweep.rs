@@ -12,6 +12,7 @@
 //! For the full Fig. 3 (both stencils, paper-style summary) use
 //! `cargo run --release -p sc-bench --bin fig3`.
 
+use scalar_chaining::core_model::SchedMode;
 use scalar_chaining::mem::{DramConfig, L2Config};
 use scalar_chaining::prelude::*;
 
@@ -113,6 +114,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         DramConfig::new(),
         100_000_000,
         tracer,
+        SchedMode::Dense,
     )?;
     let s = run.summary;
     let l2_stats = s.l2.as_ref().expect("shared L2 attached");
