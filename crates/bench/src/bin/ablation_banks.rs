@@ -82,10 +82,7 @@ fn main() {
                     .collect(),
             ),
         );
-    match json::write_report("ablation_banks.json", &report) {
-        Ok(path) => println!("json report: {}", path.display()),
-        Err(e) => eprintln!("could not write json report: {e}"),
-    }
+    json::emit_report(&report);
 
     println!();
     println!("Chaining+ runs a single input stream; Base adds the coefficient");

@@ -91,10 +91,7 @@ fn main() {
                     .collect(),
             ),
         );
-    match json::write_report("ablation_depth.json", &report) {
-        Ok(path) => println!("json report: {}", path.display()),
-        Err(e) => eprintln!("could not write json report: {e}"),
-    }
+    json::emit_report(&report);
 
     println!();
     println!("`regs saved` = architectural registers the chained version frees at");

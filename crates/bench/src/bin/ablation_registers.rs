@@ -80,10 +80,7 @@ fn main() {
                     .collect(),
             ),
         );
-    match json::write_report("ablation_registers.json", &report) {
-        Ok(path) => println!("json report: {}", path.display()),
-        Err(e) => eprintln!("could not write json report: {e}"),
-    }
+    json::emit_report(&report);
 
     println!();
     println!("Unrolling needs `depth + 1 = 4` live temporaries to hide the 3-stage");

@@ -25,38 +25,17 @@
 //!
 //! Run with `cargo run --release -p sc-bench --bin cluster_scaling`.
 
-use sc_bench::registry::{PointSpec, Sweep};
+use sc_bench::registry::{PointRun, Sweep};
 use sc_bench::{json, parallel_sweep, Json};
-use sc_cluster::{ClusterSummary, DmaSummary};
+use sc_cluster::DmaSummary;
 use sc_energy::{ClusterEnergyReport, EnergyModel};
 use sc_kernels::TCDM_CAP_BYTES;
 
-struct Point {
-    spec: PointSpec,
-    tiles: usize,
-    name: String,
-    summary: ClusterSummary,
-    energy: ClusterEnergyReport,
-}
-
-impl Point {
-    /// Runs `spec` under dense stepping.
-    fn run(spec: PointSpec) -> Self {
-        let run = spec.run();
-        let summary = run.summary.into_cluster();
-        let per_core: Vec<_> = summary.per_core.iter().map(|c| c.counters).collect();
-        let dma_beats = summary.dma.map_or(0, |d| d.stats.beats);
-        let energy =
-            EnergyModel::new().cluster_report_with_dma(&per_core, summary.cycles, dma_beats);
-        Point {
-            spec,
-            // The whole grid is one tile on the unbounded points.
-            tiles: run.tiles.unwrap_or(1),
-            name: run.kernel,
-            summary,
-            energy,
-        }
-    }
+fn energy(p: &PointRun) -> ClusterEnergyReport {
+    let s = p.cluster();
+    let per_core: Vec<_> = s.per_core.iter().map(|c| c.counters).collect();
+    let dma_beats = s.dma.map_or(0, |d| d.stats.beats);
+    EnergyModel::new().cluster_report_with_dma(&per_core, s.cycles, dma_beats)
 }
 
 fn busiest_banks(by_bank: &[u64]) -> String {
@@ -96,15 +75,17 @@ fn dma_json(dma: &DmaSummary) -> Json {
         .set("port", u64::from(dma.port))
 }
 
-fn point_json(p: &Point) -> Json {
-    let s = &p.summary;
+fn point_json(p: &PointRun) -> Json {
+    let s = p.cluster();
+    let energy = energy(p);
     let mut j = Json::obj()
         .set("id", p.spec.id.as_str())
-        .set("kernel", p.name.as_str())
+        .set("kernel", p.kernel.as_str())
         .set("cores", p.spec.cores)
         .set("chaining", p.spec.chaining)
         .set("tiled", p.spec.tiled)
-        .set("tiles", p.tiles)
+        // The whole grid is one tile on the unbounded points.
+        .set("tiles", p.tiles.unwrap_or(1))
         .set("cycles_to_last_core_done", s.cycles)
         .set("barriers", s.barriers)
         .set("cluster_utilization", s.cluster_utilization())
@@ -120,10 +101,10 @@ fn point_json(p: &Point) -> Json {
         .set("core_conflicts", s.core_conflicts.clone())
         .set("core_accesses", s.core_accesses.clone())
         .set("conflicts_by_bank", s.conflicts_by_bank.clone())
-        .set("power_mw", p.energy.power_mw)
-        .set("gflops", p.energy.gflops)
-        .set("gflops_per_w", p.energy.gflops_per_w)
-        .set("dma_pj", p.energy.dma_pj)
+        .set("power_mw", energy.power_mw)
+        .set("gflops", energy.gflops)
+        .set("gflops_per_w", energy.gflops_per_w)
+        .set("dma_pj", energy.dma_pj)
         .set(
             "attribution",
             json::attribution_json(&s.attribution, s.per_core.len() as u64, s.cycles),
@@ -143,7 +124,7 @@ fn main() {
     );
     println!("=== unbounded TCDM vs true 128 KiB + DMA double-buffering ===\n");
 
-    let (results, wall) = parallel_sweep(specs, Point::run);
+    let (results, wall) = parallel_sweep(specs, |s| s.run());
 
     println!(
         "{:>6} {:>10} {:>10} {:>10} {:>9} {:>8} {:>11} {:>9} {:>8}  hot banks",
@@ -153,11 +134,12 @@ fn main() {
         results
             .iter()
             .find(|p| p.spec.cores == cores && p.spec.chaining == chaining && p.spec.tiled == tiled)
-            .map_or(0, |p| p.summary.cycles)
+            .map_or(0, |p| p.cluster().cycles)
     };
     for p in &results {
-        let speedup = cycles(1, p.spec.chaining, p.spec.tiled) as f64 / p.summary.cycles as f64;
-        let overlap = p.summary.dma.as_ref().map_or("-".to_owned(), |d| {
+        let s = p.cluster();
+        let speedup = cycles(1, p.spec.chaining, p.spec.tiled) as f64 / s.cycles as f64;
+        let overlap = s.dma.as_ref().map_or("-".to_owned(), |d| {
             format!("{:.0}%", d.overlap_fraction() * 100.0)
         });
         println!(
@@ -169,26 +151,26 @@ fn main() {
             } else {
                 "unbounded"
             },
-            p.summary.cycles,
+            s.cycles,
             speedup,
-            p.summary.cluster_utilization() * 100.0,
-            p.summary.aggregate.tcdm_conflicts,
+            s.cluster_utilization() * 100.0,
+            s.aggregate.tcdm_conflicts,
             overlap,
-            p.energy.power_mw,
-            busiest_banks(&p.summary.conflicts_by_bank),
+            energy(p).power_mw,
+            busiest_banks(&s.conflicts_by_bank),
         );
     }
 
     println!("\nper-core breakdown (cycles | conflicts):");
     for p in &results {
-        let cores: Vec<String> = p
-            .summary
+        let s = p.cluster();
+        let cores: Vec<String> = s
             .per_core
             .iter()
-            .zip(&p.summary.core_conflicts)
+            .zip(&s.core_conflicts)
             .map(|(c, conflicts)| format!("{}|{}", c.cycles, conflicts))
             .collect();
-        println!("  {:<32} {}", p.name, cores.join("  "));
+        println!("  {:<32} {}", p.kernel, cores.join("  "));
     }
 
     println!("\n{} config points in {wall:.2?} wall", results.len());
@@ -225,10 +207,7 @@ fn main() {
         "points",
         Json::Arr(results.iter().map(point_json).collect()),
     );
-    match json::write_report("cluster_scaling.json", &report) {
-        Ok(path) => println!("json report: {}", path.display()),
-        Err(e) => eprintln!("could not write json report: {e}"),
-    }
+    json::emit_report(&report);
 
     println!();
     println!("Chaining+ scales further than Base: the freed coefficient stream");

@@ -141,8 +141,5 @@ fn main() {
         .set("event_cycles_per_second", event.cycles_per_second())
         .set("event_speedup", speedup)
         .set("min_speedup_floor", MIN_SPEEDUP);
-    match json::write_report("BENCH_host_speed.json", &report) {
-        Ok(path) => println!("json report: {}", path.display()),
-        Err(e) => eprintln!("could not write json report: {e}"),
-    }
+    json::emit_report(&report);
 }

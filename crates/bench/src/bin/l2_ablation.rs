@@ -24,126 +24,79 @@
 //! point — under-fit, single refill channel, chaining — with a trace
 //! subscription and write its Perfetto timeline JSON to `<path>`.
 
-use sc_bench::registry::{Fit, PointSpec, Sweep, MAX_CYCLES};
+use sc_bench::registry::{Fit, PointRun, Sweep, MAX_CYCLES};
 use sc_bench::{json, parallel_sweep, Json};
 use sc_core::SchedMode;
 use sc_mem::DramConfig;
-use sc_system::SystemSummary;
 use sc_trace::{TraceConfig, TraceSession};
 
-struct Point {
-    spec: PointSpec,
-    summary: SystemSummary,
+fn overfit(p: &PointRun) -> bool {
+    p.spec.fit == Some(Fit::Over)
 }
 
-impl Point {
-    /// Runs `spec` under dense stepping.
-    fn run(spec: PointSpec) -> Self {
-        let summary = spec.run().summary.into_system();
-        Point { spec, summary }
-    }
-
-    fn overfit(&self) -> bool {
-        self.spec.fit == Some(Fit::Over)
-    }
-}
-
-fn point_json(p: &Point) -> Json {
-    let s = &p.summary;
+fn point_json(p: &PointRun) -> Json {
+    let s = p.system();
     let l2 = s.l2.as_ref().expect("shared memory attached");
-    Json::obj()
+    let j = Json::obj()
         .set("id", p.spec.id.as_str())
         .set("capacity_bytes", p.spec.l2.cache.capacity_bytes)
         .set("ways", p.spec.l2.cache.ways)
         .set("channels", p.spec.l2.cache.channels)
         .set("chaining", p.spec.chaining)
-        .set("overfit", p.overfit())
+        .set("overfit", overfit(p))
         .set("cycles_to_last_core_done", s.cycles)
         .set("tcdm_conflicts", s.aggregate.tcdm_conflicts)
         // Flat traffic counts (pinned by the perf gate's point metrics).
         .set("l2_evictions", l2.cache.evictions)
-        .set("l2_writeback_beats", s.l2_writeback_beats)
-        .set(
-            "l2",
-            json::l2_stats_json(
-                l2,
-                s.l2_refill_beats,
-                s.l2_writeback_beats,
-                s.l2_prefetch_beats,
-            ),
-        )
-        .set(
-            "l2_occupancy",
-            json::refill_occupancy_json(&s.refill_occupancy()),
-        )
-        .set("attribution", json::system_attribution_json(s))
+        .set("l2_writeback_beats", s.l2_writeback_beats);
+    json::with_l2_json(j, s).set("attribution", json::system_attribution_json(s))
 }
 
-/// Accounting and capacity-story invariants — a violation is a model
+/// The shared cache-accounting invariants
+/// ([`PointRun::check_l2_accounting`]) plus the capacity story: an
+/// over-fit L2 at full associativity holds the working set, and
+/// capacity pressure never makes a run faster. A violation is a model
 /// bug, not a perf regression.
-fn validate(points: &[Point]) {
+fn validate(points: &[PointRun]) {
     let full_ways = points.iter().map(|p| p.spec.l2.cache.ways).max();
     for p in points {
-        let l2 = p.summary.l2.as_ref().expect("shared memory attached");
-        let c = &l2.cache;
-        let id = &p.spec.id;
-        assert_eq!(
-            c.read_hits + c.read_misses + c.write_beats,
-            l2.accesses,
-            "{id}: every granted beat must be classified by the cache core"
-        );
-        assert!(
-            c.refills <= c.mshr_allocations,
-            "{id}: refills outnumber MSHR allocations"
-        );
-        assert!(
-            c.mshr_peak <= u64::from(p.spec.l2.cache.mshrs),
-            "{id}: MSHR file overflowed its configured size"
-        );
-        if p.overfit() && Some(p.spec.l2.cache.ways) == full_ways {
+        p.check_l2_accounting().unwrap_or_else(|e| panic!("{e}"));
+        let evictions = p.system().l2.as_ref().map_or(0, |l2| l2.cache.evictions);
+        if overfit(p) && Some(p.spec.l2.cache.ways) == full_ways {
             assert_eq!(
-                c.evictions, 0,
-                "{id}: an over-fit associative L2 must hold the working set"
-            );
-        }
-        if !p.overfit() {
-            assert!(
-                c.evictions > 0 && p.summary.l2_writeback_beats > 0,
-                "{id}: an under-fit write-back L2 must evict dirty lines \
-                 (evictions {}, writeback beats {})",
-                c.evictions,
-                p.summary.l2_writeback_beats
+                evictions, 0,
+                "{}: an over-fit associative L2 must hold the working set",
+                p.spec.id
             );
         }
     }
     // Capacity pressure costs cycles: under-fit never beats over-fit at
     // the same ways/channels/variant point.
-    for under in points.iter().filter(|p| !p.overfit()) {
+    for under in points.iter().filter(|p| !overfit(p)) {
         let over = points
             .iter()
             .find(|p| {
-                p.overfit()
+                overfit(p)
                     && p.spec.l2.cache.ways == under.spec.l2.cache.ways
                     && p.spec.l2.cache.channels == under.spec.l2.cache.channels
                     && p.spec.chaining == under.spec.chaining
             })
             .expect("matched over-fit point");
+        let (u, o) = (under.system().cycles, over.system().cycles);
         assert!(
-            under.summary.cycles >= over.summary.cycles,
-            "{}: capacity misses cannot make the run faster ({} vs {})",
-            under.spec.id,
-            under.summary.cycles,
-            over.summary.cycles
+            u >= o,
+            "{}: capacity misses cannot make the run faster ({u} vs {o})",
+            under.spec.id
         );
     }
 }
 
 /// The under-fit point at full associativity with `channels` refill
 /// channels and the given variant.
-fn underfit_point(points: &[Point], channels: u32, chaining: bool) -> Option<&Point> {
+fn underfit_point(points: &[PointRun], channels: u32, chaining: bool) -> Option<&PointRun> {
     let full_ways = points.iter().map(|p| p.spec.l2.cache.ways).max()?;
     points.iter().find(|p| {
-        !p.overfit()
+        !overfit(p)
             && p.spec.l2.cache.ways == full_ways
             && p.spec.l2.cache.channels == channels
             && p.spec.chaining == chaining
@@ -170,7 +123,7 @@ fn trace_path() -> Option<std::path::PathBuf> {
 /// Re-runs the most contended under-fit point with a trace subscription
 /// and writes the Perfetto timeline to `path`. The traced run must be
 /// results-identical to the sweep's own run of the same point.
-fn write_trace(point: &Point, path: &std::path::Path) {
+fn write_trace(point: &PointRun, path: &std::path::Path) {
     let spec = &point.spec;
     let session = TraceSession::new(TraceConfig::new().with_sample_every(1024));
     let run = spec
@@ -185,7 +138,8 @@ fn write_trace(point: &Point, path: &std::path::Path) {
         )
         .unwrap_or_else(|e| panic!("traced point: {e}"));
     assert_eq!(
-        run.summary.cycles, point.summary.cycles,
+        run.summary.cycles,
+        point.system().cycles,
         "the traced re-run must be cycle-identical to the sweep's run"
     );
     if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
@@ -233,7 +187,7 @@ fn main() {
         "=== capacities: over-fit {over} B, under-fit {under} B x ways {ways:?} x channels {channels:?} ===\n",
     );
 
-    let (results, wall) = parallel_sweep(specs, Point::run);
+    let (results, wall) = parallel_sweep(specs, |s| s.run());
     validate(&results);
 
     println!(
@@ -250,22 +204,23 @@ fn main() {
         "merges"
     );
     for p in &results {
-        let l2 = p.summary.l2.as_ref().unwrap();
+        let s = p.system();
+        let l2 = s.l2.as_ref().unwrap();
         println!(
             "{:>14} {:>5} {:>4} {:>10} {:>10} {:>8} {:>9} {:>10} {:>9} {:>9}",
             format!(
                 "{}K {}",
                 p.spec.l2.cache.capacity_bytes >> 10,
-                if p.overfit() { "(over)" } else { "(under)" }
+                if overfit(p) { "(over)" } else { "(under)" }
             ),
             p.spec.l2.cache.ways,
             p.spec.l2.cache.channels,
             if p.spec.chaining { "Chaining+" } else { "Base" },
-            p.summary.cycles,
+            s.cycles,
             l2.cache.read_hits,
             l2.cache.read_misses,
             l2.cache.evictions,
-            p.summary.l2_writeback_beats,
+            s.l2_writeback_beats,
             l2.cache.mshr_merges,
         );
     }
@@ -291,7 +246,7 @@ fn main() {
     let (fewest, most) = (channels[0], channels[channels.len() - 1]);
     for chaining in [true, false] {
         let cyc =
-            |channels: u32| underfit_point(&results, channels, chaining).map(|p| p.summary.cycles);
+            |channels: u32| underfit_point(&results, channels, chaining).map(|p| p.system().cycles);
         if let (Some(one), Some(many)) = (cyc(fewest), cyc(most)) {
             let key = format!(
                 "speedup_ch{most}_underfit_{}",
@@ -304,10 +259,7 @@ fn main() {
         "points",
         Json::Arr(results.iter().map(point_json).collect()),
     );
-    match json::write_report("l2_ablation.json", &report) {
-        Ok(path) => println!("json report: {}", path.display()),
-        Err(e) => eprintln!("could not write json report: {e}"),
-    }
+    json::emit_report(&report);
 
     // The most contended point: under-fit, fewest refill channels,
     // chaining.

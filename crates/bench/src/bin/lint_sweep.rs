@@ -118,8 +118,5 @@ fn main() {
                     .collect(),
             ),
         );
-    match json::write_report("lint_sweep.json", &report) {
-        Ok(path) => println!("json report: {}", path.display()),
-        Err(e) => eprintln!("could not write json report: {e}"),
-    }
+    json::emit_report(&report);
 }

@@ -30,69 +30,43 @@
 //!
 //! Run with `cargo run --release -p sc-bench --bin prefetch_ablation`.
 
-use sc_bench::registry::{Fit, PointSpec, Sweep};
+use sc_bench::registry::{Fit, PointRun, Sweep};
 use sc_bench::{json, parallel_sweep, Json};
 use sc_kernels::TCDM_CAP_BYTES;
-use sc_system::SystemSummary;
 
 /// The acceptance bar: prefetch-on vs prefetch-off at the
 /// 1-cluster/under-fit/1-channel/chaining point.
 const ACCEPT_SPEEDUP: f64 = 1.20;
 
-struct Point {
-    spec: PointSpec,
-    summary: SystemSummary,
+fn overfit(p: &PointRun) -> bool {
+    p.spec.fit == Some(Fit::Over)
 }
 
-impl Point {
-    /// Runs `spec` under dense stepping.
-    fn run(spec: PointSpec) -> Self {
-        let summary = spec.run().summary.into_system();
-        Point { spec, summary }
-    }
-
-    fn overfit(&self) -> bool {
-        self.spec.fit == Some(Fit::Over)
-    }
-
-    /// `(degree, distance)` of the prefetcher; `None` = prefetch off.
-    fn prefetch(&self) -> Option<(u32, u32)> {
-        let l2 = &self.spec.l2;
-        l2.cache
-            .prefetch
-            .then_some((l2.cache.prefetch_degree, l2.cache.prefetch_distance))
-    }
-
-    /// Whether `other` is this point's configuration with the prefetcher
-    /// switched off.
-    fn is_prefetch_off_twin(&self, other: &Point) -> bool {
-        let (a, b) = (&self.spec, &other.spec);
-        other.prefetch().is_none()
-            && a.clusters == b.clusters
-            && a.fit == b.fit
-            && a.l2.cache.channels == b.l2.cache.channels
-            && a.chaining == b.chaining
-    }
+/// `(degree, distance)` of the prefetcher; `None` = prefetch off.
+fn prefetch(p: &PointRun) -> Option<(u32, u32)> {
+    let c = &p.spec.l2.cache;
+    c.prefetch
+        .then_some((c.prefetch_degree, c.prefetch_distance))
 }
 
-fn point_json(p: &Point) -> Json {
-    let s = &p.summary;
+fn point_json(p: &PointRun) -> Json {
+    let s = p.system();
     let l2 = s.l2.as_ref().expect("shared memory attached");
-    Json::obj()
+    let j = Json::obj()
         .set("id", p.spec.id.as_str())
         .set("clusters", p.spec.clusters)
         .set("capacity_bytes", p.spec.l2.cache.capacity_bytes)
-        .set("overfit", p.overfit())
+        .set("overfit", overfit(p))
         .set("channels", p.spec.l2.cache.channels)
         .set("chaining", p.spec.chaining)
-        .set("prefetch", p.prefetch().is_some())
+        .set("prefetch", prefetch(p).is_some())
         .set(
             "prefetch_degree",
-            p.prefetch().map_or(0, |(d, _)| u64::from(d)),
+            prefetch(p).map_or(0, |(d, _)| u64::from(d)),
         )
         .set(
             "prefetch_distance",
-            p.prefetch().map_or(0, |(_, d)| u64::from(d)),
+            prefetch(p).map_or(0, |(_, d)| u64::from(d)),
         )
         .set("cycles_to_last_core_done", s.cycles)
         .set("tcdm_conflicts", s.aggregate.tcdm_conflicts)
@@ -100,106 +74,52 @@ fn point_json(p: &Point) -> Json {
         .set("l2_evictions", l2.cache.evictions)
         .set("l2_writeback_beats", s.l2_writeback_beats)
         .set("l2_prefetches_issued", l2.cache.prefetches_issued)
-        .set("l2_prefetch_hits", l2.cache.prefetch_hits)
-        .set(
-            "l2",
-            json::l2_stats_json(
-                l2,
-                s.l2_refill_beats,
-                s.l2_writeback_beats,
-                s.l2_prefetch_beats,
-            ),
-        )
-        .set(
-            "l2_occupancy",
-            json::refill_occupancy_json(&s.refill_occupancy()),
-        )
-        .set("attribution", json::system_attribution_json(s))
+        .set("l2_prefetch_hits", l2.cache.prefetch_hits);
+    json::with_l2_json(j, s).set("attribution", json::system_attribution_json(s))
 }
 
-/// The prefetch-off twin of `on`.
-fn prefetch_off<'a>(points: &'a [Point], on: &Point) -> &'a Point {
+/// The prefetch-off twin of `on`: the same configuration with the
+/// prefetcher switched off.
+fn prefetch_off<'a>(points: &'a [PointRun], on: &PointRun) -> &'a PointRun {
+    let a = &on.spec;
     points
         .iter()
-        .find(|p| on.is_prefetch_off_twin(p))
+        .find(|p| {
+            let b = &p.spec;
+            prefetch(p).is_none()
+                && a.clusters == b.clusters
+                && a.fit == b.fit
+                && a.l2.cache.channels == b.l2.cache.channels
+                && a.chaining == b.chaining
+        })
         .expect("swept configuration present")
 }
 
-/// Accounting, accuracy-class and acceptance invariants — a violation is
-/// a model bug (or a lost tentpole), not a mere perf regression.
-fn validate(points: &[Point]) {
+/// The shared cache-accounting invariants
+/// ([`PointRun::check_l2_accounting`]: zero prefetch activity with the
+/// prefetcher off, the accuracy bounds with it on) plus the acceptance
+/// invariants — a violation is a model bug (or a lost tentpole), not a
+/// mere perf regression.
+fn validate(points: &[PointRun]) {
     for p in points {
-        let l2 = p.summary.l2.as_ref().expect("shared memory attached");
-        let c = &l2.cache;
-        assert_eq!(
-            c.read_hits + c.read_misses + c.write_beats,
-            l2.accesses,
-            "{}: every granted beat must be classified by the cache core",
-            p.spec.id
-        );
-        assert!(
-            c.refills <= c.mshr_allocations + c.prefetches_issued,
-            "{}: refills outnumber demand + prefetch allocations",
-            p.spec.id
-        );
-        assert!(
-            c.mshr_peak <= u64::from(p.spec.l2.cache.mshrs),
-            "{}: MSHR file overflowed its configured size",
-            p.spec.id
-        );
-        match p.prefetch() {
-            None => {
-                assert_eq!(
-                    (c.prefetch_hints, c.prefetches_issued, c.prefetch_refills),
-                    (0, 0, 0),
-                    "{}: a disabled prefetcher must leave no trace",
-                    p.spec.id
-                );
-            }
-            Some(_) => {
-                assert!(
-                    c.prefetch_hits + c.prefetch_evicted_unused <= c.prefetches_issued,
-                    "{}: accuracy classes exceed issued prefetches",
-                    p.spec.id
-                );
-                assert!(
-                    c.prefetch_refills <= c.refills,
-                    "{}: prefetch refills exceed total refills",
-                    p.spec.id
-                );
-                assert_eq!(
-                    p.summary.l2_prefetch_beats,
-                    c.prefetch_refills * u64::from(p.spec.l2.cache.line_beats()),
-                    "{}: prefetch beats must be the prefetch refills' lines",
-                    p.spec.id
-                );
-            }
-        }
-        if !p.overfit() {
-            assert!(
-                c.evictions > 0 && p.summary.l2_writeback_beats > 0,
-                "{}: an under-fit write-back L2 must evict dirty lines",
-                p.spec.id
-            );
-        }
+        p.check_l2_accounting().unwrap_or_else(|e| panic!("{e}"));
     }
     // Prefetching may reshuffle timing but must never *cost* more than a
     // sliver (pollution is bounded by the distance knob), and at the
     // latency-serialised acceptance point it must pay for the PR.
-    for on in points.iter().filter(|p| p.prefetch().is_some()) {
-        let off = prefetch_off(points, on);
+    for on in points.iter().filter(|p| prefetch(p).is_some()) {
+        let (on_cycles, off_cycles) =
+            (on.system().cycles, prefetch_off(points, on).system().cycles);
         assert!(
-            on.summary.cycles as f64 <= off.summary.cycles as f64 * 1.10,
-            "{}: prefetching degraded the run by more than 10% ({} vs {})",
+            on_cycles as f64 <= off_cycles as f64 * 1.10,
+            "{}: prefetching degraded the run by more than 10% ({on_cycles} vs {off_cycles})",
             on.spec.id,
-            on.summary.cycles,
-            off.summary.cycles
         );
     }
     for chaining in [true, false] {
         let (on, off) = acceptance_pair(points, chaining);
-        let speedup = off.summary.cycles as f64 / on.summary.cycles as f64;
-        let l2 = on.summary.l2.as_ref().unwrap();
+        let speedup = off.system().cycles as f64 / on.system().cycles as f64;
+        let l2 = on.system().l2.as_ref().unwrap();
         assert!(
             l2.cache.prefetch_hits > 0,
             "{}: the acceptance speedup must come from accurate prefetches",
@@ -220,16 +140,16 @@ fn validate(points: &[Point]) {
 
 /// The acceptance coordinates: 1 cluster, under-fit, 1 channel, the
 /// deepest swept prefetcher vs off.
-fn acceptance_pair(points: &[Point], chaining: bool) -> (&Point, &Point) {
-    let deepest = points.iter().filter_map(Point::prefetch).max();
+fn acceptance_pair(points: &[PointRun], chaining: bool) -> (&PointRun, &PointRun) {
+    let deepest = points.iter().filter_map(prefetch).max();
     let on = points
         .iter()
         .find(|p| {
             p.spec.clusters == 1
-                && !p.overfit()
+                && !overfit(p)
                 && p.spec.l2.cache.channels == 1
                 && p.spec.chaining == chaining
-                && p.prefetch() == deepest
+                && prefetch(p) == deepest
         })
         .expect("swept configuration present");
     (on, prefetch_off(points, on))
@@ -267,23 +187,24 @@ fn main() {
     }
     println!("=== {} config points ===\n", specs.len());
 
-    let (results, wall) = parallel_sweep(specs, Point::run);
+    let (results, wall) = parallel_sweep(specs, |s| s.run());
 
     println!(
         "{:>32} {:>10} {:>8} {:>8} {:>8} {:>8} {:>8}",
         "config", "cycles", "issued", "hits", "covered", "wasted", "wb-beats"
     );
     for p in &results {
-        let l2 = p.summary.l2.as_ref().unwrap();
+        let s = p.system();
+        let l2 = s.l2.as_ref().unwrap();
         println!(
             "{:>32} {:>10} {:>8} {:>8} {:>8} {:>8} {:>8}",
             p.spec.id,
-            p.summary.cycles,
+            s.cycles,
             l2.cache.prefetches_issued,
             l2.cache.prefetch_hits,
             l2.cache.demand_misses_covered_by_prefetch,
             l2.cache.prefetch_evicted_unused,
-            p.summary.l2_writeback_beats,
+            s.l2_writeback_beats,
         );
     }
     println!("\n{} config points in {wall:.2?} wall", results.len());
@@ -305,16 +226,13 @@ fn main() {
             "speedup_prefetch_ch1_underfit_{}",
             if chaining { "chaining" } else { "base" }
         );
-        report = report.set(&key, off.summary.cycles as f64 / on.summary.cycles as f64);
+        report = report.set(&key, off.system().cycles as f64 / on.system().cycles as f64);
     }
     report = report.set(
         "points",
         Json::Arr(results.iter().map(point_json).collect()),
     );
-    match json::write_report("prefetch_ablation.json", &report) {
-        Ok(path) => println!("json report: {}", path.display()),
-        Err(e) => eprintln!("could not write json report: {e}"),
-    }
+    json::emit_report(&report);
 
     println!();
     println!("At one refill channel the cold-tile misses serialise: the channel");

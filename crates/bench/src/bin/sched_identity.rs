@@ -81,16 +81,14 @@ fn main() {
     let total = points.len();
     let (verdicts, wall) = parallel_sweep(points, |spec| {
         let id = spec.full_id();
-        let dense = spec.run().summary.into_system();
+        let dense = spec.run();
         let event = spec
             .run_event()
-            .expect("system-level points have an event run")
-            .summary
-            .into_system();
-        assert_system_identical(&id, &dense, &event);
+            .expect("system-level points have an event run");
+        assert_system_identical(&id, dense.system(), event.system());
         Verdict {
             id,
-            cycles: dense.cycles,
+            cycles: dense.system().cycles,
         }
     });
     assert_eq!(verdicts.len(), total);
@@ -124,8 +122,5 @@ fn main() {
                     .collect(),
             ),
         );
-    match json::write_report("sched_identity.json", &report) {
-        Ok(path) => println!("json report: {}", path.display()),
-        Err(e) => eprintln!("could not write json report: {e}"),
-    }
+    json::emit_report(&report);
 }

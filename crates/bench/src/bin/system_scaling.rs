@@ -15,7 +15,8 @@
 //!   channel.
 //!
 //! Both regimes verify bit-exactly against the same golden model inside
-//! their run() paths. The sweep validator additionally asserts every
+//! their run() paths. The sweep validator additionally asserts the
+//! shared L2's cache accounting on every tiled point, that every
 //! per-cluster compute–transfer `overlap_fraction` lies in [0, 1] and
 //! that 4 clusters deliver >1.5× cycles over 1 cluster on at least one
 //! tiled configuration — the scale-out acceptance criterion.
@@ -27,91 +28,39 @@
 //!
 //! Run with `cargo run --release -p sc-bench --bin system_scaling`.
 
-use sc_bench::registry::{PointSpec, Sweep};
+use sc_bench::registry::{PointRun, PointSpec, Sweep};
 use sc_bench::{json, parallel_sweep, Json};
-use sc_energy::{ClusterEnergyReport, EnergyModel};
 use sc_kernels::TCDM_CAP_BYTES;
-use sc_system::SystemSummary;
 
-struct Point {
-    spec: PointSpec,
-    tiles: usize,
-    name: String,
-    summary: SystemSummary,
-    energy: ClusterEnergyReport,
-}
-
-impl Point {
-    /// Runs `spec` under dense stepping.
-    fn run(spec: PointSpec) -> Self {
-        let run = spec.run();
-        let summary = run.summary.into_system();
-        let per_core: Vec<_> = summary
-            .per_cluster
-            .iter()
-            .flat_map(|c| c.per_core.iter().map(|r| r.counters))
-            .collect();
-        let energy = EnergyModel::new().system_report(
-            &per_core,
-            summary.cycles,
-            summary.total_dma_beats(),
-            summary.l2_refill_beats,
-            summary.l2_writeback_beats,
-        );
-        Point {
-            spec,
-            // Unbounded points report no tiles.
-            tiles: run.tiles.unwrap_or(0),
-            name: run.kernel,
-            summary,
-            energy,
-        }
-    }
-}
-
-fn point_json(p: &Point) -> Json {
-    let s = &p.summary;
-    let tcdm_conflicts: u64 = s.aggregate.tcdm_conflicts;
+fn point_json(p: &PointRun) -> Json {
+    let s = p.system();
+    let energy = p.system_energy();
     let mut j = Json::obj()
         .set("id", p.spec.id.as_str())
-        .set("kernel", p.name.as_str())
+        .set("kernel", p.kernel.as_str())
         .set("clusters", p.spec.clusters)
         .set("cores", p.spec.cores)
         .set("chaining", p.spec.chaining)
         .set("tiled", p.spec.tiled)
-        .set("tiles", p.tiles)
+        // Unbounded points report no tiles.
+        .set("tiles", p.tiles.unwrap_or(0))
         .set("cycles_to_last_core_done", s.cycles)
         .set("system_barriers", s.system_barriers)
         .set("system_utilization", s.system_utilization())
         .set("flops", s.aggregate.flops)
         .set("flops_per_cycle", s.flops_per_cycle())
-        .set("tcdm_conflicts", tcdm_conflicts)
+        .set("tcdm_conflicts", s.aggregate.tcdm_conflicts)
         .set("cluster_done_at", s.cluster_done_at.clone())
         .set(
             "cluster_cycles",
             s.per_cluster.iter().map(|c| c.cycles).collect::<Vec<_>>(),
         )
-        .set("power_mw", p.energy.power_mw)
-        .set("gflops", p.energy.gflops)
-        .set("gflops_per_w", p.energy.gflops_per_w)
-        .set("dma_pj", p.energy.dma_pj)
+        .set("power_mw", energy.power_mw)
+        .set("gflops", energy.gflops)
+        .set("gflops_per_w", energy.gflops_per_w)
+        .set("dma_pj", energy.dma_pj)
         .set("attribution", json::system_attribution_json(s));
-    if let Some(l2) = &s.l2 {
-        j = j
-            .set(
-                "l2",
-                json::l2_stats_json(
-                    l2,
-                    s.l2_refill_beats,
-                    s.l2_writeback_beats,
-                    s.l2_prefetch_beats,
-                ),
-            )
-            .set(
-                "l2_occupancy",
-                json::refill_occupancy_json(&s.refill_occupancy()),
-            );
-    }
+    j = json::with_l2_json(j, s);
     if p.spec.tiled {
         let dma_beats = s.total_dma_beats();
         let overlaps: Vec<f64> = s
@@ -150,10 +99,11 @@ fn point_json(p: &Point) -> Json {
 /// The sweep validator: every physically-bounded metric must be in
 /// range before the report is written — a violation is an accounting
 /// bug, not a perf regression.
-fn validate(points: &[Point]) {
+fn validate(points: &[PointRun]) {
     for p in points {
+        p.check_l2_accounting().unwrap_or_else(|e| panic!("{e}"));
         for (c, dma) in p
-            .summary
+            .system()
             .per_cluster
             .iter()
             .enumerate()
@@ -182,7 +132,7 @@ fn validate(points: &[Point]) {
                     && p.spec.cores == wide.spec.cores
                     && p.spec.chaining == wide.spec.chaining
             })?;
-            Some(one.summary.cycles as f64 / wide.summary.cycles as f64)
+            Some(one.system().cycles as f64 / wide.system().cycles as f64)
         })
         .fold(0.0f64, f64::max);
     assert!(
@@ -200,7 +150,7 @@ fn main() {
     );
     println!("=== 1/2/4 clusters x 1/4/8 cores, unbounded vs 128K+DMA via L2 ===\n");
 
-    let (results, wall) = parallel_sweep(specs, Point::run);
+    let (results, wall) = parallel_sweep(specs, |s| s.run());
     validate(&results);
 
     println!(
@@ -226,14 +176,13 @@ fn main() {
                     && s.chaining == chaining
                     && s.tiled == tiled
             })
-            .map_or(0, |p| p.summary.cycles)
+            .map_or(0, |p| p.system().cycles)
     };
     for p in &results {
-        let s = &p.spec;
-        let speedup = cycles(1, s.cores, s.chaining, s.tiled) as f64 / p.summary.cycles as f64;
+        let (s, summary) = (&p.spec, p.system());
+        let speedup = cycles(1, s.cores, s.chaining, s.tiled) as f64 / summary.cycles as f64;
         let overlap = if s.tiled {
-            let max = p
-                .summary
+            let max = summary
                 .per_cluster
                 .iter()
                 .filter_map(|c| c.dma.as_ref())
@@ -243,8 +192,7 @@ fn main() {
         } else {
             "-".to_owned()
         };
-        let (l2_conf, refills) = p
-            .summary
+        let (l2_conf, refills) = summary
             .l2
             .as_ref()
             .map_or((0, 0), |l2| (l2.conflicts, l2.refills()));
@@ -254,9 +202,9 @@ fn main() {
             s.cores,
             if s.chaining { "Chaining+" } else { "Base" },
             if s.tiled { "128K+L2" } else { "unbounded" },
-            p.summary.cycles,
+            summary.cycles,
             speedup,
-            p.summary.system_utilization() * 100.0,
+            summary.system_utilization() * 100.0,
             l2_conf,
             refills,
             overlap,
@@ -305,10 +253,7 @@ fn main() {
         "points",
         Json::Arr(results.iter().map(point_json).collect()),
     );
-    match json::write_report("system_scaling.json", &report) {
-        Ok(path) => println!("json report: {}", path.display()),
-        Err(e) => eprintln!("could not write json report: {e}"),
-    }
+    json::emit_report(&report);
 
     println!();
     println!("Scaling out multiplies DMA engines but not the L2: clusters'");

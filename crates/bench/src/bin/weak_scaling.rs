@@ -16,59 +16,46 @@
 //!   efficiency the single channel lost comes back.
 //!
 //! The config points are `Sweep::WeakScaling` in `sc_bench::registry`.
-//! The validator asserts every efficiency lies in (0, 1.1] and the
+//! The validator asserts the shared L2's cache accounting on every
+//! tiled point, that every efficiency lies in (0, 1.1] and that the
 //! multi-channel tiled regime meets an efficiency **floor** at the
 //! widest point. `efficiency_*` ratios are pinned by the CI perf gate
 //! against `baselines/weak_scaling.json`.
 //!
 //! Run with `cargo run --release -p sc-bench --bin weak_scaling`.
 
-use sc_bench::registry::{PointSpec, Sweep};
+use sc_bench::registry::{PointRun, Sweep};
 use sc_bench::{json, parallel_sweep, Json};
-use sc_energy::EnergyModel;
 use sc_kernels::TCDM_CAP_BYTES;
-use sc_system::SystemSummary;
 
 /// The asserted weak-scaling efficiency floor for the tiled multi-channel
 /// regime at the widest cluster count.
 const EFFICIENCY_FLOOR: f64 = 0.5;
 
-struct Point {
-    spec: PointSpec,
-    summary: SystemSummary,
-}
-
-impl Point {
-    /// Runs `spec` under dense stepping.
-    fn run(spec: PointSpec) -> Self {
-        let summary = spec.run().summary.into_system();
-        Point { spec, summary }
-    }
-
-    /// `unbounded`, or `tiled_ch<n>` for `n` refill channels.
-    fn regime(&self) -> String {
-        if self.spec.tiled {
-            format!("tiled_ch{}", self.spec.l2.cache.channels)
-        } else {
-            "unbounded".into()
-        }
+/// `unbounded`, or `tiled_ch<n>` for `n` refill channels.
+fn regime(p: &PointRun) -> String {
+    if p.spec.tiled {
+        format!("tiled_ch{}", p.spec.l2.cache.channels)
+    } else {
+        "unbounded".into()
     }
 }
 
 /// Weak-scaling efficiency of `p` against the 1-cluster run of the same
 /// regime/variant: 1.0 = perfect (constant cycles as the grid grows).
-fn efficiency(points: &[Point], p: &Point) -> f64 {
+fn efficiency(points: &[PointRun], p: &PointRun) -> f64 {
     let base = points
         .iter()
         .find(|q| {
-            q.spec.clusters == 1 && q.spec.chaining == p.spec.chaining && q.regime() == p.regime()
+            q.spec.clusters == 1 && q.spec.chaining == p.spec.chaining && regime(q) == regime(p)
         })
         .expect("1-cluster reference point");
-    base.summary.cycles as f64 / p.summary.cycles as f64
+    base.system().cycles as f64 / p.system().cycles as f64
 }
 
-fn validate(points: &[Point]) {
+fn validate(points: &[PointRun]) {
     for p in points {
+        p.check_l2_accounting().unwrap_or_else(|e| panic!("{e}"));
         let eff = efficiency(points, p);
         assert!(
             0.0 < eff && eff <= 1.1,
@@ -91,37 +78,21 @@ fn validate(points: &[Point]) {
     );
 }
 
-fn point_json(points: &[Point], p: &Point) -> Json {
-    let s = &p.summary;
-    let mut j = Json::obj()
+fn point_json(points: &[PointRun], p: &PointRun) -> Json {
+    let s = p.system();
+    let j = Json::obj()
         .set("id", p.spec.id.as_str())
         .set("clusters", p.spec.clusters)
         .set("cores", p.spec.cores)
         .set("chaining", p.spec.chaining)
-        .set("regime", p.regime())
+        .set("regime", regime(p))
         .set("cycles_to_last_core_done", s.cycles)
         .set("efficiency", efficiency(points, p))
         .set("tcdm_conflicts", s.aggregate.tcdm_conflicts)
         .set("flops", s.aggregate.flops)
         .set("system_utilization", s.system_utilization())
         .set("attribution", json::system_attribution_json(s));
-    if let Some(l2) = &s.l2 {
-        j = j
-            .set(
-                "l2",
-                json::l2_stats_json(
-                    l2,
-                    s.l2_refill_beats,
-                    s.l2_writeback_beats,
-                    s.l2_prefetch_beats,
-                ),
-            )
-            .set(
-                "l2_occupancy",
-                json::refill_occupancy_json(&s.refill_occupancy()),
-            );
-    }
-    j
+    json::with_l2_json(j, s)
 }
 
 fn main() {
@@ -133,7 +104,7 @@ fn main() {
     );
     println!("=== 1/2/4 clusters, unbounded vs 128K tiled with 1 or 4 refill channels ===\n");
 
-    let (results, wall) = parallel_sweep(specs, Point::run);
+    let (results, wall) = parallel_sweep(specs, |s| s.run());
     validate(&results);
 
     println!(
@@ -141,32 +112,16 @@ fn main() {
         "clusters", "variant", "regime", "cycles", "efficiency", "refills", "mw"
     );
     for p in &results {
-        let (refills, power) = (p.summary.l2.as_ref().map_or(0, |l2| l2.refills()), {
-            let per_core: Vec<_> = p
-                .summary
-                .per_cluster
-                .iter()
-                .flat_map(|c| c.per_core.iter().map(|r| r.counters))
-                .collect();
-            EnergyModel::new()
-                .system_report(
-                    &per_core,
-                    p.summary.cycles,
-                    p.summary.total_dma_beats(),
-                    p.summary.l2_refill_beats,
-                    p.summary.l2_writeback_beats,
-                )
-                .power_mw
-        });
+        let s = p.system();
         println!(
             "{:>9} {:>10} {:>11} {:>11} {:>10.1}% {:>9} {:>9.1}",
             p.spec.clusters,
             if p.spec.chaining { "Chaining+" } else { "Base" },
-            p.regime(),
-            p.summary.cycles,
+            regime(p),
+            s.cycles,
             efficiency(&results, p) * 100.0,
-            refills,
-            power,
+            s.l2.as_ref().map_or(0, |l2| l2.refills()),
+            p.system_energy().power_mw,
         );
     }
     println!("\n{} config points in {wall:.2?} wall", results.len());
@@ -185,7 +140,7 @@ fn main() {
             let key = format!(
                 "efficiency_m{}_{}_{}",
                 p.spec.clusters,
-                p.regime(),
+                regime(p),
                 if p.spec.chaining { "chaining" } else { "base" }
             );
             report = report.set(&key, efficiency(&results, p));
@@ -195,10 +150,7 @@ fn main() {
         "points",
         Json::Arr(results.iter().map(|p| point_json(&results, p)).collect()),
     );
-    match json::write_report("weak_scaling.json", &report) {
-        Ok(path) => println!("json report: {}", path.display()),
-        Err(e) => eprintln!("could not write json report: {e}"),
-    }
+    json::emit_report(&report);
 
     println!();
     println!("Perfect weak scaling is flat cycles: each cluster brings its own");

@@ -36,6 +36,25 @@ pub fn l2_stats_json(
         .set("conflicts_by_cluster", l2.conflicts_by_cluster.clone())
 }
 
+/// Appends a system run's shared-L2 blocks to a point object: `"l2"`
+/// ([`l2_stats_json`]) then `"l2_occupancy"` ([`refill_occupancy_json`]).
+/// A run without shared memory gets neither.
+#[must_use]
+pub fn with_l2_json(point: Json, s: &SystemSummary) -> Json {
+    let Some(l2) = &s.l2 else { return point };
+    point
+        .set(
+            "l2",
+            l2_stats_json(
+                l2,
+                s.l2_refill_beats,
+                s.l2_writeback_beats,
+                s.l2_prefetch_beats,
+            ),
+        )
+        .set("l2_occupancy", refill_occupancy_json(&s.refill_occupancy()))
+}
+
 /// Serializes a top-down [`Attribution`] the way every sweep reports
 /// it: the partition shape first (`harts`, `machine_cycles` — the
 /// container's wall-clock, so `sum(leaves) == harts × machine_cycles`
@@ -616,18 +635,39 @@ impl<T: Into<Json> + Clone> From<&[T]> for Json {
     }
 }
 
-/// Writes a report file under `target/reports/`, creating the directory
-/// as needed. Returns the path written (for the binary's stdout note).
+/// Writes `report` under `target/reports/` and prints `json report:
+/// <path>`. The report's first key names the file: `"sweep": "<name>"`
+/// writes `<name>.json`, `"bench": "<name>"` (a host wall-clock figure)
+/// writes `BENCH_<name>.json`. A failed write exits the process with
+/// status 1, so no binary reports success without its report.
 ///
-/// # Errors
+/// # Panics
 ///
-/// I/O errors from directory creation or the write.
-pub fn write_report(name: &str, json: &Json) -> std::io::Result<std::path::PathBuf> {
+/// If the report's first key is not a string `"sweep"` or `"bench"`.
+pub fn emit_report(report: &Json) {
+    let name =
+        report_file_name(report).expect("a report's first key is a string \"sweep\" or \"bench\"");
     let dir = std::path::Path::new("target").join("reports");
-    std::fs::create_dir_all(&dir)?;
     let path = dir.join(name);
-    std::fs::write(&path, json.render_pretty())?;
-    Ok(path)
+    let written =
+        std::fs::create_dir_all(&dir).and_then(|()| std::fs::write(&path, report.render_pretty()));
+    if let Err(e) = written {
+        eprintln!("could not write json report {}: {e}", path.display());
+        std::process::exit(1);
+    }
+    println!("json report: {}", path.display());
+}
+
+/// The file [`emit_report`] writes `report` to.
+fn report_file_name(report: &Json) -> Option<String> {
+    let Json::Obj(entries) = report else {
+        return None;
+    };
+    match entries.first() {
+        Some((key, Json::Str(name))) if key == "sweep" => Some(format!("{name}.json")),
+        Some((key, Json::Str(name))) if key == "bench" => Some(format!("BENCH_{name}.json")),
+        _ => None,
+    }
 }
 
 #[cfg(test)]
@@ -653,6 +693,28 @@ mod tests {
             "{\"name\":\"cluster_scaling\",\"cores\":[1,2,4,8],\"ok\":true,\
              \"point\":{\"cycles\":12345,\"util\":0.934568}}"
         );
+    }
+
+    #[test]
+    fn reports_are_named_by_their_first_key() {
+        let sweep = Json::obj().set("sweep", "l2_ablation").set("bench", "x");
+        assert_eq!(
+            report_file_name(&sweep).as_deref(),
+            Some("l2_ablation.json")
+        );
+        let bench = Json::obj().set("bench", "host_speed");
+        assert_eq!(
+            report_file_name(&bench).as_deref(),
+            Some("BENCH_host_speed.json")
+        );
+        for unnamed in [
+            Json::obj(),
+            Json::obj().set("stencil", "box3d1r").set("sweep", "late"),
+            Json::obj().set("sweep", 3u64),
+            Json::Arr(Vec::new()),
+        ] {
+            assert_eq!(report_file_name(&unnamed), None, "{}", unnamed.render());
+        }
     }
 
     #[test]

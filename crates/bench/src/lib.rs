@@ -30,10 +30,24 @@
 //! The five baselined sweeps (`cluster_scaling` through
 //! `prefetch_ablation`), `sched_identity` and `lint_sweep` all iterate
 //! [`registry`], the one definition of the 166 config points the CI perf
-//! gate pins. Sweep binaries fan their config points out over a
-//! bounded pool of host threads ([`parallel_sweep`]) and serialize machine-readable results to
-//! `target/reports/*.json` ([`json::write_report`]) alongside their text
-//! tables, so the perf trajectory can be tracked across PRs.
+//! gate pins. The plumbing they share lives here, so each sweep binary
+//! keeps only its text table, its acceptance checks, its derived
+//! top-level keys and its closing prose:
+//!
+//! * one point runner — a sweep is `parallel_sweep(specs, |s| s.run())`
+//!   over a bounded pool of host threads ([`parallel_sweep`]), and each
+//!   [`registry::PointRun`] carries its point, its summary, its system
+//!   energy report ([`registry::PointRun::system_energy`]) and the
+//!   finite L2's accounting validator
+//!   ([`registry::PointRun::check_l2_accounting`]);
+//! * one serializer per shared block — attribution
+//!   ([`json::attribution_json`]) and the `"l2"`/`"l2_occupancy"` pair
+//!   ([`json::with_l2_json`]);
+//! * one report writer ([`json::emit_report`]): the report's first key
+//!   names its file under `target/reports/`, and a failed write exits
+//!   non-zero.
+//!
+//! The reports let the perf trajectory be tracked across PRs.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

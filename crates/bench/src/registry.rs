@@ -24,6 +24,7 @@
 
 use sc_cluster::ClusterSummary;
 use sc_core::{CoreConfig, SchedMode};
+use sc_energy::{ClusterEnergyReport, EnergyModel};
 use sc_isa::Program;
 use sc_kernels::{
     Grid3, Stencil, StencilKernel, TiledSystemKernel, Variant, WorkingSet, L2_CAP_GRANULE_BYTES,
@@ -153,17 +154,32 @@ pub enum Summary {
     System(SystemSummary),
 }
 
-impl Summary {
+/// What running a point yields: the point itself, so a sweep is
+/// `parallel_sweep(specs, |s| s.run())` and every result still knows its
+/// configuration.
+#[derive(Debug)]
+pub struct PointRun {
+    /// The point that ran.
+    pub spec: PointSpec,
+    /// The generated kernel's name.
+    pub kernel: String,
+    /// Tiles the pipeline executed; `None` on unbounded points.
+    pub tiles: Option<usize>,
+    /// The run's summary.
+    pub summary: Summary,
+}
+
+impl PointRun {
     /// The cluster summary.
     ///
     /// # Panics
     ///
-    /// On a system point's summary.
+    /// On a system point's run.
     #[must_use]
-    pub fn into_cluster(self) -> ClusterSummary {
-        match self {
+    pub fn cluster(&self) -> &ClusterSummary {
+        match &self.summary {
             Summary::Cluster(s) => s,
-            Summary::System(_) => panic!("expected a cluster point"),
+            Summary::System(_) => panic!("{}: expected a cluster point", self.spec.full_id()),
         }
     }
 
@@ -171,25 +187,96 @@ impl Summary {
     ///
     /// # Panics
     ///
-    /// On a cluster point's summary.
+    /// On a cluster point's run.
     #[must_use]
-    pub fn into_system(self) -> SystemSummary {
-        match self {
+    pub fn system(&self) -> &SystemSummary {
+        match &self.summary {
             Summary::System(s) => s,
-            Summary::Cluster(_) => panic!("expected a system point"),
+            Summary::Cluster(_) => panic!("{}: expected a system point", self.spec.full_id()),
         }
     }
-}
 
-/// What running a point yields.
-#[derive(Debug)]
-pub struct PointRun {
-    /// The generated kernel's name.
-    pub kernel: String,
-    /// Tiles the pipeline executed; `None` on unbounded points.
-    pub tiles: Option<usize>,
-    /// The run's summary.
-    pub summary: Summary,
+    /// The energy report of a system point: every hart of every cluster
+    /// at system rates, the DMA, refill and write-back beats included.
+    ///
+    /// # Panics
+    ///
+    /// On a cluster point's run.
+    #[must_use]
+    pub fn system_energy(&self) -> ClusterEnergyReport {
+        let s = self.system();
+        let per_core: Vec<_> = s
+            .per_cluster
+            .iter()
+            .flat_map(|c| c.per_core.iter().map(|r| r.counters))
+            .collect();
+        EnergyModel::new().system_report(
+            &per_core,
+            s.cycles,
+            s.total_dma_beats(),
+            s.l2_refill_beats,
+            s.l2_writeback_beats,
+        )
+    }
+
+    /// The shared L2's cache-accounting invariants on one system point;
+    /// a point without shared memory has none. A violation is a model
+    /// bug, not a perf regression:
+    ///
+    /// * every granted beat is classified by the cache core;
+    /// * refills are bounded by demand plus prefetch allocations;
+    /// * a bounded MSHR file never holds more than its configured size;
+    /// * a disabled prefetcher leaves no trace, and an enabled one keeps
+    ///   its accuracy classes within the prefetches it issued and its
+    ///   beats equal to its refills' lines;
+    /// * an under-fit write-back L2 evicts dirty lines.
+    ///
+    /// # Errors
+    ///
+    /// The first violated invariant, naming the point.
+    ///
+    /// # Panics
+    ///
+    /// On a cluster point's run.
+    pub fn check_l2_accounting(&self) -> Result<(), String> {
+        let s = self.system();
+        let Some(l2) = &s.l2 else { return Ok(()) };
+        let (c, cfg, id) = (&l2.cache, &self.spec.l2.cache, &self.spec.id);
+        let fail = |what: String| Err(format!("{id}: {what}"));
+        if c.read_hits + c.read_misses + c.write_beats != l2.accesses {
+            return fail(format!(
+                "every granted beat must be classified by the cache core \
+                 ({} hits + {} misses + {} writes vs {} accesses)",
+                c.read_hits, c.read_misses, c.write_beats, l2.accesses
+            ));
+        }
+        if c.refills > c.mshr_allocations + c.prefetches_issued {
+            return fail("refills outnumber demand + prefetch allocations".into());
+        }
+        // `mshrs == 0` is an unbounded MSHR file.
+        if cfg.mshrs != 0 && c.mshr_peak > u64::from(cfg.mshrs) {
+            return fail("MSHR file overflowed its configured size".into());
+        }
+        if !cfg.prefetch {
+            if (c.prefetch_hints, c.prefetches_issued, c.prefetch_refills) != (0, 0, 0) {
+                return fail("a disabled prefetcher must leave no trace".into());
+            }
+        } else if c.prefetch_hits + c.prefetch_evicted_unused > c.prefetches_issued {
+            return fail("accuracy classes exceed issued prefetches".into());
+        } else if c.prefetch_refills > c.refills {
+            return fail("prefetch refills exceed total refills".into());
+        } else if s.l2_prefetch_beats != c.prefetch_refills * u64::from(cfg.line_beats()) {
+            return fail("prefetch beats must be the prefetch refills' lines".into());
+        }
+        if self.spec.fit == Some(Fit::Under) && (c.evictions == 0 || s.l2_writeback_beats == 0) {
+            return fail(format!(
+                "an under-fit write-back L2 must evict dirty lines \
+                 (evictions {}, writeback beats {})",
+                c.evictions, s.l2_writeback_beats
+            ));
+        }
+        Ok(())
+    }
 }
 
 impl PointSpec {
@@ -324,6 +411,7 @@ impl PointSpec {
         };
         let (tiles, summary) = outcome.unwrap_or_else(|e| panic!("{}: {e}", self.full_id()));
         PointRun {
+            spec: self.clone(),
             kernel,
             tiles,
             summary,
@@ -578,6 +666,8 @@ mod tests {
 
     use super::*;
     use crate::json::Json;
+    use sc_core::{Attribution, PerfCounters};
+    use sc_mem::{CacheStats, L2Stats};
 
     /// The checked-in `baselines/<name>`.
     fn baseline(name: &str) -> Json {
@@ -656,7 +746,8 @@ mod tests {
         assert_eq!(points.len(), 16);
         assert_eq!(points.iter().filter(|p| p.tiled).count(), 8);
         for p in points {
-            let s = p.run().summary.into_cluster();
+            let run = p.run();
+            let s = run.cluster();
             assert_eq!(
                 s.cycles as f64,
                 pin(&p.id, "cycles_to_last_core_done"),
@@ -677,5 +768,126 @@ mod tests {
             assert_eq!(want.machine_cycles, s.cycles, "{}", p.id);
             assert_eq!(want.attr, s.attribution, "{}", p.id);
         }
+    }
+
+    /// A run of the first under-fit `sweep` point whose prefetcher is
+    /// on (`prefetch`) or off, carrying `cache` as its cache-core
+    /// counters: the accounting validator reads nothing else of the
+    /// summary.
+    fn l2_run(sweep: Sweep, prefetch: bool, cache: CacheStats) -> PointRun {
+        let spec = sweep
+            .points()
+            .into_iter()
+            .find(|p| p.fit == Some(Fit::Under) && p.l2.cache.prefetch == prefetch)
+            .expect("an under-fit point");
+        let l2 = L2Stats {
+            accesses: cache.read_hits + cache.read_misses + cache.write_beats,
+            cache,
+            ..L2Stats::default()
+        };
+        let line = u64::from(spec.l2.cache.line_beats());
+        let summary = SystemSummary {
+            cycles: 1000,
+            per_cluster: Vec::new(),
+            aggregate: PerfCounters::default(),
+            cluster_done_at: Vec::new(),
+            system_barriers: 0,
+            l2: Some(l2),
+            l2_refill_beats: cache.refills * line,
+            l2_writeback_beats: cache.dirty_evictions * line,
+            l2_prefetch_beats: cache.prefetch_refills * line,
+            attribution: Attribution::default(),
+        };
+        PointRun {
+            spec,
+            kernel: String::new(),
+            tiles: Some(1),
+            summary: Summary::System(summary),
+        }
+    }
+
+    /// Consistent under-fit counters: classified beats, refills within
+    /// their allocations, evictions with dirty write-backs.
+    fn consistent_cache() -> CacheStats {
+        CacheStats {
+            read_hits: 90,
+            read_misses: 10,
+            write_beats: 20,
+            mshr_allocations: 10,
+            mshr_peak: 2,
+            refills: 10,
+            evictions: 4,
+            dirty_evictions: 2,
+            ..CacheStats::default()
+        }
+    }
+
+    #[test]
+    fn l2_validator_accepts_a_consistent_point() {
+        let run = l2_run(Sweep::L2Ablation, false, consistent_cache());
+        assert_eq!(run.check_l2_accounting(), Ok(()));
+        let prefetching = CacheStats {
+            prefetch_hints: 3,
+            prefetches_issued: 3,
+            prefetch_refills: 2,
+            prefetch_hits: 1,
+            refills: 12,
+            ..consistent_cache()
+        };
+        let run = l2_run(Sweep::PrefetchAblation, true, prefetching);
+        assert_eq!(run.check_l2_accounting(), Ok(()));
+    }
+
+    #[test]
+    fn l2_validator_bounds_only_a_bounded_mshr_file() {
+        // A peak past the sweep's MSHR count overflows a bounded file;
+        // an unbounded one (`mshrs == 0`, the infinite L2's default)
+        // has no size to exceed.
+        let deep = CacheStats {
+            mshr_peak: u64::from(L2_SWEEP_MSHRS) + 1,
+            ..consistent_cache()
+        };
+        let mut run = l2_run(Sweep::L2Ablation, false, deep);
+        let err = run.check_l2_accounting().unwrap_err();
+        assert!(err.contains("MSHR file overflowed"), "{err}");
+        run.spec.l2.cache.mshrs = 0;
+        assert_eq!(run.check_l2_accounting(), Ok(()));
+    }
+
+    #[test]
+    fn l2_validator_refuses_unclassified_beats() {
+        let mut run = l2_run(Sweep::L2Ablation, false, consistent_cache());
+        let Summary::System(s) = &mut run.summary else {
+            unreachable!("a system point")
+        };
+        s.l2.as_mut().expect("an L2").accesses += 1;
+        let err = run.check_l2_accounting().unwrap_err();
+        assert!(err.contains("classified"), "{err}");
+    }
+
+    #[test]
+    fn l2_validator_refuses_prefetches_with_the_prefetcher_off() {
+        let cache = CacheStats {
+            prefetches_issued: 1,
+            ..consistent_cache()
+        };
+        for sweep in [Sweep::L2Ablation, Sweep::PrefetchAblation] {
+            let err = l2_run(sweep, false, cache)
+                .check_l2_accounting()
+                .unwrap_err();
+            assert!(err.contains("disabled prefetcher"), "{err}");
+        }
+    }
+
+    #[test]
+    fn l2_validator_refuses_an_under_fit_point_without_write_backs() {
+        let cache = CacheStats {
+            dirty_evictions: 0,
+            ..consistent_cache()
+        };
+        let err = l2_run(Sweep::L2Ablation, false, cache)
+            .check_l2_accounting()
+            .unwrap_err();
+        assert!(err.contains("evict dirty lines"), "{err}");
     }
 }

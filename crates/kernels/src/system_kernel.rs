@@ -20,7 +20,7 @@
 //! proptests).
 
 use sc_cluster::ClusterConfig;
-use sc_core::{CoreConfig, PerfCounters, SchedMode};
+use sc_core::{CoreConfig, SchedMode};
 use sc_isa::Program;
 use sc_mem::{Dram, DramConfig, L2Config, MemError, Tcdm, TcdmConfig};
 use sc_system::{SystemBuilder, SystemConfig, SystemSummary};
@@ -164,34 +164,6 @@ impl std::fmt::Debug for SystemKernel {
 pub struct SystemKernelRun {
     /// The system's aggregated summary.
     pub summary: SystemSummary,
-}
-
-impl SystemKernelRun {
-    /// Sum of each hart's measured-region counters across all clusters,
-    /// with `cycles` set to the longest per-hart measured region —
-    /// harts that did no measured work (empty slabs) are excluded, like
-    /// [`crate::ClusterKernelRun::measured`].
-    #[must_use]
-    pub fn measured(&self) -> PerfCounters {
-        let any_region = self
-            .summary
-            .per_cluster
-            .iter()
-            .flat_map(|c| &c.per_core)
-            .any(|c| c.region.is_some());
-        let mut total = PerfCounters::new();
-        let mut max_cycles = 0;
-        for core in self.summary.per_cluster.iter().flat_map(|c| &c.per_core) {
-            if any_region && core.region.is_none() {
-                continue;
-            }
-            let m = core.measured();
-            total.accumulate(m);
-            max_cycles = max_cycles.max(m.cycles);
-        }
-        total.cycles = max_cycles;
-        total
-    }
 }
 
 /// A kernel tiled through capacity-bounded per-cluster TCDMs on a

@@ -488,24 +488,27 @@ mod tests {
 
     #[test]
     fn chained_beats_baseline() {
-        let base = VecOpKernel::new(64, VecOpVariant::Baseline)
-            .build()
-            .run(CoreConfig::new(), 100_000)
-            .unwrap();
-        let chained = VecOpKernel::new(64, VecOpVariant::Chained)
-            .build()
-            .run(CoreConfig::new(), 100_000)
-            .unwrap();
-        let b = base.measured();
-        let c = chained.measured();
-        assert!(
-            c.cycles * 2 < b.cycles,
-            "chaining should at least halve runtime: {} vs {}",
-            c.cycles,
-            b.cycles
-        );
-        assert!(c.fpu_utilization() > 0.9);
-        assert!((0.35..0.45).contains(&b.fpu_utilization()));
+        // n = 256 is the Fig. 1 size.
+        for n in [64, 256] {
+            let base = VecOpKernel::new(n, VecOpVariant::Baseline)
+                .build()
+                .run(CoreConfig::new(), 100_000)
+                .unwrap();
+            let chained = VecOpKernel::new(n, VecOpVariant::Chained)
+                .build()
+                .run(CoreConfig::new(), 100_000)
+                .unwrap();
+            let b = base.measured();
+            let c = chained.measured();
+            assert!(
+                c.cycles * 2 < b.cycles,
+                "n = {n}: chaining should at least halve runtime: {} vs {}",
+                c.cycles,
+                b.cycles
+            );
+            assert!(c.fpu_utilization() > 0.9, "n = {n}");
+            assert!((0.35..0.45).contains(&b.fpu_utilization()), "n = {n}");
+        }
     }
 
     #[test]

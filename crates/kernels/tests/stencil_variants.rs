@@ -52,31 +52,48 @@ fn chaining_plus_reaches_papers_utilization() {
 #[test]
 fn utilization_ordering_matches_figure_three() {
     // Fig. 3 (left): Base-- ≤ Base- ≤ Base ≤ Chaining ≤ Chaining+ in FPU
-    // utilisation (allowing small noise between adjacent baselines).
-    let grid = Grid3::new(16, 6, 4);
-    let utils: Vec<(Variant, f64)> = Variant::ALL
-        .iter()
-        .map(|&v| {
-            (
-                v,
-                run(Stencil::box3d1r(), grid, v)
-                    .measured()
-                    .fpu_utilization(),
-            )
-        })
-        .collect();
-    let get = |v: Variant| utils.iter().find(|(x, _)| *x == v).unwrap().1;
-    let (bmm, bm, base) = (
-        get(Variant::BaseMinusMinus),
-        get(Variant::BaseMinus),
-        get(Variant::Base),
-    );
-    let (ch, chp) = (get(Variant::Chaining), get(Variant::ChainingPlus));
-    assert!(bmm < bm + 0.01, "Base-- {bmm:.3} vs Base- {bm:.3}");
-    assert!(bm < base + 0.01, "Base- {bm:.3} vs Base {base:.3}");
-    assert!(base < chp, "Base {base:.3} must trail Chaining+ {chp:.3}");
-    assert!(ch <= chp + 0.01, "Chaining {ch:.3} vs Chaining+ {chp:.3}");
-    assert!(chp > 0.9, "Chaining+ {chp:.3}");
+    // utilisation (allowing small noise between adjacent baselines), and
+    // Chaining+ beats Base in cycles — also on the reduced 8x4x2 tile.
+    for grid in [Grid3::new(16, 6, 4), Grid3::new(8, 4, 2)] {
+        let runs: Vec<(Variant, f64, u64)> = Variant::ALL
+            .iter()
+            .map(|&v| {
+                let run = run(Stencil::box3d1r(), grid, v);
+                let m = run.measured();
+                (v, m.fpu_utilization(), m.cycles)
+            })
+            .collect();
+        let get = |v: Variant| runs.iter().find(|(x, _, _)| *x == v).unwrap();
+        let util = |v: Variant| get(v).1;
+        let (bmm, bm, base) = (
+            util(Variant::BaseMinusMinus),
+            util(Variant::BaseMinus),
+            util(Variant::Base),
+        );
+        let (ch, chp) = (util(Variant::Chaining), util(Variant::ChainingPlus));
+        assert!(
+            bmm < bm + 0.01,
+            "{grid:?}: Base-- {bmm:.3} vs Base- {bm:.3}"
+        );
+        assert!(
+            bm < base + 0.01,
+            "{grid:?}: Base- {bm:.3} vs Base {base:.3}"
+        );
+        assert!(
+            base < chp,
+            "{grid:?}: Base {base:.3} must trail Chaining+ {chp:.3}"
+        );
+        assert!(
+            ch <= chp + 0.01,
+            "{grid:?}: Chaining {ch:.3} vs Chaining+ {chp:.3}"
+        );
+        assert!(chp > 0.9, "{grid:?}: Chaining+ {chp:.3}");
+        let (base_cycles, chp_cycles) = (get(Variant::Base).2, get(Variant::ChainingPlus).2);
+        assert!(
+            chp_cycles < base_cycles,
+            "{grid:?}: Chaining+ {chp_cycles} vs Base {base_cycles} cycles"
+        );
+    }
 }
 
 #[test]

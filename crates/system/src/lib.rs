@@ -845,7 +845,7 @@ pub struct SystemBuilder {
     dram: Option<Dram>,
     watchdog: Option<u64>,
     sched: SchedMode,
-    tracer: Option<Tracer>,
+    tracer: Tracer,
     lint_strict: bool,
 }
 
@@ -862,7 +862,7 @@ impl SystemBuilder {
             dram: None,
             watchdog: None,
             sched: SchedMode::Dense,
-            tracer: None,
+            tracer: Tracer::off(),
             lint_strict: false,
         }
     }
@@ -913,10 +913,11 @@ impl SystemBuilder {
     /// Subscribes the whole system to a trace sink: cluster `c`'s harts,
     /// DMA engine and TCDM become tracks under process `c + 1`, while
     /// the shared L2's refill/write-back channels and sampled metrics
-    /// live under process 0 ([`L2_TRACK`]).
+    /// live under process 0 ([`L2_TRACK`]). [`Tracer::off`], the
+    /// default, subscribes nothing.
     #[must_use]
     pub fn tracer(mut self, tracer: Tracer) -> Self {
-        self.tracer = Some(tracer);
+        self.tracer = tracer;
         self
     }
 
@@ -1000,14 +1001,14 @@ impl SystemBuilder {
         }
         // Subscription order is the order of the trace's process-name
         // records: the clusters by index, then the shared L2.
-        if let Some(tracer) = &tracer {
+        if tracer.is_on() {
             for (c, cluster) in clusters.iter_mut().enumerate() {
                 cluster.set_tracer(tracer.clone(), c as u32 + 1);
             }
         }
         let shared = dram.map(|dram| {
             let mut l2 = L2::new(cfg.l2, cfg.num_clusters);
-            if let Some(tracer) = &tracer {
+            if tracer.is_on() {
                 l2.set_tracer(tracer.clone(), L2_TRACK);
             }
             (l2, dram)
@@ -1027,7 +1028,7 @@ impl SystemBuilder {
             l2_reqs: Vec::new(),
             l2_outcomes: Vec::new(),
             unfinished,
-            tracer: tracer.unwrap_or_else(Tracer::off),
+            tracer,
             watchdog: watchdog.map(Watchdog::new),
             hang_attr_base: vec![Vec::new(); n],
             sched: Scheduler::new(sched),
