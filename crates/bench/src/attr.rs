@@ -1,5 +1,5 @@
 //! Parsing, rendering and diffing of the top-down attribution sections
-//! in bench reports — the library behind the `perf_report` binary.
+//! in bench reports — the library behind `sc-bench perf_report`.
 //!
 //! Every sweep point serializes its [`Attribution`] through
 //! [`crate::json::attribution_json`], so this module is the read side of

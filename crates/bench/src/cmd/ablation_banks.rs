@@ -4,12 +4,11 @@
 //! while the chained variants need only one; fewer banks raise conflict
 //! pressure and widen the gap — relevant for area-constrained clusters.
 //!
-//! Config points run in parallel on host threads; results are also
-//! serialized to `target/reports/ablation_banks.json`.
-//!
-//! Run with `cargo run --release -p sc-bench --bin ablation_banks`.
+//! Run with `cargo run --release -p sc-bench -- ablation_banks`.
 
-use sc_bench::{json, parallel_sweep, Json};
+use std::process::ExitCode;
+
+use sc_bench::{parallel_sweep, Json};
 use sc_core::CoreConfig;
 use sc_kernels::{Grid3, Stencil, StencilKernel, Variant};
 use sc_mem::TcdmConfig;
@@ -23,28 +22,25 @@ struct Row {
 
 fn run_row(banks: u32, grid: Grid3) -> Row {
     let cfg = CoreConfig::new().with_tcdm(TcdmConfig::new().with_banks(banks));
-    let mut utils = Vec::new();
-    let mut base_conflicts = 0;
-    for variant in [Variant::Base, Variant::ChainingPlus] {
-        let gen = StencilKernel::new(Stencil::box3d1r(), grid, variant).expect("valid");
-        let kernel = gen.build();
+    let measure = |variant| {
+        let kernel = StencilKernel::new(Stencil::box3d1r(), grid, variant)
+            .expect("valid")
+            .build();
         let run = kernel
             .run(cfg, 100_000_000)
             .unwrap_or_else(|e| panic!("{banks} banks, {}: {e}", kernel.name()));
-        if variant == Variant::Base {
-            base_conflicts = run.measured().tcdm_conflicts;
-        }
-        utils.push(run.measured().fpu_utilization());
-    }
+        *run.measured()
+    };
+    let (base, chained) = (measure(Variant::Base), measure(Variant::ChainingPlus));
     Row {
         banks,
-        base_util: utils[0],
-        chained_util: utils[1],
-        base_conflicts,
+        base_util: base.fpu_utilization(),
+        chained_util: chained.fpu_utilization(),
+        base_conflicts: base.tcdm_conflicts,
     }
 }
 
-fn main() {
+pub fn run(_args: &[String]) -> ExitCode {
     let grid = Grid3::new(16, 6, 4);
     println!("=== FPU utilisation vs TCDM bank count (box3d1r) ===\n");
     println!(
@@ -67,25 +63,22 @@ fn main() {
     let report = Json::obj()
         .set("sweep", "ablation_banks")
         .set("stencil", "box3d1r")
-        .set("wall_seconds", wall.as_secs_f64())
-        .set(
-            "points",
-            Json::Arr(
-                rows.iter()
-                    .map(|r| {
-                        Json::obj()
-                            .set("banks", r.banks)
-                            .set("base_utilization", r.base_util)
-                            .set("chaining_plus_utilization", r.chained_util)
-                            .set("base_conflicts", r.base_conflicts)
-                    })
-                    .collect(),
-            ),
-        );
-    json::emit_report(&report);
+        .set("wall_seconds", wall.as_secs_f64());
+    super::emit_with_array(
+        report,
+        "points",
+        rows.iter().map(|r| {
+            Json::obj()
+                .set("banks", r.banks)
+                .set("base_utilization", r.base_util)
+                .set("chaining_plus_utilization", r.chained_util)
+                .set("base_conflicts", r.base_conflicts)
+        }),
+    );
 
     println!();
     println!("Chaining+ runs a single input stream; Base adds the coefficient");
     println!("stream whose repeated reads collide with it — the fewer the banks,");
     println!("the larger the utilisation gap.");
+    ExitCode::SUCCESS
 }

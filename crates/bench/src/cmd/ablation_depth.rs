@@ -11,12 +11,11 @@
 //! * chaining with a matched software pipeline — same schedule, but all
 //!   partial results rotate through ONE architectural register.
 //!
-//! Config points run in parallel on host threads; results are also
-//! serialized to `target/reports/ablation_depth.json`.
-//!
-//! Run with `cargo run --release -p sc-bench --bin ablation_depth`.
+//! Run with `cargo run --release -p sc-bench -- ablation_depth`.
 
-use sc_bench::{json, parallel_sweep, Json};
+use std::process::ExitCode;
+
+use sc_bench::{parallel_sweep, Json};
 use sc_core::CoreConfig;
 use sc_fpu::FpuTiming;
 use sc_kernels::{VecOpKernel, VecOpVariant};
@@ -48,7 +47,7 @@ fn run_row(depth: u32, n: u32) -> Row {
     }
 }
 
-fn main() {
+pub fn run(_args: &[String]) -> ExitCode {
     println!("=== Chaining benefit vs FPU pipeline depth (vecop, n = 840) ===\n");
     println!(
         "{:>6} | {:>10} {:>12} {:>14} {:>12} | {:>14}",
@@ -74,27 +73,24 @@ fn main() {
         .set("sweep", "ablation_depth")
         .set("kernel", "vecop")
         .set("n", u64::from(n))
-        .set("wall_seconds", wall.as_secs_f64())
-        .set(
-            "points",
-            Json::Arr(
-                rows.iter()
-                    .map(|r| {
-                        Json::obj()
-                            .set("depth", r.depth)
-                            .set("baseline_utilization", r.baseline)
-                            .set("unroll4_utilization", r.fixed4)
-                            .set("matched_unroll_utilization", r.matched)
-                            .set("chained_utilization", r.chained)
-                            .set("registers_saved", r.depth)
-                    })
-                    .collect(),
-            ),
-        );
-    json::emit_report(&report);
+        .set("wall_seconds", wall.as_secs_f64());
+    super::emit_with_array(
+        report,
+        "points",
+        rows.iter().map(|r| {
+            Json::obj()
+                .set("depth", r.depth)
+                .set("baseline_utilization", r.baseline)
+                .set("unroll4_utilization", r.fixed4)
+                .set("matched_unroll_utilization", r.matched)
+                .set("chained_utilization", r.chained)
+                .set("registers_saved", r.depth)
+        }),
+    );
 
     println!();
     println!("`regs saved` = architectural registers the chained version frees at");
     println!("each depth (matched unroll needs d+1 temporaries, chaining needs 1).");
     println!("Deeper pipelines widen the register gap — the paper's §II claim.");
+    ExitCode::SUCCESS
 }

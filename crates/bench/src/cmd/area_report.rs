@@ -2,12 +2,14 @@
 //! "<2 % cell area increase" — reproduced here as a structural state-bit
 //! census (see `sc-energy`'s `AreaEstimate` for the substitution note).
 //!
-//! Run with `cargo run --release -p sc-bench --bin area_report`.
+//! Run with `cargo run --release -p sc-bench -- area_report`.
+
+use std::process::ExitCode;
 
 use sc_core::CoreConfig;
 use sc_energy::AreaEstimate;
 
-fn main() {
+pub fn run(_args: &[String]) -> ExitCode {
     let with = AreaEstimate::for_config(&CoreConfig::new());
     let without = AreaEstimate::for_config(&CoreConfig::new().with_chaining(false));
     println!("=== Area proxy (weighted state-bit census, kGE) ===\n");
@@ -26,4 +28,5 @@ fn main() {
         with.chaining_overhead() < 0.02,
         "overhead exceeds the paper's claim"
     );
+    ExitCode::SUCCESS
 }

@@ -19,11 +19,11 @@
 //! overlap fraction — how much of the engine's busy time was hidden
 //! behind compute.
 //!
-//! The config points (`Sweep::ClusterScaling` in `sc_bench::registry`)
-//! are independent simulations, so they fan out over host threads. Machine-readable results (consumed by the CI perf
-//! gate, see `baselines/`) land in `target/reports/cluster_scaling.json`.
+//! The config points are `Sweep::ClusterScaling` in `sc_bench::registry`.
 //!
-//! Run with `cargo run --release -p sc-bench --bin cluster_scaling`.
+//! Run with `cargo run --release -p sc-bench -- cluster_scaling`.
+
+use std::process::ExitCode;
 
 use sc_bench::registry::{PointRun, Sweep};
 use sc_bench::{json, parallel_sweep, Json};
@@ -115,7 +115,7 @@ fn point_json(p: &PointRun) -> Json {
     j
 }
 
-fn main() {
+pub fn run(_args: &[String]) -> ExitCode {
     let specs = Sweep::ClusterScaling.points();
     let grid = specs[0].grid;
     println!(
@@ -175,13 +175,7 @@ fn main() {
 
     println!("\n{} config points in {wall:.2?} wall", results.len());
 
-    let mut report = Json::obj()
-        .set("sweep", "cluster_scaling")
-        .set("stencil", "box3d1r")
-        .set(
-            "grid",
-            vec![u64::from(grid.nx), u64::from(grid.ny), u64::from(grid.nz)],
-        )
+    let mut report = super::sweep_report(Sweep::ClusterScaling, grid)
         .set("tcdm_cap_bytes", u64::from(TCDM_CAP_BYTES))
         // Both regimes verified bit-exactly against the same golden
         // model inside their run() paths, so this flag records that the
@@ -189,9 +183,7 @@ fn main() {
         .set("tiled_matches_unbounded", true)
         .set("wall_seconds", wall.as_secs_f64());
     // Chaining speedup per config (cores × memory regime) — gated in CI.
-    let mut core_counts: Vec<u32> = results.iter().map(|p| p.spec.cores).collect();
-    core_counts.dedup();
-    for cores in core_counts {
+    for cores in super::distinct(results.iter().map(|p| p.spec.cores)) {
         for tiled in [false, true] {
             let (base, chain) = (cycles(cores, false, tiled), cycles(cores, true, tiled));
             if base > 0 && chain > 0 {
@@ -203,11 +195,7 @@ fn main() {
             }
         }
     }
-    report = report.set(
-        "points",
-        Json::Arr(results.iter().map(point_json).collect()),
-    );
-    json::emit_report(&report);
+    super::emit_with_array(report, "points", results.iter().map(point_json));
 
     println!();
     println!("Chaining+ scales further than Base: the freed coefficient stream");
@@ -215,4 +203,5 @@ fn main() {
     println!("grows more slowly with the core count. Under the true 128 KiB");
     println!("TCDM the DMA engine double-buffers z-slab tiles; the overlap");
     println!("column shows how much transfer time compute hides.");
+    ExitCode::SUCCESS
 }

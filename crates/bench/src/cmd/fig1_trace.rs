@@ -2,12 +2,14 @@
 //! operation `a = b * (c + d)` in its baseline, unrolled and chained
 //! forms, plus the per-variant utilisation/register trade-off.
 //!
-//! Run with `cargo run --release -p sc-bench --bin fig1_trace`.
+//! Run with `cargo run --release -p sc-bench -- fig1_trace`.
+
+use std::process::ExitCode;
 
 use sc_core::CoreConfig;
 use sc_kernels::{VecOpKernel, VecOpVariant};
 
-fn main() {
+pub fn run(_args: &[String]) -> ExitCode {
     let n = 32;
     println!("=== Fig. 1 — a[i] = b * (c[i] + d[i]), n = {n} ===\n");
     for variant in VecOpVariant::ALL {
@@ -34,4 +36,5 @@ fn main() {
     println!("  unrolled4: full slots, but ft3..ft6 burn four architectural registers");
     println!("  chained  : full slots with ONE register — ft3 has FIFO semantics,");
     println!("             in-flight results live in the FPU pipeline registers");
+    ExitCode::SUCCESS
 }

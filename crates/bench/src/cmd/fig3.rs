@@ -2,14 +2,16 @@
 //! consumption (right) for Base--, Base-, Base, Chaining and Chaining+ on
 //! the box3d1r and j3d27pt stencils — plus the §III headline geomeans.
 //!
-//! Run with `cargo run --release -p sc-bench --bin fig3`.
+//! Run with `cargo run --release -p sc-bench -- fig3`.
 //! Pass `--csv` to print machine-readable output instead.
+
+use std::process::ExitCode;
 
 use sc_bench::{fig3_csv, headline, render_fig3, render_headline, Fig3Experiment};
 use sc_energy::EnergyModel;
 
-fn main() {
-    let csv = std::env::args().any(|a| a == "--csv");
+pub fn run(args: &[String]) -> ExitCode {
+    let csv = args.iter().any(|a| a == "--csv");
     let experiment = Fig3Experiment::new();
     let model = EnergyModel::new();
     let results = experiment
@@ -17,7 +19,7 @@ fn main() {
         .unwrap_or_else(|e| panic!("fig3 sweep failed: {e}"));
     if csv {
         print!("{}", fig3_csv(&results));
-        return;
+        return ExitCode::SUCCESS;
     }
     println!("=== Fig. 3 — per-stencil interior tiles, 1 GHz, default energy model ===\n");
     print!("{}", render_fig3(&results));
@@ -27,4 +29,5 @@ fn main() {
     println!("Notes: absolute levels are properties of this model, not the paper's");
     println!("RTL+PrimeTime flow; the reproduced quantities are the variant ordering,");
     println!("the >93 % chained utilisation, and the geomean speedup/efficiency gains.");
+    ExitCode::SUCCESS
 }

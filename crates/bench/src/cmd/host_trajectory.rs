@@ -12,11 +12,11 @@
 //!
 //! `--commit <id>` names the commit; without it the row asks
 //! `git rev-parse --short HEAD`. Not part of tier-1 or CI (a full pass
-//! takes about as long as the five sweep binaries run one after another).
+//! takes about as long as the five sweep commands run one after another).
 //!
-//! Run with `cargo run --release -p sc-bench --bin host_trajectory`.
+//! Run with `cargo run --release -p sc-bench -- host_trajectory`.
 
-use std::process::Command;
+use std::process::{Command, ExitCode};
 use std::time::Instant;
 
 use sc_bench::registry::{self, Summary, Sweep};
@@ -49,14 +49,13 @@ fn cycles_of(summary: &Summary) -> (u64, u64) {
     }
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let commit = match args.as_slice() {
+pub fn run(args: &[String]) -> ExitCode {
+    let commit = match args {
         [] => first_line_of("git", &["rev-parse", "--short", "HEAD"]),
         [flag, id] if flag == "--commit" => id.clone(),
         _ => {
-            eprintln!("usage: host_trajectory [--commit <id>]");
-            std::process::exit(2);
+            eprintln!("usage: sc-bench host_trajectory [--commit <id>]");
+            return ExitCode::from(2);
         }
     };
     let host_cpus = std::thread::available_parallelism().map_or(1, usize::from);
@@ -94,4 +93,5 @@ fn main() {
         .set("threads", 1u32)
         .set("sweeps", sweeps);
     println!("{}", row.render());
+    ExitCode::SUCCESS
 }

@@ -14,15 +14,16 @@
 //! The validator asserts the cross-module accounting invariants (every
 //! granted beat classified by the cache core) and the capacity story
 //! (under-fit ⇒ non-zero evictions *and* write-back beats; over-fit at
-//! full associativity ⇒ none). Machine-readable results land in
-//! `target/reports/l2_ablation.json`, gated in CI against
-//! `baselines/l2_ablation.json` — including the flat per-point
-//! `l2_evictions` / `l2_writeback_beats` traffic counts.
+//! full associativity ⇒ none). The perf gate also pins the flat
+//! per-point `l2_evictions` / `l2_writeback_beats` traffic counts.
 //!
-//! Run with `cargo run --release -p sc-bench --bin l2_ablation`.
+//! Run with `cargo run --release -p sc-bench -- l2_ablation`.
 //! Pass `--trace <path>` to additionally re-run the most contended
 //! point — under-fit, single refill channel, chaining — with a trace
 //! subscription and write its Perfetto timeline JSON to `<path>`.
+
+use std::path::{Path, PathBuf};
+use std::process::ExitCode;
 
 use sc_bench::registry::{Fit, PointRun, Sweep, MAX_CYCLES};
 use sc_bench::{json, parallel_sweep, Json};
@@ -103,27 +104,22 @@ fn underfit_point(points: &[PointRun], channels: u32, chaining: bool) -> Option<
     })
 }
 
-/// Parses `--trace <path>` from the command line, if present.
-fn trace_path() -> Option<std::path::PathBuf> {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    match args.as_slice() {
-        [] => None,
-        [flag, path] if flag == "--trace" => Some(path.into()),
-        [flag] if flag == "--trace" => {
-            eprintln!("--trace needs a path argument");
-            std::process::exit(2);
-        }
-        other => {
-            eprintln!("unknown arguments {other:?} (only --trace <path> is accepted)");
-            std::process::exit(2);
-        }
+/// Parses the command's only option, `--trace <path>`.
+fn trace_path(args: &[String]) -> Result<Option<PathBuf>, String> {
+    match args {
+        [] => Ok(None),
+        [flag, path] if flag == "--trace" => Ok(Some(path.into())),
+        [flag] if flag == "--trace" => Err("--trace needs a path argument".into()),
+        other => Err(format!(
+            "unknown arguments {other:?} (only --trace <path> is accepted)"
+        )),
     }
 }
 
 /// Re-runs the most contended under-fit point with a trace subscription
 /// and writes the Perfetto timeline to `path`. The traced run must be
 /// results-identical to the sweep's own run of the same point.
-fn write_trace(point: &PointRun, path: &std::path::Path) {
+fn write_trace(point: &PointRun, path: &Path) {
     let spec = &point.spec;
     let session = TraceSession::new(TraceConfig::new().with_sample_every(1024));
     let run = spec
@@ -153,8 +149,14 @@ fn write_trace(point: &PointRun, path: &std::path::Path) {
     );
 }
 
-fn main() {
-    let trace = trace_path();
+pub fn run(args: &[String]) -> ExitCode {
+    let trace = match trace_path(args) {
+        Ok(trace) => trace,
+        Err(e) => {
+            eprintln!("{e}");
+            return ExitCode::from(2);
+        }
+    };
     let specs = Sweep::L2Ablation.points();
     let first = &specs[0];
     let (grid, clusters, cores) = (first.grid, first.clusters, first.cores);
@@ -167,12 +169,8 @@ fn main() {
             .map_or(0, |s| s.l2.cache.capacity_bytes)
     };
     let (over, under) = (capacity(Fit::Over), capacity(Fit::Under));
-    let mut ways: Vec<u32> = specs.iter().map(|s| s.l2.cache.ways).collect();
-    ways.sort_unstable();
-    ways.dedup();
-    let mut channels: Vec<u32> = specs.iter().map(|s| s.l2.cache.channels).collect();
-    channels.sort_unstable();
-    channels.dedup();
+    let ways = super::distinct(specs.iter().map(|s| s.l2.cache.ways));
+    let channels = super::distinct(specs.iter().map(|s| s.l2.cache.channels));
     println!(
         "=== L2 ablation — box3d1r {}x{}x{}, m{clusters}x{cores} tiled ===",
         grid.nx, grid.ny, grid.nz
@@ -190,19 +188,7 @@ fn main() {
     let (results, wall) = parallel_sweep(specs, |s| s.run());
     validate(&results);
 
-    println!(
-        "{:>14} {:>5} {:>4} {:>10} {:>10} {:>8} {:>9} {:>10} {:>9} {:>9}",
-        "config",
-        "ways",
-        "ch",
-        "variant",
-        "cycles",
-        "hits",
-        "misses",
-        "evictions",
-        "wb-beats",
-        "merges"
-    );
+    println!("        config  ways   ch    variant     cycles     hits    misses  evictions  wb-beats    merges");
     for p in &results {
         let s = p.system();
         let l2 = s.l2.as_ref().unwrap();
@@ -226,13 +212,7 @@ fn main() {
     }
     println!("\n{} config points in {wall:.2?} wall", results.len());
 
-    let mut report = Json::obj()
-        .set("sweep", "l2_ablation")
-        .set("stencil", "box3d1r")
-        .set(
-            "grid",
-            vec![u64::from(grid.nx), u64::from(grid.ny), u64::from(grid.nz)],
-        )
+    let mut report = super::sweep_report(Sweep::L2Ablation, grid)
         .set("clusters", clusters)
         .set("cores", cores)
         .set("working_set_footprint_bytes", footprint)
@@ -255,11 +235,7 @@ fn main() {
             report = report.set(&key, one as f64 / many as f64);
         }
     }
-    report = report.set(
-        "points",
-        Json::Arr(results.iter().map(point_json).collect()),
-    );
-    json::emit_report(&report);
+    super::emit_with_array(report, "points", results.iter().map(point_json));
 
     // The most contended point: under-fit, fewest refill channels,
     // chaining.
@@ -273,4 +249,5 @@ fn main() {
     println!("into capacity misses and dirty write-backs; extra refill channels");
     println!("recover part of that penalty, which is exactly the regime where");
     println!("chaining's freed memory ports matter most.");
+    ExitCode::SUCCESS
 }

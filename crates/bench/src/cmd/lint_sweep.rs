@@ -13,12 +13,13 @@
 //!
 //! Any violation panics with the offending point's `<sweep>/<baseline
 //! id>` or the fixture id.
-//! Machine-readable results land in `target/reports/lint_sweep.json`.
 //!
-//! Run with `cargo run --release -p sc-bench --bin lint_sweep`.
+//! Run with `cargo run --release -p sc-bench -- lint_sweep`.
+
+use std::process::ExitCode;
 
 use sc_bench::registry;
-use sc_bench::{json, parallel_sweep, Json};
+use sc_bench::{parallel_sweep, Json};
 use sc_lint::{lint_harts, LintConfig};
 
 /// One point's verdict after linting every program set it builds.
@@ -28,16 +29,13 @@ struct Verdict {
     diagnostics: usize,
 }
 
-fn main() {
+pub fn run(_args: &[String]) -> ExitCode {
     let points = registry::all_points();
+    let total = points.len();
 
     println!("=== static verification — sc-lint over every baseline sweep kernel ===");
-    println!(
-        "=== {} config points + seeded-bug fixtures ===\n",
-        points.len()
-    );
+    println!("=== {total} config points + seeded-bug fixtures ===\n");
 
-    let total = points.len();
     let lint_cfg = LintConfig::new();
     let (verdicts, wall) = parallel_sweep(points, |spec| {
         let id = spec.full_id();
@@ -59,19 +57,8 @@ fn main() {
     });
     assert_eq!(verdicts.len(), total);
 
-    let mut by_sweep: Vec<(&str, usize)> = Vec::new();
-    let mut sets_linted = 0usize;
-    for v in &verdicts {
-        sets_linted += v.program_sets;
-        let sweep = v.id.split('/').next().unwrap_or("?");
-        match by_sweep.iter_mut().find(|(s, _)| *s == sweep) {
-            Some((_, n)) => *n += 1,
-            None => by_sweep.push((sweep, 1)),
-        }
-    }
-    for (sweep, n) in &by_sweep {
-        println!("{sweep:>20}: {n} points clean");
-    }
+    let sets_linted: usize = verdicts.iter().map(|v| v.program_sets).sum();
+    super::print_by_sweep(verdicts.iter().map(|v| v.id.as_str()), "clean");
     println!("\nall {total} baseline points clean ({sets_linted} program sets)");
 
     // Zero false negatives: every seeded bug trips exactly its rule.
@@ -103,20 +90,16 @@ fn main() {
         .set("all_clean", true)
         .set("fixtures", n_fixtures as u64)
         .set("all_fixtures_flagged", true)
-        .set("wall_seconds", wall.as_secs_f64())
-        .set(
-            "points_by_id",
-            Json::Arr(
-                verdicts
-                    .iter()
-                    .map(|v| {
-                        Json::obj()
-                            .set("id", v.id.as_str())
-                            .set("program_sets", v.program_sets as u64)
-                            .set("diagnostics", v.diagnostics as u64)
-                    })
-                    .collect(),
-            ),
-        );
-    json::emit_report(&report);
+        .set("wall_seconds", wall.as_secs_f64());
+    super::emit_with_array(
+        report,
+        "points_by_id",
+        verdicts.iter().map(|v| {
+            Json::obj()
+                .set("id", v.id.as_str())
+                .set("program_sets", v.program_sets as u64)
+                .set("diagnostics", v.diagnostics as u64)
+        }),
+    );
+    ExitCode::SUCCESS
 }

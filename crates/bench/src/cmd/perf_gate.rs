@@ -1,14 +1,14 @@
 //! The CI perf-regression gate and report validator.
 //!
 //! ```text
-//! perf_gate check <report.json>...              # exists + parses + wellformed
-//! perf_gate diff <baseline.json> <report.json>  # exact diff, exit 1 on drift
-//! perf_gate baseline <report.json>              # print a fresh baseline to stdout
+//! sc-bench perf_gate check <report.json>...              # exists + parses + wellformed
+//! sc-bench perf_gate diff <baseline.json> <report.json>  # exact diff, exit 1 on drift
+//! sc-bench perf_gate baseline <report.json>              # print a fresh baseline to stdout
 //! ```
 //!
 //! `check` fails (exit 1) if any listed report is missing, unparseable
 //! or structurally hollow — the bench-reports CI job runs it over every
-//! file the sweep binaries are expected to produce. `diff` compares a
+//! file the sweep commands are expected to produce. `diff` compares a
 //! fresh report against the checked-in `baselines/` file exactly; when
 //! a model shift is intentional, regenerate with `baseline` and attach
 //! the `perf_report diff` of the attribution trees.
@@ -17,28 +17,24 @@ use std::path::Path;
 use std::process::ExitCode;
 
 use sc_bench::gate;
-use sc_bench::Json;
 
-fn load(path: &str) -> Result<Json, String> {
-    let text =
-        std::fs::read_to_string(path).map_err(|e| format!("{path}: cannot read report: {e}"))?;
-    Json::parse(&text).map_err(|e| format!("{path}: {e}"))
+pub fn run(args: &[String]) -> ExitCode {
+    super::exit_code("perf_gate", gate(args))
 }
 
-fn run() -> Result<(), String> {
-    let args: Vec<String> = std::env::args().skip(1).collect();
+fn gate(args: &[String]) -> Result<(), String> {
     match args.first().map(String::as_str) {
         Some("check") if args.len() >= 2 => {
             for path in &args[1..] {
-                let report = load(path)?;
+                let report = super::load_report(path)?;
                 gate::check_wellformed(&report).map_err(|e| format!("{path}: {e}"))?;
                 println!("ok: {path}");
             }
             Ok(())
         }
         Some("diff") if args.len() == 3 => {
-            let baseline = load(&args[1])?;
-            let report = load(&args[2])?;
+            let baseline = super::load_report(&args[1])?;
+            let report = super::load_report(&args[2])?;
             let outcome = gate::diff(&baseline, &report)?;
             if outcome.passed() {
                 println!(
@@ -52,7 +48,7 @@ fn run() -> Result<(), String> {
                 }
                 Err(format!(
                     "{} of {} metrics drifted from their pins; fix the regression \
-                     or regenerate {} with `perf_gate baseline {}`",
+                     or regenerate {} with `sc-bench perf_gate baseline {}`",
                     outcome.failures.len(),
                     outcome.checked,
                     args[1],
@@ -61,7 +57,7 @@ fn run() -> Result<(), String> {
             }
         }
         Some("baseline") if args.len() == 2 => {
-            let report = load(&args[1])?;
+            let report = super::load_report(&args[1])?;
             let name = Path::new(&args[1])
                 .file_name()
                 .and_then(|n| n.to_str())
@@ -71,18 +67,8 @@ fn run() -> Result<(), String> {
             Ok(())
         }
         _ => Err(
-            "usage: perf_gate check <report>... | diff <baseline> <report> | baseline <report>"
+            "usage: sc-bench perf_gate check <report>... | diff <baseline> <report> | baseline <report>"
                 .into(),
         ),
-    }
-}
-
-fn main() -> ExitCode {
-    match run() {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("perf_gate: {e}");
-            ExitCode::FAILURE
-        }
     }
 }

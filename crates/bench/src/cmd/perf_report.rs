@@ -1,11 +1,11 @@
 //! Renders the top-down cycle-attribution sections of a sweep report.
 //!
 //! ```text
-//! perf_report <report.json>                    # indented top-down trees
-//! perf_report <report.json> --roofline         # compute-vs-traffic table
-//! perf_report <report.json> --csv              # one row per point
-//! perf_report <report.json> --json             # slim attribution-only report
-//! perf_report diff <before.json> <after.json>  # largest share movers
+//! sc-bench perf_report <report.json>                    # indented top-down trees
+//! sc-bench perf_report <report.json> --roofline         # compute-vs-traffic table
+//! sc-bench perf_report <report.json> --csv              # one row per point
+//! sc-bench perf_report <report.json> --json             # slim attribution-only report
+//! sc-bench perf_report diff <before.json> <after.json>  # largest share movers
 //! ```
 //!
 //! `--json` output is itself valid `diff` input: CI snapshots it under
@@ -21,38 +21,33 @@
 
 use std::process::ExitCode;
 
-use sc_bench::{attr, Json};
+use sc_bench::attr;
 
 const DEFAULT_TOP: usize = 5;
-
-fn load(path: &str) -> Result<Json, String> {
-    let text =
-        std::fs::read_to_string(path).map_err(|e| format!("{path}: cannot read report: {e}"))?;
-    Json::parse(&text).map_err(|e| format!("{path}: {e}"))
-}
 
 /// Extracts `--top N` from `args`, leaving the rest in place.
 fn take_top(args: &mut Vec<String>) -> Result<usize, String> {
     let Some(i) = args.iter().position(|a| a == "--top") else {
         return Ok(DEFAULT_TOP);
     };
-    if i + 1 >= args.len() {
-        return Err("--top needs a count".into());
-    }
-    let n = args[i + 1]
+    let count = args.get(i + 1).ok_or("--top needs a count")?;
+    let n = count
         .parse::<usize>()
-        .map_err(|_| format!("--top: `{}` is not a count", args[i + 1]))?;
+        .map_err(|_| format!("--top: `{count}` is not a count"))?;
     args.drain(i..=i + 1);
     Ok(n)
 }
 
-fn run() -> Result<(), String> {
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
+pub fn run(args: &[String]) -> ExitCode {
+    super::exit_code("perf_report", report(args.to_vec()))
+}
+
+fn report(mut args: Vec<String>) -> Result<(), String> {
     let top = take_top(&mut args)?;
     match args.first().map(String::as_str) {
         Some("diff") if args.len() == 3 => {
-            let before = load(&args[1])?;
-            let after = load(&args[2])?;
+            let before = super::load_report(&args[1])?;
+            let after = super::load_report(&args[2])?;
             let d = attr::diff(&before, &after).map_err(|e| format!("diff: {e}"))?;
             print!("{}", attr::render_diff(&d, top));
             if d.is_exact() {
@@ -66,7 +61,7 @@ fn run() -> Result<(), String> {
             }
         }
         Some(path) if !path.starts_with('-') && args.len() <= 2 => {
-            let report = load(path)?;
+            let report = super::load_report(path)?;
             let points = attr::collect_points(&report).map_err(|e| format!("{path}: {e}"))?;
             match args.get(1).map(String::as_str) {
                 None => print!("{}", attr::render_trees(&points)),
@@ -78,19 +73,9 @@ fn run() -> Result<(), String> {
             Ok(())
         }
         _ => Err(
-            "usage: perf_report <report> [--roofline|--csv|--json] [--top N] \
+            "usage: sc-bench perf_report <report> [--roofline|--csv|--json] [--top N] \
              | diff <before> <after> [--top N]"
                 .into(),
         ),
-    }
-}
-
-fn main() -> ExitCode {
-    match run() {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("perf_report: {e}");
-            ExitCode::FAILURE
-        }
     }
 }

@@ -24,11 +24,11 @@
 //! `sc_bench::registry`. The validator asserts the cache-accounting
 //! invariants, that prefetch-off points carry zero prefetch activity,
 //! the accuracy bounds (`prefetch_hits ≤ prefetches_issued`), and the
-//! ≥ 20 % acceptance point. Machine-readable results land in
-//! `target/reports/prefetch_ablation.json`, gated in CI against
-//! `baselines/prefetch_ablation.json`.
+//! ≥ 20 % acceptance point.
 //!
-//! Run with `cargo run --release -p sc-bench --bin prefetch_ablation`.
+//! Run with `cargo run --release -p sc-bench -- prefetch_ablation`.
+
+use std::process::ExitCode;
 
 use sc_bench::registry::{Fit, PointRun, Sweep};
 use sc_bench::{json, parallel_sweep, Json};
@@ -52,6 +52,7 @@ fn prefetch(p: &PointRun) -> Option<(u32, u32)> {
 fn point_json(p: &PointRun) -> Json {
     let s = p.system();
     let l2 = s.l2.as_ref().expect("shared memory attached");
+    let (degree, distance) = prefetch(p).unwrap_or((0, 0));
     let j = Json::obj()
         .set("id", p.spec.id.as_str())
         .set("clusters", p.spec.clusters)
@@ -60,14 +61,8 @@ fn point_json(p: &PointRun) -> Json {
         .set("channels", p.spec.l2.cache.channels)
         .set("chaining", p.spec.chaining)
         .set("prefetch", prefetch(p).is_some())
-        .set(
-            "prefetch_degree",
-            prefetch(p).map_or(0, |(d, _)| u64::from(d)),
-        )
-        .set(
-            "prefetch_distance",
-            prefetch(p).map_or(0, |(_, d)| u64::from(d)),
-        )
+        .set("prefetch_degree", degree)
+        .set("prefetch_distance", distance)
         .set("cycles_to_last_core_done", s.cycles)
         .set("tcdm_conflicts", s.aggregate.tcdm_conflicts)
         // Flat traffic/prefetch counts (pinned by the perf gate).
@@ -155,7 +150,7 @@ fn acceptance_pair(points: &[PointRun], chaining: bool) -> (&PointRun, &PointRun
     (on, prefetch_off(points, on))
 }
 
-fn main() {
+pub fn run(_args: &[String]) -> ExitCode {
     let specs = Sweep::PrefetchAblation.points();
     let (grid, cores) = (specs[0].grid, specs[0].cores);
     println!(
@@ -210,13 +205,7 @@ fn main() {
     println!("\n{} config points in {wall:.2?} wall", results.len());
     validate(&results);
 
-    let mut report = Json::obj()
-        .set("sweep", "prefetch_ablation")
-        .set("stencil", "box3d1r")
-        .set(
-            "grid",
-            vec![u64::from(grid.nx), u64::from(grid.ny), u64::from(grid.nz)],
-        )
+    let mut report = super::sweep_report(Sweep::PrefetchAblation, grid)
         .set("cores", cores)
         .set("tcdm_cap_bytes", TCDM_CAP_BYTES)
         .set("wall_seconds", wall.as_secs_f64());
@@ -228,11 +217,7 @@ fn main() {
         );
         report = report.set(&key, off.system().cycles as f64 / on.system().cycles as f64);
     }
-    report = report.set(
-        "points",
-        Json::Arr(results.iter().map(point_json).collect()),
-    );
-    json::emit_report(&report);
+    super::emit_with_array(report, "points", results.iter().map(point_json));
 
     println!();
     println!("At one refill channel the cold-tile misses serialise: the channel");
@@ -240,4 +225,5 @@ fn main() {
     println!("hints let the L2 fill those windows — a free ≥20% on the under-fit");
     println!("single-cluster point — while two clusters bursting over the same");
     println!("channel stay bandwidth-bound: prefetching cannot add bandwidth.");
+    ExitCode::SUCCESS
 }

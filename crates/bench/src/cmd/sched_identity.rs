@@ -19,13 +19,14 @@
 //! be equal as whole structs; any divergence panics with the offending
 //! point's `<sweep>/<baseline id>`. The comparison also re-verifies the
 //! top-down attribution's partition invariant (`sum(leaves) == cycles`,
-//! per hart and per padded roll-up) on every point. Machine-readable
-//! results land in `target/reports/sched_identity.json`.
+//! per hart and per padded roll-up) on every point.
 //!
-//! Run with `cargo run --release -p sc-bench --bin sched_identity`.
+//! Run with `cargo run --release -p sc-bench -- sched_identity`.
+
+use std::process::ExitCode;
 
 use sc_bench::registry::{self, Level};
-use sc_bench::{json, parallel_sweep, Json};
+use sc_bench::{parallel_sweep, Json};
 use sc_cluster::ClusterSummary;
 use sc_system::SystemSummary;
 
@@ -63,13 +64,7 @@ fn assert_system_identical(id: &str, dense: &SystemSummary, event: &SystemSummar
         .unwrap_or_else(|e| panic!("{id}: system roll-up: {e}"));
 }
 
-/// The per-point verdict the sweep reports after the comparison passed.
-struct Verdict {
-    id: String,
-    cycles: u64,
-}
-
-fn main() {
+pub fn run(_args: &[String]) -> ExitCode {
     let points: Vec<_> = registry::all_points()
         .into_iter()
         .filter(|spec| spec.level == Level::System)
@@ -79,6 +74,7 @@ fn main() {
     println!("=== {} config points x 2 modes ===\n", points.len());
 
     let total = points.len();
+    // Each point's id and cycle count, once dense and event agree.
     let (verdicts, wall) = parallel_sweep(points, |spec| {
         let id = spec.full_id();
         let dense = spec.run();
@@ -86,24 +82,11 @@ fn main() {
             .run_event()
             .expect("system-level points have an event run");
         assert_system_identical(&id, dense.system(), event.system());
-        Verdict {
-            id,
-            cycles: dense.system().cycles,
-        }
+        (id, dense.system().cycles)
     });
     assert_eq!(verdicts.len(), total);
 
-    let mut by_sweep: Vec<(&str, usize)> = Vec::new();
-    for v in &verdicts {
-        let sweep = v.id.split('/').next().unwrap_or("?");
-        match by_sweep.iter_mut().find(|(s, _)| *s == sweep) {
-            Some((_, n)) => *n += 1,
-            None => by_sweep.push((sweep, 1)),
-        }
-    }
-    for (sweep, n) in &by_sweep {
-        println!("{sweep:>20}: {n} points identical");
-    }
+    super::print_by_sweep(verdicts.iter().map(|(id, _)| id.as_str()), "identical");
     println!("\nall {total} system-level baseline points: event == dense");
     println!("{total} config points in {wall:.2?} wall");
 
@@ -112,15 +95,13 @@ fn main() {
         .set("points", total as u64)
         .set("all_identical", true)
         .set("attribution_verified", true)
-        .set("wall_seconds", wall.as_secs_f64())
-        .set(
-            "cycles_by_point",
-            Json::Arr(
-                verdicts
-                    .iter()
-                    .map(|v| Json::obj().set("id", v.id.as_str()).set("cycles", v.cycles))
-                    .collect(),
-            ),
-        );
-    json::emit_report(&report);
+        .set("wall_seconds", wall.as_secs_f64());
+    super::emit_with_array(
+        report,
+        "cycles_by_point",
+        verdicts
+            .iter()
+            .map(|(id, cycles)| Json::obj().set("id", id.as_str()).set("cycles", *cycles)),
+    );
+    ExitCode::SUCCESS
 }

@@ -22,15 +22,24 @@
 //! tiled configuration — the scale-out acceptance criterion.
 //!
 //! The config points are `Sweep::SystemScaling` in `sc_bench::registry`.
-//! Machine-readable results (consumed by the CI perf gate, see
-//! `baselines/system_scaling.json`) land in
-//! `target/reports/system_scaling.json`.
 //!
-//! Run with `cargo run --release -p sc-bench --bin system_scaling`.
+//! Run with `cargo run --release -p sc-bench -- system_scaling`.
 
-use sc_bench::registry::{PointRun, PointSpec, Sweep};
+use std::process::ExitCode;
+
+use sc_bench::registry::{PointRun, Sweep};
 use sc_bench::{json, parallel_sweep, Json};
 use sc_kernels::TCDM_CAP_BYTES;
+use sc_system::SystemSummary;
+
+/// The highest compute–transfer overlap fraction of any cluster's engine.
+fn max_overlap(s: &SystemSummary) -> f64 {
+    s.per_cluster
+        .iter()
+        .filter_map(|c| c.dma.as_ref())
+        .map(|d| d.overlap_fraction())
+        .fold(0.0f64, f64::max)
+}
 
 fn point_json(p: &PointRun) -> Json {
     let s = p.system();
@@ -62,33 +71,24 @@ fn point_json(p: &PointRun) -> Json {
         .set("attribution", json::system_attribution_json(s));
     j = json::with_l2_json(j, s);
     if p.spec.tiled {
-        let dma_beats = s.total_dma_beats();
-        let overlaps: Vec<f64> = s
+        let dmas: Vec<_> = s
             .per_cluster
             .iter()
             .filter_map(|c| c.dma.as_ref())
-            .map(|d| d.overlap_fraction())
             .collect();
-        let l2_wait: u64 = s
-            .per_cluster
+        let overlaps: Vec<f64> = dmas.iter().map(|d| d.overlap_fraction()).collect();
+        let exposed: Vec<u64> = dmas
             .iter()
-            .filter_map(|c| c.dma.as_ref())
-            .map(|d| d.stats.l2_wait_cycles)
-            .sum();
-        let exposed: Vec<u64> = s
-            .per_cluster
-            .iter()
-            .filter_map(|c| c.dma.as_ref())
             .map(|d| d.transfer_attribution().exposed_cycles())
             .collect();
-        let max_overlap = overlaps.iter().copied().fold(0.0f64, f64::max);
+        let l2_wait: u64 = dmas.iter().map(|d| d.stats.l2_wait_cycles).sum();
         j = j.set(
             "dma",
             Json::obj()
-                .set("beats", dma_beats)
+                .set("beats", s.total_dma_beats())
                 .set("l2_wait_cycles", l2_wait)
                 .set("exposed_cycles", exposed.iter().sum::<u64>())
-                .set("overlap_fraction", max_overlap)
+                .set("overlap_fraction", max_overlap(s))
                 .set("overlap_by_cluster", overlaps)
                 .set("exposed_by_cluster", exposed),
         );
@@ -141,7 +141,7 @@ fn validate(points: &[PointRun]) {
     );
 }
 
-fn main() {
+pub fn run(_args: &[String]) -> ExitCode {
     let specs = Sweep::SystemScaling.points();
     let grid = specs[0].grid;
     println!(
@@ -153,42 +153,19 @@ fn main() {
     let (results, wall) = parallel_sweep(specs, |s| s.run());
     validate(&results);
 
-    println!(
-        "{:>9} {:>6} {:>10} {:>10} {:>10} {:>9} {:>8} {:>9} {:>11} {:>8}",
-        "clusters",
-        "cores",
-        "variant",
-        "memory",
-        "cycles",
-        "speedup",
-        "util",
-        "l2-conf",
-        "refills",
-        "overlap"
-    );
+    println!(" clusters  cores    variant     memory     cycles   speedup     util   l2-conf     refills  overlap");
     let cycles = |clusters: u32, cores: u32, chaining: bool, tiled: bool| {
+        let key = (clusters, cores, chaining, tiled);
         results
             .iter()
-            .find(|p| {
-                let s = &p.spec;
-                s.clusters == clusters
-                    && s.cores == cores
-                    && s.chaining == chaining
-                    && s.tiled == tiled
-            })
+            .find(|p| (p.spec.clusters, p.spec.cores, p.spec.chaining, p.spec.tiled) == key)
             .map_or(0, |p| p.system().cycles)
     };
     for p in &results {
         let (s, summary) = (&p.spec, p.system());
         let speedup = cycles(1, s.cores, s.chaining, s.tiled) as f64 / summary.cycles as f64;
         let overlap = if s.tiled {
-            let max = summary
-                .per_cluster
-                .iter()
-                .filter_map(|c| c.dma.as_ref())
-                .map(|d| d.overlap_fraction())
-                .fold(0.0f64, f64::max);
-            format!("{:.0}%", max * 100.0)
+            format!("{:.0}%", max_overlap(summary) * 100.0)
         } else {
             "-".to_owned()
         };
@@ -213,13 +190,7 @@ fn main() {
 
     println!("\n{} config points in {wall:.2?} wall", results.len());
 
-    let mut report = Json::obj()
-        .set("sweep", "system_scaling")
-        .set("stencil", "box3d1r")
-        .set(
-            "grid",
-            vec![u64::from(grid.nx), u64::from(grid.ny), u64::from(grid.nz)],
-        )
+    let mut report = super::sweep_report(Sweep::SystemScaling, grid)
         .set("tcdm_cap_bytes", u64::from(TCDM_CAP_BYTES))
         // Both regimes verified bit-exactly against the same golden
         // model inside their run() paths.
@@ -227,14 +198,8 @@ fn main() {
         .set("wall_seconds", wall.as_secs_f64());
     // Multi-cluster scaling per (cores, regime), chaining on — gated in
     // CI against baselines/system_scaling.json.
-    let distinct = |knob: fn(&PointSpec) -> u32| {
-        let mut values: Vec<u32> = results.iter().map(|p| knob(&p.spec)).collect();
-        values.sort_unstable();
-        values.dedup();
-        values
-    };
-    let cluster_counts = distinct(|s| s.clusters);
-    for cores in distinct(|s| s.cores) {
+    let cluster_counts = super::distinct(results.iter().map(|p| p.spec.clusters));
+    for cores in super::distinct(results.iter().map(|p| p.spec.cores)) {
         for tiled in [false, true] {
             let one = cycles(1, cores, true, tiled);
             for &m in cluster_counts.iter().filter(|&&m| m > 1) {
@@ -249,15 +214,12 @@ fn main() {
             }
         }
     }
-    report = report.set(
-        "points",
-        Json::Arr(results.iter().map(point_json).collect()),
-    );
-    json::emit_report(&report);
+    super::emit_with_array(report, "points", results.iter().map(point_json));
 
     println!();
     println!("Scaling out multiplies DMA engines but not the L2: clusters'");
     println!("beats now contend for shared banks and the single refill");
     println!("channel, so the tiled speedup at 4 clusters measures how much");
     println!("of the paper's chaining benefit survives the real memory wall.");
+    ExitCode::SUCCESS
 }

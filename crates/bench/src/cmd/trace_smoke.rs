@@ -10,7 +10,9 @@
 //! a schema break or a tracing-dependent result divergence fails fast
 //! on a sub-second run.
 //!
-//! Run with `cargo run --release -p sc-bench --bin trace_smoke`.
+//! Run with `cargo run --release -p sc-bench -- trace_smoke`.
+
+use std::process::ExitCode;
 
 use sc_bench::Json;
 use sc_core::{CoreConfig, SchedMode};
@@ -22,7 +24,7 @@ const CLUSTERS: u32 = 2;
 const CORES: u32 = 2;
 const MAX_CYCLES: u64 = 100_000_000;
 
-fn main() {
+pub fn run(_args: &[String]) -> ExitCode {
     let grid = Grid3::new(8, 8, 8);
     let gen = StencilKernel::new(Stencil::box3d1r(), grid, Variant::ChainingPlus)
         .expect("valid combination");
@@ -90,6 +92,7 @@ fn main() {
     // tracer is the zero-cost path every production run takes.
     let off = Tracer::off();
     assert!(!off.is_on(), "Tracer::off() must report off");
+    ExitCode::SUCCESS
 }
 
 /// Round-trips the emitted JSON through the bench parser and asserts
@@ -101,40 +104,29 @@ fn validate_perfetto(json: &str) {
         .and_then(Json::items)
         .expect("trace must carry a traceEvents array");
     assert!(!events.is_empty(), "traceEvents must be non-empty");
-    let mut metadata = 0usize;
-    let mut complete = 0usize;
-    let mut counters = 0usize;
+    let (mut metadata, mut complete, mut counters) = (0usize, 0usize, 0usize);
     for (i, e) in events.iter().enumerate() {
-        let ph = e
-            .get("ph")
-            .and_then(Json::as_str)
-            .unwrap_or_else(|| panic!("traceEvents[{i}] has no ph"));
-        assert!(
-            e.get("pid").and_then(Json::as_f64).is_some(),
-            "traceEvents[{i}] has no pid"
-        );
-        match ph {
-            "M" => metadata += 1,
-            "X" => {
+        let has_number = |key| e.get(key).and_then(Json::as_f64).is_some();
+        assert!(has_number("pid"), "traceEvents[{i}] has no pid");
+        match e.get("ph").and_then(Json::as_str) {
+            None => panic!("traceEvents[{i}] has no ph"),
+            Some("M") => metadata += 1,
+            Some("X") => {
                 assert!(
-                    e.get("ts").and_then(Json::as_f64).is_some()
-                        && e.get("dur").and_then(Json::as_f64).is_some(),
+                    has_number("ts") && has_number("dur"),
                     "complete event traceEvents[{i}] needs ts and dur"
                 );
                 complete += 1;
             }
-            "i" => assert!(
-                e.get("ts").and_then(Json::as_f64).is_some(),
-                "instant traceEvents[{i}] needs ts"
-            ),
-            "C" => {
+            Some("i") => assert!(has_number("ts"), "instant traceEvents[{i}] needs ts"),
+            Some("C") => {
                 assert!(
-                    e.get("ts").and_then(Json::as_f64).is_some() && e.get("args").is_some(),
+                    has_number("ts") && e.get("args").is_some(),
                     "counter traceEvents[{i}] needs ts and args"
                 );
                 counters += 1;
             }
-            other => panic!("traceEvents[{i}] has unexpected ph {other:?}"),
+            Some(other) => panic!("traceEvents[{i}] has unexpected ph {other:?}"),
         }
     }
     assert!(metadata > 0, "process/thread name metadata must be present");

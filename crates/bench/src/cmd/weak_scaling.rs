@@ -19,10 +19,11 @@
 //! The validator asserts the shared L2's cache accounting on every
 //! tiled point, that every efficiency lies in (0, 1.1] and that the
 //! multi-channel tiled regime meets an efficiency **floor** at the
-//! widest point. `efficiency_*` ratios are pinned by the CI perf gate
-//! against `baselines/weak_scaling.json`.
+//! widest point. The perf gate pins the `efficiency_*` ratios.
 //!
-//! Run with `cargo run --release -p sc-bench --bin weak_scaling`.
+//! Run with `cargo run --release -p sc-bench -- weak_scaling`.
+
+use std::process::ExitCode;
 
 use sc_bench::registry::{PointRun, Sweep};
 use sc_bench::{json, parallel_sweep, Json};
@@ -95,7 +96,7 @@ fn point_json(points: &[PointRun], p: &PointRun) -> Json {
     json::with_l2_json(j, s)
 }
 
-fn main() {
+pub fn run(_args: &[String]) -> ExitCode {
     let specs = Sweep::WeakScaling.points();
     let planes_per_cluster = specs[0].grid.nz / specs[0].clusters;
     let cores = specs[0].cores;
@@ -127,7 +128,7 @@ fn main() {
     println!("\n{} config points in {wall:.2?} wall", results.len());
 
     let mut report = Json::obj()
-        .set("sweep", "weak_scaling")
+        .set("sweep", Sweep::WeakScaling.name())
         .set("stencil", "box3d1r")
         .set("planes_per_cluster", planes_per_cluster)
         .set("cores_per_cluster", cores)
@@ -146,15 +147,13 @@ fn main() {
             report = report.set(&key, efficiency(&results, p));
         }
     }
-    report = report.set(
-        "points",
-        Json::Arr(results.iter().map(|p| point_json(&results, p)).collect()),
-    );
-    json::emit_report(&report);
+    let points = results.iter().map(|p| point_json(&results, p));
+    super::emit_with_array(report, "points", points);
 
     println!();
     println!("Perfect weak scaling is flat cycles: each cluster brings its own");
     println!("cores, TCDM and DMA engine, so the only thing that can bend the");
     println!("curve is the shared L2 — and the single refill channel does,");
     println!("until parallel channels (or warm lines) restore the efficiency.");
+    ExitCode::SUCCESS
 }

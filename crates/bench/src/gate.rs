@@ -2,7 +2,7 @@
 //!
 //! A checked-in baseline file records key metrics of the bench reports
 //! (cycle counts, conflict and traffic counts, chaining speedups); the
-//! `perf_gate` binary diffs fresh reports against it and fails CI on
+//! `perf_gate` command diffs fresh reports against it and fails CI on
 //! any drift, in *either* direction.
 //!
 //! The simulator is fully deterministic, so pins are exact: a report

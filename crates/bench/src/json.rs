@@ -639,7 +639,7 @@ impl<T: Into<Json> + Clone> From<&[T]> for Json {
 /// <path>`. The report's first key names the file: `"sweep": "<name>"`
 /// writes `<name>.json`, `"bench": "<name>"` (a host wall-clock figure)
 /// writes `BENCH_<name>.json`. A failed write exits the process with
-/// status 1, so no binary reports success without its report.
+/// status 1, so no command reports success without its report.
 ///
 /// # Panics
 ///

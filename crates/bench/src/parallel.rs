@@ -1,4 +1,4 @@
-//! Host-thread parallelism for sweep binaries.
+//! Host-thread parallelism for the sweep commands.
 //!
 //! Simulation config points are independent, so ablation and scaling
 //! sweeps fan them out over a bounded pool of scoped worker threads, at

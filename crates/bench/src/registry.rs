@@ -13,7 +13,7 @@
 //! | `prefetch_ablation` | 80 | 1/2 clusters × over/under-fit × channels {1,4} × chaining × prefetch {off, 4 degree/distance pairs} |
 //!
 //! Every consumer iterates this registry instead of rebuilding the grid:
-//! the five sweep binaries (which add only report formatting, validators
+//! the five sweep commands (which add only report formatting, validators
 //! and acceptance checks), `sched_identity` (event ≡ dense on every
 //! system-level point) and `lint_sweep` (every generated program
 //! lint-clean). Each [`PointSpec`] carries the id its sweep's
@@ -61,8 +61,8 @@ impl Sweep {
         Sweep::PrefetchAblation,
     ];
 
-    /// The sweep's name: its binary, its report (`<name>.json`) and its
-    /// baseline file.
+    /// The sweep's name: its `sc-bench` command, its report
+    /// (`<name>.json`) and its baseline file.
     #[must_use]
     pub fn name(self) -> &'static str {
         match self {

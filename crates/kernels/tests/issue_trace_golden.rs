@@ -6,8 +6,8 @@
 //! change to how the issue stage hands back what it issued must leave
 //! every rendered row unchanged. Two programs are pinned:
 //!
-//! * the three Fig. 1 `VecOpVariant`s, built and run as the `fig1_trace`
-//!   binary builds them (whole traces, not just its display window);
+//! * the three Fig. 1 `VecOpVariant`s, built and run as `sc-bench
+//!   fig1_trace` builds them (whole traces, not just its display window);
 //! * a hand-built program with staggered `frep.o` and `frep.i` loops, so
 //!   the FP slot shows renamed instructions issued from the sequence
 //!   buffer and from inner repetition.

@@ -10,7 +10,7 @@
 //! per-hart issue/stall states, DMA bursts, L2 refill and write-back
 //! channel occupancy.
 //! For the full Fig. 3 (both stencils, paper-style summary) use
-//! `cargo run --release -p sc-bench --bin fig3`.
+//! `cargo run --release -p sc-bench -- fig3`.
 
 use scalar_chaining::core_model::SchedMode;
 use scalar_chaining::mem::{DramConfig, L2Config};
@@ -135,7 +135,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         " * MSHRs: {} allocations, {} same-line merges, peak occupancy {}.",
         c.mshr_allocations, c.mshr_merges, c.mshr_peak
     );
-    println!("Sweep these knobs with `cargo run --release -p sc-bench --bin l2_ablation`.");
+    println!("Sweep these knobs with `cargo run --release -p sc-bench -- l2_ablation`.");
     if let Some(path) = trace_path {
         std::fs::write(&path, session.perfetto_json())?;
         println!(

@@ -38,8 +38,8 @@
 //! # Ok::<(), KernelError>(())
 //! ```
 //!
-//! See `examples/` for runnable walkthroughs and `crates/bench/src/bin/`
-//! for the per-figure experiment binaries.
+//! See `examples/` for runnable walkthroughs and `crates/bench/src/cmd/`
+//! for the per-figure experiment commands of the `sc-bench` binary.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
