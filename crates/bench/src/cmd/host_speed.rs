@@ -5,9 +5,9 @@
 //! and statistics (pinned by `sched_identity` and the kernel proptests).
 //! This bench measures what the skip machinery buys on an **idle-heavy**
 //! workload: the weak-scaling tiled stencil point (box3d1r, 16×16×8
-//! planes, 4 cores) rebuilt with
+//! planes, 4 cores) with
 //!
-//! * **parked completion waits** ([`WaitStyle::Park`] — a waiting hart
+//! * **parked completion waits** (every tiled kernel's: a waiting hart
 //!   retires nothing, so the wait is a skippable window rather than a
 //!   busy poll loop), and
 //! * a **slow background memory** (32768-cycle transfer latency through a
@@ -35,7 +35,7 @@ use std::time::Instant;
 
 use sc_bench::{json, Json};
 use sc_core::{CoreConfig, SchedMode};
-use sc_kernels::{Grid3, Stencil, StencilKernel, TiledSystemKernel, Variant, WaitStyle};
+use sc_kernels::{Grid3, Stencil, StencilKernel, TiledSystemKernel, Variant};
 use sc_mem::{DramConfig, L2Config};
 
 const CORES: u32 = 4;
@@ -64,7 +64,7 @@ fn kernel() -> TiledSystemKernel {
         Variant::ChainingPlus,
     )
     .expect("valid combination")
-    .build_system_tiled_with(1, CORES, TCDM_CAP, WaitStyle::Park)
+    .build_system_tiled(1, CORES, TCDM_CAP)
     .expect("grid tiles within the cap")
 }
 

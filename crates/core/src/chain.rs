@@ -24,12 +24,9 @@ use std::fmt;
 
 use sc_isa::FpReg;
 
-/// Error conditions surfaced by strict-mode chaining checks.
+/// Error conditions surfaced by the chaining-CSR checks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ChainError {
-    /// The chaining CSR was written but the core was built without the
-    /// extension ([`crate::CoreConfig::chaining_enabled`] = false).
-    ExtensionAbsent,
     /// Chaining was disabled on a register that still had in-flight
     /// producers; their later pushes would silently become plain writes.
     DisableWithInflight {
@@ -43,9 +40,6 @@ pub enum ChainError {
 impl fmt::Display for ChainError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match *self {
-            ChainError::ExtensionAbsent => {
-                write!(f, "chaining CSR written but the extension is not present")
-            }
             ChainError::DisableWithInflight { reg, inflight } => write!(
                 f,
                 "chaining disabled on {reg} with {inflight} in-flight producer(s)"
@@ -103,21 +97,16 @@ impl ChainUnit {
     /// plain register — the idiom the paper's Fig. 1c epilogue uses.
     ///
     /// `inflight` reports, per register index, how many producers are
-    /// still in the FU pipelines; strict mode rejects disabling a register
-    /// that still has some.
+    /// still in the FU pipelines; disabling a register that still has
+    /// some is rejected.
     ///
     /// # Errors
     ///
-    /// In strict mode, returns [`ChainError::DisableWithInflight`] when a
-    /// disabled register still has in-flight producers.
-    pub fn set_mask(
-        &mut self,
-        new_mask: u32,
-        inflight: &[u32; 32],
-        strict: bool,
-    ) -> Result<(), ChainError> {
+    /// [`ChainError::DisableWithInflight`] when a disabled register still
+    /// has in-flight producers.
+    pub fn set_mask(&mut self, new_mask: u32, inflight: &[u32; 32]) -> Result<(), ChainError> {
         let disabled = self.mask & !new_mask;
-        if strict && disabled != 0 {
+        if disabled != 0 {
             for idx in 0..32u8 {
                 if disabled & (1 << idx) != 0 && inflight[idx as usize] > 0 {
                     return Err(ChainError::DisableWithInflight {
@@ -193,7 +182,7 @@ mod tests {
     #[test]
     fn paper_mask_example_enables_ft3() {
         let mut u = ChainUnit::new();
-        u.set_mask(8, &NO_INFLIGHT, true).unwrap();
+        u.set_mask(8, &NO_INFLIGHT).unwrap();
         assert!(u.is_chained(FpReg::FT3));
         assert!(!u.is_chained(FpReg::new(4)));
     }
@@ -201,7 +190,7 @@ mod tests {
     #[test]
     fn push_pop_cycle() {
         let mut u = ChainUnit::new();
-        u.set_mask(FpReg::FT3.chain_mask_bit(), &NO_INFLIGHT, true)
+        u.set_mask(FpReg::FT3.chain_mask_bit(), &NO_INFLIGHT)
             .unwrap();
         assert!(
             !u.can_pop(FpReg::FT3),
@@ -222,7 +211,7 @@ mod tests {
     #[should_panic(expected = "pop of empty chained register")]
     fn pop_empty_panics() {
         let mut u = ChainUnit::new();
-        u.set_mask(8, &NO_INFLIGHT, true).unwrap();
+        u.set_mask(8, &NO_INFLIGHT).unwrap();
         u.pop(FpReg::FT3);
     }
 
@@ -230,7 +219,7 @@ mod tests {
     #[should_panic(expected = "unconsumed chained register")]
     fn push_full_panics() {
         let mut u = ChainUnit::new();
-        u.set_mask(8, &NO_INFLIGHT, true).unwrap();
+        u.set_mask(8, &NO_INFLIGHT).unwrap();
         u.push(FpReg::FT3);
         u.push(FpReg::FT3);
     }
@@ -238,21 +227,21 @@ mod tests {
     #[test]
     fn enable_clears_stale_valid() {
         let mut u = ChainUnit::new();
-        u.set_mask(8, &NO_INFLIGHT, true).unwrap();
+        u.set_mask(8, &NO_INFLIGHT).unwrap();
         u.push(FpReg::FT3);
         // Disable then re-enable: the FIFO must restart empty.
-        u.set_mask(0, &NO_INFLIGHT, true).unwrap();
-        u.set_mask(8, &NO_INFLIGHT, true).unwrap();
+        u.set_mask(0, &NO_INFLIGHT).unwrap();
+        u.set_mask(8, &NO_INFLIGHT).unwrap();
         assert!(!u.can_pop(FpReg::FT3));
     }
 
     #[test]
     fn strict_disable_with_inflight_is_error() {
         let mut u = ChainUnit::new();
-        u.set_mask(8, &NO_INFLIGHT, true).unwrap();
+        u.set_mask(8, &NO_INFLIGHT).unwrap();
         let mut inflight = NO_INFLIGHT;
         inflight[3] = 2;
-        let err = u.set_mask(0, &inflight, true).unwrap_err();
+        let err = u.set_mask(0, &inflight).unwrap_err();
         assert_eq!(
             err,
             ChainError::DisableWithInflight {
@@ -260,9 +249,7 @@ mod tests {
                 inflight: 2
             }
         );
-        // Lenient mode allows it.
-        u.set_mask(0, &inflight, false).unwrap();
-        assert_eq!(u.mask(), 0);
+        assert_eq!(u.mask(), 8, "a refused write leaves the mask unchanged");
     }
 
     #[test]

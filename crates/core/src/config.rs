@@ -31,14 +31,9 @@ pub struct CoreConfig {
     /// Maximum FREP body size the sequencer can buffer.
     pub sequence_buffer_depth: usize,
     /// Whether the chaining extension hardware is present. When false,
-    /// writes to the chaining CSR (0x7C3) are errors in strict mode and
-    /// ignored otherwise — the ablation baseline core.
+    /// a non-zero write to the chaining CSR (0x7C3) is an error — the
+    /// ablation baseline core.
     pub chaining_enabled: bool,
-    /// Strict mode: software errors (re-arming active streams, disabling a
-    /// chained register with in-flight producers, pops of never-written
-    /// chained registers) abort the simulation with a descriptive error
-    /// instead of proceeding with undefined data.
-    pub strict: bool,
     /// Extra cycles charged for a taken branch (pipeline refill).
     pub branch_taken_penalty: u32,
     /// Capture a full per-cycle issue trace (costs memory; used by the
@@ -65,7 +60,6 @@ impl CoreConfig {
             offload_queue_depth: 8,
             sequence_buffer_depth: 16,
             chaining_enabled: true,
-            strict: true,
             branch_taken_penalty: 1,
             trace: false,
             chained_fifo_shift: true,
@@ -108,13 +102,6 @@ impl CoreConfig {
         self.trace = trace;
         self
     }
-
-    /// Sets strictness (see [`CoreConfig::strict`]).
-    #[must_use]
-    pub fn with_strict(mut self, strict: bool) -> Self {
-        self.strict = strict;
-        self
-    }
 }
 
 impl Default for CoreConfig {
@@ -133,17 +120,12 @@ mod tests {
         assert_eq!(c.fpu.addmul_latency, 3, "Snitch FPU depth");
         assert_eq!(c.num_ssrs, 3, "Snitch has three SSRs");
         assert!(c.chaining_enabled);
-        assert!(c.strict);
     }
 
     #[test]
     fn builders_compose() {
-        let c = CoreConfig::new()
-            .with_chaining(false)
-            .with_trace(true)
-            .with_strict(false);
+        let c = CoreConfig::new().with_chaining(false).with_trace(true);
         assert!(!c.chaining_enabled);
         assert!(c.trace);
-        assert!(!c.strict);
     }
 }

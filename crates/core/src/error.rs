@@ -1,6 +1,6 @@
 //! Simulation errors.
 //!
-//! Strict mode turns software bugs (stream misuse, chaining misuse) into
+//! The core turns software bugs (stream misuse, chaining misuse) into
 //! descriptive errors instead of undefined data — the model's equivalent
 //! of an RTL assertion.
 

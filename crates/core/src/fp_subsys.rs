@@ -219,16 +219,16 @@ impl FpSubsystem {
     ///
     /// # Errors
     ///
-    /// Strict mode: fails when the extension is absent or a disabled
-    /// register still has in-flight producers.
+    /// Fails when the extension is absent (a non-zero mask) or a
+    /// disabled register still has in-flight producers.
     pub fn set_chain_mask(&mut self, mask: u32) -> Result<(), SimError> {
         if !self.cfg.chaining_enabled {
-            if self.cfg.strict && mask != 0 {
+            if mask != 0 {
                 return Err(SimError::ChainingAbsent);
             }
             return Ok(());
         }
-        self.chain.set_mask(mask, &self.pending, self.cfg.strict)?;
+        self.chain.set_mask(mask, &self.pending)?;
         Ok(())
     }
 
@@ -674,7 +674,7 @@ impl FpSubsystem {
         self.ssr.advance();
     }
 
-    /// In-flight producer counts (diagnostics; drives strict checks).
+    /// In-flight producer counts (diagnostics; drives the chaining-CSR checks).
     #[must_use]
     pub fn pending_counts(&self) -> &[u32; 32] {
         &self.pending

@@ -682,7 +682,7 @@ impl Core {
     ///
     /// # Errors
     ///
-    /// Any [`SimError`]: strict-mode misuse, memory faults, `ebreak`.
+    /// Any [`SimError`]: software misuse, memory faults, `ebreak`.
     pub fn step(&mut self, tcdm: &mut Tcdm) -> Result<(), SimError> {
         self.begin_cycle()?;
         let mut requests = std::mem::take(&mut self.step_requests);
@@ -1408,7 +1408,7 @@ impl Core {
             if !m.is_done() {
                 // Write streams are still draining: keep waiting. Read
                 // streams with leftover elements are a software bug.
-                if self.cfg.strict && m.request().is_none() && m.can_pop() {
+                if m.request().is_none() && m.can_pop() {
                     return Err(SimError::EcallWithActiveStream { dm: m.index() });
                 }
                 return Ok(false);
@@ -1543,7 +1543,7 @@ impl Simulator {
     ///
     /// # Errors
     ///
-    /// Any [`SimError`]: strict-mode misuse, memory faults, `ebreak`,
+    /// Any [`SimError`]: software misuse, memory faults, `ebreak`,
     /// budget exhaustion.
     pub fn run(&mut self, max_cycles: u64) -> Result<RunSummary, SimError> {
         while !self.core.is_halted() {

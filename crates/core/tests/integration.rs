@@ -355,23 +355,6 @@ fn chaining_csr_on_extensionless_core_errors() {
 }
 
 #[test]
-fn lenient_core_ignores_chaining_csr() {
-    let mut b = ProgramBuilder::new();
-    b.li(T0, 8);
-    b.csrrs(IntReg::ZERO, csr::CHAIN_MASK, T0);
-    b.fadd_d(f(3), f(4), f(5));
-    b.ecall();
-    let mut sim = Simulator::new(
-        cfg().with_chaining(false).with_strict(false),
-        b.build().unwrap(),
-    );
-    sim.set_fp_reg(f(4), 1.0);
-    sim.set_fp_reg(f(5), 2.0);
-    sim.run(1_000).unwrap();
-    assert_eq!(sim.fp_reg(f(3)), 3.0);
-}
-
-#[test]
 fn trace_records_issue_slots() {
     let mut b = ProgramBuilder::new();
     b.fadd_d(f(3), f(4), f(5));
@@ -512,7 +495,7 @@ fn adjacent_duplicate_stream_source_pops_once() {
     }
     disable_ssr(&mut b);
     b.ecall();
-    let mut sim = Simulator::new(cfg().with_strict(true), b.build().unwrap());
+    let mut sim = Simulator::new(cfg(), b.build().unwrap());
     for k in 0..n {
         sim.tcdm_mut()
             .write_f64(0x1000 + 8 * k, f64::from(k + 1))
@@ -541,7 +524,7 @@ fn non_adjacent_duplicate_chained_source_pops_once() {
     b.fmadd_d(f(9), fc, f(5), fc); // 3 * 10 + 3
     b.csrrw(IntReg::ZERO, csr::CHAIN_MASK, IntReg::ZERO);
     b.ecall();
-    let mut sim = Simulator::new(cfg().with_strict(true), b.build().unwrap());
+    let mut sim = Simulator::new(cfg(), b.build().unwrap());
     sim.set_fp_reg(f(5), 10.0);
     sim.set_fp_reg(f(6), 0.5);
     sim.set_fp_reg(f(7), 1.5);

@@ -124,8 +124,36 @@ impl EnergyModel {
     /// Static energy over the snapshot's cycles, in picojoules.
     #[must_use]
     pub fn static_energy_pj(&self, c: &PerfCounters) -> f64 {
-        let seconds = c.cycles as f64 / self.frequency_hz;
-        self.static_mw * 1.0e-3 * seconds * 1.0e12
+        self.static_pj(c.cycles, 1)
+    }
+
+    /// Static energy of `cores` cores over `cycles`, in picojoules.
+    fn static_pj(&self, cycles: u64, cores: usize) -> f64 {
+        let seconds = cycles as f64 / self.frequency_hz;
+        self.static_mw * cores as f64 * 1.0e-3 * seconds * 1.0e12
+    }
+
+    /// The report of a region that did `flops` in `cycles` for the given
+    /// energies: runtime, power, throughput and efficiency derived, each
+    /// zero where it has no denominator.
+    fn derive(&self, cycles: u64, flops: u64, dynamic_pj: f64, static_pj: f64) -> EnergyReport {
+        let total_pj = dynamic_pj + static_pj;
+        let seconds = cycles as f64 / self.frequency_hz;
+        let per_second = |x: f64| if seconds > 0.0 { x / seconds } else { 0.0 };
+        EnergyReport {
+            cycles,
+            runtime_s: seconds,
+            dynamic_pj,
+            static_pj,
+            total_pj,
+            power_mw: per_second(total_pj * 1.0e-12) * 1.0e3,
+            gflops: per_second(flops as f64) / 1.0e9,
+            gflops_per_w: if total_pj > 0.0 {
+                flops as f64 / (total_pj * 1.0e-12) / 1.0e9
+            } else {
+                0.0
+            },
+        }
     }
 
     /// Energy/power report for a whole cluster: per-core dynamic energy
@@ -200,35 +228,19 @@ impl EnergyModel {
             .map(|c| self.dynamic_energy_pj(c))
             .sum::<f64>()
             + dma_pj;
-        let seconds = cluster_cycles as f64 / self.frequency_hz;
-        let static_pj = self.static_mw * per_core.len() as f64 * 1.0e-3 * seconds * 1.0e12;
-        let total_pj = dynamic_pj + static_pj;
+        let static_pj = self.static_pj(cluster_cycles, per_core.len());
         let flops: u64 = per_core.iter().map(|c| c.flops).sum();
-        let power_mw = if seconds > 0.0 {
-            total_pj * 1.0e-12 / seconds * 1.0e3
-        } else {
-            0.0
-        };
-        let gflops = if seconds > 0.0 {
-            flops as f64 / seconds / 1.0e9
-        } else {
-            0.0
-        };
-        let gflops_per_w = if total_pj > 0.0 {
-            flops as f64 / (total_pj * 1.0e-12) / 1.0e9
-        } else {
-            0.0
-        };
+        let r = self.derive(cluster_cycles, flops, dynamic_pj, static_pj);
         ClusterEnergyReport {
-            cycles: cluster_cycles,
-            runtime_s: seconds,
+            cycles: r.cycles,
+            runtime_s: r.runtime_s,
             dynamic_pj,
             static_pj,
             dma_pj,
-            total_pj,
-            power_mw,
-            gflops,
-            gflops_per_w,
+            total_pj: r.total_pj,
+            power_mw: r.power_mw,
+            gflops: r.gflops,
+            gflops_per_w: r.gflops_per_w,
             per_core: reports,
         }
     }
@@ -236,35 +248,12 @@ impl EnergyModel {
     /// Full energy report for a counter snapshot.
     #[must_use]
     pub fn report(&self, c: &PerfCounters) -> EnergyReport {
-        let dynamic_pj = self.dynamic_energy_pj(c);
-        let static_pj = self.static_energy_pj(c);
-        let total_pj = dynamic_pj + static_pj;
-        let seconds = c.cycles as f64 / self.frequency_hz;
-        let power_mw = if seconds > 0.0 {
-            total_pj * 1.0e-12 / seconds * 1.0e3
-        } else {
-            0.0
-        };
-        let gflops = if seconds > 0.0 {
-            c.flops as f64 / seconds / 1.0e9
-        } else {
-            0.0
-        };
-        let gflops_per_w = if total_pj > 0.0 {
-            c.flops as f64 / (total_pj * 1.0e-12) / 1.0e9
-        } else {
-            0.0
-        };
-        EnergyReport {
-            cycles: c.cycles,
-            runtime_s: seconds,
-            dynamic_pj,
-            static_pj,
-            total_pj,
-            power_mw,
-            gflops,
-            gflops_per_w,
-        }
+        self.derive(
+            c.cycles,
+            c.flops,
+            self.dynamic_energy_pj(c),
+            self.static_energy_pj(c),
+        )
     }
 }
 

@@ -24,7 +24,7 @@ use crate::kernel::{verify_f64_exact, CheckFn, Kernel, SetupFn};
 use crate::partition::split_ranges;
 use crate::stencil::Stencil;
 use crate::system_kernel::{SystemCheckFn, SystemKernel, SystemSetupFn, TiledSystemKernel};
-use crate::tiling::{self, TileError, WaitStyle};
+use crate::tiling::{self, align_up, TileError};
 use crate::variant::Variant;
 
 /// Memory placement of the kernel's arrays.
@@ -52,10 +52,6 @@ impl Layout {
             coeff_base,
         }
     }
-}
-
-fn align_up(v: u32, a: u32) -> u32 {
-    v.div_ceil(a) * a
 }
 
 /// Errors constructing a stencil kernel.
@@ -271,7 +267,6 @@ impl StencilKernel {
         &self,
         num_harts: u32,
         capacity: u32,
-        wait: WaitStyle,
         phase_marks: bool,
     ) -> Result<tiling::TilePlan, TileError> {
         assert!(num_harts >= 1, "a cluster has at least one hart");
@@ -300,9 +295,9 @@ impl StencilKernel {
             let in_bytes = tpp * (nzc + 2);
             let out_bytes = tpp * (nzc + 1);
             let in0 = bufs_base;
-            let in1 = tiling::align_up(in0 + in_bytes, 64);
-            let out0 = tiling::align_up(in1 + in_bytes, 64);
-            let out1 = tiling::align_up(out0 + out_bytes, 64);
+            let in1 = align_up(in0 + in_bytes, 64);
+            let out0 = align_up(in1 + in_bytes, 64);
+            let out1 = align_up(out0 + out_bytes, 64);
             ([in0, in1], [out0, out1], out1 + out_bytes)
         };
         // Prefer full-width z-slabs (largest plane count first); only
@@ -336,7 +331,7 @@ impl StencilKernel {
                     io.inputs.push(tiling::DmaXfer::contiguous(
                         self.layout.coeff_base,
                         coeff_base,
-                        tiling::align_up(8 * self.stencil.len() as u32, 8),
+                        align_up(8 * self.stencil.len() as u32, 8),
                         true,
                     ));
                 }
@@ -421,9 +416,9 @@ impl StencilKernel {
                     .map(|(h, &(sz0, snzc))| {
                         let mut b = ProgramBuilder::new();
                         if h == 0 {
-                            tiling::emit_tile_prologue(&mut b, enq, *wait_n, wait);
+                            tiling::emit_tile_prologue(&mut b, enq, *wait_n);
                         } else {
-                            tiling::emit_tile_prologue(&mut b, &[], 0, wait);
+                            tiling::emit_tile_prologue(&mut b, &[], 0);
                         }
                         // The mark sits *after* the data-ready barrier:
                         // tile 0's initial fetch wait stays in the
@@ -443,7 +438,6 @@ impl StencilKernel {
             num_harts,
             &sched.epilogue.0,
             sched.epilogue.1,
-            wait,
         ));
         Ok(tiling::TilePlan {
             tcdm: TcdmConfig::new().with_size(cap),
@@ -533,33 +527,10 @@ impl StencilKernel {
         harts_per_cluster: u32,
         capacity: u32,
     ) -> Result<TiledSystemKernel, TileError> {
-        self.build_system_tiled_with(num_clusters, harts_per_cluster, capacity, WaitStyle::Park)
+        self.build_system_tiled_impl(num_clusters, harts_per_cluster, capacity, false)
     }
 
-    /// [`StencilKernel::build_system_tiled`] with an explicit DMA
-    /// completion [`WaitStyle`] for every cluster's tile pipeline.
-    /// [`WaitStyle::Park`] is exactly `build_system_tiled`: the waiting
-    /// hart retires nothing. [`WaitStyle::Poll`] models the classic
-    /// spin loop instead. Results are bit-identical either way.
-    ///
-    /// # Errors
-    ///
-    /// See [`StencilKernel::build_system_tiled`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if either count is zero.
-    pub fn build_system_tiled_with(
-        &self,
-        num_clusters: u32,
-        harts_per_cluster: u32,
-        capacity: u32,
-        wait: WaitStyle,
-    ) -> Result<TiledSystemKernel, TileError> {
-        self.build_system_tiled_impl(num_clusters, harts_per_cluster, capacity, wait, false)
-    }
-
-    /// [`StencilKernel::build_system_tiled_with`] plus **kernel phase
+    /// [`StencilKernel::build_system_tiled`] plus **kernel phase
     /// markers**: every hart of every cluster opens each tile-loop
     /// iteration with a `PHASE_MARK` CSR write carrying the tile index,
     /// so the per-hart attribution can be segmented into prologue /
@@ -582,9 +553,8 @@ impl StencilKernel {
         num_clusters: u32,
         harts_per_cluster: u32,
         capacity: u32,
-        wait: WaitStyle,
     ) -> Result<TiledSystemKernel, TileError> {
-        self.build_system_tiled_impl(num_clusters, harts_per_cluster, capacity, wait, true)
+        self.build_system_tiled_impl(num_clusters, harts_per_cluster, capacity, true)
     }
 
     fn build_system_tiled_impl(
@@ -592,7 +562,6 @@ impl StencilKernel {
         num_clusters: u32,
         harts_per_cluster: u32,
         capacity: u32,
-        wait: WaitStyle,
         phase_marks: bool,
     ) -> Result<TiledSystemKernel, TileError> {
         assert!(num_clusters >= 1, "a system has at least one cluster");
@@ -628,7 +597,7 @@ impl StencilKernel {
                     coeff_base: self.layout.coeff_base,
                 },
             };
-            let plan = sub.plan_tiles(harts_per_cluster, capacity, wait, phase_marks)?;
+            let plan = sub.plan_tiles(harts_per_cluster, capacity, phase_marks)?;
             debug_assert!(
                 tcdm_cfg.is_none_or(|c| c == plan.tcdm),
                 "every cluster plans the same capacity-capped TCDM"

@@ -51,8 +51,8 @@ pub use system_kernel::{
     SystemCheckFn, SystemKernel, SystemKernelRun, SystemSetupFn, TiledSystemKernel, TiledSystemRun,
 };
 pub use tiling::{
-    DramCheckFn, DramSetupFn, TileError, WaitStyle, WorkingSet, L2_CAP_GRANULE_BYTES,
-    L2_SWEEP_MSHRS, TCDM_CAP_BYTES,
+    DramCheckFn, DramSetupFn, TileError, WorkingSet, L2_CAP_GRANULE_BYTES, L2_SWEEP_MSHRS,
+    TCDM_CAP_BYTES,
 };
 pub use variant::Variant;
 pub use vecop::{VecOpKernel, VecOpVariant};

@@ -14,12 +14,13 @@
 //! For tiles `0..T`, hart 0's program for tile `i` begins by ringing the
 //! DMA doorbell for (a) the write-back of tile `i-1`'s output and (b)
 //! the fetch of tile `i+1`'s input — both into the buffers the current
-//! tile does *not* touch — then polls the FIFO completion counter until
-//! tile `i`'s own input has landed, and finally rendezvouses with the
-//! other harts on the cluster barrier before any of them reads the
-//! buffer. Compute of tile `i` thus overlaps the engine's work on tiles
-//! `i±1`; the only exposed transfer time is tile 0's fetch and whatever
-//! the engine cannot hide behind compute. A short epilogue program
+//! tile does *not* touch — then parks on the blocking DMA-wait CSR until
+//! the FIFO completion counter shows tile `i`'s own input has landed,
+//! and finally rendezvouses with the other harts on the cluster barrier
+//! before any of them reads the buffer. Compute of tile `i` thus
+//! overlaps the engine's work on tiles `i±1`; the only exposed transfer
+//! time is tile 0's fetch and whatever the engine cannot hide behind
+//! compute. A short epilogue program
 //! writes back the last tile and drains the queue.
 //!
 //! Buffer-reuse safety falls out of FIFO completion order: waiting for
@@ -334,31 +335,6 @@ pub(crate) fn schedule(tiles: &[TileIo]) -> TileSchedule {
     }
 }
 
-/// How tile programs wait for DMA completions — the codegen choice
-/// between the classic busy-poll loop and the blocking [`csr::DMA_WAIT`]
-/// CSR.
-///
-/// Both styles synchronise on the same wrap-safe condition
-/// (`completed - target >= 0` as a signed distance) and produce
-/// bit-identical kernel results; they differ in what the waiting hart
-/// *does*: a polling hart retires a three-instruction loop every few
-/// cycles, a parked hart retires nothing. A parked hart's cycle is
-/// closed-form, and parked waits leave idle windows a system's
-/// event-driven loop can fast-forward globally — so parking is the
-/// default and the checked-in baselines exercise the widened skip
-/// surface; polling remains available for modelling the classic Snitch
-/// spin loop's retire traffic.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum WaitStyle {
-    /// Spin on [`csr::DMA_COMPLETED`] in a branch loop (the Snitch
-    /// idiom; the hart stays busy while it waits).
-    Poll,
-    /// Park on [`csr::DMA_WAIT`] (the hart retires nothing until the
-    /// engine reaches the target count).
-    #[default]
-    Park,
-}
-
 /// Integer scratch registers used by the DMA prologue; clobbered freely
 /// because every kernel program re-initialises its own registers after
 /// the data-ready barrier.
@@ -384,39 +360,20 @@ pub(crate) fn emit_transfer(b: &mut ProgramBuilder, x: &DmaXfer) {
     b.csrrwi(IntReg::ZERO, csr::DMA_START, u8::from(x.to_tcdm));
 }
 
-/// Emits a poll loop blocking until the engine's FIFO completion counter
-/// reaches `count`.
+/// Emits a blocking [`csr::DMA_WAIT`] write that parks the hart until
+/// the engine's FIFO completion counter reaches `count`. The hart
+/// retires nothing while it waits.
 ///
-/// The counter is a *wrapping* u32, so the loop compares the **wrapping
-/// distance** `count - completed` as a signed quantity and spins while
-/// it is positive. A raw ordered compare (`blt completed, count`) breaks
-/// twice on long runs: once when the count crosses `0x8000_0000`
-/// (completed reads as a huge positive, the target as negative — the
-/// poll falls through *before* the transfer landed) and again right
-/// after the wrap (completed reads negative — the poll hangs). Distance
-/// polling is exact as long as fewer than 2³¹ transfers are in flight,
-/// which the double-buffered pipeline guarantees by construction.
-pub(crate) fn emit_wait_completed(b: &mut ProgramBuilder, count: u32) {
+/// The counter is a *wrapping* u32, so the cluster releases the hart on
+/// the **wrapping distance** `completed - count` read as a signed
+/// quantity, not on a raw ordered compare. An ordered compare breaks
+/// twice on long runs: once when the count crosses `0x8000_0000`, and
+/// again right after the wrap. The distance test is exact as long as
+/// fewer than 2³¹ transfers are in flight, which the double-buffered
+/// pipeline guarantees by construction.
+pub(crate) fn emit_dma_wait(b: &mut ProgramBuilder, count: u32) {
     b.li(DT1, count as i32);
-    b.label("dma_wait");
-    b.csrrs(DT2, csr::DMA_COMPLETED, IntReg::ZERO);
-    b.sub(DT2, DT1, DT2);
-    b.blt(IntReg::ZERO, DT2, "dma_wait");
-}
-
-/// Emits a completion wait in the given style: the poll loop of
-/// [`emit_wait_completed`], or a single blocking [`csr::DMA_WAIT`] write
-/// that parks the hart until the engine's wrapping counter reaches
-/// `count` (same wrap-safe signed-distance condition, evaluated by the
-/// cluster instead of by retired compare instructions).
-pub(crate) fn emit_wait_styled(b: &mut ProgramBuilder, count: u32, style: WaitStyle) {
-    match style {
-        WaitStyle::Poll => emit_wait_completed(b, count),
-        WaitStyle::Park => {
-            b.li(DT1, count as i32);
-            b.csrrw(DT2, csr::DMA_WAIT, DT1);
-        }
-    }
+    b.csrrw(DT2, csr::DMA_WAIT, DT1);
 }
 
 /// Emits a `PHASE_MARK` CSR write carrying `value` (a tile index):
@@ -436,13 +393,12 @@ pub(crate) fn emit_tile_prologue(
     b: &mut ProgramBuilder,
     transfers: &[DmaXfer],
     wait_completed: u32,
-    style: WaitStyle,
 ) {
     for x in transfers {
         emit_transfer(b, x);
     }
     if wait_completed > 0 {
-        emit_wait_styled(b, wait_completed, style);
+        emit_dma_wait(b, wait_completed);
     }
     b.csrrwi(IntReg::ZERO, csr::CLUSTER_BARRIER, 0);
 }
@@ -454,7 +410,6 @@ pub(crate) fn epilogue_programs(
     num_harts: u32,
     transfers: &[DmaXfer],
     wait_completed: u32,
-    style: WaitStyle,
 ) -> Vec<Program> {
     (0..num_harts)
         .map(|h| {
@@ -463,7 +418,7 @@ pub(crate) fn epilogue_programs(
                 for x in transfers {
                     emit_transfer(&mut b, x);
                 }
-                emit_wait_styled(&mut b, wait_completed, style);
+                emit_dma_wait(&mut b, wait_completed);
             }
             b.csrrwi(IntReg::ZERO, csr::CLUSTER_BARRIER, 0);
             b.ecall();
@@ -542,34 +497,38 @@ mod tests {
     }
 
     #[test]
-    fn completion_poll_survives_counter_wrap() {
+    fn completion_wait_survives_counter_wrap() {
         use sc_core::{Core, CoreConfig};
         use sc_mem::Tcdm;
         // The engine's completion counter sits just below the signed
-        // boundary; the program waits for a target just above it. The
-        // old raw `blt completed, target` read 0x7FFF_FFFF as a huge
-        // positive and the target as negative — falling through before
-        // the transfers landed. The wrapping-distance loop must keep
-        // spinning until the counter really reaches the target.
+        // boundary; the program waits for a target just above it. A raw
+        // ordered compare reads 0x7FFF_FFFF as a huge positive and the
+        // target as negative, and falls through before the transfers
+        // land. The wrapping-distance wait must park instead.
         let completed = 0x7FFF_FFFFu32;
         let target = completed.wrapping_add(2);
-        let mut b = ProgramBuilder::new();
-        emit_wait_completed(&mut b, target);
-        b.ecall();
-        let prog = b.build().unwrap();
+        let wait = || {
+            let mut b = ProgramBuilder::new();
+            emit_dma_wait(&mut b, target);
+            b.ecall();
+            b.build().unwrap()
+        };
         let cfg = CoreConfig::new();
         let mut tcdm = Tcdm::new(cfg.tcdm);
-        let mut core = Core::new(cfg, prog);
+        let mut core = Core::new(cfg, wait());
         core.set_dma_status(2, completed);
         for _ in 0..100 {
             core.step(&mut tcdm).unwrap();
         }
-        assert!(
-            !core.is_halted(),
-            "poll must keep waiting across the signed boundary"
+        assert_eq!(
+            core.dma_wait_target(),
+            Some(target),
+            "the wait must park across the signed boundary"
         );
-        // The engine completes both transfers (the mirror crosses
-        // 0x8000_0000): the distance closes and the poll falls through.
+        assert!(!core.is_halted());
+        // Once the counter has crossed 0x8000_0000 to the target, the
+        // same wait retires without parking.
+        let mut core = Core::new(cfg, wait());
         core.set_dma_status(0, target);
         for _ in 0..100 {
             if core.is_halted() {
@@ -577,7 +536,7 @@ mod tests {
             }
             core.step(&mut tcdm).unwrap();
         }
-        assert!(core.is_halted(), "poll must fall through at the target");
+        assert!(core.is_halted(), "a reached target must not park");
     }
 
     #[test]

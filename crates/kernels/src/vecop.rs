@@ -12,8 +12,6 @@ use sc_ssr::CfgAddr;
 use crate::cluster_kernel::ClusterKernel;
 use crate::kernel::{verify_f64_exact, CheckFn, Kernel, SetupFn};
 use crate::partition::split_ranges;
-use crate::system_kernel::TiledSystemKernel;
-use crate::tiling::{self, TileError};
 
 /// The three code variants of Fig. 1.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -86,24 +84,6 @@ const C_BASE: u32 = 0x1000;
 const D_BASE: u32 = 0x9000;
 const A_BASE: u32 = 0x11000;
 const B_ADDR: u32 = 0x100;
-
-/// Where the generated code finds its four arrays. The defaults are the
-/// whole-problem layout; the tiled path retargets `c`/`d`/`a` at
-/// ping-pong tile buffers.
-#[derive(Debug, Clone, Copy)]
-struct VecBases {
-    b: u32,
-    c: u32,
-    d: u32,
-    a: u32,
-}
-
-const WHOLE_BASES: VecBases = VecBases {
-    b: B_ADDR,
-    c: C_BASE,
-    d: D_BASE,
-    a: A_BASE,
-};
 
 impl VecOpKernel {
     /// Creates a generator with the default unroll of 4 (matching the
@@ -182,21 +162,6 @@ impl VecOpKernel {
     /// cluster barrier before `ecall`.
     fn emit_range(&self, start: u32, len: u32, barrier: bool) -> Program {
         let mut b = ProgramBuilder::new();
-        self.emit_range_into(&mut b, WHOLE_BASES, start, len, barrier);
-        b.build().expect("vecop codegen produces valid programs")
-    }
-
-    /// Emits the range program into an existing builder against the
-    /// given array bases (the tiled path prepends a DMA prologue and
-    /// retargets the bases at tile buffers).
-    fn emit_range_into(
-        &self,
-        b: &mut ProgramBuilder,
-        bases: VecBases,
-        start: u32,
-        len: u32,
-        barrier: bool,
-    ) {
         let t0 = IntReg::new(5);
         let n = len;
 
@@ -206,18 +171,14 @@ impl VecOpKernel {
                 b.csrrwi(IntReg::ZERO, csr::CLUSTER_BARRIER, 0);
             }
             b.ecall();
-            return;
+            return b.build().expect("vecop codegen produces valid programs");
         }
 
-        b.li(IntReg::new(12), bases.b as i32);
+        b.li(IntReg::new(12), B_ADDR as i32);
         b.fld(FpReg::new(4), IntReg::new(12), 0);
         b.li(t0, 1);
         b.csrrs(IntReg::ZERO, csr::SSR_ENABLE, t0);
-        for (dm, base, write) in [
-            (0u8, bases.c, false),
-            (1, bases.d, false),
-            (2, bases.a, true),
-        ] {
+        for (dm, base, write) in [(0u8, C_BASE, false), (1, D_BASE, false), (2, A_BASE, true)] {
             let base = base + 8 * start;
             b.li(t0, n as i32 - 1);
             b.scfgwi(t0, CfgAddr { dm, reg: 2 }.to_imm());
@@ -287,164 +248,12 @@ impl VecOpKernel {
             b.csrrwi(IntReg::ZERO, csr::CLUSTER_BARRIER, 0);
         }
         b.ecall();
+        b.build().expect("vecop codegen produces valid programs")
     }
 
-    /// Plans a double-buffered DMA tiling of the vecop for one cluster
-    /// of `num_harts` harts and a TCDM of at most `capacity` bytes: the
-    /// `c`/`d`/`a` vectors live in the background memory at the
-    /// whole-problem addresses, and the TCDM holds six ping-pong tile
-    /// buffers (two per vector) plus the scalar `b`. The pipeline (see
-    /// the `tiling` module) runs as the one cluster of a system; behind
-    /// `L2Config::passthrough` its engine reads the Dram directly.
-    ///
-    /// # Errors
-    ///
-    /// [`TileError`] when even a one-unroll-group tile cannot be
-    /// double-buffered within `capacity`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `num_harts` is zero.
-    pub fn build_tiled(
-        &self,
-        num_harts: u32,
-        capacity: u32,
-    ) -> Result<TiledSystemKernel, TileError> {
-        assert!(num_harts >= 1, "a cluster has at least one hart");
-        let wait = tiling::WaitStyle::Park;
-        let bufs_base = 0x140u32; // past the scalar at B_ADDR
-                                  // The cap is hard: round DOWN to a whole TCDM interleave line
-                                  // (see the stencil planner) and plan against the rounded size.
-        let cap = capacity / tiling::TCDM_LINE_BYTES * tiling::TCDM_LINE_BYTES;
-
-        // Six buffers of 8·E bytes each, 64-byte aligned.
-        let plan_bufs = |e: u32| -> ([u32; 6], u32) {
-            let bytes = 8 * e;
-            let mut bases = [0u32; 6];
-            let mut at = bufs_base;
-            for slot in &mut bases {
-                *slot = at;
-                at = tiling::align_up(at + bytes, 64);
-            }
-            (bases, at)
-        };
-        let max_elems =
-            ((cap.saturating_sub(bufs_base) / 6 / 8) / self.unroll * self.unroll).min(self.n);
-        let elems = (1..=max_elems / self.unroll)
-            .rev()
-            .map(|u| u * self.unroll)
-            .find(|&e| plan_bufs(e).1 <= cap)
-            .ok_or(TileError {
-                needed: plan_bufs(self.unroll).1,
-                capacity,
-            })?;
-        let (bufs, _) = plan_bufs(elems);
-        let (cbuf, dbuf, abuf) = (&bufs[0..2], &bufs[2..4], &bufs[4..6]);
-
-        let mut tiles = Vec::new();
-        let mut ranges = Vec::new();
-        let mut s = 0;
-        while s < self.n {
-            let l = elems.min(self.n - s);
-            let t = tiles.len();
-            let mut io = tiling::TileIo::default();
-            if t == 0 {
-                io.inputs
-                    .push(tiling::DmaXfer::contiguous(B_ADDR, B_ADDR, 8, true));
-            }
-            for (dram_base, buf) in [(C_BASE, cbuf), (D_BASE, dbuf)] {
-                io.inputs.push(tiling::DmaXfer::contiguous(
-                    dram_base + 8 * s,
-                    buf[t % 2],
-                    8 * l,
-                    true,
-                ));
-            }
-            io.outputs.push(tiling::DmaXfer::contiguous(
-                A_BASE + 8 * s,
-                abuf[t % 2],
-                8 * l,
-                false,
-            ));
-            tiles.push(io);
-            ranges.push((s, l));
-            s += l;
-        }
-
-        let working_set = tiling::WorkingSet::from_tiles(&tiles);
-        let sched = tiling::schedule(&tiles);
-        let mut stages: Vec<Vec<Program>> = ranges
-            .iter()
-            .zip(&sched.per_tile)
-            .enumerate()
-            .map(|(t, (&(_, l), (enq, wait_n)))| {
-                let bases = VecBases {
-                    b: B_ADDR,
-                    c: cbuf[t % 2],
-                    d: dbuf[t % 2],
-                    a: abuf[t % 2],
-                };
-                split_ranges(l, num_harts, self.unroll)
-                    .iter()
-                    .enumerate()
-                    .map(|(h, &(hs, hl))| {
-                        let mut b = ProgramBuilder::new();
-                        if h == 0 {
-                            tiling::emit_tile_prologue(&mut b, enq, *wait_n, wait);
-                        } else {
-                            tiling::emit_tile_prologue(&mut b, &[], 0, wait);
-                        }
-                        self.emit_range_into(&mut b, bases, hs, hl, true);
-                        b.build().expect("tiled vecop codegen is valid")
-                    })
-                    .collect::<Vec<_>>()
-            })
-            .collect();
-        stages.push(tiling::epilogue_programs(
-            num_harts,
-            &sched.epilogue.0,
-            sched.epilogue.1,
-            wait,
-        ));
-
-        let (setup, check) = self.dram_data_fns();
-        Ok(TiledSystemKernel::new(
-            format!("vecop/{} m1x{num_harts} tiled", self.variant),
-            sc_mem::TcdmConfig::new().with_size(cap),
-            vec![stages],
-            num_harts,
-            u64::from(2 * self.n),
-            working_set,
-            setup,
-            check,
-        ))
-    }
-
-    /// The background-memory data setup and verification closures for
-    /// the tiled path — same data and golden model as
-    /// [`VecOpKernel::data_fns`], against the [`sc_mem::Dram`].
-    fn dram_data_fns(&self) -> (tiling::DramSetupFn, tiling::DramCheckFn) {
-        let (c, d, coef, golden) = self.golden_data();
-        let setup = move |dram: &mut sc_mem::Dram| -> Result<(), MemError> {
-            dram.write_f64(B_ADDR, coef)?;
-            dram.write_f64_slice(C_BASE, &c)?;
-            dram.write_f64_slice(D_BASE, &d)?;
-            Ok(())
-        };
-        let check = move |dram: &sc_mem::Dram| {
-            for (i, want) in golden.iter().enumerate() {
-                tiling::verify_dram_f64(dram, A_BASE + 8 * i as u32, *want, i)?;
-            }
-            Ok(())
-        };
-        (Box::new(setup), Box::new(check))
-    }
-
-    /// The kernel's problem data: the `c`/`d` input vectors, the scalar
-    /// `b` and the golden result. The single source both the unbounded
-    /// and tiled paths stage from, so their bit-identical-results
-    /// guarantee is structural.
-    fn golden_data(&self) -> (Vec<f64>, Vec<f64>, f64, Vec<f64>) {
+    /// The data setup and whole-vector verification closures: the
+    /// `c`/`d` input vectors, the scalar `b` and the golden result.
+    fn data_fns(&self) -> (SetupFn, CheckFn) {
         let n = self.n;
         let mut rng = StdRng::seed_from_u64(u64::from(n) * 31 + 7);
         let c: Vec<f64> = (0..n).map(|_| rng.gen_range(-2.0..2.0)).collect();
@@ -455,12 +264,6 @@ impl VecOpKernel {
             .zip(&d)
             .map(|(&ci, &di)| coef * (ci + di))
             .collect();
-        (c, d, coef, golden)
-    }
-
-    /// The shared data setup and whole-vector verification closures.
-    fn data_fns(&self) -> (SetupFn, CheckFn) {
-        let (c, d, coef, golden) = self.golden_data();
         let setup = move |tcdm: &mut Tcdm| -> Result<(), MemError> {
             tcdm.write_f64(B_ADDR, coef)?;
             tcdm.write_f64_slice(C_BASE, &c)?;

@@ -17,8 +17,7 @@ use proptest::prelude::*;
 use sc_cluster::ClusterSummary;
 use sc_core::{CoreConfig, SchedMode};
 use sc_kernels::{
-    Grid3, Stencil, StencilKernel, Variant, WaitStyle, L2_CAP_GRANULE_BYTES, L2_SWEEP_MSHRS,
-    TCDM_CAP_BYTES,
+    Grid3, Stencil, StencilKernel, Variant, L2_CAP_GRANULE_BYTES, L2_SWEEP_MSHRS, TCDM_CAP_BYTES,
 };
 use sc_mem::{DramConfig, L2Config};
 use sc_perf::{segment_phases, Attribution, Leaf};
@@ -67,14 +66,12 @@ proptest! {
         cap_sets in 1u32..5,
         refill_latency in 1u32..128,
         channels in 1u32..3,
-        park in any::<bool>(),
     ) {
         let variant = Variant::ALL[variant_idx];
         let gen = StencilKernel::new(Stencil::box3d1r(), Grid3::new(8, ny, nz), variant)
             .expect("valid combination");
         let cfg = CoreConfig::new().with_chaining(variant.uses_chaining());
-        let wait = if park { WaitStyle::Park } else { WaitStyle::Poll };
-        let Ok(tk) = gen.build_system_tiled_with(clusters, harts, 8 << 10, wait) else {
+        let Ok(tk) = gen.build_system_tiled(clusters, harts, 8 << 10) else {
             return Ok(());
         };
         // A deliberately small, slow L2: capacity pressure (evictions,
@@ -221,11 +218,9 @@ fn profiled_builds_mark_phases_and_segments_resum() {
     // One cluster whose engine reads the Dram through a pass-through L2.
     let direct = L2Config::passthrough(dram);
 
-    let plain = gen
-        .build_system_tiled_with(1, harts, cap, WaitStyle::Poll)
-        .expect("grid tiles");
+    let plain = gen.build_system_tiled(1, harts, cap).expect("grid tiles");
     let profiled = gen
-        .build_system_tiled_profiled(1, harts, cap, WaitStyle::Poll)
+        .build_system_tiled_profiled(1, harts, cap)
         .expect("grid tiles");
     let plain_run = plain
         .run(cfg, direct, dram, MAX_CYCLES)
@@ -286,7 +281,7 @@ fn profiled_builds_mark_phases_and_segments_resum() {
     // A two-cluster profiled build threads marks into every cluster
     // the same way.
     let sys = gen
-        .build_system_tiled_profiled(2, harts, cap, WaitStyle::Poll)
+        .build_system_tiled_profiled(2, harts, cap)
         .expect("slabs tile");
     let sys_run = sys
         .run(cfg, L2Config::new(), DramConfig::new(), MAX_CYCLES)

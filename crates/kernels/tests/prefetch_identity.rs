@@ -3,16 +3,18 @@
 //! to the pre-prefetch (PR 4) finite L2 across the `l2_ablation` config
 //! grid — over-/under-fit capacity × ways × refill channels × chaining.
 //!
-//! The golden cycle counts below were captured from the PR 4 tree on a
-//! scaled-down ablation point (8×8×8 box3d1r, 2 clusters × 2 cores, the
-//! same capacity-sizing rule as `l2_ablation`). Any drift means the
-//! prefetch plumbing leaked timing into the disabled path — exactly the
-//! regression this pin exists to catch.
+//! The golden cycle counts below pin a scaled-down ablation point
+//! (8×8×8 box3d1r, 2 clusters × 2 cores, the same capacity-sizing rule
+//! as `l2_ablation`). They were first captured before the prefetcher
+//! existed, with tile programs that polled for DMA completion. Tile programs now
+//! always park, so the goldens were re-captured with parked waits on
+//! the last tree that built both wait styles, where the polling goldens
+//! still held. Any drift means the prefetch plumbing leaked timing into
+//! the disabled path — exactly the regression this pin exists to catch.
 
 use sc_core::CoreConfig;
 use sc_kernels::{
-    Grid3, Stencil, StencilKernel, Variant, WaitStyle, L2_CAP_GRANULE_BYTES, L2_SWEEP_MSHRS,
-    TCDM_CAP_BYTES,
+    Grid3, Stencil, StencilKernel, Variant, L2_CAP_GRANULE_BYTES, L2_SWEEP_MSHRS, TCDM_CAP_BYTES,
 };
 use sc_mem::{DramConfig, L2Config};
 
@@ -45,11 +47,8 @@ fn run_shaped(
         Variant::Base
     };
     let gen = StencilKernel::new(Stencil::box3d1r(), grid, variant).expect("valid combination");
-    // The goldens predate the Park-by-default baseline roll: pin the
-    // polling wait style they were captured with, so this test keeps
-    // measuring prefetch-path drift rather than the wait-style remodel.
     let tk = gen
-        .build_system_tiled_with(clusters, cores, tcdm_cap, WaitStyle::Poll)
+        .build_system_tiled(clusters, cores, tcdm_cap)
         .expect("slabs tile within the TCDM cap");
     let run = tk
         .run(
@@ -74,26 +73,27 @@ fn run_cycles(grid: Grid3, capacity: u32, ways: u32, channels: u32, chaining: bo
     .cycles
 }
 
-/// (ways, channels, chaining, overfit) → golden cycles from the PR 4
-/// tree. Regenerate ONLY for an intentional timing remodel, never to
-/// absorb accidental drift from a prefetch-path refactor.
+/// (ways, channels, chaining, overfit) → golden cycles with parked
+/// waits (see the module docs). Regenerate ONLY for an intentional
+/// timing remodel, never to absorb accidental drift from a
+/// prefetch-path refactor.
 const GOLDEN: [(u32, u32, bool, bool, u64); 16] = [
-    (2, 1, false, true, 7980),
-    (2, 1, true, true, 7509),
-    (2, 4, false, true, 7208),
-    (2, 4, true, true, 6737),
-    (8, 1, false, true, 7980),
-    (8, 1, true, true, 7509),
-    (8, 4, false, true, 7208),
-    (8, 4, true, true, 6737),
-    (2, 1, false, false, 8420),
-    (2, 1, true, false, 7949),
-    (2, 4, false, false, 7208),
-    (2, 4, true, false, 6737),
-    (8, 1, false, false, 8420),
-    (8, 1, true, false, 7949),
-    (8, 4, false, false, 7208),
-    (8, 4, true, false, 6737),
+    (2, 1, false, true, 7969),
+    (2, 1, true, true, 7498),
+    (2, 4, false, true, 7197),
+    (2, 4, true, true, 6726),
+    (8, 1, false, true, 7969),
+    (8, 1, true, true, 7498),
+    (8, 4, false, true, 7197),
+    (8, 4, true, true, 6726),
+    (2, 1, false, false, 8410),
+    (2, 1, true, false, 7939),
+    (2, 4, false, false, 7197),
+    (2, 4, true, false, 6726),
+    (8, 1, false, false, 8410),
+    (8, 1, true, false, 7939),
+    (8, 4, false, false, 7197),
+    (8, 4, true, false, 6726),
 ];
 
 #[test]

@@ -1,7 +1,7 @@
 //! The event-driven scheduler's correctness pin: a `System` run under
 //! `SchedMode::Event` is an **observable no-op** relative to
 //! `SchedMode::Dense`. Over random kernels (shapes × cluster and hart
-//! counts × capacity pressure × DMA latency × wait styles), the whole
+//! counts × capacity pressure × DMA latency), the whole
 //! `SystemSummary` — system cycles, every cluster's summary, every
 //! core's run summary, `DmaStats`, overlap metrics, barrier counts, TCDM
 //! conflicts, shared-L2 statistics and the top-down attribution — must
@@ -13,20 +13,12 @@
 use proptest::prelude::*;
 use sc_core::{CoreConfig, SchedMode};
 use sc_isa::{csr, IntReg, ProgramBuilder};
-use sc_kernels::{Grid3, Stencil, StencilKernel, Variant, WaitStyle};
+use sc_kernels::{Grid3, Stencil, StencilKernel, Variant};
 use sc_mem::{Dram, DramConfig, L2Config};
 use sc_system::{SystemBuilder, SystemConfig, SystemError};
 use sc_trace::{TraceConfig, TraceSession};
 
 const MAX_CYCLES: u64 = 50_000_000;
-
-fn wait_style(parked: bool) -> WaitStyle {
-    if parked {
-        WaitStyle::Park
-    } else {
-        WaitStyle::Poll
-    }
-}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
@@ -42,7 +34,6 @@ proptest! {
         clusters in 1u32..4,
         harts in 1u32..3,
         underfit in any::<bool>(),
-        parked in any::<bool>(),
     ) {
         let gen = StencilKernel::new(
             Stencil::box3d1r(),
@@ -50,9 +41,7 @@ proptest! {
             Variant::ChainingPlus,
         )
         .expect("valid combination");
-        let Ok(tiled) =
-            gen.build_system_tiled_with(clusters, harts, 8 << 10, wait_style(parked))
-        else {
+        let Ok(tiled) = gen.build_system_tiled(clusters, harts, 8 << 10) else {
             return Ok(());
         };
         // Under-fitting the footprint turns tile revisits into capacity
@@ -101,9 +90,7 @@ proptest! {
             Variant::ChainingPlus,
         )
         .expect("valid combination");
-        let Ok(tiled) =
-            gen.build_system_tiled_with(clusters, harts, 8 << 10, WaitStyle::Park)
-        else {
+        let Ok(tiled) = gen.build_system_tiled(clusters, harts, 8 << 10) else {
             return Ok(());
         };
         let cfg = CoreConfig::new();

@@ -6,15 +6,18 @@
 //! * every stock kernel completes with the TCDM capped at the real
 //!   cluster's 128 KiB,
 //! * compute–transfer overlap actually happens on multi-tile runs,
+//! * hart 0 waits for its transfers by parking on `DMA_WAIT`, never by
+//!   polling `DMA_COMPLETED`,
 //! * capacity caps too small for even one tile are rejected cleanly.
 //!
 //! Every pipeline runs as the one cluster of a system behind a
 //! pass-through L2, so its engine pays the Dram's timing directly.
 
 use sc_core::CoreConfig;
+use sc_isa::{csr, CsrOp, CsrSrc, Instruction, IntReg};
 use sc_kernels::{
     Grid3, KernelError, Stencil, StencilKernel, TiledSystemKernel, TiledSystemRun, Variant,
-    VecOpKernel, VecOpVariant, TCDM_CAP_BYTES,
+    TCDM_CAP_BYTES,
 };
 use sc_mem::{DramConfig, L2Config};
 
@@ -75,14 +78,59 @@ fn tiled_stencil_multi_tile_verifies_and_overlaps() {
     }
 }
 
+/// How one hart's program synchronises with its DMA engine: the number
+/// of blocking `DMA_WAIT` writes, and the number of reads of the
+/// status CSRs a poll loop would spin on.
+fn dma_syncs(program: &sc_isa::Program) -> (usize, usize) {
+    let (mut waits, mut polls) = (0, 0);
+    for inst in program.code() {
+        if let Instruction::Csr { op, csr, src, .. } = *inst {
+            let writes = match src {
+                CsrSrc::Reg(r) => op == CsrOp::ReadWrite || r != IntReg::ZERO,
+                CsrSrc::Imm(i) => op == CsrOp::ReadWrite || i != 0,
+            };
+            match csr {
+                csr::DMA_WAIT if writes => waits += 1,
+                csr::DMA_WAIT | csr::DMA_COMPLETED | csr::DMA_STATUS => polls += 1,
+                _ => {}
+            }
+        }
+    }
+    (waits, polls)
+}
+
 #[test]
-fn tiled_vecop_multi_tile_verifies() {
-    for variant in VecOpVariant::ALL {
-        let gen = VecOpKernel::new(64, variant);
-        let tiled = gen.build_tiled(2, 2048).unwrap();
-        assert!(tiled.num_tiles() > 1, "{}: expected 2 tiles", tiled.name());
-        run_direct(&tiled, CoreConfig::new(), MAX_CYCLES)
-            .unwrap_or_else(|e| panic!("{variant}: {e}"));
+fn tile_programs_park_and_never_poll() {
+    // Every stage of hart 0's pipeline (each tile's prologue and the
+    // epilogue) waits for its transfers with exactly one parking
+    // `DMA_WAIT` write and reads no completion counter; the other harts
+    // only rendezvous. Covers z-slab and y-strip plans, one and two
+    // clusters.
+    for (grid, clusters, harts, cap) in [
+        (Grid3::new(8, 4, 6), 1, 2, 8 << 10),
+        (Grid3::new(8, 4, 6), 2, 3, 8 << 10),
+        (Grid3::new(16, 16, 4), 1, 2, 16 << 10),
+    ] {
+        let gen = StencilKernel::new(Stencil::box3d1r(), grid, Variant::ChainingPlus).unwrap();
+        let tiled = gen.build_system_tiled(clusters, harts, cap).unwrap();
+        assert!(
+            tiled.num_tiles() > 1,
+            "{}: the plan must tile",
+            tiled.name()
+        );
+        for (c, stages) in tiled.stages().iter().enumerate() {
+            for (s, stage) in stages.iter().enumerate() {
+                for (h, program) in stage.iter().enumerate() {
+                    let want = (usize::from(h == 0), 0);
+                    assert_eq!(
+                        dma_syncs(program),
+                        want,
+                        "{} cluster{c} stage{s} hart{h}: (DMA_WAIT writes, status reads)",
+                        tiled.name()
+                    );
+                }
+            }
+        }
     }
 }
 
@@ -101,13 +149,6 @@ fn all_stock_kernels_complete_at_true_128k() {
             run_direct(&tiled, cfg, MAX_CYCLES)
                 .unwrap_or_else(|e| panic!("{}/{variant}: {e}", stencil.name()));
         }
-    }
-    for variant in VecOpVariant::ALL {
-        let tiled = VecOpKernel::new(128, variant)
-            .build_tiled(2, TCDM_CAP_BYTES)
-            .unwrap();
-        run_direct(&tiled, CoreConfig::new(), MAX_CYCLES)
-            .unwrap_or_else(|e| panic!("vecop/{variant}: {e}"));
     }
 }
 
@@ -243,9 +284,4 @@ fn impossible_capacity_is_rejected() {
     let err = gen.build_system_tiled(1, 2, 1024).unwrap_err();
     assert!(err.needed > err.capacity);
     assert!(err.to_string().contains("double-buffered"));
-
-    let err = VecOpKernel::new(64, VecOpVariant::Chained)
-        .build_tiled(1, 256)
-        .unwrap_err();
-    assert!(err.needed > err.capacity);
 }

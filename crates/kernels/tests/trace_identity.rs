@@ -112,14 +112,9 @@ proptest! {
             Variant::ChainingPlus,
         )
         .expect("valid combination");
-        // Park-style waits maximise the skippable idle windows the
-        // event scheduler must reconstruct samples across.
-        let Ok(tk) = gen.build_system_tiled_with(
-            clusters,
-            harts,
-            8u32 << 10,
-            sc_kernels::WaitStyle::Park,
-        ) else {
+        // Parked completion waits maximise the skippable idle windows
+        // the event scheduler must reconstruct samples across.
+        let Ok(tk) = gen.build_system_tiled(clusters, harts, 8u32 << 10) else {
             return Ok(());
         };
         let cfg = CoreConfig::new();
@@ -165,12 +160,7 @@ fn cadence_aligned_skip_windows_never_duplicate_sample_rows() {
     .expect("valid combination");
     for harts in [1u32, 2, 4] {
         for clusters in [1u32, 2] {
-            let Ok(tk) = gen.build_system_tiled_with(
-                clusters,
-                harts,
-                8u32 << 10,
-                sc_kernels::WaitStyle::Park,
-            ) else {
+            let Ok(tk) = gen.build_system_tiled(clusters, harts, 8u32 << 10) else {
                 continue;
             };
             let cfg = CoreConfig::new();

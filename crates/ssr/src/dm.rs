@@ -229,8 +229,8 @@ impl DataMover {
     /// # Errors
     ///
     /// Returns [`SsrError::StillActive`] if the previous stream has not
-    /// completed (strict mode surfaces software bugs instead of silently
-    /// corrupting the walk).
+    /// completed (a software bug surfaces instead of silently corrupting
+    /// the walk).
     pub fn arm(&mut self, pattern: AffinePattern, dir: StreamDir) -> Result<(), SsrError> {
         if !self.is_done() {
             return Err(SsrError::StillActive { dm: self.index });

@@ -1,5 +1,5 @@
-//! Failure injection: strict mode must turn software misuse into
-//! descriptive errors, and lenient mode must stay deterministic.
+//! Failure injection: the core must turn software misuse into
+//! descriptive errors.
 
 use scalar_chaining::prelude::*;
 use scalar_chaining::ssr::CfgAddr as Cfg;
@@ -125,18 +125,4 @@ fn rearming_active_stream_stalls_until_complete_not_corrupt() {
         sim.run(1_000).unwrap_err(),
         SimError::MaxCyclesExceeded { max_cycles: 1_000 }
     );
-}
-
-#[test]
-fn lenient_mode_is_available_for_bringup() {
-    // The same chaining misuse that errors in strict mode proceeds (with
-    // defined semantics) in lenient mode.
-    let cfg = CoreConfig::new().with_chaining(false).with_strict(false);
-    let mut b = ProgramBuilder::new();
-    b.li(t(5), 8);
-    b.csrrs(IntReg::ZERO, csr::CHAIN_MASK, t(5)); // ignored
-    b.ecall();
-    let mut sim = Simulator::new(cfg, b.build().unwrap());
-    sim.run(1_000)
-        .expect("lenient core ignores the chaining CSR");
 }
