@@ -156,6 +156,17 @@ impl Stencil {
     /// using fused multiply-adds in coefficient order — the *same*
     /// operation order as every generated code variant, so results are
     /// bit-exact comparable.
+    ///
+    /// Each output point is its own chain: `v0 * c0`, then one `mul_add`
+    /// per further tap. The walk takes each interior row in blocks of 8
+    /// points and advances the whole block tap by tap, so the block's
+    /// independent chains overlap in the FPU; every point keeps its own
+    /// operation order, and so every bit.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `input` does not cover the padded grid or a tap lies
+    /// outside the one-point halo.
     #[must_use]
     pub fn golden(&self, grid: &Grid3, input: &[f64]) -> Vec<f64> {
         assert_eq!(
@@ -163,6 +174,54 @@ impl Stencil {
             grid.padded_len(),
             "input must cover the padded grid"
         );
+        let halo = Grid3::HALO as i32;
+        let (sx, sy) = (grid.sx() as isize, grid.sy() as isize);
+        // Each tap as (linear offset from its point, coefficient).
+        let taps: Vec<(isize, f64)> = self
+            .offsets
+            .iter()
+            .zip(&self.coeffs)
+            .map(|(&(dx, dy, dz), &c)| {
+                assert!(
+                    [dx, dy, dz].iter().all(|d| d.abs() <= halo),
+                    "tap ({dx}, {dy}, {dz}) lies outside the halo"
+                );
+                (dx as isize + sx * (dy as isize + sy * dz as isize), c)
+            })
+            .collect();
+        let ((first, c0), rest) = taps.split_first().expect("a stencil is never empty");
+        let nx = grid.nx as usize;
+        let mut out = Vec::with_capacity(grid.interior_len());
+        for z in Grid3::HALO..grid.nz + Grid3::HALO {
+            for y in Grid3::HALO..grid.ny + Grid3::HALO {
+                let row = grid.index(Grid3::HALO, y, z);
+                for x in (0..nx).step_by(GOLDEN_BLOCK) {
+                    let n = GOLDEN_BLOCK.min(nx - x);
+                    let tap = |off: isize| {
+                        let start = (row + x).wrapping_add_signed(off);
+                        &input[start..start + n]
+                    };
+                    let mut acc = [0.0f64; GOLDEN_BLOCK];
+                    for (a, &v) in acc.iter_mut().zip(tap(*first)) {
+                        *a = v * c0;
+                    }
+                    for &(off, c) in rest {
+                        for (a, &v) in acc.iter_mut().zip(tap(off)) {
+                            *a = v.mul_add(c, *a);
+                        }
+                    }
+                    out.extend_from_slice(&acc[..n]);
+                }
+            }
+        }
+        out
+    }
+
+    /// The golden model one point at a time, through
+    /// [`Grid3::interior`]: the differential reference
+    /// [`Stencil::golden`] is pinned against.
+    #[cfg(test)]
+    fn golden_per_point(&self, grid: &Grid3, input: &[f64]) -> Vec<f64> {
         let mut out = Vec::with_capacity(grid.interior_len());
         for (x, y, z) in grid.interior() {
             let mut acc = 0.0f64;
@@ -183,6 +242,10 @@ impl Stencil {
     }
 }
 
+/// Output points [`Stencil::golden`] advances together along a row: enough
+/// independent FMA chains to cover the FPU's latency.
+const GOLDEN_BLOCK: usize = 8;
+
 /// Dense radius-1 box offsets, dx fastest, then dy, then dz — the walk
 /// order of the input stream.
 fn box_offsets() -> Vec<(i32, i32, i32)> {
@@ -199,6 +262,8 @@ fn box_offsets() -> Vec<(i32, i32, i32)> {
 
 #[cfg(test)]
 mod tests {
+    use proptest::prelude::*;
+
     use super::*;
 
     #[test]
@@ -260,5 +325,43 @@ mod tests {
             let _ = Stencil::box3d1r().golden(&g, &[1.0, 2.0]);
         });
         assert!(result.is_err());
+    }
+
+    #[test]
+    #[should_panic(expected = "lies outside the halo")]
+    fn golden_rejects_taps_beyond_the_halo() {
+        // A radius-2 tap would read the neighbouring row through the
+        // linear offset instead of failing.
+        let g = Grid3::new(3, 3, 3);
+        let wide = Stencil::new("wide", vec![(0, 0, 0), (2, 0, 0)], vec![1.0, 1.0]);
+        let _ = wide.golden(&g, &g.random_field(1));
+    }
+
+    proptest! {
+        #[test]
+        fn golden_matches_the_per_point_reference(
+            which in 0usize..4,
+            nx in 1u32..20,
+            ny in 1u32..4,
+            nz in 1u32..4,
+            seed in any::<u64>(),
+        ) {
+            // Row lengths on both sides of the block size, with a
+            // partial last block, for the two 27-point stencils and the
+            // two star contrast stencils.
+            let stencil = match which {
+                0 => Stencil::box3d1r(),
+                1 => Stencil::j3d27pt(),
+                2 => Stencil::j3d7pt(),
+                _ => Stencil::box2d1r(),
+            };
+            let grid = Grid3::new(nx, ny, nz);
+            let input = grid.random_field(seed);
+            let bits = |v: Vec<f64>| v.into_iter().map(f64::to_bits).collect::<Vec<_>>();
+            prop_assert_eq!(
+                bits(stencil.golden(&grid, &input)),
+                bits(stencil.golden_per_point(&grid, &input))
+            );
+        }
     }
 }

@@ -151,9 +151,9 @@ proptest! {
         batches in proptest::collection::vec(
             proptest::collection::vec(contended_request(), 0..24), 1..24),
     ) {
-        // The allocation-free insertion arbiter must reproduce the sort
-        // reference exactly: grants, stats and the rotation phase (the
-        // near-wrap phases cross the u8 wrap within one case).
+        // The allocation-free per-bank minimum arbiter must reproduce
+        // the sort reference exactly: grants, stats and the rotation
+        // phase (the near-wrap phases cross the u8 wrap within one case).
         let cfg = TcdmConfig::new().with_size(4096).with_banks(8);
         let mut fast = Tcdm::new(cfg);
         let mut reference = Tcdm::new(cfg);

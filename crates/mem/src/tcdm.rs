@@ -204,11 +204,10 @@ pub struct Tcdm {
     /// ports second, so one core's many streams cannot starve another
     /// core's single LSU.
     port_group_size: u8,
-    /// Scratch: banks taken this cycle (reused across cycles, like the
-    /// rest of the arbiter's scratch, so arbitration never allocates).
-    bank_taken: Vec<bool>,
-    /// Scratch: `(priority key, request index)` in arbitration order.
-    order: Vec<(u32, usize)>,
+    /// Scratch: per bank, the smallest `priority key << 32 | request
+    /// index` among this cycle's contenders, i.e. its winner (reused
+    /// across cycles so arbitration never allocates).
+    bank_best: Vec<u64>,
     /// `log2 bank_width`: [`Tcdm::bank_of`] is a shift and a mask.
     bank_shift: u32,
     /// `banks - 1`.
@@ -235,8 +234,7 @@ impl Tcdm {
             cfg,
             rr_next: 0,
             port_group_size: 0,
-            bank_taken: vec![false; cfg.banks as usize],
-            order: Vec::new(),
+            bank_best: vec![u64::MAX; cfg.banks as usize],
             bank_shift: cfg.bank_width.trailing_zeros(),
             bank_mask: cfg.banks - 1,
         }
@@ -322,12 +320,11 @@ impl Tcdm {
                 return;
             }
         }
-        grants.resize(requests.len(), false);
-        // Order candidate indexes by rotated priority. The rotation is
-        // taken modulo the highest requesting port (or group) so two
-        // contenders share bandwidth 50/50 rather than by the full 8-bit
-        // wrap. With port grouping, the group (core) key rotates first:
-        // inter-core fairness dominates intra-core port order.
+        // Priority keys rotate every call. The rotation is taken modulo
+        // the highest requesting port (or group) so two contenders share
+        // bandwidth 50/50 rather than by the full 8-bit wrap. With port
+        // grouping, the group (core) key rotates first: inter-core
+        // fairness dominates intra-core port order.
         let g = u32::from(self.port_group_size.max(1));
         let grouped = self.port_group_size > 0;
         let g_shift = g.is_power_of_two().then(|| g.trailing_zeros());
@@ -354,30 +351,34 @@ impl Tcdm {
         // to the ungrouped rotation.
         let rr_group = u32::from(self.rr_next) % ngroups;
         let rr_port = (u32::from(self.rr_next) / ngroups) % nports;
-        // Stable insertion by the flattened key `group' * nports + port'`
-        // (lexicographic on the rotated pair): equal keys keep input
-        // order, which is what the reference's stable sort guarantees.
         // `(x + n - r) % n` for `x, r < n`, without the division.
         let rotate = |x: u32, r: u32, n: u32| if x >= r { x - r } else { x + n - r };
-        self.order.clear();
-        for (i, r) in requests.iter().enumerate() {
+        // A bank's winner is its contender with the smallest flattened
+        // key `group' * nports + port'` (lexicographic on the rotated
+        // pair), the earliest request on ties: the one the reference's
+        // stable sort grants first. Packing `key << 32 | index` makes
+        // that a plain minimum.
+        let packed = |i: usize, r: &Request| {
             let (group, port) = key_parts(r.port.0);
             let key = rotate(group, rr_group, ngroups) * nports + rotate(port, rr_port, nports);
-            let at = self.order.partition_point(|&(k, _)| k <= key);
-            self.order.insert(at, (key, i));
+            u64::from(key) << 32 | i as u64
+        };
+        self.bank_best.fill(u64::MAX);
+        for (i, r) in requests.iter().enumerate() {
+            let bank = self.bank_of(r.addr) as usize;
+            self.bank_best[bank] = self.bank_best[bank].min(packed(i, r));
         }
-        self.bank_taken.fill(false);
-        for k in 0..self.order.len() {
-            let i = self.order[k].1;
-            let req = &requests[i];
-            let bank = self.bank_of(req.addr) as usize;
-            if self.bank_taken[bank] {
-                self.stats.record_conflict(req.port, bank as u32);
+        // The statistics are per-port and per-bank sums, so recording
+        // them in input order is exact.
+        for (i, r) in requests.iter().enumerate() {
+            let bank = self.bank_of(r.addr);
+            let won = self.bank_best[bank as usize] == packed(i, r);
+            if won {
+                self.stats.record_grant(r.port, bank, r.kind);
             } else {
-                self.bank_taken[bank] = true;
-                grants[i] = true;
-                self.stats.record_grant(req.port, bank as u32, req.kind);
+                self.stats.record_conflict(r.port, bank);
             }
+            grants.push(won);
         }
         self.rr_next = self.rr_next.wrapping_add(1);
     }
