@@ -876,15 +876,28 @@ impl Cluster {
         self.rebuild_runnable();
     }
 
-    /// The end-of-cycle pass over the harts this cycle stepped: each is
-    /// classified anew, and one that halted or parked leaves the
-    /// runnable list. A parked hart starts owing cycles from `now`.
-    fn classify_stepped(&mut self) {
-        let now = self.cycles;
+    /// Phase 4 over the harts this cycle stepped, in one pass: each
+    /// ends its cycle and, unless the census is stale (then
+    /// [`Cluster::refresh_census`] recounts it after the clock moves),
+    /// is classified anew — one that halted or parked leaves the
+    /// runnable list, and a parked hart starts owing cycles from `now`,
+    /// the clock after this cycle. Returns the stepped harts' summed
+    /// `fpu_issue_cycles` for the DMA overlap detector. A hart's cycle
+    /// end and standing depend on that hart alone, so one pass gives
+    /// what a pass per step would.
+    fn end_stepped(&mut self) -> u64 {
+        let now = self.cycles + 1;
+        let classify = !self.census_stale;
+        let mut issued = 0;
         let mut kept = 0;
         for i in 0..self.runnable.len() {
             let h = self.runnable[i];
-            let core = &self.cores[h];
+            let core = &mut self.cores[h];
+            core.end_cycle();
+            issued += core.counters().fpu_issue_cycles;
+            if !classify {
+                continue;
+            }
             let standing = Standing::of(core);
             let status = &mut self.status[h];
             if standing != status.standing {
@@ -906,8 +919,11 @@ impl Cluster {
                 kept += 1;
             }
         }
-        self.runnable.truncate(kept);
-        self.census.runnable = kept;
+        if classify {
+            self.runnable.truncate(kept);
+            self.census.runnable = kept;
+        }
+        issued
     }
 
     /// Cluster cycles simulated so far.
@@ -956,30 +972,36 @@ impl Cluster {
         // runnable and its trace keeps one entry per cycle.
         self.refresh_census();
 
-        // Mirror the DMA engine's state into the cores so this cycle's
-        // status-CSR reads see the queue as of cycle start, and note
-        // their compute-issue count for the overlap detector.
-        if let Some(dma) = &mut self.dma {
-            let (outstanding, completed) = (dma.engine.outstanding(), dma.engine.completed());
-            let mut issued = 0;
-            for &h in &self.runnable {
-                self.cores[h].set_dma_status(outstanding, completed);
-                issued += self.cores[h].counters().fpu_issue_cycles;
-            }
-            dma.fpu_issue_before = issued;
-        }
-
-        // Phases 1–2 on every runnable core.
+        // Phases 1–2 on every runnable core, in one pass that also
+        // mirrors the DMA engine's state into each core first (so this
+        // cycle's status-CSR reads see the queue as of cycle start),
+        // notes its compute-issue count for the overlap detector, and
+        // afterwards whether it rang a doorbell. Each of these reads or
+        // writes only its own core and the engine is not touched, so the
+        // one pass equals a pass per step.
+        let status = self
+            .dma
+            .as_ref()
+            .map(|dma| (dma.engine.outstanding(), dma.engine.completed()));
+        let mut issued = 0;
+        let mut rang = false;
         for &h in &self.runnable {
-            self.cores[h].begin_cycle().map_err(tag(h))?;
+            let core = &mut self.cores[h];
+            if let Some((outstanding, completed)) = status {
+                core.set_dma_status(outstanding, completed);
+                issued += core.counters().fpu_issue_cycles;
+            }
+            core.begin_cycle().map_err(tag(h))?;
+            rang |= core.has_dma_commands();
         }
 
         // Doorbells rung this cycle enter the engine's FIFO; the engine
         // picks up new work at its own cycle start below.
         let mut beat = None;
         if let Some(dma) = &mut self.dma {
-            for &h in &self.runnable {
-                if self.cores[h].has_dma_commands() {
+            dma.fpu_issue_before = issued;
+            if rang {
+                for &h in &self.runnable {
                     for cmd in self.cores[h].drain_dma_commands() {
                         dma.engine.enqueue(command_to_transfer(&cmd)).map_err(|e| {
                             ClusterError::Dma {
@@ -1114,10 +1136,11 @@ impl Cluster {
             }
         }
 
-        // Phase 4.
-        for &h in &self.runnable {
-            self.cores[h].end_cycle();
-        }
+        // Phase 4. The census learns where this cycle's stepped harts
+        // now stand — before the sample (a parked hart's view is settled
+        // against the advanced clock) and before the rendezvous (a hart
+        // arriving this cycle counts).
+        let issued = self.end_stepped();
         if let Some(dma) = &mut self.dma {
             dma.engine.end_cycle();
             // One increment per cluster cycle, however many descriptors
@@ -1128,11 +1151,6 @@ impl Cluster {
             // an FPU compute op while the engine was busy?
             if dma.busy_this_cycle {
                 dma.busy_cycles += 1;
-                let issued: u64 = self
-                    .runnable
-                    .iter()
-                    .map(|&h| self.cores[h].counters().fpu_issue_cycles)
-                    .sum();
                 if issued > dma.fpu_issue_before {
                     dma.overlap_cycles += 1;
                 }
@@ -1142,16 +1160,7 @@ impl Cluster {
         }
         let sample = self.tracer.wants_sample(self.cycles);
         self.cycles += 1;
-
-        // The census learns where this cycle's stepped harts now stand —
-        // before the sample (a parked hart's view is settled against the
-        // advanced clock) and before the rendezvous (a hart arriving this
-        // cycle counts).
-        if self.census_stale {
-            self.refresh_census();
-        } else {
-            self.classify_stepped();
-        }
+        self.refresh_census();
         if sample {
             self.sample_now();
         }

@@ -140,6 +140,8 @@ enum IntState {
 struct MemPlan {
     int_req: bool,
     fp_lsu: bool,
+    /// Stream requests placed; each requesting mover keeps its own plan
+    /// until [`Core::apply_grants`] grants or denies it.
     n_dm: usize,
 }
 
@@ -201,7 +203,9 @@ pub struct Core {
     program: Program,
     fp: FpSubsystem,
     regs: [u32; 32],
-    int_pending: [bool; 32],
+    /// Bit `r`: an offloaded FP instruction will write integer register
+    /// `r` (an FP→int result the integer pipeline must wait for).
+    int_pending: u32,
     pc: u32,
     state: IntState,
     csrs: CsrFile,
@@ -217,7 +221,6 @@ pub struct Core {
     barriers_completed: u32,
     system_barriers_completed: u32,
     plan: MemPlan,
-    dm_plan: Vec<u8>,
     // Scratch for the stand-alone memory phase of `Core::step`, reused
     // across cycles so stepping never allocates.
     step_requests: Vec<Request>,
@@ -270,7 +273,7 @@ impl Core {
             program,
             cfg,
             regs: [0; 32],
-            int_pending: [false; 32],
+            int_pending: 0,
             pc: 0,
             state: IntState::Running,
             csrs: CsrFile::new(),
@@ -286,7 +289,6 @@ impl Core {
             barriers_completed: 0,
             system_barriers_completed: 0,
             plan: MemPlan::default(),
-            dm_plan: Vec::new(),
             step_requests: Vec::new(),
             step_grants: Vec::new(),
             trace_int_slot: None,
@@ -709,7 +711,7 @@ impl Core {
             if !wb.reg.is_zero() {
                 self.regs[wb.reg.index() as usize] = wb.value;
             }
-            self.int_pending[wb.reg.index() as usize] = false;
+            self.int_pending &= !(1 << wb.reg.index());
         }
 
         // Phase 2a: FP issue.
@@ -807,7 +809,6 @@ impl Core {
     /// exactly these requests (in order) to [`Core::apply_grants`].
     pub fn mem_requests(&mut self, out: &mut Vec<Request>) {
         self.plan = MemPlan::default();
-        self.dm_plan.clear();
         // The first namespaced port carries at most one request: the
         // integer LSU has priority over the FP LSU (same physical port).
         match self.state {
@@ -835,16 +836,12 @@ impl Core {
                 self.plan.fp_lsu = true;
             }
         }
-        for (dm, req) in self
-            .fp
-            .ssr()
-            .movers()
-            .filter_map(|m| m.request().map(|r| (m.index(), r)))
-        {
-            out.push(req);
-            self.dm_plan.push(dm);
+        for mover in self.fp.ssr_mut().movers_mut() {
+            if let Some(req) = mover.plan_request() {
+                out.push(req);
+                self.plan.n_dm += 1;
+            }
         }
-        self.plan.n_dm = self.dm_plan.len();
     }
 
     /// Phase 3b: applies the arbitration outcome for the requests issued
@@ -902,12 +899,15 @@ impl Core {
             idx += 1;
         }
 
-        for k in 0..self.plan.n_dm {
-            let dm = self.dm_plan[k];
-            if grants[idx + k] {
-                self.fp.ssr_mut().mover_mut(dm).apply_grant(tcdm)?;
-            } else {
-                self.fp.ssr_mut().mover_mut(dm).note_denied();
+        // The movers that requested, in the order they requested.
+        let mut stream_grants = grants[idx..].iter();
+        for mover in self.fp.ssr_mut().movers_mut() {
+            if mover.has_planned_request() {
+                if *stream_grants.next().expect("one grant per stream request") {
+                    mover.apply_grant(tcdm)?;
+                } else {
+                    mover.note_denied();
+                }
             }
         }
         Ok(())
@@ -968,13 +968,9 @@ impl Core {
 
         // Integer sources produced by in-flight FP instructions
         // (comparisons/moves) must be waited for.
-        for src in inst.int_sources() {
-            if self.int_pending[src.index() as usize] {
-                return Ok(false);
-            }
-        }
-        if let Some(rd) = inst.int_dest() {
-            if self.int_pending[rd.index() as usize] {
+        if self.int_pending != 0 {
+            let pending = |r: IntReg| self.int_pending & (1 << r.index()) != 0;
+            if inst.int_sources().any(pending) || inst.int_dest().is_some_and(pending) {
                 return Ok(false);
             }
         }
@@ -1360,7 +1356,7 @@ impl Core {
         // FP instructions that write an integer register set a pending bit
         // the integer core synchronises on.
         if let Some(rd) = inst.int_dest() {
-            self.int_pending[rd.index() as usize] = true;
+            self.int_pending |= 1 << rd.index();
         }
         let uop = FpUop::decode(&inst).expect("only FP instructions are offloaded");
         self.fp.sequencer_mut().offload(SeqItem::Fp(OffloadedFp {

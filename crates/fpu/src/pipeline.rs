@@ -10,7 +10,10 @@
 //! to an occupied chained register holds in the final stage).
 //!
 //! The stage registers of this pipeline are exactly the storage the paper
-//! repurposes as the tail of the logical FIFO of a chained register.
+//! repurposes as the tail of the logical FIFO of a chained register, and
+//! they are stored the way such a FIFO is: as a ring. An unblocked cycle
+//! moves every op one stage by rotating the ring's head, not by copying
+//! each stage.
 //!
 //! The payload type `T` is chosen by the core (destination register,
 //! computed result, trace id, ...); this crate only models timing.
@@ -36,15 +39,21 @@ use std::collections::VecDeque;
 /// ```
 #[derive(Debug, Clone)]
 pub struct Pipeline<T> {
-    /// `stages[0]` is the first execute stage; `stages[depth-1]` the last.
-    stages: Vec<Option<T>>,
-    /// How many of `stages` hold an op (lets an idle pipeline's
-    /// `advance` return without walking its stages).
-    in_stages: u32,
+    /// A ring of `depth + 1` slots, read from `head`: the op issued this
+    /// cycle (it latches into stage 0 at `advance()`), then execute
+    /// stages 0 to `depth - 1`. The last stage is thus the slot just
+    /// before `head`, and moving every op one stage is one step of
+    /// `head`.
+    slots: Box<[Option<T>]>,
+    /// The ring index of the issue slot.
+    head: usize,
+    /// Whether the issue slot holds this cycle's op.
+    pending: bool,
+    /// How many ops the issue slot and the execute stages hold (lets an
+    /// idle pipeline's `advance` return without looking at its slots).
+    in_flight: u32,
     /// The writeback slot; ops wait here for retirement.
     writeback: Option<T>,
-    /// Op accepted this cycle, inserted into stage 0 at `advance()`.
-    pending: Option<T>,
     /// Number of cycles the writeback op has been blocked (diagnostics).
     blocked_cycles: u64,
     /// Total ops issued (utilisation accounting).
@@ -61,10 +70,11 @@ impl<T> Pipeline<T> {
     pub fn new(depth: u32) -> Self {
         assert!(depth >= 1, "pipeline depth must be at least 1");
         Pipeline {
-            stages: (0..depth).map(|_| None).collect(),
-            in_stages: 0,
+            slots: (0..=depth).map(|_| None).collect(),
+            head: 0,
+            pending: false,
+            in_flight: 0,
             writeback: None,
-            pending: None,
             blocked_cycles: 0,
             issued: 0,
         }
@@ -73,7 +83,18 @@ impl<T> Pipeline<T> {
     /// Number of execute stages.
     #[must_use]
     pub fn depth(&self) -> u32 {
-        self.stages.len() as u32
+        self.slots.len() as u32 - 1
+    }
+
+    /// The ring index `place` slots after the issue slot (`place` up to
+    /// `depth`): place 1 + `i` is execute stage `i`.
+    fn slot(&self, place: usize) -> usize {
+        let i = self.head + place;
+        if i >= self.slots.len() {
+            i - self.slots.len()
+        } else {
+            i
+        }
     }
 
     /// The op currently in the writeback slot, if any.
@@ -95,13 +116,10 @@ impl<T> Pipeline<T> {
     /// behind it compress forward one stage.
     #[must_use]
     pub fn can_issue(&self) -> bool {
-        if self.pending.is_some() {
-            return false;
-        }
-        if self.stages[0].is_none() {
-            return true;
-        }
-        self.writeback.is_none() || (self.in_stages as usize) < self.stages.len()
+        // With the issue slot free, `in_flight` counts the stages' ops:
+        // below `depth`, a bubble somewhere lets stage 0 vacate.
+        !self.pending
+            && ((self.in_flight as usize) < self.slots.len() - 1 || self.writeback.is_none())
     }
 
     /// Accepts an op; it occupies stage 0 from the next `advance()` on.
@@ -116,7 +134,9 @@ impl<T> Pipeline<T> {
     #[inline(always)]
     pub fn issue(&mut self, op: T) {
         assert!(self.can_issue(), "issue into a full pipeline");
-        self.pending = Some(op);
+        self.slots[self.head] = Some(op);
+        self.pending = true;
+        self.in_flight += 1;
         self.issued += 1;
     }
 
@@ -133,41 +153,56 @@ impl<T> Pipeline<T> {
     /// consumer by a pipeline's worth of elements (a real wedge flushed
     /// out by DMA-timing jitter in the tiled multi-cluster runs, pinned
     /// by `sc-kernels`' backpressure tests).
+    ///
+    /// Only a blocked writeback with ops behind it walks the stages. An
+    /// idle pipeline returns at once; with the writeback slot free, the
+    /// last stage's op (or bubble) moves into it and the emptied slot
+    /// becomes the next issue slot by one step of the head.
     pub fn advance(&mut self) {
-        if self.in_stages == 0 && self.pending.is_none() {
-            if self.writeback.is_some() {
-                self.blocked_cycles += 1;
-            }
+        if self.in_flight == 0 {
+            self.blocked_cycles += u64::from(self.writeback.is_some());
             return;
         }
-        let depth = self.stages.len();
+        self.pending = false;
         if self.writeback.is_none() {
-            self.writeback = self.stages[depth - 1].take();
-            self.in_stages -= u32::from(self.writeback.is_some());
+            let last = if self.head == 0 {
+                self.slots.len() - 1
+            } else {
+                self.head - 1
+            };
+            self.writeback = self.slots[last].take();
+            self.in_flight -= u32::from(self.writeback.is_some());
+            self.head = last;
         } else {
-            self.blocked_cycles += 1;
+            self.compress();
         }
-        // Compress toward the first free slot: walking from the deep end,
-        // every empty stage pulls its predecessor, so the whole train
-        // behind a bubble advances one stage in one cycle.
-        for i in (1..depth).rev() {
-            if self.stages[i].is_none() {
-                self.stages[i] = self.stages[i - 1].take();
+    }
+
+    /// The held-writeback cycle: walking from the last stage back to the
+    /// issue slot, every empty place pulls its predecessor, so the whole
+    /// train behind a bubble advances one stage in one cycle.
+    // `never`: kept apart, the walk leaves `advance` small enough to
+    // inline at its per-cycle call site; with the walk inside it,
+    // `advance` stays an out-of-line call.
+    #[inline(never)]
+    fn compress(&mut self) {
+        self.blocked_cycles += 1;
+        for place in (1..self.slots.len()).rev() {
+            let (to, from) = (self.slot(place), self.slot(place - 1));
+            if self.slots[to].is_none() {
+                self.slots[to] = self.slots[from].take();
             }
         }
-        if let Some(op) = self.pending.take() {
-            debug_assert!(self.stages[0].is_none(), "stage 0 must be free after shift");
-            self.stages[0] = Some(op);
-            self.in_stages += 1;
-        }
+        debug_assert!(
+            self.slots[self.head].is_none(),
+            "stage 0 must be free after shift"
+        );
     }
 
     /// Ops currently in flight (execute stages + writeback + pending).
     #[must_use]
     pub fn occupancy(&self) -> usize {
-        self.in_stages as usize
-            + usize::from(self.writeback.is_some())
-            + usize::from(self.pending.is_some())
+        self.in_flight as usize + usize::from(self.writeback.is_some())
     }
 
     /// Whether no ops are in flight.
@@ -192,10 +227,14 @@ impl<T> Pipeline<T> {
     /// youngest (pending), exposing the "pipeline registers" that form the
     /// tail of a chained register's logical FIFO.
     pub fn iter(&self) -> impl Iterator<Item = &T> {
+        // The ring read backwards from the last stage: first the slots
+        // before the head (the last stage is the one just before it),
+        // then those from the head on (the issue slot last).
+        let (behind, from_head) = self.slots.split_at(self.head);
         self.writeback
             .iter()
-            .chain(self.stages.iter().rev().flatten())
-            .chain(self.pending.iter())
+            .chain(behind.iter().rev().flatten())
+            .chain(from_head.iter().rev().flatten())
     }
 }
 
@@ -366,9 +405,140 @@ impl<T> BoundedFifo<T> {
     }
 }
 
+/// The shifting pipeline the ring replaced, kept as the differential
+/// reference: every `advance` walks all stages and copies each op one
+/// slot forward.
+#[cfg(test)]
+#[derive(Debug, Clone)]
+pub(crate) struct ShiftPipeline<T> {
+    stages: Vec<Option<T>>,
+    in_stages: u32,
+    writeback: Option<T>,
+    pending: Option<T>,
+    blocked_cycles: u64,
+}
+
+#[cfg(test)]
+impl<T> ShiftPipeline<T> {
+    pub(crate) fn new(depth: u32) -> Self {
+        ShiftPipeline {
+            stages: (0..depth).map(|_| None).collect(),
+            in_stages: 0,
+            writeback: None,
+            pending: None,
+            blocked_cycles: 0,
+        }
+    }
+
+    pub(crate) fn ready(&self) -> Option<&T> {
+        self.writeback.as_ref()
+    }
+
+    pub(crate) fn take_ready(&mut self) -> Option<T> {
+        self.writeback.take()
+    }
+
+    pub(crate) fn can_issue(&self) -> bool {
+        if self.pending.is_some() {
+            return false;
+        }
+        if self.stages[0].is_none() {
+            return true;
+        }
+        self.writeback.is_none() || (self.in_stages as usize) < self.stages.len()
+    }
+
+    pub(crate) fn issue(&mut self, op: T) {
+        assert!(self.can_issue(), "issue into a full pipeline");
+        self.pending = Some(op);
+    }
+
+    pub(crate) fn advance(&mut self) {
+        if self.in_stages == 0 && self.pending.is_none() {
+            if self.writeback.is_some() {
+                self.blocked_cycles += 1;
+            }
+            return;
+        }
+        let depth = self.stages.len();
+        if self.writeback.is_none() {
+            self.writeback = self.stages[depth - 1].take();
+            self.in_stages -= u32::from(self.writeback.is_some());
+        } else {
+            self.blocked_cycles += 1;
+        }
+        for i in (1..depth).rev() {
+            if self.stages[i].is_none() {
+                self.stages[i] = self.stages[i - 1].take();
+            }
+        }
+        if let Some(op) = self.pending.take() {
+            self.stages[0] = Some(op);
+            self.in_stages += 1;
+        }
+    }
+
+    pub(crate) fn occupancy(&self) -> usize {
+        self.in_stages as usize
+            + usize::from(self.writeback.is_some())
+            + usize::from(self.pending.is_some())
+    }
+
+    pub(crate) fn blocked_cycles(&self) -> u64 {
+        self.blocked_cycles
+    }
+
+    pub(crate) fn iter(&self) -> impl Iterator<Item = &T> {
+        self.writeback
+            .iter()
+            .chain(self.stages.iter().rev().flatten())
+            .chain(self.pending.iter())
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    proptest! {
+        #[test]
+        fn ring_pipeline_matches_the_shifting_reference(
+            depth in 1u32..9,
+            retire_below in 0u8..6,
+            steps in proptest::collection::vec(0u8..16, 0..300),
+        ) {
+            // Each step retires (below `retire_below`), issues (below 8)
+            // or ends the cycle; a low `retire_below` keeps writebacks
+            // held for long runs, so the compress walk and a full
+            // blocked pipeline are both exercised at every depth.
+            let mut ring: Pipeline<u32> = Pipeline::new(depth);
+            let mut shift: ShiftPipeline<u32> = ShiftPipeline::new(depth);
+            let mut next = 0u32;
+            for step in steps {
+                if step < retire_below {
+                    prop_assert_eq!(ring.take_ready(), shift.take_ready());
+                } else if step < 8 {
+                    if ring.can_issue() {
+                        ring.issue(next);
+                        shift.issue(next);
+                        next += 1;
+                    }
+                } else {
+                    ring.advance();
+                    shift.advance();
+                }
+                prop_assert_eq!(ring.ready(), shift.ready());
+                prop_assert_eq!(ring.can_issue(), shift.can_issue());
+                prop_assert_eq!(ring.occupancy(), shift.occupancy());
+                prop_assert_eq!(ring.blocked_cycles(), shift.blocked_cycles());
+                prop_assert_eq!(
+                    ring.iter().collect::<Vec<_>>(),
+                    shift.iter().collect::<Vec<_>>()
+                );
+            }
+        }
+    }
 
     #[test]
     fn op_takes_depth_cycles_to_writeback() {

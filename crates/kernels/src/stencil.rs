@@ -161,7 +161,9 @@ impl Stencil {
     /// per further tap. The walk takes each interior row in blocks of 8
     /// points and advances the whole block tap by tap, so the block's
     /// independent chains overlap in the FPU; every point keeps its own
-    /// operation order, and so every bit.
+    /// operation order, and so every bit. A full block has a fixed
+    /// length, which keeps its accumulators in registers; only a row's
+    /// partial last block runs the variable-length loop.
     ///
     /// # Panics
     ///
@@ -195,10 +197,30 @@ impl Stencil {
         for z in Grid3::HALO..grid.nz + Grid3::HALO {
             for y in Grid3::HALO..grid.ny + Grid3::HALO {
                 let row = grid.index(Grid3::HALO, y, z);
-                for x in (0..nx).step_by(GOLDEN_BLOCK) {
-                    let n = GOLDEN_BLOCK.min(nx - x);
-                    let tap = |off: isize| {
+                let full = nx - nx % GOLDEN_BLOCK;
+                // Full blocks: the block length is a constant, so the
+                // accumulators stay in registers across the taps.
+                for x in (0..full).step_by(GOLDEN_BLOCK) {
+                    let tap = |off: isize| -> &[f64; GOLDEN_BLOCK] {
                         let start = (row + x).wrapping_add_signed(off);
+                        input[start..start + GOLDEN_BLOCK]
+                            .try_into()
+                            .expect("a full block")
+                    };
+                    let v0 = tap(*first);
+                    let mut acc: [f64; GOLDEN_BLOCK] = std::array::from_fn(|i| v0[i] * c0);
+                    for &(off, c) in rest {
+                        for (a, &v) in acc.iter_mut().zip(tap(off)) {
+                            *a = v.mul_add(c, *a);
+                        }
+                    }
+                    out.extend_from_slice(&acc);
+                }
+                // The row's partial last block, if any.
+                if full < nx {
+                    let n = nx - full;
+                    let tap = |off: isize| {
+                        let start = (row + full).wrapping_add_signed(off);
                         &input[start..start + n]
                     };
                     let mut acc = [0.0f64; GOLDEN_BLOCK];

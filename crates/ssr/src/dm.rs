@@ -102,18 +102,85 @@ impl MetricSource for DmStats {
     }
 }
 
+/// A stream FIFO: a ring of slots allocated once, at the configured
+/// capacity, so pushing and popping never allocate or move an entry.
+#[derive(Debug, Clone)]
+struct Fifo {
+    slots: Box<[u64]>,
+    /// Ring index of the oldest entry.
+    head: usize,
+    len: usize,
+}
+
+impl Fifo {
+    fn new(capacity: usize) -> Self {
+        Fifo {
+            slots: vec![0; capacity].into_boxed_slice(),
+            head: 0,
+            len: 0,
+        }
+    }
+
+    fn capacity(&self) -> usize {
+        self.slots.len()
+    }
+
+    fn len(&self) -> usize {
+        self.len
+    }
+
+    fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// `head + offset` wrapped into the ring (`offset` ≤ capacity).
+    fn wrap(&self, offset: usize) -> usize {
+        let i = self.head + offset;
+        if i >= self.slots.len() {
+            i - self.slots.len()
+        } else {
+            i
+        }
+    }
+
+    fn push_back(&mut self, value: u64) {
+        debug_assert!(self.len < self.slots.len(), "push into a full ring");
+        let tail = self.wrap(self.len);
+        self.slots[tail] = value;
+        self.len += 1;
+    }
+
+    fn pop_front(&mut self) -> Option<u64> {
+        if self.len == 0 {
+            return None;
+        }
+        let value = self.slots[self.head];
+        self.head = self.wrap(1);
+        self.len -= 1;
+        Some(value)
+    }
+
+    fn clear(&mut self) {
+        self.head = 0;
+        self.len = 0;
+    }
+}
+
 /// One stream data mover.
 #[derive(Debug, Clone)]
 pub struct DataMover {
     index: u8,
     port: PortId,
-    fifo_capacity: usize,
-    fifo: VecDeque<u64>,
+    fifo: Fifo,
     /// Whether the back FIFO entry is still in the SRAM landing slot: a
     /// read granted this cycle, poppable from the next. A read grant
     /// lands at most one value per cycle, at the back, and
     /// [`DataMover::advance`] lands it, so no other entry can be landing.
     landing: bool,
+    /// The memory action [`DataMover::plan_request`] chose this cycle,
+    /// kept for [`DataMover::apply_grant`]; a denial or the cycle's end
+    /// drops it.
+    planned: Option<Action>,
     gen: Option<AddrGen>,
     dir: StreamDir,
     /// Indirect-gather state (SARIS extension); `None` = affine mode.
@@ -153,9 +220,9 @@ impl DataMover {
         DataMover {
             index,
             port,
-            fifo_capacity,
-            fifo: VecDeque::new(),
+            fifo: Fifo::new(fifo_capacity),
             landing: false,
+            planned: None,
             gen: None,
             dir: StreamDir::Read,
             indirect: None,
@@ -190,7 +257,7 @@ impl DataMover {
     /// The FIFO's configured capacity.
     #[must_use]
     pub fn fifo_capacity(&self) -> usize {
-        self.fifo_capacity
+        self.fifo.capacity()
     }
 
     /// Whether a stream is armed and not yet finished.
@@ -278,18 +345,19 @@ impl DataMover {
     fn clear_fifo(&mut self) {
         self.fifo.clear();
         self.landing = false;
+        self.planned = None;
     }
 
-    /// Decides this cycle's memory action. `request` and `apply_grant`
-    /// both call this, so the grant always matches the request. Inlinable
-    /// like them, so their inlined copies in other crates do not call back
-    /// into this one.
+    /// Decides this cycle's memory action. `request`, `plan_request` and
+    /// an unplanned `apply_grant` all call this, so the grant always
+    /// matches the request. Inlinable like them, so their inlined copies
+    /// in other crates do not call back into this one.
     #[inline]
     fn next_action(&self) -> Option<Action> {
         let gen = self.gen.as_ref()?;
         if let Some(st) = &self.indirect {
             // Data fetches take priority over refilling the index queue.
-            if self.fifo.len() < self.fifo_capacity {
+            if self.fifo.len() < self.fifo.capacity() {
                 if let Some(&idx) = st.pending_idx.front() {
                     return Some(Action::FetchData(st.cfg.address_of(idx)));
                 }
@@ -300,7 +368,7 @@ impl DataMover {
             return None;
         }
         match self.dir {
-            StreamDir::Read if self.fifo.len() < self.fifo_capacity => {
+            StreamDir::Read if self.fifo.len() < self.fifo.capacity() => {
                 gen.peek().map(Action::FetchData)
             }
             StreamDir::Read => None,
@@ -314,7 +382,29 @@ impl DataMover {
     #[inline]
     #[must_use]
     pub fn request(&self) -> Option<Request> {
-        self.next_action().map(|action| match action {
+        self.next_action().map(|action| self.request_for(action))
+    }
+
+    /// [`DataMover::request`] that also keeps the chosen action, so this
+    /// cycle's [`DataMover::apply_grant`] applies it without deciding
+    /// again. The plan lasts until the grant, a
+    /// [`DataMover::note_denied`] or the cycle's [`DataMover::advance`].
+    #[inline]
+    pub fn plan_request(&mut self) -> Option<Request> {
+        self.planned = self.next_action();
+        self.planned.map(|action| self.request_for(action))
+    }
+
+    /// Whether a [`DataMover::plan_request`] placed a request this cycle
+    /// that is still waiting for its grant or denial.
+    #[must_use]
+    pub fn has_planned_request(&self) -> bool {
+        self.planned.is_some()
+    }
+
+    #[inline]
+    fn request_for(&self, action: Action) -> Request {
+        match action {
             Action::FetchData(addr) | Action::FetchIndexWord(addr) => Request {
                 port: self.port,
                 addr,
@@ -325,10 +415,13 @@ impl DataMover {
                 addr,
                 kind: AccessKind::Write,
             },
-        })
+        }
     }
 
     /// Applies a granted request: moves one element between FIFO and TCDM.
+    /// A request placed with [`DataMover::plan_request`] applies the
+    /// planned action; one placed with [`DataMover::request`] decides it
+    /// again.
     ///
     /// Call it at most once per cycle, i.e. at most once between two
     /// [`DataMover::advance`] calls: `advance` marks only the newest FIFO
@@ -342,10 +435,21 @@ impl DataMover {
     ///
     /// # Panics
     ///
-    /// Panics if called without a corresponding [`DataMover::request`].
+    /// Panics if called without a corresponding [`DataMover::request`]
+    /// or [`DataMover::plan_request`].
     #[inline]
     pub fn apply_grant(&mut self, tcdm: &mut Tcdm) -> Result<(), SsrError> {
-        let action = self.next_action().expect("grant without a pending request");
+        let action = match self.planned.take() {
+            Some(action) => {
+                debug_assert_eq!(
+                    Some(action),
+                    self.next_action(),
+                    "the mover changed between its plan and its grant"
+                );
+                action
+            }
+            None => self.next_action().expect("grant without a pending request"),
+        };
         match action {
             Action::FetchData(addr) => {
                 let value = tcdm.read_u64(addr)?;
@@ -390,14 +494,18 @@ impl DataMover {
         Ok(())
     }
 
-    /// Records a lost arbitration for this cycle.
+    /// Records a lost arbitration for this cycle; the planned action, if
+    /// any, is dropped (the retry next cycle plans anew).
     pub fn note_denied(&mut self) {
         self.stats.denied_requests += 1;
+        self.planned = None;
     }
 
-    /// Ends the cycle: the landing-slot value, if any, becomes poppable.
+    /// Ends the cycle: the landing-slot value, if any, becomes poppable,
+    /// and an unused plan lapses.
     pub fn advance(&mut self) {
         self.landing = false;
+        self.planned = None;
     }
 
     // ---- FP datapath interface ------------------------------------------
@@ -442,7 +550,7 @@ impl DataMover {
     /// Whether a write-stream push can proceed this cycle.
     #[must_use]
     pub fn can_push(&self) -> bool {
-        self.dir == StreamDir::Write && self.fifo.len() < self.fifo_capacity
+        self.dir == StreamDir::Write && self.fifo.len() < self.fifo.capacity()
     }
 
     /// Pushes a produced value into the write stream.
@@ -463,7 +571,7 @@ impl DataMover {
             });
         }
         assert!(
-            self.fifo.len() < self.fifo_capacity,
+            self.fifo.len() < self.fifo.capacity(),
             "push into full stream FIFO"
         );
         self.fifo.push_back(value);
@@ -596,6 +704,62 @@ mod tests {
         // FIFO capacity 2: prefetch must stop at 2 un-popped entries.
         assert!(dm.can_pop());
         assert!(dm.request().is_none(), "prefetch beyond FIFO capacity");
+    }
+
+    #[test]
+    fn streams_fill_and_drain_at_fifo_capacities_1_4_17() {
+        // The FIFO ring must hold exactly its configured capacity, odd
+        // and beyond a power of two included, in both directions.
+        for capacity in [1, 4, 17] {
+            let mut mem = Tcdm::new(TcdmConfig::new().with_size(4096).with_banks(4));
+            for i in 0..40 {
+                mem.write_f64(i * 8, f64::from(i)).unwrap();
+            }
+            let mut dm = DataMover::new(0, PortId(1), capacity);
+            dm.arm(AffinePattern::linear_f64(0, 40), StreamDir::Read)
+                .unwrap();
+            // Unconsumed, the prefetch stops at exactly `capacity`.
+            for _ in 0..capacity + 3 {
+                run_mem_cycle(&mut dm, &mut mem);
+            }
+            assert_eq!(dm.fifo_len(), capacity);
+            assert!(
+                dm.request().is_none(),
+                "prefetch beyond capacity {capacity}"
+            );
+            let mut got = Vec::new();
+            for _ in 0..200 {
+                if dm.can_pop() {
+                    got.push(f64::from_bits(dm.pop().unwrap()));
+                }
+                run_mem_cycle(&mut dm, &mut mem);
+            }
+            assert!(dm.is_done());
+            assert_eq!(got, (0..40).map(f64::from).collect::<Vec<_>>());
+
+            let mut dm = DataMover::new(2, PortId(3), capacity);
+            dm.arm(AffinePattern::linear_f64(1024, 40), StreamDir::Write)
+                .unwrap();
+            // Undrained, the FIFO accepts exactly `capacity` values.
+            for v in 0..capacity {
+                assert!(dm.can_push());
+                dm.push((v as f64).to_bits()).unwrap();
+            }
+            assert!(!dm.can_push(), "push beyond capacity {capacity}");
+            let mut next = capacity;
+            for _ in 0..200 {
+                if next < 40 && dm.can_push() {
+                    dm.push((next as f64).to_bits()).unwrap();
+                    next += 1;
+                }
+                run_mem_cycle(&mut dm, &mut mem);
+            }
+            assert!(dm.is_done());
+            assert_eq!(
+                mem.read_f64_slice(1024, 40).unwrap(),
+                (0..40).map(f64::from).collect::<Vec<_>>()
+            );
+        }
     }
 
     #[test]

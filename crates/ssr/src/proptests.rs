@@ -16,6 +16,20 @@ fn pattern() -> impl Strategy<Value = AffinePattern> {
         })
 }
 
+/// A short word-aligned walk inside an 8 KiB TCDM, so every access of
+/// a stream over it succeeds.
+fn aligned_pattern() -> impl Strategy<Value = AffinePattern> {
+    (
+        0u32..64,
+        proptest::collection::vec((1u32..5, -8i32..8), 1..3),
+        0u32..3,
+    )
+        .prop_map(|(base_word, loops, repeat)| {
+            let loops: Vec<(u32, i32)> = loops.into_iter().map(|(n, s)| (n, s * 8)).collect();
+            AffinePattern::from_loops(2048 + base_word * 8, &loops).with_repeat(repeat)
+        })
+}
+
 proptest! {
     #[test]
     fn addrgen_yields_exactly_total_elements(pat in pattern()) {
@@ -76,6 +90,75 @@ proptest! {
         }
         let want: Vec<f64> = (0..n).map(|i| f64::from(i) * 1.5).collect();
         prop_assert_eq!(got, want);
+    }
+
+    #[test]
+    fn planned_grant_matches_recomputed_grant(
+        write in any::<bool>(),
+        capacity in 1usize..6,
+        first in aligned_pattern(),
+        second in aligned_pattern(),
+        cycles in proptest::collection::vec((any::<bool>(), any::<bool>()), 1..400),
+    ) {
+        // Two movers in lock-step over two memories: one places its
+        // requests with `plan_request` (the grant applies the kept
+        // plan), the other with `request` (the grant decides again).
+        // Random denials drop plans, and a finished stream is re-armed
+        // with a second pattern in the other direction, so planned
+        // grants follow denials, re-arms and both directions.
+        let mem = || {
+            let mut t = Tcdm::new(TcdmConfig::new().with_size(8192).with_banks(8));
+            for w in 0..1024u32 {
+                t.write_u64(w * 8, u64::from(w) * 3 + 1).unwrap();
+            }
+            t
+        };
+        let (mut planned_mem, mut recomputed_mem) = (mem(), mem());
+        let mut planned = DataMover::new(0, sc_mem::PortId(1), capacity);
+        let mut recomputed = planned.clone();
+        let dir = |write: bool| if write { StreamDir::Write } else { StreamDir::Read };
+        let mut streams = [(second, !write)].into_iter();
+        planned.arm(first, dir(write)).unwrap();
+        recomputed.arm(first, dir(write)).unwrap();
+        let mut to_push = if write { first.total_elements() } else { 0 };
+        for (cycle, (grant, consume)) in cycles.into_iter().enumerate() {
+            if planned.is_done() {
+                let Some((pattern, write)) = streams.next() else { break };
+                planned.arm(pattern, dir(write)).unwrap();
+                recomputed.arm(pattern, dir(write)).unwrap();
+                to_push = if write { pattern.total_elements() } else { 0 };
+            }
+            if consume && planned.can_pop() {
+                prop_assert_eq!(planned.pop().unwrap(), recomputed.pop().unwrap());
+            }
+            if consume && to_push > 0 && planned.can_push() {
+                planned.push(cycle as u64).unwrap();
+                recomputed.push(cycle as u64).unwrap();
+                to_push -= 1;
+            }
+            let request = planned.plan_request();
+            prop_assert_eq!(request, recomputed.request());
+            prop_assert_eq!(planned.has_planned_request(), request.is_some());
+            if request.is_some() {
+                if grant {
+                    planned.apply_grant(&mut planned_mem).unwrap();
+                    recomputed.apply_grant(&mut recomputed_mem).unwrap();
+                } else {
+                    planned.note_denied();
+                    recomputed.note_denied();
+                }
+            }
+            prop_assert!(!planned.has_planned_request());
+            planned.advance();
+            recomputed.advance();
+            prop_assert_eq!(planned.fifo_len(), recomputed.fifo_len());
+            prop_assert_eq!(planned.stats(), recomputed.stats());
+            prop_assert_eq!(planned.is_done(), recomputed.is_done());
+            prop_assert_eq!(planned.can_pop(), recomputed.can_pop());
+        }
+        for w in 0..1024u32 {
+            prop_assert_eq!(planned_mem.read_u64(w * 8), recomputed_mem.read_u64(w * 8));
+        }
     }
 
     #[test]

@@ -169,6 +169,11 @@ impl SsrUnit {
         self.movers.iter()
     }
 
+    /// Iterates mutably over all movers, in index order.
+    pub fn movers_mut(&mut self) -> impl Iterator<Item = &mut DataMover> {
+        self.movers.iter_mut()
+    }
+
     /// Whether every armed stream has fully completed (write streams
     /// drained). Programs should check this before `ecall`.
     #[must_use]
