@@ -81,6 +81,7 @@
 //! ```
 //! use sc_cluster::ClusterConfig;
 //! use sc_isa::{csr, IntReg, ProgramBuilder};
+//! use sc_mem::Store;
 //! use sc_system::{SystemBuilder, SystemConfig};
 //!
 //! // Every hart stores its ID to TCDM word 0x100 + hart*4, rendezvous,
@@ -490,10 +491,6 @@ pub struct Cluster {
     tracer: Tracer,
     /// Perfetto process id this cluster's tracks live under.
     pid: u32,
-    /// Static-verification findings for the currently loaded programs
-    /// (computed at construction and on every [`Cluster::load_programs`];
-    /// cross-referenced into hang diagnoses).
-    lint: LintReport,
 }
 
 impl Cluster {
@@ -511,7 +508,6 @@ impl Cluster {
         );
         let mut tcdm = Tcdm::new(cfg.core.tcdm);
         tcdm.set_port_group_size(cfg.ports_per_core());
-        let lint = lint_harts(&programs, &lint_config(&cfg));
         let cores: Vec<Core> = programs
             .into_iter()
             .enumerate()
@@ -544,20 +540,18 @@ impl Cluster {
             ranges: Vec::new(),
             tracer: Tracer::off(),
             pid: 0,
-            lint,
         };
         cluster.refresh_census();
         cluster
     }
 
     /// Static-verification findings (`sc-lint`) for the currently loaded
-    /// programs. Computed once per program load — simulation never
-    /// consults it, but hang diagnoses cross-reference it and a
-    /// strictly verified system (`SystemBuilder::lint_strict`) refuses
-    /// programs whose report has errors.
+    /// programs, linted on each call under [`lint_config`]. Simulation
+    /// never consults them; hang diagnoses cross-reference them.
     #[must_use]
-    pub fn lint_report(&self) -> &LintReport {
-        &self.lint
+    pub fn lint_report(&self) -> LintReport {
+        let programs: Vec<Program> = self.cores.iter().map(|c| c.program().clone()).collect();
+        lint_harts(&programs, &lint_config(&self.cfg))
     }
 
     /// Subscribes the cluster to a trace sink: every core becomes one
@@ -598,13 +592,14 @@ impl Cluster {
     /// Appends the hang-diagnosis view of every cluster resource to
     /// `out`, paths prefixed with `path` (e.g. `cluster0`).
     pub fn diagnose(&self, path: &str, out: &mut Vec<ResourceState>) {
+        let lint = self.lint_report();
         for (h, core) in self.cores.iter().enumerate() {
             if !core.is_halted() {
                 core.diagnose(&format!("{path}.hart{h}"), out);
                 // Cross-reference static findings for the wedged hart: a
                 // hang whose program the linter already flagged is almost
                 // certainly that bug, and the rule id names the class.
-                for d in self.lint.for_hart(h as u32) {
+                for d in lint.for_hart(h as u32) {
                     out.push(ResourceState::info(
                         format!("{path}.hart{h}.lint"),
                         format!("{d}"),
@@ -708,7 +703,6 @@ impl Cluster {
             "load_programs requires every core to have halted"
         );
         assert_eq!(programs.len(), self.cores.len(), "one program per core");
-        self.lint = lint_harts(&programs, &lint_config(&self.cfg));
         for (core, program) in self.cores.iter_mut().zip(programs) {
             core.load_program(program);
         }
@@ -1471,9 +1465,9 @@ impl ClusterBuilder {
 /// Derives the lint model from the hardware configuration: the chained
 /// FIFO holds `addmul_latency + 1` entries (every pipeline stage plus
 /// the held writeback) and the TCDM footprint cap is the configured
-/// TCDM size. This is the exact configuration [`Cluster::new`] verifies
-/// against; exported so system-level code can lint queued tile stages
-/// with the same model before they are loaded.
+/// TCDM size. This is the exact configuration [`Cluster::lint_report`]
+/// verifies against; exported so system-level code can lint queued tile
+/// stages with the same model before they are loaded.
 #[must_use]
 pub fn lint_config(cfg: &ClusterConfig) -> LintConfig {
     LintConfig::new()

@@ -9,7 +9,7 @@ use common::one_cluster;
 use sc_cluster::{ClusterError, ClusterSummary};
 use sc_core::{CoreConfig, SimError};
 use sc_isa::{csr, FpReg, IntReg, Program, ProgramBuilder};
-use sc_mem::TcdmConfig;
+use sc_mem::{Store, TcdmConfig};
 use sc_system::{System, SystemError};
 
 fn t(i: u8) -> IntReg {

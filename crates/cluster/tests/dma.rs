@@ -22,7 +22,7 @@ use common::one_cluster;
 use sc_cluster::{ClusterBuilder, ClusterConfig, ClusterError};
 use sc_core::CoreConfig;
 use sc_isa::{csr, IntReg, ProgramBuilder};
-use sc_mem::{DramConfig, L2Outcome, TcdmConfig};
+use sc_mem::{DramConfig, L2Outcome, Store, TcdmConfig};
 use sc_system::SystemError;
 
 fn cfg() -> CoreConfig {

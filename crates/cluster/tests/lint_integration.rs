@@ -12,7 +12,7 @@ use common::one_cluster;
 use sc_core::CoreConfig;
 use sc_isa::{csr, FpReg, IntReg, ProgramBuilder};
 use sc_lint::fixtures;
-use sc_mem::{DramConfig, TcdmConfig};
+use sc_mem::{DramConfig, Store, TcdmConfig};
 use sc_system::{System, SystemError};
 use sc_trace::HangReport;
 

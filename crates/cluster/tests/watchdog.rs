@@ -21,7 +21,7 @@ mod common;
 use common::one_cluster;
 use sc_core::{CoreConfig, SchedMode};
 use sc_isa::{csr, FpReg, IntReg, Program, ProgramBuilder};
-use sc_mem::{DramConfig, Tcdm, TcdmConfig};
+use sc_mem::{DramConfig, Store, Tcdm, TcdmConfig};
 use sc_system::{System, SystemError};
 use sc_trace::HangReport;
 

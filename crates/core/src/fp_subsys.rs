@@ -17,7 +17,7 @@
 
 use sc_fpu::{evaluate, FpuOp, FpuOutput, IterativeUnit, OpClass, Pipeline};
 use sc_isa::{FmaOp, FpBinOp, FpFormat, FpReg, Instruction, IntReg};
-use sc_mem::{AccessKind, PortId, Request, Tcdm};
+use sc_mem::{AccessKind, PortId, Request, Store, Tcdm};
 use sc_ssr::SsrUnit;
 use sc_trace::ResourceState;
 

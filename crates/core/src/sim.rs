@@ -53,7 +53,7 @@
 //!   (0x7C6) works the same way across every cluster of a system.
 
 use sc_isa::{csr, CsrFile, CsrOp, CsrSrc, FpReg, Instruction, IntReg, LoadOp, Program, StoreOp};
-use sc_mem::{AccessKind, PortId, Request, Tcdm};
+use sc_mem::{AccessKind, PortId, Request, Store, Tcdm};
 use sc_perf::{Leaf, PhaseMark};
 use sc_ssr::CfgAddr;
 use sc_trace::{ResourceState, Tracer, Track};
@@ -372,6 +372,12 @@ impl Core {
     #[must_use]
     pub fn config(&self) -> &CoreConfig {
         &self.cfg
+    }
+
+    /// The loaded program (the latest [`Core::load_program`]'s).
+    #[must_use]
+    pub fn program(&self) -> &Program {
+        &self.program
     }
 
     /// Reads an integer register.

@@ -4,7 +4,7 @@
 
 use sc_core::{CoreConfig, SimError, Simulator, StallCause};
 use sc_isa::{csr, FpReg, IntReg, Program, ProgramBuilder};
-use sc_mem::TcdmConfig;
+use sc_mem::{Store, TcdmConfig};
 use sc_ssr::CfgAddr;
 
 const T0: IntReg = IntReg::new(5);

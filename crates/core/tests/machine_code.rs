@@ -4,6 +4,7 @@
 
 use sc_core::{CoreConfig, Simulator};
 use sc_isa::{csr, parse_asm, FpReg, IntReg, Program};
+use sc_mem::Store;
 
 fn run_both(src: &str, setup: impl Fn(&mut Simulator)) -> (Simulator, Simulator) {
     let original = parse_asm(src).expect("parses");

@@ -8,7 +8,7 @@
 
 use sc_core::{Core, CoreConfig, RunSummary, Wake};
 use sc_isa::{csr, FpReg, IntReg, Program, ProgramBuilder};
-use sc_mem::{Tcdm, TcdmConfig};
+use sc_mem::{Store, Tcdm, TcdmConfig};
 use sc_perf::Leaf;
 use sc_trace::{TraceConfig, TraceSession, Track};
 

@@ -27,7 +27,7 @@
 //!
 //! ```
 //! use sc_dma::{DmaEngine, Transfer};
-//! use sc_mem::{Dram, DramConfig, PortId, Tcdm, TcdmConfig};
+//! use sc_mem::{Dram, DramConfig, PortId, Store, Tcdm, TcdmConfig};
 //!
 //! let mut dram = Dram::new(DramConfig::new().with_latency(4));
 //! let mut tcdm = Tcdm::new(TcdmConfig::new().with_size(4096).with_banks(4));
@@ -47,7 +47,7 @@
 use std::collections::VecDeque;
 use std::fmt;
 
-use sc_mem::{AccessKind, Dram, DramConfig, MemError, PortId, PrefetchHint, Request, Tcdm};
+use sc_mem::{AccessKind, Dram, DramConfig, MemError, PortId, PrefetchHint, Request, Store, Tcdm};
 use sc_trace::{MetricSource, Tracer, Track};
 
 /// Beat width in bytes: the engine moves 64-bit words, matching the TCDM

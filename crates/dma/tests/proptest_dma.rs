@@ -7,7 +7,7 @@
 
 use proptest::prelude::*;
 use sc_dma::{DmaEngine, Transfer, BEAT_BYTES};
-use sc_mem::{Dram, DramConfig, PortId, Tcdm, TcdmConfig};
+use sc_mem::{Dram, DramConfig, PortId, Store, Tcdm, TcdmConfig};
 
 const TCDM_BYTES: u32 = 16 << 10;
 

@@ -8,12 +8,12 @@
 //! hart halts, so "cycles to last core done" always covers every hart's
 //! writeback traffic.
 
-use sc_cluster::{ClusterConfig, ClusterSummary};
-use sc_core::{CoreConfig, PerfCounters};
+use sc_cluster::ClusterSummary;
+use sc_core::{CoreConfig, PerfCounters, SchedMode};
 use sc_isa::Program;
-use sc_system::{SystemBuilder, SystemConfig};
 
 use crate::kernel::{CheckFn, KernelError, SetupFn};
+use crate::system_kernel::run_unbounded;
 
 /// A runnable cluster kernel: per-hart programs + shared data setup +
 /// golden-model check over the shared TCDM.
@@ -88,13 +88,14 @@ impl ClusterKernel {
     /// budget exit), setup errors and verification mismatches are all
     /// reported as [`KernelError`].
     pub fn run(&self, cfg: CoreConfig, max_cycles: u64) -> Result<ClusterKernelRun, KernelError> {
-        let harts = self.programs.len() as u32;
-        let scfg =
-            SystemConfig::new(1, harts).with_cluster(ClusterConfig::new(harts).with_core(cfg));
-        let mut system = SystemBuilder::new(scfg, vec![vec![self.programs.clone()]]).build();
-        (self.setup)(system.cluster_mut(0).tcdm_mut())?;
-        let mut summary = system.run(max_cycles)?;
-        (self.check)(system.cluster(0).tcdm())?;
+        let mut summary = run_unbounded(
+            std::slice::from_ref(&self.programs),
+            &self.setup,
+            std::slice::from_ref(&self.check),
+            cfg,
+            max_cycles,
+            SchedMode::Dense,
+        )?;
         Ok(ClusterKernelRun {
             summary: summary.per_cluster.swap_remove(0),
         })

@@ -14,8 +14,10 @@
 //! and whether the accumulators are plain registers or one chained
 //! register.
 
+use std::sync::Arc;
+
 use sc_isa::{csr, FpReg, IntReg, Program, ProgramBuilder};
-use sc_mem::{Dram, MemError, Tcdm, TcdmConfig};
+use sc_mem::{MemError, Store, TcdmConfig};
 use sc_ssr::CfgAddr;
 
 use crate::cluster_kernel::ClusterKernel;
@@ -23,7 +25,7 @@ use crate::grid::Grid3;
 use crate::kernel::{verify_f64_exact, CheckFn, Kernel, SetupFn};
 use crate::partition::split_ranges;
 use crate::stencil::Stencil;
-use crate::system_kernel::{SystemCheckFn, SystemKernel, SystemSetupFn, TiledSystemKernel};
+use crate::system_kernel::{SystemKernel, TiledSystemKernel};
 use crate::tiling::{self, align_up, TileError};
 use crate::variant::Variant;
 
@@ -214,13 +216,13 @@ impl StencilKernel {
     /// Generates the runnable [`Kernel`] (program + setup + check).
     #[must_use]
     pub fn build(&self) -> Kernel {
-        let (setup, check) = self.data_fns();
+        let (setup, mut checks) = self.data_fns(&[(0, self.grid.nz)]);
         Kernel::new(
             format!("{}/{}", self.stencil.name(), self.variant),
             self.emit(),
             self.flops(),
             setup,
-            check,
+            checks.remove(0),
         )
     }
 
@@ -247,13 +249,13 @@ impl StencilKernel {
             .iter()
             .map(|&(z0, nzc)| self.emit_slab(z0, nzc, sync))
             .collect();
-        let (setup, check) = self.data_fns();
+        let (setup, mut checks) = self.data_fns(&[(0, self.grid.nz)]);
         ClusterKernel::new(
             format!("{}/{} x{num_harts}", self.stencil.name(), self.variant),
             programs,
             self.flops(),
             setup,
-            check,
+            checks.remove(0),
         )
     }
 
@@ -479,7 +481,7 @@ impl StencilKernel {
                     .collect()
             })
             .collect();
-        let (setup, check) = self.system_data_fns(slabs);
+        let (setup, checks) = self.data_fns(&slabs);
         SystemKernel::new(
             format!(
                 "{}/{} m{num_clusters}x{harts_per_cluster}",
@@ -489,7 +491,7 @@ impl StencilKernel {
             programs,
             self.flops(),
             setup,
-            check,
+            checks,
         )
     }
 
@@ -606,7 +608,7 @@ impl StencilKernel {
             working_set.merge(&plan.working_set);
             stages.push(plan.stages);
         }
-        let (setup, check) = self.dram_data_fns();
+        let (setup, mut checks) = self.data_fns(&[(0, grid.nz)]);
         Ok(TiledSystemKernel::new(
             format!(
                 "{}/{} m{num_clusters}x{harts_per_cluster} tiled",
@@ -619,97 +621,49 @@ impl StencilKernel {
             self.flops(),
             working_set,
             setup,
-            check,
+            checks.remove(0),
         ))
     }
 
-    /// The per-cluster data setup and slab verification closures for the
-    /// unbounded system path: every cluster's TCDM receives the whole
-    /// input image (the capacity cheat, scaled out), and each cluster's
-    /// result is checked only over the z-slab it owns.
-    fn system_data_fns(&self, slabs: Vec<(u32, u32)>) -> (SystemSetupFn, SystemCheckFn) {
+    /// The data setup and verification closures of every stencil
+    /// harness, against a TCDM or the tiled path's background memory
+    /// alike. The setup writes the coefficients and the whole input
+    /// image; there is one check per z-slab `(z0, nz)` in `slabs`, each
+    /// comparing the padded interior's planes `z0..z0 + nz` bit-exactly
+    /// against the golden model (a whole-grid harness passes the one
+    /// slab `(0, nz)`; the unbounded system path one per cluster).
+    fn data_fns(&self, slabs: &[(u32, u32)]) -> (SetupFn, Vec<CheckFn>) {
         let grid = self.grid;
         let layout = self.layout;
-        let (input, golden, coeffs) = self.golden_data();
-        let setup = move |_cluster: u32, tcdm: &mut Tcdm| -> Result<(), MemError> {
-            tcdm.write_f64_slice(layout.coeff_base, &coeffs)?;
-            tcdm.write_f64_slice(layout.in_base, &input)?;
-            Ok(())
-        };
-        let check = move |cluster: u32, tcdm: &Tcdm| {
-            let (z0, nz) = slabs[cluster as usize];
-            for (idx, (x, y, z)) in grid.interior().enumerate() {
-                let zi = z - Grid3::HALO;
-                if zi < z0 || zi >= z0 + nz {
-                    continue;
-                }
-                let addr = grid.addr(layout.out_base, x, y, z);
-                verify_f64_exact(tcdm, addr, &golden[idx..=idx]).map_err(|mut e| {
-                    e.index = idx;
-                    e
-                })?;
-            }
-            Ok(())
-        };
-        (Box::new(setup), Box::new(check))
-    }
-
-    /// The kernel's problem data: deterministic input field, its golden
-    /// output, and the coefficients. The single source both the
-    /// unbounded-TCDM and the tiled (Dram) paths stage from — which is
-    /// what makes their bit-identical-results guarantee structural
-    /// rather than a property of two copies staying in sync.
-    fn golden_data(&self) -> (Vec<f64>, Vec<f64>, Vec<f64>) {
-        let input = self.grid.random_field(0x5EED ^ u64::from(self.grid.nx));
-        let golden = self.stencil.golden(&self.grid, &input);
+        let input = grid.random_field(0x5EED ^ u64::from(grid.nx));
+        let golden = Arc::new(self.stencil.golden(&grid, &input));
         let coeffs = self.stencil.coeffs().to_vec();
-        (input, golden, coeffs)
-    }
-
-    /// The background-memory data setup and verification closures for
-    /// the tiled path — same data, same golden model, same addresses as
-    /// [`StencilKernel::data_fns`], but against the [`Dram`].
-    fn dram_data_fns(&self) -> (tiling::DramSetupFn, tiling::DramCheckFn) {
-        let grid = self.grid;
-        let layout = self.layout;
-        let (input, golden, coeffs) = self.golden_data();
-        let setup = move |dram: &mut Dram| -> Result<(), MemError> {
-            dram.write_f64_slice(layout.coeff_base, &coeffs)?;
-            dram.write_f64_slice(layout.in_base, &input)?;
+        let setup = move |mem: &mut dyn Store| -> Result<(), MemError> {
+            mem.write_f64_slice(layout.coeff_base, &coeffs)?;
+            mem.write_f64_slice(layout.in_base, &input)?;
             Ok(())
         };
-        let check = move |dram: &Dram| {
-            for (idx, (x, y, z)) in grid.interior().enumerate() {
-                let addr = grid.addr(layout.out_base, x, y, z);
-                tiling::verify_dram_f64(dram, addr, golden[idx], idx)?;
-            }
-            Ok(())
-        };
-        (Box::new(setup), Box::new(check))
-    }
-
-    /// The shared data setup and whole-grid verification closures.
-    fn data_fns(&self) -> (SetupFn, CheckFn) {
-        let grid = self.grid;
-        let layout = self.layout;
-        let (input, golden, coeffs) = self.golden_data();
-        let setup = move |tcdm: &mut Tcdm| -> Result<(), MemError> {
-            tcdm.write_f64_slice(layout.coeff_base, &coeffs)?;
-            tcdm.write_f64_slice(layout.in_base, &input)?;
-            Ok(())
-        };
-        let check = move |tcdm: &Tcdm| {
-            // The kernel writes the padded interior; verify row by row.
-            for (idx, (x, y, z)) in grid.interior().enumerate() {
-                let addr = grid.addr(layout.out_base, x, y, z);
-                verify_f64_exact(tcdm, addr, &golden[idx..=idx]).map_err(|mut e| {
-                    e.index = idx;
-                    e
-                })?;
-            }
-            Ok(())
-        };
-        (Box::new(setup), Box::new(check))
+        let checks = slabs
+            .iter()
+            .map(|&(z0, nz)| {
+                let golden = Arc::clone(&golden);
+                let check = move |mem: &dyn Store| {
+                    for (idx, (x, y, z)) in grid.interior().enumerate() {
+                        if !(z0..z0 + nz).contains(&(z - Grid3::HALO)) {
+                            continue;
+                        }
+                        let addr = grid.addr(layout.out_base, x, y, z);
+                        verify_f64_exact(mem, addr, &golden[idx..=idx]).map_err(|mut e| {
+                            e.index = idx;
+                            e
+                        })?;
+                    }
+                    Ok(())
+                };
+                Box::new(check) as CheckFn
+            })
+            .collect();
+        (Box::new(setup), checks)
     }
 
     /// Emits the whole-grid program.

@@ -5,7 +5,7 @@ use std::fmt;
 
 use sc_core::{CoreConfig, RunSummary, SimError, Simulator};
 use sc_isa::Program;
-use sc_mem::{MemError, Tcdm};
+use sc_mem::{MemError, Store};
 
 /// A mismatch found during result verification.
 #[derive(Debug, Clone, PartialEq)]
@@ -80,10 +80,11 @@ impl From<VerifyError> for KernelError {
     }
 }
 
-/// Writes a kernel's input data into a TCDM.
-pub type SetupFn = Box<dyn Fn(&mut Tcdm) -> Result<(), MemError> + Send + Sync>;
-/// Checks a TCDM against a kernel's golden model.
-pub type CheckFn = Box<dyn Fn(&Tcdm) -> Result<(), VerifyError> + Send + Sync>;
+/// Writes a kernel's input data into a store: a TCDM, or the
+/// background memory a tiled kernel stages from.
+pub type SetupFn = Box<dyn Fn(&mut dyn Store) -> Result<(), MemError> + Send + Sync>;
+/// Checks a store against a kernel's golden model.
+pub type CheckFn = Box<dyn Fn(&dyn Store) -> Result<(), VerifyError> + Send + Sync>;
 
 /// A runnable kernel: program + data setup + golden-model check.
 pub struct Kernel {
@@ -147,24 +148,24 @@ impl Kernel {
         Ok(KernelRun { summary })
     }
 
-    /// Writes the kernel's input data into `tcdm` — for callers driving a
-    /// simulator (or cluster) themselves, e.g. the cycle-equivalence
-    /// tests.
+    /// Writes the kernel's input data into `mem` (a TCDM) — for callers
+    /// driving a simulator (or cluster) themselves, e.g. the
+    /// cycle-equivalence tests.
     ///
     /// # Errors
     ///
     /// Functional memory errors if the layout does not fit.
-    pub fn apply_setup(&self, tcdm: &mut Tcdm) -> Result<(), MemError> {
-        (self.setup)(tcdm)
+    pub fn apply_setup(&self, mem: &mut dyn Store) -> Result<(), MemError> {
+        (self.setup)(mem)
     }
 
-    /// Checks `tcdm` against the kernel's golden model.
+    /// Checks `mem` (a TCDM) against the kernel's golden model.
     ///
     /// # Errors
     ///
     /// The first mismatching element.
-    pub fn verify(&self, tcdm: &Tcdm) -> Result<(), VerifyError> {
-        (self.check)(tcdm)
+    pub fn verify(&self, mem: &dyn Store) -> Result<(), VerifyError> {
+        (self.check)(mem)
     }
 }
 
@@ -193,20 +194,19 @@ impl KernelRun {
     }
 }
 
-/// Compares a TCDM range of doubles against expected values bit-exactly.
+/// Compares a range of doubles in `mem` against expected values
+/// bit-exactly.
 ///
 /// # Errors
 ///
 /// Returns the first mismatch as a [`VerifyError`].
-pub fn verify_f64_exact(tcdm: &Tcdm, base: u32, want: &[f64]) -> Result<(), VerifyError> {
+pub fn verify_f64_exact(mem: &dyn Store, base: u32, want: &[f64]) -> Result<(), VerifyError> {
     for (i, w) in want.iter().enumerate() {
-        let got = tcdm
-            .read_f64(base + 8 * i as u32)
-            .map_err(|_| VerifyError {
-                index: i,
-                got: f64::NAN,
-                want: *w,
-            })?;
+        let got = mem.read_f64(base + 8 * i as u32).map_err(|_| VerifyError {
+            index: i,
+            got: f64::NAN,
+            want: *w,
+        })?;
         if got.to_bits() != w.to_bits() {
             return Err(VerifyError {
                 index: i,

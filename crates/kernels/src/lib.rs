@@ -47,13 +47,8 @@ pub use kernel::{verify_f64_exact, CheckFn, Kernel, KernelError, KernelRun, Setu
 pub use partition::split_ranges;
 pub use star::{StarBuildError, StarStencilKernel, StarVariant};
 pub use stencil::Stencil;
-pub use system_kernel::{
-    SystemCheckFn, SystemKernel, SystemKernelRun, SystemSetupFn, TiledSystemKernel, TiledSystemRun,
-};
-pub use tiling::{
-    DramCheckFn, DramSetupFn, TileError, WorkingSet, L2_CAP_GRANULE_BYTES, L2_SWEEP_MSHRS,
-    TCDM_CAP_BYTES,
-};
+pub use system_kernel::{SystemKernel, SystemKernelRun, TiledSystemKernel, TiledSystemRun};
+pub use tiling::{TileError, WorkingSet, L2_CAP_GRANULE_BYTES, L2_SWEEP_MSHRS, TCDM_CAP_BYTES};
 pub use variant::Variant;
 pub use vecop::{VecOpKernel, VecOpVariant};
 

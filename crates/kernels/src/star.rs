@@ -17,7 +17,7 @@
 //! bandwidth-bound regime).
 
 use sc_isa::{csr, FpReg, IntReg, Program, ProgramBuilder};
-use sc_mem::{MemError, Tcdm};
+use sc_mem::{MemError, Store};
 use sc_ssr::CfgAddr;
 
 use crate::grid::Grid3;
@@ -187,18 +187,18 @@ impl StarStencilKernel {
         let golden = stencil.golden(&grid, &input);
         let coeffs = stencil.coeffs().to_vec();
         let indices = self.index_array();
-        let setup = move |tcdm: &mut Tcdm| -> Result<(), MemError> {
-            tcdm.write_f64_slice(COEFF_BASE, &coeffs)?;
-            tcdm.write_f64_slice(IN_BASE, &input)?;
+        let setup = move |mem: &mut dyn Store| -> Result<(), MemError> {
+            mem.write_f64_slice(COEFF_BASE, &coeffs)?;
+            mem.write_f64_slice(IN_BASE, &input)?;
             for (i, w) in indices.iter().enumerate() {
-                tcdm.write_u16(IDX_BASE + 2 * i as u32, *w)?;
+                mem.write_u16(IDX_BASE + 2 * i as u32, *w)?;
             }
             Ok(())
         };
-        let check = move |tcdm: &Tcdm| {
+        let check = move |mem: &dyn Store| {
             for (i, (x, y, z)) in grid.interior().enumerate() {
                 let addr = grid.addr(out_base, x, y, z);
-                verify_f64_exact(tcdm, addr, &golden[i..=i]).map_err(|mut e| {
+                verify_f64_exact(mem, addr, &golden[i..=i]).map_err(|mut e| {
                     e.index = i;
                     e
                 })?;

@@ -22,27 +22,22 @@
 use sc_cluster::ClusterConfig;
 use sc_core::{CoreConfig, SchedMode};
 use sc_isa::Program;
-use sc_mem::{Dram, DramConfig, L2Config, MemError, Tcdm, TcdmConfig};
+use sc_mem::{Dram, DramConfig, L2Config, TcdmConfig};
 use sc_system::{SystemBuilder, SystemConfig, SystemSummary};
 use sc_trace::Tracer;
 
-use crate::kernel::{KernelError, VerifyError};
-use crate::tiling::{DramCheckFn, DramSetupFn, WorkingSet};
-
-/// Writes one cluster's share of a system kernel's input data into that
-/// cluster's TCDM (the unbounded regime replicates the input).
-pub type SystemSetupFn = Box<dyn Fn(u32, &mut Tcdm) -> Result<(), MemError> + Send + Sync>;
-/// Checks one cluster's TCDM against the kernel's golden model.
-pub type SystemCheckFn = Box<dyn Fn(u32, &Tcdm) -> Result<(), VerifyError> + Send + Sync>;
+use crate::kernel::{CheckFn, KernelError, SetupFn};
+use crate::tiling::WorkingSet;
 
 /// A runnable unbounded-regime system kernel: per-cluster per-hart
-/// programs plus per-cluster data setup and verification.
+/// programs, the data setup every cluster's TCDM receives (the whole
+/// input image) and one check per cluster (over the slab it owns).
 pub struct SystemKernel {
     name: String,
     programs: Vec<Vec<Program>>,
     flops: u64,
-    setup: SystemSetupFn,
-    check: SystemCheckFn,
+    setup: SetupFn,
+    checks: Vec<CheckFn>,
 }
 
 impl SystemKernel {
@@ -50,16 +45,18 @@ impl SystemKernel {
     ///
     /// # Panics
     ///
-    /// Panics if `programs` is empty or ragged.
+    /// Panics if `programs` is empty or ragged, or if there is not one
+    /// check per cluster.
     #[must_use]
     pub(crate) fn new(
         name: String,
         programs: Vec<Vec<Program>>,
         flops: u64,
-        setup: SystemSetupFn,
-        check: SystemCheckFn,
+        setup: SetupFn,
+        checks: Vec<CheckFn>,
     ) -> Self {
         assert!(!programs.is_empty(), "a system kernel has clusters");
+        assert_eq!(checks.len(), programs.len(), "one check per cluster");
         let harts = programs[0].len();
         assert!(
             harts >= 1 && programs.iter().all(|p| p.len() == harts),
@@ -73,7 +70,7 @@ impl SystemKernel {
             programs,
             flops,
             setup,
-            check,
+            checks,
         }
     }
 
@@ -134,19 +131,44 @@ impl SystemKernel {
         max_cycles: u64,
         mode: SchedMode,
     ) -> Result<SystemKernelRun, KernelError> {
-        let scfg = SystemConfig::new(self.num_clusters() as u32, self.harts_per_cluster() as u32)
-            .with_cluster(ClusterConfig::new(self.harts_per_cluster() as u32).with_core(cfg));
-        let stages = self.programs.iter().map(|p| vec![p.clone()]).collect();
-        let mut system = SystemBuilder::new(scfg, stages).sched_mode(mode).build();
-        for c in 0..self.num_clusters() {
-            (self.setup)(c as u32, system.cluster_mut(c).tcdm_mut())?;
-        }
-        let summary = system.run(max_cycles)?;
-        for c in 0..self.num_clusters() {
-            (self.check)(c as u32, system.cluster(c).tcdm())?;
-        }
+        let summary = run_unbounded(
+            &self.programs,
+            &self.setup,
+            &self.checks,
+            cfg,
+            max_cycles,
+            mode,
+        )?;
         Ok(SystemKernelRun { summary })
     }
+}
+
+/// The one unbounded-regime run behind [`SystemKernel`] and
+/// [`crate::ClusterKernel`]: builds a system with one cluster per entry
+/// of `programs` (one program per hart) and no shared memory, stages
+/// every cluster's TCDM with `setup`, runs it, and checks cluster `c`'s
+/// TCDM with `checks[c]`.
+pub(crate) fn run_unbounded(
+    programs: &[Vec<Program>],
+    setup: &SetupFn,
+    checks: &[CheckFn],
+    cfg: CoreConfig,
+    max_cycles: u64,
+    mode: SchedMode,
+) -> Result<SystemSummary, KernelError> {
+    let harts = programs[0].len() as u32;
+    let scfg = SystemConfig::new(programs.len() as u32, harts)
+        .with_cluster(ClusterConfig::new(harts).with_core(cfg));
+    let stages = programs.iter().map(|p| vec![p.clone()]).collect();
+    let mut system = SystemBuilder::new(scfg, stages).sched_mode(mode).build();
+    for c in 0..programs.len() {
+        setup(system.cluster_mut(c).tcdm_mut())?;
+    }
+    let summary = system.run(max_cycles)?;
+    for (c, check) in checks.iter().enumerate() {
+        check(system.cluster(c).tcdm())?;
+    }
+    Ok(summary)
 }
 
 impl std::fmt::Debug for SystemKernel {
@@ -177,8 +199,8 @@ pub struct TiledSystemKernel {
     harts_per_cluster: u32,
     flops: u64,
     working_set: WorkingSet,
-    setup: DramSetupFn,
-    check: DramCheckFn,
+    setup: SetupFn,
+    check: CheckFn,
 }
 
 impl TiledSystemKernel {
@@ -196,8 +218,8 @@ impl TiledSystemKernel {
         harts_per_cluster: u32,
         flops: u64,
         working_set: WorkingSet,
-        setup: DramSetupFn,
-        check: DramCheckFn,
+        setup: SetupFn,
+        check: CheckFn,
     ) -> Self {
         assert!(!stages.is_empty(), "a tiled system kernel has clusters");
         assert!(

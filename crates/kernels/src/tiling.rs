@@ -36,9 +36,7 @@
 //! re-dispatch cycles.
 
 use sc_isa::{csr, IntReg, Program, ProgramBuilder};
-use sc_mem::{Dram, MemError, TcdmConfig};
-
-use crate::kernel::VerifyError;
+use sc_mem::TcdmConfig;
 
 /// The real cluster's L1 capacity — the default cap for tiled kernels.
 pub const TCDM_CAP_BYTES: u32 = 128 << 10;
@@ -55,11 +53,6 @@ pub const L2_SWEEP_MSHRS: u32 = 8;
 /// are rounded *down* to, so an instantiated scratchpad never exceeds
 /// the cap.
 pub(crate) const TCDM_LINE_BYTES: u32 = 256;
-
-/// Writes a tiled kernel's input data into the background memory.
-pub type DramSetupFn = Box<dyn Fn(&mut Dram) -> Result<(), MemError> + Send + Sync>;
-/// Checks the background memory against a kernel's golden model.
-pub type DramCheckFn = Box<dyn Fn(&Dram) -> Result<(), VerifyError> + Send + Sync>;
 
 /// A tiling failure: the per-tile working set cannot be double-buffered
 /// within the capacity cap even at the minimum tile size.
@@ -425,24 +418,6 @@ pub(crate) fn epilogue_programs(
             b.build().expect("epilogue program is valid")
         })
         .collect()
-}
-
-/// Compares one TCDM-resident double in `dram` against `want` bit-exactly.
-pub(crate) fn verify_dram_f64(
-    dram: &Dram,
-    addr: u32,
-    want: f64,
-    index: usize,
-) -> Result<(), VerifyError> {
-    let got = dram.read_f64(addr).map_err(|_| VerifyError {
-        index,
-        got: f64::NAN,
-        want,
-    })?;
-    if got.to_bits() != want.to_bits() {
-        return Err(VerifyError { index, got, want });
-    }
-    Ok(())
 }
 
 /// Rounds `v` up to a multiple of `a`.

@@ -6,7 +6,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sc_isa::{csr, FpReg, IntReg, Program, ProgramBuilder};
-use sc_mem::{MemError, Tcdm};
+use sc_mem::{MemError, Store};
 use sc_ssr::CfgAddr;
 
 use crate::cluster_kernel::ClusterKernel;
@@ -264,13 +264,13 @@ impl VecOpKernel {
             .zip(&d)
             .map(|(&ci, &di)| coef * (ci + di))
             .collect();
-        let setup = move |tcdm: &mut Tcdm| -> Result<(), MemError> {
-            tcdm.write_f64(B_ADDR, coef)?;
-            tcdm.write_f64_slice(C_BASE, &c)?;
-            tcdm.write_f64_slice(D_BASE, &d)?;
+        let setup = move |mem: &mut dyn Store| -> Result<(), MemError> {
+            mem.write_f64(B_ADDR, coef)?;
+            mem.write_f64_slice(C_BASE, &c)?;
+            mem.write_f64_slice(D_BASE, &d)?;
             Ok(())
         };
-        let check = move |tcdm: &Tcdm| verify_f64_exact(tcdm, A_BASE, &golden);
+        let check = move |mem: &dyn Store| verify_f64_exact(mem, A_BASE, &golden);
         (Box::new(setup), Box::new(check))
     }
 }

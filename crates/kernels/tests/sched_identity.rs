@@ -14,7 +14,7 @@ use proptest::prelude::*;
 use sc_core::{CoreConfig, SchedMode};
 use sc_isa::{csr, IntReg, ProgramBuilder};
 use sc_kernels::{Grid3, Stencil, StencilKernel, Variant};
-use sc_mem::{Dram, DramConfig, L2Config};
+use sc_mem::{Dram, DramConfig, L2Config, Store};
 use sc_system::{SystemBuilder, SystemConfig, SystemError};
 use sc_trace::{TraceConfig, TraceSession};
 

@@ -19,7 +19,7 @@ use sc_kernels::{
     Grid3, KernelError, Stencil, StencilKernel, TiledSystemKernel, TiledSystemRun, Variant,
     TCDM_CAP_BYTES,
 };
-use sc_mem::{DramConfig, L2Config};
+use sc_mem::{DramConfig, L2Config, Store};
 
 const MAX_CYCLES: u64 = 50_000_000;
 

@@ -10,14 +10,14 @@
 //! * [`DramConfig::cycles_per_beat`] — inverse bandwidth: cycles each
 //!   64-bit beat occupies the memory channel (1 = one beat per cycle).
 //!
-//! Functionally the store mirrors the [`crate::Tcdm`] byte API
-//! (alignment-checked little-endian accesses) so kernels can stage their
-//! whole problem here and verify results after the DMA writes back.
-//! Reads beyond the high-water mark return zeroes without growing the
-//! backing storage; writes grow it, up to the host-safety cap
+//! Functionally it is a [`Store`], like the [`crate::Tcdm`], so kernels
+//! stage their whole problem here with the same closures and verify
+//! results after the DMA writes back. Reads beyond the high-water mark
+//! return zeroes without growing the backing storage; writes grow it.
+//! Every access, read or write, is bounded by the host-safety cap
 //! [`DramConfig::max_bytes`].
 
-use crate::tcdm::MemError;
+use crate::store::Store;
 
 /// Timing parameters of the background memory, as seen by the DMA engine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -86,7 +86,7 @@ impl Default for DramConfig {
 /// # Examples
 ///
 /// ```
-/// use sc_mem::{Dram, DramConfig};
+/// use sc_mem::{Dram, DramConfig, Store};
 /// let mut dram = Dram::new(DramConfig::new());
 /// dram.write_f64(0x10_0000, 2.5)?;
 /// assert_eq!(dram.read_f64(0x10_0000)?, 2.5);
@@ -120,156 +120,45 @@ impl Dram {
     pub fn high_water(&self) -> usize {
         self.data.len()
     }
+}
 
-    fn check(&self, addr: u32, width: u32) -> Result<(), MemError> {
-        if !addr.is_multiple_of(width) {
-            return Err(MemError::Misaligned { addr, width });
-        }
-        if addr
-            .checked_add(width)
-            .is_none_or(|end| end > self.cfg.max_bytes)
-        {
-            return Err(MemError::OutOfBounds {
-                addr,
-                width,
-                size: self.cfg.max_bytes,
-            });
-        }
-        Ok(())
+impl Store for Dram {
+    #[inline]
+    fn bound(&self) -> u32 {
+        self.cfg.max_bytes
     }
 
-    fn ensure(&mut self, end: usize) {
+    /// Bytes past the high-water mark read as zero; reads never grow
+    /// the backing storage.
+    #[inline]
+    fn load(&self, addr: u32, buf: &mut [u8]) {
+        let a = addr as usize;
+        if let Some(bytes) = self.data.get(a..a + buf.len()) {
+            buf.copy_from_slice(bytes);
+        } else {
+            let held = self.data.get(a..).unwrap_or_default();
+            let n = held.len().min(buf.len());
+            buf[..n].copy_from_slice(&held[..n]);
+            buf[n..].fill(0);
+        }
+    }
+
+    /// Grows the backing storage to cover the write.
+    #[inline]
+    fn store(&mut self, addr: u32, bytes: &[u8]) {
+        let a = addr as usize;
+        let end = a + bytes.len();
         if self.data.len() < end {
             self.data.resize(end, 0);
         }
-    }
-
-    /// Reads `width` bytes into the low end of an 8-byte buffer, treating
-    /// addresses beyond the high-water mark as zero.
-    fn read_bytes(&self, addr: u32, width: u32) -> [u8; 8] {
-        let mut buf = [0u8; 8];
-        let a = addr as usize;
-        let end = (a + width as usize).min(self.data.len());
-        if a < end {
-            buf[..end - a].copy_from_slice(&self.data[a..end]);
-        }
-        buf
-    }
-
-    /// Reads a little-endian `u64`.
-    ///
-    /// # Errors
-    ///
-    /// Fails if the access is misaligned or beyond the allocation cap.
-    pub fn read_u64(&self, addr: u32) -> Result<u64, MemError> {
-        self.check(addr, 8)?;
-        Ok(u64::from_le_bytes(self.read_bytes(addr, 8)))
-    }
-
-    /// Writes a little-endian `u64`, growing the store as needed.
-    ///
-    /// # Errors
-    ///
-    /// Fails if the access is misaligned or beyond the allocation cap.
-    pub fn write_u64(&mut self, addr: u32, value: u64) -> Result<(), MemError> {
-        self.check(addr, 8)?;
-        let a = addr as usize;
-        self.ensure(a + 8);
-        self.data[a..a + 8].copy_from_slice(&value.to_le_bytes());
-        Ok(())
-    }
-
-    /// Reads a little-endian `u32`.
-    ///
-    /// # Errors
-    ///
-    /// Fails if the access is misaligned or beyond the allocation cap.
-    pub fn read_u32(&self, addr: u32) -> Result<u32, MemError> {
-        self.check(addr, 4)?;
-        let b = self.read_bytes(addr, 4);
-        Ok(u32::from_le_bytes(b[..4].try_into().expect("4 bytes")))
-    }
-
-    /// Writes a little-endian `u32`.
-    ///
-    /// # Errors
-    ///
-    /// Fails if the access is misaligned or beyond the allocation cap.
-    pub fn write_u32(&mut self, addr: u32, value: u32) -> Result<(), MemError> {
-        self.check(addr, 4)?;
-        let a = addr as usize;
-        self.ensure(a + 4);
-        self.data[a..a + 4].copy_from_slice(&value.to_le_bytes());
-        Ok(())
-    }
-
-    /// Reads one byte (zero beyond the high-water mark).
-    ///
-    /// # Errors
-    ///
-    /// Never fails (reads do not allocate).
-    pub fn read_u8(&self, addr: u32) -> Result<u8, MemError> {
-        Ok(self.data.get(addr as usize).copied().unwrap_or(0))
-    }
-
-    /// Writes one byte.
-    ///
-    /// # Errors
-    ///
-    /// Fails if the access is beyond the allocation cap.
-    pub fn write_u8(&mut self, addr: u32, value: u8) -> Result<(), MemError> {
-        self.check(addr, 1)?;
-        let a = addr as usize;
-        self.ensure(a + 1);
-        self.data[a] = value;
-        Ok(())
-    }
-
-    /// Reads an `f64` (bit pattern of [`Dram::read_u64`]).
-    ///
-    /// # Errors
-    ///
-    /// Fails if the access is misaligned.
-    pub fn read_f64(&self, addr: u32) -> Result<f64, MemError> {
-        Ok(f64::from_bits(self.read_u64(addr)?))
-    }
-
-    /// Writes an `f64`.
-    ///
-    /// # Errors
-    ///
-    /// Fails if the access is misaligned or beyond the allocation cap.
-    pub fn write_f64(&mut self, addr: u32, value: f64) -> Result<(), MemError> {
-        self.write_u64(addr, value.to_bits())
-    }
-
-    /// Copies a slice of doubles into memory starting at `addr`.
-    ///
-    /// # Errors
-    ///
-    /// Fails if any element lands misaligned or beyond the allocation cap.
-    pub fn write_f64_slice(&mut self, addr: u32, values: &[f64]) -> Result<(), MemError> {
-        for (i, v) in values.iter().enumerate() {
-            self.write_f64(addr + (i as u32) * 8, *v)?;
-        }
-        Ok(())
-    }
-
-    /// Reads `n` doubles starting at `addr`.
-    ///
-    /// # Errors
-    ///
-    /// Fails if any element lands misaligned.
-    pub fn read_f64_slice(&self, addr: u32, n: usize) -> Result<Vec<f64>, MemError> {
-        (0..n)
-            .map(|i| self.read_f64(addr + (i as u32) * 8))
-            .collect()
+        self.data[a..end].copy_from_slice(bytes);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::MemError;
 
     #[test]
     fn grows_on_write_and_reads_zero_beyond() {
@@ -322,6 +211,22 @@ mod tests {
         assert_eq!(d.high_water(), 0, "the failed write must not allocate");
         // The last in-cap slot still works.
         d.write_u64((1 << 20) - 8, 7).unwrap();
+    }
+
+    #[test]
+    fn byte_reads_past_the_cap_are_out_of_bounds() {
+        // Every width shares one bounds check: a byte read beyond the
+        // allocation cap fails like a wider one instead of reading zero.
+        let d = Dram::new(DramConfig::new().with_max_bytes(1 << 20));
+        assert_eq!(
+            d.read_u8(1 << 20).unwrap_err(),
+            MemError::OutOfBounds {
+                addr: 1 << 20,
+                width: 1,
+                size: 1 << 20
+            }
+        );
+        assert_eq!(d.read_u8((1 << 20) - 1), Ok(0));
     }
 
     #[test]

@@ -4,8 +4,9 @@
 //! cluster: word-interleaved SRAM banks behind a single-cycle crossbar with
 //! per-bank arbitration. The model separates:
 //!
-//! * **functional access** — bounds/alignment-checked byte-addressed
-//!   reads/writes used to move actual data, and
+//! * **functional access** — the [`Store`] trait's bounds/alignment-checked
+//!   byte-addressed reads/writes used to move actual data, shared by the
+//!   TCDM and the background [`Dram`], and
 //! * **timing access** — [`Tcdm::arbitrate`], which decides per cycle which
 //!   master ports win their banks; losers retry (a *bank conflict*).
 //!
@@ -15,7 +16,7 @@
 //! registers (the `Chaining` variants) removes one.
 //!
 //! ```
-//! use sc_mem::{Tcdm, TcdmConfig};
+//! use sc_mem::{Store, Tcdm, TcdmConfig};
 //! let mut tcdm = Tcdm::new(TcdmConfig::new().with_banks(8));
 //! tcdm.write_f64(64, 1.25)?;
 //! assert_eq!(tcdm.read_f64(64)?, 1.25);
@@ -29,6 +30,7 @@
 mod dram;
 mod l2;
 mod stats;
+mod store;
 mod tcdm;
 
 #[cfg(test)]
@@ -40,4 +42,5 @@ pub use l2::{L2Config, L2MetricSet, L2Outcome, L2Request, L2Stats, L2};
 // its configuration and statistics types without a direct dependency.
 pub use sc_cache::{Cache, CacheConfig, CacheStats, CacheWake, PrefetchHint, Probe};
 pub use stats::TcdmStats;
-pub use tcdm::{AccessKind, MemError, PortId, Request, Tcdm, TcdmConfig};
+pub use store::{MemError, Store};
+pub use tcdm::{AccessKind, PortId, Request, Tcdm, TcdmConfig};

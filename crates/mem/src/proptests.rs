@@ -5,8 +5,8 @@
 use proptest::prelude::*;
 
 use crate::{
-    AccessKind, DramConfig, L2Config, L2Outcome, L2Request, PortId, PrefetchHint, Request, Tcdm,
-    TcdmConfig, L2,
+    AccessKind, DramConfig, L2Config, L2Outcome, L2Request, PortId, PrefetchHint, Request, Store,
+    Tcdm, TcdmConfig, L2,
 };
 
 fn request() -> impl Strategy<Value = Request> {

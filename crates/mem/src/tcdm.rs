@@ -12,6 +12,7 @@
 use std::fmt;
 
 use crate::stats::TcdmStats;
+use crate::store::Store;
 
 /// Identifies a requester (master port) at the TCDM crossbar.
 ///
@@ -44,43 +45,6 @@ pub struct Request {
     /// Read or write.
     pub kind: AccessKind,
 }
-
-/// Errors for functional (data) access.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MemError {
-    /// Address (plus access width) beyond the memory size.
-    OutOfBounds {
-        /// Requested byte address.
-        addr: u32,
-        /// Access width in bytes.
-        width: u32,
-        /// Memory size in bytes.
-        size: u32,
-    },
-    /// Address not aligned to the access width.
-    Misaligned {
-        /// Requested byte address.
-        addr: u32,
-        /// Access width in bytes.
-        width: u32,
-    },
-}
-
-impl fmt::Display for MemError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match *self {
-            MemError::OutOfBounds { addr, width, size } => write!(
-                f,
-                "access of {width} bytes at {addr:#010x} outside memory of {size} bytes"
-            ),
-            MemError::Misaligned { addr, width } => {
-                write!(f, "misaligned {width}-byte access at {addr:#010x}")
-            }
-        }
-    }
-}
-
-impl std::error::Error for MemError {}
 
 /// TCDM geometry and timing parameters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -176,7 +140,7 @@ impl Default for TcdmConfig {
 /// # Examples
 ///
 /// ```
-/// use sc_mem::{Tcdm, TcdmConfig, Request, PortId, AccessKind};
+/// use sc_mem::{AccessKind, PortId, Request, Store, Tcdm, TcdmConfig};
 ///
 /// let mut tcdm = Tcdm::new(TcdmConfig::new());
 /// tcdm.write_f64(0x100, 3.5)?;
@@ -447,169 +411,31 @@ impl Tcdm {
         }
         grants
     }
+}
 
-    fn check(&self, addr: u32, width: u32) -> Result<(), MemError> {
-        if !addr.is_multiple_of(width) {
-            return Err(MemError::Misaligned { addr, width });
-        }
-        if addr
-            .checked_add(width)
-            .is_none_or(|end| end > self.cfg.size)
-        {
-            return Err(MemError::OutOfBounds {
-                addr,
-                width,
-                size: self.cfg.size,
-            });
-        }
-        Ok(())
-    }
-
-    /// Reads a little-endian `u64`.
-    ///
-    /// # Errors
-    ///
-    /// Fails if the access is misaligned or out of bounds.
+impl Store for Tcdm {
     #[inline]
-    pub fn read_u64(&self, addr: u32) -> Result<u64, MemError> {
-        self.check(addr, 8)?;
-        let a = addr as usize;
-        Ok(u64::from_le_bytes(
-            self.data[a..a + 8].try_into().expect("8 bytes"),
-        ))
+    fn bound(&self) -> u32 {
+        self.cfg.size
     }
 
-    /// Writes a little-endian `u64`.
-    ///
-    /// # Errors
-    ///
-    /// Fails if the access is misaligned or out of bounds.
     #[inline]
-    pub fn write_u64(&mut self, addr: u32, value: u64) -> Result<(), MemError> {
-        self.check(addr, 8)?;
+    fn load(&self, addr: u32, buf: &mut [u8]) {
         let a = addr as usize;
-        self.data[a..a + 8].copy_from_slice(&value.to_le_bytes());
-        Ok(())
+        buf.copy_from_slice(&self.data[a..a + buf.len()]);
     }
 
-    /// Reads a little-endian `u32`.
-    ///
-    /// # Errors
-    ///
-    /// Fails if the access is misaligned or out of bounds.
     #[inline]
-    pub fn read_u32(&self, addr: u32) -> Result<u32, MemError> {
-        self.check(addr, 4)?;
+    fn store(&mut self, addr: u32, bytes: &[u8]) {
         let a = addr as usize;
-        Ok(u32::from_le_bytes(
-            self.data[a..a + 4].try_into().expect("4 bytes"),
-        ))
-    }
-
-    /// Writes a little-endian `u32`.
-    ///
-    /// # Errors
-    ///
-    /// Fails if the access is misaligned or out of bounds.
-    #[inline]
-    pub fn write_u32(&mut self, addr: u32, value: u32) -> Result<(), MemError> {
-        self.check(addr, 4)?;
-        let a = addr as usize;
-        self.data[a..a + 4].copy_from_slice(&value.to_le_bytes());
-        Ok(())
-    }
-
-    /// Reads one byte, zero-extended.
-    ///
-    /// # Errors
-    ///
-    /// Fails if the address is out of bounds.
-    pub fn read_u8(&self, addr: u32) -> Result<u8, MemError> {
-        self.check(addr, 1)?;
-        Ok(self.data[addr as usize])
-    }
-
-    /// Writes one byte.
-    ///
-    /// # Errors
-    ///
-    /// Fails if the address is out of bounds.
-    pub fn write_u8(&mut self, addr: u32, value: u8) -> Result<(), MemError> {
-        self.check(addr, 1)?;
-        self.data[addr as usize] = value;
-        Ok(())
-    }
-
-    /// Reads a 16-bit little-endian value.
-    ///
-    /// # Errors
-    ///
-    /// Fails if the access is misaligned or out of bounds.
-    pub fn read_u16(&self, addr: u32) -> Result<u16, MemError> {
-        self.check(addr, 2)?;
-        let a = addr as usize;
-        Ok(u16::from_le_bytes(
-            self.data[a..a + 2].try_into().expect("2 bytes"),
-        ))
-    }
-
-    /// Writes a 16-bit little-endian value.
-    ///
-    /// # Errors
-    ///
-    /// Fails if the access is misaligned or out of bounds.
-    pub fn write_u16(&mut self, addr: u32, value: u16) -> Result<(), MemError> {
-        self.check(addr, 2)?;
-        let a = addr as usize;
-        self.data[a..a + 2].copy_from_slice(&value.to_le_bytes());
-        Ok(())
-    }
-
-    /// Reads an `f64` (bit pattern of [`Tcdm::read_u64`]).
-    ///
-    /// # Errors
-    ///
-    /// Fails if the access is misaligned or out of bounds.
-    pub fn read_f64(&self, addr: u32) -> Result<f64, MemError> {
-        Ok(f64::from_bits(self.read_u64(addr)?))
-    }
-
-    /// Writes an `f64`.
-    ///
-    /// # Errors
-    ///
-    /// Fails if the access is misaligned or out of bounds.
-    pub fn write_f64(&mut self, addr: u32, value: f64) -> Result<(), MemError> {
-        self.write_u64(addr, value.to_bits())
-    }
-
-    /// Copies a slice of doubles into memory starting at `addr`.
-    ///
-    /// # Errors
-    ///
-    /// Fails if any element lands misaligned or out of bounds.
-    pub fn write_f64_slice(&mut self, addr: u32, values: &[f64]) -> Result<(), MemError> {
-        for (i, v) in values.iter().enumerate() {
-            self.write_f64(addr + (i as u32) * 8, *v)?;
-        }
-        Ok(())
-    }
-
-    /// Reads `n` doubles starting at `addr`.
-    ///
-    /// # Errors
-    ///
-    /// Fails if any element lands misaligned or out of bounds.
-    pub fn read_f64_slice(&self, addr: u32, n: usize) -> Result<Vec<f64>, MemError> {
-        (0..n)
-            .map(|i| self.read_f64(addr + (i as u32) * 8))
-            .collect()
+        self.data[a..a + bytes.len()].copy_from_slice(bytes);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::MemError;
 
     fn small() -> Tcdm {
         Tcdm::new(TcdmConfig::new().with_size(4096).with_banks(4))

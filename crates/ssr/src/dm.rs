@@ -9,7 +9,7 @@
 
 use std::collections::VecDeque;
 
-use sc_mem::{AccessKind, MemError, PortId, Request, Tcdm};
+use sc_mem::{AccessKind, MemError, PortId, Request, Store, Tcdm};
 use sc_trace::MetricSource;
 
 use crate::addrgen::{AddrGen, AffinePattern};

@@ -1,7 +1,7 @@
 //! Property tests for the SSR substrate.
 
 use proptest::prelude::*;
-use sc_mem::{Tcdm, TcdmConfig};
+use sc_mem::{Store, Tcdm, TcdmConfig};
 
 use crate::{AddrGen, AffinePattern, CfgAddr, DataMover, StreamDir};
 

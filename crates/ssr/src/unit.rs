@@ -300,7 +300,7 @@ impl SsrUnit {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sc_mem::{Tcdm, TcdmConfig};
+    use sc_mem::{Store, Tcdm, TcdmConfig};
 
     #[test]
     fn cfg_addr_roundtrip() {
@@ -373,7 +373,7 @@ mod tests {
 #[cfg(test)]
 mod indirect_tests {
     use super::*;
-    use sc_mem::{Tcdm, TcdmConfig};
+    use sc_mem::{Store, Tcdm, TcdmConfig};
 
     /// Drives one mover to completion against a TCDM, collecting pops.
     fn drain(ssr: &mut SsrUnit, tcdm: &mut Tcdm, dm: u8, n: usize) -> Vec<f64> {

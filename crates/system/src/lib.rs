@@ -60,6 +60,7 @@
 //!
 //! ```
 //! use sc_isa::{csr, IntReg, ProgramBuilder};
+//! use sc_mem::Store;
 //! use sc_system::{SystemBuilder, SystemConfig};
 //!
 //! // Every hart stores cluster*16 + hart to its own cluster's TCDM,
@@ -984,10 +985,9 @@ impl SystemBuilder {
         if lint_strict {
             let lint_cfg = lint_config(&cfg.cluster);
             for (c, (cluster, queued)) in clusters.iter().zip(&queues).enumerate() {
-                // The loaded stage was linted by the cluster itself;
-                // queued tile stages are linted with the same
-                // hardware-derived model before they ever load.
-                let mut report = cluster.lint_report().clone();
+                // Every stage, loaded or queued, is linted with the same
+                // hardware-derived model before it runs.
+                let mut report = cluster.lint_report();
                 for programs in queued {
                     report.merge(lint_harts(programs, &lint_cfg));
                 }

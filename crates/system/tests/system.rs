@@ -12,7 +12,7 @@
 use sc_cluster::{ClusterBuilder, ClusterConfig};
 use sc_core::CoreConfig;
 use sc_isa::{csr, IntReg, Program, ProgramBuilder};
-use sc_mem::{Dram, DramConfig, L2Config, L2Outcome};
+use sc_mem::{Dram, DramConfig, L2Config, L2Outcome, Store};
 use sc_system::{SystemBuilder, SystemConfig, SystemError};
 
 /// A program that rings the DMA doorbell for a `bytes`-byte fetch from

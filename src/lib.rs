@@ -80,7 +80,7 @@ pub mod prelude {
     pub use sc_lint::{lint_harts, lint_program, Diagnostic, LintConfig, LintReport, Rule};
     pub use sc_mem::{
         CacheConfig, CacheStats, Dram, DramConfig, L2Config, L2Outcome, L2Stats, PrefetchHint,
-        Tcdm, TcdmConfig, L2,
+        Store, Tcdm, TcdmConfig, L2,
     };
     pub use sc_perf::{
         segment_phases, Attribution, AttributionError, Group, Leaf, PhaseMark, PhaseSegment,
