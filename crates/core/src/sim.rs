@@ -54,7 +54,7 @@
 
 use sc_isa::{csr, CsrFile, CsrOp, CsrSrc, FpReg, Instruction, IntReg, LoadOp, Program, StoreOp};
 use sc_mem::{AccessKind, PortId, Request, Store, Tcdm};
-use sc_perf::{Leaf, PhaseMark};
+use sc_perf::Leaf;
 use sc_ssr::CfgAddr;
 use sc_trace::{ResourceState, Tracer, Track};
 
@@ -81,11 +81,6 @@ pub struct RunSummary {
     pub trace: IssueTrace,
     /// Offload-queue high-water mark (sizing diagnostics).
     pub offload_queue_high_water: usize,
-    /// Phase boundaries the program marked by writing the `PHASE_MARK`
-    /// CSR (0x7CA), each with a timestamped attribution snapshot —
-    /// `sc_perf::segment_phases` turns them into prologue / steady-state
-    /// / drain profiles. Empty unless the kernel emits markers.
-    pub phase_marks: Vec<PhaseMark>,
 }
 
 impl RunSummary {
@@ -233,7 +228,6 @@ pub struct Core {
     dma_rung: u32,
     dma_outstanding: u32,
     dma_completed: u32,
-    phase_marks: Vec<PhaseMark>,
     tracer: Tracer,
     track: Track,
 }
@@ -297,7 +291,6 @@ impl Core {
             dma_rung: 0,
             dma_outstanding: 0,
             dma_completed: 0,
-            phase_marks: Vec::new(),
             tracer: Tracer::off(),
             track: Track::new(0, 0),
         }
@@ -662,14 +655,6 @@ impl Core {
         self.state = IntState::Running;
     }
 
-    /// Phase boundaries marked so far (writes to the `PHASE_MARK` CSR),
-    /// in program order. Survives [`Core::load_program`], so a tile loop
-    /// run as program stages accumulates one mark per stage.
-    #[must_use]
-    pub fn phase_marks(&self) -> &[PhaseMark] {
-        &self.phase_marks
-    }
-
     /// The run summary as of now (cheap apart from cloning the trace).
     #[must_use]
     pub fn summary(&self) -> RunSummary {
@@ -679,7 +664,6 @@ impl Core {
             region: self.region,
             trace: self.trace.clone(),
             offload_queue_high_water: self.fp.sequencer().queue_high_water(),
-            phase_marks: self.phase_marks.clone(),
         }
     }
 
@@ -1008,10 +992,10 @@ impl Core {
             }
             Instruction::Scfgwi { rs1, imm } => {
                 let addr = CfgAddr::from_imm(imm);
-                // Pointer writes (affine arms at 24..=31, indirect arm at
-                // 16) wait for the previous stream on this mover to
-                // complete before re-arming.
-                if (addr.reg >= 24 || addr.reg == 16)
+                // Pointer writes (arms at 24..=31) wait for the previous
+                // stream on this mover to complete before re-arming; any
+                // other word configures or fails at once.
+                if addr.reg >= 24
                     && (addr.dm as usize) < self.fp.ssr().len()
                     && !self.fp.ssr().mover(addr.dm).is_done()
                 {
@@ -1223,31 +1207,6 @@ impl Core {
                     // retires.
                     self.state = IntState::SystemBarrierWait { rd };
                     return Ok(false);
-                }
-            }
-            csr::PHASE_MARK => {
-                // A phase boundary: record the hart's attribution
-                // snapshot (and notify any subscribed tracer) so
-                // profiles can segment into prologue / steady-state /
-                // drain. Retires in one cycle with no synchronisation —
-                // markers must not perturb what they measure beyond
-                // their own issue slot. Pure reads return the last
-                // value without marking.
-                let pure_read = matches!(op, CsrOp::ReadSet | CsrOp::ReadClear)
-                    && match src {
-                        CsrSrc::Reg(r) => r.is_zero(),
-                        CsrSrc::Imm(i) => i == 0,
-                    };
-                let old = self.csrs.apply(addr, op, operand);
-                self.write_reg(rd, old);
-                if !pure_read {
-                    let value = op.apply(old, operand);
-                    self.phase_marks.push(PhaseMark {
-                        cycle: self.counters.cycles,
-                        value,
-                        attr: self.counters.attr,
-                    });
-                    self.tracer.instant(self.track, "phase-mark");
                 }
             }
             csr::CLUSTER_ID => {

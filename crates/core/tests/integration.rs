@@ -5,7 +5,7 @@
 use sc_core::{CoreConfig, SimError, Simulator, StallCause};
 use sc_isa::{csr, FpReg, IntReg, Program, ProgramBuilder};
 use sc_mem::{Store, TcdmConfig};
-use sc_ssr::CfgAddr;
+use sc_ssr::{CfgAddr, SsrError};
 
 const T0: IntReg = IntReg::new(5);
 
@@ -534,6 +534,23 @@ fn non_adjacent_duplicate_chained_source_pops_once() {
     assert!(!sim.fp_subsystem().chain().is_valid(fc), "FIFO drained");
     // One register-file read per *distinct* source: 2 + 2 + 1 + 2.
     assert_eq!(summary.counters.fp_rf_reads, 7);
+}
+
+#[test]
+fn retired_ssr_word_fails_at_once_while_a_stream_is_active() {
+    // Word 16 arms nothing: a write to it fails as an unknown register
+    // at once, rather than waiting for the active stream to complete
+    // (which, with nothing popping it, would never happen).
+    let mut b = ProgramBuilder::new();
+    cfg_linear_stream(&mut b, 0, 0x1000, 8, false);
+    b.scfgwi(T0, CfgAddr { dm: 0, reg: 16 }.to_imm());
+    b.ecall();
+    let mut sim = Simulator::new(cfg(), b.build().unwrap());
+    assert_eq!(
+        sim.run(1_000).unwrap_err(),
+        SimError::Ssr(SsrError::UnknownCfg { dm: 0, reg: 16 })
+    );
+    assert!(sim.fp_subsystem().ssr().mover(0).is_active());
 }
 
 #[test]

@@ -1,7 +1,7 @@
 //! Exactness pin for the parked-hart fast path: a hart parked on the
 //! cluster barrier, the system barrier or `DMA_WAIT` is drained, so one
 //! dense cycle of it must equal `Core::skip_cycles(1)` — counters and
-//! attribution leaves, measured region, phase marks, registers, the
+//! attribution leaves, measured region, registers, the
 //! progress signature and every exported trace byte alike. Clusters take
 //! the closed-form cycle for every parked hart in every scheduling mode,
 //! so this is the check that licenses it.
@@ -42,14 +42,13 @@ impl Park {
     }
 }
 
-/// Chained FP work, a marked region and phase marks on both sides of
-/// one parking CSR write.
+/// Chained FP work and a marked region on both sides of one parking
+/// CSR write.
 fn program(park: Park) -> Program {
     let mut b = ProgramBuilder::new();
     b.li(T0, 0x100);
     b.fld(f(1), T0, 0);
     b.fld(f(2), T0, 8);
-    b.csrrwi(IntReg::ZERO, csr::PHASE_MARK, 1);
     b.csrrwi(IntReg::ZERO, csr::PERF_REGION, 1);
     b.li(T1, f(3).chain_mask_bit() as i32);
     b.csrrs(IntReg::ZERO, csr::CHAIN_MASK, T1);
@@ -64,7 +63,6 @@ fn program(park: Park) -> Program {
         Park::DmaWait => (csr::DMA_WAIT, IntReg::new(12)),
     };
     b.csrrw(rd, addr, T1);
-    b.csrrwi(IntReg::ZERO, csr::PHASE_MARK, 2);
     b.fmadd_d(f(5), f(4), f(1), f(2));
     b.fsd(f(5), T0, 24);
     b.csrrwi(IntReg::ZERO, csr::PERF_REGION, 0);
@@ -160,7 +158,6 @@ fn a_parked_cycle_equals_a_closed_form_skip() {
                     dense.summary.counters.attr.get(park.leaf()) > window,
                     "{at}"
                 );
-                assert_eq!(dense.summary.phase_marks.len(), 2, "{at}");
                 assert!(dense.summary.region.is_some(), "{at}");
                 assert!(dense.csv.lines().count() > 1, "{at}");
             }

@@ -48,14 +48,6 @@ pub const CLUSTER_BARRIER: u16 = 0x7C5;
 /// the barrier degenerates to the cluster barrier (a lone cluster is the
 /// whole system) and on a single core it releases immediately.
 pub const SYSTEM_BARRIER: u16 = 0x7C6;
-/// Custom: kernel phase marker. Writing a value records a phase
-/// boundary (by convention the tile index) in the core's profile: the
-/// run summary keeps a timestamped attribution snapshot per mark, and a
-/// subscribed tracer receives an instant event — the hook `sc-perf`
-/// uses to segment profiles into prologue / steady-state / drain. The
-/// write retires in one cycle with no synchronisation; a pure read
-/// (csrrs/csrrc with a zero operand) returns the last value written.
-pub const PHASE_MARK: u16 = 0x7CA;
 /// Custom: this core's cluster ID within the system (read-only; 0
 /// outside a multi-cluster system). The cluster-level analogue of
 /// [`MHARTID`] — kernels partition grids across clusters with it the

@@ -60,8 +60,7 @@ impl Layout {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum BuildError {
     /// Only dense radius-1 box neighbourhoods map onto the 4-D affine
-    /// stream pattern (SARIS handles irregular shapes with indirect
-    /// streams, which are out of scope here).
+    /// stream pattern the generator emits.
     UnsupportedShape {
         /// Stencil name.
         stencil: &'static str,
@@ -84,10 +83,7 @@ impl std::fmt::Display for BuildError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             BuildError::UnsupportedShape { stencil } => {
-                write!(
-                    f,
-                    "stencil `{stencil}` is not a dense box; needs indirect streams"
-                )
+                write!(f, "stencil `{stencil}` is not a dense radius-1 box")
             }
             BuildError::BadUnroll { nx, unroll } => {
                 write!(
@@ -265,12 +261,7 @@ impl StencilKernel {
     /// `capacity` bytes (rounded down to a whole interleave line). The
     /// padded grids stay at the unbounded layout's addresses in the
     /// background memory; the TCDM holds the ping-pong tile buffers.
-    fn plan_tiles(
-        &self,
-        num_harts: u32,
-        capacity: u32,
-        phase_marks: bool,
-    ) -> Result<tiling::TilePlan, TileError> {
+    fn plan_tiles(&self, num_harts: u32, capacity: u32) -> Result<tiling::TilePlan, TileError> {
         assert!(num_harts >= 1, "a cluster has at least one hart");
         let grid = self.grid;
         let pp = grid.plane_pitch();
@@ -409,8 +400,7 @@ impl StencilKernel {
         let mut stages: Vec<Vec<Program>> = tile_kernels
             .iter()
             .zip(&sched.per_tile)
-            .enumerate()
-            .map(|(t, (tk, (enq, wait_n)))| {
+            .map(|(tk, (enq, wait_n))| {
                 let slabs = split_ranges(tk.grid.nz, num_harts, 1);
                 slabs
                     .iter()
@@ -421,14 +411,6 @@ impl StencilKernel {
                             tiling::emit_tile_prologue(&mut b, enq, *wait_n);
                         } else {
                             tiling::emit_tile_prologue(&mut b, &[], 0);
-                        }
-                        // The mark sits *after* the data-ready barrier:
-                        // tile 0's initial fetch wait stays in the
-                        // pipeline-prologue segment, and each tile's
-                        // segment spans exactly its compute + next-tile
-                        // overlap window.
-                        if phase_marks {
-                            tiling::emit_phase_mark(&mut b, t as u32);
                         }
                         tk.emit_slab_into(&mut b, sz0, snzc, SlabSync::Cluster);
                         b.build().expect("tiled stencil codegen is valid")
@@ -529,43 +511,6 @@ impl StencilKernel {
         harts_per_cluster: u32,
         capacity: u32,
     ) -> Result<TiledSystemKernel, TileError> {
-        self.build_system_tiled_impl(num_clusters, harts_per_cluster, capacity, false)
-    }
-
-    /// [`StencilKernel::build_system_tiled`] plus **kernel phase
-    /// markers**: every hart of every cluster opens each tile-loop
-    /// iteration with a `PHASE_MARK` CSR write carrying the tile index,
-    /// so the per-hart attribution can be segmented into prologue /
-    /// per-tile steady state / drain with [`sc_perf::segment_phases`]
-    /// (and a subscribed tracer shows a `phase-mark` instant per
-    /// boundary). The marks cost a couple of retired integer
-    /// instructions per tile per hart — profiled builds are therefore
-    /// **not** cycle-identical to the default builders and are opt-in;
-    /// results remain bit-identical.
-    ///
-    /// # Errors
-    ///
-    /// See [`StencilKernel::build_system_tiled`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if either count is zero.
-    pub fn build_system_tiled_profiled(
-        &self,
-        num_clusters: u32,
-        harts_per_cluster: u32,
-        capacity: u32,
-    ) -> Result<TiledSystemKernel, TileError> {
-        self.build_system_tiled_impl(num_clusters, harts_per_cluster, capacity, true)
-    }
-
-    fn build_system_tiled_impl(
-        &self,
-        num_clusters: u32,
-        harts_per_cluster: u32,
-        capacity: u32,
-        phase_marks: bool,
-    ) -> Result<TiledSystemKernel, TileError> {
         assert!(num_clusters >= 1, "a system has at least one cluster");
         assert!(harts_per_cluster >= 1, "a cluster has at least one hart");
         let grid = self.grid;
@@ -599,7 +544,7 @@ impl StencilKernel {
                     coeff_base: self.layout.coeff_base,
                 },
             };
-            let plan = sub.plan_tiles(harts_per_cluster, capacity, phase_marks)?;
+            let plan = sub.plan_tiles(harts_per_cluster, capacity)?;
             debug_assert!(
                 tcdm_cfg.is_none_or(|c| c == plan.tcdm),
                 "every cluster plans the same capacity-capped TCDM"

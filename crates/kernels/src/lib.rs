@@ -33,7 +33,6 @@ mod codegen;
 mod grid;
 mod kernel;
 mod partition;
-mod star;
 mod stencil;
 mod system_kernel;
 mod tiling;
@@ -45,7 +44,6 @@ pub use codegen::{BuildError, Layout, StencilKernel};
 pub use grid::Grid3;
 pub use kernel::{verify_f64_exact, CheckFn, Kernel, KernelError, KernelRun, SetupFn, VerifyError};
 pub use partition::split_ranges;
-pub use star::{StarBuildError, StarStencilKernel, StarVariant};
 pub use stencil::Stencil;
 pub use system_kernel::{SystemKernel, SystemKernelRun, TiledSystemKernel, TiledSystemRun};
 pub use tiling::{TileError, WorkingSet, L2_CAP_GRANULE_BYTES, L2_SWEEP_MSHRS, TCDM_CAP_BYTES};

@@ -4,9 +4,10 @@
 //! suite; both touch the full 27-point radius-1 neighbourhood, which is
 //! what makes them *register-limited*: 27 coefficients + accumulators +
 //! stream registers exceed the 32 architectural FP registers, unless
-//! chaining frees the accumulator registers. Smaller star stencils
-//! (`j3d7pt`, `box2d1r`) are included as non-register-limited contrast
-//! points for the ablations.
+//! chaining frees the accumulator registers. Two smaller stencils are
+//! non-register-limited contrast shapes: `box2d1r`, a 2-D box the
+//! generator also runs, and the 7-point star `j3d7pt`, which it refuses
+//! (see [`crate::BuildError::UnsupportedShape`]).
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -143,13 +144,6 @@ impl Stencil {
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.offsets.is_empty()
-    }
-
-    /// Whether the full neighbourhood is a dense radius-1 box (the layout
-    /// assumption of the 4-D stream pattern used by the kernels).
-    #[must_use]
-    pub fn is_dense_box(&self) -> bool {
-        self.offsets == box_offsets()
     }
 
     /// Applies the stencil functionally over the interior of `grid`,
@@ -292,7 +286,6 @@ mod tests {
     fn box3d1r_has_27_points_dx_fastest() {
         let s = Stencil::box3d1r();
         assert_eq!(s.len(), 27);
-        assert!(s.is_dense_box());
         assert_eq!(s.offsets()[0], (-1, -1, -1));
         assert_eq!(s.offsets()[1], (0, -1, -1));
         assert_eq!(s.offsets()[26], (1, 1, 1));
@@ -310,7 +303,6 @@ mod tests {
     fn j3d7pt_is_star() {
         let s = Stencil::j3d7pt();
         assert_eq!(s.len(), 7);
-        assert!(!s.is_dense_box());
     }
 
     #[test]
@@ -370,7 +362,7 @@ mod tests {
         ) {
             // Row lengths on both sides of the block size, with a
             // partial last block, for the two 27-point stencils and the
-            // two star contrast stencils.
+            // two contrast stencils.
             let stencil = match which {
                 0 => Stencil::box3d1r(),
                 1 => Stencil::j3d27pt(),

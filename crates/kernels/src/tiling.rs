@@ -369,15 +369,6 @@ pub(crate) fn emit_dma_wait(b: &mut ProgramBuilder, count: u32) {
     b.csrrw(DT2, csr::DMA_WAIT, DT1);
 }
 
-/// Emits a `PHASE_MARK` CSR write carrying `value` (a tile index):
-/// profiled builds drop one at the top of each tile-loop iteration so
-/// `sc_perf::segment_phases` can cut the run's attribution into
-/// prologue / per-tile steady state / drain.
-pub(crate) fn emit_phase_mark(b: &mut ProgramBuilder, value: u32) {
-    b.li(DT0, value as i32);
-    b.csrrw(IntReg::ZERO, csr::PHASE_MARK, DT0);
-}
-
 /// Emits hart 0's tile prologue (doorbells + completion wait) followed
 /// by the data-ready barrier every hart executes. Call with an empty
 /// transfer list and `wait == 0` for harts other than 0 — they only

@@ -8,10 +8,6 @@
 //!   full leaf vector, so an attribution *reclassification* (cycles
 //!   silently moving between leaves while the sums still balance) fails
 //!   a test, not just a report diff.
-//! * **Phase markers** — the `_profiled` builders emit one `PHASE_MARK`
-//!   per tile per hart; `segment_phases` labels the segments
-//!   prologue/tile&lt;v&gt;/drain and their attribution deltas re-sum to the
-//!   hart's total. The default builders emit none.
 
 use proptest::prelude::*;
 use sc_cluster::ClusterSummary;
@@ -20,7 +16,7 @@ use sc_kernels::{
     Grid3, Stencil, StencilKernel, Variant, L2_CAP_GRANULE_BYTES, L2_SWEEP_MSHRS, TCDM_CAP_BYTES,
 };
 use sc_mem::{DramConfig, L2Config};
-use sc_perf::{segment_phases, Attribution, Leaf};
+use sc_perf::Leaf;
 use sc_system::SystemSummary;
 
 const MAX_CYCLES: u64 = 50_000_000;
@@ -197,107 +193,4 @@ fn golden_attribution_of_pinned_l2_ablation_point() {
     s.attribution
         .verify(s.cycles * 4)
         .expect("golden vector partitions 4 harts x wall-clock");
-}
-
-/// The profiled builders segment cleanly: one mark per tile per hart,
-/// prologue/tile<v>/drain labels, and the segment deltas re-sum to the
-/// hart's full attribution. The default builders stay mark-free (they
-/// back the CI baselines, which must not move).
-#[test]
-fn profiled_builds_mark_phases_and_segments_resum() {
-    let gen = StencilKernel::new(
-        Stencil::box3d1r(),
-        Grid3::new(8, 4, 6),
-        Variant::ChainingPlus,
-    )
-    .expect("valid combination");
-    let cap = 8 << 10;
-    let harts = 2;
-    let cfg = CoreConfig::new().with_chaining(true);
-    let dram = DramConfig::new().with_latency(32);
-    // One cluster whose engine reads the Dram through a pass-through L2.
-    let direct = L2Config::passthrough(dram);
-
-    let plain = gen.build_system_tiled(1, harts, cap).expect("grid tiles");
-    let profiled = gen
-        .build_system_tiled_profiled(1, harts, cap)
-        .expect("grid tiles");
-    let plain_run = plain
-        .run(cfg, direct, dram, MAX_CYCLES)
-        .expect("plain runs");
-    let run = profiled
-        .run(cfg, direct, dram, MAX_CYCLES)
-        .expect("profiled runs");
-    let (plain_summary, summary) = (
-        &plain_run.summary.per_cluster[0],
-        &run.summary.per_cluster[0],
-    );
-
-    let num_tiles = run.num_tiles;
-    assert!(num_tiles >= 2, "the point must actually tile");
-    for (h, core) in summary.per_core.iter().enumerate() {
-        let marks = core.phase_marks.clone();
-        assert_eq!(
-            marks.len(),
-            num_tiles,
-            "hart{h}: one mark per tile-loop iteration"
-        );
-        assert!(
-            marks.windows(2).all(|w| w[0].value + 1 == w[1].value),
-            "hart{h}: marks carry consecutive tile indices"
-        );
-        let segments = segment_phases(&marks, core.counters.cycles, &core.counters.attr);
-        assert_eq!(segments.len(), num_tiles + 1);
-        assert_eq!(segments[0].label, "prologue");
-        assert_eq!(segments[1].label, "tile0");
-        assert_eq!(segments[segments.len() - 1].label, "drain");
-        // The segments tile the hart's run: contiguous in cycles, and
-        // their attribution deltas re-sum to the hart's totals.
-        let mut resum = Attribution::new();
-        let mut cursor = 0u64;
-        for seg in &segments {
-            assert_eq!(seg.start_cycle, cursor, "hart{h}: segment gap");
-            assert!(seg.end_cycle >= seg.start_cycle);
-            cursor = seg.end_cycle;
-            resum.accumulate(&seg.attr);
-        }
-        assert_eq!(cursor, core.counters.cycles);
-        assert_eq!(resum, core.counters.attr, "hart{h}: segment deltas resum");
-    }
-
-    // Default builders emit no marks, and the profiled overhead stays a
-    // perturbation, not a different pipeline (same tile count, same
-    // DMA traffic).
-    assert!(plain_summary
-        .per_core
-        .iter()
-        .all(|c| c.phase_marks.is_empty()));
-    assert_eq!(plain_run.num_tiles, num_tiles);
-    assert_eq!(
-        plain_summary.dma.as_ref().map(|d| d.stats.beats),
-        summary.dma.as_ref().map(|d| d.stats.beats),
-    );
-
-    // A two-cluster profiled build threads marks into every cluster
-    // the same way.
-    let sys = gen
-        .build_system_tiled_profiled(2, harts, cap)
-        .expect("slabs tile");
-    let sys_run = sys
-        .run(cfg, L2Config::new(), DramConfig::new(), MAX_CYCLES)
-        .expect("profiled system runs");
-    for cluster in &sys_run.summary.per_cluster {
-        for core in &cluster.per_core {
-            assert!(
-                !core.phase_marks.is_empty(),
-                "every hart of every cluster marks its tiles"
-            );
-            let segs = segment_phases(&core.phase_marks, core.counters.cycles, &core.counters.attr);
-            let mut resum = Attribution::new();
-            for seg in &segs {
-                resum.accumulate(&seg.attr);
-            }
-            assert_eq!(resum, core.counters.attr);
-        }
-    }
 }

@@ -76,7 +76,6 @@ const KNOWN_CSRS: &[u16] = &[
     csr::CLUSTER_ID,
     csr::SYSTEM_NUM_CLUSTERS,
     csr::CLUSTER_NUM_CORES,
-    csr::PHASE_MARK,
     csr::DMA_SRC,
     csr::DMA_DST,
     csr::DMA_LEN,

@@ -29,7 +29,7 @@
 //! │   └── dma-wait         hart parked on DMA completion (0x7D8)
 //! └── sync-bound     the cycle went to synchronisation
 //!     ├── drain            FP subsystem draining for a synchronising CSR
-//!     ├── barrier          parked on the cluster barrier (0x7C1)
+//!     ├── barrier          parked on the cluster barrier (0x7C5)
 //!     ├── system-barrier   parked on the inter-cluster barrier (0x7C6)
 //!     └── park             halted / finished while the fabric ran on
 //! ```
@@ -48,11 +48,6 @@
 //! [`RefillOccupancy`] carry the uncore split: DMA busy cycles divide
 //! into compute-overlapped vs exposed, and L2 refill traffic divides
 //! into demand vs prefetch occupancy.
-//!
-//! [`PhaseMark`]s segment a profile along kernel phases (tile-loop
-//! iteration boundaries emitted by the tiling codegen through CSR
-//! `PHASE_MARK`): [`segment_phases`] turns the mark snapshots into
-//! prologue / steady-state / drain attribution deltas.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -134,7 +129,7 @@ pub enum Leaf {
     DmaWait,
     /// FP subsystem draining before a synchronising CSR write.
     Drain,
-    /// Parked on the cluster barrier (CSR 0x7C1).
+    /// Parked on the cluster barrier (CSR 0x7C5).
     Barrier,
     /// Parked on the inter-cluster barrier (CSR 0x7C6).
     SystemBarrier,
@@ -482,73 +477,6 @@ pub fn share_shifts(before: &Attribution, after: &Attribution) -> Vec<(Leaf, f64
     shifts
 }
 
-/// A kernel phase boundary: the attribution state when a hart executed a
-/// `PHASE_MARK` CSR write (the tiling codegen emits one at the top of
-/// every tile stage when phase markers are enabled).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PhaseMark {
-    /// Core cycle at which the mark retired.
-    pub cycle: u64,
-    /// The value written (tile index by convention).
-    pub value: u32,
-    /// Snapshot of the hart's attribution at the mark.
-    pub attr: Attribution,
-}
-
-/// One segment of a phase-segmented profile.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PhaseSegment {
-    /// Segment label: `prologue`, `tile<value>`, or `drain`.
-    pub label: String,
-    /// First cycle of the segment.
-    pub start_cycle: u64,
-    /// One past the last cycle of the segment.
-    pub end_cycle: u64,
-    /// Attribution delta over the segment.
-    pub attr: Attribution,
-}
-
-/// Segments a hart's profile along its phase marks: everything before
-/// the first mark is `prologue`, each mark opens a `tile<value>` segment
-/// (steady state), and the final segment from the last mark to the end
-/// of the run is relabelled `drain`. With no marks the whole run is one
-/// `prologue` segment.
-#[must_use]
-pub fn segment_phases(
-    marks: &[PhaseMark],
-    end_cycle: u64,
-    end_attr: &Attribution,
-) -> Vec<PhaseSegment> {
-    let mut segments = Vec::with_capacity(marks.len() + 1);
-    let mut prev_cycle = 0u64;
-    let mut prev_attr = Attribution::new();
-    for mark in marks {
-        segments.push(PhaseSegment {
-            label: if segments.is_empty() {
-                "prologue".to_owned()
-            } else {
-                format!("tile{}", marks[segments.len() - 1].value)
-            },
-            start_cycle: prev_cycle,
-            end_cycle: mark.cycle,
-            attr: mark.attr.delta_since(&prev_attr),
-        });
-        prev_cycle = mark.cycle;
-        prev_attr = mark.attr;
-    }
-    segments.push(PhaseSegment {
-        label: if marks.is_empty() {
-            "prologue".to_owned()
-        } else {
-            "drain".to_owned()
-        },
-        start_cycle: prev_cycle,
-        end_cycle,
-        attr: end_attr.delta_since(&prev_attr),
-    });
-    segments
-}
-
 /// The uncore transfer split: of the cycles a DMA engine was busy, how
 /// many overlapped with compute versus stood exposed on the critical
 /// path.
@@ -719,42 +647,6 @@ mod tests {
         let retired = shifts.iter().find(|(l, _)| *l == Leaf::Retired).unwrap();
         assert!(retired.1 < 0.0);
         assert!(shifts[2].1.abs() < 1e-9, "raw-hazard share unmoved");
-    }
-
-    #[test]
-    fn phase_segmentation_labels_prologue_steady_drain() {
-        let mut at10 = Attribution::new();
-        at10.record_n(Leaf::DmaWait, 10);
-        let mut at30 = at10;
-        at30.record_n(Leaf::Retired, 20);
-        let mut end = at30;
-        end.record_n(Leaf::Barrier, 5);
-        let marks = [
-            PhaseMark {
-                cycle: 10,
-                value: 0,
-                attr: at10,
-            },
-            PhaseMark {
-                cycle: 30,
-                value: 1,
-                attr: at30,
-            },
-        ];
-        let segs = segment_phases(&marks, 35, &end);
-        assert_eq!(segs.len(), 3);
-        assert_eq!(segs[0].label, "prologue");
-        assert_eq!(segs[0].attr.get(Leaf::DmaWait), 10);
-        assert_eq!(segs[1].label, "tile0");
-        assert_eq!(segs[1].attr.get(Leaf::Retired), 20);
-        assert_eq!(segs[2].label, "drain");
-        assert_eq!(segs[2].attr.get(Leaf::Barrier), 5);
-        assert_eq!(segs[2].end_cycle, 35);
-        // Mark-free runs are one prologue segment.
-        let whole = segment_phases(&[], 35, &end);
-        assert_eq!(whole.len(), 1);
-        assert_eq!(whole[0].label, "prologue");
-        assert_eq!(whole[0].attr, end);
     }
 
     #[test]

@@ -7,13 +7,10 @@
 //! coefficient-streaming `Base` variant slower and hungrier than the
 //! register-resident `Chaining` variants.
 
-use std::collections::VecDeque;
-
 use sc_mem::{AccessKind, MemError, PortId, Request, Store, Tcdm};
 use sc_trace::MetricSource;
 
 use crate::addrgen::{AddrGen, AffinePattern};
-use crate::indirect::IndirectConfig;
 
 /// Direction of an armed stream.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -183,29 +180,16 @@ pub struct DataMover {
     planned: Option<Action>,
     gen: Option<AddrGen>,
     dir: StreamDir,
-    /// Indirect-gather state (SARIS extension); `None` = affine mode.
-    indirect: Option<IndirectState>,
     /// Repetition buffer for read streams: the last loaded value and how
     /// many more times the generator will re-deliver the same address is
     /// handled inside [`AddrGen`]; the FIFO stores each delivery.
     stats: DmStats,
 }
 
-/// Runtime state of an indirect gather: the affine `gen` walks the packed
-/// index array; decoded indices wait here for their data fetch.
-#[derive(Debug, Clone)]
-struct IndirectState {
-    cfg: IndirectConfig,
-    pending_idx: VecDeque<u32>,
-    /// Indices decoded from fetched words so far.
-    unpacked: u32,
-}
-
 /// What the mover will do with its next granted memory access.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Action {
     FetchData(u32),
-    FetchIndexWord(u32),
     WriteData(u32),
 }
 
@@ -225,7 +209,6 @@ impl DataMover {
             planned: None,
             gen: None,
             dir: StreamDir::Read,
-            indirect: None,
             stats: DmStats::default(),
         }
     }
@@ -281,13 +264,9 @@ impl DataMover {
     /// writes, drained to memory.
     #[must_use]
     pub fn is_done(&self) -> bool {
-        let indirect_pending = self
-            .indirect
-            .as_ref()
-            .is_some_and(|st| !st.pending_idx.is_empty());
         match &self.gen {
             None => true,
-            Some(g) => g.is_exhausted() && self.fifo.is_empty() && !indirect_pending,
+            Some(g) => g.is_exhausted() && self.fifo.is_empty(),
         }
     }
 
@@ -304,42 +283,8 @@ impl DataMover {
         }
         self.gen = Some(AddrGen::new(pattern));
         self.dir = dir;
-        self.indirect = None;
         self.clear_fifo();
         Ok(())
-    }
-
-    /// Arms an indirect gather (SARIS extension): walk a packed index
-    /// array at `idx_base` and deliver `data[base + (index << shift)]` for
-    /// each of `cfg.count` indices. Read direction only.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SsrError::StillActive`] if the previous stream has not
-    /// completed.
-    pub fn arm_indirect(&mut self, idx_base: u32, cfg: IndirectConfig) -> Result<(), SsrError> {
-        if !self.is_done() {
-            return Err(SsrError::StillActive { dm: self.index });
-        }
-        let words = cfg.count.div_ceil(cfg.idx_width.per_word());
-        self.gen = Some(AddrGen::new(AffinePattern::from_loops(
-            idx_base,
-            &[(words, 8)],
-        )));
-        self.dir = StreamDir::Read;
-        self.indirect = Some(IndirectState {
-            cfg,
-            pending_idx: VecDeque::new(),
-            unpacked: 0,
-        });
-        self.clear_fifo();
-        Ok(())
-    }
-
-    /// Whether the armed stream gathers through an index array.
-    #[must_use]
-    pub fn is_indirect(&self) -> bool {
-        self.indirect.is_some()
     }
 
     fn clear_fifo(&mut self) {
@@ -355,18 +300,6 @@ impl DataMover {
     #[inline]
     fn next_action(&self) -> Option<Action> {
         let gen = self.gen.as_ref()?;
-        if let Some(st) = &self.indirect {
-            // Data fetches take priority over refilling the index queue.
-            if self.fifo.len() < self.fifo.capacity() {
-                if let Some(&idx) = st.pending_idx.front() {
-                    return Some(Action::FetchData(st.cfg.address_of(idx)));
-                }
-                if st.pending_idx.len() < st.cfg.idx_width.per_word() as usize {
-                    return gen.peek().map(Action::FetchIndexWord);
-                }
-            }
-            return None;
-        }
         match self.dir {
             StreamDir::Read if self.fifo.len() < self.fifo.capacity() => {
                 gen.peek().map(Action::FetchData)
@@ -405,7 +338,7 @@ impl DataMover {
     #[inline]
     fn request_for(&self, action: Action) -> Request {
         match action {
-            Action::FetchData(addr) | Action::FetchIndexWord(addr) => Request {
+            Action::FetchData(addr) => Request {
                 port: self.port,
                 addr,
                 kind: AccessKind::Read,
@@ -460,29 +393,11 @@ impl DataMover {
                 // Arrives at the end of this cycle; poppable next cycle.
                 self.fifo.push_back(value);
                 self.landing = true;
-                if let Some(st) = &mut self.indirect {
-                    st.pending_idx
-                        .pop_front()
-                        .expect("indirect data fetch without index");
-                } else {
-                    self.gen
-                        .as_mut()
-                        .expect("armed")
-                        .next()
-                        .expect("pending address");
-                }
-            }
-            Action::FetchIndexWord(addr) => {
-                let word = tcdm.read_u64(addr)?;
-                let gen = self.gen.as_mut().expect("armed");
-                gen.next().expect("pending index-word address");
-                let st = self.indirect.as_mut().expect("indirect mode");
-                for idx in st.cfg.idx_width.unpack(word) {
-                    if st.unpacked < st.cfg.count {
-                        st.pending_idx.push_back(idx);
-                        st.unpacked += 1;
-                    }
-                }
+                self.gen
+                    .as_mut()
+                    .expect("armed")
+                    .next()
+                    .expect("pending address");
             }
             Action::WriteData(addr) => {
                 let gen = self.gen.as_mut().expect("armed");

@@ -30,7 +30,6 @@
 
 mod addrgen;
 mod dm;
-mod indirect;
 mod unit;
 
 #[cfg(test)]
@@ -38,5 +37,4 @@ mod proptests;
 
 pub use addrgen::{AddrGen, AffinePattern};
 pub use dm::{DataMover, DmStats, SsrError, StreamDir};
-pub use indirect::{IndexWidth, IndirectConfig};
 pub use unit::{CfgAddr, SsrUnit};

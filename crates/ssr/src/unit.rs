@@ -9,22 +9,18 @@
 //! | 1      | repeat (extra deliveries per element)           |
 //! | 2–5    | bounds for dims 0–3, stored as `count - 1`      |
 //! | 6–9    | byte strides for dims 0–3 (two's complement)    |
-//! | 10     | indirect: data base address                     |
-//! | 11     | indirect: bit 0 index width (0 = u16), bits 4–7 shift |
-//! | 12     | indirect: index count, stored as `count - 1`    |
-//! | 16     | indirect pointer: arms a gather over a packed index array |
 //! | 24+d   | read pointer: arms a (d+1)-dimensional read     |
 //! | 28+d   | write pointer: arms a (d+1)-dimensional write   |
 //!
-//! Writing a pointer register *arms* the stream; the staged
-//! repeat/bounds/strides are captured at that moment. Streams only touch
-//! the FP datapath while the SSR-enable CSR bit is set.
+//! Any other register, and a read of a pointer register, is an
+//! [`SsrError::UnknownCfg`]. Writing a pointer register *arms* the
+//! stream; the staged repeat/bounds/strides are captured at that moment.
+//! Streams only touch the FP datapath while the SSR-enable CSR bit is set.
 
 use sc_mem::PortId;
 
 use crate::addrgen::AffinePattern;
 use crate::dm::{DataMover, SsrError, StreamDir};
-use crate::indirect::{IndexWidth, IndirectConfig};
 
 /// Decoded form of an `scfgwi`/`scfgri` immediate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -58,9 +54,6 @@ struct StagedCfg {
     repeat: u32,
     bounds_minus_one: [u32; 4],
     strides: [i32; 4],
-    idx_data_base: u32,
-    idx_cfg: u32,
-    idx_count_minus_one: u32,
 }
 
 /// The stream-semantic-register unit.
@@ -209,28 +202,6 @@ impl SsrUnit {
                 self.staged[dm].strides[(r - 6) as usize] = value as i32;
                 Ok(())
             }
-            10 => {
-                self.staged[dm].idx_data_base = value;
-                Ok(())
-            }
-            11 => {
-                self.staged[dm].idx_cfg = value;
-                Ok(())
-            }
-            12 => {
-                self.staged[dm].idx_count_minus_one = value;
-                Ok(())
-            }
-            16 => {
-                let staged = self.staged[dm];
-                let cfg = IndirectConfig {
-                    data_base: staged.idx_data_base,
-                    idx_width: IndexWidth::from_cfg_bits(staged.idx_cfg),
-                    shift: ((staged.idx_cfg >> 4) & 0xF) as u8,
-                    count: staged.idx_count_minus_one + 1,
-                };
-                self.movers[dm].arm_indirect(value, cfg)
-            }
             r @ 24..=27 => self.arm(addr.dm, value, (r - 24) + 1, StreamDir::Read),
             r @ 28..=31 => self.arm(addr.dm, value, (r - 28) + 1, StreamDir::Write),
             _ => Err(SsrError::UnknownCfg {
@@ -258,9 +229,6 @@ impl SsrUnit {
             1 => Ok(self.staged[dm].repeat),
             r @ 2..=5 => Ok(self.staged[dm].bounds_minus_one[(r - 2) as usize]),
             r @ 6..=9 => Ok(self.staged[dm].strides[(r - 6) as usize] as u32),
-            10 => Ok(self.staged[dm].idx_data_base),
-            11 => Ok(self.staged[dm].idx_cfg),
-            12 => Ok(self.staged[dm].idx_count_minus_one),
             _ => Err(SsrError::UnknownCfg {
                 dm: addr.dm,
                 reg: addr.reg,
@@ -349,10 +317,20 @@ mod tests {
     #[test]
     fn unknown_cfg_register_rejected() {
         let mut ssr = SsrUnit::new(3, 4);
-        assert!(matches!(
-            ssr.write_cfg(CfgAddr { dm: 0, reg: 15 }, 1),
-            Err(SsrError::UnknownCfg { .. })
-        ));
+        // 15 was never assigned; 10–12 and 16 once configured a gather.
+        for reg in [10, 11, 12, 15, 16] {
+            let addr = CfgAddr { dm: 0, reg };
+            assert_eq!(
+                ssr.write_cfg(addr, 1),
+                Err(SsrError::UnknownCfg { dm: 0, reg }),
+                "write of word {reg}"
+            );
+            assert_eq!(
+                ssr.read_cfg(addr),
+                Err(SsrError::UnknownCfg { dm: 0, reg }),
+                "read of word {reg}"
+            );
+        }
         assert!(matches!(
             ssr.write_cfg(CfgAddr { dm: 7, reg: 1 }, 1),
             Err(SsrError::UnknownCfg { .. })
@@ -367,85 +345,5 @@ mod tests {
         ssr.write_cfg(CfgAddr { dm: 0, reg: 6 }, 8).unwrap();
         ssr.write_cfg(CfgAddr { dm: 0, reg: 24 }, 0).unwrap();
         assert_eq!(ssr.read_cfg(CfgAddr { dm: 0, reg: 0 }).unwrap(), 0);
-    }
-}
-
-#[cfg(test)]
-mod indirect_tests {
-    use super::*;
-    use sc_mem::{Store, Tcdm, TcdmConfig};
-
-    /// Drives one mover to completion against a TCDM, collecting pops.
-    fn drain(ssr: &mut SsrUnit, tcdm: &mut Tcdm, dm: u8, n: usize) -> Vec<f64> {
-        let mut got = Vec::new();
-        for _ in 0..10_000 {
-            if let Some(req) = ssr.mover(dm).request() {
-                let g = tcdm.arbitrate(&[req]);
-                if g[0] {
-                    ssr.mover_mut(dm).apply_grant(tcdm).unwrap();
-                }
-            }
-            ssr.advance();
-            if ssr.mover(dm).can_pop() {
-                got.push(f64::from_bits(ssr.mover_mut(dm).pop().unwrap()));
-            }
-            if got.len() == n {
-                break;
-            }
-        }
-        got
-    }
-
-    #[test]
-    fn indirect_gather_via_cfg_registers() {
-        let mut tcdm = Tcdm::new(TcdmConfig::new().with_size(8192).with_banks(8));
-        // Data array at 0x400.
-        for i in 0..32u32 {
-            tcdm.write_f64(0x400 + i * 8, f64::from(i) * 10.0).unwrap();
-        }
-        // Packed u16 index array at 0x100: gather order 5, 0, 31, 7, 7, 2.
-        let indices: [u16; 6] = [5, 0, 31, 7, 7, 2];
-        for (i, idx) in indices.iter().enumerate() {
-            tcdm.write_u16(0x100 + 2 * i as u32, *idx).unwrap();
-        }
-        let mut ssr = SsrUnit::new(3, 4);
-        ssr.set_enabled(true);
-        ssr.write_cfg(CfgAddr { dm: 0, reg: 10 }, 0x400).unwrap(); // data base
-        ssr.write_cfg(CfgAddr { dm: 0, reg: 11 }, 0x30).unwrap(); // u16, shift 3
-        ssr.write_cfg(CfgAddr { dm: 0, reg: 12 }, 5).unwrap(); // count-1
-        ssr.write_cfg(CfgAddr { dm: 0, reg: 16 }, 0x100).unwrap(); // arm gather
-        assert!(ssr.mover(0).is_indirect());
-        let got = drain(&mut ssr, &mut tcdm, 0, 6);
-        assert_eq!(got, vec![50.0, 0.0, 310.0, 70.0, 70.0, 20.0]);
-        assert!(ssr.mover(0).is_done());
-    }
-
-    #[test]
-    fn indirect_gather_u32_indices() {
-        let mut tcdm = Tcdm::new(TcdmConfig::new().with_size(8192).with_banks(8));
-        for i in 0..16u32 {
-            tcdm.write_f64(0x800 + i * 8, f64::from(i) + 0.5).unwrap();
-        }
-        for (i, idx) in [3u32, 1, 15].iter().enumerate() {
-            tcdm.write_u32(0x200 + 4 * i as u32, *idx).unwrap();
-        }
-        let mut ssr = SsrUnit::new(1, 4);
-        ssr.write_cfg(CfgAddr { dm: 0, reg: 10 }, 0x800).unwrap();
-        ssr.write_cfg(CfgAddr { dm: 0, reg: 11 }, 0x31).unwrap(); // u32, shift 3
-        ssr.write_cfg(CfgAddr { dm: 0, reg: 12 }, 2).unwrap();
-        ssr.write_cfg(CfgAddr { dm: 0, reg: 16 }, 0x200).unwrap();
-        let got = drain(&mut ssr, &mut tcdm, 0, 3);
-        assert_eq!(got, vec![3.5, 1.5, 15.5]);
-    }
-
-    #[test]
-    fn indirect_rearm_while_active_is_error() {
-        let mut ssr = SsrUnit::new(1, 4);
-        ssr.write_cfg(CfgAddr { dm: 0, reg: 12 }, 3).unwrap();
-        ssr.write_cfg(CfgAddr { dm: 0, reg: 16 }, 0x100).unwrap();
-        assert!(matches!(
-            ssr.write_cfg(CfgAddr { dm: 0, reg: 16 }, 0x100),
-            Err(SsrError::StillActive { dm: 0 })
-        ));
     }
 }

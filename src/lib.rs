@@ -83,8 +83,7 @@ pub mod prelude {
         Store, Tcdm, TcdmConfig, L2,
     };
     pub use sc_perf::{
-        segment_phases, Attribution, AttributionError, Group, Leaf, PhaseMark, PhaseSegment,
-        RefillOccupancy, TransferAttribution,
+        Attribution, AttributionError, Group, Leaf, RefillOccupancy, TransferAttribution,
     };
     pub use sc_ssr::{AffinePattern, CfgAddr, SsrUnit};
     pub use sc_system::{System, SystemConfig, SystemError, SystemSummary};
