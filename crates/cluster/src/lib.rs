@@ -53,8 +53,9 @@
 //! A cycle costs O(runnable harts), not O(harts). The cluster keeps a
 //! census entry per hart — runnable, halted, or parked (on which
 //! barrier, or on a DMA wait with its target) since cycle `c` — updated
-//! only at transitions: the end-of-cycle pass over the harts it stepped,
-//! the barrier and DMA-wait releases, and program loads. A cycle steps
+//! only at transitions: a stepped hart whose core reports that it
+//! parked or halted ([`sc_core::Core::take_standing_change`]), the
+//! barrier and DMA-wait releases, and program loads. A cycle steps
 //! the runnable list only; completion, the rendezvous counts and the
 //! core half of [`Cluster::next_wake`] read O(1) counts
 //! ([`HartCensus`]). A parked hart is drained, so each of its dense
@@ -439,11 +440,15 @@ struct DmaAttachment {
     timing: DramConfig,
     busy_cycles: u64,
     overlap_cycles: u64,
-    /// `fpu_issue_cycles` summed over this cycle's runnable harts at
-    /// its start (set by [`Cluster::begin_cycle`]), to detect whether
-    /// any core issued compute this cycle. Parked and halted harts
-    /// cannot issue, so they are left out.
-    fpu_issue_before: u64,
+    /// The engine's `(outstanding, completed)` as last mirrored into
+    /// every core; `None` until the first mirror and after a census
+    /// recount. The cores' status CSRs read it, so it is re-mirrored
+    /// only when the engine's state moves.
+    mirrored: Option<(u32, u32)>,
+    /// Whether any runnable hart issued an FPU compute op this cycle
+    /// (set by [`Cluster::begin_cycle`]; parked and halted harts cannot
+    /// issue).
+    compute_issued: bool,
     /// Whether the engine had a transfer in flight at this cycle's start
     /// (set by [`Cluster::begin_cycle`], consumed by
     /// [`Cluster::end_cycle`]).
@@ -484,10 +489,13 @@ pub struct Cluster {
     /// `None` when a hart has parked on `DMA_WAIT` since. Until one of
     /// the two changes, a rescan cannot release anyone.
     dma_wait_scanned: Option<u32>,
+    /// Set when the counts the system rendezvous reads (halted and
+    /// system-barrier harts) may have moved; taken by the owning system
+    /// ([`Cluster::take_rendezvous_change`]).
+    rendezvous_changed: bool,
     // Scratch reused across cycles to keep the hot loop allocation-free.
     requests: Vec<Request>,
     grants: Vec<bool>,
-    ranges: Vec<(usize, usize, usize)>,
     tracer: Tracer,
     /// Perfetto process id this cluster's tracks live under.
     pid: u32,
@@ -535,9 +543,9 @@ impl Cluster {
             runnable: Vec::with_capacity(n),
             census_stale: true,
             dma_wait_scanned: None,
+            rendezvous_changed: true,
             requests: Vec::new(),
             grants: Vec::new(),
-            ranges: Vec::new(),
             tracer: Tracer::off(),
             pid: 0,
         };
@@ -674,7 +682,8 @@ impl Cluster {
             timing,
             busy_cycles: 0,
             overlap_cycles: 0,
-            fpu_issue_before: 0,
+            mirrored: None,
+            compute_issued: false,
             busy_this_cycle: false,
             beat_ready: false,
         });
@@ -818,10 +827,17 @@ impl Cluster {
     /// [`Cluster::core_mut`] or a program load. A hart still parked
     /// keeps its `parked_since`: the only hart a caller could have
     /// changed was settled when it was handed out.
+    #[inline]
     fn refresh_census(&mut self) {
-        if !self.census_stale {
-            return;
+        if self.census_stale {
+            self.recount_census();
         }
+    }
+
+    /// The recount behind [`Cluster::refresh_census`], kept out of line:
+    /// the per-cycle call finds the census current.
+    #[inline(never)]
+    fn recount_census(&mut self) {
         self.census = HartCensus::count(&self.cores);
         for (core, status) in self.cores.iter().zip(&mut self.status) {
             let standing = Standing::of(core);
@@ -835,6 +851,10 @@ impl Cluster {
         }
         self.rebuild_runnable();
         self.dma_wait_scanned = None;
+        if let Some(dma) = &mut self.dma {
+            dma.mirrored = None;
+        }
+        self.rendezvous_changed = true;
         self.census_stale = false;
     }
 
@@ -855,6 +875,7 @@ impl Cluster {
     /// Releases every hart whose standing `waits` accepts with
     /// `release`, paying its owed cycles first (the closed form charges
     /// them to the wait being left), and rebuilds the runnable list.
+    #[inline(never)]
     fn release_harts(&mut self, waits: impl Fn(Standing) -> bool, release: impl Fn(&mut Core)) {
         for h in 0..self.cores.len() {
             if waits(self.status[h].standing) {
@@ -868,56 +889,6 @@ impl Cluster {
             }
         }
         self.rebuild_runnable();
-    }
-
-    /// Phase 4 over the harts this cycle stepped, in one pass: each
-    /// ends its cycle and, unless the census is stale (then
-    /// [`Cluster::refresh_census`] recounts it after the clock moves),
-    /// is classified anew — one that halted or parked leaves the
-    /// runnable list, and a parked hart starts owing cycles from `now`,
-    /// the clock after this cycle. Returns the stepped harts' summed
-    /// `fpu_issue_cycles` for the DMA overlap detector. A hart's cycle
-    /// end and standing depend on that hart alone, so one pass gives
-    /// what a pass per step would.
-    fn end_stepped(&mut self) -> u64 {
-        let now = self.cycles + 1;
-        let classify = !self.census_stale;
-        let mut issued = 0;
-        let mut kept = 0;
-        for i in 0..self.runnable.len() {
-            let h = self.runnable[i];
-            let core = &mut self.cores[h];
-            core.end_cycle();
-            issued += core.counters().fpu_issue_cycles;
-            if !classify {
-                continue;
-            }
-            let standing = Standing::of(core);
-            let status = &mut self.status[h];
-            if standing != status.standing {
-                self.census.leave(status.standing);
-                self.census.enter(standing);
-                status.standing = standing;
-                if let Standing::DmaWait(_) = standing {
-                    self.dma_wait_scanned = None;
-                }
-            }
-            if standing == Standing::Halted {
-                if self.core_done_at[h].is_none() {
-                    self.core_done_at[h] = Some(now);
-                }
-            } else if standing != Standing::Running && core.wake() == Wake::Idle {
-                status.parked_since = Some(now);
-            } else {
-                self.runnable[kept] = h;
-                kept += 1;
-            }
-        }
-        if classify {
-            self.runnable.truncate(kept);
-            self.census.runnable = kept;
-        }
-        issued
     }
 
     /// Cluster cycles simulated so far.
@@ -966,69 +937,94 @@ impl Cluster {
         // runnable and its trace keeps one entry per cycle.
         self.refresh_census();
 
-        // Phases 1–2 on every runnable core, in one pass that also
-        // mirrors the DMA engine's state into each core first (so this
-        // cycle's status-CSR reads see the queue as of cycle start),
-        // notes its compute-issue count for the overlap detector, and
-        // afterwards whether it rang a doorbell. Each of these reads or
-        // writes only its own core and the engine is not touched, so the
-        // one pass equals a pass per step.
-        let status = self
-            .dma
-            .as_ref()
-            .map(|dma| (dma.engine.outstanding(), dma.engine.completed()));
-        let mut issued = 0;
+        if let Some(dma) = &self.dma {
+            let status = (dma.engine.outstanding(), dma.engine.completed());
+            if dma.mirrored != Some(status) {
+                self.mirror_dma_status(status);
+            }
+        }
+
+        // Phases 1–2 on every runnable core, in one pass that also notes
+        // whether it issued compute (the overlap detector) and whether
+        // it rang a doorbell. Each of these reads or writes only its own
+        // core and the engine is not touched, so the one pass equals a
+        // pass per step.
+        let mut computed = false;
         let mut rang = false;
         for &h in &self.runnable {
             let core = &mut self.cores[h];
-            if let Some((outstanding, completed)) = status {
-                core.set_dma_status(outstanding, completed);
-                issued += core.counters().fpu_issue_cycles;
-            }
             core.begin_cycle().map_err(tag(h))?;
+            computed |= core.issued_compute();
             rang |= core.has_dma_commands();
         }
+        if self.dma.is_some() {
+            self.begin_dma_cycle(computed, rang)
+        } else {
+            Ok(None)
+        }
+    }
 
-        // Doorbells rung this cycle enter the engine's FIFO; the engine
-        // picks up new work at its own cycle start below.
-        let mut beat = None;
+    /// Mirrors the DMA engine's state as of cycle start, `status`, into
+    /// every core (so this cycle's status-CSR reads see the queue as of
+    /// cycle start). Called only when the state has moved since the
+    /// last mirror: a core reads its mirror only while it steps, and
+    /// the mirror it holds is then the engine's current state.
+    #[inline(never)]
+    fn mirror_dma_status(&mut self, (outstanding, completed): (u32, u32)) {
+        for core in &mut self.cores {
+            core.set_dma_status(outstanding, completed);
+        }
         if let Some(dma) = &mut self.dma {
-            dma.fpu_issue_before = issued;
-            if rang {
-                for &h in &self.runnable {
-                    for cmd in self.cores[h].drain_dma_commands() {
-                        dma.engine.enqueue(command_to_transfer(&cmd)).map_err(|e| {
-                            ClusterError::Dma {
-                                hart: Some(h as u32),
-                                source: e,
-                            }
-                        })?;
-                    }
+            dma.mirrored = Some((outstanding, completed));
+        }
+    }
+
+    /// The DMA half of [`Cluster::begin_cycle`], after the harts
+    /// stepped: doorbells rung this cycle enter the engine's FIFO, and
+    /// the engine starts its own cycle. Kept out of line, so the hart
+    /// walks of a cluster without an engine stay small.
+    #[inline(never)]
+    fn begin_dma_cycle(
+        &mut self,
+        computed: bool,
+        rang: bool,
+    ) -> Result<Option<(u32, AccessKind)>, ClusterError> {
+        let Some(dma) = &mut self.dma else {
+            return Ok(None);
+        };
+        dma.compute_issued = computed;
+        if rang {
+            for &h in &self.runnable {
+                for cmd in self.cores[h].drain_dma_commands() {
+                    dma.engine.enqueue(command_to_transfer(&cmd)).map_err(|e| {
+                        ClusterError::Dma {
+                            hart: Some(h as u32),
+                            source: e,
+                        }
+                    })?;
                 }
             }
-            // A fully idle engine (nothing queued, nothing in flight —
-            // no doorbell rang above) sits the cycle out: every one of
-            // the calls below is a no-op on it, so the local skip is
-            // exact. Enqueued hints cannot go stale here — an enqueue
-            // leaves the engine non-idle until its transfer completes,
-            // and its hints were drained the same cycle.
-            if dma.engine.is_idle() {
-                dma.busy_this_cycle = false;
-                dma.beat_ready = false;
-                self.prefetch_hints.clear();
-            } else {
-                dma.engine.begin_cycle(dma.timing);
-                dma.busy_this_cycle = dma.engine.is_busy();
-                beat = dma.engine.dram_request();
-                dma.beat_ready = beat.is_some();
-                // This cycle's DMA_START hints replace last cycle's
-                // (which the system either forwarded to the L2 or let
-                // lapse).
-                self.prefetch_hints.clear();
-                self.prefetch_hints
-                    .extend(dma.engine.drain_prefetch_hints());
-            }
         }
+        // This cycle's DMA_START hints replace last cycle's (which the
+        // system either forwarded to the L2 or let lapse).
+        self.prefetch_hints.clear();
+        // A fully idle engine (nothing queued, nothing in flight — no
+        // doorbell rang above) sits the cycle out: every one of the
+        // calls below is a no-op on it, so the local skip is exact.
+        // Enqueued hints cannot go stale here — an enqueue leaves the
+        // engine non-idle until its transfer completes, and its hints
+        // were drained the same cycle.
+        if dma.engine.is_idle() {
+            dma.busy_this_cycle = false;
+            dma.beat_ready = false;
+            return Ok(None);
+        }
+        dma.engine.begin_cycle(dma.timing);
+        dma.busy_this_cycle = dma.engine.is_busy();
+        let beat = dma.engine.dram_request();
+        dma.beat_ready = beat.is_some();
+        self.prefetch_hints
+            .extend(dma.engine.drain_prefetch_hints());
         Ok(beat)
     }
 
@@ -1085,73 +1081,81 @@ impl Cluster {
         // denied at the shared memory never reaches the crossbar: the
         // engine retries the whole beat next cycle.
         self.requests.clear();
-        self.ranges.clear();
         for &h in &self.runnable {
-            let start = self.requests.len();
             self.cores[h].mem_requests(&mut self.requests);
-            self.ranges.push((h, start, self.requests.len()));
         }
-        let mut dma_req = false;
-        if let Some(dma) = &mut self.dma {
-            if dma.beat_ready {
-                if dma_mem.granted() {
-                    if let Some(req) = dma.engine.request() {
-                        self.requests.push(req);
-                        dma_req = true;
-                    }
-                } else {
-                    dma.engine.note_l2_denied(dma_mem.refill_related());
-                }
-            }
-        }
-        if self.requests.is_empty() {
-            for &h in &self.runnable {
-                self.cores[h]
-                    .apply_grants(&[], &mut self.tcdm)
-                    .map_err(tag(h))?;
-            }
-        } else {
+        let dma_req = self.place_dma_request(dma_mem);
+        if !self.requests.is_empty() {
             self.tcdm.arbitrate_into(&self.requests, &mut self.grants);
-            let grants = &self.grants;
-            for &(h, start, end) in &self.ranges {
-                self.cores[h]
-                    .apply_grants(&grants[start..end], &mut self.tcdm)
-                    .map_err(tag(h))?;
-            }
-            if dma_req {
-                let dma = self.dma.as_mut().expect("dma_req implies attachment");
-                let mem = ext_mem.ok_or(ClusterError::MissingExternalStore)?;
-                dma.engine
-                    .apply_grant(grants[grants.len() - 1], &mut self.tcdm, mem, dma.timing)
-                    .map_err(|e| ClusterError::Dma {
-                        hart: None,
-                        source: e,
-                    })?;
-            }
         }
 
-        // Phase 4. The census learns where this cycle's stepped harts
-        // now stand — before the sample (a parked hart's view is settled
-        // against the advanced clock) and before the rendezvous (a hart
-        // arriving this cycle counts).
-        let issued = self.end_stepped();
-        if let Some(dma) = &mut self.dma {
-            dma.engine.end_cycle();
-            // One increment per cluster cycle, however many descriptors
-            // were queued or completed within it — `overlap_cycles` can
-            // therefore never exceed `busy_cycles` and the overlap
-            // fraction stays in [0, 1] (asserted by the sweep
-            // validators). Compute–transfer overlap: did any core issue
-            // an FPU compute op while the engine was busy?
-            if dma.busy_this_cycle {
-                dma.busy_cycles += 1;
-                if issued > dma.fpu_issue_before {
-                    dma.overlap_cycles += 1;
-                }
+        // Phases 3b and 4 over the harts this cycle stepped, in one
+        // pass. Each takes its grants behind one cursor (a core that
+        // placed no request has no grant step) and ends its cycle; one
+        // whose core reports a park or halt
+        // ([`Core::take_standing_change`]) is classified anew — unless
+        // the census is stale (then [`Cluster::refresh_census`] recounts
+        // it after the clock moves). A hart that halted or parked leaves
+        // the runnable list, and a parked hart starts owing cycles from
+        // `now`, the clock after this cycle; every other stepped hart
+        // stays runnable, in its standing, untouched. The census learns
+        // where the stepped harts stand before the sample (a parked
+        // hart's view is settled against the advanced clock) and before
+        // the rendezvous (a hart arriving this cycle counts). A hart's
+        // grants, cycle end and standing depend on that hart alone and
+        // on the TCDM, which a cycle end does not touch, so one pass
+        // gives what a pass per phase would.
+        let now = self.cycles + 1;
+        let mut next = 0;
+        let mut left = false;
+        for &h in &self.runnable {
+            let core = &mut self.cores[h];
+            let n = core.planned_requests();
+            if n > 0 {
+                core.apply_grants(&self.grants[next..next + n], &mut self.tcdm)
+                    .map_err(tag(h))?;
+                next += n;
             }
-            dma.busy_this_cycle = false;
-            dma.beat_ready = false;
+            core.end_cycle();
+            if !core.take_standing_change() || self.census_stale {
+                continue;
+            }
+            let standing = Standing::of(core);
+            let status = &mut self.status[h];
+            self.census.leave(status.standing);
+            self.census.enter(standing);
+            status.standing = standing;
+            match standing {
+                Standing::Halted => {
+                    self.core_done_at[h].get_or_insert(now);
+                    self.rendezvous_changed = true;
+                }
+                Standing::SystemBarrier => self.rendezvous_changed = true,
+                Standing::DmaWait(_) => self.dma_wait_scanned = None,
+                Standing::Barrier | Standing::Running => {}
+            }
+            // A tracing core never reports idle: it stays runnable
+            // through its wait ([`Core::wake`]).
+            if standing == Standing::Halted || core.wake() == Wake::Idle {
+                if standing != Standing::Halted {
+                    status.parked_since = Some(now);
+                }
+                left = true;
+            }
         }
+        if left {
+            let status = &self.status;
+            self.runnable.retain(|&h| {
+                status[h].standing != Standing::Halted && status[h].parked_since.is_none()
+            });
+            self.census.runnable = self.runnable.len();
+        }
+        // The engine's beat, last in the crossbar pass, moves after the
+        // cores' grants.
+        if dma_req {
+            self.apply_dma_grant(self.grants[next], ext_mem)?;
+        }
+        self.end_dma_cycle();
         let sample = self.tracer.wants_sample(self.cycles);
         self.cycles += 1;
         self.refresh_census();
@@ -1164,19 +1168,8 @@ impl Cluster {
             self.release_harts(|s| s == Standing::Barrier, Core::release_barrier);
             self.barriers += 1;
         }
-        // Blocking DMA waits: release every hart whose target the
-        // engine's wrapping completion counter has reached (transfers
-        // complete in the crossbar phase above, so a hart resumes the
-        // cycle after its transfer lands).
-        if let Some(completed) = self.dma.as_ref().map(|d| d.engine.completed()) {
-            if self.census.dma_wait > 0 && self.dma_wait_scanned != Some(completed) {
-                let reached = |s| match s {
-                    Standing::DmaWait(target) => (completed.wrapping_sub(target) as i32) >= 0,
-                    _ => false,
-                };
-                self.release_harts(reached, |core| core.release_dma_wait(completed));
-                self.dma_wait_scanned = Some(completed);
-            }
+        if self.census.dma_wait > 0 && self.dma_wait_scanned != self.dma_completed() {
+            self.release_dma_waits();
         }
         debug_assert_eq!(
             self.census,
@@ -1186,6 +1179,98 @@ impl Cluster {
         Ok(())
     }
 
+    /// Places the DMA engine's beat on the crossbar when its L2 side
+    /// (`dma_mem`) granted it; a denial's kind decides whether the
+    /// engine books a bank-conflict or a miss/refill wait. Returns
+    /// whether a request was placed (last in the request list).
+    #[inline]
+    fn place_dma_request(&mut self, dma_mem: L2Outcome) -> bool {
+        let Some(dma) = &mut self.dma else {
+            return false;
+        };
+        if !dma.beat_ready {
+            return false;
+        }
+        if !dma_mem.granted() {
+            dma.engine.note_l2_denied(dma_mem.refill_related());
+            return false;
+        }
+        match dma.engine.request() {
+            Some(req) => {
+                self.requests.push(req);
+                true
+            }
+            None => false,
+        }
+    }
+
+    /// Applies the crossbar's verdict on the DMA beat, moving data
+    /// between the TCDM and the external store on a grant.
+    #[inline(never)]
+    fn apply_dma_grant(
+        &mut self,
+        granted: bool,
+        ext_mem: Option<&mut Dram>,
+    ) -> Result<(), ClusterError> {
+        let dma = self
+            .dma
+            .as_mut()
+            .expect("a placed DMA request implies an engine");
+        let mem = ext_mem.ok_or(ClusterError::MissingExternalStore)?;
+        dma.engine
+            .apply_grant(granted, &mut self.tcdm, mem, dma.timing)
+            .map_err(|e| ClusterError::Dma {
+                hart: None,
+                source: e,
+            })
+    }
+
+    /// The engine's cycle end and the overlap bookkeeping. One
+    /// increment per cluster cycle, however many descriptors were
+    /// queued or completed within it — `overlap_cycles` can therefore
+    /// never exceed `busy_cycles` and the overlap fraction stays in
+    /// [0, 1] (asserted by the sweep validators). Compute–transfer
+    /// overlap: did any core issue an FPU compute op while the engine
+    /// was busy?
+    #[inline]
+    fn end_dma_cycle(&mut self) {
+        let Some(dma) = &mut self.dma else { return };
+        dma.engine.end_cycle();
+        if dma.busy_this_cycle {
+            dma.busy_cycles += 1;
+            if dma.compute_issued {
+                dma.overlap_cycles += 1;
+            }
+        }
+        dma.busy_this_cycle = false;
+        dma.beat_ready = false;
+    }
+
+    /// The engine's completion count, when an engine is attached.
+    #[inline]
+    fn dma_completed(&self) -> Option<u32> {
+        self.dma.as_ref().map(|d| d.engine.completed())
+    }
+
+    /// Blocking DMA waits: releases every hart whose target the
+    /// engine's wrapping completion counter has reached (transfers
+    /// complete in the crossbar phase, so a hart resumes the cycle after
+    /// its transfer lands). The caller skips the scan at a count it
+    /// already scanned with no hart parked since: it would release
+    /// nobody.
+    #[inline(never)]
+    fn release_dma_waits(&mut self) {
+        let Some(completed) = self.dma_completed() else {
+            return;
+        };
+        let reached = |s| match s {
+            Standing::DmaWait(target) => (completed.wrapping_sub(target) as i32) >= 0,
+            _ => false,
+        };
+        self.release_harts(reached, |core| core.release_dma_wait(completed));
+        self.dma_wait_scanned = Some(completed);
+    }
+
     /// How many of this cluster's harts are parked on the inter-cluster
     /// barrier, and how many are still active (not halted) — the
     /// system's rendezvous census.
@@ -1193,6 +1278,29 @@ impl Cluster {
     pub fn system_barrier_census(&self) -> (usize, usize) {
         let census = self.hart_census();
         (census.system_barrier, self.cores.len() - census.halted)
+    }
+
+    /// Whether the counts [`Cluster::system_barrier_census`] reads may
+    /// have moved since the last call — a hart halted or parked on the
+    /// system barrier, or the census was recounted (a program load, a
+    /// [`Cluster::core_mut`]) — clearing the report. A release through
+    /// [`Cluster::release_system_barrier`] is not reported: its caller
+    /// knows every parked hart left. The owning system keeps running
+    /// rendezvous totals and re-reads this cluster's census only when
+    /// this says so.
+    #[inline]
+    pub fn take_rendezvous_change(&mut self) -> bool {
+        std::mem::take(&mut self.rendezvous_changed)
+    }
+
+    /// The harts the next cycle steps, in hart order: the list the
+    /// census maintains at transitions. Equal, as a set, to the harts
+    /// that are not halted and whose [`Core::wake`] is
+    /// [`Wake::EveryCycle`] — except between a [`Cluster::core_mut`] or
+    /// a program load and the next cycle, which rebuilds it.
+    #[must_use]
+    pub fn runnable_harts(&self) -> &[usize] {
+        &self.runnable
     }
 
     /// Releases every hart parked on the inter-cluster barrier and

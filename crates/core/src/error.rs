@@ -59,6 +59,14 @@ pub enum SimError {
     /// A program used the chaining CSR on a core built without the
     /// extension.
     ChainingAbsent,
+    /// A CSR instruction wrote an address the model implements no
+    /// register at (outside `sc_isa::csr::IMPLEMENTED`).
+    UnknownCsr {
+        /// PC of the CSR instruction.
+        pc: u32,
+        /// The CSR address.
+        csr: u16,
+    },
 }
 
 impl fmt::Display for SimError {
@@ -90,6 +98,9 @@ impl fmt::Display for SimError {
             }
             SimError::ChainingAbsent => {
                 write!(f, "chaining CSR used but the extension is not configured")
+            }
+            SimError::UnknownCsr { pc, csr } => {
+                write!(f, "write to undefined CSR {csr:#x} at pc {pc:#010x}")
             }
         }
     }

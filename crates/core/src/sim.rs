@@ -140,6 +140,13 @@ struct MemPlan {
     n_dm: usize,
 }
 
+impl MemPlan {
+    /// Requests placed this cycle.
+    fn len(&self) -> usize {
+        usize::from(self.int_req) + usize::from(self.fp_lsu) + self.n_dm
+    }
+}
+
 /// A DMA transfer descriptor, snapshotted from the DMA CSRs when a
 /// program rings the `DMA_START` doorbell.
 ///
@@ -228,6 +235,13 @@ pub struct Core {
     dma_rung: u32,
     dma_outstanding: u32,
     dma_completed: u32,
+    /// Set when the hart parks (a barrier or DMA wait) or halts: the
+    /// transitions an owner's census tracks. Taken with
+    /// [`Core::take_standing_change`].
+    standing_changed: bool,
+    /// Whether this cycle's FP issue slot issued a compute op (set by
+    /// [`Core::begin_cycle`]).
+    compute_issued: bool,
     tracer: Tracer,
     track: Track,
 }
@@ -291,6 +305,8 @@ impl Core {
             dma_rung: 0,
             dma_outstanding: 0,
             dma_completed: 0,
+            standing_changed: false,
+            compute_issued: false,
             tracer: Tracer::off(),
             track: Track::new(0, 0),
         }
@@ -626,9 +642,37 @@ impl Core {
         !self.dma_outbox.is_empty()
     }
 
+    /// Whether the hart parked (on a barrier or a DMA wait) or halted
+    /// since the last call, clearing the report. These are the only
+    /// transitions a stepped hart makes on its own: every way out of a
+    /// wait is an owner's release, and a halted hart restarts only
+    /// through [`Core::load_program`]. An owner that classifies its
+    /// harts reads this after each stepped cycle instead of the state.
+    #[inline]
+    pub fn take_standing_change(&mut self) -> bool {
+        std::mem::take(&mut self.standing_changed)
+    }
+
+    /// Whether the last [`Core::begin_cycle`] issued an FP compute op
+    /// (a cycle `fpu_issue_cycles` counts).
+    #[inline]
+    #[must_use]
+    pub fn issued_compute(&self) -> bool {
+        self.compute_issued
+    }
+
+    /// TCDM requests the last [`Core::mem_requests`] placed: the grant
+    /// flags [`Core::apply_grants`] expects this cycle.
+    #[inline]
+    #[must_use]
+    pub fn planned_requests(&self) -> usize {
+        self.plan.len()
+    }
+
     /// Mirrors the shared DMA engine's state into this core, making the
     /// `DMA_STATUS` (outstanding) and `DMA_COMPLETED` (monotonic) CSRs
-    /// readable. The cluster calls this at the top of every cycle.
+    /// readable. The cluster calls this whenever the engine's state
+    /// changes, so every core reads it as of its cycle start.
     pub fn set_dma_status(&mut self, outstanding: u32, completed: u32) {
         self.dma_outstanding = outstanding;
         self.dma_completed = completed;
@@ -705,7 +749,9 @@ impl Core {
         }
 
         // Phase 2a: FP issue.
+        let compute_before = self.counters.fpu_issue_cycles;
         let fp_outcome = self.fp.try_issue(&mut self.counters)?;
+        self.compute_issued = self.counters.fpu_issue_cycles != compute_before;
 
         // Phase 2b: integer execute.
         let sync_before = self.counters.stalls_of(StallCause::Sync);
@@ -848,11 +894,9 @@ impl Core {
     ///
     /// Panics if `grants` does not match the requests of this cycle.
     pub fn apply_grants(&mut self, grants: &[bool], tcdm: &mut Tcdm) -> Result<(), SimError> {
-        let expected =
-            usize::from(self.plan.int_req) + usize::from(self.plan.fp_lsu) + self.plan.n_dm;
         assert_eq!(
             grants.len(),
-            expected,
+            self.plan.len(),
             "grant flags must match this cycle's requests"
         );
         for granted in grants {
@@ -945,6 +989,7 @@ impl Core {
             IntState::Halting => {
                 if self.quiescent()? {
                     self.state = IntState::Halted;
+                    self.standing_changed = true;
                 }
                 return Ok(false);
             }
@@ -1112,6 +1157,13 @@ impl Core {
             CsrSrc::Reg(r) => self.reg(r),
             CsrSrc::Imm(i) => u32::from(i),
         };
+        // Per the RISC-V spec, csrrs/csrrc with the x0 / zero-immediate
+        // operand perform no write: a pure read.
+        let pure_read = matches!(op, CsrOp::ReadSet | CsrOp::ReadClear)
+            && match src {
+                CsrSrc::Reg(r) => r.is_zero(),
+                CsrSrc::Imm(i) => i == 0,
+            };
         match addr {
             csr::CHAIN_MASK => {
                 if !self.fp.is_drained() {
@@ -1162,14 +1214,8 @@ impl Core {
                 }
             }
             csr::CLUSTER_BARRIER => {
-                // Pure reads (csrrs/csrrc with the x0 / zero-immediate
-                // operand — per the RISC-V spec, no write occurs) just
-                // return the completed-episode count without arriving.
-                let pure_read = matches!(op, CsrOp::ReadSet | CsrOp::ReadClear)
-                    && match src {
-                        CsrSrc::Reg(r) => r.is_zero(),
-                        CsrSrc::Imm(i) => i == 0,
-                    };
+                // Pure reads return the completed-episode count without
+                // arriving.
                 if pure_read {
                     self.write_reg(rd, self.barriers_completed);
                 } else {
@@ -1182,16 +1228,11 @@ impl Core {
                     }
                     // Park without retiring; `release_barrier` retires.
                     self.state = IntState::BarrierWait { rd };
+                    self.standing_changed = true;
                     return Ok(false);
                 }
             }
             csr::SYSTEM_BARRIER => {
-                // Same pure-read convention as the cluster barrier.
-                let pure_read = matches!(op, CsrOp::ReadSet | CsrOp::ReadClear)
-                    && match src {
-                        CsrSrc::Reg(r) => r.is_zero(),
-                        CsrSrc::Imm(i) => i == 0,
-                    };
                 if pure_read {
                     self.write_reg(rd, self.system_barriers_completed);
                 } else {
@@ -1206,6 +1247,7 @@ impl Core {
                     // Park without retiring; `release_system_barrier`
                     // retires.
                     self.state = IntState::SystemBarrierWait { rd };
+                    self.standing_changed = true;
                     return Ok(false);
                 }
             }
@@ -1221,11 +1263,6 @@ impl Core {
                 // write snapshots the descriptor CSRs into a command for
                 // the cluster's engine, operand bit 0 selecting the
                 // direction.
-                let pure_read = matches!(op, CsrOp::ReadSet | CsrOp::ReadClear)
-                    && match src {
-                        CsrSrc::Reg(r) => r.is_zero(),
-                        CsrSrc::Imm(i) => i == 0,
-                    };
                 self.write_reg(rd, self.dma_rung);
                 if !pure_read {
                     self.dma_rung = self.dma_rung.wrapping_add(1);
@@ -1250,11 +1287,6 @@ impl Core {
                 // the mirror already satisfies it, in which case the
                 // write retires immediately (the rendezvous everyone
                 // already reached).
-                let pure_read = matches!(op, CsrOp::ReadSet | CsrOp::ReadClear)
-                    && match src {
-                        CsrSrc::Reg(r) => r.is_zero(),
-                        CsrSrc::Imm(i) => i == 0,
-                    };
                 if pure_read {
                     self.write_reg(rd, self.dma_completed);
                 } else {
@@ -1273,6 +1305,7 @@ impl Core {
                         // Park without retiring; `release_dma_wait`
                         // retires.
                         self.state = IntState::DmaWait { rd, target };
+                        self.standing_changed = true;
                         return Ok(false);
                     }
                 }
@@ -1294,6 +1327,12 @@ impl Core {
                     rd,
                     (self.counters.int_retired + self.counters.fp_issued) as u32,
                 );
+            }
+            _ if !pure_read && !csr::is_implemented(addr) => {
+                return Err(SimError::UnknownCsr {
+                    pc: self.pc,
+                    csr: addr,
+                });
             }
             _ => {
                 let old = self.csrs.apply(addr, op, operand);

@@ -554,6 +554,29 @@ fn retired_ssr_word_fails_at_once_while_a_stream_is_active() {
 }
 
 #[test]
+fn write_to_an_undefined_csr_fails_at_once() {
+    // 0x7CA is the retired phase-marker CSR: no register sits there,
+    // so the write fails where it executes instead of being stored.
+    let mut b = ProgramBuilder::new();
+    b.li(T0, 1);
+    b.csrrw(IntReg::ZERO, 0x7CA, T0);
+    b.ecall();
+    let mut sim = Simulator::new(cfg(), b.build().unwrap());
+    assert_eq!(
+        sim.run(1_000).unwrap_err(),
+        SimError::UnknownCsr { pc: 4, csr: 0x7CA }
+    );
+    // A pure read writes nothing and reads zero.
+    let mut b = ProgramBuilder::new();
+    b.li(T0, 7);
+    b.csrrs(T0, 0x7CA, IntReg::ZERO);
+    b.ecall();
+    let mut sim = Simulator::new(cfg(), b.build().unwrap());
+    sim.run(1_000).unwrap();
+    assert_eq!(sim.int_reg(T0), 0);
+}
+
+#[test]
 fn ebreak_reports_pc() {
     let mut b = ProgramBuilder::new();
     b.nop();

@@ -113,6 +113,43 @@ pub const FRM: u16 = 0x002;
 /// FP control/status (frm+fflags).
 pub const FCSR: u16 = 0x003;
 
+/// Every CSR address the model implements: the only addresses an
+/// architectural write may target. A simulated write anywhere else
+/// fails, and `sc-lint` flags it (`csr-unknown`).
+pub const IMPLEMENTED: &[u16] = &[
+    FFLAGS,
+    FRM,
+    FCSR,
+    SSR_ENABLE,
+    FPMODE,
+    CHAIN_MASK,
+    PERF_REGION,
+    CLUSTER_BARRIER,
+    SYSTEM_BARRIER,
+    CLUSTER_ID,
+    SYSTEM_NUM_CLUSTERS,
+    CLUSTER_NUM_CORES,
+    DMA_SRC,
+    DMA_DST,
+    DMA_LEN,
+    DMA_SRC_STRIDE,
+    DMA_DST_STRIDE,
+    DMA_REPS,
+    DMA_START,
+    DMA_STATUS,
+    DMA_COMPLETED,
+    DMA_WAIT,
+    MCYCLE,
+    MINSTRET,
+    MHARTID,
+];
+
+/// Whether the model implements a CSR at `addr` ([`IMPLEMENTED`]).
+#[must_use]
+pub fn is_implemented(addr: u16) -> bool {
+    IMPLEMENTED.contains(&addr)
+}
+
 /// How a CSR instruction updates the register.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CsrOp {
@@ -153,9 +190,10 @@ impl fmt::Display for CsrOp {
 
 /// A sparse CSR file holding 32-bit values.
 ///
-/// Unknown CSRs read as zero and accept writes (stored), which matches the
-/// permissive behaviour needed by bring-up code; the core intercepts the
-/// CSRs with side effects ([`CHAIN_MASK`], [`SSR_ENABLE`]).
+/// Any address reads as zero until written. The file itself stores any
+/// address; the core refuses writes outside [`IMPLEMENTED`] before they
+/// reach it, and intercepts the CSRs with side effects ([`CHAIN_MASK`],
+/// [`SSR_ENABLE`]).
 ///
 /// # Examples
 ///
@@ -209,6 +247,17 @@ mod tests {
     fn unknown_csrs_read_zero() {
         let f = CsrFile::new();
         assert_eq!(f.read(0x123), 0);
+    }
+
+    #[test]
+    fn implemented_csrs_are_distinct_and_exclude_retired_ones() {
+        let mut sorted = IMPLEMENTED.to_vec();
+        sorted.sort_unstable();
+        sorted.dedup();
+        assert_eq!(sorted.len(), IMPLEMENTED.len());
+        // 0x7CA was the retired phase-marker CSR.
+        assert!(!is_implemented(0x7CA));
+        assert!(is_implemented(CHAIN_MASK));
     }
 
     #[test]

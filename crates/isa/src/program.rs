@@ -2,6 +2,7 @@
 
 use std::collections::BTreeMap;
 use std::fmt;
+use std::sync::Arc;
 
 use crate::inst::Instruction;
 
@@ -9,6 +10,11 @@ use crate::inst::Instruction;
 ///
 /// Instruction addresses are byte addresses starting at 0; every
 /// instruction is 4 bytes (no compressed encodings in this model).
+///
+/// A program is immutable once built, and its code and symbol table sit
+/// behind one shared reference: a clone is a reference-count bump, so
+/// handing the same program to many cores, stages or runs copies
+/// nothing.
 ///
 /// # Examples
 ///
@@ -18,10 +24,23 @@ use crate::inst::Instruction;
 /// assert_eq!(prog.fetch(0), Some(Instruction::Ecall));
 /// assert_eq!(prog.fetch(4), None);
 /// ```
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct Program {
+#[derive(Clone, Default, PartialEq)]
+pub struct Program(Arc<Body>);
+
+/// What a [`Program`] shares between its clones.
+#[derive(Default, PartialEq)]
+struct Body {
     code: Vec<Instruction>,
     symbols: BTreeMap<String, u32>,
+}
+
+impl fmt::Debug for Program {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Program")
+            .field("code", &self.0.code)
+            .field("symbols", &self.0.symbols)
+            .finish()
+    }
 }
 
 impl Program {
@@ -29,19 +48,19 @@ impl Program {
     /// (label → byte address).
     #[must_use]
     pub fn new(code: Vec<Instruction>, symbols: BTreeMap<String, u32>) -> Self {
-        Program { code, symbols }
+        Program(Arc::new(Body { code, symbols }))
     }
 
     /// Number of instructions.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.code.len()
+        self.0.code.len()
     }
 
     /// Whether the program contains no instructions.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.code.is_empty()
+        self.0.code.is_empty()
     }
 
     /// Fetches the instruction at byte address `pc`, if in range.
@@ -52,31 +71,31 @@ impl Program {
         if !pc.is_multiple_of(4) {
             return None;
         }
-        self.code.get((pc / 4) as usize).copied()
+        self.0.code.get((pc / 4) as usize).copied()
     }
 
     /// The instructions as a slice.
     #[must_use]
     pub fn code(&self) -> &[Instruction] {
-        &self.code
+        &self.0.code
     }
 
     /// Looks up a label's byte address.
     #[must_use]
     pub fn symbol(&self, name: &str) -> Option<u32> {
-        self.symbols.get(name).copied()
+        self.0.symbols.get(name).copied()
     }
 
     /// Iterates over `(name, byte address)` symbol pairs.
     pub fn symbols(&self) -> impl Iterator<Item = (&str, u32)> {
-        self.symbols.iter().map(|(k, v)| (k.as_str(), *v))
+        self.0.symbols.iter().map(|(k, v)| (k.as_str(), *v))
     }
 
     /// Encodes the program to its 32-bit binary words (little-endian
     /// machine code, as a linker would emit it).
     #[must_use]
     pub fn to_words(&self) -> Vec<u32> {
-        self.code.iter().map(crate::encode).collect()
+        self.0.code.iter().map(crate::encode).collect()
     }
 
     /// Decodes a program from binary words (symbols are not recoverable).
@@ -89,10 +108,7 @@ impl Program {
             .iter()
             .map(|w| crate::decode(*w))
             .collect::<Result<Vec<_>, _>>()?;
-        Ok(Program {
-            code,
-            symbols: BTreeMap::new(),
-        })
+        Ok(Program::new(code, BTreeMap::new()))
     }
 
     /// Renders a disassembly listing with addresses and labels.
@@ -103,7 +119,7 @@ impl Program {
             by_addr.entry(addr).or_default().push(name);
         }
         let mut out = String::new();
-        for (i, inst) in self.code.iter().enumerate() {
+        for (i, inst) in self.0.code.iter().enumerate() {
             let addr = (i * 4) as u32;
             if let Some(labels) = by_addr.get(&addr) {
                 for l in labels {
@@ -137,6 +153,14 @@ mod tests {
         );
         assert!(prog.fetch(2).is_none());
         assert_eq!(prog.fetch(4), Some(Instruction::Ecall));
+    }
+
+    #[test]
+    fn clones_share_one_body() {
+        let prog = Program::new(vec![Instruction::Ecall], Default::default());
+        let copy = prog.clone();
+        assert!(Arc::ptr_eq(&prog.0, &copy.0));
+        assert_eq!(copy, prog);
     }
 
     #[test]

@@ -62,35 +62,6 @@ pub(crate) fn describe_barriers(seq: &[BarrierEvent]) -> String {
     format!("[{}]", parts.join(", "))
 }
 
-/// CSR addresses the model implements.
-const KNOWN_CSRS: &[u16] = &[
-    csr::FFLAGS,
-    csr::FRM,
-    csr::FCSR,
-    csr::SSR_ENABLE,
-    csr::FPMODE,
-    csr::CHAIN_MASK,
-    csr::PERF_REGION,
-    csr::CLUSTER_BARRIER,
-    csr::SYSTEM_BARRIER,
-    csr::CLUSTER_ID,
-    csr::SYSTEM_NUM_CLUSTERS,
-    csr::CLUSTER_NUM_CORES,
-    csr::DMA_SRC,
-    csr::DMA_DST,
-    csr::DMA_LEN,
-    csr::DMA_SRC_STRIDE,
-    csr::DMA_DST_STRIDE,
-    csr::DMA_REPS,
-    csr::DMA_START,
-    csr::DMA_STATUS,
-    csr::DMA_COMPLETED,
-    csr::DMA_WAIT,
-    csr::MCYCLE,
-    csr::MINSTRET,
-    csr::MHARTID,
-];
-
 /// CSRs an architectural write can never legally target.
 const READ_ONLY_CSRS: &[u16] = &[
     csr::CLUSTER_ID,
@@ -528,7 +499,7 @@ impl Analyzer<'_> {
         };
         let writes = op == CsrOp::ReadWrite || !zero_operand;
         self.clobber(rd);
-        if writes && !KNOWN_CSRS.contains(&addr) {
+        if writes && !csr::is_implemented(addr) {
             self.diag(
                 Rule::CsrUnknown,
                 Severity::Error,

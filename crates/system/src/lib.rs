@@ -335,6 +335,12 @@ pub struct System {
     /// cluster never runs again). Every per-cycle loop reads it instead
     /// of re-testing each cluster.
     unfinished: Vec<usize>,
+    /// Running rendezvous totals over the unfinished clusters: harts
+    /// parked on the system barrier, and harts still active. Recounted
+    /// only in a cycle in which some cluster reports a change
+    /// ([`Cluster::take_rendezvous_change`]).
+    waiting: usize,
+    active: usize,
     tracer: Tracer,
     watchdog: Option<Watchdog>,
     /// Per-cluster, per-hart attribution snapshots at the system
@@ -498,17 +504,17 @@ impl System {
         // this cycle's arbitration so prefetching can start while the
         // engine still pays its startup latency.
         self.l2_reqs.clear();
-        for i in 0..self.unfinished.len() {
-            let c = self.unfinished[i];
-            if let Some((addr, kind)) = self.clusters[c].begin_cycle().map_err(tag(c))? {
+        for &c in &self.unfinished {
+            let cluster = &mut self.clusters[c];
+            if let Some((addr, kind)) = cluster.begin_cycle().map_err(tag(c))? {
                 self.l2_reqs.push(L2Request {
                     cluster: c as u32,
                     addr,
                     kind,
                 });
             }
-            if let Some((l2, _)) = self.shared.as_mut() {
-                for mut hint in self.clusters[c].drain_prefetch_hints() {
+            if let Some((l2, _)) = &mut self.shared {
+                for mut hint in cluster.drain_prefetch_hints() {
                     hint.requester = c as u32;
                     l2.prefetch_hint(hint);
                 }
@@ -531,8 +537,8 @@ impl System {
         // beats were collected in this same cluster order, so one
         // cursor pairs each with its cluster.
         let mut beat = 0;
-        for i in 0..self.unfinished.len() {
-            let c = self.unfinished[i];
+        let mut changed = false;
+        for &c in &self.unfinished {
             let outcome = match self.l2_reqs.get(beat) {
                 Some(req) if req.cluster == c as u32 => {
                     beat += 1;
@@ -544,7 +550,9 @@ impl System {
                 _ => L2Outcome::Granted,
             };
             let dram = self.shared.as_mut().map(|(_, d)| d);
-            self.clusters[c].end_cycle(outcome, dram).map_err(tag(c))?;
+            let cluster = &mut self.clusters[c];
+            cluster.end_cycle(outcome, dram).map_err(tag(c))?;
+            changed |= cluster.take_rendezvous_change();
         }
         if let Some((l2, _)) = self.shared.as_mut() {
             l2.end_cycle();
@@ -555,42 +563,59 @@ impl System {
         self.cycles += 1;
 
         // Stage advance + completion bookkeeping, then each cluster's
-        // barrier census, in one walk. A cluster whose cores just halted
-        // with another stage queued still has work, so reloading it
-        // before its census makes its harts count as active in the
-        // rendezvous below. (Counting them as halted would release a
-        // sibling's barrier without them.) A cluster's census reads only
-        // its own state, so taking it right after its own stage advance
-        // is exact. A cluster with no stage left finishes: it records
-        // its finishing cycle and leaves the unfinished list for good.
-        let (mut waiting, mut active) = (0, 0);
-        self.unfinished.retain(|&c| {
-            let cluster = &mut self.clusters[c];
-            if cluster.is_done() {
-                match self.stages[c].pop_front() {
-                    Some(next) => cluster.load_programs(next),
-                    None => {
-                        self.cluster_done_at[c] = Some(self.cycles);
-                        return false;
+        // barrier census, in one walk — only in a cycle in which some
+        // cluster reported a hart halting (a stage ends only when its
+        // last hart halts) or arriving at the system barrier. Otherwise
+        // no cluster is done and the running totals still hold. A
+        // cluster whose cores just halted with another stage queued
+        // still has work, so reloading it before its census makes its
+        // harts count as active in the rendezvous below. (Counting them
+        // as halted would release a sibling's barrier without them.) A
+        // cluster's census reads only its own state, so taking it right
+        // after its own stage advance is exact. A cluster with no stage
+        // left finishes: it records its finishing cycle and leaves the
+        // unfinished list for good.
+        if changed {
+            let (mut waiting, mut active) = (0, 0);
+            self.unfinished.retain(|&c| {
+                let cluster = &mut self.clusters[c];
+                if cluster.is_done() {
+                    match self.stages[c].pop_front() {
+                        Some(next) => cluster.load_programs(next),
+                        None => {
+                            self.cluster_done_at[c] = Some(self.cycles);
+                            return false;
+                        }
                     }
                 }
-            }
-            let (w, a) = cluster.system_barrier_census();
-            waiting += w;
-            active += a;
-            true
-        });
+                let (w, a) = cluster.system_barrier_census();
+                waiting += w;
+                active += a;
+                true
+            });
+            (self.waiting, self.active) = (waiting, active);
+        }
 
         // Inter-cluster barrier rendezvous: release once every active
         // hart of every cluster has arrived (a finished cluster has
-        // none).
-        if waiting > 0 && waiting == active {
+        // none). The release empties every cluster's system barrier.
+        if self.waiting > 0 && self.waiting == self.active {
             for cluster in &mut self.clusters {
                 cluster.release_system_barrier();
             }
             self.system_barriers += 1;
+            self.waiting = 0;
         }
         self.observe_watchdog()
+    }
+
+    /// The running rendezvous totals over the unfinished clusters, as
+    /// of the last [`System::step`]: harts parked on the inter-cluster
+    /// barrier, and harts still active (not halted). Always equal to
+    /// the sum of those clusters' [`Cluster::system_barrier_census`].
+    #[must_use]
+    pub fn system_barrier_census(&self) -> (usize, usize) {
+        (self.waiting, self.active)
     }
 
     /// The earliest future cycle at which stepping the system could do
@@ -1014,9 +1039,13 @@ impl SystemBuilder {
             (l2, dram)
         });
         let n = clusters.len();
-        let unfinished = (0..n)
+        let unfinished: Vec<usize> = (0..n)
             .filter(|&c| !(clusters[c].is_done() && queues[c].is_empty()))
             .collect();
+        let (waiting, active) = unfinished
+            .iter()
+            .map(|&c| clusters[c].system_barrier_census())
+            .fold((0, 0), |(w, a), (cw, ca)| (w + cw, a + ca));
         Ok(System {
             cfg,
             clusters,
@@ -1028,6 +1057,8 @@ impl SystemBuilder {
             l2_reqs: Vec::new(),
             l2_outcomes: Vec::new(),
             unfinished,
+            waiting,
+            active,
             tracer,
             watchdog: watchdog.map(Watchdog::new),
             hang_attr_base: vec![Vec::new(); n],

@@ -229,8 +229,15 @@ impl Tracer {
     #[inline]
     pub fn set_cycle(&self, cycle: u64) {
         if let Some(sink) = &self.sink {
-            sink.lock().expect("trace sink poisoned").set_cycle(cycle);
+            Self::set_sink_cycle(sink, cycle);
         }
+    }
+
+    /// The subscribed half of [`Tracer::set_cycle`], kept out of line
+    /// so the per-cycle call of an off tracer inlines to one test.
+    #[inline(never)]
+    fn set_sink_cycle(sink: &Mutex<dyn TraceSink>, cycle: u64) {
+        sink.lock().expect("trace sink poisoned").set_cycle(cycle);
     }
 
     /// Emits one event (no-op when off).
